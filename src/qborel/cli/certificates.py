@@ -13,18 +13,17 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from ..carriers import IntSet, parse_intset, parse_ptmap
+from .. import __version__ as VERSION
+from ..carriers import parse_intset, parse_ptmap
 from ..errors import QBorelError
 from ..quotient import Partition
 from ..relations import (
     IntBlockRelation,
     generate_equivalence,
     verify_enumeration,
-    verify_enumeration_int,
 )
 
 TOOL = "qborel"
-VERSION = "0.1.0"
 
 CHECKERS: dict[str, object] = {}
 
@@ -191,17 +190,6 @@ def _chk_closure_partition(data):
     return False, None
 
 
-@checker("finite_bijection")
-def _chk_finite_bijection(data):
-    f = _pairs_to_map(data["map"])
-    n = data["n"]
-    if sorted(f) != list(range(n)):
-        return False, "domain is not the whole point set"
-    if sorted(f.values()) != list(range(n)):
-        return False, "values do not exhaust the point set"
-    return True, None
-
-
 @checker("finite_involution")
 def _chk_finite_involution(data):
     f = _pairs_to_map(data["map"])
@@ -284,40 +272,10 @@ def _chk_least_cover_index(data):
     return True, None
 
 
-@checker("word_value")
-def _chk_word_value(data):
-    from ..cantor import canonicalize, e0_equivalent, et_equivalent, parse_word
-
-    k = data["k"]
-    x = parse_word(data["x"], k)
-    y = parse_word(data["y"], k)
-    fn = {"e0": e0_equivalent, "et": et_equivalent}[data["relation"]]
-    got = fn(x, y)
-    return got == data["expected"], got
-
-
 @checker("intset_equal")
 def _chk_intset_equal(data):
     ok = parse_intset(data["left"]) == parse_intset(data["right"])
     return ok, None if ok else {"left": data["left"], "right": data["right"]}
-
-
-@checker("ptmap_equal")
-def _chk_ptmap_equal(data):
-    ok = parse_ptmap(data["left"]) == parse_ptmap(data["right"])
-    return ok, None if ok else {"left": data["left"], "right": data["right"]}
-
-
-@checker("ptmap_total_bijection")
-def _chk_ptmap_total_bijection(data):
-    f = parse_ptmap(data["map"])
-    ambient = parse_intset(data["ambient"])
-    if f.domain() != ambient:
-        return False, "domain differs from the ambient set"
-    if f.range_set() != ambient:
-        return False, "range differs from the ambient set"
-    w = f.injectivity_witness()
-    return w is None, w
 
 
 @checker("ptmap_graph_subset")
@@ -336,13 +294,6 @@ def _chk_ptmap_within_blocks(data):
     )
     w = rel.graph_within_witness(parse_ptmap(data["map"]))
     return w is None, w
-
-
-@checker("int_enumeration_laws")
-def _chk_int_enumeration_laws(data):
-    maps = [parse_ptmap(t) for t in data["maps"]]
-    report = verify_enumeration_int(maps, parse_intset(data["ambient"]))
-    return report.ok, None if report.ok else jsonable(vars(report))
 
 
 @checker("int_orbit_window")

@@ -514,7 +514,7 @@ def cmd_generate(args, inst) -> Certificate:
     }
     if args.x is not None and args.y is not None:
         steps = chain_witness(layers, args.x, args.y)
-        cert.outputs["chain"] = [s.describe() for s in steps]
+        cert.outputs["chain"] = None if steps is None else [s.describe() for s in steps]
     cert.emit(
         "closure_matches_generated_partition",
         "closure_partition",

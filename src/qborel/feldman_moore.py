@@ -7,7 +7,9 @@ every step of the construction stays exact.
 The pipeline: split an enumeration into partial injections, greedily
 extend a seed injection to a maximal one, stratify the points by how
 their orbit under the injection escapes its domain or range, then
-reassemble two total bijections covering the seed.  Level dynamics on
+reassemble two total bijections covering the seed.  On the finite lane
+every class is finite, so a maximal injection is a permutation, all
+levels but X_0 are empty and the cover is (g, g^-1).  Level dynamics on
 the integer carrier are accelerated once they become periodic; the
 detected period is certified by a translation-compatibility check, not
 extrapolated blindly.
@@ -64,10 +66,14 @@ def injectivity_witness(f: dict[int, int]):
 
 
 def graph_within_partition(f: dict[int, int], rel: Partition):
-    """None when every pair of f joins related points, else a witness pair."""
+    """None when every pair of f joins related points, else a witness pair.
+
+    A pair with a point outside 0..rel.n-1 is a witness too.
+    """
     for x in sorted(f):
-        if not rel.same(x, f[x]):
-            return (x, f[x])
+        y = f[x]
+        if not (0 <= x < rel.n and 0 <= y < rel.n and rel.same(x, y)):
+            return (x, y)
     return None
 
 
@@ -337,46 +343,24 @@ class FiniteLevels:
     negative: list[frozenset[int]]  # X_-1, X_-2, ...
     zero: frozenset[int]
 
-    def level_of(self, x: int) -> int:
-        for i, s in enumerate(self.positive):
-            if x in s:
-                return i + 1
-        for i, s in enumerate(self.negative):
-            if x in s:
-                return -(i + 1)
-        return 0
-
 
 def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
-    """Stratify points by escape behaviour; demands a maximal injection."""
+    """Levels of a maximal injection inside a relation with finite classes.
+
+    Such an injection maps each class injectively into itself and, being
+    maximal, onto itself: it is a permutation, so every point lies in
+    X_0 and all other levels are empty.
+    """
     w = injectivity_witness(g)
     if w is not None:
         raise NotInjective(f"{w[0]} and {w[1]} both map to {w[2]}", witness=w)
+    w = graph_within_partition(g, rel)
+    if w is not None:
+        raise NotWithinRelation(f"pair {w} leaves the relation", witness=w)
     w = maximality_witness(g, rel)
     if w is not None:
         raise NotMaximal(f"pair {w} is unused but extendable", witness=w)
-    dom = set(g)
-    rng = set(g.values())
-    inv = invert_map(g)
-    pos = []
-    cur = frozenset(dom - rng)
-    guard = 0
-    while cur:
-        pos.append(cur)
-        cur = frozenset(g[x] for x in cur if x in g)
-        guard += 1
-        assert guard <= n + 1, "positive levels failed to terminate"
-    neg = []
-    cur = frozenset(rng - dom)
-    guard = 0
-    while cur:
-        neg.append(cur)
-        cur = frozenset(inv[x] for x in cur if x in inv)
-        guard += 1
-        assert guard <= n + 1, "negative levels failed to terminate"
-    used = set().union(*pos, *neg) if (pos or neg) else set()
-    zero = frozenset(range(n)) - used
-    return FiniteLevels(n, dict(g), pos, neg, frozenset(zero))
+    return FiniteLevels(n, dict(g), [], [], frozenset(range(n)))
 
 
 @dataclass
@@ -537,29 +521,8 @@ class CoverPair:
 
 
 def cover_finite(levels: FiniteLevels) -> CoverPair:
-    """Assemble the two bijections from a finite stratification."""
-    g = levels.g
-    inv = invert_map(g)
-    gp = {}
-    gpp = {}
-    for x in range(levels.n):
-        l = levels.level_of(x)
-        if l == 0:
-            gp[x] = g[x]
-            gpp[x] = inv[x]
-        elif l >= 1 and l % 2 == 1:
-            gp[x] = g[x]
-            gpp[x] = x if l == 1 else inv[x]
-        elif l >= 2:
-            gp[x] = inv[x]
-            gpp[x] = g[x]
-        elif l <= -1 and (-l) % 2 == 1:
-            gp[x] = inv[x]
-            gpp[x] = x if l == -1 else g[x]
-        else:  # l <= -2 even
-            gp[x] = g[x]
-            gpp[x] = inv[x]
-    return CoverPair(gp, gpp)
+    """The finite cover: all points sit in X_0, so it is (g, g^-1)."""
+    return CoverPair(dict(levels.g), invert_map(levels.g))
 
 
 def cover_int(levels: IntLevels) -> CoverPair:
@@ -607,14 +570,15 @@ class QuotientConstruction:
 
 
 def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
-    """Run the full pipeline for a verified finite enumeration."""
-    report = enum.verify()
-    if not report.ok:
-        raise NotAnEnumeration("graphs fail the closure checks", witness=report)
+    """Run the full pipeline for a finite enumeration.
+
+    psi_split checks the enumeration before enum.partition() reads the
+    graphs, so a family that fails the checks with a point outside 0..n-1
+    raises NotAnEnumeration rather than IndexError.
+    """
     n = enum.n
+    psis = psi_split(enum.graph_dicts(), n)
     rel = enum.partition()
-    phis = enum.graph_dicts()
-    psis = psi_split(phis, n)
     extended = []
     covers = []
     seen = set()

@@ -375,20 +375,9 @@ def _merge_offsets(graphs: list[PiecewiseTranslation]) -> dict[int, IntSet]:
     return {c: d for c, d in merged.items() if not d.is_empty()}
 
 
-@dataclass
-class EnumReportInt:
-    reflexive: CheckOutcome
-    symmetric: CheckOutcome
-    transitive: CheckOutcome
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.reflexive and self.symmetric and self.transitive)
-
-
 def verify_enumeration_int(
     graphs: list[PiecewiseTranslation], ambient: IntSet
-) -> EnumReportInt:
+) -> EnumReport:
     """Closure checks for piecewise-translation graphs, per offset.
 
     The witness of a failed check is a pair (and for transitivity the
@@ -425,7 +414,7 @@ def verify_enumeration_int(
                 break
         if done:
             break
-    return EnumReportInt(refl, sym, trans)
+    return EnumReport(refl, sym, trans)
 
 
 @dataclass(frozen=True)

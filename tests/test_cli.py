@@ -124,6 +124,31 @@ def test_generate_with_chain(capsys):
     assert "chain" in out
 
 
+def test_generate_chain_is_null_for_unrelated_points(capsys):
+    code, out = run(
+        capsys, "generate", "--input", FIVE, "--maps", "c3,fin",
+        "--x", "0", "--y", "3",
+    )
+    assert code == 0
+    assert "chain = null" in out
+
+
+def test_cover_seed_on_larger_space_is_typed_error(tmp_path, capsys):
+    inst = tmp_path / "larger_seed.qb"
+    inst.write_text(
+        "space A carrier = finite(5)\n"
+        "space B carrier = finite(8)\n"
+        "map e : A -> A : 0 -> 0, 1 -> 1, 2 -> 2, 3 -> 3, 4 -> 4\n"
+        "rel F on A graphs = [e]\n"
+        "map g0 : B -> B : 6 -> 7\n"
+    )
+    code, out = run(capsys, "cover", "--input", str(inst), "--g0", "g0")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "NotWithinRelation"
+    assert err["witness"] == [6, 7]
+
+
 def test_tail(capsys):
     code, out = run(capsys, "tail", "--input", FIVE, "--map", "fin")
     assert code == 0

@@ -203,7 +203,6 @@ def test_finite_levels_all_empty(p, rng):
     # a maximal injection on finite classes is a bijection: no levels at all
     assert lv.positive == [] and lv.negative == []
     assert lv.zero == frozenset(range(p.n))
-    assert all(lv.level_of(x) == 0 for x in range(p.n))
     cp = cover_finite(lv)
     got = union_pairs([cp.first, cp.second])
     assert got >= frozenset(g.items())
@@ -218,6 +217,24 @@ def test_levels_finite_rejects_non_injection():
 def test_levels_finite_rejects_non_maximal():
     with pytest.raises(NotMaximal):
         levels_finite({0: 1, 1: 0}, 3, Partition.indiscrete(3))
+
+
+def test_levels_finite_rejects_map_leaving_relation():
+    from qborel.errors import NotWithinRelation
+
+    # injective and maximal, but 0 and 1 are not related
+    with pytest.raises(NotWithinRelation) as exc:
+        levels_finite({0: 1}, 2, Partition.discrete(2))
+    assert exc.value.witness == (0, 1)
+
+
+def test_graph_within_partition_flags_points_outside_range():
+    from qborel.feldman_moore import graph_within_partition
+
+    p = Partition.discrete(2)
+    assert graph_within_partition({6: 7}, p) == (6, 7)
+    assert graph_within_partition({-1: 1}, p) == (-1, 1)
+    assert graph_within_partition({0: 0, 1: 1}, p) is None
 
 
 # -- full finite pipeline ----------------------------------------------------------
