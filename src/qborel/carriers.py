@@ -5,11 +5,14 @@ segments, upward rays and downward rays.  Construction always normalizes
 to a canonical form, so two IntSets are equal as point sets exactly when
 their piece tuples compare equal.
 
-The normal form is computed from the point set alone.  Membership of a
+The normal form is a function of the point set alone.  Membership of a
 semilinear set is eventually periodic in both directions; we find the
 minimal eventual periods, the tightest thresholds where the periodic
 zones start, and an explicit middle.  Globally periodic sets (including
-the empty set and all of Z) collapse to a residue-set description.
+the empty set and all of Z) collapse to a residue-set description.  All
+of it is arithmetic on the sorted interval lists of the residues modulo
+the lcm p of the strides, so the cost follows p and the number of
+intervals and output pieces, never the size of the coordinates.
 
 A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are
@@ -20,6 +23,7 @@ maps) inversion, which is what the partial-injection calculus needs.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from math import gcd, inf, lcm
 from typing import Iterable, Iterator
@@ -78,11 +82,6 @@ class Piece:
         return self.start + (self.length - 1) * self.stride
 
 
-def _piece_key(p: Piece):
-    kind = 0 if p.down else (2 if p.length is None else 1)
-    return (kind, p.start, p.stride, p.length if p.length is not None else -1)
-
-
 # ---------------------------------------------------------------------------
 # interval lists: sorted disjoint (lo, hi) with None as -/+ infinity,
 # used per residue class during set algebra and normalization
@@ -97,8 +96,9 @@ def _iv_norm(ivs):
     for lo, hi in sorted(ivs, key=lo_key):
         if out:
             plo, phi = out[-1]
-            # adjacent lattice intervals merge: phi + 1 >= lo
-            if phi is None or (lo is not None and lo <= phi + 1):
+            # adjacent lattice intervals merge: phi + 1 >= lo; two
+            # intervals unbounded below always overlap
+            if phi is None or lo is None or lo <= phi + 1:
                 if phi is not None and (hi is None or hi > phi):
                     out[-1] = (plo, hi)
                 continue
@@ -144,114 +144,151 @@ def _iv_difference(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _divisors(n: int):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 def _min_shift_period(residues: set[int], p: int):
     """Minimal q dividing p with residues + q == residues mod p, plus the folded set."""
-    for q in _divisors(p):
-        if all((r + q) % p in residues for r in residues):
+    for q in range(1, p + 1):
+        if p % q == 0 and all((r + q) % p in residues for r in residues):
             return q, {r % q for r in residues}
     return p, set(residues)  # q = p always works; unreachable fallback
 
 
-def _greedy_segments(points: list[int]) -> list[Piece]:
-    """Canonical decomposition of a finite sorted point list into segments.
+def _middle_runs(per_res, p: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """Members x = r + p*y of the residue intervals with lo <= x <= hi.
 
-    Deterministic function of the point set: each run takes its stride
-    from the gap to the immediate next remaining point.
+    They come out ascending as runs (start, stride, count).  Between two
+    consecutive interval ends the set of residues present is constant;
+    such a stretch is one run when its residues are evenly spaced mod p,
+    and is listed point by point otherwise.
     """
+    events = []
+    for r, ivs in per_res.items():
+        y_lo, y_hi = -((r - lo) // p), (hi - r) // p
+        for a, b in ivs:
+            a = y_lo if a is None else max(a, y_lo)
+            b = y_hi if b is None else min(b, y_hi)
+            if a <= b:
+                events.append((r + p * a, r))
+                events.append((r + p * b + 1, r))
+    events.sort()
+    runs = []
+    res: list[int] = []  # residues present, ascending
+    for (u, r), (v, _) in zip(events, events[1:]):
+        if r in res:
+            res.remove(r)
+        else:
+            insort(res, r)
+        if u == v or not res:
+            continue
+        step, spread = divmod(p, len(res))
+        if not spread and res == list(range(res[0], p, step)):
+            x0 = u + (res[0] - u) % step
+            if x0 < v:
+                runs.append((x0, step, (v - 1 - x0) // step + 1))
+            continue
+        for base in range(u - u % p, v, p):
+            runs.extend((base + s, 1, 1) for s in res if u <= base + s < v)
+    return runs
+
+
+def _greedy_segments(runs: list[tuple[int, int, int]]) -> list[Piece]:
+    """Canonical decomposition of a finite ascending point sequence into segments.
+
+    Deterministic function of the point set: each segment takes its
+    stride from the gap to the immediate next remaining point and goes on
+    while that gap repeats.  The points come as ascending runs (start,
+    stride, count), and the walk is over their run-length encoded gaps.
+    """
+    if not runs:
+        return []
+    gaps: list[list[int]] = []  # [gap, repeat], no two neighbours equal
+
+    def push(g, k):
+        if gaps and gaps[-1][0] == g:
+            gaps[-1][1] += k
+        else:
+            gaps.append([g, k])
+
+    last = None
+    for a, d, n in runs:
+        if last is not None:
+            push(a - last, 1)
+        if n > 1:
+            push(d, n - 1)
+        last = a + (n - 1) * d
     out = []
-    i = 0
-    n = len(points)
-    while i < n:
-        if i + 1 == n:
-            out.append(Piece(points[i], 1, 1))
-            break
-        d = points[i + 1] - points[i]
-        j = i + 1
-        while j + 1 < n and points[j + 1] - points[j] == d:
-            j += 1
-        run = j - i + 1
-        out.append(Piece(points[i], d if run > 1 else 1, run))
-        i = j + 1
+    x, i, used = runs[0][0], 0, 0
+    while i < len(gaps):
+        g, k = gaps[i]
+        out.append(Piece(x, g, k - used + 1))
+        x += g * (k - used)
+        i += 1
+        if i == len(gaps):
+            return out
+        # the gap after a segment leads to the start of the next one
+        x += gaps[i][0]
+        used = 1
+        if gaps[i][1] == 1:
+            i, used = i + 1, 0
+    out.append(Piece(x, 1, 1))
     return out
 
 
-def _raw_contains(pieces, x: int) -> bool:
-    return any(x in p for p in pieces)
-
-
 def _canonical_pieces(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
-    if not raw:
-        return ()
+    if len(raw) < 2:
+        # one piece is canonical, except that a single point takes stride 1
+        return tuple(Piece(pc.start, 1, 1) if pc.length == 1 else pc for pc in raw)
     p = lcm(*[pc.stride for pc in raw])
-    per_res = {r: ivs for r, ivs in _decompose_mod(raw, p).items() if ivs}
+    per_res = _decompose_mod(raw, p)
 
-    up_res = {r for r, ivs in per_res.items() if ivs and ivs[-1][1] is None}
-    down_res = {r for r, ivs in per_res.items() if ivs and ivs[0][0] is None}
+    # Above every finite end a residue follows the upward pattern (all of
+    # the class or none of it), below them the downward one.  t_plus - 1
+    # is the last point that breaks the upward pattern: the last member of
+    # a residue outside it, or the last gap of a residue inside it.
+    # t_minus + 1 is the first point that breaks the downward pattern.
+    up_res, down_res, up_breaks, down_breaks = set(), set(), [], []
+    for r, ivs in per_res.items():
+        lo, hi = ivs[-1]
+        if hi is not None:
+            up_breaks.append(r + p * hi)
+        else:
+            up_res.add(r)
+            if lo is not None:
+                up_breaks.append(r + p * (lo - 1))
+        lo, hi = ivs[0]
+        if lo is not None:
+            down_breaks.append(r + p * lo)
+        else:
+            down_res.add(r)
+            if hi is not None:
+                down_breaks.append(r + p * (hi + 1))
 
     p_plus, r_plus = _min_shift_period(up_res, p)
+    # canonical order: downward rays, finite pieces, upward rays, each
+    # ascending by start
+    if not up_breaks:
+        # every residue is all of its class or empty: globally periodic
+        rs = sorted(r_plus)
+        return tuple(
+            [Piece(r - p_plus, p_plus, None, down=True) for r in rs]
+            + [Piece(r, p_plus, None) for r in rs]
+        )
     p_minus, r_minus = _min_shift_period(down_res, p)
 
-    feats = []
-    for r, ivs in per_res.items():
-        for lo, hi in ivs:
-            if lo is not None:
-                feats.append(r + p * lo)
-            if hi is not None:
-                feats.append(r + p * hi)
-    b_lo = min(feats, default=0)
-    b_hi = max(feats, default=0)
-
-    def up_pat(x):
-        return (x % p_plus) in r_plus
-
-    def down_pat(x):
-        return (x % p_minus) in r_minus
-
-    def mem(x):
-        return _raw_contains(raw, x)
-
-    if p_plus == p_minus and r_plus == r_minus:
-        if all(
-            mem(x) == up_pat(x)
-            for x in range(b_lo - p - p_plus, b_hi + p + p_plus + 1)
-        ):
-            out = []
-            for r in sorted(r_plus):
-                out.append(Piece(r, p_plus, None, down=False))
-                out.append(Piece(r - p_plus, p_plus, None, down=True))
-            return tuple(sorted(out, key=_piece_key))
-
-    guard_lo = b_lo - 2 * p - 2 * p_plus - 4
-    guard_hi = b_hi + 2 * p + 2 * p_minus + 4
-
-    t = b_hi + p + 1
-    while mem(t - 1) == up_pat(t - 1):
-        t -= 1
-        assert t > guard_lo, "upward scan left the feature window"
-    t_plus = t
-
-    t = b_lo - p - 1
-    while mem(t + 1) == down_pat(t + 1):
-        t += 1
-        assert t < guard_hi, "downward scan left the feature window"
+    t_plus = max(up_breaks) + 1
+    assert any(t_plus - 1 in pc for pc in raw) != ((t_plus - 1) % p in up_res), \
+        "t_plus - 1 follows the upward pattern"
+    t = min(down_breaks) - 1
+    assert any(t + 1 in pc for pc in raw) != ((t + 1) % p in down_res), \
+        "t_minus + 1 follows the downward pattern"
     t_minus = min(t, t_plus - 1)
 
-    middle = [x for x in range(t_minus + 1, t_plus) if mem(x)]
-
-    out = []
-    for r in sorted(r_minus):
-        anchor = t_minus - ((t_minus - r) % p_minus)
-        out.append(Piece(anchor, p_minus, None, down=True))
-    out.extend(_greedy_segments(middle))
-    for r in sorted(r_plus):
-        anchor = t_plus + ((r - t_plus) % p_plus)
-        out.append(Piece(anchor, p_plus, None, down=False))
-    return tuple(sorted(out, key=_piece_key))
+    downs = sorted(t_minus - (t_minus - r) % p_minus for r in r_minus)
+    ups = sorted(t_plus + (r - t_plus) % p_plus for r in r_plus)
+    return tuple(
+        [Piece(a, p_minus, None, down=True) for a in downs]
+        + _greedy_segments(_middle_runs(per_res, p, t_minus + 1, t_plus - 1))
+        + [Piece(a, p_plus, None) for a in ups]
+    )
 
 
 class IntSet:
@@ -312,7 +349,7 @@ class IntSet:
     # -- queries
 
     def __contains__(self, x: int) -> bool:
-        return _raw_contains(self.pieces, x)
+        return any(x in pc for pc in self.pieces)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntSet) and self.pieces == other.pieces
@@ -341,7 +378,13 @@ class IntSet:
         return sorted(out)
 
     def window(self, lo: int = -WINDOW, hi: int = WINDOW) -> list[int]:
-        return [x for x in range(lo, hi + 1) if x in self]
+        """Members in [lo, hi], ascending; canonical pieces are disjoint."""
+        out = []
+        for pc in self.pieces:
+            a = lo if pc.min is None else max(lo, pc.min)
+            b = hi if pc.max is None else min(hi, pc.max)
+            out.extend(range(a + (pc.start - a) % pc.stride, b + 1, pc.stride))
+        return sorted(out)
 
     def min(self) -> int | None:
         """Least element, None when unbounded below; raises on empty."""

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .. import __version__ as VERSION
 from ..carriers import parse_intset, parse_ptmap
-from ..errors import QBorelError
+from ..errors import NotAnEnumeration, QBorelError
+from ..feldman_moore import graph_within_partition
 from ..quotient import Partition
 from ..relations import (
     IntBlockRelation,
@@ -202,10 +203,8 @@ def _chk_finite_involution(data):
 @checker("finite_graph_in_partition")
 def _chk_graph_in_partition(data):
     rel = _blocks_partition(data["n"], data["blocks"])
-    for x, y in _pairs_to_map(data["map"]).items():
-        if not rel.same(x, y):
-            return False, (x, y)
-    return True, None
+    w = graph_within_partition(_pairs_to_map(data["map"]), rel)
+    return w is None, w
 
 
 @checker("finite_graph_subset")
@@ -236,7 +235,10 @@ def _chk_pair_coverage(data):
 @checker("enumeration_laws")
 def _chk_enumeration_laws(data):
     maps = [_pairs_to_map(g) for g in data["maps"]]
-    report = verify_enumeration(maps, data["n"])
+    try:
+        report = verify_enumeration(maps, data["n"])
+    except NotAnEnumeration as e:
+        return False, jsonable(e.witness)
     return report.ok, None if report.ok else jsonable(vars(report))
 
 
@@ -361,7 +363,7 @@ def _chk_involution_family_within(data):
         for x, y in f.items():
             if f.get(y) != x:
                 return False, {"map": i, "pair": (x, y), "law": "involution"}
-            if not rel.same(x, y):
+            if not (0 <= x < rel.n and 0 <= y < rel.n and rel.same(x, y)):
                 return False, {"map": i, "pair": (x, y), "law": "within"}
     return True, None
 

@@ -277,7 +277,11 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
     if kind == "blocks":
         if sdecl.kind != "int":
             _fail(line_no, "blocks form needs an int space")
-        blocks = [parse_intset(b) for b in _split_blocks(body, line_no)]
+        texts = _split_blocks(body, line_no)
+        try:
+            blocks = [parse_intset(b) for b in texts]
+        except ValueError as e:
+            _fail(line_no, str(e))
         value = IntBlockRelation.make(blocks, ambient=sdecl.space.carrier.ambient)
         return RelDecl(name, "blocks", space, [], value, line_no)
     if sdecl.kind != "finite":

@@ -573,8 +573,8 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     """Run the full pipeline for a finite enumeration.
 
     psi_split checks the enumeration before enum.partition() reads the
-    graphs, so a family that fails the checks with a point outside 0..n-1
-    raises NotAnEnumeration rather than IndexError.
+    graphs, so a family that fails the checks or names a point outside
+    0..n-1 raises NotAnEnumeration rather than IndexError.
     """
     n = enum.n
     psis = psi_split(enum.graph_dicts(), n)

@@ -68,7 +68,10 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Partition":
-        """Finest partition joining the given pairs (symmetric closure)."""
+        """Finest partition joining the given pairs (symmetric closure).
+
+        A pair with a point outside 0..n-1 raises InvalidPartition.
+        """
         parent = list(range(n))
 
         def find(x):
@@ -78,6 +81,10 @@ class Partition:
             return x
 
         for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise InvalidPartition(
+                    f"pair ({a}, {b}) outside 0..{n - 1}", witness=(a, b)
+                )
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb

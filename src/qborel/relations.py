@@ -23,6 +23,7 @@ from .carriers import IntSet, PiecewiseTranslation
 from .errors import (
     IndexTooLarge,
     InvalidPartition,
+    NotAnEnumeration,
     NotASelector,
     NotATransversal,
 )
@@ -185,7 +186,7 @@ def selector_to_transversal(phi, rel: Partition) -> frozenset[int]:
     for x in range(rel.n):
         if x not in phi:
             raise NotASelector(f"selector undefined at {x}", witness=x)
-        if not rel.same(x, phi[x]):
+        if not (0 <= phi[x] < rel.n and rel.same(x, phi[x])):
             raise NotASelector(
                 f"phi({x}) = {phi[x]} leaves the class", witness=(x, phi[x])
             )
@@ -311,7 +312,11 @@ class EnumReport:
 
 
 def verify_enumeration(graphs, n: int) -> EnumReport:
-    """Check that the union of the graphs is an equivalence relation."""
+    """Check that the union of the graphs is an equivalence relation.
+
+    A pair with a point outside 0..n-1 raises NotAnEnumeration; the least
+    such pair is the witness.
+    """
     union = set()
     for f in graphs:
         union.update(f.items())
@@ -322,9 +327,12 @@ def verify_enumeration(graphs, n: int) -> EnumReport:
             break
     sym = CheckOutcome(True)
     for x, y in sorted(union):
-        if (y, x) not in union:
+        if not (0 <= x < n and 0 <= y < n):
+            raise NotAnEnumeration(
+                f"graph pair ({x}, {y}) outside 0..{n - 1}", witness=(x, y)
+            )
+        if sym.ok and (y, x) not in union:
             sym = CheckOutcome(False, (y, x))
-            break
     trans = CheckOutcome(True)
     for x, y in sorted(union):
         for y2, z in sorted(union):

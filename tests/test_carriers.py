@@ -6,6 +6,7 @@ Python sets over a bounded range.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,8 @@ from qborel.carriers import (
     IntSet,
     NotInjective,
     PiecewiseTranslation,
+    _iv_complement,
+    _iv_norm,
     format_intset,
     format_ptmap,
     parse_intset,
@@ -75,6 +78,41 @@ FROZEN = [
 def test_frozen_normal_forms(s, text):
     assert format_intset(s) == text
     assert parse_intset(text) == s
+
+
+HUGE = 10**12
+
+# normalisation works on residue intervals, so the size of the
+# coordinates does not matter
+FROZEN_HUGE = [
+    ("0..1000000000000", lambda: IntSet.segment(0, HUGE)),
+    ("..-1000000000000; 1000000000000..",
+     lambda: IntSet.ray_down(-HUGE) | IntSet.ray_up(HUGE)),
+    ("0:+7*1000000000000", lambda: IntSet.progression(0, 7, HUGE)),
+    ("..10", lambda: parse_intset("..5; ..10")),
+]
+
+
+@pytest.mark.parametrize("text, build", FROZEN_HUGE)
+def test_frozen_normal_forms_at_huge_span(text, build):
+    start = time.perf_counter()
+    assert format_intset(build()) == text
+    assert format_intset(parse_intset(text)) == text
+    assert time.perf_counter() - start < 1.0
+
+
+def test_iv_norm_merges_intervals_unbounded_below():
+    ivs = _iv_norm([(None, 5), (None, 10)])
+    assert ivs == [(None, 10)]
+    assert _iv_complement(ivs) == [(11, None)]
+
+
+@given(st.lists(atoms, min_size=1, max_size=4))
+def test_translate_far_commutes_with_normalisation(parts):
+    raw = [pc for s in parts for pc in s.pieces]
+    far = IntSet(pc.translate(10**9) for pc in raw)
+    assert IntSet(raw).translate(10**9) == far
+    assert win(far, 10**9 - WIN, 10**9 + WIN) == {x + 10**9 for x in win(IntSet(raw))}
 
 
 def test_parse_reorders_and_merges():

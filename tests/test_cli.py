@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from qborel.cli.certificates import run_check
 from qborel.cli.main import main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -147,6 +148,47 @@ def test_cover_seed_on_larger_space_is_typed_error(tmp_path, capsys):
     err = json.loads(out)["error"]
     assert err["kind"] == "NotWithinRelation"
     assert err["witness"] == [6, 7]
+
+
+def test_bad_block_term_is_typed_error(tmp_path, capsys):
+    inst = tmp_path / "bad_block.qb"
+    inst.write_text(
+        "space Z carrier = int\n"
+        "rel F on Z blocks = { {0..x} }\n"
+    )
+    code, out = run(capsys, "index", "--input", str(inst))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "InstanceSyntaxError"
+    assert err["message"].startswith("line 2: bad IntSet term")
+
+
+def test_selector_on_larger_space_is_a_fail_row(tmp_path, capsys):
+    inst = tmp_path / "larger_phi.qb"
+    inst.write_text(
+        "space A carrier = finite(3)\n"
+        "space B carrier = finite(8)\n"
+        "map phi : B -> B : 0 -> 0, 1 -> 7, 2 -> 2\n"
+        "rel E on A partition = { {0, 1}, {2} }\n"
+    )
+    code, out = run(capsys, "selector", "--input", str(inst), "--phi", "phi")
+    assert code == 1
+    assert "[FAIL] selector_laws_hold  witness: [1, 7]" in out
+
+
+@pytest.mark.parametrize("kind, data, witness", [
+    ("finite_graph_in_partition",
+     {"n": 2, "blocks": [[0], [1]], "map": [[0, 5]]},
+     (0, 5)),
+    ("involution_family_within",
+     {"n": 2, "blocks": [[0], [1]], "maps": [[[0, 5], [5, 0]]]},
+     {"map": 0, "pair": (0, 5), "law": "within"}),
+    ("enumeration_laws",
+     {"n": 2, "maps": [[[0, 0], [1, 1]], [[0, 5], [5, 0]], [[5, 5]]]},
+     [0, 5]),
+])
+def test_checkers_fail_on_points_out_of_range(kind, data, witness):
+    assert run_check(kind, data) == (False, witness)
 
 
 def test_tail(capsys):

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qborel.carriers import IntSet, PiecewiseTranslation as PT
+from qborel.errors import InvalidPartition, NotAnEnumeration
+from qborel.feldman_moore import quotient_construction
 from qborel.relations import (
     EnumeratedEquivalence,
     IndexTooLarge,
@@ -197,6 +199,19 @@ def test_pair_listing_is_an_enumeration(p):
     assert verify_enumeration(graphs, p.n).ok
 
 
+def test_enumeration_naming_points_outside_the_space():
+    graphs = [{0: 0, 1: 1}, {0: 5, 5: 0}, {5: 5}]
+    with pytest.raises(NotAnEnumeration) as ei:
+        verify_enumeration(graphs, 2)
+    assert ei.value.witness == (0, 5)
+    enum = EnumeratedEquivalence.make(2, graphs)
+    with pytest.raises(NotAnEnumeration):
+        quotient_construction(enum)
+    with pytest.raises(InvalidPartition) as ei:
+        enum.partition()
+    assert 5 in ei.value.witness
+
+
 def test_union_pairs():
     assert union_pairs([{0: 1}, {1: 2}, {0: 1}]) == frozenset({(0, 1), (1, 2)})
 
@@ -233,6 +248,13 @@ def test_selector_rejections():
     # not total
     with pytest.raises(NotASelector):
         selector_to_transversal({0: 0}, p)
+
+
+def test_selector_value_outside_the_space():
+    p = Partition.from_blocks(3, [(0, 1), (2,)])
+    with pytest.raises(NotASelector) as ei:
+        selector_to_transversal({0: 0, 1: 7, 2: 2}, p)
+    assert ei.value.witness == (1, 7)
 
 
 def test_transversal_rejections():
