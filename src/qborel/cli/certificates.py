@@ -14,13 +14,22 @@ import json
 from dataclasses import dataclass, field
 
 from .. import __version__ as VERSION
-from ..carriers import parse_intset, parse_ptmap
-from ..errors import NotAnEnumeration, QBorelError
-from ..feldman_moore import graph_within_partition
+from ..actions import Cocycle, FiniteGroup, GroupAction, normalizer, verify_cocycle
+from ..cantor import example_gallery
+from ..carriers import format_intset, parse_intset, parse_ptmap
+from ..errors import InvalidCertificate, NotAnEnumeration, QBorelError
+from ..feldman_moore import (
+    graph_within_partition,
+    levels_int,
+    orbit_window_witness,
+    weak_uniformize_int,
+)
 from ..quotient import Partition
 from ..relations import (
     IntBlockRelation,
     generate_equivalence,
+    selector_to_transversal,
+    tail_equivalence,
     verify_enumeration,
 )
 
@@ -106,13 +115,25 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise InvalidCertificate(f"certificate is not JSON: {e}") from None
+        checks = raw.get("checks") if isinstance(raw, dict) else None
+        if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and {"name", "kind", "data", "ok"} <= c.keys()
+            for c in checks
+        ):
+            raise InvalidCertificate(
+                "certificate is not an object with a list of checks "
+                "(each with name, kind, data and ok)"
+            )
         return cls(
-            command=raw["command"],
+            command=raw.get("command", ""),
             arguments=raw.get("arguments", {}),
             inputs=raw.get("inputs", []),
             outputs=raw.get("outputs", {}),
-            checks=raw.get("checks", []),
+            checks=checks,
             tool=raw.get("tool", TOOL),
             version=raw.get("version", VERSION),
         )
@@ -129,21 +150,21 @@ class Certificate:
 def reverify(cert: Certificate) -> tuple[bool, list[dict]]:
     """Rerun every stored check; report agreement with stored verdicts."""
     rows = []
-    agree = True
     for c in cert.checks:
-        ok, witness = run_check(c["kind"], c["data"])
-        same = ok == c["ok"]
-        agree = agree and same
+        try:
+            ok, witness = run_check(c["kind"], c["data"])
+        except Exception as e:  # a hand-edited check is a FAIL row, not a crash
+            ok, witness = False, {"error": type(e).__name__, "message": str(e)}
         rows.append(
             {
                 "name": c["name"],
                 "stored": c["ok"],
                 "recomputed": ok,
-                "agrees": same,
+                "agrees": ok == c["ok"],
                 "witness": jsonable(witness),
             }
         )
-    return agree, rows
+    return all(r["agrees"] for r in rows), rows
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +179,20 @@ def _blocks_partition(n: int, blocks) -> Partition:
     return Partition.from_blocks(n, [[int(x) for x in b] for b in blocks])
 
 
+def _int_relation(data) -> IntBlockRelation:
+    return IntBlockRelation.make(
+        [parse_intset(b) for b in data["blocks"]], ambient=parse_intset(data["ambient"])
+    )
+
+
 @checker("value_equal")
 def _chk_value_equal(data):
     ok = data["left"] == data["right"]
     return ok, None if ok else {"left": data["left"], "right": data["right"]}
 
 
-@checker("partition_equal")
-def _chk_partition_equal(data):
-    left = _blocks_partition(data["n"], data["left"])
-    right = _blocks_partition(data["n"], data["right"])
+def _partitions_agree(left: Partition, right: Partition):
+    """Verdict and the first pair (x < y) the two partitions disagree on."""
     if left == right:
         return True, None
     for x in range(left.n):
@@ -177,18 +202,19 @@ def _chk_partition_equal(data):
     return False, None
 
 
+@checker("partition_equal")
+def _chk_partition_equal(data):
+    return _partitions_agree(
+        _blocks_partition(data["n"], data["left"]),
+        _blocks_partition(data["n"], data["right"]),
+    )
+
+
 @checker("closure_partition")
 def _chk_closure_partition(data):
     maps = [_pairs_to_map(g) for g in data["maps"]]
     got, _ = generate_equivalence(data["n"], maps)
-    want = _blocks_partition(data["n"], data["blocks"])
-    if got == want:
-        return True, None
-    for x in range(got.n):
-        for y in range(x + 1, got.n):
-            if got.same(x, y) != want.same(x, y):
-                return False, (x, y)
-    return False, None
+    return _partitions_agree(got, _blocks_partition(data["n"], data["blocks"]))
 
 
 @checker("finite_involution")
@@ -244,8 +270,6 @@ def _chk_enumeration_laws(data):
 
 @checker("selector_laws")
 def _chk_selector_laws(data):
-    from ..relations import selector_to_transversal
-
     rel = _blocks_partition(data["n"], data["blocks"])
     try:
         selector_to_transversal(_pairs_to_map(data["phi"]), rel)
@@ -290,22 +314,14 @@ def _chk_ptmap_graph_subset(data):
 
 @checker("ptmap_within_blocks")
 def _chk_ptmap_within_blocks(data):
-    rel = IntBlockRelation.make(
-        [parse_intset(b) for b in data["blocks"]],
-        ambient=parse_intset(data["ambient"]),
-    )
+    rel = _int_relation(data)
     w = rel.graph_within_witness(parse_ptmap(data["map"]))
     return w is None, w
 
 
 @checker("int_orbit_window")
 def _chk_int_orbit_window(data):
-    from ..feldman_moore import orbit_window_witness
-
-    rel = IntBlockRelation.make(
-        [parse_intset(b) for b in data["blocks"]],
-        ambient=parse_intset(data["ambient"]),
-    )
+    rel = _int_relation(data)
     maps = [parse_ptmap(t) for t in data["maps"]]
     w = orbit_window_witness(rel, maps, window=data.get("window", 64))
     return w is None, w
@@ -313,14 +329,8 @@ def _chk_int_orbit_window(data):
 
 @checker("int_levels")
 def _chk_int_levels(data):
-    from ..carriers import format_intset
-    from ..feldman_moore import levels_int
-
-    rel = IntBlockRelation.make(
-        [parse_intset(b) for b in data["blocks"]],
-        ambient=parse_intset(data["ambient"]),
-    )
-    levels = levels_int(parse_ptmap(data["g"]), rel)
+    rel = _int_relation(data)
+    levels = levels_int(parse_ptmap(data["g"]), rel, bound=data.get("bound", 32))
     got = {
         "x1": format_intset(levels.positive.level(1)),
         "xm1": format_intset(levels.negative.level(1)),
@@ -347,8 +357,6 @@ def _chk_finite_levels_empty(data):
 
 @checker("int_least_index")
 def _chk_int_least_index(data):
-    from ..feldman_moore import weak_uniformize_int
-
     maps = [parse_ptmap(t) for t in data["maps"]]
     got = weak_uniformize_int(maps, maps).phi
     ok = got == parse_ptmap(data["phi"])
@@ -384,10 +392,7 @@ def _chk_bijection_family_within(data):
 
 @checker("ptmap_family_within")
 def _chk_ptmap_family_within(data):
-    rel = IntBlockRelation.make(
-        [parse_intset(b) for b in data["blocks"]],
-        ambient=parse_intset(data["ambient"]),
-    )
+    rel = _int_relation(data)
     ambient = rel.ambient
     for i, text in enumerate(data["maps"]):
         f = parse_ptmap(text)
@@ -406,21 +411,19 @@ def _chk_ptmap_family_within(data):
 
 @checker("tail_partition")
 def _chk_tail_partition(data):
-    from ..relations import tail_equivalence
-
     got, _ = tail_equivalence(_pairs_to_map(data["map"]), data["n"])
     want = _blocks_partition(data["n"], data["blocks"])
     ok = got == want
     return ok, None if ok else {"got": [list(b) for b in got.blocks]}
 
 
+def _group(data) -> FiniteGroup:
+    return FiniteGroup(tuple(data["labels"]), tuple(tuple(r) for r in data["table"]))
+
+
 @checker("cocycle_laws")
 def _chk_cocycle_laws(data):
-    from ..actions import Cocycle, FiniteGroup, GroupAction, verify_cocycle
-
-    group = FiniteGroup(
-        tuple(data["labels"]), tuple(tuple(r) for r in data["table"])
-    )
+    group = _group(data)
     action = GroupAction(
         group, data["n"], tuple(tuple(r) for r in data["maps"])
     )
@@ -432,11 +435,7 @@ def _chk_cocycle_laws(data):
 
 @checker("normalizer_value")
 def _chk_normalizer_value(data):
-    from ..actions import FiniteGroup, normalizer
-
-    group = FiniteGroup(
-        tuple(data["labels"]), tuple(tuple(r) for r in data["table"])
-    )
+    group = _group(data)
     got = list(normalizer(group, [int(a) for a in data["delta"]]))
     ok = got == [int(a) for a in data["expected"]]
     return ok, None if ok else got
@@ -444,8 +443,6 @@ def _chk_normalizer_value(data):
 
 @checker("gallery")
 def _chk_gallery(data):
-    from ..cantor import example_gallery
-
     instance = example_gallery(
         data["name"], k=data.get("k"), n=data.get("n"), t=data.get("t")
     )

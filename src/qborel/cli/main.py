@@ -388,12 +388,15 @@ def _cover_int(args, cert, rel, phis, g0) -> Certificate:
     levels = levels_int(g, rel, bound=args.K)
     pair = cover_int(levels)
     gp, gpp = pair.first, pair.second
+    level_text = {
+        "x1": format_intset(levels.positive.level(1)),
+        "xm1": format_intset(levels.negative.level(1)),
+        "zero": format_intset(levels.zero),
+    }
     cert.outputs = {
         "extension": format_ptmap(g),
         "levels": {
-            "x1": format_intset(levels.positive.level(1)),
-            "xm1": format_intset(levels.negative.level(1)),
-            "zero": format_intset(levels.zero),
+            **level_text,
             "positive_acceleration": levels.positive.accel,
             "negative_acceleration": levels.negative.accel,
         },
@@ -412,11 +415,8 @@ def _cover_int(args, cert, rel, phis, g0) -> Certificate:
             "g": format_ptmap(g),
             "blocks": blocks,
             "ambient": ambient,
-            "expected": {
-                "x1": format_intset(levels.positive.level(1)),
-                "xm1": format_intset(levels.negative.level(1)),
-                "zero": format_intset(levels.zero),
-            },
+            "bound": args.K,
+            "expected": level_text,
         },
     )
     cert.emit(

@@ -63,6 +63,10 @@ class NoAcceleration(QBorelError):
     """Level dynamics did not become periodic within the probe bounds."""
 
 
+class InvalidCertificate(QBorelError):
+    """Certificate text is not a JSON object with a list of checks."""
+
+
 class NotCovered(QBorelError):
     """A relation is not contained in the union of the given graphs."""
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .carriers import IntSet, PiecewiseTranslation
+from .carriers import IntSet, PiecewiseTranslation, format_intset
 from .errors import (
     NoAcceleration,
     NotAnEnumeration,
@@ -480,8 +480,10 @@ def _side_levels(
             for depth in range(1, base):
                 union = union.union(levels[depth - 1])
             return SideLevels(levels[: base + period - 1], (base, period, c), union)
+    explored = [format_intset(s) for s in levels]
     raise NoAcceleration(
-        f"no period up to {max_period} within {bound} levels", witness=len(levels)
+        f"no period up to {max_period} within {bound} levels",
+        witness={"bound": bound, "max_period": max_period, "levels": explored},
     )
 
 

@@ -1,10 +1,11 @@
 """Countable equivalence relations presented by graphs of point maps.
 
 Finite quotients use explicit partial maps (dicts on quotient points).
-The closure generated by a family of maps is computed together with its
-layer filtration: layer r holds the pairs joined by a chain of length at
-most r, where each chain step applies some generator forwards or
-backwards (or stays put).  Chain witnesses are minimal-length and
+The closure generated by a family of maps is a union-find partition.
+Its layer filtration (layer r holds the pairs joined by a chain of
+length at most r, where each chain step applies some generator forwards
+or backwards, or stays put) and its chain witnesses come from one
+breadth-first search.  Chain witnesses are minimal-length and
 deterministically tie-broken.
 
 On the integer carrier a relation is presented by piecewise-translation
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 
 from .carriers import IntSet, PiecewiseTranslation
@@ -30,55 +32,65 @@ from .errors import (
 from .quotient import Partition
 
 
-def _neighbours(n: int, fns) -> list[set[int]]:
-    nbrs = [set((x,)) for x in range(n)]
-    for f in fns:
-        for x, y in f.items():
-            nbrs[x].add(y)
-            nbrs[y].add(x)
-    return nbrs
+def _distances(nbrs: list[set[int]], source: int) -> dict[int, int]:
+    """Chain length from source to every point it is joined to (BFS)."""
+    dist, queue = {source: 0}, [source]
+    for v in queue:
+        for w in nbrs[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 @dataclass
 class ClosureLayers:
-    """Layer filtration of a generated closure, with its generators."""
+    """A generated closure with its generators; chain lengths on demand."""
 
     n: int
     generators: list[dict[int, int]]
-    layers: list[frozenset[tuple[int, int]]]
     partition: Partition
 
-    @property
+    @cached_property
+    def _nbrs(self) -> list[set[int]]:
+        nbrs = [{x} for x in range(self.n)]
+        for f in self.generators:
+            for x, y in f.items():
+                nbrs[x].add(y)
+                nbrs[y].add(x)
+        return nbrs
+
+    @cached_property
     def stabilization_index(self) -> int:
-        return len(self.layers) - 1
+        """Longest minimal chain between two related points."""
+        return max(
+            (max(_distances(self._nbrs, x).values()) for x in range(self.n)),
+            default=0,
+        )
+
+    @property
+    def layers(self) -> list[frozenset[tuple[int, int]]]:
+        """layers[r] holds the pairs joined by a chain of at most r steps."""
+        by_length = [[] for _ in range(self.stabilization_index + 1)]
+        for x in range(self.n):
+            for z, d in _distances(self._nbrs, x).items():
+                by_length[d].append((x, z))
+        return list(itertools.accumulate(map(frozenset, by_length), frozenset.union))
 
 
 def generate_equivalence(n: int, fns) -> tuple[Partition, ClosureLayers]:
     """Closure of the graphs of the given partial maps on n points.
 
-    Returns the partition into connected components and the chain-length
-    layers up to stabilization.
+    Returns the partition into connected components (union-find) and
+    the closure's layer filtration, computed when read.
     """
     fns = [dict(f) for f in fns]
     for f in fns:
         for x, y in f.items():
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"graph pair ({x}, {y}) outside 0..{n - 1}")
-    nbrs = _neighbours(n, fns)
-    layers = [frozenset((x, x) for x in range(n))]
-    current = set(layers[0])
-    frontier = {(x, x) for x in range(n)}
-    while True:
-        nxt = set(current)
-        for x, y in current:
-            for z in nbrs[y]:
-                nxt.add((x, z))
-        if nxt == current:
-            break
-        layers.append(frozenset(nxt))
-        current = nxt
-    partition = Partition.from_pairs(n, current)
-    return partition, ClosureLayers(n, fns, layers, partition)
+    partition = Partition.from_pairs(n, [p for f in fns for p in f.items()])
+    return partition, ClosureLayers(n, fns, partition)
 
 
 @dataclass(frozen=True)
@@ -102,40 +114,24 @@ def chain_witness(layers: ClosureLayers, x: int, y: int) -> list[ChainStep] | No
     Ties are broken by generator index, forward application before
     reverse, and least intermediate point.
     """
-    n = layers.n
-    nbrs = _neighbours(n, layers.generators)
-    dist = {y: 0}
-    frontier = [y]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in nbrs[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
+    dist = _distances(layers._nbrs, y)
     if x not in dist:
         return None
     chain = [ChainStep(x, None)]
-    cur = x
-    while cur != y:
-        d = dist[cur]
-        found = None
-        for j, f in enumerate(layers.generators):
-            z = f.get(cur)
-            if z is not None and dist.get(z, -1) == d - 1:
-                found = ChainStep(z, j, reverse=False)
-                break
-            for z in sorted(w for w, v in f.items() if v == cur):
-                if dist.get(z, -1) == d - 1:
-                    found = ChainStep(z, j, reverse=True)
-                    break
-            if found:
-                break
-        assert found is not None, "BFS distances are inconsistent"
-        chain.append(found)
-        cur = found.point
+    while chain[-1].point != y:
+        cur = chain[-1].point
+        steps = _steps(layers.generators, cur)
+        chain.append(next(s for s in steps if dist.get(s.point) == dist[cur] - 1))
     return chain
+
+
+def _steps(generators, cur: int):
+    """Every step away from cur, in tie-break order."""
+    for j, f in enumerate(generators):
+        if cur in f:
+            yield ChainStep(f[cur], j)
+        for z in sorted(w for w, v in f.items() if v == cur):
+            yield ChainStep(z, j, reverse=True)
 
 
 def tail_equivalence(f: dict[int, int] | list[int], n: int) -> tuple[Partition, ClosureLayers]:
@@ -315,31 +311,32 @@ def verify_enumeration(graphs, n: int) -> EnumReport:
     """Check that the union of the graphs is an equivalence relation.
 
     A pair with a point outside 0..n-1 raises NotAnEnumeration; the least
-    such pair is the witness.
+    such pair is the witness.  A transitivity failure is witnessed by the
+    least (x, y) in the union, then the least z in row y missing from
+    row x, reported as (x, z, y).
     """
-    union = set()
-    for f in graphs:
-        union.update(f.items())
+    union = union_pairs(graphs)
+    pairs = sorted(union)
     refl = CheckOutcome(True)
     for x in range(n):
         if (x, x) not in union:
             refl = CheckOutcome(False, x)
             break
     sym = CheckOutcome(True)
-    for x, y in sorted(union):
+    rows: dict[int, set[int]] = {}
+    for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise NotAnEnumeration(
                 f"graph pair ({x}, {y}) outside 0..{n - 1}", witness=(x, y)
             )
         if sym.ok and (y, x) not in union:
             sym = CheckOutcome(False, (y, x))
+        rows.setdefault(x, set()).add(y)
     trans = CheckOutcome(True)
-    for x, y in sorted(union):
-        for y2, z in sorted(union):
-            if y2 == y and (x, z) not in union:
-                trans = CheckOutcome(False, (x, z, y))
-                break
-        if not trans.ok:
+    for x, y in pairs:
+        onward = rows.get(y, frozenset())
+        if not onward <= rows[x]:
+            trans = CheckOutcome(False, (x, min(onward - rows[x]), y))
             break
     return EnumReport(refl, sym, trans)
 
@@ -364,9 +361,6 @@ class EnumeratedEquivalence:
 
     def graph_dicts(self) -> list[dict[int, int]]:
         return [dict(g) for g in self.graphs]
-
-    def verify(self) -> EnumReport:
-        return verify_enumeration(self.graph_dicts(), self.n)
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         return union_pairs(self.graph_dicts())

@@ -115,6 +115,71 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert code == 1
 
 
+LATE_PERIOD = (
+    "space Z carrier = int\n"
+    "rel F on Z blocks = { {0..} }\n"
+    "ptmap idz : Z : ..-1; 0.. -> +0\n"
+    "ptmap g0 : Z : 0..39 -> +1 | 40.. -> +2\n"
+    "set rel = F\n"
+    "set maps = idz\n"
+    "set g0 = g0\n"
+)
+
+
+def test_cover_int_level_bound_above_32_replays(tmp_path, capsys):
+    inst = tmp_path / "late_period.qb"
+    inst.write_text(LATE_PERIOD)
+    cert_file = str(tmp_path / "cover.json")
+    code, out = run(capsys, "cover", "--input", str(inst), "--K", "64", "--out", cert_file)
+    assert code == 0
+    assert '"positive_acceleration": [41, 1, 2]' in out
+    code, out = run(capsys, "verify", "--input", cert_file)
+    assert code == 0
+    assert "verdicts reproduce" in out
+
+
+def test_no_acceleration_carries_explored_levels(tmp_path, capsys):
+    inst = tmp_path / "late_period.qb"
+    inst.write_text(LATE_PERIOD)
+    code, out = run(capsys, "cover", "--input", str(inst))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "NoAcceleration"
+    w = err["witness"]
+    assert (w["bound"], w["max_period"], len(w["levels"])) == (32, 8, 32)
+    assert w["levels"][0] == "0:+41*2"
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda d: d["ptmap_within_blocks"].update(map="garbage"), "ValueError"),
+    (lambda d: d["int_levels"].pop("g"), "KeyError"),
+])
+def test_verify_hand_edited_check_is_a_fail_row(tmp_path, capsys, edit, error):
+    cert_file = tmp_path / "cover.json"
+    code, _ = run(capsys, "cover", "--input", RAY, "--out", str(cert_file))
+    assert code == 0
+    data = json.loads(cert_file.read_text())
+    edit({c["kind"]: c["data"] for c in data["checks"]})
+    cert_file.write_text(json.dumps(data))
+    rows_file = tmp_path / "rows.json"
+    code, out = run(capsys, "verify", "--input", str(cert_file), "--out", str(rows_file))
+    assert code == 1
+    assert "verification failed" in out
+    rows = json.loads(rows_file.read_text())["rows"]
+    bad = [r for r in rows if not r["agrees"]]
+    assert len(bad) == 1 and bad[0]["recomputed"] is False
+    assert bad[0]["witness"]["error"] == error
+
+
+@pytest.mark.parametrize("text", ["not a certificate {", "[]", '{"checks": [1]}'])
+def test_verify_rejects_text_that_is_not_a_certificate(tmp_path, capsys, text):
+    cert_file = tmp_path / "bad.json"
+    cert_file.write_text(text)
+    code, out = run(capsys, "verify", "--input", str(cert_file))
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "InvalidCertificate"
+
+
 def test_generate_with_chain(capsys):
     code, out = run(
         capsys, "generate", "--input", FIVE, "--maps", "c3,fin",

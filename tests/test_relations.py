@@ -15,7 +15,9 @@ from qborel.carriers import IntSet, PiecewiseTranslation as PT
 from qborel.errors import InvalidPartition, NotAnEnumeration
 from qborel.feldman_moore import quotient_construction
 from qborel.relations import (
+    CheckOutcome,
     EnumeratedEquivalence,
+    EnumReport,
     IndexTooLarge,
     IntBlockRelation,
     NotASelector,
@@ -119,6 +121,46 @@ def test_chain_witness_replays(nm):
             here = s.point
 
 
+def layered_fixpoint(n, fns):
+    """Reference filtration: grow pair sets one chain step at a time."""
+    nbrs = {x: {x} for x in range(n)}
+    for f in fns:
+        for a, b in f.items():
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    layers = [frozenset((x, x) for x in range(n))]
+    current = set(layers[0])
+    while True:
+        nxt = set(current)
+        for x, y in current:
+            for z in nbrs[y]:
+                nxt.add((x, z))
+        if nxt == current:
+            return layers
+        layers.append(frozenset(nxt))
+        current = nxt
+
+
+@given(partial_maps)
+def test_layers_match_layered_fixpoint(nm):
+    n, fns = nm
+    _, layers = generate_equivalence(n, fns)
+    expected = layered_fixpoint(n, fns)
+    assert layers.stabilization_index == len(expected) - 1
+    assert layers.layers == expected
+
+
+def test_long_successor_path():
+    n = 1000
+    p, layers = generate_equivalence(n, [{x: x + 1 for x in range(n - 1)}])
+    assert p == Partition.indiscrete(n)
+    assert layers.stabilization_index == n - 1
+    steps = chain_witness(layers, 0, n - 1)
+    assert len(steps) == n
+    assert [s.point for s in steps] == list(range(n))
+    assert all(s.via == 0 and not s.reverse for s in steps[1:])
+
+
 def test_generate_rejects_out_of_range_graphs():
     with pytest.raises(ValueError):
         generate_equivalence(3, [{0: 5}])
@@ -210,6 +252,54 @@ def test_enumeration_naming_points_outside_the_space():
     with pytest.raises(InvalidPartition) as ei:
         enum.partition()
     assert 5 in ei.value.witness
+
+
+def pairwise_join_report(graphs, n):
+    """Reference enumeration check: join every pair with every pair."""
+    union = set()
+    for f in graphs:
+        union.update(f.items())
+    refl = CheckOutcome(True)
+    for x in range(n):
+        if (x, x) not in union:
+            refl = CheckOutcome(False, x)
+            break
+    sym = CheckOutcome(True)
+    for x, y in sorted(union):
+        if (y, x) not in union:
+            sym = CheckOutcome(False, (y, x))
+            break
+    trans = CheckOutcome(True)
+    for x, y in sorted(union):
+        for y2, z in sorted(union):
+            if y2 == y and (x, z) not in union:
+                trans = CheckOutcome(False, (x, z, y))
+                break
+        if not trans.ok:
+            break
+    return EnumReport(refl, sym, trans)
+
+
+graph_families = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.booleans(),
+        st.lists(
+            st.dictionaries(st.integers(0, n - 1), st.integers(0, n - 1), max_size=n),
+            max_size=5,
+        ),
+    )
+)
+
+
+@given(graph_families, partitions)
+def test_enumeration_report_matches_pairwise_join(family, p):
+    n, with_identity, graphs = family
+    graphs = graphs + [{x: x for x in range(n)}] * with_identity
+    assert verify_enumeration(graphs, n) == pairwise_join_report(graphs, n)
+    # near-equivalences: a partition's pairs with some graphs dropped
+    near = [{a: b} for a, b in sorted(p.pairs())][::2] + [{x: x for x in range(p.n)}]
+    assert verify_enumeration(near, p.n) == pairwise_join_report(near, p.n)
 
 
 def test_union_pairs():
