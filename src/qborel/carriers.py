@@ -11,8 +11,9 @@ minimal eventual periods, the tightest thresholds where the periodic
 zones start, and an explicit middle.  Globally periodic sets (including
 the empty set and all of Z) collapse to a residue-set description.  All
 of it is arithmetic on the sorted interval lists of the residues modulo
-the lcm p of the strides, so the cost follows p and the number of
-intervals and output pieces, never the size of the coordinates.
+the lcm p of the strides of the rays and of the pieces with at least
+three points, so the cost follows p and the number of intervals and
+output pieces, never the size of the coordinates.
 
 A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are
@@ -233,10 +234,27 @@ def _greedy_segments(runs: list[tuple[int, int, int]]) -> list[Piece]:
     return out
 
 
+def _points_apart(pieces) -> list[Piece]:
+    """The pieces, with each piece of one or two points split into singletons.
+
+    Such a piece has no period: its stride is only the gap between its
+    points, so it must not set the residue modulus p.  Every stride other
+    than 1 left belongs to a ray or to a piece of three or more points.
+    """
+    out = []
+    for pc in pieces:
+        if pc.stride == 1 or pc.length is None or pc.length > 2:
+            out.append(pc)
+        else:
+            out.extend(Piece(pc.start + i * pc.stride, 1, 1) for i in range(pc.length))
+    return out
+
+
 def _canonical_pieces(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
     if len(raw) < 2:
         # one piece is canonical, except that a single point takes stride 1
         return tuple(Piece(pc.start, 1, 1) if pc.length == 1 else pc for pc in raw)
+    raw = _points_apart(raw)
     p = lcm(*[pc.stride for pc in raw])
     per_res = _decompose_mod(raw, p)
 
@@ -418,12 +436,12 @@ class IntSet:
     # -- algebra
 
     def _binary(self, other: "IntSet", op) -> "IntSet":
-        strides = [pc.stride for pc in self.pieces] + [pc.stride for pc in other.pieces]
-        p = lcm(*strides) if strides else 1
-        mine = _decompose_mod(self.pieces, p)
-        theirs = _decompose_mod(other.pieces, p)
+        mine, theirs = _points_apart(self.pieces), _points_apart(other.pieces)
+        p = lcm(*[pc.stride for pc in mine + theirs])
+        mine, theirs = _decompose_mod(mine, p), _decompose_mod(theirs, p)
         out = []
-        for r in range(p):
+        # a residue in neither set stays empty under every operation
+        for r in mine.keys() | theirs.keys():
             ivs = op(mine.get(r, []), theirs.get(r, []))
             out.extend(_rebuild_residue(r, p, ivs))
         return IntSet(out)
@@ -662,7 +680,7 @@ class PiecewiseTranslation:
     tuples is equality of graphs.
     """
 
-    __slots__ = ("pieces",)
+    __slots__ = ("pieces", "_domain", "_range")
 
     def __init__(self, pieces: Iterable[tuple[IntSet, int]] = ()):
         by_offset: dict[int, IntSet] = {}
@@ -699,17 +717,23 @@ class PiecewiseTranslation:
 
     # -- map structure
 
+    # the map is immutable, so domain and range are built once, when first read
+
     def domain(self) -> IntSet:
-        out = IntSet.empty()
-        for d, _ in self.pieces:
-            out = out.union(d)
-        return out
+        try:
+            return self._domain
+        except AttributeError:
+            dom = IntSet(pc for d, _ in self.pieces for pc in d.pieces)
+            object.__setattr__(self, "_domain", dom)
+            return dom
 
     def range_set(self) -> IntSet:
-        out = IntSet.empty()
-        for d, c in self.pieces:
-            out = out.union(d.translate(c))
-        return out
+        try:
+            return self._range
+        except AttributeError:
+            rng = IntSet(pc.translate(c) for d, c in self.pieces for pc in d.pieces)
+            object.__setattr__(self, "_range", rng)
+            return rng
 
     def offsets(self) -> dict[int, IntSet]:
         return {c: d for d, c in self.pieces}
@@ -770,13 +794,21 @@ class PiecewiseTranslation:
                     out.append((dom, c1 + c2))
         return PiecewiseTranslation(out)
 
-    def union(self, other: "PiecewiseTranslation") -> "PiecewiseTranslation":
-        """Union of graphs; domains must be disjoint."""
-        both = self.domain().intersect(other.domain())
-        if not both.is_empty():
-            x = both.closest_to_zero()
-            raise ValueError(f"domains overlap at {x}")
-        return PiecewiseTranslation(tuple(self.pieces) + tuple(other.pieces))
+    def union(self, *others: "PiecewiseTranslation") -> "PiecewiseTranslation":
+        """Union of graphs; domains must be pairwise disjoint.
+
+        An overlap raises ValueError at the point closest to zero where a
+        domain meets one before it, as a chain of two-map unions would.
+        """
+        parts = (self, *others)
+        doms = [f.domain() for f in parts]
+        for j in range(1, len(doms)):
+            hits = [doms[i].intersect(doms[j]) for i in range(j)]
+            hits = [h.closest_to_zero() for h in hits if not h.is_empty()]
+            if hits:
+                x = min(hits, key=lambda x: (abs(x), x < 0))
+                raise ValueError(f"domains overlap at {x}")
+        return PiecewiseTranslation(pc for f in parts for pc in f.pieces)
 
     def injectivity_witness(self):
         """None if injective, else (x1, x2, y) with x1 != x2 mapping to y."""

@@ -436,9 +436,22 @@ def parse_instance(text: str) -> InstanceFile:
     return inst
 
 
+def decode_instance(data: bytes) -> str:
+    """Instance text from file bytes, with newlines as a text-mode open() reads them.
+
+    Bytes that are not UTF-8 raise InstanceSyntaxError at their line.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise InstanceSyntaxError(f"not UTF-8 text at byte {e.start}", line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_instance_file(path: str) -> InstanceFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    with open(path, "rb") as fh:
+        return parse_instance(decode_instance(fh.read()))
 
 
 def _print_partition(p: Partition) -> str:

@@ -16,7 +16,7 @@ from math import inf
 
 from ..actions import cocycle_from_free_action, normalizer, orbit_equivalence
 from ..carriers import format_intset, format_ptmap, IntSet, PiecewiseTranslation
-from ..errors import QBorelError, UnsupportedCarrier
+from ..errors import InvalidCertificate, QBorelError, UnsupportedCarrier
 from ..feldman_moore import (
     classical_construction,
     cover_finite,
@@ -42,7 +42,7 @@ from ..relations import (
     tail_equivalence,
 )
 from .certificates import Certificate, jsonable, reverify
-from .instance import InstanceFile, parse_instance_file
+from .instance import InstanceFile, decode_instance, parse_instance
 
 COMMANDS = (
     "fm-classical",
@@ -100,10 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_instance(args) -> InstanceFile | None:
-    if not args.input:
-        return None
-    return parse_instance_file(args.input)
+def _read_input(path: str) -> bytes:
+    """Contents of an input file; a path that cannot be read is a usage error."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
 
 
 def _pick(args, inst, table: dict, flag_value, directive_key: str, what: str):
@@ -507,6 +510,9 @@ def cmd_generate(args, inst) -> Certificate:
         raise UsageError("generate works on finite maps")
     n = _space_of(inst, decls[0].src).size
     maps = [d.table for d in decls]
+    for flag, point in (("--x", args.x), ("--y", args.y)):
+        if point is not None and not 0 <= point < n:
+            raise UsageError(f"{flag} {point} is outside the points 0..{n - 1}")
     partition, layers = generate_equivalence(n, maps)
     cert.outputs = {
         "blocks": _blocks_of(partition),
@@ -739,8 +745,11 @@ def cmd_normalizer(args, inst) -> Certificate:
 def cmd_verify(args, inst) -> tuple[int, list[str]]:
     if not args.input:
         raise UsageError("verify needs --input with a certificate file")
-    with open(args.input, encoding="utf-8") as fh:
-        cert = Certificate.from_json(fh.read())
+    try:
+        text = _read_input(args.input).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidCertificate(f"certificate is not UTF-8 text at byte {e.start}") from None
+    cert = Certificate.from_json(text)
     agree, rows = reverify(cert)
     lines = [f"verify {args.input}: {len(rows)} stored checks"]
     for r in rows:
@@ -835,7 +844,9 @@ def main(argv=None) -> int:
             code, lines = cmd_verify(args, None)
             print("\n".join(lines))
             return code
-        inst = _load_instance(args) if command != "gallery" else None
+        # the instance file is read once: the text parsed is the text digested
+        text = decode_instance(_read_input(args.input)) if args.input else None
+        inst = parse_instance(text) if text is not None and command != "gallery" else None
         if command == "export-graph":
             code, lines = cmd_export_graph(args, inst)
             print("\n".join(lines))
@@ -857,9 +868,8 @@ def main(argv=None) -> int:
             )
         )
         return 1
-    if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            cert.add_input(os.path.basename(args.input), fh.read())
+    if text is not None:
+        cert.add_input(os.path.basename(args.input), text)
     print("\n".join(cert.summary_lines()))
     if cert.outputs:
         print("outputs:")

@@ -65,6 +65,11 @@ def injectivity_witness(f: dict[int, int]):
     return None
 
 
+def _signature(f: dict[int, int]) -> tuple:
+    """Hashable form of a finite map: its sorted pairs."""
+    return tuple(sorted(f.items()))
+
+
 def graph_within_partition(f: dict[int, int], rel: Partition):
     """None when every pair of f joins related points, else a witness pair.
 
@@ -177,7 +182,7 @@ def classical_construction(rel: Partition) -> ClassicalResult:
     ident = identity_map(n)
     for key in sorted(involutions):
         f = involutions[key]
-        sig = tuple(sorted(f.items()))
+        sig = _signature(f)
         if f != ident and sig not in seen:
             seen.add(sig)
             generators.append(f)
@@ -309,7 +314,8 @@ def greedy_extend_int(
         # a single psi piece may still clash with itself after filtering
         # (its unused sources mapping onto each other's unused targets is
         # impossible: psi is injective and filtering only removes pairs)
-        g = g.union(fresh)
+        if not fresh.is_empty():
+            g = g.union(fresh)
     return g
 
 
@@ -537,20 +543,18 @@ def cover_int(levels: IntLevels) -> CoverPair:
     neg_even = levels.negative.parity_union(0)
     x1 = levels.positive.level(1)
     xm1 = levels.negative.level(1)
-    gp = (
-        g.restrict(levels.zero)
-        .union(g.restrict(pos_odd))
-        .union(ginv.restrict(pos_even))
-        .union(ginv.restrict(neg_odd))
-        .union(g.restrict(neg_even))
+    gp = g.restrict(levels.zero).union(
+        g.restrict(pos_odd),
+        ginv.restrict(pos_even),
+        ginv.restrict(neg_odd),
+        g.restrict(neg_even),
     )
-    gpp = (
-        ginv.restrict(levels.zero)
-        .union(PiecewiseTranslation.identity(x1.union(xm1)))
-        .union(g.restrict(pos_even))
-        .union(ginv.restrict(pos_odd.difference(x1)))
-        .union(ginv.restrict(neg_even))
-        .union(g.restrict(neg_odd.difference(xm1)))
+    gpp = ginv.restrict(levels.zero).union(
+        PiecewiseTranslation.identity(x1.union(xm1)),
+        g.restrict(pos_even),
+        ginv.restrict(pos_odd.difference(x1)),
+        ginv.restrict(neg_even),
+        g.restrict(neg_odd.difference(xm1)),
     )
     return CoverPair(gp, gpp)
 
@@ -581,20 +585,29 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     n = enum.n
     psis = psi_split(enum.graph_dicts(), n)
     rel = enum.partition()
-    extended = []
-    covers = []
-    seen = set()
+    # equal psis extend equally: check, extend and cover each distinct one
+    # once; a repeated psi adds nothing to a greedy extension either
+    keys = [_signature(psi) for psi in psis]
+    distinct = dict(zip(keys, psis))
+    queue = list(distinct.values())
+    for psi in queue:
+        w = graph_within_partition(psi, rel)
+        if w is not None:
+            raise NotWithinRelation(f"psi pair {w} leaves the relation", witness=w)
+    built: dict[tuple, tuple[dict[int, int], CoverPair]] = {}
     generators = []
-    for psi in psis:
-        g = greedy_extend(psi, psis, n, rel)
-        extended.append(g)
+    seen = set()
+    for key, psi in distinct.items():
+        g = greedy_extend(psi, queue, n)
         cov = cover_finite(levels_finite(g, n, rel))
-        covers.append(cov)
+        built[key] = g, cov
         for f in (cov.first, cov.second):
-            sig = tuple(sorted(f.items()))
+            sig = _signature(f)
             if sig not in seen:
                 seen.add(sig)
                 generators.append(f)
+    extended = [built[key][0] for key in keys]
+    covers = [built[key][1] for key in keys]
     orbit, _ = generate_equivalence(n, generators)
     return QuotientConstruction(rel, psis, extended, covers, generators, orbit)
 
@@ -627,17 +640,26 @@ def quotient_construction_int(
                 f"graph {i} leaves the relation at {w}", witness=w
             )
     psis = psi_split_int(phis)
-    extended = []
-    covers = []
+    # equal psis extend equally and equal extensions cover equally: check
+    # and extend each distinct psi once, and cover each extension once; a
+    # repeated psi adds nothing to a greedy extension either
+    queue = list(dict.fromkeys(psis))
+    for psi in queue:
+        w = rel.graph_within_witness(psi)
+        if w is not None:
+            raise NotWithinRelation(f"psi pair {w} leaves the relation", witness=w)
+    extension_of: dict[PiecewiseTranslation, PiecewiseTranslation] = {}
+    cover_of: dict[PiecewiseTranslation, CoverPair] = {}
     generators = []
-    for psi in psis:
-        g = greedy_extend_int(psi, psis, rel.ambient, rel)
-        extended.append(g)
-        cov = cover_int(levels_int(g, rel, bound, max_period))
-        covers.append(cov)
-        for f in (cov.first, cov.second):
-            if f not in generators:
-                generators.append(f)
+    for psi in queue:
+        g = extension_of[psi] = greedy_extend_int(psi, queue, rel.ambient)
+        if g not in cover_of:
+            cov = cover_of[g] = cover_int(levels_int(g, rel, bound, max_period))
+            for f in (cov.first, cov.second):
+                if f not in generators:
+                    generators.append(f)
+    extended = [extension_of[psi] for psi in psis]
+    covers = [cover_of[g] for g in extended]
     return IntQuotientConstruction(rel, psis, extended, covers, generators)
 
 

@@ -90,6 +90,12 @@ FROZEN_HUGE = [
      lambda: IntSet.ray_down(-HUGE) | IntSet.ray_up(HUGE)),
     ("0:+7*1000000000000", lambda: IntSet.progression(0, 7, HUGE)),
     ("..10", lambda: parse_intset("..5; ..10")),
+    # a piece of two points has no period: its gap does not set the modulus
+    ("-1..1000000000",
+     lambda: IntSet.of(-1, 10**9) | IntSet.segment(0, 10**9 - 1)),
+    ("-1..1000000000", lambda: parse_intset("-1:+1000000001*2; 0..999999999")),
+    ("1000000000", lambda: IntSet.of(-1, 10**9) & IntSet.ray_up(0)),
+    ("..-2; 0..999999999", lambda: IntSet.ray_down(10**9) - IntSet.of(-1, 10**9)),
 ]
 
 
@@ -113,6 +119,44 @@ def test_translate_far_commutes_with_normalisation(parts):
     far = IntSet(pc.translate(10**9) for pc in raw)
     assert IntSet(raw).translate(10**9) == far
     assert win(far, 10**9 - WIN, 10**9 + WIN) == {x + 10**9 for x in win(IntSet(raw))}
+
+
+far_pairs = st.builds(
+    IntSet.progression, st.integers(-20, 20), st.integers(1, 10**6), st.just(2)
+)
+# rays of stride 1 only: rays of two residue classes below a point far
+# above them make the normal form list every member up to that point
+far_atoms = st.one_of(
+    atoms.filter(lambda s: s.is_finite()),
+    st.builds(IntSet.ray_up, st.integers(-20, 20)),
+    st.builds(IntSet.ray_down, st.integers(-20, 20)),
+    far_pairs,
+)
+raw_with_far_pairs = st.lists(far_atoms, min_size=1, max_size=3).map(
+    lambda parts: [pc for s in parts for pc in s.pieces]
+)
+
+
+@given(raw_with_far_pairs, raw_with_far_pairs)
+def test_far_point_pairs_against_pointwise_oracle(ra, rb):
+    a, b = IntSet(ra), IntSet(rb)
+
+    def raw_has(raw, x):
+        return any(x in pc for pc in raw)
+
+    cases = [
+        (a, lambda x: raw_has(ra, x)),
+        (a | b, lambda x: raw_has(ra, x) or raw_has(rb, x)),
+        (a & b, lambda x: raw_has(ra, x) and raw_has(rb, x)),
+        (a - b, lambda x: raw_has(ra, x) and not raw_has(rb, x)),
+    ]
+    probes = set(range(-WIN, WIN + 1))
+    for pc in ra + rb + [pc for s, _ in cases for pc in s.pieces]:
+        for end in (pc.start, pc.max):
+            if end is not None:
+                probes.update((end - 1, end, end + 1))
+    for s, has in cases:
+        assert {x for x in probes if x in s} == {x for x in probes if has(x)}
 
 
 def test_parse_reorders_and_merges():

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -254,6 +255,69 @@ def test_selector_on_larger_space_is_a_fail_row(tmp_path, capsys):
 ])
 def test_checkers_fail_on_points_out_of_range(kind, data, witness):
     assert run_check(kind, data) == (False, witness)
+
+
+@pytest.mark.parametrize(
+    "x, y, bad", [("0", "-1", "--y -1"), ("5", "0", "--x 5")], ids=["y_below", "x_above"]
+)
+def test_generate_endpoint_outside_the_points_is_usage_error(capsys, x, y, bad):
+    code, out = run(
+        capsys, "generate", "--input", FIVE, "--maps", "c3,fin", "--x", x, "--y", y,
+    )
+    assert code == 2
+    assert f"{bad} is outside the points 0..4" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "index"])
+def test_unreadable_input_path_is_usage_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.qb")
+    code, out = run(capsys, command, "--input", missing)
+    assert code == 2
+    assert f"cannot read {missing}" in out
+
+
+def test_verify_input_not_utf8_is_invalid_certificate(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_bytes(b"\xff\xfe{}")
+    code, out = run(capsys, "verify", "--input", str(cert_file))
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "InvalidCertificate"
+
+
+def test_instance_not_utf8_is_syntax_error(tmp_path, capsys):
+    inst = tmp_path / "latin1.qb"
+    inst.write_bytes(b"space Z carrier = int\n# caf\xe9\n")
+    code, out = run(capsys, "index", "--input", str(inst))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "InstanceSyntaxError"
+    assert err["message"].startswith("line 2: not UTF-8")
+
+
+def two_ray_instance(span):
+    return (
+        "space Z carrier = int\n"
+        "ptmap idz : Z : ..-1; 0.. -> +0\n"
+        f"ptmap up : Z : ..-2 -> +1 | {span}.. -> +1\n"
+        f"ptmap down : Z : ..-1 -> -1 | {span + 1}.. -> -1\n"
+        f"rel F on Z blocks = {{ {{..-1}}, {{{span}..}} }}\n"
+        "set rel = F\n"
+        "set maps = idz,up,down\n"
+    )
+
+
+def test_two_ray_fm_quotient_at_span_a_million(tmp_path, capsys):
+    # the gap between the rays no longer sets the residue modulus
+    inst = tmp_path / "two_ray.qb"
+    inst.write_text(two_ray_instance(10**6))
+    cert_file = str(tmp_path / "two_ray.json")
+    start = time.perf_counter()
+    code, out = run(capsys, "fm-quotient", "--input", str(inst), "--out", cert_file)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    code, out = run(capsys, "verify", "--input", cert_file)
+    assert code == 0
+    assert "verdicts reproduce and all checks pass" in out
 
 
 def test_tail(capsys):

@@ -18,6 +18,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from qborel.cantor import example_gallery
 from qborel.carriers import IntSet, PiecewiseTranslation as PT
 from qborel.errors import NotCovered, NotInjective, NotMaximal
 from qborel.feldman_moore import (
@@ -259,6 +260,17 @@ def test_quotient_construction_orbit_matches(p):
     assert got == p
 
 
+@given(partitions)
+def test_quotient_construction_matches_per_seed_pipeline(p):
+    # extending and covering each distinct psi once gives, for every seed,
+    # what the pipeline run on that seed alone gives
+    qc = quotient_construction(enumeration_of(p))
+    for psi, g, cp in zip(qc.psis, qc.extended, qc.covers):
+        alone = greedy_extend(psi, qc.psis, p.n, p)
+        assert g == alone
+        assert cp == cover_finite(levels_finite(alone, p.n, p))
+
+
 def test_quotient_construction_rejects_broken_enumeration():
     from qborel.errors import NotAnEnumeration
 
@@ -392,6 +404,36 @@ def test_quotient_construction_int_alternating_family():
         assert maximality_witness_int(g, FULL) is None
         assert g.graph_minus(cp.first, cp.second).is_empty()
         assert g.inverse().graph_minus(cp.first, cp.second).is_empty()
+
+
+def two_ray_family(span):
+    """Rays ..-1 and span.. as two blocks, with unit steps inside each."""
+    amb = IntSet.ray_down(-1).union(IntSet.ray_up(span))
+    rel = IntBlockRelation.make([IntSet.ray_down(-1), IntSet.ray_up(span)], ambient=amb)
+    fam = [
+        PT.identity(amb),
+        PT([(IntSet.ray_down(-2), 1), (IntSet.ray_up(span), 1)]),
+        PT([(IntSet.ray_down(-1), -1), (IntSet.ray_up(span + 1), -1)]),
+    ]
+    return rel, fam
+
+
+@pytest.mark.parametrize("family", [
+    lambda: (example_gallery("et_shift").data["relation"],
+             example_gallery("et_shift").data["maps"]),
+    lambda: two_ray_family(1000),
+], ids=["et_shift", "two_ray"])
+def test_quotient_construction_int_matches_per_seed_pipeline(family):
+    # extending and covering each distinct psi once gives, for every seed,
+    # what the pipeline run on that seed alone gives
+    rel, fam = family()
+    qc = quotient_construction_int(rel, fam)
+    assert len(qc.extended) == len(qc.covers) == len(qc.psis) == 9
+    assert len(set(qc.psis)) < len(qc.psis)
+    for psi, g, cp in zip(qc.psis, qc.extended, qc.covers):
+        alone = greedy_extend_int(psi, qc.psis, rel.ambient, rel)
+        assert g == alone
+        assert cp == cover_int(levels_int(alone, rel))
 
 
 def test_weak_uniformize_int():
