@@ -115,7 +115,7 @@ class GroupAction:
         if len(self.maps) != self.group.size:
             raise ValueError("one table per group element required")
         for a, t in enumerate(self.maps):
-            if sorted(t) != list(range(self.n)):
+            if len(t) != self.n or sorted(t) != list(range(self.n)):
                 raise ValueError(f"element {a} does not act bijectively")
         if self.maps[0] != tuple(range(self.n)):
             raise ValueError("identity must act trivially")

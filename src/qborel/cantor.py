@@ -238,11 +238,17 @@ def _suffix_partition(words, t: int) -> Partition:
     return Partition.from_blocks(len(words), list(by_suffix.values()))
 
 
+MAX_MODEL_WORDS = 256  # the shipped gallery models have at most 27 words
+
+
 def _check_model_params(k: int, n: int, t: int):
     if not 2 <= k <= 10:
         raise BadParameters(f"alphabet size {k} outside 2..10")
     if n < 1:
         raise BadParameters(f"word length {n} must be positive")
+    # k >= 2, so a length of bit_length(cap) already exceeds the cap: no huge power
+    if n >= MAX_MODEL_WORDS.bit_length() or k**n > MAX_MODEL_WORDS:
+        raise BadParameters(f"{k}**{n} words exceed the model cap of {MAX_MODEL_WORDS}")
     if not 0 <= t < n:
         raise BadParameters(f"threshold {t} outside 0..{n - 1}")
 

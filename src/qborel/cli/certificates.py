@@ -52,17 +52,24 @@ def run_check(kind: str, data: dict) -> tuple[bool, object]:
     return bool(ok), witness
 
 
-def jsonable(value):
-    """Best-effort conversion of witnesses and outputs to JSON values."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+def _plain(value):
+    """JSON form of a value the encoder does not know: sets sorted, the rest str()."""
     if isinstance(value, (set, frozenset)):
-        return sorted(jsonable(v) for v in value)
+        return sorted(value)
     return str(value)
+
+
+def jsonable(value):
+    """The JSON value a certificate stores for a witness or output.
+
+    One round trip through the C codec, so the result is exactly what a
+    later `json.loads` of the certificate gives back.
+    """
+    return json.loads(json.dumps(value, default=_plain))
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"), default=_plain)
 
 
 def digest(text: str) -> str:
@@ -102,16 +109,19 @@ class Certificate:
         return all(c["ok"] for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
+        """One key per line and one check per line, each value compact."""
+        head = {
             "tool": self.tool,
             "version": self.version,
             "command": self.command,
-            "arguments": jsonable(self.arguments),
+            "arguments": self.arguments,
             "inputs": self.inputs,
-            "outputs": jsonable(self.outputs),
-            "checks": self.checks,
+            "outputs": self.outputs,
         }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        lines = [f'  "{key}": {_compact(value)},' for key, value in head.items()]
+        checks = ",\n".join(f"    {_compact(c)}" for c in self.checks)
+        lines.append(f'  "checks": [\n{checks}\n  ]' if checks else '  "checks": []')
+        return "{\n" + "\n".join(lines) + "\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -176,6 +186,9 @@ def _pairs_to_map(pairs) -> dict[int, int]:
 
 
 def _blocks_partition(n: int, blocks) -> Partition:
+    """Stored blocks as a partition. A stored n above the points the blocks
+    list is an InvalidPartition before any n cells are allocated, so a
+    checker builds this first and sizes later work by it."""
     return Partition.from_blocks(n, [[int(x) for x in b] for b in blocks])
 
 
@@ -212,9 +225,10 @@ def _chk_partition_equal(data):
 
 @checker("closure_partition")
 def _chk_closure_partition(data):
+    want = _blocks_partition(data["n"], data["blocks"])
     maps = [_pairs_to_map(g) for g in data["maps"]]
-    got, _ = generate_equivalence(data["n"], maps)
-    return _partitions_agree(got, _blocks_partition(data["n"], data["blocks"]))
+    got, _ = generate_equivalence(want.n, maps)
+    return _partitions_agree(got, want)
 
 
 @checker("finite_involution")
@@ -411,8 +425,8 @@ def _chk_ptmap_family_within(data):
 
 @checker("tail_partition")
 def _chk_tail_partition(data):
-    got, _ = tail_equivalence(_pairs_to_map(data["map"]), data["n"])
     want = _blocks_partition(data["n"], data["blocks"])
+    got, _ = tail_equivalence(_pairs_to_map(data["map"]), want.n)
     ok = got == want
     return ok, None if ok else {"got": [list(b) for b in got.blocks]}
 

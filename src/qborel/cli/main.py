@@ -3,12 +3,13 @@
 Every run executes one operation against an instance file or a packaged
 example, prints a per-check pass/fail summary, and can store the full
 certificate as JSON. Exit status: 0 all checks passed, 1 a check failed
-or a library error was raised, 2 usage or parse problems.
+or a library error (typed parse errors included) was raised, 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -98,6 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=int, help="chain witness target point")
     p.add_argument("--expect", help="expected value for the index command")
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones."""
+    return build_parser()
 
 
 def _read_input(path: str) -> bytes:
@@ -832,7 +839,7 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     command = args.cmd or args.command
     if command is None:
@@ -871,9 +878,10 @@ def main(argv=None) -> int:
     if text is not None:
         cert.add_input(os.path.basename(args.input), text)
     print("\n".join(cert.summary_lines()))
+    cert.outputs = jsonable(cert.outputs)
     if cert.outputs:
         print("outputs:")
-        for key, value in jsonable(cert.outputs).items():
+        for key, value in cert.outputs.items():
             print(f"  {key} = {json.dumps(value)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -36,7 +36,8 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
-        seen = [False] * n
+        # a set, not n cells: n may be a stored count far above the points listed
+        seen = set()
         canon = []
         for b in blocks:
             bs = tuple(sorted(set(b)))
@@ -45,13 +46,13 @@ class Partition:
             for x in bs:
                 if not 0 <= x < n:
                     raise InvalidPartition(f"point {x} outside 0..{n - 1}", witness=x)
-                if seen[x]:
+                if x in seen:
                     raise InvalidPartition(f"point {x} in two blocks", witness=x)
-                seen[x] = True
+                seen.add(x)
             canon.append(bs)
-        missing = [x for x in range(n) if not seen[x]]
-        if missing:
-            raise InvalidPartition(f"point {missing[0]} not covered", witness=missing[0])
+        if len(seen) < n:
+            missing = next(x for x in range(n) if x not in seen)
+            raise InvalidPartition(f"point {missing} not covered", witness=missing)
         canon.sort(key=lambda b: b[0])
         class_of = [0] * n
         for i, b in enumerate(canon):

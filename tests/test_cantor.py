@@ -253,6 +253,15 @@ def test_truncated_model_validation():
         make_truncated_model(1, 3, 1)
 
 
+def test_model_word_count_is_capped():
+    assert len(make_truncated_model(2, 8, 1).words) == 256
+    for k, n in ((2, 9), (3, 6), (2, 10**9)):
+        with pytest.raises(BadParameters, match="exceed the model cap"):
+            make_truncated_model(k, n, 1)
+    with pytest.raises(BadParameters):
+        example_gallery("ex35", n=40)
+
+
 def test_restricted_model_drops_fixed_suffixes():
     r = make_restricted_model(3, 3, 1)
     assert r.restricted

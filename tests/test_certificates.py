@@ -1,0 +1,229 @@
+"""Certificate format: compact emission, one normalisation, bounded replay.
+
+The golden corpus under `golden/` holds every certificate the sample and
+gallery commands of `manifest.json` wrote in the older indented format.
+Each must still replay, and rerunning its command must give a certificate
+that decodes to the same JSON value: only whitespace may change.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, strategies as st
+
+import qborel
+from qborel.cli.certificates import jsonable
+from qborel.cli.main import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+
+
+def run(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out + out.err
+
+
+def _argv(entry) -> list[str]:
+    return [str(ROOT / a) if a.startswith("samples/") else a for a in entry["argv"]]
+
+
+# -- golden corpus -----------------------------------------------------------
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
+def test_golden_certificate_replays(tmp_path, capsys, entry):
+    golden, rows_file = GOLDEN / entry["file"], tmp_path / "rows.json"
+    run(capsys, "verify", "--input", str(golden), "--out", str(rows_file))
+    rows = json.loads(rows_file.read_text())["rows"]
+    assert len(rows) == len(json.loads(golden.read_text())["checks"])
+    assert all(r["agrees"] for r in rows)
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
+def test_golden_command_writes_the_same_certificate(tmp_path, capsys, entry):
+    cert_file = tmp_path / "cert.json"
+    run(capsys, *_argv(entry), "--out", str(cert_file))
+    assert json.loads(cert_file.read_text()) == json.loads(
+        (GOLDEN / entry["file"]).read_text()
+    )
+
+
+def test_certificate_has_one_key_and_one_check_per_line(tmp_path, capsys):
+    cert_file = tmp_path / "cover.json"
+    code, _ = run(capsys, "cover", "--input", str(ROOT / "samples/five_points.qb"),
+                  "--out", str(cert_file))
+    assert code == 0
+    text = cert_file.read_text()
+    cert = json.loads(text)
+    lines = text.splitlines()
+    head = ["tool", "version", "command", "arguments", "inputs", "outputs", "checks"]
+    assert [json.loads("{" + ln.rstrip(",") + "}").popitem()[0]
+            for ln in lines[1:7]] == head[:6]
+    assert lines[7] == '  "checks": ['
+    checks = [json.loads(ln.rstrip(",")) for ln in lines[8:-2]]
+    assert checks == cert["checks"] and len(checks) == 8
+    assert lines[-2:] == ["  ]", "}"]
+    golden = (GOLDEN / "cover_five_points.json").read_text()
+    assert 4 * len(text) < len(golden)
+
+
+# -- normalisation -----------------------------------------------------------
+
+def reference_jsonable(value):
+    """The recursive normaliser the round trip replaced: the oracle."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(reference_jsonable(v) for v in value)
+    return str(value)
+
+
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+sortable_sets = (
+    st.sets(st.integers() | st.floats(allow_nan=False), max_size=5)
+    | st.frozensets(st.text(max_size=3), max_size=5)
+    | st.frozensets(st.tuples(st.integers(), st.integers()), max_size=5)
+)
+values = st.recursive(
+    scalars | sortable_sets,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3) | st.integers(), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@given(values)
+def test_round_trip_normalisation_matches_the_recursive_one(value):
+    # compared as text, so 1 and 1.0, or NaN and NaN, are told apart or matched
+    assert json.dumps(jsonable(value)) == json.dumps(reference_jsonable(value))
+
+
+def test_unknown_objects_are_stored_as_text():
+    class Point:
+        def __str__(self):
+            return "pt"
+
+    assert jsonable({"p": Point(), "s": {3, 1, 2}, 7: (1, None)}) == {
+        "p": "pt", "s": [1, 2, 3], "7": [1, None]
+    }
+
+
+# -- argument parsing --------------------------------------------------------
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    ray = str(ROOT / "samples/shifted_ray.qb")
+    bounds = []
+    for extra, name in ((["--K", "64"], "k64.json"), ([], "default.json")):
+        cert_file = tmp_path / name
+        code, _ = run(capsys, "cover", "--input", ray, *extra, "--out", str(cert_file))
+        assert code == 0
+        checks = json.loads(cert_file.read_text())["checks"]
+        bounds += [c["data"]["bound"] for c in checks if c["kind"] == "int_levels"]
+    assert bounds == [64, 32]
+
+
+def _env() -> dict:
+    """This process's environment, with the qborel under test importable."""
+    return {**os.environ, "PYTHONPATH": str(pathlib.Path(qborel.__file__).resolve().parents[1])}
+
+
+def test_parser_is_not_built_at_import():
+    script = (
+        "import sys, qborel.cli; "
+        "print(sys.modules['qborel.cli.main']._parser.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=_env(),
+    )
+    assert out.stdout.strip() == "0"
+
+
+# -- bounded replay ----------------------------------------------------------
+
+CAPPED_VERIFY = """
+import json, resource, sys, time
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from qborel.cli.main import main
+seconds = {}
+for cert, rows in zip(sys.argv[1::2], sys.argv[2::2]):
+    t = time.perf_counter()
+    main(["verify", "--input", cert, "--out", rows])
+    seconds[cert] = time.perf_counter() - t
+print(json.dumps(seconds))
+"""
+
+# error each checker reports once the stored n is 10**9 (None: a plain FAIL)
+HUGE_N_ERRORS = {
+    "selector_laws": "InvalidPartition",
+    "closure_partition": "InvalidPartition",
+    "tail_partition": "InvalidPartition",
+    "bijection_family_within": "InvalidPartition",
+    "partition_equal": "InvalidPartition",
+    "pair_coverage": "InvalidPartition",
+    "involution_family_within": "InvalidPartition",
+    "finite_graph_in_partition": "InvalidPartition",
+    "finite_levels_empty": None,
+    "enumeration_laws": None,
+    "cocycle_laws": "ValueError",
+    "gallery": "BadParameters",
+}
+
+
+def test_stored_n_of_a_billion_replays_to_fail_rows_quickly(tmp_path):
+    sources = [
+        "selector_five_points_rel_E.json",
+        "generate_five_points_maps_c3-fin.json",
+        "tail_five_points_map_c3.json",
+        "cover_five_points.json",
+        "fm-quotient_five_points.json",
+        "fm-classical_five_points.json",
+        "cocycle_rotation.json",
+        "gallery_ex35.json",
+    ]
+    argv, kinds = [], {}
+    for name in sources:
+        cert = json.loads((GOLDEN / name).read_text())
+        for c in cert["checks"]:
+            if "n" in c["data"]:
+                c["data"]["n"] = 10**9
+                kinds[c["name"]] = c["kind"]
+        edited, rows = tmp_path / name, tmp_path / ("rows_" + name)
+        edited.write_text(json.dumps(cert))
+        argv += [str(edited), str(rows)]
+    out = subprocess.run(
+        [sys.executable, "-c", CAPPED_VERIFY, *argv], capture_output=True, text=True,
+        env=_env(), timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    seconds = json.loads(out.stdout.splitlines()[-1])
+    assert max(seconds.values()) < 1.0
+    seen = set()
+    for rows_file in argv[1::2]:
+        for r in json.loads(pathlib.Path(rows_file).read_text())["rows"]:
+            if r["name"] not in kinds:
+                continue
+            kind = kinds[r["name"]]
+            seen.add(kind)
+            assert r["recomputed"] is False and not r["agrees"]
+            w = r["witness"]
+            error = w.get("error") if isinstance(w, dict) else None
+            assert error == HUGE_N_ERRORS[kind], (r["name"], r["witness"])
+    assert seen == set(HUGE_N_ERRORS)
