@@ -381,41 +381,26 @@ def _gallery_ex35(k: int, n: int, t: int) -> GalleryInstance:
     )
     carrier = FiniteCarrier(2 * m, labels=labels)
 
-    def suffix(i):
-        return base.suffix_of(base.words[i % m])
+    def flip_key(s):
+        return min(s, _word_image(flip, s))
 
-    def flip_suffix(s):
-        return _word_image(flip, s)
+    def fibers(key, points):
+        by_key: dict[str, list[int]] = {}
+        for i in points:
+            by_key.setdefault(key(base.suffix_of(base.words[i % m])), []).append(i)
+        return list(by_key.values())
 
     # side 0 joins each suffix fiber with its flipped mate; side 1 keeps
     # plain suffix fibers
-    eq_pairs = []
-    for i in range(m):
-        for j in range(m):
-            if suffix(i) == suffix(j):
-                eq_pairs.append((i, j))
-                eq_pairs.append((m + i, m + j))
-            if suffix(i) == flip_suffix(suffix(j)):
-                eq_pairs.append((i, j))
-    fine = Partition.from_pairs(2 * m, eq_pairs)
+    fine = Partition.from_blocks(
+        2 * m, fibers(flip_key, range(m)) + fibers(lambda s: s, range(m, 2 * m))
+    )
     space = FiniteQuotient(carrier, fine)
 
     # the coarse relation ignores the side entirely
-    coarse_pairs = [
-        (i, j)
-        for i in range(2 * m)
-        for j in range(2 * m)
-        if suffix(i) == suffix(j) or suffix(i) == flip_suffix(suffix(j))
-    ]
-    coarse = Partition.from_pairs(2 * m, coarse_pairs)
-    over = Partition.from_pairs(
-        space.size,
-        [
-            (space.project(i), space.project(j))
-            for i in range(2 * m)
-            for j in range(2 * m)
-            if coarse.same(i, j)
-        ],
+    coarse = Partition.from_blocks(2 * m, fibers(flip_key, range(2 * m)))
+    over = Partition.from_blocks(
+        space.size, [{space.project(i) for i in b} for b in coarse.blocks]
     )
 
     # dropping to side 0 is constant on each coarse class

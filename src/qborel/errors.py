@@ -84,7 +84,7 @@ class AlphabetMismatch(QBorelError):
 
 
 class BadParameters(QBorelError):
-    """Model parameters are out of the supported range."""
+    """Model or probe parameters are out of the supported range."""
 
 
 class UnknownExample(QBorelError):

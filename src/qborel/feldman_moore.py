@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .carriers import IntSet, PiecewiseTranslation, format_intset
 from .errors import (
+    BadParameters,
     NoAcceleration,
     NotAnEnumeration,
     NotCovered,
@@ -35,6 +36,16 @@ from .relations import (
     generate_equivalence,
     verify_enumeration,
 )
+
+# The level bound and the orbit window set how many points a run (or a
+# replay of a stored certificate) visits, so both are capped.
+MAX_PROBE = 1024
+
+
+def _check_probe(name: str, value: int, least: int):
+    if not least <= value <= MAX_PROBE:
+        raise BadParameters(f"{name} {value} outside {least}..{MAX_PROBE}", witness=value)
+
 
 # ---------------------------------------------------------------------------
 # dict-map helpers (finite lane)
@@ -500,6 +511,7 @@ def levels_int(
     max_period: int = 8,
 ) -> IntLevels:
     """Integer-lane stratification of a maximal partial injection."""
+    _check_probe("level bound", bound, 1)
     w = g.injectivity_witness()
     if w is not None:
         raise NotInjective(f"{w[0]} and {w[1]} both map to {w[2]}", witness=w)
@@ -674,6 +686,7 @@ def orbit_window_witness(
     Breadth-first search over generator moves (both directions), allowed
     to roam slack beyond the window.
     """
+    _check_probe("window", window, 0)
     lo, hi = -window - slack, window + slack
     moves = list(generators) + [
         f.inverse() for f in generators if f.is_injective()

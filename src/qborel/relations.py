@@ -202,6 +202,20 @@ def min_selector(rel: Partition) -> dict[int, int]:
     return {x: rel.block_of(x)[0] for x in range(rel.n)}
 
 
+def _path_matching(rel: Partition, parity: int) -> dict[int, int]:
+    """Swap x_i with x_(i+1) for each i of the given parity, per class.
+
+    Each class is ordered x0 < x1 < ...; every other point is fixed.  The
+    parity 0 and parity 1 matchings alternate along that path.
+    """
+    f = {}
+    for b in rel.blocks:
+        f.update(zip(b, b))
+        for x, y in zip(b[parity::2], b[parity + 1::2]):
+            f[x], f[y] = y, x
+    return f
+
+
 def index2_involution(rel: Partition) -> dict[int, int]:
     """The involution swapping each two-element class, fixing singletons.
 
@@ -212,38 +226,15 @@ def index2_involution(rel: Partition) -> dict[int, int]:
         raise IndexTooLarge(
             f"class {big[0]} has {len(big[0])} elements", witness=big[0]
         )
-    f = {}
-    for b in rel.blocks:
-        if len(b) == 1:
-            f[b[0]] = b[0]
-        else:
-            f[b[0]], f[b[1]] = b[1], b[0]
-    return f
-
-
-def _class_involutions(block: tuple[int, ...]):
-    """All involutive permutations of one block, as dicts."""
-    if len(block) == 0:
-        yield {}
-        return
-    x = block[0]
-    rest = block[1:]
-    for sub in _class_involutions(rest):
-        yield {x: x, **sub}
-    for i, y in enumerate(rest):
-        others = rest[:i] + rest[i + 1:]
-        for sub in _class_involutions(others):
-            yield {x: y, y: x, **sub}
+    return _path_matching(rel, 0)
 
 
 @dataclass
 class InvolutionSearch:
-    """Outcome of a bounded search for involutive generating sets."""
+    """The fewest involutions generating a relation, or None over budget."""
 
     found: tuple[dict[int, int], ...] | None
     budget: int
-    candidates: int
-    subsets_tried: int
 
     @property
     def exhausted(self) -> bool:
@@ -251,34 +242,18 @@ class InvolutionSearch:
 
 
 def involution_generation_search(rel: Partition, max_count: int) -> InvolutionSearch:
-    """Search for at most max_count involutions generating the relation.
+    """A minimal involutive generating family, if it has at most max_count maps.
 
-    Exhaustive over subsets of the full involution semigroup of the
-    classes, smallest subsets first; honest exhaustion report otherwise.
+    Finite Feldman-Moore: none when every class is a singleton, one when
+    the index is at most 2, else the two path matchings, since each class
+    is a path alternating their edges.
     """
-    per_class = [list(_class_involutions(b)) for b in rel.blocks]
-    total = 1
-    for opts in per_class:
-        total *= len(opts)
-    if total > 100000:
-        raise IndexTooLarge(
-            f"{total} candidate involutions exceed the search budget",
-            witness=total,
-        )
-    candidates = []
-    for combo in itertools.product(*per_class):
-        f = {}
-        for part in combo:
-            f.update(part)
-        candidates.append(f)
-    tried = 0
-    for size in range(0, max_count + 1):
-        for subset in itertools.combinations(candidates, size):
-            tried += 1
-            part, _ = generate_equivalence(rel.n, list(subset))
-            if part == rel:
-                return InvolutionSearch(tuple(subset), max_count, len(candidates), tried)
-    return InvolutionSearch(None, max_count, len(candidates), tried)
+    size = (rel.index() > 1) + (rel.index() > 2)
+    if size > max_count:
+        return InvolutionSearch(None, max_count)
+    return InvolutionSearch(
+        tuple(_path_matching(rel, parity) for parity in range(size)), max_count
+    )
 
 
 # ---------------------------------------------------------------------------

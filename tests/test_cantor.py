@@ -8,6 +8,7 @@ common period, and shift-equal iff some bounded pair of shifts tail-agree.
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +34,7 @@ from qborel.cantor import (
     shift,
 )
 from qborel.actions import freeness_witness, orbit_equivalence
+from qborel.quotient import Partition
 
 
 def words(k=2, max_u=4, max_w=3):
@@ -313,6 +315,55 @@ def test_gallery_ex35_values():
     assert g.summary["index"] == 3
     assert g.summary["carrier_points"] == 16
     assert g.summary["transversal"] == (0, 1)
+
+
+def _ex35_pairwise(words, t):
+    """Oracle: the ex35 partitions joined pair by pair, as first written."""
+    m = len(words)
+
+    def suffix(i):
+        return words[i % m][t:]
+
+    def flip(s):
+        return s.translate(str.maketrans("01", "10"))
+
+    eq_pairs = []
+    for i in range(m):
+        for j in range(m):
+            if suffix(i) == suffix(j):
+                eq_pairs += [(i, j), (m + i, m + j)]
+            if suffix(i) == flip(suffix(j)):
+                eq_pairs.append((i, j))
+    fine = Partition.from_pairs(2 * m, eq_pairs)
+    coarse = Partition.from_pairs(2 * m, [
+        (i, j)
+        for i in range(2 * m)
+        for j in range(2 * m)
+        if suffix(i) == suffix(j) or suffix(i) == flip(suffix(j))
+    ])
+    over = Partition.from_pairs(fine.num_classes, [
+        (fine.class_of[i], fine.class_of[j])
+        for i in range(2 * m)
+        for j in range(2 * m)
+        if coarse.same(i, j)
+    ])
+    return fine, over
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gallery_ex35_matches_pairwise_oracle(n):
+    for t in range(n):
+        g = example_gallery("ex35", n=n, t=t)
+        fine, over = _ex35_pairwise(g.data["base"].words, t)
+        assert g.data["space"].partition == fine
+        assert g.data["over"] == over
+
+
+def test_gallery_ex35_at_the_word_cap_is_fast():
+    start = time.perf_counter()
+    g = example_gallery("ex35", n=8)
+    assert time.perf_counter() - start < 0.2
+    assert g.summary["carrier_points"] == 512
 
 
 def test_gallery_ex36_values():

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from hypothesis import given, strategies as st
 import qborel
 from qborel.cli.certificates import jsonable
 from qborel.cli.main import main
+from qborel.feldman_moore import MAX_PROBE
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -227,3 +229,27 @@ def test_stored_n_of_a_billion_replays_to_fail_rows_quickly(tmp_path):
             error = w.get("error") if isinstance(w, dict) else None
             assert error == HUGE_N_ERRORS[kind], (r["name"], r["witness"])
     assert seen == set(HUGE_N_ERRORS)
+
+
+@pytest.mark.parametrize("name,key", [
+    ("cover_shifted_ray.json", "bound"),
+    ("fm-quotient_shifted_ray.json", "window"),
+])
+def test_stored_probe_parameters_bound_the_replay(tmp_path, capsys, name, key):
+    for value, agrees in ((MAX_PROBE, True), (10**9, False)):
+        cert = json.loads((GOLDEN / name).read_text())
+        edited = {c["name"] for c in cert["checks"] if key in c["data"]}
+        assert edited
+        for c in cert["checks"]:
+            if c["name"] in edited:
+                c["data"][key] = value
+        cert_file, rows_file = tmp_path / name, tmp_path / "rows.json"
+        cert_file.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        run(capsys, "verify", "--input", str(cert_file), "--out", str(rows_file))
+        assert time.perf_counter() - start < 1.0
+        for r in json.loads(rows_file.read_text())["rows"]:
+            if r["name"] in edited:
+                assert r["agrees"] is agrees, (value, r)
+                if not agrees:
+                    assert r["witness"]["error"] == "BadParameters"

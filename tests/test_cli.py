@@ -139,6 +139,18 @@ def test_cover_int_level_bound_above_32_replays(tmp_path, capsys):
     assert "verdicts reproduce" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("cover", "--K", "100000"),
+    ("fm-quotient", "--K", "100000"),
+    ("fm-quotient", "--window", "100000"),
+])
+def test_probe_parameters_above_the_cap_are_bad_parameters(capsys, argv):
+    code, out = run(capsys, *argv, "--input", RAY)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "BadParameters" and err["witness"] == 100000
+
+
 def test_no_acceleration_carries_explored_levels(tmp_path, capsys):
     inst = tmp_path / "late_period.qb"
     inst.write_text(LATE_PERIOD)

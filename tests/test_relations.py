@@ -5,6 +5,7 @@ closure over the undirected union graph; the library must agree with it
 on every random instance.
 """
 
+import itertools
 import math
 import random
 
@@ -396,22 +397,87 @@ def test_involution_search_honest_exhaustion():
     p = Partition.from_blocks(6, [(0, 1, 2), (3, 4, 5)])
     s = involution_generation_search(p, 1)
     assert s.found is None and s.exhausted
-    assert s.subsets_tried == s.candidates + 1  # empty set, then singletons
 
 
-def test_involution_search_rejects_huge_spaces():
-    p = Partition.indiscrete(12)
-    with pytest.raises(IndexTooLarge):
-        involution_generation_search(p, 2)
+def _assert_generating_involutions(p, family):
+    for f in family:
+        assert set(f) == set(range(p.n))
+        assert all(f[f[x]] == x and p.same(x, f[x]) for x in range(p.n))
+    q, _ = generate_equivalence(p.n, list(family))
+    assert q == p
+
+
+def test_involution_search_generates_large_indiscrete():
+    for n in (12, 10**5):
+        p = Partition.indiscrete(n)
+        s = involution_generation_search(p, 2)
+        assert s.found is not None and len(s.found) == 2
+        _assert_generating_involutions(p, s.found)
+
+
+def _class_involutions(block):
+    """All involutive permutations of one block, as dicts."""
+    if len(block) == 0:
+        yield {}
+        return
+    x, rest = block[0], block[1:]
+    for sub in _class_involutions(rest):
+        yield {x: x, **sub}
+    for i, y in enumerate(rest):
+        for sub in _class_involutions(rest[:i] + rest[i + 1:]):
+            yield {x: y, y: x, **sub}
+
+
+def _brute_force_involutions(p, max_count):
+    """Oracle: the first generating family among all involution subsets,
+    smallest subsets first, or None."""
+    candidates = []
+    for combo in itertools.product(*(list(_class_involutions(b)) for b in p.blocks)):
+        f = {}
+        for part in combo:
+            f.update(part)
+        candidates.append(f)
+    for size in range(max_count + 1):
+        for subset in itertools.combinations(candidates, size):
+            if generate_equivalence(p.n, list(subset))[0] == p:
+                return subset
+    return None
+
+
+def _set_partitions(n):
+    """Every partition of 0..n-1, as restricted growth strings."""
+    def grow(prefix, top):
+        if len(prefix) == n:
+            yield Partition.from_class_map(prefix)
+            return
+        for c in range(top + 2):
+            yield from grow(prefix + [c], max(top, c))
+    return grow([], -1)
+
+
+def test_involution_search_matches_brute_force_oracle():
+    cases = 0
+    for n in range(7):
+        for p in _set_partitions(n):
+            # smallest subsets first: a smaller budget finds this or nothing
+            least = _brute_force_involutions(p, 3)
+            for max_count in range(4):
+                s = involution_generation_search(p, max_count)
+                oracle = least if len(least) <= max_count else None
+                assert (s.found is None) == (oracle is None), (p, max_count)
+                if oracle is not None:
+                    assert len(s.found) == len(oracle)
+                    _assert_generating_involutions(p, s.found)
+                cases += 1
+    assert cases == 4 * (1 + 1 + 2 + 5 + 15 + 52 + 203)
 
 
 @given(partitions)
 def test_single_involution_classes_have_size_le_2(p):
-    try:
-        s = involution_generation_search(p, 2)
-    except IndexTooLarge:
-        return  # candidate space above the guard, nothing to check
-    if s.found is not None and len(s.found) == 1:
+    s = involution_generation_search(p, 2)
+    assert s.found is not None
+    _assert_generating_involutions(p, s.found)
+    if len(s.found) == 1:
         assert p.index() <= 2
 
 
