@@ -610,7 +610,9 @@ def example_gallery(
         known = ", ".join(sorted(_GALLERY_DEFAULTS) + ["et_shift"])
         raise UnknownExample(f"no example {name!r}; known: {known}")
     dk, dn, dt = _GALLERY_DEFAULTS[name]
-    k, n, t = k or dk, n or dn, t if t is not None else dt
+    k = dk if k is None else k
+    n = dn if n is None else n
+    t = dt if t is None else t
     builder = {
         "ex34": _gallery_ex34,
         "ex35": _gallery_ex35,

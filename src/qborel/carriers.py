@@ -134,10 +134,6 @@ def _iv_intersect(a, b):
     return _iv_norm(out)
 
 
-def _iv_union(a, b):
-    return _iv_norm(list(a) + list(b))
-
-
 def _iv_difference(a, b):
     return _iv_intersect(a, _iv_complement(_iv_norm(list(b))))
 
@@ -446,8 +442,9 @@ class IntSet:
             out.extend(_rebuild_residue(r, p, ivs))
         return IntSet(out)
 
-    def union(self, other: "IntSet") -> "IntSet":
-        return self._binary(other, _iv_union)
+    def union(self, *others: "IntSet") -> "IntSet":
+        """Union of all the operands: one normalisation of their pieces."""
+        return IntSet(pc for s in (self, *others) for pc in s.pieces)
 
     def intersect(self, other: "IntSet") -> "IntSet":
         return self._binary(other, _iv_intersect)
@@ -673,6 +670,18 @@ def format_intset(s: IntSet) -> str:
 # ---------------------------------------------------------------------------
 
 
+def offset_sets(pairs: Iterable[tuple[IntSet, int]]) -> dict[int, IntSet]:
+    """The union of the domains of each offset, normalised once per offset.
+
+    Offsets with only empty domains are left out.
+    """
+    by_offset: dict[int, list[Piece]] = {}
+    for dom, c in pairs:
+        if not dom.is_empty():
+            by_offset.setdefault(c, []).extend(dom.pieces)
+    return {c: IntSet(pcs) for c, pcs in by_offset.items()}
+
+
 class PiecewiseTranslation:
     """Partial map on Z: finitely many disjoint IntSet domains, each shifted.
 
@@ -683,12 +692,7 @@ class PiecewiseTranslation:
     __slots__ = ("pieces", "_domain", "_range")
 
     def __init__(self, pieces: Iterable[tuple[IntSet, int]] = ()):
-        by_offset: dict[int, IntSet] = {}
-        for dom, c in pieces:
-            if dom.is_empty():
-                continue
-            by_offset[c] = by_offset[c].union(dom) if c in by_offset else dom
-        merged = tuple(sorted(by_offset.items()))
+        merged = tuple(sorted(offset_sets(pieces).items()))
         doms = [d for _, d in merged]
         for i in range(len(doms)):
             for j in range(i + 1, len(doms)):
@@ -764,16 +768,10 @@ class PiecewiseTranslation:
     # -- algebra
 
     def image(self, s: IntSet) -> IntSet:
-        out = IntSet.empty()
-        for d, c in self.pieces:
-            out = out.union(d.intersect(s).translate(c))
-        return out
+        return IntSet.empty().union(*(d.intersect(s).translate(c) for d, c in self.pieces))
 
     def preimage(self, s: IntSet) -> IntSet:
-        out = IntSet.empty()
-        for d, c in self.pieces:
-            out = out.union(d.intersect(s.translate(-c)))
-        return out
+        return IntSet.empty().union(*(d.intersect(s.translate(-c)) for d, c in self.pieces))
 
     def restrict(self, s: IntSet) -> "PiecewiseTranslation":
         return PiecewiseTranslation((d.intersect(s), c) for d, c in self.pieces)

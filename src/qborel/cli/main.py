@@ -484,9 +484,7 @@ def cmd_uniformize(args, inst) -> Certificate:
         raise UsageError("uniformize without a graphs relation needs ptmaps")
     uni = weak_uniformize_int(maps, maps)
     texts = [format_ptmap(f) for f in maps]
-    dom = IntSet.empty()
-    for f in maps:
-        dom = dom.union(f.domain())
+    dom = IntSet.empty().union(*(f.domain() for f in maps))
     cert.outputs = {
         "selection": format_ptmap(uni.phi),
         "chosen_levels": [format_intset(s) for s in uni.levels],
@@ -580,7 +578,14 @@ def cmd_index(args, inst) -> Certificate:
             value = index_over(decl.value)
     cert.outputs = {"index": _fmt_index(value)}
     if args.expect is not None:
-        expected = args.expect if args.expect == "unbounded" else int(args.expect)
+        expected = args.expect
+        if expected != "unbounded":
+            try:
+                expected = int(expected)
+            except ValueError:
+                raise UsageError(
+                    f"--expect takes an integer or 'unbounded', got {expected!r}"
+                ) from None
         cert.emit(
             "index_matches_expectation",
             "value_equal",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .carriers import IntSet, PiecewiseTranslation, format_intset
+from .carriers import IntSet, PiecewiseTranslation, format_intset, offset_sets
 from .errors import (
     BadParameters,
     NoAcceleration,
@@ -246,7 +246,6 @@ def greedy_extend(
     psis: list[dict[int, int]],
     n: int,
     rel: Partition | None = None,
-    prepend_identity: bool = True,
 ) -> dict[int, int]:
     """Extend a partial injection by all non-clashing pairs of each psi.
 
@@ -261,9 +260,7 @@ def greedy_extend(
         w = graph_within_partition(g0, rel)
         if w is not None:
             raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
-    queue = list(psis)
-    if prepend_identity:
-        queue = [identity_map(n)] + queue
+    queue = [identity_map(n)] + list(psis)
     g = dict(g0)
     rng = set(g.values())
     for psi in queue:
@@ -299,7 +296,6 @@ def greedy_extend_int(
     psis: list[PiecewiseTranslation],
     ambient: IntSet,
     rel: IntBlockRelation | None = None,
-    prepend_identity: bool = True,
 ) -> PiecewiseTranslation:
     """Integer-lane greedy extension with exact IntSet bookkeeping."""
     w = g0.injectivity_witness()
@@ -309,9 +305,7 @@ def greedy_extend_int(
         w = rel.graph_within_witness(g0)
         if w is not None:
             raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
-    queue = list(psis)
-    if prepend_identity:
-        queue = [PiecewiseTranslation.identity(ambient)] + queue
+    queue = [PiecewiseTranslation.identity(ambient)] + list(psis)
     g = g0
     for psi in queue:
         if rel is not None:
@@ -409,23 +403,19 @@ class SideLevels:
 
     def parity_union(self, parity: int) -> IntSet:
         """Union of levels of the given parity (0 even, 1 odd)."""
-        out = IntSet.empty()
-        if self.accel is None:
-            for i, s in enumerate(self.explicit):
-                if (i + 1) % 2 == parity:
-                    out = out.union(s)
-            return out
-        base, period, offset = self.accel
-        for depth in range(1, base):
-            if depth % 2 == parity:
-                out = out.union(self.explicit[depth - 1])
-        # normalize to an even period so depth parity is constant per chain
-        pp = period if period % 2 == 0 else 2 * period
-        cc = offset * (pp // period)
-        for depth in range(base, base + pp):
-            if depth % 2 == parity:
-                out = out.union(self.level(depth).translates_union(cc))
-        return out
+        base = len(self.explicit) + 1 if self.accel is None else self.accel[0]
+        sets = [self.explicit[d - 1] for d in range(1, base) if d % 2 == parity]
+        if self.accel is not None:
+            _, period, offset = self.accel
+            # normalize to an even period so depth parity is constant per chain
+            pp = period if period % 2 == 0 else 2 * period
+            cc = offset * (pp // period)
+            sets += [
+                self.level(d).translates_union(cc)
+                for d in range(base, base + pp)
+                if d % 2 == parity
+            ]
+        return IntSet.empty().union(*sets)
 
 
 @dataclass
@@ -448,12 +438,12 @@ class IntLevels:
 
 def _compatible_region(h: PiecewiseTranslation, c: int) -> IntSet:
     """Points x where h(x + c) = h(x) + c, both sides defined."""
-    out = IntSet.empty()
-    for d1, c1 in h.pieces:
-        for d2, c2 in h.pieces:
-            if c1 == c2:
-                out = out.union(d1.intersect(d2.translate(-c)))
-    return out
+    return IntSet.empty().union(*(
+        d1.intersect(d2.translate(-c))
+        for d1, c1 in h.pieces
+        for d2, c2 in h.pieces
+        if c1 == c2
+    ))
 
 
 def _side_levels(
@@ -470,10 +460,7 @@ def _side_levels(
         levels.append(h.image(levels[-1]))
     if levels[-1].is_empty():
         explicit = [s for s in levels if not s.is_empty()]
-        union = IntSet.empty()
-        for s in explicit:
-            union = union.union(s)
-        return SideLevels(explicit, None, union)
+        return SideLevels(explicit, None, IntSet.empty().union(*explicit))
     for period in range(1, max_period + 1):
         for base in range(1, len(levels) - period + 1):
             a = levels[base - 1]
@@ -488,14 +475,12 @@ def _side_levels(
                 continue
             if b != a.translate(c):
                 continue
-            tail = IntSet.empty()
-            for i in range(period):
-                tail = tail.union(levels[base + i - 1].translates_union(c))
+            tail = IntSet.empty().union(
+                *(levels[base + i - 1].translates_union(c) for i in range(period))
+            )
             if not tail.is_subset(_compatible_region(h, c)):
                 continue
-            union = tail
-            for depth in range(1, base):
-                union = union.union(levels[depth - 1])
+            union = tail.union(*levels[: base - 1])
             return SideLevels(levels[: base + period - 1], (base, period, c), union)
     explored = [format_intset(s) for s in levels]
     raise NoAcceleration(
@@ -753,14 +738,8 @@ def weak_uniformize_int(
     rel_graphs: list[PiecewiseTranslation], fns: list[PiecewiseTranslation]
 ) -> UniformizationInt:
     """Integer-lane least-index selection, exact via per-offset sets."""
-    rel_offsets: dict[int, IntSet] = {}
-    for r in rel_graphs:
-        for d, c in r.pieces:
-            rel_offsets[c] = rel_offsets[c].union(d) if c in rel_offsets else d
-    fn_offsets: dict[int, IntSet] = {}
-    for f in fns:
-        for d, c in f.pieces:
-            fn_offsets[c] = fn_offsets[c].union(d) if c in fn_offsets else d
+    rel_offsets = offset_sets(pc for r in rel_graphs for pc in r.pieces)
+    fn_offsets = offset_sets(pc for f in fns for pc in f.pieces)
     for c, d in sorted(rel_offsets.items()):
         left = d.difference(fn_offsets.get(c, IntSet.empty()))
         if not left.is_empty():
@@ -770,10 +749,9 @@ def weak_uniformize_int(
     levels = []
     pieces = []
     for f in fns:
-        hit = IntSet.empty()
-        for d, c in f.pieces:
-            good = d.intersect(rel_offsets.get(c, IntSet.empty()))
-            hit = hit.union(good)
+        hit = IntSet.empty().union(
+            *(d.intersect(rel_offsets.get(c, IntSet.empty())) for d, c in f.pieces)
+        )
         fresh = hit.difference(taken)
         levels.append(fresh)
         pieces.extend((d.intersect(fresh), c) for d, c in f.pieces)

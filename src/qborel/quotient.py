@@ -192,9 +192,7 @@ class IntClassQuotient:
                         f"descriptors {i} and {j} overlap",
                         witness=both.closest_to_zero(),
                     )
-        union = IntSet.empty()
-        for d in descs:
-            union = union.union(d)
+        union = IntSet.empty().union(*descs)
         if union != carrier.ambient:
             leftover = carrier.ambient.difference(union)
             if not leftover.is_empty():
@@ -251,11 +249,9 @@ def saturate(space, subset):
             out.update(space.partition.block_of(x))
         return frozenset(out)
     if isinstance(space, IntClassQuotient):
-        out = IntSet.empty()
-        for d in space.classes:
-            if not d.intersect(subset).is_empty():
-                out = out.union(d)
-        return out
+        return IntSet.empty().union(
+            *(d for d in space.classes if not d.intersect(subset).is_empty())
+        )
     if isinstance(space, IntQuotient):
         return subset
     raise UnsupportedCarrier(f"cannot saturate over {space!r}")
@@ -332,10 +328,7 @@ def dom_of_relation(rel) -> frozenset[int]:
 
 def dom_of_relation_int(graphs: list[PiecewiseTranslation]) -> IntSet:
     """First projection of a relation given as a union of map graphs."""
-    out = IntSet.empty()
-    for g in graphs:
-        out = out.union(g.domain())
-    return out
+    return IntSet.empty().union(*(g.domain() for g in graphs))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from .carriers import IntSet, PiecewiseTranslation
+from .carriers import IntSet, PiecewiseTranslation, offset_sets
 from .errors import (
     IndexTooLarge,
     InvalidPartition,
@@ -344,14 +344,6 @@ class EnumeratedEquivalence:
         return Partition.from_pairs(self.n, self.pairs())
 
 
-def _merge_offsets(graphs: list[PiecewiseTranslation]) -> dict[int, IntSet]:
-    merged: dict[int, IntSet] = {}
-    for g in graphs:
-        for d, c in g.pieces:
-            merged[c] = merged[c].union(d) if c in merged else d
-    return {c: d for c, d in merged.items() if not d.is_empty()}
-
-
 def verify_enumeration_int(
     graphs: list[PiecewiseTranslation], ambient: IntSet
 ) -> EnumReport:
@@ -360,7 +352,7 @@ def verify_enumeration_int(
     The witness of a failed check is a pair (and for transitivity the
     uncovered offset), produced from the least-magnitude point available.
     """
-    offs = _merge_offsets(graphs)
+    offs = offset_sets(pc for g in graphs for pc in g.pieces)
     refl = CheckOutcome(True)
     missing = ambient.difference(offs.get(0, IntSet.empty()))
     if not missing.is_empty():
@@ -447,9 +439,9 @@ class IntBlockRelation:
                     x = stray.closest_to_zero()
                     return (x, x)
                 continue
-            allowed = IntSet.empty()
-            for b in self.blocks:
-                allowed = allowed.union(b.intersect(b.translate(-c)))
+            allowed = IntSet.empty().union(
+                *(b.intersect(b.translate(-c)) for b in self.blocks)
+            )
             stray = d.difference(allowed)
             if not stray.is_empty():
                 x = stray.closest_to_zero()
@@ -457,8 +449,4 @@ class IntBlockRelation:
         return None
 
     def saturate(self, s: IntSet) -> IntSet:
-        out = s
-        for b in self.blocks:
-            if not b.intersect(s).is_empty():
-                out = out.union(b)
-        return out
+        return s.union(*(b for b in self.blocks if not b.intersect(s).is_empty()))

@@ -20,6 +20,7 @@ from qborel.carriers import (
     _iv_norm,
     format_intset,
     format_ptmap,
+    offset_sets,
     parse_intset,
     parse_ptmap,
 )
@@ -157,6 +158,57 @@ def test_far_point_pairs_against_pointwise_oracle(ra, rb):
                 probes.update((end - 1, end, end + 1))
     for s, has in cases:
         assert {x for x in probes if x in s} == {x for x in probes if has(x)}
+
+
+def per_residue_union(a, b):
+    """The former IntSet.union: merge both operands residue by residue."""
+    return a._binary(b, lambda x, y: _iv_norm(list(x) + list(y)))
+
+
+def union_operands(far):
+    # A far point above rays of two or more strides makes the normal form
+    # list every member below it, so far pairs come with stride-1 rays only.
+    stride = st.just(1) if far else st.integers(1, 6)
+    return st.one_of(
+        atoms.filter(lambda s: s.is_finite()),
+        st.builds(IntSet.progression, st.integers(-20, 20), st.integers(1, 6), st.integers(3, 8)),
+        st.builds(
+            IntSet.progression,
+            st.integers(-20, 20),
+            st.integers(1, 10**6 if far else 10),
+            st.just(2),
+        ),
+        st.builds(IntSet.ray_up, st.integers(-20, 20), stride),
+        st.builds(IntSet.ray_down, st.integers(-20, 20), stride),
+    )
+
+
+union_lists = st.booleans().flatmap(
+    lambda far: st.lists(union_operands(far), min_size=1, max_size=5)
+)
+
+
+@given(union_lists)
+def test_union_is_the_per_residue_merge(sets):
+    expected = sets[0]
+    for s in sets[1:]:
+        expected = per_residue_union(expected, s)
+    assert sets[0].union(*sets[1:]).pieces == expected.pieces
+
+
+@given(
+    st.booleans().flatmap(
+        lambda far: st.lists(
+            st.tuples(union_operands(far), st.integers(-2, 2)), max_size=8
+        )
+    )
+)
+def test_offset_sets_is_the_per_offset_merge(pairs):
+    expected = {}
+    for d, c in pairs:
+        expected[c] = per_residue_union(expected[c], d) if c in expected else d
+    expected = {c: d for c, d in expected.items() if not d.is_empty()}
+    assert offset_sets(pairs) == expected
 
 
 def test_parse_reorders_and_merges():

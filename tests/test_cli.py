@@ -344,6 +344,12 @@ def test_index_gallery_expectation(capsys):
     assert "index = 3" in out
 
 
+def test_index_expect_not_an_integer_is_usage_error(capsys):
+    code, out = run(capsys, "index", "--input", FIVE, "--expect", "abc")
+    assert code == 2
+    assert "--expect" in out and "'abc'" in out
+
+
 def test_selector_from_action(capsys):
     code, out = run(capsys, "selector", "--input", ROT, "--phi", "sel")
     assert code == 0
@@ -397,6 +403,31 @@ def test_gallery_all(capsys):
 def test_gallery_flag_form(capsys):
     code, out = run(capsys, "--cmd", "gallery", "--gallery", "ex34")
     assert code == 0
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--k", "alphabet size 0 outside 2..10"),
+    ("--n", "word length 0 must be positive"),
+])
+def test_gallery_explicit_zero_is_bad_parameters(capsys, flag, message):
+    code, out = run(capsys, "gallery", "ex34", flag, "0")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "BadParameters" and err["message"] == message
+
+
+def test_verify_stored_gallery_k_zero_is_a_fail_row(tmp_path, capsys):
+    cert_file = tmp_path / "gallery.json"
+    code, _ = run(capsys, "gallery", "ex34", "--out", str(cert_file))
+    assert code == 0
+    data = json.loads(cert_file.read_text())
+    data["checks"][0]["data"]["k"] = 0
+    cert_file.write_text(json.dumps(data))
+    rows_file = tmp_path / "rows.json"
+    code, out = run(capsys, "verify", "--input", str(cert_file), "--out", str(rows_file))
+    assert code == 1
+    rows = json.loads(rows_file.read_text())["rows"]
+    assert [r["witness"]["error"] for r in rows if not r["agrees"]] == ["BadParameters"]
 
 
 def test_export_graph(capsys):
