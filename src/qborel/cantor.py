@@ -603,8 +603,14 @@ _GALLERY_DEFAULTS = {
 def example_gallery(
     name: str, k: int | None = None, n: int | None = None, t: int | None = None
 ) -> GalleryInstance:
-    """Build a packaged instance by name; parameters override defaults."""
+    """Build a packaged instance by name; parameters override defaults.
+
+    et_shift takes no parameters, so any given is a BadParameters error.
+    """
     if name == "et_shift":
+        given = [f"{p}={v}" for p, v in (("k", k), ("n", n), ("t", t)) if v is not None]
+        if given:
+            raise BadParameters(f"et_shift takes no parameters, got {', '.join(given)}")
         return _gallery_et_shift()
     if name not in _GALLERY_DEFAULTS:
         known = ", ".join(sorted(_GALLERY_DEFAULTS) + ["et_shift"])

@@ -15,6 +15,11 @@ the lcm p of the strides of the rays and of the pieces with at least
 three points, so the cost follows p and the number of intervals and
 output pieces, never the size of the coordinates.
 
+Normalisation and the per-residue algebra are pure functions of piece
+tuples, so both are memoised by value, each memo holding at most
+MEMO_SIZE entries.  The command line clears them when a run starts
+(`_clear_memos`), so every run does its own work.
+
 A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are
 closed under restriction, composition, disjoint union and (for injective
@@ -26,6 +31,7 @@ from __future__ import annotations
 import re
 from bisect import insort
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, inf, lcm
 from typing import Iterable, Iterator
 
@@ -33,6 +39,8 @@ from .errors import NotInjective
 
 # default probe window for pointwise cross-checks
 WINDOW = 64
+# entries kept by each memo of normal forms and of set algebra
+MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -246,6 +254,7 @@ def _points_apart(pieces) -> list[Piece]:
     return out
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _canonical_pieces(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
     if len(raw) < 2:
         # one piece is canonical, except that a single point takes stride 1
@@ -432,15 +441,7 @@ class IntSet:
     # -- algebra
 
     def _binary(self, other: "IntSet", op) -> "IntSet":
-        mine, theirs = _points_apart(self.pieces), _points_apart(other.pieces)
-        p = lcm(*[pc.stride for pc in mine + theirs])
-        mine, theirs = _decompose_mod(mine, p), _decompose_mod(theirs, p)
-        out = []
-        # a residue in neither set stays empty under every operation
-        for r in mine.keys() | theirs.keys():
-            ivs = op(mine.get(r, []), theirs.get(r, []))
-            out.extend(_rebuild_residue(r, p, ivs))
-        return IntSet(out)
+        return _residue_algebra(op, self.pieces, other.pieces)
 
     def union(self, *others: "IntSet") -> "IntSet":
         """Union of all the operands: one normalisation of their pieces."""
@@ -549,6 +550,26 @@ def _negate_piece(pc: Piece) -> Piece:
     if pc.length is None:
         return Piece(-pc.start, pc.stride, None, down=True)
     return Piece(-(pc.start + (pc.length - 1) * pc.stride), pc.stride, pc.length)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _residue_algebra(op, a: tuple[Piece, ...], b: tuple[Piece, ...]) -> IntSet:
+    """The interval operation op applied per residue to normal forms a and b."""
+    mine, theirs = _points_apart(a), _points_apart(b)
+    p = lcm(*[pc.stride for pc in mine + theirs])
+    mine, theirs = _decompose_mod(mine, p), _decompose_mod(theirs, p)
+    out = []
+    # a residue in neither set stays empty under every operation
+    for r in mine.keys() | theirs.keys():
+        ivs = op(mine.get(r, []), theirs.get(r, []))
+        out.extend(_rebuild_residue(r, p, ivs))
+    return IntSet(out)
+
+
+def _clear_memos() -> None:
+    """Empty the memos of normal forms and of set algebra."""
+    _canonical_pieces.cache_clear()
+    _residue_algebra.cache_clear()
 
 
 def _decompose_mod(pieces, p: int) -> dict[int, list]:
@@ -689,20 +710,21 @@ class PiecewiseTranslation:
     tuples is equality of graphs.
     """
 
-    __slots__ = ("pieces", "_domain", "_range")
+    __slots__ = ("pieces",)
 
     def __init__(self, pieces: Iterable[tuple[IntSet, int]] = ()):
-        merged = tuple(sorted(offset_sets(pieces).items()))
-        doms = [d for _, d in merged]
+        self._merge(pieces)
+        doms = [d for d, _ in self.pieces]
         for i in range(len(doms)):
             for j in range(i + 1, len(doms)):
                 both = doms[i].intersect(doms[j])
                 if not both.is_empty():
                     x = both.closest_to_zero()
                     raise ValueError(f"overlapping domains at {x}")
-        object.__setattr__(
-            self, "pieces", tuple((d, c) for c, d in merged)
-        )
+
+    def _merge(self, pieces: Iterable[tuple[IntSet, int]]) -> None:
+        merged = sorted(offset_sets(pieces).items())
+        object.__setattr__(self, "pieces", tuple((d, c) for c, d in merged))
 
     def __setattr__(self, *a):
         raise AttributeError("PiecewiseTranslation is immutable")
@@ -721,23 +743,11 @@ class PiecewiseTranslation:
 
     # -- map structure
 
-    # the map is immutable, so domain and range are built once, when first read
-
     def domain(self) -> IntSet:
-        try:
-            return self._domain
-        except AttributeError:
-            dom = IntSet(pc for d, _ in self.pieces for pc in d.pieces)
-            object.__setattr__(self, "_domain", dom)
-            return dom
+        return IntSet(pc for d, _ in self.pieces for pc in d.pieces)
 
     def range_set(self) -> IntSet:
-        try:
-            return self._range
-        except AttributeError:
-            rng = IntSet(pc.translate(c) for d, c in self.pieces for pc in d.pieces)
-            object.__setattr__(self, "_range", rng)
-            return rng
+        return IntSet(pc.translate(c) for d, c in self.pieces for pc in d.pieces)
 
     def offsets(self) -> dict[int, IntSet]:
         return {c: d for d, c in self.pieces}
@@ -806,7 +816,13 @@ class PiecewiseTranslation:
             if hits:
                 x = min(hits, key=lambda x: (abs(x), x < 0))
                 raise ValueError(f"domains overlap at {x}")
-        return PiecewiseTranslation(pc for f in parts for pc in f.pieces)
+        # No second overlap check: within each part the domains of distinct
+        # offsets are disjoint, and the parts' whole domains were just shown
+        # pairwise disjoint, so after merging by offset the domains of
+        # distinct offsets are disjoint too.
+        out = object.__new__(PiecewiseTranslation)
+        out._merge(pc for f in parts for pc in f.pieces)
+        return out
 
     def injectivity_witness(self):
         """None if injective, else (x1, x2, y) with x1 != x2 mapping to y."""

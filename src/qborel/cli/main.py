@@ -16,7 +16,7 @@ import sys
 from math import inf
 
 from ..actions import cocycle_from_free_action, normalizer, orbit_equivalence
-from ..carriers import format_intset, format_ptmap, IntSet, PiecewiseTranslation
+from ..carriers import _clear_memos, format_intset, format_ptmap, IntSet, PiecewiseTranslation
 from ..errors import InvalidCertificate, QBorelError, UnsupportedCarrier
 from ..feldman_moore import (
     classical_construction,
@@ -726,9 +726,14 @@ def cmd_normalizer(args, inst) -> Certificate:
             delta.append(label_index[part])
         else:
             try:
-                delta.append(int(part))
+                a = int(part)
             except ValueError:
                 raise UsageError(f"unknown group element {part!r}")
+            if not 0 <= a < len(group.labels):
+                raise UsageError(
+                    f"group element {part!r} outside 0..{len(group.labels) - 1}"
+                )
+            delta.append(a)
     norm = normalizer(group, delta)
     cert.outputs = {
         "normalizer": [group.labels[a] for a in norm],
@@ -844,6 +849,8 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # each run starts from empty memos, as a fresh process would
+    _clear_memos()
     parser = _parser()
     args = parser.parse_args(argv)
     command = args.cmd or args.command

@@ -15,7 +15,9 @@ from qborel.carriers import (
     FiniteCarrier,
     IntSet,
     NotInjective,
+    Piece,
     PiecewiseTranslation,
+    _clear_memos,
     _iv_complement,
     _iv_norm,
     format_intset,
@@ -211,6 +213,34 @@ def test_offset_sets_is_the_per_offset_merge(pairs):
     assert offset_sets(pairs) == expected
 
 
+memo_pieces = st.lists(
+    st.one_of(
+        st.builds(Piece, st.integers(-20, 20), st.integers(1, 6), st.integers(1, 8)),
+        st.builds(Piece, st.integers(-20, 20), st.integers(1, 6), st.none(), st.booleans()),
+    ),
+    max_size=4,
+)
+
+
+@given(memo_pieces, memo_pieces, st.integers(-7, 7))
+def test_memoised_algebra_equals_a_cold_memo(ra, rb, c):
+    # both operand orders of each operation share one warm memo, so a memo
+    # key without the operation or the operand order returns a wrong entry
+    a, b = IntSet(ra), IntSet(rb)
+    ops = [
+        lambda: a.intersect(b), lambda: b.intersect(a),
+        lambda: a.difference(b), lambda: b.difference(a),
+        lambda: a.union(b), lambda: b.union(a),
+        lambda: a.translate(c), lambda: b.translate(c),
+    ]
+    warm = [op().pieces for op in ops]
+    cold = []
+    for op in ops:
+        _clear_memos()
+        cold.append(op().pieces)
+    assert warm == cold
+
+
 def test_parse_reorders_and_merges():
     assert format_intset(parse_intset("5..; ..-3; 0:+2*3")) == "..-3; 0:+2*2; 4.."
 
@@ -384,6 +414,18 @@ def test_union_requires_disjoint_domains(f, g):
             f.union(g)
     else:
         assert pt_dict(f.union(g)) == {**pt_dict(g), **pt_dict(f)}
+        # union skips the constructor's overlap check, not its merge
+        assert f.union(g) == PiecewiseTranslation(f.pieces + g.pieces)
+
+
+def test_union_of_overlapping_maps_with_one_offset_is_an_error():
+    # merged by offset, the two domains would no longer show the overlap
+    f = PiecewiseTranslation.translation(IntSet.segment(3, 9), 1)
+    g = PiecewiseTranslation.translation(IntSet.segment(-9, 5), 1)
+    with pytest.raises(ValueError, match=r"^domains overlap at 3$"):
+        f.union(g)
+    with pytest.raises(ValueError, match=r"^overlapping domains at 3$"):
+        PiecewiseTranslation(f.pieces + ((IntSet.segment(-9, 5), 2),))
 
 
 @given(ptmaps, intsets)

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from qborel.carriers import MEMO_SIZE, IntSet, _canonical_pieces, _residue_algebra
 from qborel.cli.certificates import run_check
 from qborel.cli.main import main
 
@@ -350,6 +351,13 @@ def test_index_expect_not_an_integer_is_usage_error(capsys):
     assert "--expect" in out and "'abc'" in out
 
 
+@pytest.mark.parametrize("sub", ["0,99", "0,-1"])
+def test_normalizer_element_outside_the_group_is_usage_error(capsys, sub):
+    code, out = run(capsys, "normalizer", "--gallery", "ex36", "--sub", sub)
+    assert code == 2
+    assert f"group element '{sub[2:]}' outside 0..5" in out
+
+
 def test_selector_from_action(capsys):
     code, out = run(capsys, "selector", "--input", ROT, "--phi", "sel")
     assert code == 0
@@ -416,6 +424,15 @@ def test_gallery_explicit_zero_is_bad_parameters(capsys, flag, message):
     assert err["kind"] == "BadParameters" and err["message"] == message
 
 
+@pytest.mark.parametrize("flag", ["--k", "--n", "--t"])
+def test_gallery_et_shift_rejects_parameters(capsys, flag):
+    code, out = run(capsys, "gallery", "et_shift", flag, "3")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "BadParameters"
+    assert err["message"] == f"et_shift takes no parameters, got {flag[2:]}=3"
+
+
 def test_verify_stored_gallery_k_zero_is_a_fail_row(tmp_path, capsys):
     cert_file = tmp_path / "gallery.json"
     code, _ = run(capsys, "gallery", "ex34", "--out", str(cert_file))
@@ -456,3 +473,19 @@ def test_out_writes_certificate_for_any_command(tmp_path, capsys):
     assert data["inputs"] and data["inputs"][0]["name"].endswith("swap.qb")
     code, out = run(capsys, "verify", "--input", str(cert_file))
     assert code == 0
+
+
+def test_each_run_starts_from_empty_memos(tmp_path, capsys):
+    infos = []
+    for i in range(2):
+        # entries no fm-quotient run of the sample uses
+        IntSet.ray_up(10**6 + i, 7).difference(IntSet.segment(0, 3 * 10**6))
+        assert _canonical_pieces.cache_info().currsize > 0
+        code, _ = run(capsys, "fm-quotient", "--input", RAY, "--out", str(tmp_path / f"{i}.json"))
+        assert code == 0
+        infos.append((_canonical_pieces.cache_info(), _residue_algebra.cache_info()))
+    assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
+    # equal hits, misses and sizes after both runs: each began with empty memos
+    assert infos[0] == infos[1]
+    for info in infos[0]:
+        assert info.maxsize == MEMO_SIZE and 0 < info.currsize <= MEMO_SIZE
