@@ -430,13 +430,7 @@ class IntSet:
         """Element of least absolute value, ties to the nonnegative one."""
         if not self.pieces:
             raise ValueError("empty IntSet")
-        best = None
-        for pc in self.pieces:
-            for cand in _piece_near_zero(pc):
-                key = (abs(cand), 0 if cand >= 0 else 1)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-        return best[1]
+        return min(map(_piece_near_zero, self.pieces), key=_zero_order)
 
     # -- algebra
 
@@ -482,29 +476,21 @@ class IntSet:
         return format_intset(self)
 
 
-def _piece_near_zero(pc: Piece) -> list[int]:
-    """Candidate elements of a piece closest to zero."""
-    d = pc.stride
-    if pc.down:
-        if pc.start <= 0:
-            return [pc.start]
-        k = pc.start // d  # largest k with start - k*d >= something near 0
-        cands = {pc.start - k * d, pc.start - (k + 1) * d, pc.start % d}
-        return [x for x in cands if x in pc]
-    if pc.length is None:
-        if pc.start >= 0:
-            return [pc.start]
-        k = (-pc.start) // d
-        cands = {pc.start + k * d, pc.start + (k + 1) * d}
-        return [x for x in cands if x in pc]
-    lo, hi = pc.start, pc.start + (pc.length - 1) * d
-    if lo >= 0:
-        return [lo]
-    if hi <= 0:
-        return [hi]
-    k = (-lo) // d
-    cands = {lo + k * d, lo + (k + 1) * d}
-    return [x for x in cands if x in pc]
+def _zero_order(x: int) -> tuple[int, bool]:
+    """Sort key: smaller absolute value first, ties to the nonnegative point."""
+    return abs(x), x < 0
+
+
+def _piece_near_zero(pc: Piece) -> int:
+    """The member of a piece closest to zero, ties to the nonnegative one."""
+    if pc.min is not None and pc.min >= 0:
+        return pc.min
+    if pc.max is not None and pc.max <= 0:
+        return pc.max
+    # the piece spans zero: its members next to zero are the last one at
+    # or below it and the one after that
+    x = -((-pc.start) % pc.stride)
+    return min(x, x + pc.stride, key=_zero_order)
 
 
 def _piece_translates_union(pc: Piece, c: int) -> list[Piece]:
@@ -513,35 +499,15 @@ def _piece_translates_union(pc: Piece, c: int) -> list[Piece]:
         # mirror: negate, compute with -c, negate back
         mirrored = _piece_translates_union(_negate_piece(pc), -c)
         return [_negate_piece(q) for q in mirrored]
-    d = pc.stride
-    if pc.length is not None:
-        # each member spawns an upward ray of stride c
-        return [
-            Piece(pc.start + i * d, c, None)
-            for i in range(pc.length)
-        ]
+    e = gcd(pc.stride, c)
     if pc.down:
         # union over k of a down-ray moving up: the full lattice mod gcd
-        e = gcd(d, c)
         return [Piece(pc.start, e, None), Piece(pc.start - e, e, None, down=True)]
-    # upward ray: start + {j*d + k*c}, numerical-semigroup closure
-    e = gcd(d, c)
-    pp, qq = d // e, c // e
-    bound = e * (pp - 1) * (qq - 1)  # all multiples of e >= bound are hit
-    reach = [False] * (bound // e + 1)
-    reach[0] = True
-    for idx in range(len(reach)):
-        if not reach[idx]:
-            continue
-        v = idx * e
-        for step in (d, c):
-            nxt = v + step
-            if nxt <= bound:
-                reach[nxt // e] = True
-    out = [Piece(pc.start + bound, e, None)]
-    sporadic = [pc.start + i * e for i in range(bound // e) if reach[i]]
-    out.extend(Piece(x, 1, 1) for x in sporadic)
-    return out
+    # The member at index j + c/e is the one at index j moved up by
+    # (stride/e)*c, so the rays of stride c from the first c/e members
+    # (or all of them, if fewer) already cover every translate.
+    n = c // e if pc.length is None else min(pc.length, c // e)
+    return [Piece(pc.start + j * pc.stride, c, None) for j in range(n)]
 
 
 def _negate_piece(pc: Piece) -> Piece:
@@ -814,7 +780,7 @@ class PiecewiseTranslation:
             hits = [doms[i].intersect(doms[j]) for i in range(j)]
             hits = [h.closest_to_zero() for h in hits if not h.is_empty()]
             if hits:
-                x = min(hits, key=lambda x: (abs(x), x < 0))
+                x = min(hits, key=_zero_order)
                 raise ValueError(f"domains overlap at {x}")
         # No second overlap check: within each part the domains of distinct
         # offsets are disjoint, and the parts' whole domains were just shown

@@ -115,33 +115,43 @@ def _fail(line_no: int, msg: str, column: int = 0):
     raise InstanceSyntaxError(msg, line_no, column)
 
 
-def _split_blocks(body: str, line_no: int) -> list[str]:
-    """Top-level { ... } groups inside a braced list."""
+# bracket pair -> (the shape the list must have, the brackets' name,
+# what the groups are called)
+_GROUPINGS = {
+    "{}": ("braced block list", "braces", "blocks"),
+    "[]": ("[[...], ...]", "brackets", "rows"),
+}
+
+
+def _split_groups(body: str, line_no: int, pair: str) -> list[str]:
+    """Top-level groups inside an outer list: { ... } blocks or [ ... ] rows."""
+    opener, closer = pair
+    shape, brackets, groups = _GROUPINGS[pair]
     body = body.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        _fail(line_no, f"expected braced block list, got {body!r}")
+    if not (body.startswith(opener) and body.endswith(closer)):
+        _fail(line_no, f"expected {shape}, got {body!r}")
     inner = body[1:-1]
     out, depth, cur = [], 0, []
     for ch in inner:
-        if ch == "{":
+        if ch == opener:
             depth += 1
             if depth == 1:
                 cur = []
                 continue
-        elif ch == "}":
+        elif ch == closer:
             depth -= 1
             if depth < 0:
-                _fail(line_no, "unbalanced braces")
+                _fail(line_no, f"unbalanced {brackets}")
             if depth == 0:
                 out.append("".join(cur))
                 continue
         elif depth == 0:
             if ch not in ", \t":
-                _fail(line_no, f"unexpected {ch!r} between blocks")
+                _fail(line_no, f"unexpected {ch!r} between {groups}")
             continue
         cur.append(ch)
     if depth != 0:
-        _fail(line_no, "unbalanced braces")
+        _fail(line_no, f"unbalanced {brackets}")
     return out
 
 
@@ -177,7 +187,7 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
     if carrier_text == "int":
         if partition_text is None:
             return SpaceDecl(name, "int", IntQuotient(), line_no)
-        blocks = _split_blocks(partition_text, line_no)
+        blocks = _split_groups(partition_text, line_no, "{}")
         try:
             descs = [parse_intset(b) for b in blocks]
             space = IntClassQuotient.make(IntCarrier(), descs)
@@ -190,7 +200,7 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
     else:
         blocks = [
             [_parse_int(v, line_no) for v in b.split(",") if v.strip()]
-            for b in _split_blocks(partition_text, line_no)
+            for b in _split_groups(partition_text, line_no, "{}")
         ]
         partition = Partition.from_blocks(n, blocks)
     return SpaceDecl(
@@ -217,6 +227,7 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     ddecl = _require(inst, inst.spaces, dst, "space", line_no)
     if sdecl.kind != "finite" or ddecl.kind != "finite":
         _fail(line_no, "map declarations need finite spaces; use ptmap for int")
+    n_src, n_dst = sdecl.space.size, ddecl.space.size
     table = {}
     body = body.strip()
     if body:
@@ -225,9 +236,9 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
                 _fail(line_no, f"bad map entry {part.strip()!r}")
             a, b = part.split("->", 1)
             x, y = _parse_int(a, line_no), _parse_int(b, line_no)
-            if not 0 <= x < sdecl.space.size:
+            if not 0 <= x < n_src:
                 _fail(line_no, f"source point {x} outside {src}")
-            if not 0 <= y < ddecl.space.size:
+            if not 0 <= y < n_dst:
                 _fail(line_no, f"target point {y} outside {dst}")
             if x in table:
                 _fail(line_no, f"point {x} mapped twice")
@@ -277,7 +288,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
     if kind == "blocks":
         if sdecl.kind != "int":
             _fail(line_no, "blocks form needs an int space")
-        texts = _split_blocks(body, line_no)
+        texts = _split_groups(body, line_no, "{}")
         try:
             blocks = [parse_intset(b) for b in texts]
         except ValueError as e:
@@ -288,7 +299,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
         _fail(line_no, "partition form needs a finite space")
     blocks = [
         [_parse_int(v, line_no) for v in b.split(",") if v.strip()]
-        for b in _split_blocks(body, line_no)
+        for b in _split_groups(body, line_no, "{}")
     ]
     value = Partition.from_blocks(sdecl.space.size, blocks)
     return RelDecl(name, "partition", space, [], value, line_no)
@@ -300,7 +311,7 @@ def _parse_group(rest: str, line_no: int) -> GroupDecl:
         _fail(line_no, f"bad group declaration: {rest!r}")
     name, table_text, labels_text = m.groups()
     rows = []
-    for row_text in _split_bracket_list_nested(table_text, line_no):
+    for row_text in _split_groups(table_text, line_no, "[]"):
         rows.append(
             tuple(_parse_int(v, line_no) for v in row_text.split(",") if v.strip())
         )
@@ -313,36 +324,6 @@ def _parse_group(rest: str, line_no: int) -> GroupDecl:
     except ValueError as e:
         _fail(line_no, str(e))
     return GroupDecl(name, group, line_no)
-
-
-def _split_bracket_list_nested(body: str, line_no: int) -> list[str]:
-    """Top-level [ ... ] groups inside an outer bracket list."""
-    body = body.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        _fail(line_no, f"expected [[...], ...], got {body!r}")
-    inner = body[1:-1]
-    out, depth, cur = [], 0, []
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                cur = []
-                continue
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                _fail(line_no, "unbalanced brackets")
-            if depth == 0:
-                out.append("".join(cur))
-                continue
-        elif depth == 0:
-            if ch not in ", \t":
-                _fail(line_no, f"unexpected {ch!r} between rows")
-            continue
-        cur.append(ch)
-    if depth != 0:
-        _fail(line_no, "unbalanced brackets")
-    return out
 
 
 def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:

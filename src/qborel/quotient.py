@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 
-from .carriers import FiniteCarrier, IntCarrier, IntSet, PiecewiseTranslation
+from .carriers import FiniteCarrier, IntCarrier, IntSet, PiecewiseTranslation, _zero_order
 from .errors import (
     EndpointMismatch,
     InvalidPartition,
@@ -205,7 +205,7 @@ class IntClassQuotient:
                 "descriptors leave the ambient set",
                 witness=extra.closest_to_zero(),
             )
-        descs.sort(key=lambda d: (abs(d.closest_to_zero()), d.closest_to_zero() < 0))
+        descs.sort(key=lambda d: _zero_order(d.closest_to_zero()))
         return cls(carrier, tuple(descs))
 
     @property

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from .carriers import IntSet, PiecewiseTranslation, offset_sets
+from .carriers import IntSet, PiecewiseTranslation, _zero_order, offset_sets
 from .errors import (
     IndexTooLarge,
     InvalidPartition,
@@ -407,7 +407,7 @@ class IntBlockRelation:
                         f"blocks {i} and {j} overlap",
                         witness=both.closest_to_zero(),
                     )
-        bs.sort(key=lambda b: (abs(b.closest_to_zero()), b.closest_to_zero() < 0))
+        bs.sort(key=lambda b: _zero_order(b.closest_to_zero()))
         return cls(tuple(bs), amb)
 
     @classmethod

@@ -20,6 +20,9 @@ from qborel.carriers import (
     _clear_memos,
     _iv_complement,
     _iv_norm,
+    _negate_piece,
+    _piece_near_zero,
+    _piece_translates_union,
     format_intset,
     format_ptmap,
     offset_sets,
@@ -306,6 +309,102 @@ def test_translates_union_window(s, c):
     for k in range(0, 80):
         want |= {x + k * c for x in base}
     assert got == want & set(range(-40, 41))
+
+
+def old_piece_translates_union(pc, c):
+    """The former per-kind translates union: one ray per member of a
+    finite piece, a numerical-semigroup reach array for an upward ray."""
+    if c < 0:
+        mirrored = old_piece_translates_union(_negate_piece(pc), -c)
+        return [_negate_piece(q) for q in mirrored]
+    d = pc.stride
+    if pc.length is not None:
+        return [Piece(pc.start + i * d, c, None) for i in range(pc.length)]
+    e = math.gcd(d, c)
+    if pc.down:
+        return [Piece(pc.start, e, None), Piece(pc.start - e, e, None, down=True)]
+    pp, qq = d // e, c // e
+    bound = e * (pp - 1) * (qq - 1)  # all multiples of e >= bound are hit
+    reach = [False] * (bound // e + 1)
+    reach[0] = True
+    for idx in range(len(reach)):
+        if not reach[idx]:
+            continue
+        v = idx * e
+        for step in (d, c):
+            nxt = v + step
+            if nxt <= bound:
+                reach[nxt // e] = True
+    out = [Piece(pc.start + bound, e, None)]
+    out.extend(Piece(pc.start + i * e, 1, 1) for i in range(bound // e) if reach[i])
+    return out
+
+
+def old_piece_near_zero(pc):
+    """The former per-kind candidates for a piece's member closest to zero."""
+    d = pc.stride
+    if pc.down:
+        if pc.start <= 0:
+            return [pc.start]
+        k = pc.start // d
+        cands = {pc.start - k * d, pc.start - (k + 1) * d, pc.start % d}
+        return [x for x in cands if x in pc]
+    if pc.length is None:
+        if pc.start >= 0:
+            return [pc.start]
+        k = (-pc.start) // d
+        cands = {pc.start + k * d, pc.start + (k + 1) * d}
+        return [x for x in cands if x in pc]
+    lo, hi = pc.start, pc.start + (pc.length - 1) * d
+    if lo >= 0:
+        return [lo]
+    if hi <= 0:
+        return [hi]
+    k = (-lo) // d
+    cands = {lo + k * d, lo + (k + 1) * d}
+    return [x for x in cands if x in pc]
+
+
+# raw pieces of every kind, near zero or near +-10**9
+raw_pieces = st.builds(
+    lambda anchor, start, stride, length, down: Piece(
+        anchor + start, stride, length, down and length is None
+    ),
+    st.sampled_from([0, 10**9, -(10**9)]),
+    st.integers(-60, 60),
+    st.integers(1, 40),
+    st.one_of(st.none(), st.integers(1, 60)),
+    st.booleans(),
+)
+
+
+@given(raw_pieces, st.integers(-40, 40).filter(bool))
+def test_closed_forms_match_the_per_kind_oracles(pc, c):
+    want = IntSet(old_piece_translates_union(pc, c))
+    assert IntSet(_piece_translates_union(pc, c)) == want
+    near = min(old_piece_near_zero(pc), key=lambda x: (abs(x), x < 0))
+    assert _piece_near_zero(pc) == near
+    assert IntSet((pc,)).closest_to_zero() == near
+
+
+# a translates union costs c / gcd(stride, c) rays per piece, whatever the
+# piece's length
+TRANSLATES_UNION_TIMED = [
+    ("0..", lambda: IntSet.segment(0, 10**6).translates_union(3)),
+    (
+        "..199994; 199996:+2*2",
+        lambda: IntSet.progression(0, 2, 10**5).translates_union(-5),
+    ),
+]
+
+
+@pytest.mark.parametrize("text, build", TRANSLATES_UNION_TIMED)
+def test_translates_union_of_a_long_piece_is_fast(text, build):
+    _clear_memos()
+    start = time.perf_counter()
+    got = build()
+    assert time.perf_counter() - start < 0.05
+    assert format_intset(got) == text
 
 
 @given(intsets)

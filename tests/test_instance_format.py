@@ -4,6 +4,7 @@ import pytest
 
 from qborel.cli.instance import (
     InstanceFile,
+    _split_groups,
     parse_instance,
     parse_instance_file,
     print_instance,
@@ -109,6 +110,22 @@ def test_bad_partition_delegates():
     bad = "space S carrier = finite(3) partition = { {0, 1}, {1, 2} }\n"
     with pytest.raises((InstanceSyntaxError, InvalidPartition)):
         parse_instance(bad)
+
+
+@pytest.mark.parametrize("pair, body, message", [
+    ("{}", "(0)", "expected braced block list, got '(0)'"),
+    ("{}", "{ {0}} }", "unbalanced braces"),
+    ("{}", "{ {0 }", "unbalanced braces"),
+    ("{}", "{ {0} x {1} }", "unexpected 'x' between blocks"),
+    ("[]", "(0)", "expected [[...], ...], got '(0)'"),
+    ("[]", "[[0]]]", "unbalanced brackets"),
+    ("[]", "[[0]", "unbalanced brackets"),
+    ("[]", "[[0] x [1]]", "unexpected 'x' between rows"),
+])
+def test_group_splitter_messages(pair, body, message):
+    with pytest.raises(InstanceSyntaxError) as ei:
+        _split_groups(body, 7, pair)
+    assert str(ei.value) == f"line 7: {message}"
 
 
 def test_comments_and_blank_lines_ignored():
