@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from bisect import insort
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, inf, lcm
@@ -43,27 +44,25 @@ WINDOW = 64
 MEMO_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(namedtuple("Piece", "start stride length down", defaults=(False,))):
     """One arithmetic progression: a segment or a ray.
 
     length is None for rays; down selects the ray direction.  Finite
-    pieces are always stored ascending.
+    pieces are always stored ascending.  A tuple, so memo keys made of
+    pieces hash and compare without a Python-level call.
     """
 
-    start: int
-    stride: int
-    length: int | None
-    down: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError(f"stride must be positive, got {self.stride}")
-        if self.length is not None:
-            if self.length < 1:
-                raise ValueError(f"length must be positive, got {self.length}")
-            if self.down:
+    def __new__(cls, start: int, stride: int, length: int | None, down: bool = False):
+        if stride < 1:
+            raise ValueError(f"stride must be positive, got {stride}")
+        if length is not None:
+            if length < 1:
+                raise ValueError(f"length must be positive, got {length}")
+            if down:
                 raise ValueError("finite pieces are stored ascending")
+        return tuple.__new__(cls, (start, stride, length, down))
 
     def __contains__(self, x: int) -> bool:
         d = x - self.start

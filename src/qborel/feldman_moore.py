@@ -449,24 +449,37 @@ def _compatible_region(h: PiecewiseTranslation, c: int) -> IntSet:
 def _side_levels(
     h: PiecewiseTranslation, first: IntSet, bound: int, max_period: int
 ) -> SideLevels:
-    """Iterate depth levels of h from a first level, then certify a period.
+    """Iterate depth levels of h from a first level and certify a period.
 
     A period (p, c) is accepted only when the whole claimed tail lies in
     the region where h commutes with translation by c, which makes the
     extrapolation exact rather than empirical.
+
+    Candidates run period first (1..max_period), then base; a level is
+    built only when the next candidate (base, period) reads it, since it
+    reads depths base and base + period alone.  Stopping early changes
+    nothing: an accepted tail lies in h's domain and is carried into
+    itself by h, so every deeper level is non-empty and no empty level
+    within bound could have made the side finite.
     """
     levels = [first]
-    while len(levels) < bound and not levels[-1].is_empty():
-        levels.append(h.image(levels[-1]))
-    if levels[-1].is_empty():
-        explicit = [s for s in levels if not s.is_empty()]
+
+    def reach(depth: int) -> bool:
+        """Build levels through depth; False once an empty one is built."""
+        while len(levels) < depth and not levels[-1].is_empty():
+            levels.append(h.image(levels[-1]))
+        return not levels[-1].is_empty()
+
+    def finite() -> SideLevels:
+        explicit = levels[:-1]
         return SideLevels(explicit, None, IntSet.empty().union(*explicit))
+
     for period in range(1, max_period + 1):
-        for base in range(1, len(levels) - period + 1):
+        for base in range(1, bound - period + 1):
+            if not reach(base + period):
+                return finite()
             a = levels[base - 1]
             b = levels[base + period - 1]
-            if a.is_empty() or b.is_empty():
-                continue
             if a.min() is not None and b.min() is not None:
                 c = b.min() - a.min()
             elif a.max() is not None and b.max() is not None:
@@ -482,6 +495,8 @@ def _side_levels(
                 continue
             union = tail.union(*levels[: base - 1])
             return SideLevels(levels[: base + period - 1], (base, period, c), union)
+    if not reach(bound):
+        return finite()
     explored = [format_intset(s) for s in levels]
     raise NoAcceleration(
         f"no period up to {max_period} within {bound} levels",

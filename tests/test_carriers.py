@@ -216,6 +216,24 @@ def test_offset_sets_is_the_per_offset_merge(pairs):
     assert offset_sets(pairs) == expected
 
 
+def test_piece_is_a_validated_tuple():
+    # a tuple with no instance dict, so memo keys hash and compare in C
+    pc = Piece(3, 2, 4)
+    assert isinstance(pc, tuple) and not hasattr(pc, "__dict__")
+    assert pc == (3, 2, 4, False) and hash(pc) == hash((3, 2, 4, False))
+    assert (pc.start, pc.stride, pc.length, pc.down) == (3, 2, 4, False)
+    assert (pc.min, pc.max) == (3, 9) and 7 in pc and 8 not in pc
+    assert pc.translate(-3) == Piece(0, 2, 4)
+    assert repr(Piece(0, 1, None, down=True)) == "Piece(start=0, stride=1, length=None, down=True)"
+    for args, message in [
+        ((0, 0, 1), "stride must be positive, got 0"),
+        ((0, 1, 0), "length must be positive, got 0"),
+        ((0, 1, 2, True), "finite pieces are stored ascending"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Piece(*args)
+
+
 memo_pieces = st.lists(
     st.one_of(
         st.builds(Piece, st.integers(-20, 20), st.integers(1, 6), st.integers(1, 8)),

@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from qborel.carriers import MEMO_SIZE, IntSet, _canonical_pieces, _residue_algebra
+from qborel.carriers import (
+    MEMO_SIZE,
+    IntSet,
+    PiecewiseTranslation,
+    _canonical_pieces,
+    _residue_algebra,
+)
 from qborel.cli.certificates import run_check
 from qborel.cli.main import main
 
@@ -138,6 +144,31 @@ def test_cover_int_level_bound_above_32_replays(tmp_path, capsys):
     code, out = run(capsys, "verify", "--input", cert_file)
     assert code == 0
     assert "verdicts reproduce" in out
+
+
+def test_level_bound_is_a_ceiling_not_a_depth(tmp_path, capsys, monkeypatch):
+    # the shifted ray certifies its period after one image, so raising
+    # --K from 32 to 1024 builds no further level in cover or in verify
+    calls = [0]
+    image = PiecewiseTranslation.image
+
+    def counted(self, s):
+        calls[0] += 1
+        return image(self, s)
+
+    monkeypatch.setattr(PiecewiseTranslation, "image", counted)
+    counts = {}
+    for k in ("32", "1024"):
+        cert_file = str(tmp_path / f"cover_{k}.json")
+        calls[0] = 0
+        code, _ = run(capsys, "cover", "--input", RAY, "--K", k, "--out", cert_file)
+        assert code == 0
+        certify = calls[0]
+        code, out = run(capsys, "verify", "--input", cert_file)
+        assert code == 0 and "verdicts reproduce" in out
+        counts[k] = (certify, calls[0] - certify)
+    assert counts["1024"][0] <= counts["32"][0]
+    assert counts["1024"][1] <= counts["32"][1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,12 +16,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qborel.cantor import example_gallery
-from qborel.carriers import IntSet, PiecewiseTranslation as PT
-from qborel.errors import NotCovered, NotInjective, NotMaximal
+from qborel.carriers import IntSet, PiecewiseTranslation as PT, format_intset
+from qborel.errors import NoAcceleration, NotCovered, NotInjective, NotMaximal
 from qborel.feldman_moore import (
+    SideLevels,
+    _compatible_region,
+    _side_levels,
     classical_construction,
     cover_finite,
     cover_int,
@@ -377,6 +380,95 @@ def test_levels_int_window_agrees_with_direct_iteration():
     for n in range(1, 20):
         assert lv.level(n) == x
         x = g.image(x)
+
+
+def eager_side_levels(h, first, bound, max_period):
+    """Eager level search: all bound levels first, then the period scan.
+
+    The reference the lazy `_side_levels` must equal, witness included.
+    """
+    levels = [first]
+    while len(levels) < bound and not levels[-1].is_empty():
+        levels.append(h.image(levels[-1]))
+    if levels[-1].is_empty():
+        explicit = [s for s in levels if not s.is_empty()]
+        return SideLevels(explicit, None, IntSet.empty().union(*explicit))
+    for period in range(1, max_period + 1):
+        for base in range(1, len(levels) - period + 1):
+            a = levels[base - 1]
+            b = levels[base + period - 1]
+            if a.is_empty() or b.is_empty():
+                continue
+            if a.min() is not None and b.min() is not None:
+                c = b.min() - a.min()
+            elif a.max() is not None and b.max() is not None:
+                c = b.max() - a.max()
+            else:
+                continue
+            if b != a.translate(c):
+                continue
+            tail = IntSet.empty().union(
+                *(levels[base + i - 1].translates_union(c) for i in range(period))
+            )
+            if not tail.is_subset(_compatible_region(h, c)):
+                continue
+            union = tail.union(*levels[: base - 1])
+            return SideLevels(levels[: base + period - 1], (base, period, c), union)
+    explored = [format_intset(s) for s in levels]
+    raise NoAcceleration(
+        f"no period up to {max_period} within {bound} levels",
+        witness={"bound": bound, "max_period": max_period, "levels": explored},
+    )
+
+
+level_terms = st.one_of(
+    st.builds(IntSet.progression, st.integers(-12, 12), st.integers(1, 3), st.integers(1, 6)),
+    st.builds(IntSet.ray_up, st.integers(-12, 12), st.integers(1, 3)),
+    st.builds(IntSet.ray_down, st.integers(-12, 12), st.integers(1, 3)),
+)
+level_sets = st.lists(level_terms, min_size=1, max_size=2).map(
+    lambda ts: IntSet.empty().union(*ts)
+)
+first_levels = st.one_of(st.just(IntSet.empty()), level_sets)
+
+
+def _partial_map(parts):
+    """A partial map from (domain, offset) parts: later parts only where undefined."""
+    f = PT.empty()
+    for dom, c in parts:
+        f = f.union(PT.translation(dom.difference(f.domain()), c))
+    return f
+
+
+level_maps = st.lists(
+    st.tuples(level_sets, st.integers(-3, 3)), min_size=1, max_size=3
+).map(_partial_map)
+
+
+def _side_outcome(search, h, first, bound, max_period):
+    try:
+        side = search(h, first, bound, max_period)
+    except NoAcceleration as e:
+        return "NoAcceleration", e.witness
+    return side.explicit, side.accel, side.union
+
+
+@given(level_maps, first_levels, st.integers(1, 40), st.integers(1, 8))
+@example(PT.translation(IntSet.ray_up(0), 1), IntSet.empty(), 1, 8)  # finite without a candidate
+@example(PT.translation(IntSet.ray_up(0), 1), IntSet.of(0), 32, 8)  # (1, 1, 1) at once
+@example(PT.translation(IntSet.ray_up(0), 1), IntSet.of(0), 1, 8)  # bound 1: no candidate
+@example(PT.translation(IntSet.segment(0, 5), 1), IntSet.of(0), 40, 8)  # empty at depth 7
+@example(  # evens +1, odds +3: period 2, offset 4
+    PT([(IntSet.ray_up(0, 2), 1), (IntSet.ray_up(1, 2), 3)]), IntSet.of(0), 40, 8,
+)
+@example(  # 0..39 -> +1 | 40.. -> +2 repeats only past depth 40: the witness
+    PT([(IntSet.segment(0, 39), 1), (IntSet.ray_up(40), 2)]),
+    IntSet.of(0).union(IntSet.progression(41, 2, 20)), 40, 8,
+)
+def test_lazy_level_search_equals_the_eager_oracle(h, first, bound, max_period):
+    assert _side_outcome(_side_levels, h, first, bound, max_period) == _side_outcome(
+        eager_side_levels, h, first, bound, max_period
+    )
 
 
 def test_quotient_construction_int_pipeline():
