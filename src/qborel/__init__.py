@@ -17,10 +17,8 @@ from .actions import (
     excess_domain,
     freeness_witness,
     involution_fiber_report,
-    is_free,
     normalizer,
     orbit_equivalence,
-    selector_to_gamma_partition,
     verify_cocycle,
 )
 from .cantor import (
@@ -28,17 +26,12 @@ from .cantor import (
     GalleryInstance,
     TruncatedModel,
     canonicalize,
-    e0_class_enumerate,
     e0_equivalent,
     et_equivalent,
     example_gallery,
-    is_aperiodic,
-    letter_act,
     letter_action,
     make_restricted_model,
     make_truncated_model,
-    parse_word,
-    shift,
 )
 from .carriers import (
     FiniteCarrier,
@@ -76,7 +69,6 @@ from .quotient import (
     compose,
     descend,
     lift,
-    make_quotient,
     product,
     saturate,
 )
@@ -87,13 +79,10 @@ from .relations import (
     generate_equivalence,
     index2_involution,
     index_over,
-    involution_generation_search,
     min_selector,
     selector_to_transversal,
     tail_equivalence,
-    transversal_to_selector,
     verify_enumeration,
-    verify_enumeration_int,
 )
 
 __version__ = "0.1.0"

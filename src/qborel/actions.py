@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .errors import NotASubgroup, NotFree
 from .quotient import Partition
-from .relations import selector_to_transversal
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,6 @@ def freeness_witness(action: GroupAction):
     return None
 
 
-def is_free(action: GroupAction) -> tuple[bool, tuple[int, int] | None]:
-    w = freeness_witness(action)
-    return (w is None, w)
-
-
 @dataclass
 class Cocycle:
     """theta(x, y) = the unique group element with y = theta . x."""
@@ -235,33 +229,8 @@ def verify_cocycle(c: Cocycle) -> CocycleReport:
     return CocycleReport(moves, chains)
 
 
-@dataclass
-class GammaPartition:
+def _displacement_fibers(c: Cocycle, phi: dict[int, int]) -> dict[int, frozenset[int]]:
     """Fibers Z_a = points whose displacement under phi is the element a."""
-
-    cocycle: Cocycle
-    phi: dict[int, int]
-    fibers: dict[int, frozenset[int]]
-
-    def sizes(self) -> dict[int, int]:
-        return {a: len(s) for a, s in self.fibers.items()}
-
-    def translate_overlap_witness(self):
-        """A point x with x and a.x in the same fiber, a nonidentity.
-
-        None certifies a.Z ∩ Z = ∅ for every fiber Z and every a != e,
-        which the displacement algebra forces whenever phi is a selector.
-        """
-        act = self.cocycle.action
-        for a in range(1, act.group.size):
-            for g, fiber in sorted(self.fibers.items()):
-                for x in sorted(fiber):
-                    if act.act(a, x) in fiber:
-                        return (a, g, x)
-        return None
-
-
-def _displacement_fibers(c: Cocycle, phi: dict[int, int]) -> GammaPartition:
     act = c.action
     fibers: dict[int, set[int]] = {a: set() for a in act.group.elements()}
     for x in range(act.n):
@@ -269,18 +238,7 @@ def _displacement_fibers(c: Cocycle, phi: dict[int, int]) -> GammaPartition:
         if (x, y) not in c.theta:
             raise NotFree(f"phi({x}) = {y} leaves the orbit", witness=(x, y))
         fibers[c.theta[(x, y)]].add(x)
-    return GammaPartition(c, dict(phi), {a: frozenset(s) for a, s in fibers.items()})
-
-
-def selector_to_gamma_partition(
-    action: GroupAction, phi: dict[int, int]
-) -> GammaPartition:
-    """Split points by the element carrying x to its class representative.
-
-    phi must be a selector for the orbit equivalence and the action free.
-    """
-    selector_to_transversal(phi, orbit_equivalence(action))
-    return _displacement_fibers(cocycle_from_free_action(action), phi)
+    return {a: frozenset(s) for a, s in fibers.items()}
 
 
 def involution_fiber_report(c: Cocycle, f: dict[int, int]) -> dict:
@@ -293,16 +251,16 @@ def involution_fiber_report(c: Cocycle, f: dict[int, int]) -> dict:
     for x in range(act.n):
         if f[f[x]] != x:
             raise ValueError(f"not an involution at {x}")
-    gp = _displacement_fibers(c, f)
+    fibers = _displacement_fibers(c, f)
     mapping = {}
-    for a, fiber in sorted(gp.fibers.items()):
+    for a, fiber in sorted(fibers.items()):
         if not fiber:
             mapping[a] = act.group.inv(a)
             continue
         images = {f[x] for x in fiber}
-        targets = [b for b, g in sorted(gp.fibers.items()) if images <= g]
+        targets = [b for b, g in sorted(fibers.items()) if images <= g]
         mapping[a] = targets[0] if len(targets) == 1 else None
-    return {"fibers": gp.sizes(), "mapping": mapping}
+    return {"fibers": {a: len(s) for a, s in fibers.items()}, "mapping": mapping}
 
 
 def normalizer(group: FiniteGroup, delta) -> tuple[int, ...]:

@@ -1,10 +1,10 @@
 """Symbolic sequence space on eventually periodic words.
 
 A point is an infinite sequence over a digit alphabet, stored as a
-preperiod plus a repeating block. On this subspace eventual equality,
-shift-tail equality, the shift map, and letterwise permutation actions
-are all exactly decidable. Finite truncated models bridge the same
-constructions onto indexed carriers for the pipeline in feldman_moore.
+preperiod plus a repeating block. On this subspace eventual equality
+and equality up to shifts are exactly decidable. Finite truncated models
+bridge the same constructions onto indexed carriers for the pipeline in
+feldman_moore.
 """
 
 from __future__ import annotations
@@ -97,14 +97,6 @@ def canonicalize(u: str, w: str, k: int) -> EventuallyPeriodicWord:
     return EventuallyPeriodicWord(k, u, w)
 
 
-def parse_word(text: str, k: int) -> EventuallyPeriodicWord:
-    """Read the u|w form, e.g. "1|0" for 1 followed by zeros."""
-    if text.count("|") != 1:
-        raise ValueError(f"word {text!r} needs exactly one '|'")
-    u, w = text.split("|")
-    return canonicalize(u, w, k)
-
-
 def e0_equivalent(x: EventuallyPeriodicWord, y: EventuallyPeriodicWord) -> bool:
     """Do the sequences agree from some position on?
 
@@ -129,69 +121,6 @@ def et_equivalent(x: EventuallyPeriodicWord, y: EventuallyPeriodicWord) -> bool:
     if x.k != y.k:
         raise AlphabetMismatch(f"alphabet sizes {x.k} and {y.k} differ")
     return len(x.w) == len(y.w) and x.w in y.w + y.w
-
-
-def shift(x: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
-    """Drop the first letter."""
-    if x.u:
-        return canonicalize(x.u[1:], x.w, x.k)
-    return canonicalize("", x.w[1:] + x.w[0], x.k)
-
-
-def letter_act(sigma, x: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
-    """Apply a letter permutation at every position."""
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(x.k)):
-        raise ValueError(f"{sigma} is not a permutation of 0..{x.k - 1}")
-    sub = lambda s: "".join(str(sigma[int(c)]) for c in s)
-    return canonicalize(sub(x.u), sub(x.w), x.k)
-
-
-def is_aperiodic(x: EventuallyPeriodicWord) -> bool:
-    """Do all shifts of x differ pairwise?
-
-    Two shifts coincide exactly when the procedure below finds a repeat
-    among the first |u| + 2|w| shifts. Every eventually periodic word
-    has a purely periodic tail, so the answer here is always False; the
-    honest check is kept because the question only turns positive on
-    sequences outside this subspace.
-    """
-    seen = set()
-    cur = x
-    for _ in range(len(x.u) + 2 * len(x.w) + 1):
-        if cur in seen:
-            return False
-        seen.add(cur)
-        cur = shift(cur)
-    return True
-
-
-def e0_class_enumerate(
-    x: EventuallyPeriodicWord, support_bound: int, position_bound: int
-) -> list[EventuallyPeriodicWord]:
-    """Words differing from x in at most support_bound of the first
-    position_bound letters, deduplicated by canonical form."""
-    if support_bound < 0 or position_bound < 0:
-        raise ValueError("bounds must be nonnegative")
-    p = position_bound
-    base = [x.letter_at(i) for i in range(p)]
-    if p >= len(x.u):
-        tail_u, tail_w = "", x.w[(p - len(x.u)) % len(x.w):] + x.w[: (p - len(x.u)) % len(x.w)]
-    else:
-        tail_u, tail_w = x.u[p:], x.w
-    out = {x}
-    for size in range(1, min(support_bound, p) + 1):
-        for positions in itertools.combinations(range(p), size):
-            pools = [
-                [c for c in range(x.k) if c != base[i]] for i in positions
-            ]
-            for choice in itertools.product(*pools):
-                letters = list(base)
-                for i, c in zip(positions, choice):
-                    letters[i] = c
-                prefix = "".join(map(str, letters))
-                out.add(canonicalize(prefix + tail_u, tail_w, x.k))
-    return sorted(out, key=lambda v: (len(v.u), v.u, v.w))
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +232,6 @@ def letter_action(model: TruncatedModel) -> GroupAction:
             row.append(model.class_of_word(image))
         maps.append(tuple(row))
     return GroupAction(group, model.quotient.size, tuple(maps))
-
-
-def carrier_letter_action(model: TruncatedModel) -> GroupAction:
-    """The same action before projecting, on carrier points."""
-    group = FiniteGroup.symmetric(model.k)
-    maps = []
-    for a in group.elements():
-        perm = group.permutation_of(a)
-        maps.append(
-            tuple(model.word_index(_word_image(perm, w)) for w in model.words)
-        )
-    return GroupAction(group, len(model.words), tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +445,6 @@ def _gallery_ex37(k: int, n: int, t: int) -> GalleryInstance:
             "fibers": fibers,
         },
     )
-
-
-def rotation_fiber_report(instance: GalleryInstance, f: dict[int, int]) -> dict:
-    """Fiber bookkeeping for a caller-supplied involution on ex37."""
-    return involution_fiber_report(instance.data["cocycle"], f)
 
 
 def _gallery_et_shift() -> GalleryInstance:

@@ -450,9 +450,6 @@ class IntSet:
     __and__ = intersect
     __sub__ = difference
 
-    def complement_in(self, ambient: "IntSet") -> "IntSet":
-        return ambient.difference(self)
-
     def translate(self, c: int) -> "IntSet":
         return IntSet(pc.translate(c) for pc in self.pieces)
 
@@ -810,12 +807,6 @@ class PiecewiseTranslation:
             raise NotInjective(f"{w[0]} and {w[1]} both map to {w[2]}", witness=w)
         return PiecewiseTranslation((d.translate(c), -c) for d, c in self.pieces)
 
-    def fixed_points(self) -> IntSet:
-        for d, c in self.pieces:
-            if c == 0:
-                return d
-        return IntSet.empty()
-
     def graph_minus(self, *others: "PiecewiseTranslation") -> "PiecewiseTranslation":
         """Pairs of self not present in any of the others (a partial map again)."""
         out = []
@@ -887,11 +878,6 @@ class FiniteCarrier:
                 raise ValueError("label count differs from size")
             if len(set(self.labels)) != self.size:
                 raise ValueError("duplicate labels")
-
-    def label_of(self, i: int) -> str:
-        if self.labels is None:
-            return str(i)
-        return self.labels[i]
 
     def index_of(self, label: str) -> int:
         if self.labels is None:

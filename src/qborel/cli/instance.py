@@ -42,6 +42,11 @@ from ..relations import EnumeratedEquivalence, IntBlockRelation
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
 
+# a finite space costs a few hundred bytes per point, so a larger carrier is
+# refused before any of it is built; no sample, test or benchmark workload
+# declares more than 140 points
+MAX_POINTS = 1 << 16
+
 
 @dataclass
 class SpaceDecl:
@@ -194,7 +199,9 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
         except ValueError as e:
             _fail(line_no, str(e))
         return SpaceDecl(name, "int", space, line_no)
-    n = int(n_text)
+    n = _parse_int(n_text, line_no)
+    if n > MAX_POINTS:
+        _fail(line_no, f"finite({n}) exceeds the cap of {MAX_POINTS} points")
     if partition_text is None:
         partition = Partition.discrete(n)
     else:

@@ -39,10 +39,6 @@ class NotWithinRelation(QBorelError):
     """A graph leaves the ambient relation; witness is a pair."""
 
 
-class NotATransversal(QBorelError):
-    """A set meets some class not exactly once; witness is (class, hits)."""
-
-
 class NotASelector(QBorelError):
     """A map is not a class-constant choice function; witness is a point pair."""
 

@@ -15,9 +15,8 @@ descend checks a carrier map against the partitions and projects it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
 
-from .carriers import FiniteCarrier, IntCarrier, IntSet, PiecewiseTranslation, _zero_order
+from .carriers import FiniteCarrier, IntCarrier, IntSet, _zero_order
 from .errors import (
     EndpointMismatch,
     InvalidPartition,
@@ -117,12 +116,6 @@ class Partition:
         return frozenset(
             (x, y) for b in self.blocks for x in b for y in b
         )
-
-    def refines(self, other: "Partition") -> bool:
-        return all(
-            other.same(b[0], x) for b in self.blocks for x in b[1:]
-        ) if self.n == other.n else False
-
 
 @dataclass(frozen=True)
 class FiniteQuotient:
@@ -224,23 +217,6 @@ class IntClassQuotient:
     def rep(self, q: int) -> int:
         return self.classes[q].closest_to_zero()
 
-    def class_size(self, q: int):
-        return self.classes[q].size()
-
-
-def make_quotient(carrier, partition=None):
-    """Build the quotient space for a carrier and a partition description."""
-    if isinstance(carrier, FiniteCarrier):
-        if partition is None:
-            partition = Partition.discrete(carrier.size)
-        return FiniteQuotient(carrier, partition)
-    if isinstance(carrier, IntCarrier):
-        if partition is None:
-            return IntQuotient(carrier)
-        return IntClassQuotient.make(carrier, partition)
-    raise UnsupportedCarrier(f"unknown carrier {carrier!r}")
-
-
 def saturate(space, subset):
     """Smallest class-closed superset of a carrier subset."""
     if isinstance(space, FiniteQuotient):
@@ -319,16 +295,6 @@ def image(f: QMap, subset: frozenset[int]) -> frozenset[int]:
 
 def preimage(f: QMap, subset: frozenset[int]) -> frozenset[int]:
     return frozenset(q for q in f.src.points() if f(q) in subset)
-
-
-def dom_of_relation(rel) -> frozenset[int]:
-    """First projection of an explicit pair relation."""
-    return frozenset(a for a, _ in rel)
-
-
-def dom_of_relation_int(graphs: list[PiecewiseTranslation]) -> IntSet:
-    """First projection of a relation given as a union of map graphs."""
-    return IntSet.empty().union(*(g.domain() for g in graphs))
 
 
 # ---------------------------------------------------------------------------

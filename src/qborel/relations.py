@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from .carriers import IntSet, PiecewiseTranslation, _zero_order, offset_sets
+from .carriers import IntSet, PiecewiseTranslation, _zero_order
 from .errors import (
     IndexTooLarge,
     InvalidPartition,
     NotAnEnumeration,
     NotASelector,
-    NotATransversal,
 )
 from .quotient import Partition
 
@@ -149,32 +148,11 @@ def index_over(rel) -> int | float:
         if any(s == inf for s in sizes):
             return inf
         return max(sizes, default=1) if sizes else 1
-    if hasattr(rel, "classes"):  # IntClassQuotient-style descriptor list
-        sizes = [d.size() for d in rel.classes]
-        if any(s == inf for s in sizes):
-            return inf
-        return max(sizes, default=0)
     raise TypeError(f"no index for {rel!r}")
 
 
 # ---------------------------------------------------------------------------
 # transversals and selectors
-
-
-def transversal_to_selector(t, rel: Partition) -> dict[int, int]:
-    """Map each point to the unique member of its class in t."""
-    tset = set(t)
-    phi = {}
-    for block in rel.blocks:
-        hits = [x for x in block if x in tset]
-        if len(hits) != 1:
-            raise NotATransversal(
-                f"class {block} meets the set {len(hits)} times",
-                witness=(block, tuple(hits)),
-            )
-        for x in block:
-            phi[x] = hits[0]
-    return phi
 
 
 def selector_to_transversal(phi, rel: Partition) -> frozenset[int]:
@@ -202,16 +180,12 @@ def min_selector(rel: Partition) -> dict[int, int]:
     return {x: rel.block_of(x)[0] for x in range(rel.n)}
 
 
-def _path_matching(rel: Partition, parity: int) -> dict[int, int]:
-    """Swap x_i with x_(i+1) for each i of the given parity, per class.
-
-    Each class is ordered x0 < x1 < ...; every other point is fixed.  The
-    parity 0 and parity 1 matchings alternate along that path.
-    """
+def _path_matching(rel: Partition) -> dict[int, int]:
+    """Swap x_(2i) with x_(2i+1) in each class x0 < x1 < ...; fix the rest."""
     f = {}
     for b in rel.blocks:
         f.update(zip(b, b))
-        for x, y in zip(b[parity::2], b[parity + 1::2]):
+        for x, y in zip(b[0::2], b[1::2]):
             f[x], f[y] = y, x
     return f
 
@@ -226,34 +200,7 @@ def index2_involution(rel: Partition) -> dict[int, int]:
         raise IndexTooLarge(
             f"class {big[0]} has {len(big[0])} elements", witness=big[0]
         )
-    return _path_matching(rel, 0)
-
-
-@dataclass
-class InvolutionSearch:
-    """The fewest involutions generating a relation, or None over budget."""
-
-    found: tuple[dict[int, int], ...] | None
-    budget: int
-
-    @property
-    def exhausted(self) -> bool:
-        return self.found is None
-
-
-def involution_generation_search(rel: Partition, max_count: int) -> InvolutionSearch:
-    """A minimal involutive generating family, if it has at most max_count maps.
-
-    Finite Feldman-Moore: none when every class is a singleton, one when
-    the index is at most 2, else the two path matchings, since each class
-    is a path alternating their edges.
-    """
-    size = (rel.index() > 1) + (rel.index() > 2)
-    if size > max_count:
-        return InvolutionSearch(None, max_count)
-    return InvolutionSearch(
-        tuple(_path_matching(rel, parity) for parity in range(size)), max_count
-    )
+    return _path_matching(rel)
 
 
 # ---------------------------------------------------------------------------
@@ -342,48 +289,6 @@ class EnumeratedEquivalence:
 
     def partition(self) -> Partition:
         return Partition.from_pairs(self.n, self.pairs())
-
-
-def verify_enumeration_int(
-    graphs: list[PiecewiseTranslation], ambient: IntSet
-) -> EnumReport:
-    """Closure checks for piecewise-translation graphs, per offset.
-
-    The witness of a failed check is a pair (and for transitivity the
-    uncovered offset), produced from the least-magnitude point available.
-    """
-    offs = offset_sets(pc for g in graphs for pc in g.pieces)
-    refl = CheckOutcome(True)
-    missing = ambient.difference(offs.get(0, IntSet.empty()))
-    if not missing.is_empty():
-        x = missing.closest_to_zero()
-        refl = CheckOutcome(False, x)
-    sym = CheckOutcome(True)
-    for c, d in sorted(offs.items()):
-        inv_dom = d.translate(c)
-        left = inv_dom.difference(offs.get(-c, IntSet.empty()))
-        if not left.is_empty():
-            y = left.closest_to_zero()
-            sym = CheckOutcome(False, (y, y - c))
-            break
-    trans = CheckOutcome(True)
-    done = False
-    for c1, d1 in sorted(offs.items()):
-        for c2, d2 in sorted(offs.items()):
-            through = d1.intersect(d2.translate(-c1))
-            left = through.difference(offs.get(c1 + c2, IntSet.empty()))
-            if not left.is_empty():
-                x = left.closest_to_zero()
-                trans = CheckOutcome(False, {
-                    "pair": (x, x + c1 + c2),
-                    "middle": x + c1,
-                    "offset": c1 + c2,
-                })
-                done = True
-                break
-        if done:
-            break
-    return EnumReport(refl, sym, trans)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,11 @@ from qborel.actions import (
     excess_domain,
     freeness_witness,
     involution_fiber_report,
-    is_free,
     normalizer,
     orbit_equivalence,
-    selector_to_gamma_partition,
     verify_cocycle,
 )
-from qborel.relations import NotASelector, generate_equivalence
+from qborel.relations import generate_equivalence
 
 
 # -- groups ------------------------------------------------------------------
@@ -96,7 +94,6 @@ def test_regular_action_is_free_and_transitive(k):
     g = FiniteGroup.symmetric(k)
     act = regular_action(g)
     assert freeness_witness(act) is None
-    assert is_free(act) == (True, None)
     assert orbit_equivalence(act) == Partition.indiscrete(g.size)
 
 
@@ -235,32 +232,6 @@ def test_pair_classes_tile_theta():
 
 
 # -- displacement fibers -----------------------------------------------------------
-
-def test_selector_gamma_partition():
-    act = two_orbit_free_action()
-    phi = {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3}
-    gp = selector_to_gamma_partition(act, phi)
-    sizes = gp.sizes()
-    assert sum(sizes.values()) == 6
-    # each group element names the fiber of points displaced by it
-    for a, fiber in gp.fibers.items():
-        for x in fiber:
-            assert act.act(a, x) == phi[x]
-    assert gp.translate_overlap_witness() is None
-
-
-def test_selector_gamma_rejects_bad_selector():
-    act = two_orbit_free_action()
-    with pytest.raises(NotASelector):
-        selector_to_gamma_partition(act, {0: 0, 1: 1, 2: 0, 3: 3, 4: 3, 5: 3})
-
-
-def test_selector_gamma_rejects_non_free():
-    c2 = FiniteGroup.cyclic(2)
-    fixing = GroupAction(c2, 2, ((0, 1), (0, 1)))
-    with pytest.raises(NotFree):
-        selector_to_gamma_partition(fixing, {0: 0, 1: 1})
-
 
 def test_involution_fiber_report():
     act = two_orbit_free_action()

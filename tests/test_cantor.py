@@ -19,21 +19,14 @@ from qborel.cantor import (
     EventuallyPeriodicWord,
     UnknownExample,
     canonicalize,
-    carrier_letter_action,
-    e0_class_enumerate,
     e0_equivalent,
     et_equivalent,
     example_gallery,
-    is_aperiodic,
-    letter_act,
     letter_action,
     make_restricted_model,
     make_truncated_model,
-    parse_word,
-    rotation_fiber_report,
-    shift,
 )
-from qborel.actions import freeness_witness, orbit_equivalence
+from qborel.actions import freeness_witness, involution_fiber_report, orbit_equivalence
 from qborel.quotient import Partition
 
 
@@ -49,6 +42,13 @@ def stream_equal_from(x, y, start, length):
     return all(
         x.letter_at(i) == y.letter_at(i) for i in range(start, start + length)
     )
+
+
+def shift(x):
+    """Drop the first letter."""
+    if x.u:
+        return canonicalize(x.u[1:], x.w, x.k)
+    return canonicalize("", x.w[1:] + x.w[0], x.k)
 
 
 def oracle_e0(x, y):
@@ -114,13 +114,6 @@ def test_identity_of_canonical_forms_is_stream_identity(x, y):
     assert (x == y) == same_stream
 
 
-def test_parse_word():
-    assert parse_word("01|10", 2) == canonicalize("01", "10", 2)
-    assert parse_word("|1", 2) == canonicalize("", "1", 2)
-    with pytest.raises(ValueError):
-        parse_word("0110", 2)
-
-
 def test_prefix():
     x = canonicalize("01", "10", 2)
     assert x.prefix(8) == "01101010"
@@ -183,52 +176,11 @@ def test_et_distinguishes_periods():
     )
 
 
-# -- shift and letter maps --------------------------------------------------------------
+# -- the shift oracle -------------------------------------------------------------------
 
 @given(words(2), st.integers(0, 20))
 def test_shift_moves_the_stream(x, i):
     assert shift(x).letter_at(i) == x.letter_at(i + 1)
-
-
-@given(words(3, max_u=3, max_w=3), st.permutations(range(3)), st.integers(0, 15))
-def test_letter_act_pointwise(x, sigma, i):
-    y = letter_act(tuple(sigma), x)
-    assert int(y.letter_at(i)) == sigma[int(x.letter_at(i))]
-
-
-@given(words(2))
-def test_is_aperiodic_always_false_here(x):
-    # the subspace holds only eventually periodic words
-    assert is_aperiodic(x) is False
-
-
-# -- class enumeration --------------------------------------------------------------------
-
-@given(words(2, max_u=2, max_w=2), st.integers(0, 2), st.integers(0, 4))
-def test_e0_enumeration_laws(x, support, positions):
-    got = e0_class_enumerate(x, support, positions)
-    # distinct canonical forms, all tail-equal to x
-    assert len(set(got)) == len(got)
-    for y in got:
-        assert e0_equivalent(x, y)
-        diffs = [
-            i for i in range(positions) if y.letter_at(i) != x.letter_at(i)
-        ]
-        assert len(diffs) <= support
-        assert all(
-            y.letter_at(i) == x.letter_at(i)
-            for i in range(positions, positions + 12)
-        )
-    # count law: sum over i <= support of C(positions, i) * (k-1)^i
-    want = sum(
-        math.comb(positions, i) * (x.k - 1) ** i for i in range(support + 1)
-    )
-    assert len(got) == want
-
-
-def test_e0_enumeration_frozen_count():
-    got = e0_class_enumerate(canonicalize("", "210", 3), 2, 4)
-    assert len(got) == 1 + 4 * 2 + 6 * 4  # 33
 
 
 # -- truncated models --------------------------------------------------------------------
@@ -284,16 +236,6 @@ def test_letter_action_on_restricted_model():
         s = r.class_suffix(q)
         moved = "".join(str(sigma[int(c)]) for c in s)
         assert r.class_suffix(act.act(2, q)) == moved
-
-
-def test_carrier_letter_action():
-    m = make_truncated_model(2, 3, 1)
-    act = carrier_letter_action(m)
-    assert act.n == 8 and act.group.size == 2
-    flip = 1
-    for i, w in enumerate(m.words):
-        moved = "".join("1" if c == "0" else "0" for c in w)
-        assert m.words[act.act(flip, i)] == moved
 
 
 # -- gallery ---------------------------------------------------------------------------------
@@ -379,7 +321,7 @@ def test_gallery_ex37_values():
     g = example_gallery("ex37")
     assert g.summary["fiber_sizes"] == {0: 3, 1: 3, 2: 3}
     assert g.summary["fiber_mapping"] == {0: 0, 1: 2, 2: 1}
-    rep = rotation_fiber_report(g, g.data["involution"])
+    rep = involution_fiber_report(g.data["cocycle"], g.data["involution"])
     assert rep["mapping"] == {0: 0, 1: 2, 2: 1}
 
 

@@ -1,7 +1,13 @@
 """The plain-text instance format: parsing, printing, and error reporting."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import qborel
 from qborel.cli.instance import (
     InstanceFile,
     _split_groups,
@@ -101,6 +107,40 @@ def test_duplicate_names_rejected():
     bad = "space S carrier = finite(2)\nspace S carrier = finite(3)\n"
     with pytest.raises(InstanceSyntaxError) as ei:
         parse_instance(bad)
+    assert ei.value.line == 2
+
+
+CAPPED_PARSE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qborel.cli.instance import parse_instance
+from qborel.errors import InstanceSyntaxError
+try:
+    parse_instance("# huge\\nspace Q carrier = finite(1000000000)\\n")
+except InstanceSyntaxError as e:
+    print(e.line, e)
+"""
+
+
+def test_finite_carrier_above_cap_refused_before_allocation():
+    # under a 1 GiB address-space cap, building 10^9 points would end in MemoryError
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(qborel.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", CAPPED_PARSE], capture_output=True, text=True,
+        env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "2 line 2: finite(1000000000) exceeds the cap of 65536 points\n"
+    from qborel.cli.instance import MAX_POINTS
+
+    assert parse_instance(f"space Q carrier = finite({MAX_POINTS})\n").spaces["Q"].size == MAX_POINTS
+    with pytest.raises(InstanceSyntaxError):
+        parse_instance(f"space Q carrier = finite({MAX_POINTS + 1})\n")
+
+
+def test_finite_carrier_size_with_thousands_of_digits():
+    with pytest.raises(InstanceSyntaxError) as ei:
+        parse_instance("# huge\nspace Q carrier = finite(" + "7" * 5000 + ")\n")
     assert ei.value.line == 2
 
 

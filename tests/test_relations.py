@@ -5,7 +5,6 @@ closure over the undirected union graph; the library must agree with it
 on every random instance.
 """
 
-import itertools
 import math
 import random
 
@@ -22,20 +21,16 @@ from qborel.relations import (
     IndexTooLarge,
     IntBlockRelation,
     NotASelector,
-    NotATransversal,
     Partition,
     chain_witness,
     generate_equivalence,
     index2_involution,
     index_over,
-    involution_generation_search,
     min_selector,
     selector_to_transversal,
     tail_equivalence,
-    transversal_to_selector,
     union_pairs,
     verify_enumeration,
-    verify_enumeration_int,
 )
 
 
@@ -324,7 +319,7 @@ def test_selector_transversal_round_trip(p):
     phi = min_selector(p)
     t = selector_to_transversal(phi, p)
     assert len(t) == p.num_classes
-    assert transversal_to_selector(t, p) == phi
+    assert {x: next(y for y in p.block_of(x) if y in t) for x in range(p.n)} == phi
 
 
 def test_selector_rejections():
@@ -348,15 +343,7 @@ def test_selector_value_outside_the_space():
     assert ei.value.witness == (1, 7)
 
 
-def test_transversal_rejections():
-    p = Partition.from_blocks(6, [(0, 1, 2), (3, 4, 5)])
-    with pytest.raises(NotATransversal):
-        transversal_to_selector(frozenset({0, 1}), p)  # two in one class
-    with pytest.raises(NotATransversal):
-        transversal_to_selector(frozenset({0}), p)  # one class missed
-
-
-# -- index two and involution search ------------------------------------------
+# -- index two -------------------------------------------------------------
 
 @given(st.integers(1, 10).flatmap(
     lambda n: st.lists(st.sampled_from([1, 2]), min_size=1, max_size=n)))
@@ -380,105 +367,15 @@ def test_index2_rejects_wide_blocks():
     assert ei.value.witness == (0, 1, 2)
 
 
-def test_involution_search_finds_generating_pair():
-    p = Partition.from_blocks(6, [(0, 1, 2), (3, 4, 5)])
-    s = involution_generation_search(p, 100000)
-    assert s.found is not None and len(s.found) == 2
-    for f in s.found:
-        assert all(f[f[x]] == x for x in range(6))
-        assert all(p.same(x, f[x]) for x in range(6))
-    q, _ = generate_equivalence(6, list(s.found))
-    assert q == p
-    assert not s.exhausted
-
-
-def test_involution_search_honest_exhaustion():
-    # a three-element class is never generated by a single involution
-    p = Partition.from_blocks(6, [(0, 1, 2), (3, 4, 5)])
-    s = involution_generation_search(p, 1)
-    assert s.found is None and s.exhausted
-
-
-def _assert_generating_involutions(p, family):
-    for f in family:
-        assert set(f) == set(range(p.n))
-        assert all(f[f[x]] == x and p.same(x, f[x]) for x in range(p.n))
-    q, _ = generate_equivalence(p.n, list(family))
-    assert q == p
-
-
-def test_involution_search_generates_large_indiscrete():
-    for n in (12, 10**5):
-        p = Partition.indiscrete(n)
-        s = involution_generation_search(p, 2)
-        assert s.found is not None and len(s.found) == 2
-        _assert_generating_involutions(p, s.found)
-
-
-def _class_involutions(block):
-    """All involutive permutations of one block, as dicts."""
-    if len(block) == 0:
-        yield {}
-        return
-    x, rest = block[0], block[1:]
-    for sub in _class_involutions(rest):
-        yield {x: x, **sub}
-    for i, y in enumerate(rest):
-        for sub in _class_involutions(rest[:i] + rest[i + 1:]):
-            yield {x: y, y: x, **sub}
-
-
-def _brute_force_involutions(p, max_count):
-    """Oracle: the first generating family among all involution subsets,
-    smallest subsets first, or None."""
-    candidates = []
-    for combo in itertools.product(*(list(_class_involutions(b)) for b in p.blocks)):
-        f = {}
-        for part in combo:
-            f.update(part)
-        candidates.append(f)
-    for size in range(max_count + 1):
-        for subset in itertools.combinations(candidates, size):
-            if generate_equivalence(p.n, list(subset))[0] == p:
-                return subset
-    return None
-
-
-def _set_partitions(n):
-    """Every partition of 0..n-1, as restricted growth strings."""
-    def grow(prefix, top):
-        if len(prefix) == n:
-            yield Partition.from_class_map(prefix)
-            return
-        for c in range(top + 2):
-            yield from grow(prefix + [c], max(top, c))
-    return grow([], -1)
-
-
-def test_involution_search_matches_brute_force_oracle():
-    cases = 0
-    for n in range(7):
-        for p in _set_partitions(n):
-            # smallest subsets first: a smaller budget finds this or nothing
-            least = _brute_force_involutions(p, 3)
-            for max_count in range(4):
-                s = involution_generation_search(p, max_count)
-                oracle = least if len(least) <= max_count else None
-                assert (s.found is None) == (oracle is None), (p, max_count)
-                if oracle is not None:
-                    assert len(s.found) == len(oracle)
-                    _assert_generating_involutions(p, s.found)
-                cases += 1
-    assert cases == 4 * (1 + 1 + 2 + 5 + 15 + 52 + 203)
-
-
 @given(partitions)
 def test_single_involution_classes_have_size_le_2(p):
-    s = involution_generation_search(p, 2)
-    assert s.found is not None
-    _assert_generating_involutions(p, s.found)
-    if len(s.found) == 1:
-        assert p.index() <= 2
+    if p.index() > 2:
+        with pytest.raises(IndexTooLarge):
+            index2_involution(p)
+        return
+    f = index2_involution(p)
+    assert all(f[f[x]] == x and p.same(x, f[x]) for x in range(p.n))
+    assert generate_equivalence(p.n, [f])[0] == p
 
 
 # -- index ---------------------------------------------------------------------
@@ -517,28 +414,3 @@ def test_int_block_relation_queries():
     assert r.graph_within_witness(g_in) is None
     g_out = PT.translation(IntSet.of(-1), 1)
     assert r.graph_within_witness(g_out) == (-1, 0)
-
-
-def test_verify_enumeration_int_pair_blocks():
-    # blocks {2k, 2k+1}: even points step up, odd points step down
-    amb = IntSet.all_integers()
-    evens, odds = IntSet.ray_up(0, 2).union(IntSet.ray_down(-2, 2)), None
-    odds = evens.translate(1)
-    fam = [
-        PT.identity(amb),
-        PT.translation(evens, 1),
-        PT.translation(odds, -1),
-    ]
-    rep = verify_enumeration_int(fam, amb)
-    assert rep.ok
-
-
-def test_verify_enumeration_int_witnesses():
-    amb = IntSet.all_integers()
-    one_way = [PT.identity(amb), PT.translation(amb, 1)]
-    rep = verify_enumeration_int(one_way, amb)
-    assert not rep.symmetric.ok
-    # transitivity: +1 twice never lands on a listed graph
-    assert not rep.transitive.ok
-    missing = verify_enumeration_int([PT.translation(amb, 1)], amb)
-    assert not missing.reflexive.ok
