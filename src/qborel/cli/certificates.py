@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 from dataclasses import dataclass, field
 
 from .. import __version__ as VERSION
@@ -72,6 +73,15 @@ def _compact(value) -> str:
     return json.dumps(value, separators=(",", ":"), default=_plain)
 
 
+def _snapshot(value) -> bytes:
+    """Bytes that change whenever a plain JSON value does, nested edits too.
+
+    Marshal format 2 predates shared references, so the bytes depend on
+    the value alone, and writing them costs a fraction of JSON encoding.
+    """
+    return marshal.dumps(value, 2)
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
@@ -85,24 +95,44 @@ class Certificate:
     checks: list = field(default_factory=list)
     tool: str = TOOL
     version: str = VERSION
+    # id of each emitted check -> (the check, its snapshot, its JSON text)
+    _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_input(self, name: str, text: str):
         self.inputs.append({"name": name, "sha256_12": digest(text)})
 
     def emit(self, name: str, kind: str, data: dict) -> bool:
-        """Run the checker now and store the verdict alongside its data."""
-        data = jsonable(data)
+        """Run the checker now and store the verdict alongside its data.
+
+        The data is encoded once: the checker runs on that text decoded,
+        and to_json writes the same text for as long as the stored check
+        still holds the values it holds here.
+        """
+        text = _compact(data)
+        data = json.loads(text)
         ok, witness = run_check(kind, data)
-        self.checks.append(
-            {
-                "name": name,
-                "kind": kind,
-                "data": data,
-                "ok": ok,
-                "witness": jsonable(witness),
-            }
+        witness_text = _compact(witness)
+        check = {
+            "name": name,
+            "kind": kind,
+            "data": data,
+            "ok": ok,
+            "witness": json.loads(witness_text),
+        }
+        self.checks.append(check)
+        line = (
+            f'{{"name":{_compact(name)},"kind":{_compact(kind)},"data":{text},'
+            f'"ok":{"true" if ok else "false"},"witness":{witness_text}}}'
         )
+        self._lines[id(check)] = check, _snapshot(check), line
         return ok
+
+    def _line(self, check: dict) -> str:
+        """The compact JSON text of a stored check."""
+        held = self._lines.get(id(check))
+        if held is not None and held[0] is check and held[1] == _snapshot(check):
+            return held[2]
+        return _compact(check)
 
     @property
     def ok(self) -> bool:
@@ -119,7 +149,7 @@ class Certificate:
             "outputs": self.outputs,
         }
         lines = [f'  "{key}": {_compact(value)},' for key, value in head.items()]
-        checks = ",\n".join(f"    {_compact(c)}" for c in self.checks)
+        checks = ",\n".join(f"    {self._line(c)}" for c in self.checks)
         lines.append(f'  "checks": [\n{checks}\n  ]' if checks else '  "checks": []')
         return "{\n" + "\n".join(lines) + "\n}\n"
 
@@ -182,6 +212,13 @@ def reverify(cert: Certificate) -> tuple[bool, list[dict]]:
 
 
 def _pairs_to_map(pairs) -> dict[int, int]:
+    try:
+        f = dict(pairs)
+    except (TypeError, ValueError):
+        f = None
+    # stored pairs are plain ints unless edited by hand; anything else is converted
+    if f is not None and {*map(type, f), *map(type, f.values())} <= {int}:
+        return f
     return {int(x): int(y) for x, y in pairs}
 
 
@@ -393,11 +430,14 @@ def _chk_involution_family_within(data):
 @checker("bijection_family_within")
 def _chk_bijection_family_within(data):
     rel = _blocks_partition(data["n"], data["blocks"])
-    n = data["n"]
+    points = set(range(data["n"]))
     for i, g in enumerate(data["maps"]):
         f = _pairs_to_map(g)
-        if sorted(f) != list(range(n)) or sorted(f.values()) != list(range(n)):
+        # keys and values both exactly 0..n-1 (n keys, so n distinct values)
+        if f.keys() != points or set(f.values()) != points:
             return False, {"map": i, "law": "bijection"}
+        if graph_within_partition(f, rel) is None:
+            continue
         for x, y in f.items():
             if not rel.same(x, y):
                 return False, {"map": i, "pair": (x, y), "law": "within"}

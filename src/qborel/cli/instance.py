@@ -47,6 +47,10 @@ _NAME_RE = re.compile(_NAME)
 # declares more than 140 points
 MAX_POINTS = 1 << 16
 
+# a message quotes at most this many characters of input text; past it,
+# the first ones and the full length
+QUOTE_MAX = 40
+
 
 @dataclass
 class SpaceDecl:
@@ -116,6 +120,18 @@ class InstanceFile:
         )
 
 
+def _clip(text: str) -> str:
+    if len(text) <= QUOTE_MAX:
+        return text
+    return f"{text[:QUOTE_MAX]}... ({len(text)} characters)"
+
+
+def _quote(text: str) -> str:
+    if len(text) <= QUOTE_MAX:
+        return repr(text)
+    return f"{text[:QUOTE_MAX]!r}... ({len(text)} characters)"
+
+
 def _fail(line_no: int, msg: str, column: int = 0):
     raise InstanceSyntaxError(msg, line_no, column)
 
@@ -134,7 +150,7 @@ def _split_groups(body: str, line_no: int, pair: str) -> list[str]:
     shape, brackets, groups = _GROUPINGS[pair]
     body = body.strip()
     if not (body.startswith(opener) and body.endswith(closer)):
-        _fail(line_no, f"expected {shape}, got {body!r}")
+        _fail(line_no, f"expected {shape}, got {_quote(body)}")
     inner = body[1:-1]
     out, depth, cur = [], 0, []
     for ch in inner:
@@ -163,7 +179,7 @@ def _split_groups(body: str, line_no: int, pair: str) -> list[str]:
 def _split_bracket_list(body: str, line_no: int) -> list[str]:
     body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
-        _fail(line_no, f"expected [...] list, got {body!r}")
+        _fail(line_no, f"expected [...] list, got {_quote(body)}")
     inner = body[1:-1].strip()
     return [p.strip() for p in inner.split(",")] if inner else []
 
@@ -172,7 +188,7 @@ def _parse_int(text: str, line_no: int) -> int:
     try:
         return int(text.strip())
     except ValueError:
-        _fail(line_no, f"expected an integer, got {text.strip()!r}")
+        _fail(line_no, f"expected an integer, got {_quote(text.strip())}")
 
 
 def _parse_space(rest: str, line_no: int) -> SpaceDecl:
@@ -180,14 +196,14 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
         rf"({_NAME})\s+carrier\s*=\s*(finite\(\s*(\d+)\s*\)|int)\s*(.*)$", rest
     )
     if not m:
-        _fail(line_no, f"bad space declaration: {rest!r}")
+        _fail(line_no, f"bad space declaration: {_quote(rest)}")
     name, carrier_text, n_text, tail = m.groups()
     tail = tail.strip()
     partition_text = None
     if tail:
         pm = re.match(r"partition\s*=\s*(.*)$", tail)
         if not pm:
-            _fail(line_no, f"unexpected trailer {tail!r}")
+            _fail(line_no, f"unexpected trailer {_quote(tail)}")
         partition_text = pm.group(1)
     if carrier_text == "int":
         if partition_text is None:
@@ -201,7 +217,7 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
         return SpaceDecl(name, "int", space, line_no)
     n = _parse_int(n_text, line_no)
     if n > MAX_POINTS:
-        _fail(line_no, f"finite({n}) exceeds the cap of {MAX_POINTS} points")
+        _fail(line_no, f"finite({_clip(str(n))}) exceeds the cap of {MAX_POINTS} points")
     if partition_text is None:
         partition = Partition.discrete(n)
     else:
@@ -218,7 +234,7 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
 def _require(inst: InstanceFile, table: dict, name: str, what: str, line_no: int):
     if name not in table:
         raise UnknownReference(
-            f"line {line_no}: {what} {name!r} not declared above", line=line_no
+            f"line {line_no}: {what} {_quote(name)} not declared above", line=line_no
         )
     return table[name]
 
@@ -228,7 +244,7 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
         rf"({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})\s*:\s*(.*)$", rest
     )
     if not m:
-        _fail(line_no, f"bad map declaration: {rest!r}")
+        _fail(line_no, f"bad map declaration: {_quote(rest)}")
     name, src, dst, body = m.groups()
     sdecl = _require(inst, inst.spaces, src, "space", line_no)
     ddecl = _require(inst, inst.spaces, dst, "space", line_no)
@@ -240,15 +256,18 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     if body:
         for part in body.split(","):
             if "->" not in part:
-                _fail(line_no, f"bad map entry {part.strip()!r}")
+                _fail(line_no, f"bad map entry {_quote(part.strip())}")
             a, b = part.split("->", 1)
-            x, y = _parse_int(a, line_no), _parse_int(b, line_no)
+            try:
+                x, y = int(a), int(b)
+            except ValueError:
+                x, y = _parse_int(a, line_no), _parse_int(b, line_no)
             if not 0 <= x < n_src:
-                _fail(line_no, f"source point {x} outside {src}")
+                _fail(line_no, f"source point {_clip(str(x))} outside {src}")
             if not 0 <= y < n_dst:
-                _fail(line_no, f"target point {y} outside {dst}")
+                _fail(line_no, f"target point {_clip(str(y))} outside {dst}")
             if x in table:
-                _fail(line_no, f"point {x} mapped twice")
+                _fail(line_no, f"point {_clip(str(x))} mapped twice")
             table[x] = y
     return MapDecl(name, "finite", src, dst, table, line_no)
 
@@ -256,7 +275,7 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
 def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     m = re.match(rf"({_NAME})\s*:\s*({_NAME})\s*:\s*(.*)$", rest)
     if not m:
-        _fail(line_no, f"bad ptmap declaration: {rest!r}")
+        _fail(line_no, f"bad ptmap declaration: {_quote(rest)}")
     name, space, body = m.groups()
     sdecl = _require(inst, inst.spaces, space, "space", line_no)
     if sdecl.kind != "int":
@@ -274,7 +293,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
         rest,
     )
     if not m:
-        _fail(line_no, f"bad rel declaration: {rest!r}")
+        _fail(line_no, f"bad rel declaration: {_quote(rest)}")
     name, space, kind, body = m.groups()
     sdecl = _require(inst, inst.spaces, space, "space", line_no)
     if kind == "graphs":
@@ -284,7 +303,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
         ]
         for d in decls:
             if d.src != space or d.dst != space:
-                _fail(line_no, f"map {d.name!r} is not an endomap of {space}")
+                _fail(line_no, f"map {_quote(d.name)} is not an endomap of {space}")
         if sdecl.kind == "finite":
             value = EnumeratedEquivalence.make(
                 sdecl.space.size, [d.table for d in decls]
@@ -315,7 +334,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
 def _parse_group(rest: str, line_no: int) -> GroupDecl:
     m = re.match(rf"({_NAME})\s+table\s*=\s*(\[.*?\])\s*(?:labels\s*=\s*(\[.*\]))?$", rest)
     if not m:
-        _fail(line_no, f"bad group declaration: {rest!r}")
+        _fail(line_no, f"bad group declaration: {_quote(rest)}")
     name, table_text, labels_text = m.groups()
     rows = []
     for row_text in _split_groups(table_text, line_no, "[]"):
@@ -338,7 +357,7 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
         rf"({_NAME})\s*:\s*({_NAME})\s+on\s+({_NAME})\s*:\s*(.*)$", rest
     )
     if not m:
-        _fail(line_no, f"bad action declaration: {rest!r}")
+        _fail(line_no, f"bad action declaration: {_quote(rest)}")
     name, group_name, space_name, body = m.groups()
     gdecl = _require(inst, inst.groups, group_name, "group", line_no)
     sdecl = _require(inst, inst.spaces, space_name, "space", line_no)
@@ -354,19 +373,19 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
         if not part:
             continue
         if "->" not in part:
-            _fail(line_no, f"bad action entry {part!r}")
+            _fail(line_no, f"bad action entry {_quote(part)}")
         elem_text, map_name = (s.strip() for s in part.split("->", 1))
         if elem_text in label_index:
             elem = label_index[elem_text]
         else:
             elem = _parse_int(elem_text, line_no)
             if not 0 <= elem < group.size:
-                _fail(line_no, f"element {elem} outside the group")
+                _fail(line_no, f"element {_clip(str(elem))} outside the group")
         mdecl = _require(inst, inst.maps, map_name, "map", line_no)
         if mdecl.src != space_name or mdecl.dst != space_name:
-            _fail(line_no, f"map {map_name!r} is not an endomap of {space_name}")
+            _fail(line_no, f"map {_quote(map_name)} is not an endomap of {space_name}")
         if len(mdecl.table) != n:
-            _fail(line_no, f"map {map_name!r} is not total on {space_name}")
+            _fail(line_no, f"map {_quote(map_name)} is not total on {space_name}")
         maps[elem] = tuple(mdecl.table[x] for x in range(n))
         assignments.append((group.labels[elem], map_name))
     missing = [a for a in group.elements() if a not in maps]
@@ -387,12 +406,12 @@ def parse_instance(text: str) -> InstanceFile:
             continue
         m = re.match(rf"({_NAME})\s+(.*)$", line)
         if not m:
-            _fail(line_no, f"cannot read {line!r}")
+            _fail(line_no, f"cannot read {_quote(line)}")
         keyword, rest = m.groups()
         if keyword == "set":
             dm = re.match(rf"({_NAME})\s*=\s*(.*)$", rest)
             if not dm:
-                _fail(line_no, f"bad directive: {rest!r}")
+                _fail(line_no, f"bad directive: {_quote(rest)}")
             inst.directives[dm.group(1)] = dm.group(2).strip()
             continue
         if keyword == "space":
@@ -408,9 +427,9 @@ def parse_instance(text: str) -> InstanceFile:
         elif keyword == "action":
             decl = _parse_action(rest, inst, line_no)
         else:
-            _fail(line_no, f"unknown declaration {keyword!r}")
+            _fail(line_no, f"unknown declaration {_quote(keyword)}")
         if inst.declared(decl.name):
-            _fail(line_no, f"name {decl.name!r} declared twice")
+            _fail(line_no, f"name {_quote(decl.name)} declared twice")
         bucket = {
             "space": inst.spaces,
             "map": inst.maps,

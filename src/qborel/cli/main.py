@@ -42,7 +42,7 @@ from ..relations import (
     min_selector,
     tail_equivalence,
 )
-from .certificates import Certificate, jsonable, reverify
+from .certificates import Certificate, _plain, jsonable, reverify
 from .instance import InstanceFile, decode_instance, parse_instance
 
 COMMANDS = (
@@ -890,11 +890,10 @@ def main(argv=None) -> int:
     if text is not None:
         cert.add_input(os.path.basename(args.input), text)
     print("\n".join(cert.summary_lines()))
-    cert.outputs = jsonable(cert.outputs)
     if cert.outputs:
         print("outputs:")
         for key, value in cert.outputs.items():
-            print(f"  {key} = {json.dumps(value)}")
+            print(f"  {key} = {json.dumps(value, default=_plain)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(cert.to_json())

@@ -56,6 +56,9 @@ def identity_map(n: int) -> dict[int, int]:
 
 
 def invert_map(f: dict[int, int]) -> dict[int, int]:
+    inv = dict(zip(f.values(), f))
+    if len(inv) == len(f):
+        return inv
     inv = {}
     for x, y in f.items():
         if y in inv:
@@ -67,6 +70,8 @@ def invert_map(f: dict[int, int]) -> dict[int, int]:
 
 
 def injectivity_witness(f: dict[int, int]):
+    if len(set(f.values())) == len(f):
+        return None
     seen = {}
     for x in sorted(f):
         y = f[x]
@@ -84,8 +89,17 @@ def _signature(f: dict[int, int]) -> tuple:
 def graph_within_partition(f: dict[int, int], rel: Partition):
     """None when every pair of f joins related points, else a witness pair.
 
-    A pair with a point outside 0..rel.n-1 is a witness too.
+    A pair with a point outside 0..rel.n-1 is a witness too.  When every
+    point lies in range and keeps its class label there is none, so the
+    ordered search runs only to find the least witness.
     """
+    label = rel.class_of
+    if not f or (
+        min(f) >= 0 and max(f) < rel.n
+        and min(f.values()) >= 0 and max(f.values()) < rel.n
+        and list(map(label.__getitem__, f)) == list(map(label.__getitem__, f.values()))
+    ):
+        return None
     for x in sorted(f):
         y = f[x]
         if not (0 <= x < rel.n and 0 <= y < rel.n and rel.same(x, y)):
@@ -208,18 +222,24 @@ def psi_split(phis: list[dict[int, int]], n: int) -> list[dict[int, int]]:
     """Partial injections phi_a meet phi_b^-1, indexed row-major by (a, b).
 
     The family must pass the closure checks; its injections then cover
-    the whole relation.
+    the whole relation.  phi_a's pair (x, y) lies in psi_(a,b) exactly
+    when (y, x) is a pair of phi_b, so one index from each pair to the
+    graphs holding it serves all k^2 of them.
     """
     report = verify_enumeration(phis, n)
     if not report.ok:
         raise NotAnEnumeration("graphs fail the closure checks", witness=report)
     k = len(phis)
-    psis = []
-    for a in range(k):
-        fa = phis[a]
-        for b in range(k):
-            fb = phis[b]
-            psis.append({x: y for x, y in fa.items() if fb.get(y) == x})
+    holders: dict[tuple[int, int], list[int]] = {}
+    for b, fb in enumerate(phis):
+        for pair in fb.items():
+            holders.setdefault(pair, []).append(b)
+    psis = [{} for _ in range(k * k)]
+    for a, fa in enumerate(phis):
+        row = psis[a * k:(a + 1) * k]
+        for x, y in fa.items():
+            for b in holders.get((y, x), ()):
+                row[b][x] = y
     return psis
 
 
@@ -252,6 +272,10 @@ def greedy_extend(
     Processes the identity first (so untouched points pair with
     themselves), then each psi in order, keeping every pair whose source
     is not yet used as a source and whose target not yet as a target.
+
+    A used source stays used, so each map is read only at the sources
+    still free, in ascending order (the order of a sorted scan of its
+    pairs), and the walk stops once no source is free.
     """
     w = injectivity_witness(g0)
     if w is not None:
@@ -260,26 +284,44 @@ def greedy_extend(
         w = graph_within_partition(g0, rel)
         if w is not None:
             raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
-    queue = [identity_map(n)] + list(psis)
-    g = dict(g0)
-    rng = set(g.values())
-    for psi in queue:
-        if rel is not None:
+        for psi in [identity_map(n)] + list(psis):
             w = graph_within_partition(psi, rel)
             if w is not None:
                 raise NotWithinRelation(
                     f"psi pair {w} leaves the relation", witness=w
                 )
-        for x in sorted(psi):
-            y = psi[x]
-            if x not in g and y not in rng:
+    g = dict(g0)
+    rng = set(g.values())
+    free = []
+    for x in sorted(set(range(n)).union(*psis).difference(g)):
+        if 0 <= x < n and x not in rng:
+            g[x] = x
+            rng.add(x)
+        else:
+            free.append(x)
+    for psi in psis:
+        if not free:
+            break
+        still = []
+        for x in free:
+            y = psi.get(x)
+            if y is None or y in rng:
+                still.append(x)
+            else:
                 g[x] = y
                 rng.add(y)
+        free = still
     return g
 
 
 def maximality_witness(g: dict[int, int], rel: Partition):
-    """None when every related pair has its source used or target hit."""
+    """None when every related pair has its source used or target hit.
+
+    The blocks cover 0..rel.n-1, so a map defined on all of it has no
+    witness and the block search is skipped.
+    """
+    if all(map(g.__contains__, range(rel.n))):
+        return None
     rng = set(g.values())
     for block in rel.blocks:
         for y in block:
@@ -597,8 +639,9 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     n = enum.n
     psis = psi_split(enum.graph_dicts(), n)
     rel = enum.partition()
-    # equal psis extend equally: check, extend and cover each distinct one
-    # once; a repeated psi adds nothing to a greedy extension either
+    # equal psis extend equally and equal extensions cover equally: check
+    # and extend each distinct psi once, and cover each extension once; a
+    # repeated psi adds nothing to a greedy extension either
     keys = [_signature(psi) for psi in psis]
     distinct = dict(zip(keys, psis))
     queue = list(distinct.values())
@@ -607,17 +650,20 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
         if w is not None:
             raise NotWithinRelation(f"psi pair {w} leaves the relation", witness=w)
     built: dict[tuple, tuple[dict[int, int], CoverPair]] = {}
+    cover_of: dict[tuple, CoverPair] = {}
     generators = []
     seen = set()
     for key, psi in distinct.items():
         g = greedy_extend(psi, queue, n)
-        cov = cover_finite(levels_finite(g, n, rel))
-        built[key] = g, cov
-        for f in (cov.first, cov.second):
-            sig = _signature(f)
-            if sig not in seen:
-                seen.add(sig)
-                generators.append(f)
+        g_key = _signature(g)
+        if g_key not in cover_of:
+            cov = cover_of[g_key] = cover_finite(levels_finite(g, n, rel))
+            for f in (cov.first, cov.second):
+                sig = _signature(f)
+                if sig not in seen:
+                    seen.add(sig)
+                    generators.append(f)
+        built[key] = g, cover_of[g_key]
     extended = [built[key][0] for key in keys]
     covers = [built[key][1] for key in keys]
     orbit, _ = generate_equivalence(n, generators)

@@ -70,29 +70,37 @@ class Partition:
     def from_pairs(cls, n: int, pairs) -> "Partition":
         """Finest partition joining the given pairs (symmetric closure).
 
-        A pair with a point outside 0..n-1 raises InvalidPartition.
+        Each point carries its component's label; joining two components
+        relabels the smaller one, so a pair inside one component costs two
+        lookups.  A pair with a point outside 0..n-1 raises InvalidPartition.
         """
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        label = list(range(n))
+        members = [[x] for x in range(n)]
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise InvalidPartition(
                     f"pair ({a}, {b}) outside 0..{n - 1}", witness=(a, b)
                 )
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return cls.from_class_map([find(x) for x in range(n)])
+            keep, gone = label[a], label[b]
+            if keep != gone:
+                if len(members[keep]) < len(members[gone]):
+                    keep, gone = gone, keep
+                for x in members[gone]:
+                    label[x] = keep
+                members[keep] += members[gone]
+                members[gone] = []
+        # labels in order of first appearance are the blocks by least member
+        order = dict.fromkeys(label)
+        index = dict(zip(order, range(len(order))))
+        return cls(
+            n,
+            tuple(tuple(sorted(members[c])) for c in order),
+            tuple(map(index.__getitem__, label)),
+        )
 
     @classmethod
     def discrete(cls, n: int) -> "Partition":
-        return cls.from_blocks(n, [[x] for x in range(n)])
+        return cls(n, tuple((x,) for x in range(n)), tuple(range(n)))
 
     @classmethod
     def indiscrete(cls, n: int) -> "Partition":

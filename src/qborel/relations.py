@@ -1,7 +1,8 @@
 """Countable equivalence relations presented by graphs of point maps.
 
 Finite quotients use explicit partial maps (dicts on quotient points).
-The closure generated by a family of maps is a union-find partition.
+The closure generated by a family of maps is the partition into
+connected components of its graphs.
 Its layer filtration (layer r holds the pairs joined by a chain of
 length at most r, where each chain step applies some generator forwards
 or backwards, or stays put) and its chain witnesses come from one
@@ -17,6 +18,7 @@ IntBlockRelation: a list of disjoint blocks, all other points singleton.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
@@ -80,15 +82,18 @@ class ClosureLayers:
 def generate_equivalence(n: int, fns) -> tuple[Partition, ClosureLayers]:
     """Closure of the graphs of the given partial maps on n points.
 
-    Returns the partition into connected components (union-find) and
-    the closure's layer filtration, computed when read.
+    Returns the partition into connected components and the closure's
+    layer filtration, computed when read.
     """
     fns = [dict(f) for f in fns]
     for f in fns:
+        if f and min(f) >= 0 and max(f) < n and min(f.values()) >= 0 and max(f.values()) < n:
+            continue
         for x, y in f.items():
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"graph pair ({x}, {y}) outside 0..{n - 1}")
-    partition = Partition.from_pairs(n, [p for f in fns for p in f.items()])
+    # generators share many pairs (fixed points above all): join each once
+    partition = Partition.from_pairs(n, set().union(*(f.items() for f in fns)))
     return partition, ClosureLayers(n, fns, partition)
 
 
@@ -235,9 +240,12 @@ def verify_enumeration(graphs, n: int) -> EnumReport:
     A pair with a point outside 0..n-1 raises NotAnEnumeration; the least
     such pair is the witness.  A transitivity failure is witnessed by the
     least (x, y) in the union, then the least z in row y missing from
-    row x, reported as (x, z, y).
+    row x, reported as (x, z, y).  The ordered search for witnesses runs
+    only when the union is not an equivalence relation on 0..n-1.
     """
     union = union_pairs(graphs)
+    if _is_equivalence(union, n):
+        return EnumReport(CheckOutcome(True), CheckOutcome(True), CheckOutcome(True))
     pairs = sorted(union)
     refl = CheckOutcome(True)
     for x in range(n):
@@ -261,6 +269,31 @@ def verify_enumeration(graphs, n: int) -> EnumReport:
             trans = CheckOutcome(False, (x, min(onward - rows[x]), y))
             break
     return EnumReport(refl, sym, trans)
+
+
+def _is_equivalence(union: frozenset[tuple[int, int]], n: int) -> bool:
+    """Whether the pairs form an equivalence relation on exactly 0..n-1.
+
+    With rows interned by value, that is: the rows are those of 0..n-1,
+    each holds its own point, and each member of a row has that very row
+    (so the row is its class, and the laws hold pair by pair).
+    """
+    rows: dict[int, set[int]] = {}
+    for x, y in union:
+        rows.setdefault(x, set()).add(y)
+    # the count first: n may be a stored figure far above the points listed
+    if len(rows) != n or rows.keys() != set(range(n)):
+        return False
+    if not union.issuperset(zip(range(n), range(n))):
+        return False
+    interned: dict[frozenset[int], frozenset[int]] = {}
+    for x, row in rows.items():
+        row = frozenset(row)
+        rows[x] = interned.setdefault(row, row)
+    return all(
+        all(map(operator.is_, map(rows.get, row), itertools.repeat(row)))
+        for row in interned
+    )
 
 
 def union_pairs(graphs) -> frozenset[tuple[int, int]]:

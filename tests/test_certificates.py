@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qborel
-from qborel.cli.certificates import jsonable
+from qborel.cli.certificates import Certificate, jsonable
 from qborel.cli.main import main
 from qborel.feldman_moore import MAX_PROBE
 
@@ -124,6 +124,39 @@ def test_unknown_objects_are_stored_as_text():
     assert jsonable({"p": Point(), "s": {3, 1, 2}, 7: (1, None)}) == {
         "p": "pt", "s": [1, 2, 3], "7": [1, None]
     }
+
+
+# -- emission ----------------------------------------------------------------
+
+# the values emitters store: keys are text, as in the JSON they decode from
+text_keyed = st.recursive(
+    scalars | sortable_sets,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@given(text_keyed)
+def test_emitted_text_is_what_encoding_the_stored_check_gives(value):
+    cert = Certificate("probe")
+    cert.emit("same", "value_equal", {"left": value, "right": value})
+    text = cert.to_json()
+    assert Certificate.from_json(text).to_json() == text
+
+
+def test_check_edited_after_emit_is_written_as_edited():
+    cert = Certificate("probe")
+    for name in "abcd":
+        cert.emit(name, "value_equal", {"left": [1, [2]], "right": [1, [2]]})
+    cert.checks[0]["data"]["left"][1].append(3)
+    cert.checks[1]["ok"] = False
+    cert.checks[2] = dict(cert.checks[2], name="c2")
+    cert.checks[3]["witness"] = {"note": "by hand"}
+    assert json.loads(cert.to_json())["checks"] == cert.checks
 
 
 # -- argument parsing --------------------------------------------------------

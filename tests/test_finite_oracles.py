@@ -1,0 +1,386 @@
+"""The finite lane's fast paths against the plain searches they replaced.
+
+Each reference below is the direct form of a finite-lane step: a sorted
+scan of every pair for greedy extension, union-find for the partition of
+a pair list, one comprehension per (a, b) for the psi split, a subset
+test per related pair for the enumeration laws, and an ordered search for
+each witness.  The library must give the same results, raise the same
+errors with the same witnesses, and build its dicts in the same order,
+on random partial maps that need not be injective, need not stay in
+range and need not form an enumeration.
+"""
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from qborel.cli.certificates import CHECKERS, _pairs_to_map
+from qborel.errors import (
+    InvalidPartition,
+    NotAnEnumeration,
+    NotInjective,
+    NotWithinRelation,
+    QBorelError,
+)
+from qborel.feldman_moore import (
+    graph_within_partition,
+    greedy_extend,
+    injectivity_witness,
+    invert_map,
+    maximality_witness,
+    psi_split,
+)
+from qborel.quotient import Partition
+from qborel.relations import CheckOutcome, EnumReport, union_pairs, verify_enumeration
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def ref_injectivity_witness(f):
+    seen = {}
+    for x in sorted(f):
+        y = f[x]
+        if y in seen:
+            return (seen[y], x, y)
+        seen[y] = x
+    return None
+
+
+def ref_graph_within_partition(f, rel):
+    for x in sorted(f):
+        y = f[x]
+        if not (0 <= x < rel.n and 0 <= y < rel.n and rel.same(x, y)):
+            return (x, y)
+    return None
+
+
+def ref_maximality_witness(g, rel):
+    rng = set(g.values())
+    for block in rel.blocks:
+        for y in block:
+            if y in g:
+                continue
+            for z in block:
+                if z not in rng:
+                    return (y, z)
+    return None
+
+
+def ref_invert_map(f):
+    inv = {}
+    for x, y in f.items():
+        if y in inv:
+            raise NotInjective(f"{inv[y]} and {x} both map to {y}", witness=(inv[y], x, y))
+        inv[y] = x
+    return inv
+
+
+def ref_greedy_extend(g0, psis, n, rel=None):
+    w = ref_injectivity_witness(g0)
+    if w is not None:
+        raise NotInjective(f"seed maps {w[0]} and {w[1]} to {w[2]}", witness=w)
+    if rel is not None:
+        w = ref_graph_within_partition(g0, rel)
+        if w is not None:
+            raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
+    queue = [{x: x for x in range(n)}] + list(psis)
+    g = dict(g0)
+    rng = set(g.values())
+    for psi in queue:
+        if rel is not None:
+            w = ref_graph_within_partition(psi, rel)
+            if w is not None:
+                raise NotWithinRelation(f"psi pair {w} leaves the relation", witness=w)
+        for x in sorted(psi):
+            y = psi[x]
+            if x not in g and y not in rng:
+                g[x] = y
+                rng.add(y)
+    return g
+
+
+def ref_from_pairs(n, pairs):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise InvalidPartition(f"pair ({a}, {b}) outside 0..{n - 1}", witness=(a, b))
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return Partition.from_class_map([find(x) for x in range(n)])
+
+
+def ref_verify_enumeration(graphs, n):
+    union = union_pairs(graphs)
+    pairs = sorted(union)
+    refl = CheckOutcome(True)
+    for x in range(n):
+        if (x, x) not in union:
+            refl = CheckOutcome(False, x)
+            break
+    sym = CheckOutcome(True)
+    rows = {}
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise NotAnEnumeration(f"graph pair ({x}, {y}) outside 0..{n - 1}", witness=(x, y))
+        if sym.ok and (y, x) not in union:
+            sym = CheckOutcome(False, (y, x))
+        rows.setdefault(x, set()).add(y)
+    trans = CheckOutcome(True)
+    for x, y in pairs:
+        onward = rows.get(y, frozenset())
+        if not onward <= rows[x]:
+            trans = CheckOutcome(False, (x, min(onward - rows[x]), y))
+            break
+    return EnumReport(refl, sym, trans)
+
+
+def ref_psi_split(phis, n):
+    report = ref_verify_enumeration(phis, n)
+    if not report.ok:
+        raise NotAnEnumeration("graphs fail the closure checks", witness=report)
+    return [
+        {x: y for x, y in fa.items() if fb.get(y) == x} for fa in phis for fb in phis
+    ]
+
+
+def ref_bijection_family_within(data):
+    rel = Partition.from_blocks(data["n"], data["blocks"])
+    n = data["n"]
+    for i, g in enumerate(data["maps"]):
+        f = {int(x): int(y) for x, y in g}
+        if sorted(f) != list(range(n)) or sorted(f.values()) != list(range(n)):
+            return False, {"map": i, "law": "bijection"}
+        for x, y in f.items():
+            if not rel.same(x, y):
+                return False, {"map": i, "pair": (x, y), "law": "within"}
+    return True, None
+
+
+def outcome(fn, *args):
+    """What a call gives: its value, or the error's kind, message and witness."""
+    try:
+        return "value", fn(*args)
+    except QBorelError as e:
+        return type(e).__name__, str(e), e.witness
+
+
+def ordered(value):
+    """A dict with its insertion order; lists of dicts likewise."""
+    if isinstance(value, dict):
+        return list(value.items())
+    if isinstance(value, list):
+        return [ordered(v) for v in value]
+    return value
+
+
+def same_outcome(got, want):
+    assert got[0] == want[0]
+    if got[0] == "value":
+        assert ordered(got[1]) == ordered(want[1])
+    else:
+        assert got[1:] == want[1:]
+
+
+# ---------------------------------------------------------------------------
+# strategies: points run two past either end of 0..n-1
+
+
+def partial_maps(n):
+    points = st.integers(-2, n + 1)
+    return st.dictionaries(points, points, max_size=n + 3)
+
+
+def partitions_of(n):
+    return st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        Partition.from_class_map
+    )
+
+
+@st.composite
+def within(draw, rel):
+    """A partial injection inside the classes of rel."""
+    f = {}
+    for block in rel.blocks:
+        k = draw(st.integers(0, len(block)))
+        sources = draw(st.permutations(block))[:k]
+        targets = draw(st.permutations(block))[:k]
+        f.update(zip(sources, targets))
+    return f
+
+
+sizes = st.integers(0, 7)
+
+
+@st.composite
+def enumerations(draw):
+    """Cyclic shifts of every class, maybe with extra in-class maps,
+    sometimes with one pair dropped or one stray pair added."""
+    n = draw(st.integers(1, 7))
+    rel = draw(partitions_of(n))
+    k = max(len(b) for b in rel.blocks)
+    graphs = [
+        {b[a]: b[(a + j) % len(b)] for b in rel.blocks for a in range(len(b))}
+        for j in range(k)
+    ]
+    graphs += draw(st.lists(within(rel), max_size=2))
+    damage = draw(st.sampled_from(["none", "drop", "add"]))
+    if damage == "drop":
+        i = draw(st.integers(0, len(graphs) - 1))
+        if graphs[i]:
+            x = draw(st.sampled_from(sorted(graphs[i])))
+            graphs[i] = {a: b for a, b in graphs[i].items() if a != x}
+    elif damage == "add":
+        x, y = draw(st.integers(-1, n)), draw(st.integers(-1, n))
+        graphs.append({x: y})
+    return n, graphs
+
+
+@st.composite
+def random_families(draw):
+    n = draw(sizes)
+    return n, draw(st.lists(partial_maps(n), max_size=4))
+
+
+families = enumerations() | random_families()
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@st.composite
+def maps_and_partitions(draw):
+    """A partial map, often inside the relation but for one moved pair."""
+    n = draw(sizes)
+    rel = draw(partitions_of(n))
+    f = draw(partial_maps(n) | within(rel))
+    if f and draw(st.booleans()):
+        f[draw(st.sampled_from(sorted(f)))] = draw(st.integers(-2, n + 1))
+    return f, rel
+
+
+@given(maps_and_partitions())
+@example(({0: 3}, Partition.discrete(3)))                 # a target past the points
+@example(({0: -1}, Partition.from_class_map([0, 1, 0])))  # -1 would index the end
+@example(({-1: 0}, Partition.from_class_map([0, 1, 0])))
+def test_witness_searches_match(args):
+    f, rel = args
+    assert injectivity_witness(f) == ref_injectivity_witness(f)
+    assert graph_within_partition(f, rel) == ref_graph_within_partition(f, rel)
+    assert maximality_witness(f, rel) == ref_maximality_witness(f, rel)
+    same_outcome(outcome(invert_map, f), outcome(ref_invert_map, f))
+
+
+@st.composite
+def greedy_cases(draw):
+    n = draw(sizes)
+    m = draw(st.sampled_from([n, n + 1, max(n - 1, 0)]))
+    rel = draw(st.none() | partitions_of(m))
+    if rel is not None and draw(st.booleans()):
+        maps = within(rel)
+    else:
+        maps = partial_maps(n)
+    return draw(maps), draw(st.lists(maps, max_size=5)), n, rel
+
+
+@given(greedy_cases())
+def test_greedy_extend_matches_sorted_scan(case):
+    same_outcome(outcome(greedy_extend, *case), outcome(ref_greedy_extend, *case))
+
+
+def test_greedy_extend_reads_sources_outside_the_points_without_a_relation():
+    # 5 is no point of 0..2, but psi offers it as a source and nothing checks it
+    g0, psis = {0: 1}, [{5: 0, 1: 2}, {2: 5}]
+    assert greedy_extend(g0, psis, 3) == ref_greedy_extend(g0, psis, 3) == {
+        0: 1, 2: 2, 5: 0
+    }
+
+
+@given(sizes.flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=12)
+)))
+def test_from_pairs_matches_union_find(args):
+    n, pairs = args
+    got, want = outcome(Partition.from_pairs, n, pairs), outcome(ref_from_pairs, n, pairs)
+    same_outcome(got, want)
+    if got[0] == "value":
+        assert got[1].class_of == want[1].class_of
+
+
+@given(families)
+def test_verify_enumeration_matches_pairwise_subsets(family):
+    n, graphs = family
+    same_outcome(
+        outcome(verify_enumeration, graphs, n), outcome(ref_verify_enumeration, graphs, n)
+    )
+
+
+@given(families)
+def test_psi_split_matches_comprehensions(family):
+    n, graphs = family
+    same_outcome(outcome(psi_split, graphs, n), outcome(ref_psi_split, graphs, n))
+
+
+@st.composite
+def bijection_families(draw):
+    n = draw(st.integers(1, 7))
+    rel = draw(partitions_of(n))
+    inside = st.tuples(*(st.permutations(b) for b in rel.blocks)).map(
+        lambda images: [
+            [x, y] for b, im in zip(rel.blocks, images) for x, y in zip(b, im)
+        ]
+    )
+    anywhere = st.permutations(range(n)).map(lambda p: [[x, y] for x, y in enumerate(p)])
+    broken = st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)).map(list), max_size=n + 1)
+    maps = draw(st.lists(inside | anywhere | broken, max_size=4))
+    return {"n": n, "blocks": [list(b) for b in rel.blocks], "maps": maps}
+
+
+@given(bijection_families())
+def test_bijection_family_checker_matches_ordered_search(data):
+    assert CHECKERS["bijection_family_within"](data) == ref_bijection_family_within(data)
+
+
+@pytest.mark.parametrize("pairs", [
+    [[0, 1], [1, 0]],
+    [[0, 1], [0, 2]],            # a repeated source: the last pair wins
+    [],
+    [[True, 1], [1.0, 2]],       # edited by hand: converted
+    [["3", "4"]],
+    ["12"],                      # a two-character string unpacks
+    [[1, 2, 3]],
+    [["x", 1]],
+    [[None, 1]],
+    {"0": 1},
+])
+def test_stored_pairs_read_as_the_conversion_reads_them(pairs):
+    def convert(pairs):
+        return {int(x): int(y) for x, y in pairs}
+
+    def read(fn):
+        try:
+            return "value", list(fn(pairs).items())
+        except (TypeError, ValueError) as e:
+            return type(e).__name__, str(e)
+
+    assert read(_pairs_to_map) == read(convert)
+
+
+@pytest.mark.parametrize("n, graphs", [
+    (3, [{0: 0, 1: 1, 2: 2}, {0: 1, 1: 0}]),   # an enumeration
+    (3, [{0: 0, 1: 1, 2: 2}, {0: 1, 1: 2}]),   # neither symmetric nor transitive
+    (2, [{0: 0, 1: 1}, {0: 5, 5: 0}, {5: 5}]),  # closed, but 5 is no point
+    (3, [{0: 0, 1: 1}]),                        # 2 is not reflexive
+])
+def test_verify_enumeration_examples(n, graphs):
+    same_outcome(
+        outcome(verify_enumeration, graphs, n), outcome(ref_verify_enumeration, graphs, n)
+    )

@@ -144,6 +144,40 @@ def test_finite_carrier_size_with_thousands_of_digits():
     assert ei.value.line == 2
 
 
+SPACE = "space S carrier = finite(2)\n"
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("line, message", [
+    # past 40 characters a message quotes the first 40 and states the length
+    (f"map f : S -> S : {LONG} -> 0",
+     f"expected an integer, got {LONG[:40]!r}... (5000 characters)"),
+    (f"map f : S -> S : 0 -> 1x{LONG}",
+     f"expected an integer, got {('1x' + LONG)[:40]!r}... (5002 characters)"),
+    (f"map f : S -> S : {LONG}",
+     f"bad map entry {LONG[:40]!r}... (5000 characters)"),
+    (f"map f : S -> S : 0 -> {'9' * 4000}",
+     f"target point {'9' * 40}... (4000 characters) outside S"),
+    (f"map f S -> S : {LONG}",
+     f"bad map declaration: {('f S -> S : ' + LONG)[:40]!r}... (5011 characters)"),
+    (f"space Q carrier = finite({'7' * 4000})",
+     f"finite({'7' * 40}... (4000 characters)) exceeds the cap of 65536 points"),
+    (f"frob {LONG}", "unknown declaration 'frob'"),
+    # up to 40 characters the whole text is quoted, as before
+    ("map f : S -> S : 0 1", "bad map entry '0 1'"),
+    ("map f : S -> S : 0 -> x", "expected an integer, got 'x'"),
+    (f"map f : S -> S : 0 -> {'1' * 39}x", f"expected an integer, got {'1' * 39 + 'x'!r}"),
+], ids=[
+    "long_integer", "long_target", "long_map_entry", "long_point", "long_declaration",
+    "long_finite_size", "long_trailer_unquoted", "short_map_entry", "short_integer",
+    "forty_characters",
+])
+def test_messages_quote_at_most_forty_characters(line, message):
+    with pytest.raises(InstanceSyntaxError) as ei:
+        parse_instance(SPACE + line + "\n")
+    assert str(ei.value) == f"line 2: {message}"
+
+
 def test_bad_partition_delegates():
     from qborel.quotient import InvalidPartition
 
