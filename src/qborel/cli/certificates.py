@@ -78,8 +78,12 @@ def _snapshot(value) -> bytes:
 
     Marshal format 2 predates shared references, so the bytes depend on
     the value alone, and writing them costs a fraction of JSON encoding.
+    A value marshal cannot write (an object put in by hand) gives None.
     """
-    return marshal.dumps(value, 2)
+    try:
+        return marshal.dumps(value, 2)
+    except ValueError:
+        return None
 
 
 def digest(text: str) -> str:
@@ -130,7 +134,7 @@ class Certificate:
     def _line(self, check: dict) -> str:
         """The compact JSON text of a stored check."""
         held = self._lines.get(id(check))
-        if held is not None and held[0] is check and held[1] == _snapshot(check):
+        if held is not None and held[0] is check and _snapshot(check) == held[1]:
             return held[2]
         return _compact(check)
 

@@ -2,12 +2,11 @@
 
 Finite quotients use explicit partial maps (dicts on quotient points).
 The closure generated by a family of maps is the partition into
-connected components of its graphs.
-Its layer filtration (layer r holds the pairs joined by a chain of
-length at most r, where each chain step applies some generator forwards
-or backwards, or stays put) and its chain witnesses come from one
-breadth-first search.  Chain witnesses are minimal-length and
-deterministically tie-broken.
+connected components of its graphs.  Its layer filtration (layer r holds
+the pairs joined by a chain of length at most r, where each chain step
+applies some generator forwards or backwards, or stays put) and its
+chain witnesses come from one breadth-first search.  Chain witnesses are
+minimal-length and deterministically tie-broken.
 
 On the integer carrier a relation is presented by piecewise-translation
 graphs; the closure checks reduce to per-offset IntSet coverage.  A

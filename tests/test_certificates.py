@@ -158,6 +158,13 @@ def test_check_edited_after_emit_is_written_as_edited():
     cert.checks[3]["witness"] = {"note": "by hand"}
     assert json.loads(cert.to_json())["checks"] == cert.checks
 
+    class Note:
+        def __str__(self):
+            return "by hand"
+
+    cert.checks[3]["witness"] = Note()  # not plain JSON: written as its text
+    assert json.loads(cert.to_json())["checks"][3]["witness"] == "by hand"
+
 
 # -- argument parsing --------------------------------------------------------
 
