@@ -3,7 +3,9 @@
 The golden corpus under `golden/` holds every certificate the sample and
 gallery commands of `manifest.json` wrote in the older indented format.
 Each must still replay, and rerunning its command must give a certificate
-that decodes to the same JSON value: only whitespace may change.
+that decodes to the same JSON value: only whitespace may change. Next to
+each certificate, `<entry>.stdout` pins the bytes the command prints and
+its exit code.
 """
 
 import json
@@ -57,6 +59,17 @@ def test_golden_command_writes_the_same_certificate(tmp_path, capsys, entry):
     assert json.loads(cert_file.read_text()) == json.loads(
         (GOLDEN / entry["file"]).read_text()
     )
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
+def test_golden_command_prints_the_same_stdout(capsys, entry):
+    # `<entry>.stdout` holds the command's stdout, then `[exit <code>]`
+    try:
+        code = main(_argv(entry))
+    except SystemExit as e:
+        code = e.code
+    got = capsys.readouterr().out + f"[exit {code}]\n"
+    assert got.encode() == (GOLDEN / (entry["file"][:-5] + ".stdout")).read_bytes()
 
 
 def test_certificate_has_one_key_and_one_check_per_line(tmp_path, capsys):
