@@ -34,8 +34,6 @@ from .cantor import (
     make_truncated_model,
 )
 from .carriers import (
-    FiniteCarrier,
-    IntCarrier,
     IntSet,
     PiecewiseTranslation,
     format_intset,
@@ -60,18 +58,7 @@ from .feldman_moore import (
     weak_uniformize,
     weak_uniformize_int,
 )
-from .quotient import (
-    FiniteQuotient,
-    IntClassQuotient,
-    IntQuotient,
-    Partition,
-    QMap,
-    compose,
-    descend,
-    lift,
-    product,
-    saturate,
-)
+from .quotient import IntClassQuotient, Partition
 from .relations import (
     EnumeratedEquivalence,
     IntBlockRelation,

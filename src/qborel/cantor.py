@@ -24,7 +24,7 @@ from .actions import (
     orbit_equivalence,
     verify_cocycle,
 )
-from .carriers import FiniteCarrier, IntSet, PiecewiseTranslation
+from .carriers import IntSet, PiecewiseTranslation
 from .errors import AlphabetMismatch, BadParameters, UnknownExample
 from .feldman_moore import (
     cover_int,
@@ -33,7 +33,7 @@ from .feldman_moore import (
     maximality_witness_int,
     psi_split_int,
 )
-from .quotient import FiniteQuotient, Partition
+from .quotient import Partition
 from .relations import (
     IntBlockRelation,
     generate_equivalence,
@@ -74,9 +74,6 @@ class EventuallyPeriodicWord:
         if i < len(self.u):
             return int(self.u[i])
         return int(self.w[(i - len(self.u)) % len(self.w)])
-
-    def prefix(self, n: int) -> str:
-        return "".join(str(self.letter_at(i)) for i in range(n))
 
     def __str__(self) -> str:
         return f"{self.u}|{self.w}"
@@ -140,7 +137,7 @@ class TruncatedModel:
     n: int
     t: int
     words: tuple[str, ...]
-    quotient: FiniteQuotient
+    quotient: Partition  # of word indices into suffix fibers
     restricted: bool = False
 
     def word_index(self, word: str) -> int:
@@ -149,11 +146,8 @@ class TruncatedModel:
     def suffix_of(self, word: str) -> str:
         return word[self.t:]
 
-    def class_suffix(self, q: int) -> str:
-        return self.suffix_of(self.words[self.quotient.rep(q)])
-
     def class_of_word(self, word: str) -> int:
-        return self.quotient.project(self.word_index(word))
+        return self.quotient.class_of[self.word_index(word)]
 
 
 def _all_words(k: int, n: int) -> list[str]:
@@ -185,9 +179,7 @@ def _check_model_params(k: int, n: int, t: int):
 def make_truncated_model(k: int, n: int, t: int) -> TruncatedModel:
     _check_model_params(k, n, t)
     words = tuple(_all_words(k, n))
-    carrier = FiniteCarrier(len(words), labels=words)
-    quotient = FiniteQuotient(carrier, _suffix_partition(words, t))
-    return TruncatedModel(k, n, t, words, quotient)
+    return TruncatedModel(k, n, t, words, _suffix_partition(words, t))
 
 
 def _fixed_by_some_nonidentity(word: str, k: int) -> bool:
@@ -211,9 +203,7 @@ def make_restricted_model(k: int, n: int, t: int) -> TruncatedModel:
         raise BadParameters(
             f"no suffix over {k} letters escapes every nonidentity permutation"
         )
-    carrier = FiniteCarrier(len(words), labels=words)
-    quotient = FiniteQuotient(carrier, _suffix_partition(words, t))
-    return TruncatedModel(k, n, t, words, quotient, restricted=True)
+    return TruncatedModel(k, n, t, words, _suffix_partition(words, t), restricted=True)
 
 
 def _word_image(perm, word: str) -> str:
@@ -227,11 +217,11 @@ def letter_action(model: TruncatedModel) -> GroupAction:
     for a in group.elements():
         perm = group.permutation_of(a)
         row = []
-        for q in model.quotient.points():
-            image = _word_image(perm, model.words[model.quotient.rep(q)])
+        for block in model.quotient.blocks:
+            image = _word_image(perm, model.words[block[0]])
             row.append(model.class_of_word(image))
         maps.append(tuple(row))
-    return GroupAction(group, model.quotient.size, tuple(maps))
+    return GroupAction(group, model.quotient.num_classes, tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +262,7 @@ def _gallery_ex34(k: int, n: int, t: int) -> GalleryInstance:
         name="ex34",
         params={"k": k, "n": n, "t": t},
         summary={
-            "classes": model.quotient.size,
+            "classes": model.quotient.num_classes,
             "orbit_classes": orbit.num_classes,
             "index": index_over(orbit),
         },
@@ -291,12 +281,8 @@ def _gallery_ex35(k: int, n: int, t: int) -> GalleryInstance:
     if k != 2:
         raise BadParameters("two letters required for the flip instance")
     flip = (1, 0)
+    # two sides: carrier point = side * m + word index, side 0 first
     m = len(base.words)
-    # two sides: carrier index = side * m + word index, side 0 first
-    labels = tuple(
-        f"{w}:{side}" for side in (0, 1) for w in base.words
-    )
-    carrier = FiniteCarrier(2 * m, labels=labels)
 
     def flip_key(s):
         return min(s, _word_image(flip, s))
@@ -309,21 +295,18 @@ def _gallery_ex35(k: int, n: int, t: int) -> GalleryInstance:
 
     # side 0 joins each suffix fiber with its flipped mate; side 1 keeps
     # plain suffix fibers
-    fine = Partition.from_blocks(
+    space = Partition.from_blocks(
         2 * m, fibers(flip_key, range(m)) + fibers(lambda s: s, range(m, 2 * m))
     )
-    space = FiniteQuotient(carrier, fine)
 
     # the coarse relation ignores the side entirely
     coarse = Partition.from_blocks(2 * m, fibers(flip_key, range(2 * m)))
     over = Partition.from_blocks(
-        space.size, [{space.project(i) for i in b} for b in coarse.blocks]
+        space.num_classes, [{space.class_of[i] for i in b} for b in coarse.blocks]
     )
 
     # dropping to side 0 is constant on each coarse class
-    phi = {
-        q: space.project(space.rep(q) % m) for q in space.points()
-    }
+    phi = {q: space.class_of[b[0] % m] for q, b in enumerate(space.blocks)}
     try:
         transversal = selector_to_transversal(phi, over)
         selector_ok = True
@@ -335,7 +318,7 @@ def _gallery_ex35(k: int, n: int, t: int) -> GalleryInstance:
         params={"k": k, "n": n, "t": t},
         summary={
             "carrier_points": 2 * m,
-            "classes": space.size,
+            "classes": space.num_classes,
             "index": idx,
             "transversal": tuple(sorted(transversal)),
         },
@@ -375,7 +358,7 @@ def _gallery_ex36(k: int, n: int, t: int) -> GalleryInstance:
         name="ex36",
         params={"k": k, "n": n, "t": t},
         summary={
-            "classes": model.quotient.size,
+            "classes": model.quotient.num_classes,
             "index": index_over(over),
             "normalizer": tuple(act.group.labels[a] for a in norm),
             "excess_size": len(excess),
@@ -428,7 +411,7 @@ def _gallery_ex37(k: int, n: int, t: int) -> GalleryInstance:
         name="ex37",
         params={"k": k, "n": n, "t": t},
         summary={
-            "classes": model.quotient.size,
+            "classes": model.quotient.num_classes,
             "fiber_sizes": fibers["fibers"],
             "fiber_mapping": fibers["mapping"],
         },

@@ -1,4 +1,4 @@
-"""Effective carriers: finite index sets and semilinear subsets of the integers.
+"""The integer carrier: semilinear subsets of the integers and translations.
 
 An IntSet is a finite union of arithmetic-progression pieces: finite
 segments, upward rays and downward rays.  Construction always normalizes
@@ -31,12 +31,11 @@ from __future__ import annotations
 import re
 from bisect import insort
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, inf, lcm
 from typing import Iterable, Iterator
 
-from .errors import NotInjective
+from .errors import NotInjective, clip, quote
 
 # default probe window for pointwise cross-checks
 WINDOW = 64
@@ -601,12 +600,12 @@ def parse_intset(text: str) -> IntSet:
     for term in text.split(";"):
         m = _TERM_RE.match(term)
         if not m:
-            raise ValueError(f"bad IntSet term: {term.strip()!r}")
+            raise ValueError(f"bad IntSet term: {quote(term.strip())}")
         if m.group("prog"):
             a = int(m.group("pa"))
             d = int(m.group("pd"))
             if d == 0:
-                raise ValueError(f"zero stride in term {term.strip()!r}")
+                raise ValueError(f"zero stride in term {quote(term.strip())}")
             neg = m.group("sign") == "-"
             if m.group("pl") == "inf":
                 pieces.append(Piece(a, d, None, down=neg))
@@ -621,7 +620,7 @@ def parse_intset(text: str) -> IntSet:
         elif m.group("seg"):
             a, b = int(m.group("sa")), int(m.group("sb"))
             if b < a:
-                raise ValueError(f"descending segment {term.strip()!r}")
+                raise ValueError(f"descending segment {quote(term.strip())}")
             pieces.append(Piece(a, 1, b - a + 1))
         elif m.group("up"):
             pieces.append(Piece(int(m.group("ua")), 1, None))
@@ -682,7 +681,7 @@ class PiecewiseTranslation:
                 both = doms[i].intersect(doms[j])
                 if not both.is_empty():
                     x = both.closest_to_zero()
-                    raise ValueError(f"overlapping domains at {x}")
+                    raise ValueError(f"overlapping domains at {clip(str(x))}")
 
     def _merge(self, pieces: Iterable[tuple[IntSet, int]]) -> None:
         merged = sorted(offset_sets(pieces).items())
@@ -742,9 +741,6 @@ class PiecewiseTranslation:
     def image(self, s: IntSet) -> IntSet:
         return IntSet.empty().union(*(d.intersect(s).translate(c) for d, c in self.pieces))
 
-    def preimage(self, s: IntSet) -> IntSet:
-        return IntSet.empty().union(*(d.intersect(s.translate(-c)) for d, c in self.pieces))
-
     def restrict(self, s: IntSet) -> "PiecewiseTranslation":
         return PiecewiseTranslation((d.intersect(s), c) for d, c in self.pieces)
 
@@ -777,7 +773,7 @@ class PiecewiseTranslation:
             hits = [h.closest_to_zero() for h in hits if not h.is_empty()]
             if hits:
                 x = min(hits, key=_zero_order)
-                raise ValueError(f"domains overlap at {x}")
+                raise ValueError(f"domains overlap at {clip(str(x))}")
         # No second overlap check: within each part the domains of distinct
         # offsets are disjoint, and the parts' whole domains were just shown
         # pairwise disjoint, so after merging by offset the domains of
@@ -843,11 +839,11 @@ def parse_ptmap(text: str) -> PiecewiseTranslation:
     pieces = []
     for part in text.split("|"):
         if "->" not in part:
-            raise ValueError(f"bad map piece: {part.strip()!r}")
+            raise ValueError(f"bad map piece: {quote(part.strip())}")
         dom_text, off_text = part.split("->", 1)
         off_text = off_text.strip()
         if not re.match(r"^[+-]?\d+$", off_text):
-            raise ValueError(f"bad offset: {off_text!r}")
+            raise ValueError(f"bad offset: {quote(off_text)}")
         pieces.append((parse_intset(dom_text), int(off_text)))
     return PiecewiseTranslation(pieces)
 
@@ -858,38 +854,3 @@ def format_ptmap(f: PiecewiseTranslation) -> str:
     return " | ".join(
         f"{format_intset(d)} -> {c:+d}" for d, c in f.pieces
     )
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteCarrier:
-    """Points 0..size-1, with optional distinct display labels."""
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError("negative carrier size")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ValueError("label count differs from size")
-            if len(set(self.labels)) != self.size:
-                raise ValueError("duplicate labels")
-
-    def index_of(self, label: str) -> int:
-        if self.labels is None:
-            return int(label)
-        return self.labels.index(label)
-
-    def points(self) -> range:
-        return range(self.size)
-
-
-@dataclass(frozen=True)
-class IntCarrier:
-    """The integer line, or a declared semilinear ambient subset of it."""
-
-    ambient: IntSet = IntSet.all_integers()

@@ -26,17 +26,14 @@ from dataclasses import dataclass, field
 
 from ..actions import FiniteGroup, GroupAction
 from ..carriers import (
-    FiniteCarrier,
-    IntCarrier,
-    IntSet,
     PiecewiseTranslation,
     format_intset,
     format_ptmap,
     parse_intset,
     parse_ptmap,
 )
-from ..errors import InstanceSyntaxError, UnknownReference
-from ..quotient import FiniteQuotient, IntClassQuotient, IntQuotient, Partition
+from ..errors import InstanceSyntaxError, UnknownReference, clip, quote
+from ..quotient import IntClassQuotient, Partition
 from ..relations import EnumeratedEquivalence, IntBlockRelation
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -47,21 +44,19 @@ _NAME_RE = re.compile(_NAME)
 # declares more than 140 points
 MAX_POINTS = 1 << 16
 
-# a message quotes at most this many characters of input text; past it,
-# the first ones and the full length
-QUOTE_MAX = 40
-
 
 @dataclass
 class SpaceDecl:
     name: str
     kind: str                  # "finite" or "int"
-    space: object              # FiniteQuotient | IntQuotient | IntClassQuotient
+    # finite: its Partition; int: an IntClassQuotient, or None for the
+    # discrete quotient
+    space: Partition | IntClassQuotient | None
     line: int
 
     @property
     def size(self) -> int | None:
-        return self.space.size if self.kind == "finite" else None
+        return self.space.num_classes if self.kind == "finite" else None
 
 
 @dataclass
@@ -120,18 +115,6 @@ class InstanceFile:
         )
 
 
-def _clip(text: str) -> str:
-    if len(text) <= QUOTE_MAX:
-        return text
-    return f"{text[:QUOTE_MAX]}... ({len(text)} characters)"
-
-
-def _quote(text: str) -> str:
-    if len(text) <= QUOTE_MAX:
-        return repr(text)
-    return f"{text[:QUOTE_MAX]!r}... ({len(text)} characters)"
-
-
 def _fail(line_no: int, msg: str, column: int = 0):
     raise InstanceSyntaxError(msg, line_no, column)
 
@@ -150,7 +133,7 @@ def _split_groups(body: str, line_no: int, pair: str) -> list[str]:
     shape, brackets, groups = _GROUPINGS[pair]
     body = body.strip()
     if not (body.startswith(opener) and body.endswith(closer)):
-        _fail(line_no, f"expected {shape}, got {_quote(body)}")
+        _fail(line_no, f"expected {shape}, got {quote(body)}")
     inner = body[1:-1]
     out, depth, cur = [], 0, []
     for ch in inner:
@@ -179,7 +162,7 @@ def _split_groups(body: str, line_no: int, pair: str) -> list[str]:
 def _split_bracket_list(body: str, line_no: int) -> list[str]:
     body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
-        _fail(line_no, f"expected [...] list, got {_quote(body)}")
+        _fail(line_no, f"expected [...] list, got {quote(body)}")
     inner = body[1:-1].strip()
     return [p.strip() for p in inner.split(",")] if inner else []
 
@@ -188,7 +171,7 @@ def _parse_int(text: str, line_no: int) -> int:
     try:
         return int(text.strip())
     except ValueError:
-        _fail(line_no, f"expected an integer, got {_quote(text.strip())}")
+        _fail(line_no, f"expected an integer, got {quote(text.strip())}")
 
 
 def _parse_space(rest: str, line_no: int) -> SpaceDecl:
@@ -196,28 +179,28 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
         rf"({_NAME})\s+carrier\s*=\s*(finite\(\s*(\d+)\s*\)|int)\s*(.*)$", rest
     )
     if not m:
-        _fail(line_no, f"bad space declaration: {_quote(rest)}")
+        _fail(line_no, f"bad space declaration: {quote(rest)}")
     name, carrier_text, n_text, tail = m.groups()
     tail = tail.strip()
     partition_text = None
     if tail:
         pm = re.match(r"partition\s*=\s*(.*)$", tail)
         if not pm:
-            _fail(line_no, f"unexpected trailer {_quote(tail)}")
+            _fail(line_no, f"unexpected trailer {quote(tail)}")
         partition_text = pm.group(1)
     if carrier_text == "int":
         if partition_text is None:
-            return SpaceDecl(name, "int", IntQuotient(), line_no)
+            return SpaceDecl(name, "int", None, line_no)
         blocks = _split_groups(partition_text, line_no, "{}")
         try:
             descs = [parse_intset(b) for b in blocks]
-            space = IntClassQuotient.make(IntCarrier(), descs)
+            space = IntClassQuotient.make(descs)
         except ValueError as e:
             _fail(line_no, str(e))
         return SpaceDecl(name, "int", space, line_no)
     n = _parse_int(n_text, line_no)
     if n > MAX_POINTS:
-        _fail(line_no, f"finite({_clip(str(n))}) exceeds the cap of {MAX_POINTS} points")
+        _fail(line_no, f"finite({clip(str(n))}) exceeds the cap of {MAX_POINTS} points")
     if partition_text is None:
         partition = Partition.discrete(n)
     else:
@@ -226,15 +209,13 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
             for b in _split_groups(partition_text, line_no, "{}")
         ]
         partition = Partition.from_blocks(n, blocks)
-    return SpaceDecl(
-        name, "finite", FiniteQuotient(FiniteCarrier(n), partition), line_no
-    )
+    return SpaceDecl(name, "finite", partition, line_no)
 
 
 def _require(inst: InstanceFile, table: dict, name: str, what: str, line_no: int):
     if name not in table:
         raise UnknownReference(
-            f"line {line_no}: {what} {_quote(name)} not declared above", line=line_no
+            f"line {line_no}: {what} {quote(name)} not declared above", line=line_no
         )
     return table[name]
 
@@ -244,30 +225,30 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
         rf"({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})\s*:\s*(.*)$", rest
     )
     if not m:
-        _fail(line_no, f"bad map declaration: {_quote(rest)}")
+        _fail(line_no, f"bad map declaration: {quote(rest)}")
     name, src, dst, body = m.groups()
     sdecl = _require(inst, inst.spaces, src, "space", line_no)
     ddecl = _require(inst, inst.spaces, dst, "space", line_no)
     if sdecl.kind != "finite" or ddecl.kind != "finite":
         _fail(line_no, "map declarations need finite spaces; use ptmap for int")
-    n_src, n_dst = sdecl.space.size, ddecl.space.size
+    n_src, n_dst = sdecl.size, ddecl.size
     table = {}
     body = body.strip()
     if body:
         for part in body.split(","):
             if "->" not in part:
-                _fail(line_no, f"bad map entry {_quote(part.strip())}")
+                _fail(line_no, f"bad map entry {quote(part.strip())}")
             a, b = part.split("->", 1)
             try:
                 x, y = int(a), int(b)
             except ValueError:
                 x, y = _parse_int(a, line_no), _parse_int(b, line_no)
             if not 0 <= x < n_src:
-                _fail(line_no, f"source point {_clip(str(x))} outside {src}")
+                _fail(line_no, f"source point {clip(str(x))} outside {src}")
             if not 0 <= y < n_dst:
-                _fail(line_no, f"target point {_clip(str(y))} outside {dst}")
+                _fail(line_no, f"target point {clip(str(y))} outside {dst}")
             if x in table:
-                _fail(line_no, f"point {_clip(str(x))} mapped twice")
+                _fail(line_no, f"point {clip(str(x))} mapped twice")
             table[x] = y
     return MapDecl(name, "finite", src, dst, table, line_no)
 
@@ -275,7 +256,7 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
 def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     m = re.match(rf"({_NAME})\s*:\s*({_NAME})\s*:\s*(.*)$", rest)
     if not m:
-        _fail(line_no, f"bad ptmap declaration: {_quote(rest)}")
+        _fail(line_no, f"bad ptmap declaration: {quote(rest)}")
     name, space, body = m.groups()
     sdecl = _require(inst, inst.spaces, space, "space", line_no)
     if sdecl.kind != "int":
@@ -293,7 +274,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
         rest,
     )
     if not m:
-        _fail(line_no, f"bad rel declaration: {_quote(rest)}")
+        _fail(line_no, f"bad rel declaration: {quote(rest)}")
     name, space, kind, body = m.groups()
     sdecl = _require(inst, inst.spaces, space, "space", line_no)
     if kind == "graphs":
@@ -303,10 +284,10 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
         ]
         for d in decls:
             if d.src != space or d.dst != space:
-                _fail(line_no, f"map {_quote(d.name)} is not an endomap of {space}")
+                _fail(line_no, f"map {quote(d.name)} is not an endomap of {space}")
         if sdecl.kind == "finite":
             value = EnumeratedEquivalence.make(
-                sdecl.space.size, [d.table for d in decls]
+                sdecl.size, [d.table for d in decls]
             )
         else:
             value = [d.table for d in decls]
@@ -319,7 +300,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
             blocks = [parse_intset(b) for b in texts]
         except ValueError as e:
             _fail(line_no, str(e))
-        value = IntBlockRelation.make(blocks, ambient=sdecl.space.carrier.ambient)
+        value = IntBlockRelation.make(blocks)
         return RelDecl(name, "blocks", space, [], value, line_no)
     if sdecl.kind != "finite":
         _fail(line_no, "partition form needs a finite space")
@@ -327,14 +308,14 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
         [_parse_int(v, line_no) for v in b.split(",") if v.strip()]
         for b in _split_groups(body, line_no, "{}")
     ]
-    value = Partition.from_blocks(sdecl.space.size, blocks)
+    value = Partition.from_blocks(sdecl.size, blocks)
     return RelDecl(name, "partition", space, [], value, line_no)
 
 
 def _parse_group(rest: str, line_no: int) -> GroupDecl:
     m = re.match(rf"({_NAME})\s+table\s*=\s*(\[.*?\])\s*(?:labels\s*=\s*(\[.*\]))?$", rest)
     if not m:
-        _fail(line_no, f"bad group declaration: {_quote(rest)}")
+        _fail(line_no, f"bad group declaration: {quote(rest)}")
     name, table_text, labels_text = m.groups()
     rows = []
     for row_text in _split_groups(table_text, line_no, "[]"):
@@ -357,13 +338,13 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
         rf"({_NAME})\s*:\s*({_NAME})\s+on\s+({_NAME})\s*:\s*(.*)$", rest
     )
     if not m:
-        _fail(line_no, f"bad action declaration: {_quote(rest)}")
+        _fail(line_no, f"bad action declaration: {quote(rest)}")
     name, group_name, space_name, body = m.groups()
     gdecl = _require(inst, inst.groups, group_name, "group", line_no)
     sdecl = _require(inst, inst.spaces, space_name, "space", line_no)
     if sdecl.kind != "finite":
         _fail(line_no, "actions are declared on finite spaces")
-    n = sdecl.space.size
+    n = sdecl.size
     group = gdecl.group
     label_index = {lbl: i for i, lbl in enumerate(group.labels)}
     assignments = []
@@ -373,19 +354,19 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
         if not part:
             continue
         if "->" not in part:
-            _fail(line_no, f"bad action entry {_quote(part)}")
+            _fail(line_no, f"bad action entry {quote(part)}")
         elem_text, map_name = (s.strip() for s in part.split("->", 1))
         if elem_text in label_index:
             elem = label_index[elem_text]
         else:
             elem = _parse_int(elem_text, line_no)
             if not 0 <= elem < group.size:
-                _fail(line_no, f"element {_clip(str(elem))} outside the group")
+                _fail(line_no, f"element {clip(str(elem))} outside the group")
         mdecl = _require(inst, inst.maps, map_name, "map", line_no)
         if mdecl.src != space_name or mdecl.dst != space_name:
-            _fail(line_no, f"map {_quote(map_name)} is not an endomap of {space_name}")
+            _fail(line_no, f"map {quote(map_name)} is not an endomap of {space_name}")
         if len(mdecl.table) != n:
-            _fail(line_no, f"map {_quote(map_name)} is not total on {space_name}")
+            _fail(line_no, f"map {quote(map_name)} is not total on {space_name}")
         maps[elem] = tuple(mdecl.table[x] for x in range(n))
         assignments.append((group.labels[elem], map_name))
     missing = [a for a in group.elements() if a not in maps]
@@ -406,12 +387,12 @@ def parse_instance(text: str) -> InstanceFile:
             continue
         m = re.match(rf"({_NAME})\s+(.*)$", line)
         if not m:
-            _fail(line_no, f"cannot read {_quote(line)}")
+            _fail(line_no, f"cannot read {quote(line)}")
         keyword, rest = m.groups()
         if keyword == "set":
             dm = re.match(rf"({_NAME})\s*=\s*(.*)$", rest)
             if not dm:
-                _fail(line_no, f"bad directive: {_quote(rest)}")
+                _fail(line_no, f"bad directive: {quote(rest)}")
             inst.directives[dm.group(1)] = dm.group(2).strip()
             continue
         if keyword == "space":
@@ -427,9 +408,9 @@ def parse_instance(text: str) -> InstanceFile:
         elif keyword == "action":
             decl = _parse_action(rest, inst, line_no)
         else:
-            _fail(line_no, f"unknown declaration {_quote(keyword)}")
+            _fail(line_no, f"unknown declaration {quote(keyword)}")
         if inst.declared(decl.name):
-            _fail(line_no, f"name {_quote(decl.name)} declared twice")
+            _fail(line_no, f"name {quote(decl.name)} declared twice")
         bucket = {
             "space": inst.spaces,
             "map": inst.maps,
@@ -474,7 +455,7 @@ def print_instance(inst: InstanceFile) -> str:
         if keyword == "space":
             d = inst.spaces[name]
             if d.kind == "int":
-                if isinstance(d.space, IntClassQuotient):
+                if d.space is not None:
                     blocks = ", ".join(
                         "{" + format_intset(c) + "}" for c in d.space.classes
                     )
@@ -482,13 +463,13 @@ def print_instance(inst: InstanceFile) -> str:
                 else:
                     out.append(f"space {name} carrier = int")
             else:
-                q = d.space
-                if q.partition == Partition.discrete(q.partition.n):
-                    out.append(f"space {name} carrier = finite({q.partition.n})")
+                p = d.space
+                if p == Partition.discrete(p.n):
+                    out.append(f"space {name} carrier = finite({p.n})")
                 else:
                     out.append(
-                        f"space {name} carrier = finite({q.partition.n}) "
-                        f"partition = {_print_partition(q.partition)}"
+                        f"space {name} carrier = finite({p.n}) "
+                        f"partition = {_print_partition(p)}"
                     )
         elif keyword in ("map", "ptmap"):
             d = inst.maps[name]

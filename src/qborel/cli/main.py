@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("command", nargs="?", help=f"one of: {', '.join(COMMANDS)}")
     p.add_argument("name", nargs="?", help="gallery name for the gallery command")
-    p.add_argument("--cmd", help="command, alternative to the positional form")
     p.add_argument("--input", help="instance file (or certificate for verify)")
     p.add_argument("--out", help="write the certificate (or export) here")
     p.add_argument("--gallery", help="packaged example to draw inputs from")
@@ -154,10 +153,6 @@ def _map_list(args, inst) -> list:
     if len(kinds) > 1:
         raise UsageError("maps must all live on the same carrier kind")
     return out
-
-
-def _space_of(inst: InstanceFile, name: str):
-    return inst.spaces[name].space
 
 
 def _rel_partition(decl, cert: Certificate):
@@ -513,7 +508,7 @@ def cmd_generate(args, inst) -> Certificate:
     decls = _map_list(args, inst)
     if decls[0].kind != "finite":
         raise UsageError("generate works on finite maps")
-    n = _space_of(inst, decls[0].src).size
+    n = inst.spaces[decls[0].src].size
     maps = [d.table for d in decls]
     for flag, point in (("--x", args.x), ("--y", args.y)):
         if point is not None and not 0 <= point < n:
@@ -544,7 +539,7 @@ def cmd_tail(args, inst) -> Certificate:
     decl = _pick(args, inst, inst.maps, args.map_, "map", "map")
     if decl.kind != "finite":
         raise UsageError("tail works on finite endomaps")
-    n = _space_of(inst, decl.src).size
+    n = inst.spaces[decl.src].size
     if len(decl.table) != n:
         raise UsageError(f"map {decl.name!r} is not total")
     partition, _ = tail_equivalence(decl.table, n)
@@ -853,7 +848,7 @@ def main(argv=None) -> int:
     _clear_memos()
     parser = _parser()
     args = parser.parse_args(argv)
-    command = args.cmd or args.command
+    command = args.command
     if command is None:
         parser.error("no command given")
     if command not in COMMANDS:

@@ -6,6 +6,22 @@ Every error that carries a witness stores it on the instance so callers
 
 from __future__ import annotations
 
+# a message quotes at most this many characters of input text; past it,
+# the first ones and the full length
+QUOTE_MAX = 40
+
+
+def clip(text: str) -> str:
+    if len(text) <= QUOTE_MAX:
+        return text
+    return f"{text[:QUOTE_MAX]}... ({len(text)} characters)"
+
+
+def quote(text: str) -> str:
+    if len(text) <= QUOTE_MAX:
+        return repr(text)
+    return f"{text[:QUOTE_MAX]!r}... ({len(text)} characters)"
+
 
 class QBorelError(Exception):
     """Base class for all package errors."""
@@ -25,14 +41,6 @@ class InvalidPartition(QBorelError):
 
 class UnsupportedCarrier(QBorelError):
     """The operation is only defined for a different carrier kind."""
-
-
-class NotAMorphism(QBorelError):
-    """A point map does not respect the partitions; witness is a point pair."""
-
-
-class EndpointMismatch(QBorelError):
-    """Source/target spaces of composed maps do not agree."""
 
 
 class NotWithinRelation(QBorelError):

@@ -41,6 +41,12 @@ from .relations import (
 # replay of a stored certificate) visits, so both are capped.
 MAX_PROBE = 1024
 
+# the longest period the integer-lane level search tries
+MAX_PERIOD = 8
+
+# breadth-first search in the orbit-window check may roam this far past the window
+ORBIT_SLACK = 16
+
 
 def _check_probe(name: str, value: int, least: int):
     if not least <= value <= MAX_PROBE:
@@ -125,10 +131,6 @@ class SectionDecomposition:
     @property
     def uniformization(self) -> dict[int, int]:
         return self.graphs[0] if self.graphs else {}
-
-    @property
-    def width(self) -> int:
-        return len(self.graphs)
 
 
 def lusin_novikov_decompose(pairs) -> SectionDecomposition:
@@ -547,10 +549,7 @@ def _side_levels(
 
 
 def levels_int(
-    g: PiecewiseTranslation,
-    rel: IntBlockRelation,
-    bound: int = 32,
-    max_period: int = 8,
+    g: PiecewiseTranslation, rel: IntBlockRelation, bound: int = 32
 ) -> IntLevels:
     """Integer-lane stratification of a maximal partial injection."""
     _check_probe("level bound", bound, 1)
@@ -564,8 +563,8 @@ def levels_int(
     ginv = g.inverse()
     pos_first = g.domain().difference(g.range_set())
     neg_first = g.range_set().difference(g.domain())
-    pos = _side_levels(g, pos_first, bound, max_period)
-    neg = _side_levels(ginv, neg_first, bound, max_period)
+    pos = _side_levels(g, pos_first, bound, MAX_PERIOD)
+    neg = _side_levels(ginv, neg_first, bound, MAX_PERIOD)
     zero = ambient.difference(pos.union).difference(neg.union)
     return IntLevels(ambient, g, pos, neg, zero)
 
@@ -683,7 +682,6 @@ def quotient_construction_int(
     rel: IntBlockRelation,
     phis: list[PiecewiseTranslation],
     bound: int = 32,
-    max_period: int = 8,
 ) -> IntQuotientConstruction:
     """Integer-lane pipeline for a generating family of translations.
 
@@ -712,7 +710,7 @@ def quotient_construction_int(
     for psi in queue:
         g = extension_of[psi] = greedy_extend_int(psi, queue, rel.ambient)
         if g not in cover_of:
-            cov = cover_of[g] = cover_int(levels_int(g, rel, bound, max_period))
+            cov = cover_of[g] = cover_int(levels_int(g, rel, bound))
             for f in (cov.first, cov.second):
                 if f not in generators:
                     generators.append(f)
@@ -725,15 +723,14 @@ def orbit_window_witness(
     rel: IntBlockRelation,
     generators: list[PiecewiseTranslation],
     window: int = 64,
-    slack: int = 16,
 ):
     """None when generators connect every related window pair, else a pair.
 
     Breadth-first search over generator moves (both directions), allowed
-    to roam slack beyond the window.
+    to roam ORBIT_SLACK beyond the window.
     """
     _check_probe("window", window, 0)
-    lo, hi = -window - slack, window + slack
+    lo, hi = -window - ORBIT_SLACK, window + ORBIT_SLACK
     moves = list(generators) + [
         f.inverse() for f in generators if f.is_injective()
     ]

@@ -347,21 +347,6 @@ class IntBlockRelation:
         bs.sort(key=lambda b: _zero_order(b.closest_to_zero()))
         return cls(tuple(bs), amb)
 
-    @classmethod
-    def equality(cls, ambient: IntSet | None = None) -> "IntBlockRelation":
-        return cls.make([], ambient)
-
-    def related(self, x: int, y: int) -> bool:
-        if x == y:
-            return x in self.ambient
-        return any(x in b and y in b for b in self.blocks)
-
-    def class_of(self, x: int) -> IntSet:
-        for b in self.blocks:
-            if x in b:
-                return b
-        return IntSet.of(x)
-
     def graph_within_witness(self, f: PiecewiseTranslation):
         """None if graph(f) stays inside the relation, else an escaping pair.
 
@@ -384,6 +369,3 @@ class IntBlockRelation:
                 x = stray.closest_to_zero()
                 return (x, x + c)
         return None
-
-    def saturate(self, s: IntSet) -> IntSet:
-        return s.union(*(b for b in self.blocks if not b.intersect(s).is_empty()))

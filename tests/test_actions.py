@@ -94,7 +94,7 @@ def test_regular_action_is_free_and_transitive(k):
     g = FiniteGroup.symmetric(k)
     act = regular_action(g)
     assert freeness_witness(act) is None
-    assert orbit_equivalence(act) == Partition.indiscrete(g.size)
+    assert orbit_equivalence(act) == Partition.from_blocks(g.size, [range(g.size)])
 
 
 def test_action_validation():

@@ -116,7 +116,7 @@ def test_identity_of_canonical_forms_is_stream_identity(x, y):
 
 def test_prefix():
     x = canonicalize("01", "10", 2)
-    assert x.prefix(8) == "01101010"
+    assert "".join(str(x.letter_at(i)) for i in range(8)) == "01101010"
 
 
 # -- tail equality ----------------------------------------------------------------
@@ -185,16 +185,20 @@ def test_shift_moves_the_stream(x, i):
 
 # -- truncated models --------------------------------------------------------------------
 
+def class_suffix(model, q):
+    """The suffix every word of class q shares: that of its least member."""
+    return model.suffix_of(model.words[model.quotient.blocks[q][0]])
+
+
 def test_truncated_model_shape():
     m = make_truncated_model(2, 3, 1)
-    assert len(m.words) == 8 and m.quotient.size == 4
+    assert len(m.words) == 8 and m.quotient.num_classes == 4
     assert not m.restricted
     # classes collect words sharing the length-(n-t) suffix
     for w in m.words:
         q = m.class_of_word(w)
-        assert m.class_suffix(q) == m.suffix_of(w)
-    for q in range(4):
-        members = m.quotient.class_members(q)
+        assert class_suffix(m, q) == m.suffix_of(w)
+    for members in m.quotient.blocks:
         assert len(members) == 2  # k^t
 
 
@@ -219,9 +223,9 @@ def test_model_word_count_is_capped():
 def test_restricted_model_drops_fixed_suffixes():
     r = make_restricted_model(3, 3, 1)
     assert r.restricted
-    assert r.quotient.size == 6  # 9 suffixes minus 3 constant ones
+    assert r.quotient.num_classes == 6  # 9 suffixes minus 3 constant ones
     assert len(r.words) == 18
-    suffixes = {r.class_suffix(q) for q in range(6)}
+    suffixes = {class_suffix(r, q) for q in range(6)}
     assert all(len(set(s)) > 1 for s in suffixes)  # nothing constant survives
 
 
@@ -233,9 +237,9 @@ def test_letter_action_on_restricted_model():
     # permuting letters permutes suffix classes accordingly
     sigma = act.group.permutation_of(2)  # "102"
     for q in range(6):
-        s = r.class_suffix(q)
+        s = class_suffix(r, q)
         moved = "".join(str(sigma[int(c)]) for c in s)
-        assert r.class_suffix(act.act(2, q)) == moved
+        assert class_suffix(r, act.act(2, q)) == moved
 
 
 # -- gallery ---------------------------------------------------------------------------------
@@ -297,7 +301,7 @@ def test_gallery_ex35_matches_pairwise_oracle(n):
     for t in range(n):
         g = example_gallery("ex35", n=n, t=t)
         fine, over = _ex35_pairwise(g.data["base"].words, t)
-        assert g.data["space"].partition == fine
+        assert g.data["space"] == fine
         assert g.data["over"] == over
 
 

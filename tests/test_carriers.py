@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.carriers import (
-    FiniteCarrier,
     IntSet,
     NotInjective,
     Piece,
@@ -550,7 +549,8 @@ def test_image_preimage_windows(f, s):
     d = pt_dict(f, -2 * WIN, 2 * WIN)
     sw = win(s, -2 * WIN, 2 * WIN)
     assert win(f.image(s), -WIN, WIN) == {y for x, y in d.items() if x in sw and -WIN <= y <= WIN}
-    assert win(f.preimage(s), -WIN, WIN) == {
+    # the preimage of s is the domain of f corestricted to s
+    assert win(f.corestrict(s).domain(), -WIN, WIN) == {
         x for x, y in d.items() if y in sw and -WIN <= x <= WIN
     }
 
@@ -589,18 +589,3 @@ def test_identity_and_offsets():
     i = PiecewiseTranslation.identity(IntSet.segment(0, 3))
     assert pt_dict(i) == {0: 0, 1: 1, 2: 2, 3: 3}
 
-
-# -- finite carrier -------------------------------------------------------
-
-def test_finite_carrier_points_and_labels():
-    c = FiniteCarrier(3, labels=("a", "b", "c"))
-    assert list(c.points()) == [0, 1, 2]
-    assert c.index_of("b") == 1
-    assert FiniteCarrier(2).index_of("0") == 0
-
-
-def test_finite_carrier_validation():
-    with pytest.raises(ValueError):
-        FiniteCarrier(-1)
-    with pytest.raises(ValueError):
-        FiniteCarrier(2, labels=("x",))

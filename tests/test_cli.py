@@ -440,7 +440,7 @@ def test_gallery_all(capsys):
 
 
 def test_gallery_flag_form(capsys):
-    code, out = run(capsys, "--cmd", "gallery", "--gallery", "ex34")
+    code, out = run(capsys, "gallery", "--gallery", "ex34")
     assert code == 0
 
 

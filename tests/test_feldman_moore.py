@@ -83,7 +83,7 @@ def test_decomposition_splits_into_injections(pairs):
     widths = {}
     for a, _ in rel:
         widths[a] = widths.get(a, 0) + 1
-    assert d.width == max(widths.values(), default=0)
+    assert len(d.graphs) == max(widths.values(), default=0)
     for i, g in enumerate(d.graphs):
         assert set(g) == {a for a, w in widths.items() if w > i}
     if rel:
@@ -92,7 +92,7 @@ def test_decomposition_splits_into_injections(pairs):
 
 def test_decomposition_empty():
     d = lusin_novikov_decompose([])
-    assert d.width == 0 and d.uniformization == {}
+    assert d.graphs == [] and d.uniformization == {}
 
 
 # -- classical construction ----------------------------------------------------
@@ -215,12 +215,12 @@ def test_finite_levels_all_empty(p, rng):
 
 def test_levels_finite_rejects_non_injection():
     with pytest.raises(NotInjective):
-        levels_finite({0: 1, 1: 1, 2: 0}, 3, Partition.indiscrete(3))
+        levels_finite({0: 1, 1: 1, 2: 0}, 3, Partition.from_blocks(3, [range(3)]))
 
 
 def test_levels_finite_rejects_non_maximal():
     with pytest.raises(NotMaximal):
-        levels_finite({0: 1, 1: 0}, 3, Partition.indiscrete(3))
+        levels_finite({0: 1, 1: 0}, 3, Partition.from_blocks(3, [range(3)]))
 
 
 def test_levels_finite_rejects_map_leaving_relation():

@@ -71,9 +71,9 @@ def test_finite_map_values():
 def test_partition_spaces_project():
     inst = parse_instance(FULL)
     s = inst.spaces["P"].space
-    assert s.size == 3
-    assert s.project(0) == s.project(1) != s.project(2)
-    assert s.project(3) == s.project(4)
+    assert s.num_classes == 3
+    assert s.class_of[0] == s.class_of[1] != s.class_of[2]
+    assert s.class_of[3] == s.class_of[4]
 
 
 def test_syntax_error_carries_line():
@@ -176,6 +176,44 @@ def test_messages_quote_at_most_forty_characters(line, message):
     with pytest.raises(InstanceSyntaxError) as ei:
         parse_instance(SPACE + line + "\n")
     assert str(ei.value) == f"line 2: {message}"
+
+
+INT = "space Z carrier = int\n"
+TERM = "x" * 3000
+
+
+@pytest.mark.parametrize("text, message", [
+    # a bad IntSet term, wherever it is written, is quoted like any input text
+    (INT + f"ptmap f : Z : {TERM} -> +1",
+     f"line 2: bad IntSet term: {TERM[:40]!r}... (3000 characters)"),
+    (INT + f"rel R on Z blocks = {{ {{{TERM}}} }}",
+     f"line 2: bad IntSet term: {TERM[:40]!r}... (3000 characters)"),
+    (f"space Z carrier = int partition = {{ {{{TERM}}} }}",
+     f"line 1: bad IntSet term: {TERM[:40]!r}... (3000 characters)"),
+    (INT + "ptmap f : Z : 0..4 -> +1 | 2 -> +2", "line 2: overlapping domains at 2"),
+    (INT + "ptmap f : Z : 0 -> +x", "line 2: bad offset: '+x'"),
+], ids=["long_ptmap_term", "long_blocks_term", "long_space_term", "short_overlap", "short_offset"])
+def test_carrier_messages_quote_at_most_forty_characters(text, message):
+    with pytest.raises(InstanceSyntaxError) as ei:
+        parse_instance(text + "\n")
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("decl", [
+    "space S carrier = finite(2) partition = {{ {{0}}, {{1, {x}}} }}",
+    "space S carrier = finite(2)\nrel R on S partition = {{ {{0}}, {{1, {x}}} }}",
+], ids=["space", "rel"])
+@pytest.mark.parametrize("x, message", [
+    ("9" * 4000, f"point {'9' * 40}... (4000 characters) outside 0..1"),
+    ("5", "point 5 outside 0..1"),
+], ids=["long_point", "short_point"])
+def test_partition_entry_messages_quote_at_most_forty_characters(decl, x, message):
+    from qborel.quotient import InvalidPartition
+
+    with pytest.raises(InvalidPartition) as ei:
+        parse_instance(decl.format(x=x) + "\n")
+    assert str(ei.value) == message
+    assert ei.value.witness == int(x)
 
 
 def test_bad_partition_delegates():

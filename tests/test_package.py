@@ -9,29 +9,22 @@ EXPORTS = [
     "Cocycle",
     "EnumeratedEquivalence",
     "EventuallyPeriodicWord",
-    "FiniteCarrier",
     "FiniteGroup",
-    "FiniteQuotient",
     "GalleryInstance",
     "GroupAction",
     "IntBlockRelation",
-    "IntCarrier",
     "IntClassQuotient",
-    "IntQuotient",
     "IntSet",
     "Partition",
     "PiecewiseTranslation",
     "QBorelError",
-    "QMap",
     "TruncatedModel",
     "canonicalize",
     "chain_witness",
     "classical_construction",
     "cocycle_from_free_action",
-    "compose",
     "cover_finite",
     "cover_int",
-    "descend",
     "e0_equivalent",
     "et_equivalent",
     "example_gallery",
@@ -48,7 +41,6 @@ EXPORTS = [
     "letter_action",
     "levels_finite",
     "levels_int",
-    "lift",
     "lusin_novikov_decompose",
     "make_restricted_model",
     "make_truncated_model",
@@ -57,12 +49,10 @@ EXPORTS = [
     "orbit_equivalence",
     "parse_intset",
     "parse_ptmap",
-    "product",
     "psi_split",
     "psi_split_int",
     "quotient_construction",
     "quotient_construction_int",
-    "saturate",
     "selector_to_transversal",
     "tail_equivalence",
     "verify_cocycle",

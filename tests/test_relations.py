@@ -149,7 +149,7 @@ def test_layers_match_layered_fixpoint(nm):
 def test_long_successor_path():
     n = 1000
     p, layers = generate_equivalence(n, [{x: x + 1 for x in range(n - 1)}])
-    assert p == Partition.indiscrete(n)
+    assert p == Partition.from_blocks(n, [range(n)])
     assert layers.stabilization_index == n - 1
     steps = chain_witness(layers, 0, n - 1)
     assert len(steps) == n
@@ -199,7 +199,7 @@ def test_tail_of_successor_map():
     n = 6
     f = [min(x + 1, n - 1) for x in range(n)]
     p, _ = tail_equivalence(f, n)
-    assert p == Partition.indiscrete(n)
+    assert p == Partition.from_blocks(n, [range(n)])
 
 
 # -- enumerations ------------------------------------------------------------
@@ -407,9 +407,6 @@ def test_int_block_relation_queries():
     r = IntBlockRelation.make(
         [IntSet.ray_down(-1), IntSet.ray_up(0)], ambient=IntSet.all_integers()
     )
-    assert r.related(-3, -9) and not r.related(-1, 0)
-    assert r.class_of(5) == IntSet.ray_up(0)
-    assert r.saturate(IntSet.of(3)) == IntSet.ray_up(0)
     g_in = PT.translation(IntSet.ray_up(0), 1)
     assert r.graph_within_witness(g_in) is None
     g_out = PT.translation(IntSet.of(-1), 1)
