@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NotASubgroup, NotFree
+from .errors import NotASubgroup, NotFree, clip
 from .quotient import Partition
 
 
@@ -26,6 +26,9 @@ class FiniteGroup:
         n = len(self.labels)
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("table shape differs from element count")
+        for i, label in enumerate(self.labels):
+            if label in self.labels[:i]:
+                raise ValueError(f"label {clip(str(label))} names two elements")
         for a in range(n):
             if self.table[0][a] != a or self.table[a][0] != a:
                 raise ValueError("element 0 is not an identity")

@@ -5,8 +5,9 @@ The closure generated by a family of maps is the partition into
 connected components of its graphs.  Its layer filtration (layer r holds
 the pairs joined by a chain of length at most r, where each chain step
 applies some generator forwards or backwards, or stays put) and its
-chain witnesses come from one breadth-first search.  Chain witnesses are
-minimal-length and deterministically tie-broken.
+chain witnesses come from breadth-first searches; the stabilization
+index takes a few per class, bounded by eccentricities.  Chain
+witnesses are minimal-length and deterministically tie-broken.
 
 On the integer carrier a relation is presented by piecewise-translation
 graphs; the closure checks reduce to per-offset IntSet coverage.  A
@@ -62,11 +63,25 @@ class ClosureLayers:
 
     @cached_property
     def stabilization_index(self) -> int:
-        """Longest minimal chain between two related points."""
-        return max(
-            (max(_distances(self._nbrs, x).values()) for x in range(self.n)),
-            default=0,
-        )
+        """Longest minimal chain between two related points.
+
+        The largest eccentricity of any class, found from bounds (Takes
+        and Kosters, CIKM 2011): a search from v of eccentricity e bounds
+        each w of its class by e + d(v, w), and a point bounded by the
+        best eccentricity so far cannot raise it.  Searches alternate
+        between the candidates of largest and of smallest bound, ties to
+        the least point, until no candidate is left.
+        """
+        best = 0
+        for block in self.partition.blocks:
+            bound, pick = dict.fromkeys(block, len(block) - 1), max
+            while bound := {w: u for w, u in bound.items() if u > best}:
+                dist = _distances(self._nbrs, pick(bound, key=bound.__getitem__))
+                e = max(dist.values())
+                best = max(best, e)
+                bound = {w: min(u, e + dist[w]) for w, u in bound.items()}
+                pick = min if pick is max else max
+        return best
 
     @property
     def layers(self) -> list[frozenset[tuple[int, int]]]:
@@ -120,20 +135,24 @@ def chain_witness(layers: ClosureLayers, x: int, y: int) -> list[ChainStep] | No
     dist = _distances(layers._nbrs, y)
     if x not in dist:
         return None
+    preimages = [{} for _ in layers.generators]
+    for pre, f in zip(preimages, layers.generators):
+        for w, v in sorted(f.items()):
+            pre.setdefault(v, []).append(w)
     chain = [ChainStep(x, None)]
     while chain[-1].point != y:
         cur = chain[-1].point
-        steps = _steps(layers.generators, cur)
+        steps = _steps(layers.generators, preimages, cur)
         chain.append(next(s for s in steps if dist.get(s.point) == dist[cur] - 1))
     return chain
 
 
-def _steps(generators, cur: int):
+def _steps(generators, preimages, cur: int):
     """Every step away from cur, in tie-break order."""
-    for j, f in enumerate(generators):
+    for j, (f, pre) in enumerate(zip(generators, preimages)):
         if cur in f:
             yield ChainStep(f[cur], j)
-        for z in sorted(w for w, v in f.items() if v == cur):
+        for z in pre.get(cur, ()):
             yield ChainStep(z, j, reverse=True)
 
 

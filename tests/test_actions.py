@@ -69,6 +69,17 @@ def test_group_table_validation():
         )
 
 
+def test_group_rejects_a_repeated_label():
+    # a label lookup is a dict, so a repeated label would hide an element
+    table = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    with pytest.raises(ValueError, match="^label r names two elements$"):
+        FiniteGroup(("e", "r", "r"), table)
+    long = "x" * 5000
+    with pytest.raises(ValueError) as ei:
+        FiniteGroup(("e", long, long), table)
+    assert len(str(ei.value)) < 200 and "(5000 characters)" in str(ei.value)
+
+
 def test_subgroup_witness():
     s3 = FiniteGroup.symmetric(3)
     swap01 = s3.labels.index("102")

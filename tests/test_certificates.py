@@ -284,6 +284,20 @@ def test_stored_n_of_a_billion_replays_to_fail_rows_quickly(tmp_path):
     assert seen == set(HUGE_N_ERRORS)
 
 
+def test_certificate_with_a_repeated_group_label_is_a_fail_row(tmp_path, capsys):
+    cert = json.loads((GOLDEN / "cocycle_rotation.json").read_text())
+    (check,) = cert["checks"]
+    check["data"]["labels"] = ["e", "r", "r"]
+    cert_file, rows_file = tmp_path / "cert.json", tmp_path / "rows.json"
+    cert_file.write_text(json.dumps(cert))
+    code, _ = run(capsys, "verify", "--input", str(cert_file), "--out", str(rows_file))
+    (row,) = json.loads(rows_file.read_text())["rows"]
+    assert code == 1 and row["recomputed"] is False and not row["agrees"]
+    assert row["witness"] == {
+        "error": "ValueError", "message": "label r names two elements"
+    }
+
+
 @pytest.mark.parametrize("name,key", [
     ("cover_shifted_ray.json", "bound"),
     ("fm-quotient_shifted_ray.json", "window"),

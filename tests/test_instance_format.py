@@ -258,6 +258,16 @@ def test_group_labels_resolve_in_actions():
     assert act.act(1, 0) == 1
 
 
+def test_repeated_group_label_is_a_syntax_error_at_the_group_line():
+    text = (
+        "space P carrier = finite(3)\n"
+        "group C3 table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]] labels = [e, r, r]\n"
+    )
+    with pytest.raises(InstanceSyntaxError) as ei:
+        parse_instance(text)
+    assert str(ei.value) == "line 2: label r names two elements"
+
+
 def test_parse_instance_file(tmp_path):
     p = tmp_path / "inst.qb"
     p.write_text(FULL, encoding="utf-8")

@@ -7,14 +7,17 @@ on every random instance.
 
 import math
 import random
+import time
+import timeit
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qborel.carriers import IntSet, PiecewiseTranslation as PT
 from qborel.errors import InvalidPartition, NotAnEnumeration
 from qborel.feldman_moore import quotient_construction
 from qborel.relations import (
+    ChainStep,
     CheckOutcome,
     EnumeratedEquivalence,
     EnumReport,
@@ -34,12 +37,31 @@ from qborel.relations import (
 )
 
 
-def naive_closure(n, fns):
+def union_nbrs(n, fns):
+    """Neighbours in the undirected union of the graphs, each point its own."""
     nbrs = {x: {x} for x in range(n)}
     for f in fns:
         for a, b in f.items():
             nbrs[a].add(b)
             nbrs[b].add(a)
+    return nbrs
+
+
+def bfs_distances(nbrs, source):
+    dist, frontier = {source: 0}, [source]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in nbrs[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def naive_closure(n, fns):
+    nbrs = union_nbrs(n, fns)
     blocks = []
     seen = set()
     for s in range(n):
@@ -65,6 +87,24 @@ partial_maps = st.integers(1, 9).flatmap(
             max_size=4,
         ),
     )
+)
+
+
+def _shaped_maps(n):
+    """Sparse partial maps, and paths and cycles through random points."""
+    points = st.lists(st.integers(0, n - 1), unique=True, max_size=n)
+    return st.one_of(
+        st.dictionaries(
+            st.integers(0, n - 1), st.integers(0, n - 1), max_size=n // 4 + 1
+        ),
+        points.map(lambda xs: dict(zip(xs, xs[1:]))),
+        points.map(lambda xs: dict(zip(xs, xs[1:] + xs[:1]))),
+    )
+
+
+# several components of many shapes, up to 80 points and 5 maps
+map_families = st.integers(1, 80).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_shaped_maps(n), max_size=5))
 )
 
 partitions = st.integers(1, 9).flatmap(
@@ -119,11 +159,7 @@ def test_chain_witness_replays(nm):
 
 def layered_fixpoint(n, fns):
     """Reference filtration: grow pair sets one chain step at a time."""
-    nbrs = {x: {x} for x in range(n)}
-    for f in fns:
-        for a, b in f.items():
-            nbrs[a].add(b)
-            nbrs[b].add(a)
+    nbrs = union_nbrs(n, fns)
     layers = [frozenset((x, x) for x in range(n))]
     current = set(layers[0])
     while True:
@@ -155,6 +191,102 @@ def test_long_successor_path():
     assert len(steps) == n
     assert [s.point for s in steps] == list(range(n))
     assert all(s.via == 0 and not s.reverse for s in steps[1:])
+
+
+def all_sources_index(n, fns):
+    """Stabilization index by definition: a search from every point."""
+    nbrs = union_nbrs(n, fns)
+    return max((max(bfs_distances(nbrs, x).values()) for x in range(n)), default=0)
+
+
+@given(map_families)
+def test_stabilization_index_is_the_all_sources_maximum(nm):
+    n, fns = nm
+    _, layers = generate_equivalence(n, fns)
+    assert layers.stabilization_index == all_sources_index(n, fns)
+
+
+def _shifts(points):
+    """One map per shift of the points: together a complete graph on them."""
+    k = len(points)
+    return [{points[i]: points[(i + s) % k] for i in range(k)} for s in range(1, k)]
+
+
+@pytest.mark.parametrize("n, fns, index", [
+    (12, [{x: x + 1 for x in range(11)}], 11),  # path
+    (10, [{x: (x + 1) % 10 for x in range(10)}], 5),  # even cycle
+    (11, [{x: (x + 1) % 11 for x in range(11)}], 5),  # odd cycle
+    (9, [{x: 0 for x in range(1, 9)}], 2),  # star
+    (6, _shifts(range(6)), 1),  # complete graph
+    # lollipop: a complete graph on 0..4 and a path from 4 to 12
+    (13, [*_shifts(range(5)), {x: x + 1 for x in range(4, 12)}], 9),
+    # a cycle on 0..7, a path on 8..29 and the singleton 30; then a path
+    # on 0..21 and a cycle on 22..30
+    (31, [{x: (x + 1) % 8 for x in range(8)}, {x: x + 1 for x in range(8, 29)}], 21),
+    (31, [{x: x + 1 for x in range(21)}, {x: 22 + (x - 21) % 9 for x in range(22, 31)}], 21),
+], ids=["path", "even-cycle", "odd-cycle", "star", "complete", "lollipop",
+        "cycle-then-path", "path-then-cycle"])
+def test_stabilization_index_of_fixed_shapes(n, fns, index):
+    _, layers = generate_equivalence(n, fns)
+    assert layers.stabilization_index == index == all_sources_index(n, fns)
+
+
+def test_stabilization_index_of_a_long_path_is_quick():
+    # a search from every point is quadratic: seconds at this size
+    n = 3000
+    start = time.perf_counter()
+    _, layers = generate_equivalence(n, [{x: x + 1 for x in range(n - 1)}])
+    assert layers.stabilization_index == n - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def scan_chain_witness(n, fns, x, y):
+    """Reference chain: each step scans every pair of every generator."""
+    nbrs = union_nbrs(n, fns)
+    dist = bfs_distances(nbrs, y)
+    if x not in dist:
+        return None
+    chain = [ChainStep(x, None)]
+    while chain[-1].point != y:
+        cur = chain[-1].point
+        steps = []
+        for j, f in enumerate(fns):
+            if cur in f:
+                steps.append(ChainStep(f[cur], j))
+            for z in sorted(w for w, v in f.items() if v == cur):
+                steps.append(ChainStep(z, j, reverse=True))
+        chain.append(next(s for s in steps if dist.get(s.point) == dist[cur] - 1))
+    return chain
+
+
+@given(st.one_of(partial_maps, map_families))
+@example((4, [{1: 0, 2: 0}, {1: 3, 2: 3}]))  # 0 -> 3 reverses f0 to 1, not 2
+def test_chain_witness_matches_the_pair_scan(nm):
+    # partial_maps are dense and seldom injective: points with several
+    # preimages under one map exercise the least-point tie-break
+    n, fns = nm
+    _, layers = generate_equivalence(n, fns)
+    rng = random.Random(n * 1000 + len(fns))
+    pairs = [(x, y) for x in range(n) for y in range(n)] if n <= 9 else [
+        (rng.randrange(n), rng.randrange(n)) for _ in range(20)
+    ]
+    for x, y in pairs:
+        assert chain_witness(layers, x, y) == scan_chain_witness(n, fns, x, y)
+
+
+def test_reverse_chain_along_a_long_path():
+    # 3,000 steps back along x -> x + 1 cost about what 3,000 steps forward
+    # cost: scanning every pair at each reverse step made them quadratic
+    n = 3001
+    _, layers = generate_equivalence(n, [{x: x + 1 for x in range(n - 1)}])
+    steps = chain_witness(layers, n - 1, 0)
+    assert [s.point for s in steps] == list(range(n - 1, -1, -1))
+    assert all(s.via == 0 and s.reverse for s in steps[1:])
+    forward, reverse = (
+        min(timeit.repeat(lambda: chain_witness(layers, a, b), number=1, repeat=3))
+        for a, b in ((0, n - 1), (n - 1, 0))
+    )
+    assert reverse < 5 * forward
 
 
 def test_generate_rejects_out_of_range_graphs():
