@@ -487,6 +487,9 @@ def _gallery_et_shift() -> GalleryInstance:
     )
 
 
+# every packaged example, in the order messages list them
+GALLERY_NAMES = ("ex34", "ex35", "ex36", "ex37", "et_shift")
+
 _GALLERY_DEFAULTS = {
     "ex34": (2, 3, 1),
     "ex35": (2, 3, 1),
@@ -508,8 +511,7 @@ def example_gallery(
             raise BadParameters(f"et_shift takes no parameters, got {', '.join(given)}")
         return _gallery_et_shift()
     if name not in _GALLERY_DEFAULTS:
-        known = ", ".join(sorted(_GALLERY_DEFAULTS) + ["et_shift"])
-        raise UnknownExample(f"no example {name!r}; known: {known}")
+        raise UnknownExample(f"no example {name!r}; known: {', '.join(GALLERY_NAMES)}")
     dk, dn, dt = _GALLERY_DEFAULTS[name]
     k = dk if k is None else k
     n = dn if n is None else n

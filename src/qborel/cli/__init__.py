@@ -1,12 +1,7 @@
 """Instance files, run certificates, and the command-line front end."""
 
 from .certificates import CHECKERS, Certificate, reverify, run_check
-from .instance import (
-    InstanceFile,
-    parse_instance,
-    parse_instance_file,
-    print_instance,
-)
+from .instance import InstanceFile, parse_instance
 from .main import COMMANDS, build_parser, main
 
 __all__ = [
@@ -16,8 +11,6 @@ __all__ = [
     "run_check",
     "InstanceFile",
     "parse_instance",
-    "parse_instance_file",
-    "print_instance",
     "COMMANDS",
     "build_parser",
     "main",

@@ -25,13 +25,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..actions import FiniteGroup, GroupAction
-from ..carriers import (
-    PiecewiseTranslation,
-    format_intset,
-    format_ptmap,
-    parse_intset,
-    parse_ptmap,
-)
+from ..carriers import PiecewiseTranslation, parse_intset, parse_ptmap
 from ..errors import InstanceSyntaxError, UnknownReference, clip, quote
 from ..quotient import IntClassQuotient, Partition
 from ..relations import EnumeratedEquivalence, IntBlockRelation
@@ -52,7 +46,6 @@ class SpaceDecl:
     # finite: its Partition; int: an IntClassQuotient, or None for the
     # discrete quotient
     space: Partition | IntClassQuotient | None
-    line: int
 
     @property
     def size(self) -> int | None:
@@ -66,39 +59,31 @@ class MapDecl:
     src: str
     dst: str
     table: dict[int, int] | PiecewiseTranslation
-    line: int
 
 
 @dataclass
 class RelDecl:
     name: str
     kind: str                  # "graphs", "blocks", or "partition"
-    space: str
-    graphs: list[str] = field(default_factory=list)
-    value: object = None       # EnumeratedEquivalence | IntBlockRelation | Partition
-    line: int = 0
+    graphs: list[str]          # map names of a graphs relation
+    value: object              # EnumeratedEquivalence | IntBlockRelation | Partition
 
 
 @dataclass
 class GroupDecl:
     name: str
     group: FiniteGroup
-    line: int
 
 
 @dataclass
 class ActionDecl:
     name: str
-    group: str
-    space: str
     action: GroupAction
-    assignments: list[tuple[str, str]]
-    line: int
 
 
 @dataclass
 class InstanceFile:
-    """Parsed declarations in file order plus `set` directives."""
+    """Parsed declarations by name plus `set` directives."""
 
     spaces: dict[str, SpaceDecl] = field(default_factory=dict)
     maps: dict[str, MapDecl] = field(default_factory=dict)
@@ -106,7 +91,6 @@ class InstanceFile:
     groups: dict[str, GroupDecl] = field(default_factory=dict)
     actions: dict[str, ActionDecl] = field(default_factory=dict)
     directives: dict[str, str] = field(default_factory=dict)
-    order: list[tuple[str, str]] = field(default_factory=list)
 
     def declared(self, name: str) -> bool:
         return any(
@@ -190,14 +174,14 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
         partition_text = pm.group(1)
     if carrier_text == "int":
         if partition_text is None:
-            return SpaceDecl(name, "int", None, line_no)
+            return SpaceDecl(name, "int", None)
         blocks = _split_groups(partition_text, line_no, "{}")
         try:
             descs = [parse_intset(b) for b in blocks]
             space = IntClassQuotient.make(descs)
         except ValueError as e:
             _fail(line_no, str(e))
-        return SpaceDecl(name, "int", space, line_no)
+        return SpaceDecl(name, "int", space)
     n = _parse_int(n_text, line_no)
     if n > MAX_POINTS:
         _fail(line_no, f"finite({clip(str(n))}) exceeds the cap of {MAX_POINTS} points")
@@ -209,7 +193,7 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
             for b in _split_groups(partition_text, line_no, "{}")
         ]
         partition = Partition.from_blocks(n, blocks)
-    return SpaceDecl(name, "finite", partition, line_no)
+    return SpaceDecl(name, "finite", partition)
 
 
 def _require(inst: InstanceFile, table: dict, name: str, what: str, line_no: int):
@@ -250,7 +234,7 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
             if x in table:
                 _fail(line_no, f"point {clip(str(x))} mapped twice")
             table[x] = y
-    return MapDecl(name, "finite", src, dst, table, line_no)
+    return MapDecl(name, "finite", src, dst, table)
 
 
 def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
@@ -265,7 +249,7 @@ def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
         table = parse_ptmap(body)
     except ValueError as e:
         _fail(line_no, str(e))
-    return MapDecl(name, "int", space, space, table, line_no)
+    return MapDecl(name, "int", space, space, table)
 
 
 def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
@@ -291,7 +275,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
             )
         else:
             value = [d.table for d in decls]
-        return RelDecl(name, "graphs", space, graph_names, value, line_no)
+        return RelDecl(name, "graphs", graph_names, value)
     if kind == "blocks":
         if sdecl.kind != "int":
             _fail(line_no, "blocks form needs an int space")
@@ -301,7 +285,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
         except ValueError as e:
             _fail(line_no, str(e))
         value = IntBlockRelation.make(blocks)
-        return RelDecl(name, "blocks", space, [], value, line_no)
+        return RelDecl(name, "blocks", [], value)
     if sdecl.kind != "finite":
         _fail(line_no, "partition form needs a finite space")
     blocks = [
@@ -309,7 +293,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
         for b in _split_groups(body, line_no, "{}")
     ]
     value = Partition.from_blocks(sdecl.size, blocks)
-    return RelDecl(name, "partition", space, [], value, line_no)
+    return RelDecl(name, "partition", [], value)
 
 
 def _parse_group(rest: str, line_no: int) -> GroupDecl:
@@ -330,7 +314,7 @@ def _parse_group(rest: str, line_no: int) -> GroupDecl:
         group = FiniteGroup(labels, tuple(rows))
     except ValueError as e:
         _fail(line_no, str(e))
-    return GroupDecl(name, group, line_no)
+    return GroupDecl(name, group)
 
 
 def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
@@ -347,7 +331,6 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
     n = sdecl.size
     group = gdecl.group
     label_index = {lbl: i for i, lbl in enumerate(group.labels)}
-    assignments = []
     maps: dict[int, tuple[int, ...]] = {0: tuple(range(n))}
     for part in body.split(","):
         part = part.strip()
@@ -368,7 +351,6 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
         if len(mdecl.table) != n:
             _fail(line_no, f"map {quote(map_name)} is not total on {space_name}")
         maps[elem] = tuple(mdecl.table[x] for x in range(n))
-        assignments.append((group.labels[elem], map_name))
     missing = [a for a in group.elements() if a not in maps]
     if missing:
         _fail(line_no, f"elements {missing} have no assigned map")
@@ -376,7 +358,7 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
         action = GroupAction(group, n, tuple(maps[a] for a in group.elements()))
     except ValueError as e:
         _fail(line_no, str(e))
-    return ActionDecl(name, group_name, space_name, action, assignments, line_no)
+    return ActionDecl(name, action)
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -420,7 +402,6 @@ def parse_instance(text: str) -> InstanceFile:
             "action": inst.actions,
         }[keyword]
         bucket[decl.name] = decl
-        inst.order.append((keyword, decl.name))
     return inst
 
 
@@ -435,78 +416,3 @@ def decode_instance(data: bytes) -> str:
         line = data.count(b"\n", 0, e.start) + 1
         raise InstanceSyntaxError(f"not UTF-8 text at byte {e.start}", line) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def parse_instance_file(path: str) -> InstanceFile:
-    with open(path, "rb") as fh:
-        return parse_instance(decode_instance(fh.read()))
-
-
-def _print_partition(p: Partition) -> str:
-    return "{ " + ", ".join(
-        "{" + ",".join(map(str, b)) + "}" for b in p.blocks
-    ) + " }"
-
-
-def print_instance(inst: InstanceFile) -> str:
-    """Canonical text; parsing it back gives an equal instance."""
-    out = []
-    for keyword, name in inst.order:
-        if keyword == "space":
-            d = inst.spaces[name]
-            if d.kind == "int":
-                if d.space is not None:
-                    blocks = ", ".join(
-                        "{" + format_intset(c) + "}" for c in d.space.classes
-                    )
-                    out.append(f"space {name} carrier = int partition = {{ {blocks} }}")
-                else:
-                    out.append(f"space {name} carrier = int")
-            else:
-                p = d.space
-                if p == Partition.discrete(p.n):
-                    out.append(f"space {name} carrier = finite({p.n})")
-                else:
-                    out.append(
-                        f"space {name} carrier = finite({p.n}) "
-                        f"partition = {_print_partition(p)}"
-                    )
-        elif keyword in ("map", "ptmap"):
-            d = inst.maps[name]
-            if d.kind == "int":
-                out.append(f"ptmap {name} : {d.src} : {format_ptmap(d.table)}")
-            else:
-                body = ", ".join(
-                    f"{x} -> {y}" for x, y in sorted(d.table.items())
-                )
-                out.append(f"map {name} : {d.src} -> {d.dst} : {body}")
-        elif keyword == "rel":
-            d = inst.rels[name]
-            if d.kind == "graphs":
-                out.append(
-                    f"rel {name} on {d.space} graphs = [{', '.join(d.graphs)}]"
-                )
-            elif d.kind == "blocks":
-                blocks = ", ".join(
-                    "{" + format_intset(b) + "}" for b in d.value.blocks
-                )
-                out.append(f"rel {name} on {d.space} blocks = {{ {blocks} }}")
-            else:
-                out.append(
-                    f"rel {name} on {d.space} partition = "
-                    f"{_print_partition(d.value)}"
-                )
-        elif keyword == "group":
-            d = inst.groups[name]
-            rows = ",".join(
-                "[" + ",".join(map(str, row)) + "]" for row in d.group.table
-            )
-            labels = ", ".join(d.group.labels)
-            out.append(f"group {name} table = [{rows}] labels = [{labels}]")
-        elif keyword == "action":
-            d = inst.actions[name]
-            body = ", ".join(f"{lbl} -> {mp}" for lbl, mp in d.assignments)
-            out.append(f"action {name} : {d.group} on {d.space} : {body}")
-    for key, value in inst.directives.items():
-        out.append(f"set {key} = {value}")
-    return "\n".join(out) + ("\n" if out else "")

@@ -16,7 +16,7 @@ import sys
 from math import inf
 
 from ..actions import cocycle_from_free_action, normalizer, orbit_equivalence
-from ..carriers import _clear_memos, format_intset, format_ptmap, IntSet, PiecewiseTranslation
+from ..carriers import _clear_memos, format_intset, format_ptmap, IntSet
 from ..errors import InvalidCertificate, QBorelError, UnsupportedCarrier
 from ..feldman_moore import (
     classical_construction,
@@ -44,27 +44,6 @@ from ..relations import (
 )
 from .certificates import Certificate, _plain, jsonable, reverify
 from .instance import InstanceFile, decode_instance, parse_instance
-
-COMMANDS = (
-    "fm-classical",
-    "fm-quotient",
-    "cover",
-    "uniformize",
-    "generate",
-    "tail",
-    "index",
-    "selector",
-    "involution2",
-    "action-orbits",
-    "cocycle",
-    "normalizer",
-    "gallery",
-    "verify",
-    "export-graph",
-)
-
-GALLERY_NAMES = ("ex34", "ex35", "ex36", "ex37", "et_shift")
-
 
 class UsageError(Exception):
     pass
@@ -115,8 +94,15 @@ def _read_input(path: str) -> bytes:
         raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
 
 
-def _pick(args, inst, table: dict, flag_value, directive_key: str, what: str):
-    """A named object: flag first, then `set` directive, then sole entry."""
+def _pick(
+    args, inst, table: dict, flag_value, directive_key: str, what: str,
+    lane: str | None = None, mismatch: str = "",
+):
+    """A named object: flag first, then `set` directive, then sole entry.
+
+    With a lane ("finite" or "int"), a map of the other lane is a usage
+    error that says `mismatch`.
+    """
     name = flag_value
     if name is None and inst is not None:
         name = inst.directives.get(directive_key)
@@ -126,6 +112,8 @@ def _pick(args, inst, table: dict, flag_value, directive_key: str, what: str):
         raise UsageError(f"no {what} selected; pass --{directive_key}")
     if name not in table:
         raise UsageError(f"{what} {name!r} not found in the instance")
+    if lane is not None and table[name].kind != lane:
+        raise UsageError(mismatch)
     return table[name]
 
 
@@ -135,23 +123,23 @@ def _need_instance(inst, what: str) -> InstanceFile:
     return inst
 
 
-def _map_list(args, inst) -> list:
+def _map_list(args, inst, lane: str, mismatch: str) -> list:
+    """The maps --maps or the `maps` directive names, all of one lane.
+
+    Maps of two lanes, or of the other lane, are usage errors; the latter
+    says `mismatch`.
+    """
     inst = _need_instance(inst, "this command")
     names = args.maps
     if names is None:
         names = inst.directives.get("maps")
     if names is None:
         raise UsageError("no maps selected; pass --maps name,name,...")
-    out = []
-    for name in (s.strip() for s in names.split(",")):
-        if name not in inst.maps:
-            raise UsageError(f"map {name!r} not found in the instance")
-        out.append(inst.maps[name])
-    if not out:
-        raise UsageError("empty map list")
-    kinds = {d.kind for d in out}
-    if len(kinds) > 1:
+    out = [_pick(args, inst, inst.maps, s.strip(), "maps", "map") for s in names.split(",")]
+    if len({d.kind for d in out}) > 1:
         raise UsageError("maps must all live on the same carrier kind")
+    if out[0].kind != lane:
+        raise UsageError(mismatch)
     return out
 
 
@@ -187,7 +175,7 @@ def _fmt_index(v) -> object:
 
 
 def _gallery_instance(args, name=None):
-    from ..cantor import example_gallery
+    from ..cantor import GALLERY_NAMES, example_gallery
 
     name = name or args.gallery or args.name
     if not name:
@@ -257,8 +245,8 @@ def cmd_fm_quotient(args, inst) -> Certificate:
     inst = _need_instance(inst, "fm-quotient")
     decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
     if decl.kind == "blocks":
-        phis = [d.table for d in _map_list(args, inst)]
-        return _fm_quotient_int(args, cert, decl.value, phis)
+        decls = _map_list(args, inst, "int", "fm-quotient on a blocks relation needs ptmaps")
+        return _fm_quotient_int(args, cert, decl.value, [d.table for d in decls])
     if decl.kind != "graphs":
         raise UsageError("fm-quotient needs a graphs relation")
     enum = decl.value
@@ -327,10 +315,17 @@ def cmd_cover(args, inst) -> Certificate:
         return _cover_int(args, cert, g.data["relation"], g.data["maps"], g.data["seed"])
     inst = _need_instance(inst, "cover")
     decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
-    g0_decl = _pick(args, inst, inst.maps, args.g0, "g0", "seed map")
+    # a graphs relation takes a map seed, a blocks relation a ptmap seed
+    lane, seed = {"graphs": ("finite", "map"), "blocks": ("int", "ptmap")}.get(
+        decl.kind, (None, "")
+    )
+    g0_decl = _pick(
+        args, inst, inst.maps, args.g0, "g0", "seed map",
+        lane, f"cover on a {decl.kind} relation needs a {seed} seed",
+    )
     if decl.kind == "blocks":
-        phis = [d.table for d in _map_list(args, inst)]
-        return _cover_int(args, cert, decl.value, phis, g0_decl.table)
+        decls = _map_list(args, inst, "int", "cover on a blocks relation needs ptmaps")
+        return _cover_int(args, cert, decl.value, [d.table for d in decls], g0_decl.table)
     if decl.kind != "graphs":
         raise UsageError("cover needs a graphs relation (or an int blocks one)")
     enum = decl.value
@@ -474,9 +469,8 @@ def cmd_uniformize(args, inst) -> Certificate:
             },
         )
         return cert
-    maps = [d.table for d in _map_list(args, inst)]
-    if not isinstance(maps[0], PiecewiseTranslation):
-        raise UsageError("uniformize without a graphs relation needs ptmaps")
+    decls = _map_list(args, inst, "int", "uniformize without a graphs relation needs ptmaps")
+    maps = [d.table for d in decls]
     uni = weak_uniformize_int(maps, maps)
     texts = [format_ptmap(f) for f in maps]
     dom = IntSet.empty().union(*(f.domain() for f in maps))
@@ -505,9 +499,7 @@ def cmd_uniformize(args, inst) -> Certificate:
 def cmd_generate(args, inst) -> Certificate:
     inst = _need_instance(inst, "generate")
     cert = Certificate("generate")
-    decls = _map_list(args, inst)
-    if decls[0].kind != "finite":
-        raise UsageError("generate works on finite maps")
+    decls = _map_list(args, inst, "finite", "generate works on finite maps")
     n = inst.spaces[decls[0].src].size
     maps = [d.table for d in decls]
     for flag, point in (("--x", args.x), ("--y", args.y)):
@@ -536,9 +528,9 @@ def cmd_generate(args, inst) -> Certificate:
 def cmd_tail(args, inst) -> Certificate:
     inst = _need_instance(inst, "tail")
     cert = Certificate("tail")
-    decl = _pick(args, inst, inst.maps, args.map_, "map", "map")
-    if decl.kind != "finite":
-        raise UsageError("tail works on finite endomaps")
+    decl = _pick(
+        args, inst, inst.maps, args.map_, "map", "map", "finite", "tail works on finite endomaps"
+    )
     n = inst.spaces[decl.src].size
     if len(decl.table) != n:
         raise UsageError(f"map {decl.name!r} is not total")
@@ -600,9 +592,9 @@ def cmd_selector(args, inst) -> Certificate:
         decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
         rel = _rel_partition(decl, cert)
     if args.phi:
-        if args.phi not in inst.maps:
-            raise UsageError(f"map {args.phi!r} not found in the instance")
-        phi = dict(inst.maps[args.phi].table)
+        phi = dict(_pick(
+            args, inst, inst.maps, args.phi, "phi", "map", "finite", "selector needs a map for --phi"
+        ).table)
     else:
         phi = min_selector(rel)
     cert.outputs = {
@@ -826,7 +818,9 @@ def cmd_export_graph(args, inst) -> tuple[int, list[str]]:
     return 0, [text.rstrip()]
 
 
-HANDLERS = {
+# every command in the order --help lists them; a handler returns a
+# Certificate, or (exit code, lines) when it prints no certificate summary
+COMMANDS = {
     "fm-classical": cmd_fm_classical,
     "fm-quotient": cmd_fm_quotient,
     "cover": cmd_cover,
@@ -840,6 +834,8 @@ HANDLERS = {
     "cocycle": cmd_cocycle,
     "normalizer": cmd_normalizer,
     "gallery": cmd_gallery,
+    "verify": cmd_verify,
+    "export-graph": cmd_export_graph,
 }
 
 
@@ -854,18 +850,13 @@ def main(argv=None) -> int:
     if command not in COMMANDS:
         parser.error(f"unknown command {command!r}; choose from: {', '.join(COMMANDS)}")
     try:
-        if command == "verify":
-            code, lines = cmd_verify(args, None)
-            print("\n".join(lines))
-            return code
-        # the instance file is read once: the text parsed is the text digested
-        text = decode_instance(_read_input(args.input)) if args.input else None
+        # the instance file is read once: the text parsed is the text digested;
+        # verify reads its --input as a certificate
+        text = None
+        if args.input and command != "verify":
+            text = decode_instance(_read_input(args.input))
         inst = parse_instance(text) if text is not None and command != "gallery" else None
-        if command == "export-graph":
-            code, lines = cmd_export_graph(args, inst)
-            print("\n".join(lines))
-            return code
-        cert = HANDLERS[command](args, inst)
+        result = COMMANDS[command](args, inst)
     except UsageError as e:
         parser.error(str(e))
     except QBorelError as e:
@@ -882,6 +873,11 @@ def main(argv=None) -> int:
             )
         )
         return 1
+    if isinstance(result, tuple):
+        code, lines = result
+        print("\n".join(lines))
+        return code
+    cert = result
     if text is not None:
         cert.add_input(os.path.basename(args.input), text)
     print("\n".join(cert.summary_lines()))

@@ -246,17 +246,19 @@ def psi_split(phis: list[dict[int, int]], n: int) -> list[dict[int, int]]:
 
 
 def psi_split_int(phis: list[PiecewiseTranslation]) -> list[PiecewiseTranslation]:
-    """Integer-lane splitting: graph of phi_a intersected with phi_b^-1."""
-    psis = []
-    for fa in phis:
-        for fb in phis:
-            pieces = []
-            for d1, c1 in fa.pieces:
-                for d2, c2 in fb.pieces:
-                    if c2 == -c1:
-                        pieces.append((d1.intersect(d2.translate(-c1)), c1))
-            psis.append(PiecewiseTranslation(pieces))
-    return psis
+    """Integer-lane splitting: graph of phi_a intersected with phi_b^-1.
+
+    A map holds one piece per offset, so the piece of phi_b that can undo
+    offset c of phi_a is its piece of offset -c, if any.
+    """
+    by_offset = [f.offsets() for f in phis]
+    return [
+        PiecewiseTranslation(
+            (d.intersect(offs[-c].translate(-c)), c) for d, c in fa.pieces if -c in offs
+        )
+        for fa in phis
+        for offs in by_offset
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +483,11 @@ class IntLevels:
 
 
 def _compatible_region(h: PiecewiseTranslation, c: int) -> IntSet:
-    """Points x where h(x + c) = h(x) + c, both sides defined."""
-    return IntSet.empty().union(*(
-        d1.intersect(d2.translate(-c))
-        for d1, c1 in h.pieces
-        for d2, c2 in h.pieces
-        if c1 == c2
-    ))
+    """Points x where h(x + c) = h(x) + c, both sides defined.
+
+    h holds one piece per offset, so x and x + c lie in the same piece.
+    """
+    return IntSet.empty().union(*(d.intersect(d.translate(-c)) for d, _ in h.pieces))
 
 
 def _side_levels(

@@ -312,6 +312,32 @@ def test_generate_endpoint_outside_the_points_is_usage_error(capsys, x, y, bad):
     assert f"{bad} is outside the points 0..4" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "--rel", "F", "--g0", "g"], "cover on a graphs relation needs a map seed"),
+    (["cover", "--rel", "B", "--maps", "g", "--g0", "f"],
+     "cover on a blocks relation needs a ptmap seed"),
+    (["cover", "--rel", "B", "--maps", "f", "--g0", "g"], "cover on a blocks relation needs ptmaps"),
+    (["fm-quotient", "--rel", "B", "--maps", "f"], "fm-quotient on a blocks relation needs ptmaps"),
+    (["selector", "--rel", "E", "--phi", "g"], "selector needs a map for --phi"),
+    # messages that predate the shared lane check
+    (["generate", "--maps", "g"], "generate works on finite maps"),
+    (["generate", "--maps", "f,g"], "maps must all live on the same carrier kind"),
+    (["tail", "--map", "g"], "tail works on finite endomaps"),
+    (["uniformize", "--rel", "E", "--maps", "f"], "uniformize without a graphs relation needs ptmaps"),
+], ids=[
+    "cover_graphs_ptmap_seed", "cover_blocks_map_seed", "cover_blocks_maps", "fm_quotient_blocks_maps",
+    "selector_ptmap_phi", "generate_ptmaps", "generate_mixed", "tail_ptmap", "uniformize_maps",
+])
+def test_map_from_the_wrong_lane_is_usage_error(tmp_path, capsys, argv, message):
+    from test_instance_format import FULL
+
+    inst = tmp_path / "full.qb"
+    inst.write_text(FULL, encoding="utf-8")
+    code, out = run(capsys, *argv, "--input", str(inst))
+    assert code == 2
+    assert out.endswith(f"qborel: error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "index"])
 def test_unreadable_input_path_is_usage_error(tmp_path, capsys, command):
     missing = str(tmp_path / "missing.qb")

@@ -1,4 +1,8 @@
-"""The plain-text instance format: parsing, printing, and error reporting."""
+"""The plain-text instance format: parsing and error reporting.
+
+Every sample file is parsed by the golden manifest commands in
+test_certificates.py.
+"""
 
 import os
 import pathlib
@@ -8,13 +12,7 @@ import sys
 import pytest
 
 import qborel
-from qborel.cli.instance import (
-    InstanceFile,
-    _split_groups,
-    parse_instance,
-    parse_instance_file,
-    print_instance,
-)
+from qborel.cli.instance import _split_groups, parse_instance
 from qborel.errors import InstanceSyntaxError, UnknownReference
 
 
@@ -54,13 +52,6 @@ def test_parse_full_instance():
     assert set(inst.groups) == {"C2"}
     assert set(inst.actions) == {"a"}
     assert inst.directives == {"rel": "F", "g0": "f"}
-
-
-def test_print_parse_round_trip():
-    inst = parse_instance(FULL)
-    text = print_instance(inst)
-    again = parse_instance(text)
-    assert print_instance(again) == text
 
 
 def test_finite_map_values():
@@ -266,20 +257,3 @@ def test_repeated_group_label_is_a_syntax_error_at_the_group_line():
     with pytest.raises(InstanceSyntaxError) as ei:
         parse_instance(text)
     assert str(ei.value) == "line 2: label r names two elements"
-
-
-def test_parse_instance_file(tmp_path):
-    p = tmp_path / "inst.qb"
-    p.write_text(FULL, encoding="utf-8")
-    inst = parse_instance_file(str(p))
-    assert set(inst.spaces) == {"S", "P", "Z"}
-
-
-def test_samples_parse_and_round_trip():
-    import pathlib
-
-    here = pathlib.Path(__file__).resolve().parent.parent / "samples"
-    for sample in sorted(here.glob("*.qb")):
-        inst = parse_instance_file(str(sample))
-        text = print_instance(inst)
-        assert print_instance(parse_instance(text)) == text

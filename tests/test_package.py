@@ -68,3 +68,22 @@ def test_public_exports_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert public == EXPORTS
+
+
+CLI_EXPORTS = [
+    "CHECKERS",
+    "Certificate",
+    "reverify",
+    "run_check",
+    "InstanceFile",
+    "parse_instance",
+    "COMMANDS",
+    "build_parser",
+    "main",
+]
+
+
+def test_cli_exports_are_pinned():
+    import qborel.cli
+
+    assert qborel.cli.__all__ == CLI_EXPORTS
