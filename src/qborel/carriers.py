@@ -32,6 +32,7 @@ import re
 from bisect import insort
 from collections import namedtuple
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import gcd, inf, lcm
 from typing import Iterable, Iterator
 
@@ -533,31 +534,62 @@ def _clear_memos() -> None:
     _residue_algebra.cache_clear()
 
 
-def _decompose_mod(pieces, p: int) -> dict[int, list]:
-    per: dict[int, list] = {}
+def _residue_runs(pieces, p: int) -> Iterator[tuple[int, int | None, int | None]]:
+    """(r, lo, hi) per piece and residue r: its members r + p*y, lo <= y <= hi."""
     for pc in pieces:
         d = pc.stride
         step = p // d
-        if pc.down:
-            for i0 in range(step):
-                x0 = pc.start - i0 * d
-                r = x0 % p
-                y0 = (x0 - r) // p
-                per.setdefault(r, []).append((None, y0))
-        elif pc.length is None:
-            for i0 in range(step):
-                x0 = pc.start + i0 * d
-                r = x0 % p
-                y0 = (x0 - r) // p
-                per.setdefault(r, []).append((y0, None))
-        else:
-            for i0 in range(min(step, pc.length)):
-                count = (pc.length - 1 - i0) // step + 1
-                x0 = pc.start + i0 * d
-                r = x0 % p
-                y0 = (x0 - r) // p
-                per.setdefault(r, []).append((y0, y0 + count - 1))
+        for i0 in range(step if pc.length is None else min(step, pc.length)):
+            x0 = pc.start - i0 * d if pc.down else pc.start + i0 * d
+            r = x0 % p
+            y0 = (x0 - r) // p
+            if pc.down:
+                yield r, None, y0
+            elif pc.length is None:
+                yield r, y0, None
+            else:
+                yield r, y0, y0 + (pc.length - 1 - i0) // step
+
+
+def _decompose_mod(pieces, p: int) -> dict[int, list]:
+    per: dict[int, list] = {}
+    for r, lo, hi in _residue_runs(pieces, p):
+        per.setdefault(r, []).append((lo, hi))
     return {r: _iv_norm(ivs) for r, ivs in per.items()}
+
+
+def _meets(family, probes=None) -> Iterator[tuple[int, int]]:
+    """Pairs (i, j), maybe repeated, of family[i] and probes[j] sharing a point,
+    or without probes of two members i != j of family (a set's own intervals
+    are disjoint).  One sweep modulo the common p: each residue's intervals
+    are sorted once and paired with the still-open ones of the other list.
+    """
+    lists = (family,) if probes is None else (family, probes)
+    if not all(lists):
+        return
+    sides = [[_points_apart(s.pieces) for s in side] for side in lists]
+    p = lcm(*[pc.stride for side in sides for pcs in side for pc in pcs])
+    ivs = sorted(
+        (r, -inf if lo is None else lo, inf if hi is None else hi, k, i)
+        for k, side in enumerate(sides)
+        for i, pcs in enumerate(side)
+        for r, lo, hi in _residue_runs(pcs, p)
+    )
+    last = None
+    for r, lo, hi, k, i in ivs:
+        if r != last:
+            last, heaps = r, [[] for _ in sides]
+        for heap in heaps:
+            while heap and heap[0][0] < lo:
+                heappop(heap)
+        for _, j in heaps[-1 - k]:  # the other list's, or one list's own
+            yield (j, i) if k else (i, j)
+        heappush(heaps[k], (hi, i))
+
+
+def _overlap(sets) -> bool:
+    """True when two of the sets meet; only then need a pairwise search name where."""
+    return len(sets) > 1 and next(_meets(sets), None) is not None
 
 
 def _rebuild_residue(r: int, p: int, ivs) -> list[Piece]:
@@ -676,7 +708,7 @@ class PiecewiseTranslation:
     def __init__(self, pieces: Iterable[tuple[IntSet, int]] = ()):
         self._merge(pieces)
         doms = [d for d, _ in self.pieces]
-        for i in range(len(doms)):
+        for i in range(len(doms) if _overlap(doms) else 0):
             for j in range(i + 1, len(doms)):
                 both = doms[i].intersect(doms[j])
                 if not both.is_empty():
@@ -686,6 +718,13 @@ class PiecewiseTranslation:
     def _merge(self, pieces: Iterable[tuple[IntSet, int]]) -> None:
         merged = sorted(offset_sets(pieces).items())
         object.__setattr__(self, "pieces", tuple((d, c) for c, d in merged))
+
+    @classmethod
+    def _disjoint(cls, pieces: Iterable[tuple[IntSet, int]]) -> "PiecewiseTranslation":
+        """A map from pieces whose domains are disjoint by construction: no check."""
+        out = object.__new__(cls)
+        out._merge(pieces)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("PiecewiseTranslation is immutable")
@@ -742,13 +781,11 @@ class PiecewiseTranslation:
         return IntSet.empty().union(*(d.intersect(s).translate(c) for d, c in self.pieces))
 
     def restrict(self, s: IntSet) -> "PiecewiseTranslation":
-        return PiecewiseTranslation((d.intersect(s), c) for d, c in self.pieces)
+        return self._disjoint((d.intersect(s), c) for d, c in self.pieces)
 
     def corestrict(self, s: IntSet) -> "PiecewiseTranslation":
         """Restrict to the part whose values land in s."""
-        return PiecewiseTranslation(
-            (d.intersect(s.translate(-c)), c) for d, c in self.pieces
-        )
+        return self._disjoint((d.intersect(s.translate(-c)), c) for d, c in self.pieces)
 
     def compose(self, other: "PiecewiseTranslation") -> "PiecewiseTranslation":
         """self after other: x -> self(other(x))."""
@@ -758,7 +795,8 @@ class PiecewiseTranslation:
                 dom = d2.intersect(d1.translate(-c2))
                 if not dom.is_empty():
                     out.append((dom, c1 + c2))
-        return PiecewiseTranslation(out)
+        # x lies in one piece of other and other(x) in one piece of self
+        return self._disjoint(out)
 
     def union(self, *others: "PiecewiseTranslation") -> "PiecewiseTranslation":
         """Union of graphs; domains must be pairwise disjoint.
@@ -768,24 +806,20 @@ class PiecewiseTranslation:
         """
         parts = (self, *others)
         doms = [f.domain() for f in parts]
-        for j in range(1, len(doms)):
+        for j in range(1, len(doms) if _overlap(doms) else 1):
             hits = [doms[i].intersect(doms[j]) for i in range(j)]
             hits = [h.closest_to_zero() for h in hits if not h.is_empty()]
             if hits:
                 x = min(hits, key=_zero_order)
                 raise ValueError(f"domains overlap at {clip(str(x))}")
-        # No second overlap check: within each part the domains of distinct
-        # offsets are disjoint, and the parts' whole domains were just shown
-        # pairwise disjoint, so after merging by offset the domains of
-        # distinct offsets are disjoint too.
-        out = object.__new__(PiecewiseTranslation)
-        out._merge(pc for f in parts for pc in f.pieces)
-        return out
+        # each part's domains are disjoint, and the parts' were just shown
+        # disjoint, so the merged domains are disjoint too
+        return self._disjoint(pc for f in parts for pc in f.pieces)
 
     def injectivity_witness(self):
         """None if injective, else (x1, x2, y) with x1 != x2 mapping to y."""
         ps = self.pieces
-        for i in range(len(ps)):
+        for i in range(len(ps) if _overlap([d.translate(c) for d, c in ps]) else 0):
             for j in range(i + 1, len(ps)):
                 (d1, c1), (d2, c2) = ps[i], ps[j]
                 both = d1.translate(c1).intersect(d2.translate(c2))
@@ -801,7 +835,7 @@ class PiecewiseTranslation:
         w = self.injectivity_witness()
         if w is not None:
             raise NotInjective(f"{w[0]} and {w[1]} both map to {w[2]}", witness=w)
-        return PiecewiseTranslation((d.translate(c), -c) for d, c in self.pieces)
+        return self._disjoint((d.translate(c), -c) for d, c in self.pieces)
 
     def graph_minus(self, *others: "PiecewiseTranslation") -> "PiecewiseTranslation":
         """Pairs of self not present in any of the others (a partial map again)."""
@@ -813,7 +847,7 @@ class PiecewiseTranslation:
                 if od is not None:
                     rest = rest.difference(od)
             out.append((rest, c))
-        return PiecewiseTranslation(out)
+        return self._disjoint(out)
 
     def graph_subset_witness(self, *others: "PiecewiseTranslation"):
         """None if graph(self) is covered by the union of the others, else (x, y)."""

@@ -14,8 +14,10 @@ Grammar, one declaration per line, `#` starts a comment:
     action <name> : <group> on <space> : <label> -> <map>, ...
     set <key> = <value>
 
-Finite maps and partitions are written on quotient points (class ids);
-an IntSet is a semicolon-separated term list such as `..-1; 0:+2*inf`.
+A graphs or partition relation needs a finite space, a blocks relation
+an int space.  Finite maps and partitions are written on quotient points
+(class ids); an IntSet is a semicolon-separated term list such as
+`..-1; 0:+2*inf`.
 Numbers in group tables are element indices, row acts on the left.
 """
 
@@ -262,6 +264,8 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
     name, space, kind, body = m.groups()
     sdecl = _require(inst, inst.spaces, space, "space", line_no)
     if kind == "graphs":
+        if sdecl.kind != "finite":
+            _fail(line_no, "graphs form needs a finite space")
         graph_names = _split_bracket_list(body, line_no)
         decls = [
             _require(inst, inst.maps, g, "map", line_no) for g in graph_names
@@ -269,12 +273,7 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
         for d in decls:
             if d.src != space or d.dst != space:
                 _fail(line_no, f"map {quote(d.name)} is not an endomap of {space}")
-        if sdecl.kind == "finite":
-            value = EnumeratedEquivalence.make(
-                sdecl.size, [d.table for d in decls]
-            )
-        else:
-            value = [d.table for d in decls]
+        value = EnumeratedEquivalence.make(sdecl.size, [d.table for d in decls])
         return RelDecl(name, "graphs", graph_names, value)
     if kind == "blocks":
         if sdecl.kind != "int":

@@ -124,10 +124,10 @@ def _need_instance(inst, what: str) -> InstanceFile:
 
 
 def _map_list(args, inst, lane: str, mismatch: str) -> list:
-    """The maps --maps or the `maps` directive names, all of one lane.
+    """The maps --maps or the `maps` directive names, all of one lane and space.
 
     Maps of two lanes, or of the other lane, are usage errors; the latter
-    says `mismatch`.
+    says `mismatch`.  So are maps touching two spaces.
     """
     inst = _need_instance(inst, "this command")
     names = args.maps
@@ -140,6 +140,9 @@ def _map_list(args, inst, lane: str, mismatch: str) -> list:
         raise UsageError("maps must all live on the same carrier kind")
     if out[0].kind != lane:
         raise UsageError(mismatch)
+    spaces = list(dict.fromkeys(s for d in out for s in (d.src, d.dst)))
+    if len(spaces) > 1:
+        raise UsageError(f"maps must all live on one space, not {spaces[0]} and {spaces[1]}")
     return out
 
 

@@ -252,8 +252,9 @@ def psi_split_int(phis: list[PiecewiseTranslation]) -> list[PiecewiseTranslation
     offset c of phi_a is its piece of offset -c, if any.
     """
     by_offset = [f.offsets() for f in phis]
+    # each psi keeps parts of its phi_a's domains, which are disjoint
     return [
-        PiecewiseTranslation(
+        PiecewiseTranslation._disjoint(
             (d.intersect(offs[-c].translate(-c)), c) for d, c in fa.pieces if -c in offs
         )
         for fa in phis
@@ -351,7 +352,9 @@ def greedy_extend_int(
         w = rel.graph_within_witness(g0)
         if w is not None:
             raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
-    queue = [PiecewiseTranslation.identity(ambient)] + list(psis)
+    # a repeated psi adds nothing: each of its pairs was taken or blocked
+    # the first time, and it passed or failed the relation check then
+    queue = list(dict.fromkeys([PiecewiseTranslation.identity(ambient), *psis]))
     g = g0
     for psi in queue:
         if rel is not None:
@@ -364,9 +367,10 @@ def greedy_extend_int(
         fresh = fresh.corestrict(ambient.difference(g.range_set()))
         # a single psi piece may still clash with itself after filtering
         # (its unused sources mapping onto each other's unused targets is
-        # impossible: psi is injective and filtering only removes pairs)
+        # impossible: psi is injective and filtering only removes pairs);
+        # fresh sources avoid g's domain, so the union needs no check
         if not fresh.is_empty():
-            g = g.union(fresh)
+            g = PiecewiseTranslation._disjoint(g.pieces + fresh.pieces)
     return g
 
 
@@ -553,14 +557,11 @@ def levels_int(
 ) -> IntLevels:
     """Integer-lane stratification of a maximal partial injection."""
     _check_probe("level bound", bound, 1)
-    w = g.injectivity_witness()
-    if w is not None:
-        raise NotInjective(f"{w[0]} and {w[1]} both map to {w[2]}", witness=w)
+    ginv = g.inverse()  # NotInjective when two points share an image
     w = maximality_witness_int(g, rel)
     if w is not None:
         raise NotMaximal(f"pair {w} is unused but extendable", witness=w)
     ambient = rel.ambient
-    ginv = g.inverse()
     pos_first = g.domain().difference(g.range_set())
     neg_first = g.range_set().difference(g.domain())
     pos = _side_levels(g, pos_first, bound, MAX_PERIOD)
@@ -727,26 +728,32 @@ def orbit_window_witness(
     """None when generators connect every related window pair, else a pair.
 
     Breadth-first search over generator moves (both directions), allowed
-    to roam ORBIT_SLACK beyond the window.
+    to roam ORBIT_SLACK beyond the window.  Each move is read from a table
+    of its steps inside the roaming range, built once from its pieces.
     """
     _check_probe("window", window, 0)
     lo, hi = -window - ORBIT_SLACK, window + ORBIT_SLACK
     moves = list(generators) + [
         f.inverse() for f in generators if f.is_injective()
     ]
+    tables = [
+        {x: x + c for d, c in f.pieces for x in d.window(lo, hi) if lo <= x + c <= hi}
+        for f in moves
+    ]
     for b in rel.blocks:
         points = b.window(-window, window)
         if len(points) < 2:
             continue
+        inside = set(b.window(lo, hi))
         start = points[0]
         seen = {start}
         frontier = [start]
         while frontier:
             nxt = []
             for x in frontier:
-                for f in moves:
-                    y = f.get(x)
-                    if y is not None and lo <= y <= hi and y not in seen and y in b:
+                for t in tables:
+                    y = t.get(x)
+                    if y is not None and y not in seen and y in inside:
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt

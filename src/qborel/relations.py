@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from .carriers import IntSet, PiecewiseTranslation, _zero_order
+from .carriers import IntSet, PiecewiseTranslation, _meets, _overlap, _zero_order
 from .errors import (
     IndexTooLarge,
     InvalidPartition,
@@ -353,10 +353,11 @@ class IntBlockRelation:
     def make(cls, blocks, ambient: IntSet | None = None) -> "IntBlockRelation":
         amb = ambient if ambient is not None else IntSet.all_integers()
         bs = [b for b in blocks if not b.is_empty()]
+        overlap = _overlap(bs)
         for i in range(len(bs)):
             if not bs[i].is_subset(amb):
                 raise InvalidPartition(f"block {i} leaves the ambient set")
-            for j in range(i + 1, len(bs)):
+            for j in range(i + 1, len(bs)) if overlap else ():
                 both = bs[i].intersect(bs[j])
                 if not both.is_empty():
                     raise InvalidPartition(
@@ -370,10 +371,14 @@ class IntBlockRelation:
         """None if graph(f) stays inside the relation, else an escaping pair.
 
         A pair (x, x+c) with c != 0 lies inside exactly when x and x+c
-        share a block, so the offset-c domain must sit in the union of
-        the sets B meet (B - c).
+        share a block, so the offset-c domain d must sit in the union of
+        the sets B meet (B - c) over the blocks B that one sweep finds meet d.
         """
-        for d, c in f.pieces:
+        moving = [j for j, (_, c) in enumerate(f.pieces) if c]
+        meeting: dict[int, list[IntSet]] = {}
+        for i, j in set(_meets(self.blocks, [f.pieces[j][0] for j in moving])):
+            meeting.setdefault(moving[j], []).append(self.blocks[i])
+        for j, (d, c) in enumerate(f.pieces):
             if c == 0:
                 stray = d.difference(self.ambient)
                 if not stray.is_empty():
@@ -381,7 +386,7 @@ class IntBlockRelation:
                     return (x, x)
                 continue
             allowed = IntSet.empty().union(
-                *(b.intersect(b.translate(-c)) for b in self.blocks)
+                *(b.intersect(b.translate(-c)) for b in meeting.get(j, ()))
             )
             stray = d.difference(allowed)
             if not stray.is_empty():

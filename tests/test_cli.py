@@ -546,3 +546,35 @@ def test_each_run_starts_from_empty_memos(tmp_path, capsys):
     assert infos[0] == infos[1]
     for info in infos[0]:
         assert info.maxsize == MEMO_SIZE and 0 < info.currsize <= MEMO_SIZE
+
+
+GRAPHS_ON_INT = "space Z carrier = int\nptmap g : Z : 0.. -> +0\nrel R on Z graphs = [g]\n"
+
+
+@pytest.mark.parametrize("command", [
+    "fm-quotient", "selector", "involution2", "fm-classical", "export-graph", "uniformize",
+    "index", "cover",
+])
+def test_graphs_relation_on_an_int_space_is_a_syntax_error(tmp_path, capsys, command):
+    inst = tmp_path / "graphs_on_int.qb"
+    inst.write_text(GRAPHS_ON_INT, encoding="utf-8")
+    code, out = run(capsys, command, "--input", str(inst))
+    assert code == 1
+    assert "Traceback" not in out
+    assert json.loads(out)["error"] == {
+        "kind": "InstanceSyntaxError",
+        "message": "line 3: graphs form needs a finite space",
+        "witness": None,
+    }
+
+
+def test_generate_maps_on_two_spaces_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "two_spaces.qb"
+    inst.write_text(
+        "space A carrier = finite(2)\nspace B carrier = finite(5)\n"
+        "map a : A -> A : 0 -> 1, 1 -> 0\nmap b : B -> B : 0 -> 4\n",
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "generate", "--input", str(inst), "--maps", "a,b")
+    assert code == 2
+    assert out.endswith("qborel: error: maps must all live on one space, not A and B\n")

@@ -1,0 +1,169 @@
+"""One answer on both lanes: finite instances run through the integer lane.
+
+A finite instance embeds in the integer lane without loss: point x is
+the integer x, each map becomes singleton pieces x -> +(y-x), and each
+class a finite block (all other integers are singletons).  On the
+embedded instance the integer lane must return the finite lane's
+`fm-quotient` generators in the same order and its `cover` triple, read
+back on the points 0..n-1.
+"""
+
+import contextlib
+import io
+import random
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from qborel.carriers import IntSet, PiecewiseTranslation
+from qborel.cli.main import main
+from qborel.feldman_moore import (
+    cover_finite,
+    cover_int,
+    greedy_extend,
+    greedy_extend_int,
+    levels_finite,
+    levels_int,
+    psi_split,
+    psi_split_int,
+    quotient_construction,
+    quotient_construction_int,
+)
+from qborel.relations import EnumeratedEquivalence, IntBlockRelation
+
+# ---------------------------------------------------------------------------
+# the embedding
+
+
+def embed_map(f: dict[int, int]) -> PiecewiseTranslation:
+    return PiecewiseTranslation((IntSet.of(x), y - x) for x, y in f.items())
+
+
+def embed_classes(classes) -> IntBlockRelation:
+    return IntBlockRelation.make([IntSet.of(*c) for c in classes])
+
+
+def embed_text(classes, maps) -> str:
+    """The embedded instance as an instance file for `fm-quotient`."""
+    lines = ["space Z carrier = int"]
+    for j, f in enumerate(maps):
+        body = " | ".join(f"{x} -> {y - x:+d}" for x, y in sorted(f.items()))
+        lines.append(f"ptmap s{j} : Z : {body}")
+    blocks = ", ".join("{" + "; ".join(map(str, sorted(c))) + "}" for c in classes)
+    lines += [
+        f"rel B on Z blocks = {{ {blocks} }}",
+        "set rel = B",
+        "set maps = " + ",".join(f"s{j}" for j in range(len(maps))),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def on_points(f: PiecewiseTranslation, n: int) -> dict[int, int]:
+    """An integer-lane map read back on the points 0..n-1."""
+    return {x: f(x) for x in range(n) if f.get(x) is not None}
+
+
+def shifts(classes, k: int) -> list[dict[int, int]]:
+    """The k cyclic shifts of every class: an enumeration of the classes."""
+    return [
+        {c[a]: c[(a + j) % len(c)] for c in classes for a in range(len(c))}
+        for j in range(k)
+    ]
+
+
+def random_classes(rng, n: int, k: int) -> list[list[int]]:
+    """Classes of size 1..k over a shuffled 0..n-1 (the finite_fm shape)."""
+    points = list(range(n))
+    rng.shuffle(points)
+    classes, i = [], 0
+    while i < n:
+        m = rng.randint(1, k)
+        classes.append(points[i:i + m])
+        i += m
+    return classes
+
+
+# ---------------------------------------------------------------------------
+# both lanes
+
+
+def both_quotients(n, classes, maps):
+    fin = quotient_construction(EnumeratedEquivalence.make(n, maps))
+    intq = quotient_construction_int(embed_classes(classes), [embed_map(f) for f in maps])
+    return fin.generators, [on_points(g, n) for g in intq.generators]
+
+
+def both_covers(n, classes, maps, seed):
+    enum = EnumeratedEquivalence.make(n, maps)
+    part = enum.partition()
+    g = greedy_extend(seed, psi_split(enum.graph_dicts(), n), n, part)
+    pair = cover_finite(levels_finite(g, n, part))
+    rel = embed_classes(classes)
+    gi = greedy_extend_int(
+        embed_map(seed), psi_split_int([embed_map(f) for f in maps]), rel.ambient, rel
+    )
+    pair_i = cover_int(levels_int(gi, rel))
+    return (
+        (g, pair.first, pair.second),
+        tuple(on_points(f, n) for f in (gi, pair_i.first, pair_i.second)),
+    )
+
+
+def random_seed(rng, classes) -> dict[int, int]:
+    """A partial injection inside the classes, on about half of them.
+
+    Its sources and targets overlap or are disjoint; disjoint ones leave
+    several free points per class, where the order of the greedy
+    extension shows.
+    """
+    seed = {}
+    for c in classes:
+        if len(c) > 1 and rng.random() < 0.5:
+            perm = rng.sample(c, len(c))
+            m = rng.randint(1, len(c))
+            j = rng.randint(0, len(c) - m)
+            seed.update(zip(perm[:m], perm[j:j + m]))
+    return seed
+
+
+@st.composite
+def instances(draw, max_n=40):
+    """An enumeration of random classes, and a cover seed inside them or none."""
+    n, k = draw(st.integers(1, max_n)), draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    classes = random_classes(rng, n, k)
+    # any order: with the identity shift first the greedy identity pass is idle
+    maps = rng.sample(shifts(classes, k), k)
+    seed = random_seed(rng, classes) if draw(st.booleans()) else {}
+    return n, classes, maps, seed
+
+
+@settings(max_examples=100)
+@given(instances())
+def test_both_lanes_give_one_answer(instance):
+    n, classes, maps, seed = instance
+    fin, embedded = both_quotients(n, classes, maps)
+    assert embedded == fin
+    fin, embedded = both_covers(n, classes, maps, seed)
+    assert embedded == fin
+
+
+def test_both_lanes_agree_at_140_points():
+    rng = random.Random(140)
+    classes = random_classes(rng, 140, 5)
+    maps = shifts(classes, 5)
+    fin, embedded = both_quotients(140, classes, maps)
+    assert embedded == fin and len(fin) > 1
+    fin, embedded = both_covers(140, classes, maps, random_seed(rng, classes))
+    assert embedded == fin
+
+
+def test_embedded_160_points_certify_and_verify_within_2_s(tmp_path):
+    classes = random_classes(random.Random(160), 160, 4)
+    inst, cert = tmp_path / "embedded.qb", tmp_path / "embedded.json"
+    inst.write_text(embed_text(classes, shifts(classes, 4)), encoding="utf-8")
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fm-quotient", "--input", str(inst), "--out", str(cert)]) == 0
+        assert main(["verify", "--input", str(cert)]) == 0
+    assert time.perf_counter() - t0 < 2.0
