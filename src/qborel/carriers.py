@@ -534,62 +534,71 @@ def _clear_memos() -> None:
     _residue_algebra.cache_clear()
 
 
-def _residue_runs(pieces, p: int) -> Iterator[tuple[int, int | None, int | None]]:
-    """(r, lo, hi) per piece and residue r: its members r + p*y, lo <= y <= hi."""
+def _decompose_mod(pieces, p: int) -> dict[int, list]:
+    per: dict[int, list] = {}
     for pc in pieces:
         d = pc.stride
         step = p // d
-        for i0 in range(step if pc.length is None else min(step, pc.length)):
-            x0 = pc.start - i0 * d if pc.down else pc.start + i0 * d
-            r = x0 % p
-            y0 = (x0 - r) // p
-            if pc.down:
-                yield r, None, y0
-            elif pc.length is None:
-                yield r, y0, None
-            else:
-                yield r, y0, y0 + (pc.length - 1 - i0) // step
-
-
-def _decompose_mod(pieces, p: int) -> dict[int, list]:
-    per: dict[int, list] = {}
-    for r, lo, hi in _residue_runs(pieces, p):
-        per.setdefault(r, []).append((lo, hi))
+        if pc.down:
+            for i0 in range(step):
+                x0 = pc.start - i0 * d
+                r = x0 % p
+                y0 = (x0 - r) // p
+                per.setdefault(r, []).append((None, y0))
+        elif pc.length is None:
+            for i0 in range(step):
+                x0 = pc.start + i0 * d
+                r = x0 % p
+                y0 = (x0 - r) // p
+                per.setdefault(r, []).append((y0, None))
+        else:
+            for i0 in range(min(step, pc.length)):
+                count = (pc.length - 1 - i0) // step + 1
+                x0 = pc.start + i0 * d
+                r = x0 % p
+                y0 = (x0 - r) // p
+                per.setdefault(r, []).append((y0, y0 + count - 1))
     return {r: _iv_norm(ivs) for r, ivs in per.items()}
+
+
+def _pieces_meet(a: Piece, b: Piece, lo, hi) -> bool:
+    """Whether pieces a and b share a point in [lo, hi], the overlap of their hulls."""
+    g = gcd(a.stride, b.stride)
+    if (b.start - a.start) % g:
+        return False
+    if lo == -inf:  # two down rays: their common progression is unbounded below
+        return True
+    m = b.stride // g
+    x = a.start + a.stride * ((b.start - a.start) // g * pow(a.stride // g, -1, m) % m)
+    return lo + (x - lo) % (a.stride * m) <= hi
 
 
 def _meets(family, probes=None) -> Iterator[tuple[int, int]]:
     """Pairs (i, j), maybe repeated, of family[i] and probes[j] sharing a point,
-    or without probes of two members i != j of family (a set's own intervals
-    are disjoint).  One sweep modulo the common p: each residue's intervals
-    are sorted once and paired with the still-open ones of the other list.
-    """
+    or without probes of members i != j of family.  One sweep over all pieces
+    by hull, two-point pieces split so as not to span their gap, tests each
+    against the open pieces of the other list, or of its own."""
     lists = (family,) if probes is None else (family, probes)
-    if not all(lists):
-        return
-    sides = [[_points_apart(s.pieces) for s in side] for side in lists]
-    p = lcm(*[pc.stride for side in sides for pcs in side for pc in pcs])
-    ivs = sorted(
-        (r, -inf if lo is None else lo, inf if hi is None else hi, k, i)
-        for k, side in enumerate(sides)
-        for i, pcs in enumerate(side)
-        for r, lo, hi in _residue_runs(pcs, p)
-    )
-    last = None
-    for r, lo, hi, k, i in ivs:
-        if r != last:
-            last, heaps = r, [[] for _ in sides]
+    runs = [(-inf if pc.down else pc.start, inf if pc.max is None else pc.max, k, i, pc)
+            for k, side in enumerate(lists) for i, s in enumerate(side)
+            for pc in _points_apart(s.pieces)]
+    runs.sort(key=lambda run: run[0])
+    heaps: list[list] = [[] for _ in lists]
+    for n, (lo, hi, k, i, pc) in enumerate(runs):
         for heap in heaps:
             while heap and heap[0][0] < lo:
                 heappop(heap)
-        for _, j in heaps[-1 - k]:  # the other list's, or one list's own
-            yield (j, i) if k else (i, j)
-        heappush(heaps[k], (hi, i))
+        for top, m in heaps[-1 - k]:
+            if _pieces_meet(pc, runs[m][4], lo, min(hi, top)):
+                j = runs[m][3]
+                yield (j, i) if k else (i, j)
+        heappush(heaps[k], (hi, n))
 
 
-def _overlap(sets) -> bool:
-    """True when two of the sets meet; only then need a pairwise search name where."""
-    return len(sets) > 1 and next(_meets(sets), None) is not None
+def _first_overlap(sets) -> tuple[int, int] | None:
+    """The least pair i < j of indices of two sets that meet, or None."""
+    pairs = (tuple(sorted(p)) for p in _meets(sets)) if len(sets) > 1 else ()
+    return min(pairs, default=None)
 
 
 def _rebuild_residue(r: int, p: int, ivs) -> list[Piece]:
@@ -708,12 +717,10 @@ class PiecewiseTranslation:
     def __init__(self, pieces: Iterable[tuple[IntSet, int]] = ()):
         self._merge(pieces)
         doms = [d for d, _ in self.pieces]
-        for i in range(len(doms) if _overlap(doms) else 0):
-            for j in range(i + 1, len(doms)):
-                both = doms[i].intersect(doms[j])
-                if not both.is_empty():
-                    x = both.closest_to_zero()
-                    raise ValueError(f"overlapping domains at {clip(str(x))}")
+        hit = _first_overlap(doms)
+        if hit is not None:
+            x = doms[hit[0]].intersect(doms[hit[1]]).closest_to_zero()
+            raise ValueError(f"overlapping domains at {clip(str(x))}")
 
     def _merge(self, pieces: Iterable[tuple[IntSet, int]]) -> None:
         merged = sorted(offset_sets(pieces).items())
@@ -806,27 +813,24 @@ class PiecewiseTranslation:
         """
         parts = (self, *others)
         doms = [f.domain() for f in parts]
-        for j in range(1, len(doms) if _overlap(doms) else 1):
-            hits = [doms[i].intersect(doms[j]) for i in range(j)]
-            hits = [h.closest_to_zero() for h in hits if not h.is_empty()]
-            if hits:
-                x = min(hits, key=_zero_order)
-                raise ValueError(f"domains overlap at {clip(str(x))}")
-        # each part's domains are disjoint, and the parts' were just shown
-        # disjoint, so the merged domains are disjoint too
+        pairs = [sorted(p) for p in _meets(doms)]
+        if pairs:  # the first part meeting an earlier one, at the point nearest 0
+            j = min(j for _, j in pairs)
+            hits = [doms[i].intersect(doms[j]).closest_to_zero() for i, k in pairs if k == j]
+            x = min(hits, key=_zero_order)
+            raise ValueError(f"domains overlap at {clip(str(x))}")
+        # each part's domains are disjoint, and the parts' were just shown to be
         return self._disjoint(pc for f in parts for pc in f.pieces)
 
     def injectivity_witness(self):
         """None if injective, else (x1, x2, y) with x1 != x2 mapping to y."""
         ps = self.pieces
-        for i in range(len(ps) if _overlap([d.translate(c) for d, c in ps]) else 0):
-            for j in range(i + 1, len(ps)):
-                (d1, c1), (d2, c2) = ps[i], ps[j]
-                both = d1.translate(c1).intersect(d2.translate(c2))
-                if not both.is_empty():
-                    y = both.closest_to_zero()
-                    return (y - c1, y - c2, y)
-        return None
+        hit = _first_overlap([d.translate(c) for d, c in ps])
+        if hit is None:
+            return None
+        (d1, c1), (d2, c2) = ps[hit[0]], ps[hit[1]]
+        y = d1.translate(c1).intersect(d2.translate(c2)).closest_to_zero()
+        return (y - c1, y - c2, y)
 
     def is_injective(self) -> bool:
         return self.injectivity_witness() is None

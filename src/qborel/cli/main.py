@@ -124,10 +124,10 @@ def _need_instance(inst, what: str) -> InstanceFile:
 
 
 def _map_list(args, inst, lane: str, mismatch: str) -> list:
-    """The maps --maps or the `maps` directive names, all of one lane and space.
+    """The maps --maps or the `maps` directive names, all of one lane.
 
     Maps of two lanes, or of the other lane, are usage errors; the latter
-    says `mismatch`.  So are maps touching two spaces.
+    says `mismatch`.
     """
     inst = _need_instance(inst, "this command")
     names = args.maps
@@ -140,9 +140,6 @@ def _map_list(args, inst, lane: str, mismatch: str) -> list:
         raise UsageError("maps must all live on the same carrier kind")
     if out[0].kind != lane:
         raise UsageError(mismatch)
-    spaces = list(dict.fromkeys(s for d in out for s in (d.src, d.dst)))
-    if len(spaces) > 1:
-        raise UsageError(f"maps must all live on one space, not {spaces[0]} and {spaces[1]}")
     return out
 
 
@@ -503,7 +500,11 @@ def cmd_generate(args, inst) -> Certificate:
     inst = _need_instance(inst, "generate")
     cert = Certificate("generate")
     decls = _map_list(args, inst, "finite", "generate works on finite maps")
-    n = inst.spaces[decls[0].src].size
+    # n is read off the first map's space, so every map must live on it alone
+    spaces = list(dict.fromkeys(s for d in decls for s in (d.src, d.dst)))
+    if len(spaces) > 1:
+        raise UsageError(f"maps must all live on one space, not {spaces[0]} and {spaces[1]}")
+    n = inst.spaces[spaces[0]].size
     maps = [d.table for d in decls]
     for flag, point in (("--x", args.x), ("--y", args.y)):
         if point is not None and not 0 <= point < n:

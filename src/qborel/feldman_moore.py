@@ -352,9 +352,7 @@ def greedy_extend_int(
         w = rel.graph_within_witness(g0)
         if w is not None:
             raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
-    # a repeated psi adds nothing: each of its pairs was taken or blocked
-    # the first time, and it passed or failed the relation check then
-    queue = list(dict.fromkeys([PiecewiseTranslation.identity(ambient), *psis]))
+    queue = [PiecewiseTranslation.identity(ambient)] + list(psis)
     g = g0
     for psi in queue:
         if rel is not None:

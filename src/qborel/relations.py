@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from .carriers import IntSet, PiecewiseTranslation, _meets, _overlap, _zero_order
+from .carriers import IntSet, PiecewiseTranslation, _first_overlap, _meets, _zero_order
 from .errors import (
     IndexTooLarge,
     InvalidPartition,
@@ -353,17 +353,15 @@ class IntBlockRelation:
     def make(cls, blocks, ambient: IntSet | None = None) -> "IntBlockRelation":
         amb = ambient if ambient is not None else IntSet.all_integers()
         bs = [b for b in blocks if not b.is_empty()]
-        overlap = _overlap(bs)
+        hit = _first_overlap(bs)
         for i in range(len(bs)):
             if not bs[i].is_subset(amb):
                 raise InvalidPartition(f"block {i} leaves the ambient set")
-            for j in range(i + 1, len(bs)) if overlap else ():
-                both = bs[i].intersect(bs[j])
-                if not both.is_empty():
-                    raise InvalidPartition(
-                        f"blocks {i} and {j} overlap",
-                        witness=both.closest_to_zero(),
-                    )
+            if hit is not None and hit[0] == i:
+                raise InvalidPartition(
+                    f"blocks {i} and {hit[1]} overlap",
+                    witness=bs[i].intersect(bs[hit[1]]).closest_to_zero(),
+                )
         bs.sort(key=lambda b: _zero_order(b.closest_to_zero()))
         return cls(tuple(bs), amb)
 
@@ -371,14 +369,13 @@ class IntBlockRelation:
         """None if graph(f) stays inside the relation, else an escaping pair.
 
         A pair (x, x+c) with c != 0 lies inside exactly when x and x+c
-        share a block, so the offset-c domain d must sit in the union of
-        the sets B meet (B - c) over the blocks B that one sweep finds meet d.
+        share a block, so the offset-c domain must sit in the union of
+        the sets B meet (B - c).
         """
-        moving = [j for j, (_, c) in enumerate(f.pieces) if c]
-        meeting: dict[int, list[IntSet]] = {}
-        for i, j in set(_meets(self.blocks, [f.pieces[j][0] for j in moving])):
-            meeting.setdefault(moving[j], []).append(self.blocks[i])
-        for j, (d, c) in enumerate(f.pieces):
+        meeting: list[set[int]] = [set() for _ in f.pieces]
+        for i, j in _meets(self.blocks, [d for d, _ in f.pieces]):
+            meeting[j].add(i)
+        for (d, c), near in zip(f.pieces, meeting):
             if c == 0:
                 stray = d.difference(self.ambient)
                 if not stray.is_empty():
@@ -386,7 +383,7 @@ class IntBlockRelation:
                     return (x, x)
                 continue
             allowed = IntSet.empty().union(
-                *(b.intersect(b.translate(-c)) for b in meeting.get(j, ()))
+                *(self.blocks[i].intersect(self.blocks[i].translate(-c)) for i in near)
             )
             stray = d.difference(allowed)
             if not stray.is_empty():

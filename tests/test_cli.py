@@ -1,11 +1,15 @@
 """End-to-end command line checks, run in-process through main()."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import qborel
 from qborel.carriers import (
     MEMO_SIZE,
     IntSet,
@@ -578,3 +582,67 @@ def test_generate_maps_on_two_spaces_is_usage_error(tmp_path, capsys):
     code, out = run(capsys, "generate", "--input", str(inst), "--maps", "a,b")
     assert code == 2
     assert out.endswith("qborel: error: maps must all live on one space, not A and B\n")
+
+
+def test_ptmaps_on_two_int_spaces_still_run(tmp_path, capsys):
+    # only generate reads its point count off one map's space
+    text = (
+        "space Z carrier = int\nspace W carrier = int\n"
+        "ptmap idz : Z : ..-1; 0.. -> +0\nptmap up : W : ..-1; 0.. -> +1\n"
+        "ptmap down : W : ..-1; 0.. -> -1\n"
+        "rel F on Z blocks = { {..-1; 0..} }\nset rel = F\nset maps = idz,up,down\n"
+    )
+    outs = []
+    for name, body in (("two", text), ("one", text.replace(": W :", ": Z :"))):
+        inst = tmp_path / f"{name}.qb"
+        inst.write_text(body, encoding="utf-8")
+        for command in ("fm-quotient", "uniformize"):
+            code, out = run(capsys, command, "--input", str(inst))
+            assert code == 0, out
+            outs.append(out)
+    assert outs[:2] == outs[2:]
+
+
+# -- integer-lane cost ----------------------------------------------------------
+
+# Four pairwise disjoint blocks of strides 101, 103, 107 and 109: the
+# pairwise searches pay the lcm of two strides at most, while one sweep
+# modulo the lcm of all four would list about 1.2e8 runs for each ray.
+STRIDED = "{0:+101*3}, {1:+103*3}, {2:+107*3}, {3:+109*3}"
+
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qborel.cli.main import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("ray, maps, command, code", [
+    ("5000..", "idz : Z : ..-1; 0.. -> +0", "fm-quotient", 0),
+    ("", "f : Z : 1000.. -> +1", "fm-quotient", 1),
+    ("", "f : Z : 1000.. -> +1", "cover", 1),
+    ("1000..", "f : Z : 1000.. -> +1", "fm-quotient", 0),
+    ("1000..", "f : Z : 1000.. -> +1", "cover", 0),
+])
+def test_blocks_of_coprime_strides_with_a_ray_stay_cheap(tmp_path, ray, maps, command, code):
+    blocks = STRIDED + (f", {{{ray}}}" if ray else "")
+    name = maps.split()[0]
+    inst = tmp_path / "strided.qb"
+    inst.write_text(
+        f"space Z carrier = int\nptmap {maps}\nptmap g0 : Z : 1000.. -> +1\n"
+        f"rel B on Z blocks = {{ {blocks} }}\n"
+        f"set rel = B\nset maps = {name}\nset g0 = g0\n",
+        encoding="utf-8",
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(qborel.__file__).resolve().parents[1])}
+    t0 = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, command, "--input", str(inst)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - t0 < 10
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    if code:
+        assert json.loads(out.stdout)["error"]["kind"] == "NotWithinRelation"

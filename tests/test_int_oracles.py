@@ -215,6 +215,8 @@ def test_ptmap_overlap_matches_the_pairwise_search(pairs):
 
 @given(st.lists(ptmaps(max_parts=2), min_size=1, max_size=4))
 @example([parse_ptmap("0..9 -> +1"), parse_ptmap("20.. -> +2"), parse_ptmap("..-5; 5 -> -1")])
+# the last part meets both earlier ones: the point nearest 0 is met second
+@example([parse_ptmap("-8 -> +1"), parse_ptmap("3 -> +1"), parse_ptmap("-8..10 -> +2")])
 def test_union_overlap_matches_the_pairwise_search(parts):
     got = outcome(parts[0].union, *parts[1:])
     want = outcome(ref_union, *parts)
