@@ -149,13 +149,17 @@ def _rel_partition(decl, cert: Certificate):
         return decl.value
     if decl.kind != "graphs":
         raise UsageError("this command needs a finite relation")
-    enum = decl.value
+    _emit_enumeration(cert, decl.value)
+    return decl.value.partition()
+
+
+def _emit_enumeration(cert: Certificate, enum) -> None:
+    """The check that the graphs of enum pass the enumeration laws."""
     cert.emit(
         "graphs_form_an_enumeration",
         "enumeration_laws",
         {"n": enum.n, "maps": [list(g) for g in enum.graphs]},
     )
-    return enum.partition()
 
 
 def _blocks_of(p) -> list:
@@ -236,9 +240,16 @@ def cmd_fm_classical(args, inst) -> Certificate:
     return cert
 
 
+def _et_shift_only(args, command: str):
+    """Any --gallery but et_shift is a usage error: no other one feeds command."""
+    if args.gallery not in (None, "et_shift"):
+        raise UsageError(f"only the et_shift gallery instance feeds {command}")
+
+
 def cmd_fm_quotient(args, inst) -> Certificate:
+    _et_shift_only(args, "fm-quotient")
     cert = Certificate("fm-quotient")
-    if args.gallery == "et_shift":
+    if args.gallery:
         g = _gallery_instance(args, "et_shift")
         rel, phis = g.data["relation"], g.data["maps"]
         return _fm_quotient_int(args, cert, rel, phis)
@@ -257,11 +268,7 @@ def cmd_fm_quotient(args, inst) -> Certificate:
         "generators": [_graph_pairs(f) for f in qc.generators],
     }
     blocks = _blocks_of(qc.relation)
-    cert.emit(
-        "graphs_form_an_enumeration",
-        "enumeration_laws",
-        {"n": enum.n, "maps": [list(g) for g in enum.graphs]},
-    )
+    _emit_enumeration(cert, enum)
     cert.emit(
         "generators_are_bijections_within_relation",
         "bijection_family_within",
@@ -307,11 +314,10 @@ def _fm_quotient_int(args, cert, rel, phis) -> Certificate:
 
 
 def cmd_cover(args, inst) -> Certificate:
+    _et_shift_only(args, "cover")
     cert = Certificate("cover")
-    if args.gallery == "et_shift" or (inst is None and args.gallery is None):
-        g = _gallery_instance(args, args.gallery or "et_shift")
-        if g.name != "et_shift":
-            raise UsageError("only the et_shift gallery instance feeds cover")
+    if args.gallery or inst is None:
+        g = _gallery_instance(args, "et_shift")
         return _cover_int(args, cert, g.data["relation"], g.data["maps"], g.data["seed"])
     inst = _need_instance(inst, "cover")
     decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
@@ -329,12 +335,7 @@ def cmd_cover(args, inst) -> Certificate:
     if decl.kind != "graphs":
         raise UsageError("cover needs a graphs relation (or an int blocks one)")
     enum = decl.value
-    cert.emit(
-        "graphs_form_an_enumeration",
-        "enumeration_laws",
-        {"n": enum.n, "maps": [list(g) for g in enum.graphs]},
-    )
-    rel = enum.partition()
+    rel = _rel_partition(decl, cert)
     blocks = _blocks_of(rel)
     g0 = dict(g0_decl.table)
     psis = psi_split(enum.graph_dicts(), enum.n)
@@ -434,7 +435,7 @@ def _cover_int(args, cert, rel, phis, g0) -> Certificate:
         ("seed", g0),
         ("seed_inverse", g0.inverse()),
         ("extension", g),
-        ("extension_inverse", g.inverse()),
+        ("extension_inverse", levels.ginv),
     ):
         cert.emit(
             f"{label}_inside_cover_union",

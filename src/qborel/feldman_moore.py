@@ -17,7 +17,7 @@ extrapolated blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .carriers import IntSet, PiecewiseTranslation, format_intset, offset_sets
 from .errors import (
@@ -472,6 +472,7 @@ class IntLevels:
 
     ambient: IntSet
     g: PiecewiseTranslation
+    ginv: PiecewiseTranslation
     positive: SideLevels
     negative: SideLevels
     zero: IntSet
@@ -565,7 +566,7 @@ def levels_int(
     pos = _side_levels(g, pos_first, bound, MAX_PERIOD)
     neg = _side_levels(ginv, neg_first, bound, MAX_PERIOD)
     zero = ambient.difference(pos.union).difference(neg.union)
-    return IntLevels(ambient, g, pos, neg, zero)
+    return IntLevels(ambient, g, ginv, pos, neg, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +588,7 @@ def cover_finite(levels: FiniteLevels) -> CoverPair:
 
 def cover_int(levels: IntLevels) -> CoverPair:
     """Assemble the two bijections from an integer stratification."""
-    g = levels.g
-    ginv = g.inverse()
+    g, ginv = levels.g, levels.ginv
     pos_odd = levels.positive.parity_union(1)
     pos_even = levels.positive.parity_union(0)
     neg_odd = levels.negative.parity_union(1)
@@ -617,14 +617,49 @@ def cover_int(levels: IntLevels) -> CoverPair:
 
 @dataclass
 class QuotientConstruction:
-    """Per-injection cover data and the generators it produced."""
+    """Per-injection cover data and the generators it produced.
 
-    relation: Partition
-    psis: list[dict[int, int]]
-    extended: list[dict[int, int]]
+    Maps are dicts on the finite lane and piecewise translations on the
+    integer lane.  Only the finite lane sets orbit, the partition the
+    generators generate; the integer lane certifies orbit coverage on a
+    probe window instead.
+    """
+
+    relation: Partition | IntBlockRelation
+    psis: list
+    extended: list
     covers: list[CoverPair]
-    generators: list[dict[int, int]]
-    orbit: Partition
+    generators: list
+    orbit: Partition | None = None
+
+
+def _cover_each(rel, psis: list, key, extend, cover) -> QuotientConstruction:
+    """The construction over rel: each psi's extension and cover, and generators.
+
+    Equal psis extend equally and equal extensions cover equally, so each
+    distinct psi (equal under key) is extended once over the queue of
+    distinct psis, and each distinct extension covered once; a repeated
+    psi adds nothing to a greedy extension either.  The generators are
+    the distinct cover maps, in the order they are first seen.
+    """
+    keys = [key(psi) for psi in psis]
+    distinct = dict(zip(keys, psis))
+    queue = list(distinct.values())
+    built, cover_of = {}, {}
+    generators, seen = [], set()
+    for k, psi in distinct.items():
+        g = extend(psi, queue)
+        g_key = key(g)
+        if g_key not in cover_of:
+            cov = cover_of[g_key] = cover(g)
+            for f in (cov.first, cov.second):
+                f_key = key(f)
+                if f_key not in seen:
+                    seen.add(f_key)
+                    generators.append(f)
+        built[k] = g, cover_of[g_key]
+    extended, covers = [built[k][0] for k in keys], [built[k][1] for k in keys]
+    return QuotientConstruction(rel, psis, extended, covers, generators)
 
 
 def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
@@ -632,61 +667,35 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
 
     psi_split checks the enumeration before enum.partition() reads the
     graphs, so a family that fails the checks or names a point outside
-    0..n-1 raises NotAnEnumeration rather than IndexError.
+    0..n-1 raises NotAnEnumeration rather than IndexError.  No psi is
+    checked against the relation: each lies in the graph of some phi_a,
+    and the relation is the one the checked graphs enumerate.
     """
     n = enum.n
     psis = psi_split(enum.graph_dicts(), n)
     rel = enum.partition()
-    # equal psis extend equally and equal extensions cover equally: check
-    # and extend each distinct psi once, and cover each extension once; a
-    # repeated psi adds nothing to a greedy extension either
-    keys = [_signature(psi) for psi in psis]
-    distinct = dict(zip(keys, psis))
-    queue = list(distinct.values())
-    for psi in queue:
-        w = graph_within_partition(psi, rel)
-        if w is not None:
-            raise NotWithinRelation(f"psi pair {w} leaves the relation", witness=w)
-    built: dict[tuple, tuple[dict[int, int], CoverPair]] = {}
-    cover_of: dict[tuple, CoverPair] = {}
-    generators = []
-    seen = set()
-    for key, psi in distinct.items():
-        g = greedy_extend(psi, queue, n)
-        g_key = _signature(g)
-        if g_key not in cover_of:
-            cov = cover_of[g_key] = cover_finite(levels_finite(g, n, rel))
-            for f in (cov.first, cov.second):
-                sig = _signature(f)
-                if sig not in seen:
-                    seen.add(sig)
-                    generators.append(f)
-        built[key] = g, cover_of[g_key]
-    extended = [built[key][0] for key in keys]
-    covers = [built[key][1] for key in keys]
-    orbit, _ = generate_equivalence(n, generators)
-    return QuotientConstruction(rel, psis, extended, covers, generators, orbit)
-
-
-@dataclass
-class IntQuotientConstruction:
-    relation: IntBlockRelation
-    psis: list[PiecewiseTranslation]
-    extended: list[PiecewiseTranslation]
-    covers: list[CoverPair]
-    generators: list[PiecewiseTranslation]
+    qc = _cover_each(
+        rel,
+        psis,
+        _signature,
+        lambda psi, queue: greedy_extend(psi, queue, n),
+        lambda g: cover_finite(levels_finite(g, n, rel)),
+    )
+    qc.orbit, _ = generate_equivalence(n, qc.generators)
+    return qc
 
 
 def quotient_construction_int(
     rel: IntBlockRelation,
     phis: list[PiecewiseTranslation],
     bound: int = 32,
-) -> IntQuotientConstruction:
+) -> QuotientConstruction:
     """Integer-lane pipeline for a generating family of translations.
 
     The family need not enumerate the relation exactly (infinite classes
     have no finite exact enumeration); each graph must stay inside it,
-    and orbit coverage is certified separately on a probe window.
+    and orbit coverage is certified separately on a probe window.  No psi
+    is checked again: each lies in the graph of some phi_a, checked here.
     """
     for i, f in enumerate(phis):
         w = rel.graph_within_witness(f)
@@ -694,28 +703,13 @@ def quotient_construction_int(
             raise NotWithinRelation(
                 f"graph {i} leaves the relation at {w}", witness=w
             )
-    psis = psi_split_int(phis)
-    # equal psis extend equally and equal extensions cover equally: check
-    # and extend each distinct psi once, and cover each extension once; a
-    # repeated psi adds nothing to a greedy extension either
-    queue = list(dict.fromkeys(psis))
-    for psi in queue:
-        w = rel.graph_within_witness(psi)
-        if w is not None:
-            raise NotWithinRelation(f"psi pair {w} leaves the relation", witness=w)
-    extension_of: dict[PiecewiseTranslation, PiecewiseTranslation] = {}
-    cover_of: dict[PiecewiseTranslation, CoverPair] = {}
-    generators = []
-    for psi in queue:
-        g = extension_of[psi] = greedy_extend_int(psi, queue, rel.ambient)
-        if g not in cover_of:
-            cov = cover_of[g] = cover_int(levels_int(g, rel, bound))
-            for f in (cov.first, cov.second):
-                if f not in generators:
-                    generators.append(f)
-    extended = [extension_of[psi] for psi in psis]
-    covers = [cover_of[g] for g in extended]
-    return IntQuotientConstruction(rel, psis, extended, covers, generators)
+    return _cover_each(
+        rel,
+        psi_split_int(phis),
+        lambda f: f,
+        lambda psi, queue: greedy_extend_int(psi, queue, rel.ambient),
+        lambda g: cover_int(levels_int(g, rel, bound)),
+    )
 
 
 def orbit_window_witness(
@@ -731,9 +725,12 @@ def orbit_window_witness(
     """
     _check_probe("window", window, 0)
     lo, hi = -window - ORBIT_SLACK, window + ORBIT_SLACK
-    moves = list(generators) + [
-        f.inverse() for f in generators if f.is_injective()
-    ]
+    moves = list(generators)
+    for f in generators:
+        try:
+            moves.append(f.inverse())
+        except NotInjective:
+            pass
     tables = [
         {x: x + c for d, c in f.pieces for x in d.window(lo, hi) if lo <= x + c <= hi}
         for f in moves

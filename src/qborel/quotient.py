@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .carriers import IntSet, _zero_order
+from .carriers import IntSet, _first_overlap, _zero_order
 from .errors import InvalidPartition, clip
 
 
@@ -122,16 +122,15 @@ class IntClassQuotient:
     @classmethod
     def make(cls, descriptors) -> "IntClassQuotient":
         descs = list(descriptors)
+        hit = _first_overlap(descs)
         for i in range(len(descs)):
             if descs[i].is_empty():
                 raise InvalidPartition("empty class descriptor", witness=i)
-            for j in range(i + 1, len(descs)):
-                both = descs[i].intersect(descs[j])
-                if not both.is_empty():
-                    raise InvalidPartition(
-                        f"descriptors {i} and {j} overlap",
-                        witness=both.closest_to_zero(),
-                    )
+            if hit is not None and hit[0] == i:
+                raise InvalidPartition(
+                    f"descriptors {i} and {hit[1]} overlap",
+                    witness=descs[i].intersect(descs[hit[1]]).closest_to_zero(),
+                )
         leftover = IntSet.all_integers().difference(IntSet.empty().union(*descs))
         if not leftover.is_empty():
             raise InvalidPartition(

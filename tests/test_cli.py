@@ -494,6 +494,18 @@ def test_gallery_et_shift_rejects_parameters(capsys, flag):
     assert err["message"] == f"et_shift takes no parameters, got {flag[2:]}=3"
 
 
+@pytest.mark.parametrize("command, sample", [("cover", FIVE), ("fm-quotient", SWAP)],
+                         ids=["cover", "fm_quotient"])
+@pytest.mark.parametrize("with_input", [False, True], ids=["no_input", "input"])
+def test_gallery_other_than_et_shift_is_usage_error(tmp_path, capsys, command, sample, with_input):
+    out_file = tmp_path / "cert.json"
+    argv = [command, "--gallery", "ex34", "--out", str(out_file)]
+    code, out = run(capsys, *argv, *(["--input", sample] if with_input else []))
+    assert code == 2
+    assert out.endswith(f"qborel: error: only the et_shift gallery instance feeds {command}\n")
+    assert not out_file.exists()
+
+
 def test_verify_stored_gallery_k_zero_is_a_fail_row(tmp_path, capsys):
     cert_file = tmp_path / "gallery.json"
     code, _ = run(capsys, "gallery", "ex34", "--out", str(cert_file))

@@ -5,7 +5,8 @@ the integer x, each map becomes singleton pieces x -> +(y-x), and each
 class a finite block (all other integers are singletons).  On the
 embedded instance the integer lane must return the finite lane's
 `fm-quotient` generators in the same order and its `cover` triple, read
-back on the points 0..n-1.
+back on the points 0..n-1, and must reject a faulty cover seed with the
+same kind of error and witness.
 """
 
 import contextlib
@@ -13,10 +14,11 @@ import io
 import random
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qborel.carriers import IntSet, PiecewiseTranslation
 from qborel.cli.main import main
+from qborel.errors import QBorelError
 from qborel.feldman_moore import (
     cover_finite,
     cover_int,
@@ -93,20 +95,35 @@ def both_quotients(n, classes, maps):
     return fin.generators, [on_points(g, n) for g in intq.generators]
 
 
-def both_covers(n, classes, maps, seed):
+def finite_cover(n, maps, seed):
     enum = EnumeratedEquivalence.make(n, maps)
     part = enum.partition()
     g = greedy_extend(seed, psi_split(enum.graph_dicts(), n), n, part)
     pair = cover_finite(levels_finite(g, n, part))
+    return g, pair.first, pair.second
+
+
+def int_cover(classes, maps, seed):
     rel = embed_classes(classes)
-    gi = greedy_extend_int(
+    g = greedy_extend_int(
         embed_map(seed), psi_split_int([embed_map(f) for f in maps]), rel.ambient, rel
     )
-    pair_i = cover_int(levels_int(gi, rel))
-    return (
-        (g, pair.first, pair.second),
-        tuple(on_points(f, n) for f in (gi, pair_i.first, pair_i.second)),
-    )
+    pair = cover_int(levels_int(g, rel))
+    return g, pair.first, pair.second
+
+
+def both_covers(n, classes, maps, seed):
+    embedded = int_cover(classes, maps, seed)
+    return finite_cover(n, maps, seed), tuple(on_points(f, n) for f in embedded)
+
+
+def rejection(cover, *args):
+    """The kind and witness of the error a cover run raises."""
+    try:
+        cover(*args)
+    except QBorelError as e:
+        return type(e).__name__, e.witness
+    raise AssertionError("the faulty seed was accepted")
 
 
 def random_seed(rng, classes) -> dict[int, int]:
@@ -146,6 +163,58 @@ def test_both_lanes_give_one_answer(instance):
     assert embedded == fin
     fin, embedded = both_covers(n, classes, maps, seed)
     assert embedded == fin
+
+
+@st.composite
+def faulty_seeds(draw, max_n=30):
+    """An enumeration as above, and a seed inside it but for one fault.
+
+    The fault is two sources on one target, or one pair across two
+    classes; the rest of the seed keeps to the other classes.
+    """
+    n, k = draw(st.integers(2, max_n)), draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    classes = random_classes(rng, n, k)
+    maps = rng.sample(shifts(classes, k), k)
+    if draw(st.booleans()):
+        large = [c for c in classes if len(c) > 1]
+        assume(large)
+        touched = [rng.choice(large)]
+        a, b = rng.sample(touched[0], 2)
+        y = rng.choice(touched[0])
+        fault = {a: y, b: y}
+    else:
+        assume(len(classes) > 1)
+        touched = rng.sample(classes, 2)
+        fault = {rng.choice(touched[0]): rng.choice(touched[1])}
+    rest = random_seed(rng, [c for c in classes if c not in touched])
+    return n, classes, maps, {**rest, **fault}
+
+
+@settings(max_examples=100)
+@given(faulty_seeds())
+def test_both_lanes_reject_a_faulty_seed_alike(instance):
+    """Both lanes raise the same kind of error, with the same witness.
+
+    A NotInjective witness (x1, x2, y) names its two sources in another
+    order on each lane: the finite lane lists them in ascending order,
+    the integer lane in the order of their pieces' offsets y - x, which
+    is descending.
+    """
+    n, classes, maps, seed = instance
+    kind, witness = rejection(finite_cover, n, maps, seed)
+    assert kind in ("NotInjective", "NotWithinRelation")
+    if kind == "NotInjective":
+        x1, x2, y = witness
+        witness = (x2, x1, y)
+    assert rejection(int_cover, classes, maps, seed) == (kind, witness)
+
+
+def test_two_sources_on_one_target_are_named_in_offset_order():
+    classes = [[0, 1, 2]]
+    maps, seed = shifts(classes, 3), {0: 1, 2: 1}
+    assert rejection(finite_cover, 3, maps, seed) == ("NotInjective", (0, 2, 1))
+    assert rejection(int_cover, classes, maps, seed) == ("NotInjective", (2, 0, 1))
 
 
 def test_both_lanes_agree_at_140_points():

@@ -528,6 +528,43 @@ def test_quotient_construction_int_matches_per_seed_pipeline(family):
         assert cp == cover_int(levels_int(alone, rel))
 
 
+@pytest.mark.parametrize("lane", ["finite", "int"])
+def test_construction_does_each_step_once(lane, monkeypatch):
+    # one extension per distinct psi, one cover per distinct extension, and
+    # each distinct cover map once among the generators, in the order seen
+    import qborel.feldman_moore as fm
+
+    seeds, covered = [], []
+
+    def counted(name, log):
+        step = getattr(fm, name)
+
+        def run(*args, **kwargs):
+            log.append(args[0])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(fm, name, run)
+
+    if lane == "finite":
+        counted("greedy_extend", seeds)
+        counted("cover_finite", covered)
+        qc = quotient_construction(enumeration_of(Partition.from_class_map([0, 0, 0, 1, 1, 2])))
+        key = lambda f: tuple(sorted(f.items()))  # noqa: E731
+    else:
+        counted("greedy_extend_int", seeds)
+        counted("cover_int", covered)
+        qc = quotient_construction_int(*two_ray_family(1000))
+        key = lambda f: f  # noqa: E731
+    psis = [key(psi) for psi in qc.psis]
+    assert len(set(psis)) < len(psis)
+    assert [key(psi) for psi in seeds] == list(dict.fromkeys(psis))
+    extended = [key(g) for g in qc.extended]
+    assert len(set(extended)) < len(seeds)
+    assert [key(levels.g) for levels in covered] == list(dict.fromkeys(extended))
+    maps = [key(f) for cp in qc.covers for f in (cp.first, cp.second)]
+    assert [key(f) for f in qc.generators] == list(dict.fromkeys(maps))
+
+
 def test_weak_uniformize_int():
     fam = [PT.translation(AMB, 1), PT.identity(AMB)]
     u = weak_uniformize_int(fam, fam)

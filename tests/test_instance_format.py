@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -205,6 +206,15 @@ def test_partition_entry_messages_quote_at_most_forty_characters(decl, x, messag
         parse_instance(decl.format(x=x) + "\n")
     assert str(ei.value) == message
     assert ei.value.witness == int(x)
+
+
+def test_int_partition_of_2000_descriptors_parses_within_1_s():
+    segments = ", ".join(f"{{{3 * i}..{3 * i + 2}}}" for i in range(2000))
+    text = f"space Z carrier = int partition = {{ {{..-1}}, {segments}, {{6000..}} }}\n"
+    t0 = time.perf_counter()
+    quotient = parse_instance(text).spaces["Z"].space
+    assert time.perf_counter() - t0 < 1.0
+    assert len(quotient.classes) == 2002
 
 
 def test_bad_partition_delegates():
