@@ -16,9 +16,13 @@ three points, so the cost follows p and the number of intervals and
 output pieces, never the size of the coordinates.
 
 Normalisation and the per-residue algebra are pure functions of piece
-tuples, so both are memoised by value, each memo holding at most
-MEMO_SIZE entries.  The command line clears them when a run starts
-(`_clear_memos`), so every run does its own work.
+tuples, and the parsers of the text forms pure functions of their text,
+so all four are memoised by value (as are the stored relations and
+graph unions a certificate checker builds, in `cli.certificates`).
+Each memo holds at most MEMO_SIZE entries and is made by `_memo`, which
+registers it; the command line empties every registered memo when a
+run starts (`_clear_memos`), so each run does its own work and parses
+each text once.
 
 A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are
@@ -40,8 +44,23 @@ from .errors import NotInjective, clip, quote
 
 # default probe window for pointwise cross-checks
 WINDOW = 64
-# entries kept by each memo of normal forms and of set algebra
+# entries kept by each memo `_memo` makes
 MEMO_SIZE = 4096
+
+# every memo `_memo` made, for `_clear_memos` to empty
+_MEMOS: list = []
+
+
+def _memo(fn):
+    """fn memoised by value, at most MEMO_SIZE entries, emptied by `_clear_memos`.
+
+    Only pure functions of hashable values whose results are immutable
+    qualify.  A memo must keep a private name: the public names are the
+    ones a tracer may rebind to wrappers without `cache_clear`.
+    """
+    cached = lru_cache(maxsize=MEMO_SIZE)(fn)
+    _MEMOS.append(cached)
+    return cached
 
 
 class Piece(namedtuple("Piece", "start stride length down", defaults=(False,))):
@@ -253,7 +272,7 @@ def _points_apart(pieces) -> list[Piece]:
     return out
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@_memo
 def _canonical_pieces(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
     if len(raw) < 2:
         # one piece is canonical, except that a single point takes stride 1
@@ -514,7 +533,7 @@ def _negate_piece(pc: Piece) -> Piece:
     return Piece(-(pc.start + (pc.length - 1) * pc.stride), pc.stride, pc.length)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@_memo
 def _residue_algebra(op, a: tuple[Piece, ...], b: tuple[Piece, ...]) -> IntSet:
     """The interval operation op applied per residue to normal forms a and b."""
     mine, theirs = _points_apart(a), _points_apart(b)
@@ -529,9 +548,9 @@ def _residue_algebra(op, a: tuple[Piece, ...], b: tuple[Piece, ...]) -> IntSet:
 
 
 def _clear_memos() -> None:
-    """Empty the memos of normal forms and of set algebra."""
-    _canonical_pieces.cache_clear()
-    _residue_algebra.cache_clear()
+    """Empty every memo `_memo` made."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def _decompose_mod(pieces, p: int) -> dict[int, list]:
@@ -633,7 +652,15 @@ _TERM_RE = re.compile(
 
 
 def parse_intset(text: str) -> IntSet:
-    """Parse the textual IntSet form; inverse of format_intset."""
+    """Parse the textual IntSet form; inverse of format_intset.
+
+    A str is parsed once per run; any other value goes to the parser
+    itself, so it fails as it always has.
+    """
+    return (_intset_of_text if isinstance(text, str) else _parse_intset)(text)
+
+
+def _parse_intset(text: str) -> IntSet:
     text = text.strip()
     if text in ("", "empty"):
         return IntSet.empty()
@@ -670,6 +697,9 @@ def parse_intset(text: str) -> IntSet:
         else:
             pieces.append(Piece(int(m.group("single")), 1, 1))
     return IntSet(pieces)
+
+
+_intset_of_text = _memo(_parse_intset)
 
 
 def format_intset(s: IntSet) -> str:
@@ -870,7 +900,14 @@ class PiecewiseTranslation:
 
 
 def parse_ptmap(text: str) -> PiecewiseTranslation:
-    """Parse 'intset -> +c | intset -> -c | ...'; inverse of format_ptmap."""
+    """Parse 'intset -> +c | intset -> -c | ...'; inverse of format_ptmap.
+
+    A str is parsed once per run, as by parse_intset.
+    """
+    return (_ptmap_of_text if isinstance(text, str) else _parse_ptmap)(text)
+
+
+def _parse_ptmap(text: str) -> PiecewiseTranslation:
     text = text.strip()
     if text in ("", "empty"):
         return PiecewiseTranslation.empty()
@@ -884,6 +921,9 @@ def parse_ptmap(text: str) -> PiecewiseTranslation:
             raise ValueError(f"bad offset: {quote(off_text)}")
         pieces.append((parse_intset(dom_text), int(off_text)))
     return PiecewiseTranslation(pieces)
+
+
+_ptmap_of_text = _memo(_parse_ptmap)
 
 
 def format_ptmap(f: PiecewiseTranslation) -> str:

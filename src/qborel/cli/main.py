@@ -17,11 +17,12 @@ from math import inf
 
 from ..actions import cocycle_from_free_action, normalizer, orbit_equivalence
 from ..carriers import _clear_memos, format_intset, format_ptmap, IntSet
-from ..errors import InvalidCertificate, QBorelError, UnsupportedCarrier
+from ..errors import InvalidCertificate, NotWithinRelation, QBorelError, UnsupportedCarrier
 from ..feldman_moore import (
     classical_construction,
     cover_finite,
     cover_int,
+    graph_within_partition,
     greedy_extend,
     greedy_extend_int,
     invert_map,
@@ -240,14 +241,7 @@ def cmd_fm_classical(args, inst) -> Certificate:
     return cert
 
 
-def _et_shift_only(args, command: str):
-    """Any --gallery but et_shift is a usage error: no other one feeds command."""
-    if args.gallery not in (None, "et_shift"):
-        raise UsageError(f"only the et_shift gallery instance feeds {command}")
-
-
 def cmd_fm_quotient(args, inst) -> Certificate:
-    _et_shift_only(args, "fm-quotient")
     cert = Certificate("fm-quotient")
     if args.gallery:
         g = _gallery_instance(args, "et_shift")
@@ -314,7 +308,6 @@ def _fm_quotient_int(args, cert, rel, phis) -> Certificate:
 
 
 def cmd_cover(args, inst) -> Certificate:
-    _et_shift_only(args, "cover")
     cert = Certificate("cover")
     if args.gallery or inst is None:
         g = _gallery_instance(args, "et_shift")
@@ -339,7 +332,12 @@ def cmd_cover(args, inst) -> Certificate:
     blocks = _blocks_of(rel)
     g0 = dict(g0_decl.table)
     psis = psi_split(enum.graph_dicts(), enum.n)
-    g = greedy_extend(g0, psis, enum.n, rel)
+    # the psis lie in the graphs that enumerate rel, so only the seed is
+    # checked against it, after greedy_extend has checked it is injective
+    g = greedy_extend(g0, psis, enum.n)
+    w = graph_within_partition(g0, rel)
+    if w is not None:
+        raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
     pair = cover_finite(levels_finite(g, enum.n, rel))
     first, second = pair.first, pair.second
     cert.outputs = {
@@ -553,6 +551,16 @@ def cmd_tail(args, inst) -> Certificate:
     return cert
 
 
+def _expected_index(text: str):
+    """The value of index --expect: an integer or 'unbounded'."""
+    if text == "unbounded":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"--expect takes an integer or 'unbounded', got {text!r}") from None
+
+
 def cmd_index(args, inst) -> Certificate:
     cert = Certificate("index")
     if args.gallery:
@@ -570,18 +578,10 @@ def cmd_index(args, inst) -> Certificate:
             value = index_over(decl.value)
     cert.outputs = {"index": _fmt_index(value)}
     if args.expect is not None:
-        expected = args.expect
-        if expected != "unbounded":
-            try:
-                expected = int(expected)
-            except ValueError:
-                raise UsageError(
-                    f"--expect takes an integer or 'unbounded', got {expected!r}"
-                ) from None
         cert.emit(
             "index_matches_expectation",
             "value_equal",
-            {"left": _fmt_index(value), "right": expected},
+            {"left": _fmt_index(value), "right": _expected_index(args.expect)},
         )
     return cert
 
@@ -844,6 +844,14 @@ COMMANDS = {
 }
 
 
+def _check_flags(args, command: str) -> None:
+    """The usage errors the flags alone show, raised before the instance is read."""
+    if command in ("fm-quotient", "cover") and args.gallery not in (None, "et_shift"):
+        raise UsageError(f"only the et_shift gallery instance feeds {command}")
+    if command == "index" and args.expect is not None:
+        _expected_index(args.expect)
+
+
 def main(argv=None) -> int:
     # each run starts from empty memos, as a fresh process would
     _clear_memos()
@@ -855,6 +863,7 @@ def main(argv=None) -> int:
     if command not in COMMANDS:
         parser.error(f"unknown command {command!r}; choose from: {', '.join(COMMANDS)}")
     try:
+        _check_flags(args, command)
         # the instance file is read once: the text parsed is the text digested;
         # verify reads its --input as a certificate
         text = None

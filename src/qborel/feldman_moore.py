@@ -344,7 +344,11 @@ def greedy_extend_int(
     ambient: IntSet,
     rel: IntBlockRelation | None = None,
 ) -> PiecewiseTranslation:
-    """Integer-lane greedy extension with exact IntSet bookkeeping."""
+    """Integer-lane greedy extension with exact IntSet bookkeeping.
+
+    The ambient points not yet used as sources, and those not yet hit,
+    are kept as the walk goes: each accepted part leaves both.
+    """
     w = g0.injectivity_witness()
     if w is not None:
         raise NotInjective(f"seed maps {w[0]} and {w[1]} to {w[2]}", witness=w)
@@ -354,6 +358,8 @@ def greedy_extend_int(
             raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
     queue = [PiecewiseTranslation.identity(ambient)] + list(psis)
     g = g0
+    free_src = ambient.difference(g0.domain())
+    free_tgt = ambient.difference(g0.range_set())
     for psi in queue:
         if rel is not None:
             w = rel.graph_within_witness(psi)
@@ -361,21 +367,26 @@ def greedy_extend_int(
                 raise NotWithinRelation(
                     f"psi pair {w} leaves the relation", witness=w
                 )
-        fresh = psi.restrict(ambient.difference(g.domain()))
-        fresh = fresh.corestrict(ambient.difference(g.range_set()))
-        # a single psi piece may still clash with itself after filtering
-        # (its unused sources mapping onto each other's unused targets is
-        # impossible: psi is injective and filtering only removes pairs);
-        # fresh sources avoid g's domain, so the union needs no check
+        fresh = psi.restrict(free_src).corestrict(free_tgt)
+        # psi is injective and filtering only removes pairs, so fresh is
+        # injective; its sources avoid g's domain and its targets g's
+        # range, so the union needs no check
         if not fresh.is_empty():
             g = PiecewiseTranslation._disjoint(g.pieces + fresh.pieces)
+            free_src = free_src.difference(fresh.domain())
+            free_tgt = free_tgt.difference(fresh.range_set())
     return g
 
 
 def maximality_witness_int(g: PiecewiseTranslation, rel: IntBlockRelation):
     """Witness pair (y, z) related with y outside dom(g), z outside rng(g)."""
-    no_dom = rel.ambient.difference(g.domain())
-    no_rng = rel.ambient.difference(g.range_set())
+    return _unused_pair(rel, g.domain(), g.range_set())
+
+
+def _unused_pair(rel: IntBlockRelation, dom: IntSet, rng: IntSet):
+    """maximality_witness_int of a map with domain dom and range rng."""
+    no_dom = rel.ambient.difference(dom)
+    no_rng = rel.ambient.difference(rng)
     diag = no_dom.intersect(no_rng)
     if not diag.is_empty():
         x = diag.closest_to_zero()
@@ -557,12 +568,13 @@ def levels_int(
     """Integer-lane stratification of a maximal partial injection."""
     _check_probe("level bound", bound, 1)
     ginv = g.inverse()  # NotInjective when two points share an image
-    w = maximality_witness_int(g, rel)
+    dom, rng = g.domain(), g.range_set()
+    w = _unused_pair(rel, dom, rng)
     if w is not None:
         raise NotMaximal(f"pair {w} is unused but extendable", witness=w)
     ambient = rel.ambient
-    pos_first = g.domain().difference(g.range_set())
-    neg_first = g.range_set().difference(g.domain())
+    pos_first = dom.difference(rng)
+    neg_first = rng.difference(dom)
     pos = _side_levels(g, pos_first, bound, MAX_PERIOD)
     neg = _side_levels(ginv, neg_first, bound, MAX_PERIOD)
     zero = ambient.difference(pos.union).difference(neg.union)

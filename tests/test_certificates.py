@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qborel
-from qborel.cli.certificates import Certificate, jsonable
+from qborel.cli.certificates import Certificate, jsonable, run_check
 from qborel.cli.main import main
 from qborel.feldman_moore import MAX_PROBE
 
@@ -320,3 +320,51 @@ def test_stored_probe_parameters_bound_the_replay(tmp_path, capsys, name, key):
                 assert r["agrees"] is agrees, (value, r)
                 if not agrees:
                     assert r["witness"]["error"] == "BadParameters"
+
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the error is what a replay row would show
+        return type(e).__name__, str(e)
+
+
+def ref_graph_subset(data):
+    """The finite_graph_subset checker as it was before its union was memoised."""
+    union = set()
+    for g in data["others"]:
+        union.update((int(x), int(y)) for x, y in g)
+    for x, y in dict((int(x), int(y)) for x, y in data["left"]).items():
+        if (x, y) not in union:
+            return False, (x, y)
+    return True, None
+
+
+@pytest.mark.parametrize("others, left", [
+    ([[[0, 1], [1, 0]]], [[1, 0]]),
+    ([[[0, 1]]], [[1, 0]]),
+    # hand-edited pairs are converted with int(), as they always were
+    ([[[0.0, 1.5]]], [[0, 1]]),
+    ([[["0", " 1"]]], [[0, 1]]),
+    ([[[True, False]]], [[1, 0]]),
+    ([[[[0], [1]]]], [[0, 1]]),
+    ([[[None, 1]]], [[0, 1]]),
+    ([[[0, 1, 2]]], [[0, 1]]),
+    ([[{"a": 1, "b": 2}]], [[0, 1]]),
+    ([[5]], [[0, 1]]),
+    ([["01"]], [[0, 1]]),
+    # the first bad graph in order is the one reported
+    ([[["a", 1]], 5], [[0, 1]]),
+    ([5, [["a", 1]]], [[0, 1]]),
+    ("ab", [[0, 1]]),
+], ids=[
+    "inside", "outside", "floats", "strings", "bools", "nested", "none", "triple",
+    "dict", "int_pair", "text_pair", "text_first", "int_first", "text",
+])
+def test_finite_graph_subset_reads_each_stored_union_as_before(others, left):
+    data = {"left": left, "others": others}
+    want = _outcome(ref_graph_subset, data)
+    # the second replay reads the union the first one built, where one was built
+    assert _outcome(run_check, "finite_graph_subset", data) == want
+    assert _outcome(run_check, "finite_graph_subset", data) == want

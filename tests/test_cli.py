@@ -11,11 +11,11 @@ import pytest
 
 import qborel
 from qborel.carriers import (
+    _MEMOS,
     MEMO_SIZE,
     IntSet,
     PiecewiseTranslation,
-    _canonical_pieces,
-    _residue_algebra,
+    parse_ptmap,
 )
 from qborel.cli.certificates import run_check
 from qborel.cli.main import main
@@ -506,6 +506,66 @@ def test_gallery_other_than_et_shift_is_usage_error(tmp_path, capsys, command, s
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "--gallery", "ex34"], "only the et_shift gallery instance feeds cover"),
+    (["fm-quotient", "--gallery", "ex34"], "only the et_shift gallery instance feeds fm-quotient"),
+    (["index", "--expect", "abc"], "--expect takes an integer or 'unbounded', got 'abc'"),
+], ids=["cover", "fm_quotient", "index"])
+def test_flag_usage_error_comes_before_the_instance_is_read(tmp_path, capsys, argv, message):
+    broken = tmp_path / "broken.qb"
+    broken.write_text("space S carrier = bogus\n", encoding="utf-8")
+    for path in (broken, tmp_path / "missing.qb"):
+        code, out = run(capsys, *argv, "--input", str(path))
+        assert code == 2
+        assert out.endswith(f"qborel: error: {message}\n")
+
+
+FIVE_SEEDS = (
+    "space Q carrier = finite(5)\n"
+    "map e : Q -> Q : 0 -> 0, 1 -> 1, 2 -> 2, 3 -> 3, 4 -> 4\n"
+    "map c : Q -> Q : 0 -> 1, 1 -> 0, 2 -> 2, 3 -> 4, 4 -> 3\n"
+    "map escaping : Q -> Q : 0 -> 1, 2 -> 3\n"
+    "map both : Q -> Q : 0 -> 3, 1 -> 3\n"
+    "rel F on Q graphs = [e, c]\n"
+)
+
+
+@pytest.mark.parametrize("seed, kind, message, witness", [
+    ("escaping", "NotWithinRelation", "seed pair (2, 3) leaves the relation", [2, 3]),
+    # not injective and escaping: injectivity is checked first
+    ("both", "NotInjective", "seed maps 0 and 1 to 3", [0, 1, 3]),
+])
+def test_finite_cover_rejects_a_faulty_seed(tmp_path, capsys, seed, kind, message, witness):
+    inst = tmp_path / "seeds.qb"
+    inst.write_text(FIVE_SEEDS, encoding="utf-8")
+    code, out = run(capsys, "cover", "--input", str(inst), "--g0", seed)
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": kind, "message": message, "witness": witness}
+
+
+def test_finite_cover_checks_only_its_seed_against_the_relation(capsys, monkeypatch):
+    # the psis lie in the graphs that enumerate the relation: only the seed,
+    # the extension's levels and the two checks that read it are tested
+    import qborel.cli.certificates as certificates
+    import qborel.feldman_moore as fm
+
+    cli_main = sys.modules["qborel.cli.main"]
+    checked = []
+    within = fm.graph_within_partition
+
+    def counted(f, rel):
+        checked.append(dict(f))
+        return within(f, rel)
+
+    for module in (fm, cli_main, certificates):
+        monkeypatch.setattr(module, "graph_within_partition", counted, raising=False)
+    code, _ = run(capsys, "cover", "--input", FIVE)
+    assert code == 0
+    seed = {0: 1}
+    assert checked[0] == seed  # cover's own seed check
+    assert len(checked) == 5  # levels, then the seed check and both covers at emit
+
+
 def test_verify_stored_gallery_k_zero_is_a_fail_row(tmp_path, capsys):
     cert_file = tmp_path / "gallery.json"
     code, _ = run(capsys, "gallery", "ex34", "--out", str(cert_file))
@@ -549,19 +609,59 @@ def test_out_writes_certificate_for_any_command(tmp_path, capsys):
 
 
 def test_each_run_starts_from_empty_memos(tmp_path, capsys):
+    # the checks of an integer and of a finite cover in one certificate:
+    # replaying it fills every registered memo
+    checks = []
+    for sample in (RAY, FIVE):
+        part = tmp_path / "part.json"
+        assert run(capsys, "cover", "--input", sample, "--out", str(part))[0] == 0
+        checks += json.loads(part.read_text())["checks"]
+    cert = tmp_path / "both.json"
+    cert.write_text(json.dumps({"command": "cover", "checks": checks}))
     infos = []
     for i in range(2):
-        # entries no fm-quotient run of the sample uses
+        # entries no replay of these checks uses
         IntSet.ray_up(10**6 + i, 7).difference(IntSet.segment(0, 3 * 10**6))
-        assert _canonical_pieces.cache_info().currsize > 0
-        code, _ = run(capsys, "fm-quotient", "--input", RAY, "--out", str(tmp_path / f"{i}.json"))
+        parse_ptmap(f"{10**6 + i}.. -> +7")
+        run_check("ptmap_within_blocks", {"map": "empty", "blocks": [f"{i}"], "ambient": "0.."})
+        run_check("finite_graph_subset", {"left": [], "others": [[[i, i]]]})
+        assert all(memo.cache_info().currsize > 0 for memo in _MEMOS)
+        code, _ = run(capsys, "verify", "--input", str(cert), "--out", str(tmp_path / f"{i}.json"))
         assert code == 0
-        infos.append((_canonical_pieces.cache_info(), _residue_algebra.cache_info()))
+        infos.append([memo.cache_info() for memo in _MEMOS])
     assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
     # equal hits, misses and sizes after both runs: each began with empty memos
     assert infos[0] == infos[1]
+    assert len(infos[0]) == 6
     for info in infos[0]:
         assert info.maxsize == MEMO_SIZE and 0 < info.currsize <= MEMO_SIZE
+
+
+def test_int_texts_stored_as_lists_are_fail_rows(tmp_path, capsys):
+    # a block or map that is not a text skips the memos and fails as parsing it does
+    cert_file = tmp_path / "cover.json"
+    assert run(capsys, "cover", "--input", RAY, "--out", str(cert_file))[0] == 0
+    data = json.loads(cert_file.read_text())
+    for c in data["checks"]:
+        if "blocks" in c["data"]:
+            c["data"]["blocks"][0] = [c["data"]["blocks"][0]]
+    seed_check = data["checks"][3]["data"]
+    seed_check["left"] = [seed_check["left"]]
+    cert_file.write_text(json.dumps(data))
+    rows_file = tmp_path / "rows.json"
+    code, out = run(capsys, "verify", "--input", str(cert_file), "--out", str(rows_file))
+    assert code == 1
+    assert "Traceback" not in out
+    rows = json.loads(rows_file.read_text())["rows"]
+    assert [r["name"] for r in rows if not r["agrees"]] == [
+        "seed_within_relation", "levels_reproduce", "covers_are_bijections_within_relation",
+        "seed_inside_cover_union",
+    ]
+    for r in rows[:4]:
+        assert r["witness"] == {
+            "error": "AttributeError", "message": "'list' object has no attribute 'strip'"
+        }
+    assert all(r["recomputed"] and r["witness"] is None for r in rows[4:])
 
 
 GRAPHS_ON_INT = "space Z carrier = int\nptmap g : Z : 0.. -> +0\nrel R on Z graphs = [g]\n"

@@ -341,6 +341,17 @@ def test_greedy_extend_int_frozen_values():
     assert maximality_witness_int(g, FULL) is None
 
 
+def test_levels_int_names_an_unused_source_then_an_unused_target():
+    # on 0..9, 0..8 -> +1 leaves 9 unused as a source and 0 as a target
+    seg = IntSet.segment(0, 9)
+    g = PT.translation(IntSet.segment(0, 8), 1)
+    rel = IntBlockRelation.make([seg], ambient=seg)
+    assert maximality_witness_int(g, rel) == (9, 0)
+    with pytest.raises(NotMaximal) as info:
+        levels_int(g, rel)
+    assert info.value.witness == (9, 0)
+
+
 def test_levels_int_frozen_values():
     g0 = PT.translation(IntSet.ray_up(0), 1)
     g = greedy_extend_int(g0, psi_split_int(shift_family()), AMB, rel=FULL)

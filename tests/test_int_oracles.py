@@ -2,10 +2,12 @@
 
 Each reference below is the direct form of an integer-lane check: every
 pair of domains, of parts, of images or of blocks intersected in turn,
-every block read for every piece of a map, and every window point probed
-through `PiecewiseTranslation.get`.  The library must give the same
-results, raise the same errors with the same messages and witnesses, on
-random sets with strides 1-6 and gaps up to 10^3, overlapping or not.
+every block read for every piece of a map, every window point probed
+through `PiecewiseTranslation.get`, and a greedy extension that recomputes
+its free points from the whole map at each step.  The library must give
+the same results, raise the same errors with the same messages and
+witnesses, on random sets with strides 1-6 and gaps up to 10^3,
+overlapping or not.
 """
 
 from hypothesis import example, given, strategies as st
@@ -18,8 +20,14 @@ from qborel.carriers import (
     _zero_order,
     parse_ptmap,
 )
-from qborel.errors import InvalidPartition, clip
-from qborel.feldman_moore import ORBIT_SLACK, levels_int, orbit_window_witness
+from qborel.errors import InvalidPartition, NotInjective, NotWithinRelation, clip
+from qborel.feldman_moore import (
+    ORBIT_SLACK,
+    greedy_extend_int,
+    levels_int,
+    orbit_window_witness,
+    psi_split_int,
+)
 from qborel.quotient import IntClassQuotient
 from qborel.relations import IntBlockRelation
 
@@ -140,6 +148,27 @@ def ref_orbit_window_witness(rel, generators, window=64):
             if x not in seen:
                 return (start, x)
     return None
+
+
+def ref_greedy_extend_int(g0, psis, ambient, rel=None):
+    w = g0.injectivity_witness()
+    if w is not None:
+        raise NotInjective(f"seed maps {w[0]} and {w[1]} to {w[2]}", witness=w)
+    if rel is not None:
+        w = rel.graph_within_witness(g0)
+        if w is not None:
+            raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
+    g = g0
+    for psi in [PiecewiseTranslation.identity(ambient)] + list(psis):
+        if rel is not None:
+            w = rel.graph_within_witness(psi)
+            if w is not None:
+                raise NotWithinRelation(f"psi pair {w} leaves the relation", witness=w)
+        fresh = psi.restrict(ambient.difference(g.domain()))
+        fresh = fresh.corestrict(ambient.difference(g.range_set()))
+        if not fresh.is_empty():
+            g = PiecewiseTranslation._disjoint(g.pieces + fresh.pieces)
+    return g
 
 
 def outcome(fn, *args):
@@ -308,3 +337,31 @@ def test_orbit_window_tables_match_point_probing(rel_moves, window):
     assert orbit_window_witness(rel, generators, window) == ref_orbit_window_witness(
         rel, generators, window
     )
+
+
+@st.composite
+def greedy_cases(draw):
+    """A seed, psis and an ambient set; moves inside the relation or random maps."""
+    rel, moves = draw(relations_and_moves())
+    pick = st.sampled_from(moves) | ptmaps(max_parts=2) if moves else ptmaps(max_parts=2)
+    ambient = draw(st.just(rel.ambient) | sets)
+    return draw(pick), draw(st.lists(pick, max_size=5)), ambient, rel
+
+
+ONE_BLOCK = IntBlockRelation.make([IntSet.all_integers()])
+UNIT_STEPS = psi_split_int(
+    [parse_ptmap("..-1; 0.. -> +0"), parse_ptmap("..-1; 0.. -> +1"), parse_ptmap("..-1; 0.. -> -1")]
+)
+
+
+@given(greedy_cases(), st.booleans())
+@example((parse_ptmap("0.. -> +1"), UNIT_STEPS, IntSet.all_integers(), ONE_BLOCK), True)
+@example((parse_ptmap("0.. -> +1"), UNIT_STEPS, IntSet.ray_up(-5), ONE_BLOCK), False)
+def test_greedy_extend_int_matches_the_recomputing_loop(case, with_rel):
+    g0, psis, ambient, rel = case
+    args = (g0, psis, ambient, rel if with_rel else None)
+    got, want = outcome(greedy_extend_int, *args), outcome(ref_greedy_extend_int, *args)
+    if got[0] == "ok" and want[0] == "ok":
+        assert got[1].pieces == want[1].pieces
+    else:
+        assert got == want
