@@ -15,14 +15,13 @@ the lcm p of the strides of the rays and of the pieces with at least
 three points, so the cost follows p and the number of intervals and
 output pieces, never the size of the coordinates.
 
-Normalisation and the per-residue algebra are pure functions of piece
-tuples, and the parsers of the text forms pure functions of their text,
-so all four are memoised by value (as are the stored relations and
-graph unions a certificate checker builds, in `cli.certificates`).
-Each memo holds at most MEMO_SIZE entries and is made by `_memo`, which
-registers it; the command line empties every registered memo when a
-run starts (`_clear_memos`), so each run does its own work and parses
-each text once.
+Three pure functions are memoised by value, each in an lru_cache of
+MEMO_SIZE entries listed in _MEMOS: normalisation (`_canonical_pieces`)
+and the per-residue algebra (`_residue_algebra`), which the construction
+calls again and again on the same piece tuples, and the parsing of map
+texts (`_ptmap_of_text`), which a certificate replays many times over.
+The command line empties them when a run starts (`_clear_memos`), so
+each run does its own work.
 
 A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are
@@ -42,25 +41,8 @@ from typing import Iterable, Iterator
 
 from .errors import NotInjective, clip, quote
 
-# default probe window for pointwise cross-checks
-WINDOW = 64
-# entries kept by each memo `_memo` makes
+# entries kept by each memo
 MEMO_SIZE = 4096
-
-# every memo `_memo` made, for `_clear_memos` to empty
-_MEMOS: list = []
-
-
-def _memo(fn):
-    """fn memoised by value, at most MEMO_SIZE entries, emptied by `_clear_memos`.
-
-    Only pure functions of hashable values whose results are immutable
-    qualify.  A memo must keep a private name: the public names are the
-    ones a tracer may rebind to wrappers without `cache_clear`.
-    """
-    cached = lru_cache(maxsize=MEMO_SIZE)(fn)
-    _MEMOS.append(cached)
-    return cached
 
 
 class Piece(namedtuple("Piece", "start stride length down", defaults=(False,))):
@@ -272,7 +254,7 @@ def _points_apart(pieces) -> list[Piece]:
     return out
 
 
-@_memo
+@lru_cache(maxsize=MEMO_SIZE)
 def _canonical_pieces(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
     if len(raw) < 2:
         # one piece is canonical, except that a single point takes stride 1
@@ -418,7 +400,7 @@ class IntSet:
             out.extend(pc.start + i * pc.stride for i in range(pc.length))
         return sorted(out)
 
-    def window(self, lo: int = -WINDOW, hi: int = WINDOW) -> list[int]:
+    def window(self, lo: int, hi: int) -> list[int]:
         """Members in [lo, hi], ascending; canonical pieces are disjoint."""
         out = []
         for pc in self.pieces:
@@ -533,7 +515,7 @@ def _negate_piece(pc: Piece) -> Piece:
     return Piece(-(pc.start + (pc.length - 1) * pc.stride), pc.stride, pc.length)
 
 
-@_memo
+@lru_cache(maxsize=MEMO_SIZE)
 def _residue_algebra(op, a: tuple[Piece, ...], b: tuple[Piece, ...]) -> IntSet:
     """The interval operation op applied per residue to normal forms a and b."""
     mine, theirs = _points_apart(a), _points_apart(b)
@@ -545,12 +527,6 @@ def _residue_algebra(op, a: tuple[Piece, ...], b: tuple[Piece, ...]) -> IntSet:
         ivs = op(mine.get(r, []), theirs.get(r, []))
         out.extend(_rebuild_residue(r, p, ivs))
     return IntSet(out)
-
-
-def _clear_memos() -> None:
-    """Empty every memo `_memo` made."""
-    for memo in _MEMOS:
-        memo.cache_clear()
 
 
 def _decompose_mod(pieces, p: int) -> dict[int, list]:
@@ -652,15 +628,7 @@ _TERM_RE = re.compile(
 
 
 def parse_intset(text: str) -> IntSet:
-    """Parse the textual IntSet form; inverse of format_intset.
-
-    A str is parsed once per run; any other value goes to the parser
-    itself, so it fails as it always has.
-    """
-    return (_intset_of_text if isinstance(text, str) else _parse_intset)(text)
-
-
-def _parse_intset(text: str) -> IntSet:
+    """Parse the textual IntSet form; inverse of format_intset."""
     text = text.strip()
     if text in ("", "empty"):
         return IntSet.empty()
@@ -699,9 +667,6 @@ def _parse_intset(text: str) -> IntSet:
     return IntSet(pieces)
 
 
-_intset_of_text = _memo(_parse_intset)
-
-
 def format_intset(s: IntSet) -> str:
     if s.is_empty():
         return "empty"
@@ -726,13 +691,17 @@ def format_intset(s: IntSet) -> str:
 def offset_sets(pairs: Iterable[tuple[IntSet, int]]) -> dict[int, IntSet]:
     """The union of the domains of each offset, normalised once per offset.
 
-    Offsets with only empty domains are left out.
+    Offsets with only empty domains are left out; a lone domain is kept
+    as it is, already in normal form.
     """
-    by_offset: dict[int, list[Piece]] = {}
+    by_offset: dict[int, list[IntSet]] = {}
     for dom, c in pairs:
         if not dom.is_empty():
-            by_offset.setdefault(c, []).extend(dom.pieces)
-    return {c: IntSet(pcs) for c, pcs in by_offset.items()}
+            by_offset.setdefault(c, []).append(dom)
+    return {
+        c: doms[0] if len(doms) == 1 else IntSet(pc for d in doms for pc in d.pieces)
+        for c, doms in by_offset.items()
+    }
 
 
 class PiecewiseTranslation:
@@ -902,7 +871,8 @@ class PiecewiseTranslation:
 def parse_ptmap(text: str) -> PiecewiseTranslation:
     """Parse 'intset -> +c | intset -> -c | ...'; inverse of format_ptmap.
 
-    A str is parsed once per run, as by parse_intset.
+    A str is parsed once per run; any other value (a hand-edited list,
+    say) goes to the parser itself and fails there.
     """
     return (_ptmap_of_text if isinstance(text, str) else _parse_ptmap)(text)
 
@@ -923,7 +893,16 @@ def _parse_ptmap(text: str) -> PiecewiseTranslation:
     return PiecewiseTranslation(pieces)
 
 
-_ptmap_of_text = _memo(_parse_ptmap)
+# a private name: a tracer may rebind the public ones to wrappers without cache_clear
+_ptmap_of_text = lru_cache(maxsize=MEMO_SIZE)(_parse_ptmap)
+
+_MEMOS = (_canonical_pieces, _residue_algebra, _ptmap_of_text)
+
+
+def _clear_memos() -> None:
+    """Empty every memo in _MEMOS."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def format_ptmap(f: PiecewiseTranslation) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .. import __version__ as VERSION
 from ..actions import Cocycle, FiniteGroup, GroupAction, normalizer, verify_cocycle
 from ..cantor import example_gallery
-from ..carriers import _memo, format_intset, parse_intset, parse_ptmap
+from ..carriers import format_intset, parse_intset, parse_ptmap
 from ..errors import InvalidCertificate, NotAnEnumeration, QBorelError
 from ..feldman_moore import (
     graph_within_partition,
@@ -233,19 +233,9 @@ def _blocks_partition(n: int, blocks) -> Partition:
     return Partition.from_blocks(n, [[int(x) for x in b] for b in blocks])
 
 
-@_memo
-def _int_relation_of(blocks: tuple[str, ...], ambient: str) -> IntBlockRelation:
-    return IntBlockRelation.make([parse_intset(b) for b in blocks], ambient=parse_intset(ambient))
-
-
 def _int_relation(data) -> IntBlockRelation:
-    """The stored relation, built once per run from each (blocks, ambient) of
-    texts; other values take the direct build, so they fail as they always have."""
-    blocks, ambient = data["blocks"], data.get("ambient")
-    if type(blocks) is list and all(isinstance(t, str) for t in (*blocks, ambient)):
-        return _int_relation_of(tuple(blocks), ambient)
     return IntBlockRelation.make(
-        [parse_intset(b) for b in blocks], ambient=parse_intset(data["ambient"])
+        [parse_intset(b) for b in data["blocks"]], ambient=parse_intset(data["ambient"])
     )
 
 
@@ -256,13 +246,19 @@ def _chk_value_equal(data):
 
 
 def _partitions_agree(left: Partition, right: Partition):
-    """Verdict and the first pair (x < y) the two partitions disagree on."""
+    """Verdict and the first pair (x < y) the two partitions disagree on.
+
+    Points below the least x0 whose two blocks differ agree with every
+    point, so the pair is x0 and the least point of the symmetric
+    difference of its blocks, which lies above x0.
+    """
     if left == right:
         return True, None
-    for x in range(left.n):
-        for y in range(x + 1, left.n):
-            if left.same(x, y) != right.same(x, y):
-                return False, (x, y)
+    for block in left.blocks:
+        x0 = block[0]
+        other = right.blocks[right.class_of[x0]]
+        if block != other:
+            return False, (x0, min(set(block).symmetric_difference(other)))
     return False, None
 
 
@@ -298,33 +294,9 @@ def _chk_graph_in_partition(data):
     return w is None, w
 
 
-def _pairs_union(graphs) -> frozenset[tuple[int, int]]:
-    return frozenset((int(x), int(y)) for g in graphs for x, y in g)
-
-
-_pairs_union_of = _memo(_pairs_union)
-
-
-def _union_of_graphs(graphs) -> frozenset[tuple[int, int]]:
-    """The pairs of the stored graphs, built once per run for each distinct
-    list of lists of [x, y] lists; other values take the direct build."""
-    if (
-        type(graphs) is list and {*map(type, graphs)} <= {list}
-        and all({*map(type, g)} <= {list} for g in graphs)
-    ):
-        key = tuple(tuple(map(tuple, g)) for g in graphs)
-        try:
-            hash(key)
-        except TypeError:  # a pair holds a list or an object
-            pass
-        else:
-            return _pairs_union_of(key)
-    return _pairs_union(graphs)
-
-
 @checker("finite_graph_subset")
 def _chk_finite_graph_subset(data):
-    union = _union_of_graphs(data["others"])
+    union = {(int(x), int(y)) for g in data["others"] for x, y in g}
     for x, y in _pairs_to_map(data["left"]).items():
         if (x, y) not in union:
             return False, (x, y)

@@ -211,32 +211,29 @@ def cmd_fm_classical(args, inst) -> Certificate:
     decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
     rel = _rel_partition(decl, cert)
     result = classical_construction(rel)
-    invs = list(result.involutions.values())
+    invs = [_graph_pairs(f) for f in result.involutions.values()]
+    generators = [_graph_pairs(f) for f in result.generators]
     cert.outputs = {
         "classes": rel.num_classes,
         "bit_count": result.bit_count,
         "involutions": len(invs),
-        "generators": [_graph_pairs(f) for f in result.generators],
+        "generators": generators,
     }
     blocks = _blocks_of(rel)
     cert.emit(
         "involutions_square_to_identity_within_relation",
         "involution_family_within",
-        {"n": rel.n, "blocks": blocks, "maps": [_graph_pairs(f) for f in invs]},
+        {"n": rel.n, "blocks": blocks, "maps": invs},
     )
     cert.emit(
         "every_related_pair_on_a_single_involution",
         "pair_coverage",
-        {"n": rel.n, "blocks": blocks, "maps": [_graph_pairs(f) for f in invs]},
+        {"n": rel.n, "blocks": blocks, "maps": invs},
     )
     cert.emit(
         "generators_generate_the_relation",
         "closure_partition",
-        {
-            "n": rel.n,
-            "maps": [_graph_pairs(f) for f in result.generators],
-            "blocks": blocks,
-        },
+        {"n": rel.n, "maps": generators, "blocks": blocks},
     )
     return cert
 
@@ -256,21 +253,18 @@ def cmd_fm_quotient(args, inst) -> Certificate:
         raise UsageError("fm-quotient needs a graphs relation")
     enum = decl.value
     qc = quotient_construction(enum)
+    generators = [_graph_pairs(f) for f in qc.generators]
     cert.outputs = {
         "classes": qc.relation.num_classes,
         "psi_count": len(qc.psis),
-        "generators": [_graph_pairs(f) for f in qc.generators],
+        "generators": generators,
     }
     blocks = _blocks_of(qc.relation)
     _emit_enumeration(cert, enum)
     cert.emit(
         "generators_are_bijections_within_relation",
         "bijection_family_within",
-        {
-            "n": qc.relation.n,
-            "blocks": blocks,
-            "maps": [_graph_pairs(f) for f in qc.generators],
-        },
+        {"n": qc.relation.n, "blocks": blocks, "maps": generators},
     )
     cert.emit(
         "generated_orbit_equals_relation",
@@ -339,42 +333,35 @@ def cmd_cover(args, inst) -> Certificate:
     if w is not None:
         raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
     pair = cover_finite(levels_finite(g, enum.n, rel))
-    first, second = pair.first, pair.second
-    cert.outputs = {
-        "extension": _graph_pairs(g),
-        "first": _graph_pairs(first),
-        "second": _graph_pairs(second),
-    }
+    seed, extension = _graph_pairs(g0), _graph_pairs(g)
+    # the finite cover is (g, g^-1), so second is the extension's inverse
+    others = [_graph_pairs(pair.first), _graph_pairs(pair.second)]
+    cert.outputs = {"extension": extension, "first": others[0], "second": others[1]}
     cert.emit(
         "seed_within_relation",
         "finite_graph_in_partition",
-        {"n": rel.n, "blocks": blocks, "map": _graph_pairs(g0)},
+        {"n": rel.n, "blocks": blocks, "map": seed},
     )
     cert.emit(
         "extension_is_a_full_permutation",
         "finite_levels_empty",
-        {"n": rel.n, "map": _graph_pairs(g)},
+        {"n": rel.n, "map": extension},
     )
     cert.emit(
         "covers_are_bijections_within_relation",
         "bijection_family_within",
-        {
-            "n": rel.n,
-            "blocks": blocks,
-            "maps": [_graph_pairs(first), _graph_pairs(second)],
-        },
+        {"n": rel.n, "blocks": blocks, "maps": others},
     )
-    others = [_graph_pairs(first), _graph_pairs(second)]
-    for label, f in (
-        ("seed", g0),
-        ("seed_inverse", invert_map(g0)),
-        ("extension", g),
-        ("extension_inverse", invert_map(g)),
+    for label, pairs in (
+        ("seed", seed),
+        ("seed_inverse", _graph_pairs(invert_map(g0))),
+        ("extension", extension),
+        ("extension_inverse", others[1]),
     ):
         cert.emit(
             f"{label}_inside_cover_union",
             "finite_graph_subset",
-            {"left": _graph_pairs(f), "others": others},
+            {"left": pairs, "others": others},
         )
     return cert
 
@@ -386,32 +373,33 @@ def _cover_int(args, cert, rel, phis, g0) -> Certificate:
     g = greedy_extend_int(g0, psis, rel.ambient, rel)
     levels = levels_int(g, rel, bound=args.K)
     pair = cover_int(levels)
-    gp, gpp = pair.first, pair.second
+    seed, extension = format_ptmap(g0), format_ptmap(g)
+    others = [format_ptmap(pair.first), format_ptmap(pair.second)]
     level_text = {
         "x1": format_intset(levels.positive.level(1)),
         "xm1": format_intset(levels.negative.level(1)),
         "zero": format_intset(levels.zero),
     }
     cert.outputs = {
-        "extension": format_ptmap(g),
+        "extension": extension,
         "levels": {
             **level_text,
             "positive_acceleration": levels.positive.accel,
             "negative_acceleration": levels.negative.accel,
         },
-        "first": format_ptmap(gp),
-        "second": format_ptmap(gpp),
+        "first": others[0],
+        "second": others[1],
     }
     cert.emit(
         "seed_within_relation",
         "ptmap_within_blocks",
-        {"map": format_ptmap(g0), "blocks": blocks, "ambient": ambient},
+        {"map": seed, "blocks": blocks, "ambient": ambient},
     )
     cert.emit(
         "levels_reproduce",
         "int_levels",
         {
-            "g": format_ptmap(g),
+            "g": extension,
             "blocks": blocks,
             "ambient": ambient,
             "bound": args.K,
@@ -421,24 +409,18 @@ def _cover_int(args, cert, rel, phis, g0) -> Certificate:
     cert.emit(
         "covers_are_bijections_within_relation",
         "ptmap_family_within",
-        {
-            "maps": [format_ptmap(gp), format_ptmap(gpp)],
-            "blocks": blocks,
-            "ambient": ambient,
-            "bijections": True,
-        },
+        {"maps": others, "blocks": blocks, "ambient": ambient, "bijections": True},
     )
-    others = [format_ptmap(gp), format_ptmap(gpp)]
-    for label, f in (
-        ("seed", g0),
-        ("seed_inverse", g0.inverse()),
-        ("extension", g),
-        ("extension_inverse", levels.ginv),
+    for label, text in (
+        ("seed", seed),
+        ("seed_inverse", format_ptmap(g0.inverse())),
+        ("extension", extension),
+        ("extension_inverse", format_ptmap(levels.ginv)),
     ):
         cert.emit(
             f"{label}_inside_cover_union",
             "ptmap_graph_subset",
-            {"left": format_ptmap(f), "others": others},
+            {"left": text, "others": others},
         )
     return cert
 
@@ -509,21 +491,15 @@ def cmd_generate(args, inst) -> Certificate:
         if point is not None and not 0 <= point < n:
             raise UsageError(f"{flag} {point} is outside the points 0..{n - 1}")
     partition, layers = generate_equivalence(n, maps)
-    cert.outputs = {
-        "blocks": _blocks_of(partition),
-        "stabilized_after": layers.stabilization_index,
-    }
+    blocks = _blocks_of(partition)
+    cert.outputs = {"blocks": blocks, "stabilized_after": layers.stabilization_index}
     if args.x is not None and args.y is not None:
         steps = chain_witness(layers, args.x, args.y)
         cert.outputs["chain"] = None if steps is None else [s.describe() for s in steps]
     cert.emit(
         "closure_matches_generated_partition",
         "closure_partition",
-        {
-            "n": n,
-            "maps": [_graph_pairs(f) for f in maps],
-            "blocks": _blocks_of(partition),
-        },
+        {"n": n, "maps": [_graph_pairs(f) for f in maps], "blocks": blocks},
     )
     return cert
 
@@ -538,15 +514,12 @@ def cmd_tail(args, inst) -> Certificate:
     if len(decl.table) != n:
         raise UsageError(f"map {decl.name!r} is not total")
     partition, _ = tail_equivalence(decl.table, n)
-    cert.outputs = {"blocks": _blocks_of(partition)}
+    blocks = _blocks_of(partition)
+    cert.outputs = {"blocks": blocks}
     cert.emit(
         "tail_classes_reproduce",
         "tail_partition",
-        {
-            "n": n,
-            "map": _graph_pairs(decl.table),
-            "blocks": _blocks_of(partition),
-        },
+        {"n": n, "map": _graph_pairs(decl.table), "blocks": blocks},
     )
     return cert
 

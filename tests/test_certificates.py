@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qborel
-from qborel.cli.certificates import Certificate, jsonable, run_check
+from qborel.cli.certificates import Certificate, _partitions_agree, jsonable, run_check
 from qborel.cli.main import main
 from qborel.feldman_moore import MAX_PROBE
+from qborel.quotient import Partition
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -284,6 +285,53 @@ def test_stored_n_of_a_billion_replays_to_fail_rows_quickly(tmp_path):
     assert seen == set(HUGE_N_ERRORS)
 
 
+def test_late_partition_disagreement_replays_quickly(tmp_path, capsys):
+    # two partitions of 20,000 points that differ only in the last two
+    n = 20_000
+    singles = [[x] for x in range(n)]
+    check = {
+        "name": "late", "kind": "partition_equal", "ok": True, "witness": None,
+        "data": {"n": n, "left": singles[:-2] + [[n - 2, n - 1]], "right": singles},
+    }
+    cert_file, rows_file = tmp_path / "cert.json", tmp_path / "rows.json"
+    cert_file.write_text(json.dumps({"command": "fm-quotient", "checks": [check]}))
+    t = time.perf_counter()
+    code, out = run(capsys, "verify", "--input", str(cert_file), "--out", str(rows_file))
+    assert time.perf_counter() - t < 2.0
+    assert code == 1 and "Traceback" not in out
+    (row,) = json.loads(rows_file.read_text())["rows"]
+    assert row["recomputed"] is False and row["witness"] == [n - 2, n - 1]
+
+
+def ref_partitions_agree(left, right):
+    """The first disagreeing pair x < y, found by trying every pair in order."""
+    if left == right:
+        return True, None
+    for x in range(left.n):
+        for y in range(x + 1, left.n):
+            if left.same(x, y) != right.same(x, y):
+                return False, (x, y)
+    return False, None
+
+
+@st.composite
+def partition_pairs(draw):
+    n = draw(st.integers(1, 14))
+    labels = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    left = draw(labels)
+    # a relabelling of a few points, or an unrelated partition
+    right = list(left)
+    for x in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        right[x] = draw(st.integers(0, 5))
+    right = draw(st.sampled_from([right, draw(labels)]))
+    return Partition.from_class_map(left), Partition.from_class_map(right)
+
+
+@given(partition_pairs())
+def test_partition_witness_is_the_first_disagreeing_pair(pair):
+    assert _partitions_agree(*pair) == ref_partitions_agree(*pair)
+
+
 def test_certificate_with_a_repeated_group_label_is_a_fail_row(tmp_path, capsys):
     cert = json.loads((GOLDEN / "cocycle_rotation.json").read_text())
     (check,) = cert["checks"]
@@ -365,6 +413,6 @@ def ref_graph_subset(data):
 def test_finite_graph_subset_reads_each_stored_union_as_before(others, left):
     data = {"left": left, "others": others}
     want = _outcome(ref_graph_subset, data)
-    # the second replay reads the union the first one built, where one was built
+    # a second replay gives the same outcome: nothing is kept between replays
     assert _outcome(run_check, "finite_graph_subset", data) == want
     assert _outcome(run_check, "finite_graph_subset", data) == want
