@@ -19,6 +19,7 @@ from ..actions import cocycle_from_free_action, normalizer, orbit_equivalence
 from ..carriers import _clear_memos, format_intset, format_ptmap, IntSet
 from ..errors import InvalidCertificate, NotWithinRelation, QBorelError, UnsupportedCarrier
 from ..feldman_moore import (
+    ORBIT_WINDOW,
     classical_construction,
     cover_finite,
     cover_int,
@@ -65,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="word length for gallery models")
     p.add_argument("--t", type=int, help="agreement threshold for gallery models")
     p.add_argument("--K", type=int, default=32, help="level probe bound (int lane)")
-    p.add_argument("--window", type=int, default=64, help="orbit probe window")
     p.add_argument("--rel", help="relation name in the instance file")
     p.add_argument("--maps", help="comma-separated map names")
     p.add_argument("--map", dest="map_", help="single map name")
@@ -93,6 +93,15 @@ def _read_input(path: str) -> bytes:
             return fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write text to an output file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _pick(
@@ -295,7 +304,7 @@ def _fm_quotient_int(args, cert, rel, phis) -> Certificate:
             "maps": gen_texts,
             "blocks": blocks,
             "ambient": ambient,
-            "window": args.window,
+            "window": ORBIT_WINDOW,
         },
     )
     return cert
@@ -510,6 +519,8 @@ def cmd_tail(args, inst) -> Certificate:
     decl = _pick(
         args, inst, inst.maps, args.map_, "map", "map", "finite", "tail works on finite endomaps"
     )
+    if decl.src != decl.dst:
+        raise UsageError(f"map {decl.name!r} goes from {decl.src} to {decl.dst}, not to itself")
     n = inst.spaces[decl.src].size
     if len(decl.table) != n:
         raise UsageError(f"map {decl.name!r} is not total")
@@ -746,9 +757,8 @@ def cmd_verify(args, inst) -> tuple[int, list[str]]:
         else "verification failed"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"agrees": agree, "rows": jsonable(rows)}, fh, indent=2)
-            fh.write("\n")
+        report = json.dumps({"agrees": agree, "rows": jsonable(rows)}, indent=2)
+        _write_output(args.out, report + "\n")
     return (0 if all_pass else 1), lines
 
 
@@ -790,8 +800,7 @@ def cmd_export_graph(args, inst) -> tuple[int, list[str]]:
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output(args.out, text)
         return 0, [f"wrote {args.out}"]
     return 0, [text.rstrip()]
 
@@ -844,6 +853,12 @@ def main(argv=None) -> int:
             text = decode_instance(_read_input(args.input))
         inst = parse_instance(text) if text is not None and command != "gallery" else None
         result = COMMANDS[command](args, inst)
+        if isinstance(result, Certificate):
+            if text is not None:
+                result.add_input(os.path.basename(args.input), text)
+            # written before anything is printed: a failed write prints nothing
+            if args.out:
+                _write_output(args.out, result.to_json())
     except UsageError as e:
         parser.error(str(e))
     except QBorelError as e:
@@ -865,16 +880,12 @@ def main(argv=None) -> int:
         print("\n".join(lines))
         return code
     cert = result
-    if text is not None:
-        cert.add_input(os.path.basename(args.input), text)
     print("\n".join(cert.summary_lines()))
     if cert.outputs:
         print("outputs:")
         for key, value in cert.outputs.items():
             print(f"  {key} = {json.dumps(value, default=_plain)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cert.to_json())
         print(f"certificate written to {args.out}")
     return 0 if cert.ok else 1
 

@@ -41,6 +41,9 @@ from .relations import (
 # replay of a stored certificate) visits, so both are capped.
 MAX_PROBE = 1024
 
+# the half-width of the window a run certifies orbit coverage on
+ORBIT_WINDOW = 64
+
 # the longest period the integer-lane level search tries
 MAX_PERIOD = 8
 
@@ -62,9 +65,6 @@ def identity_map(n: int) -> dict[int, int]:
 
 
 def invert_map(f: dict[int, int]) -> dict[int, int]:
-    inv = dict(zip(f.values(), f))
-    if len(inv) == len(f):
-        return inv
     inv = {}
     for x, y in f.items():
         if y in inv:
@@ -76,8 +76,6 @@ def invert_map(f: dict[int, int]) -> dict[int, int]:
 
 
 def injectivity_witness(f: dict[int, int]):
-    if len(set(f.values())) == len(f):
-        return None
     seen = {}
     for x in sorted(f):
         y = f[x]
@@ -93,19 +91,10 @@ def _signature(f: dict[int, int]) -> tuple:
 
 
 def graph_within_partition(f: dict[int, int], rel: Partition):
-    """None when every pair of f joins related points, else a witness pair.
+    """None when every pair of f joins related points, else the least witness pair.
 
-    A pair with a point outside 0..rel.n-1 is a witness too.  When every
-    point lies in range and keeps its class label there is none, so the
-    ordered search runs only to find the least witness.
+    A pair with a point outside 0..rel.n-1 is a witness too.
     """
-    label = rel.class_of
-    if not f or (
-        min(f) >= 0 and max(f) < rel.n
-        and min(f.values()) >= 0 and max(f.values()) < rel.n
-        and list(map(label.__getitem__, f)) == list(map(label.__getitem__, f.values()))
-    ):
-        return None
     for x in sorted(f):
         y = f[x]
         if not (0 <= x < rel.n and 0 <= y < rel.n and rel.same(x, y)):
@@ -320,13 +309,7 @@ def greedy_extend(
 
 
 def maximality_witness(g: dict[int, int], rel: Partition):
-    """None when every related pair has its source used or target hit.
-
-    The blocks cover 0..rel.n-1, so a map defined on all of it has no
-    witness and the block search is skipped.
-    """
-    if all(map(g.__contains__, range(rel.n))):
-        return None
+    """None when every related pair has its source used or target hit."""
     rng = set(g.values())
     for block in rel.blocks:
         for y in block:
@@ -727,7 +710,7 @@ def quotient_construction_int(
 def orbit_window_witness(
     rel: IntBlockRelation,
     generators: list[PiecewiseTranslation],
-    window: int = 64,
+    window: int = ORBIT_WINDOW,
 ):
     """None when generators connect every related window pair, else a pair.
 

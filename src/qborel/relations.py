@@ -101,8 +101,6 @@ def generate_equivalence(n: int, fns) -> tuple[Partition, ClosureLayers]:
     """
     fns = [dict(f) for f in fns]
     for f in fns:
-        if f and min(f) >= 0 and max(f) < n and min(f.values()) >= 0 and max(f.values()) < n:
-            continue
         for x, y in f.items():
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"graph pair ({x}, {y}) outside 0..{n - 1}")

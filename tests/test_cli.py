@@ -181,7 +181,6 @@ def test_level_bound_is_a_ceiling_not_a_depth(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("cover", "--K", "100000"),
     ("fm-quotient", "--K", "100000"),
-    ("fm-quotient", "--window", "100000"),
 ])
 def test_probe_parameters_above_the_cap_are_bad_parameters(capsys, argv):
     code, out = run(capsys, *argv, "--input", RAY)
@@ -566,7 +565,7 @@ def test_finite_cover_checks_only_its_seed_against_the_relation(capsys, monkeypa
     assert code == 0
     seed = {0: 1}
     assert checked[0] == seed  # cover's own seed check
-    assert len(checked) == 5  # levels, then the seed check and both covers at emit
+    assert len(checked) == 3  # levels, then the seed check at emit
 
 
 def test_verify_stored_gallery_k_zero_is_a_fail_row(tmp_path, capsys):
@@ -753,3 +752,42 @@ def test_blocks_of_coprime_strides_with_a_ray_stay_cheap(tmp_path, ray, maps, co
     assert "Traceback" not in out.stderr
     if code:
         assert json.loads(out.stdout)["error"]["kind"] == "NotWithinRelation"
+
+
+def test_tail_of_a_map_between_two_spaces_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "two_spaces.qb"
+    inst.write_text(
+        "space S carrier = finite(3)\nspace T carrier = finite(5)\n"
+        "map f : S -> T : 0 -> 4, 1 -> 0, 2 -> 1\n",
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "tail", "--input", str(inst))
+    assert code == 2
+    assert out.endswith("qborel: error: map 'f' goes from S to T, not to itself\n")
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "dir"])
+@pytest.mark.parametrize("command", ["cover", "verify", "export-graph"])
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys, command, target):
+    source = FIVE
+    if command == "verify":
+        source = str(tmp_path / "cover.json")
+        assert run(capsys, "cover", "--input", FIVE, "--out", source)[0] == 0
+    out_path = str(tmp_path / "missing" / "out" if target == "missing_dir" else tmp_path)
+    code, out = run(capsys, command, "--input", source, "--out", out_path)
+    assert code == 2
+    # the write comes first, so nothing reaches stdout before the error
+    assert out.startswith("usage: ")
+    assert f"qborel: error: cannot write {out_path}: " in out
+
+
+def test_verify_deeply_nested_certificate_is_invalid_certificate(tmp_path, capsys):
+    cert_file = tmp_path / "deep.json"
+    cert_file.write_text("[" * 200_000)
+    code, out = run(capsys, "verify", "--input", str(cert_file))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "InvalidCertificate",
+        "message": "certificate nests too deeply to read",
+        "witness": None,
+    }

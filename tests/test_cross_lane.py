@@ -144,7 +144,7 @@ def random_seed(rng, classes) -> dict[int, int]:
 
 
 @st.composite
-def instances(draw, max_n=40):
+def instances(draw, max_n=140):
     """An enumeration of random classes, and a cover seed inside them or none."""
     n, k = draw(st.integers(1, max_n)), draw(st.integers(1, 6))
     rng = random.Random(draw(st.integers(0, 2**32)))
