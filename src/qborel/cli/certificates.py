@@ -13,19 +13,11 @@ import hashlib
 import json
 import marshal
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .. import __version__ as VERSION
-from ..actions import Cocycle, FiniteGroup, GroupAction, normalizer, verify_cocycle
-from ..cantor import example_gallery
 from ..carriers import format_intset, parse_intset, parse_ptmap
 from ..errors import InvalidCertificate, NotAnEnumeration, QBorelError
-from ..feldman_moore import (
-    ORBIT_WINDOW,
-    graph_within_partition,
-    levels_int,
-    orbit_window_witness,
-    weak_uniformize_int,
-)
 from ..quotient import Partition
 from ..relations import (
     IntBlockRelation,
@@ -34,6 +26,9 @@ from ..relations import (
     tail_equivalence,
     verify_enumeration,
 )
+
+if TYPE_CHECKING:  # the checkers of group data import actions when they run
+    from ..actions import FiniteGroup
 
 TOOL = "qborel"
 
@@ -292,6 +287,8 @@ def _chk_finite_involution(data):
 
 @checker("finite_graph_in_partition")
 def _chk_graph_in_partition(data):
+    from ..feldman_moore import graph_within_partition
+
     rel = _blocks_partition(data["n"], data["blocks"])
     w = graph_within_partition(_pairs_to_map(data["map"]), rel)
     return w is None, w
@@ -309,13 +306,11 @@ def _chk_finite_graph_subset(data):
 @checker("pair_coverage")
 def _chk_pair_coverage(data):
     rel = _blocks_partition(data["n"], data["blocks"])
-    maps = [_pairs_to_map(g) for g in data["maps"]]
+    stored = {pair for g in data["maps"] for pair in _pairs_to_map(g).items()}
     for block in rel.blocks:
         for x in block:
             for y in block:
-                if x == y:
-                    continue
-                if not any(f.get(x) == y for f in maps):
+                if x != y and (x, y) not in stored:
                     return False, (x, y)
     return True, None
 
@@ -383,6 +378,8 @@ def _chk_ptmap_within_blocks(data):
 
 @checker("int_orbit_window")
 def _chk_int_orbit_window(data):
+    from ..feldman_moore import ORBIT_WINDOW, orbit_window_witness
+
     rel = _int_relation(data)
     maps = [parse_ptmap(t) for t in data["maps"]]
     w = orbit_window_witness(rel, maps, window=data.get("window", ORBIT_WINDOW))
@@ -391,6 +388,8 @@ def _chk_int_orbit_window(data):
 
 @checker("int_levels")
 def _chk_int_levels(data):
+    from ..feldman_moore import levels_int
+
     rel = _int_relation(data)
     levels = levels_int(parse_ptmap(data["g"]), rel, bound=data.get("bound", 32))
     got = {
@@ -419,6 +418,8 @@ def _chk_finite_levels_empty(data):
 
 @checker("int_least_index")
 def _chk_int_least_index(data):
+    from ..feldman_moore import weak_uniformize_int
+
     maps = [parse_ptmap(t) for t in data["maps"]]
     got = weak_uniformize_int(maps, maps).phi
     ok = got == parse_ptmap(data["phi"])
@@ -481,11 +482,15 @@ def _chk_tail_partition(data):
 
 
 def _group(data) -> FiniteGroup:
+    from ..actions import FiniteGroup
+
     return FiniteGroup(tuple(data["labels"]), tuple(tuple(r) for r in data["table"]))
 
 
 @checker("cocycle_laws")
 def _chk_cocycle_laws(data):
+    from ..actions import Cocycle, GroupAction, verify_cocycle
+
     group = _group(data)
     action = GroupAction(
         group, data["n"], tuple(tuple(r) for r in data["maps"])
@@ -498,6 +503,8 @@ def _chk_cocycle_laws(data):
 
 @checker("normalizer_value")
 def _chk_normalizer_value(data):
+    from ..actions import normalizer
+
     group = _group(data)
     got = list(normalizer(group, [int(a) for a in data["delta"]]))
     ok = got == [int(a) for a in data["expected"]]
@@ -506,6 +513,8 @@ def _chk_normalizer_value(data):
 
 @checker("gallery")
 def _chk_gallery(data):
+    from ..cantor import example_gallery
+
     instance = example_gallery(
         data["name"], k=data.get("k"), n=data.get("n"), t=data.get("t")
     )

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..actions import FiniteGroup, GroupAction
 from ..carriers import PiecewiseTranslation, parse_intset, parse_ptmap
 from ..errors import InstanceSyntaxError, UnknownReference, clip, quote
 from ..quotient import IntClassQuotient, Partition
 from ..relations import EnumeratedEquivalence, IntBlockRelation
+
+if TYPE_CHECKING:  # actions is imported only when a file declares a group
+    from ..actions import FiniteGroup, GroupAction
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
@@ -296,6 +299,8 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
 
 
 def _parse_group(rest: str, line_no: int) -> GroupDecl:
+    from ..actions import FiniteGroup
+
     m = re.match(rf"({_NAME})\s+table\s*=\s*(\[.*?\])\s*(?:labels\s*=\s*(\[.*\]))?$", rest)
     if not m:
         _fail(line_no, f"bad group declaration: {quote(rest)}")
@@ -317,6 +322,8 @@ def _parse_group(rest: str, line_no: int) -> GroupDecl:
 
 
 def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
+    from ..actions import GroupAction
+
     m = re.match(
         rf"({_NAME})\s*:\s*({_NAME})\s+on\s+({_NAME})\s*:\s*(.*)$", rest
     )

@@ -15,27 +15,8 @@ import os
 import sys
 from math import inf
 
-from ..actions import cocycle_from_free_action, normalizer, orbit_equivalence
 from ..carriers import _clear_memos, format_intset, format_ptmap, IntSet
 from ..errors import InvalidCertificate, NotWithinRelation, QBorelError, UnsupportedCarrier
-from ..feldman_moore import (
-    ORBIT_WINDOW,
-    classical_construction,
-    cover_finite,
-    cover_int,
-    graph_within_partition,
-    greedy_extend,
-    greedy_extend_int,
-    invert_map,
-    levels_finite,
-    levels_int,
-    psi_split,
-    psi_split_int,
-    quotient_construction,
-    quotient_construction_int,
-    weak_uniformize,
-    weak_uniformize_int,
-)
 from ..relations import (
     chain_witness,
     generate_equivalence,
@@ -215,6 +196,8 @@ def cmd_gallery(args, inst) -> Certificate:
 
 
 def cmd_fm_classical(args, inst) -> Certificate:
+    from ..feldman_moore import classical_construction
+
     inst = _need_instance(inst, "fm-classical")
     cert = Certificate("fm-classical")
     decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
@@ -260,6 +243,8 @@ def cmd_fm_quotient(args, inst) -> Certificate:
         return _fm_quotient_int(args, cert, decl.value, [d.table for d in decls])
     if decl.kind != "graphs":
         raise UsageError("fm-quotient needs a graphs relation")
+    from ..feldman_moore import quotient_construction
+
     enum = decl.value
     qc = quotient_construction(enum)
     generators = [_graph_pairs(f) for f in qc.generators]
@@ -284,6 +269,8 @@ def cmd_fm_quotient(args, inst) -> Certificate:
 
 
 def _fm_quotient_int(args, cert, rel, phis) -> Certificate:
+    from ..feldman_moore import ORBIT_WINDOW, quotient_construction_int
+
     qc = quotient_construction_int(rel, phis, bound=args.K)
     gen_texts = [format_ptmap(f) for f in qc.generators]
     blocks = [format_intset(b) for b in rel.blocks]
@@ -330,6 +317,10 @@ def cmd_cover(args, inst) -> Certificate:
         return _cover_int(args, cert, decl.value, [d.table for d in decls], g0_decl.table)
     if decl.kind != "graphs":
         raise UsageError("cover needs a graphs relation (or an int blocks one)")
+    from ..feldman_moore import (
+        cover_finite, graph_within_partition, greedy_extend, invert_map, levels_finite, psi_split,
+    )
+
     enum = decl.value
     rel = _rel_partition(decl, cert)
     blocks = _blocks_of(rel)
@@ -376,6 +367,8 @@ def cmd_cover(args, inst) -> Certificate:
 
 
 def _cover_int(args, cert, rel, phis, g0) -> Certificate:
+    from ..feldman_moore import cover_int, greedy_extend_int, levels_int, psi_split_int
+
     blocks = [format_intset(b) for b in rel.blocks]
     ambient = format_intset(rel.ambient)
     psis = psi_split_int(phis)
@@ -435,6 +428,8 @@ def _cover_int(args, cert, rel, phis, g0) -> Certificate:
 
 
 def cmd_uniformize(args, inst) -> Certificate:
+    from ..feldman_moore import weak_uniformize, weak_uniformize_int
+
     inst = _need_instance(inst, "uniformize")
     cert = Certificate("uniformize")
     if args.rel or inst.rels:
@@ -575,6 +570,8 @@ def cmd_selector(args, inst) -> Certificate:
     cert = Certificate("selector")
     wants_action = not args.rel and (args.action or (not inst.rels and inst.actions))
     if wants_action:
+        from ..actions import orbit_equivalence
+
         decl = _pick(args, inst, inst.actions, args.action, "action", "action")
         rel = orbit_equivalence(decl.action)
     else:
@@ -624,6 +621,8 @@ def cmd_involution2(args, inst) -> Certificate:
 
 
 def cmd_action_orbits(args, inst) -> Certificate:
+    from ..actions import orbit_equivalence
+
     inst = _need_instance(inst, "action-orbits")
     cert = Certificate("action-orbits")
     decl = _pick(args, inst, inst.actions, args.action, "action", "action")
@@ -649,6 +648,8 @@ def cmd_action_orbits(args, inst) -> Certificate:
 
 
 def cmd_cocycle(args, inst) -> Certificate:
+    from ..actions import cocycle_from_free_action
+
     cert = Certificate("cocycle")
     if args.gallery:
         g = _gallery_instance(args)
@@ -679,6 +680,8 @@ def cmd_cocycle(args, inst) -> Certificate:
 
 
 def cmd_normalizer(args, inst) -> Certificate:
+    from ..actions import normalizer
+
     cert = Certificate("normalizer")
     if args.gallery:
         g = _gallery_instance(args)

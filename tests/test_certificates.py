@@ -332,6 +332,47 @@ def test_partition_witness_is_the_first_disagreeing_pair(pair):
     assert _partitions_agree(*pair) == ref_partitions_agree(*pair)
 
 
+def ref_pair_coverage(data):
+    """The pair_coverage checker as it was: each related pair tried on each map."""
+    rel = Partition.from_blocks(data["n"], [[int(x) for x in b] for b in data["blocks"]])
+    maps = [{int(x): int(y) for x, y in g} for g in data["maps"]]
+    for block in rel.blocks:
+        for x in block:
+            for y in block:
+                if x != y and not any(f.get(x) == y for f in maps):
+                    return False, (x, y)
+    return True, None
+
+
+@st.composite
+def coverage_data(draw):
+    n = draw(st.integers(1, 9))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    blocks = Partition.from_class_map(labels).blocks
+    # maps may name points outside 0..n-1 and repeat a source, as edits can
+    pairs = st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=2 * n)
+    maps = draw(st.lists(pairs, max_size=4))
+    return {"n": n, "blocks": [list(b) for b in blocks], "maps": maps}
+
+
+@given(coverage_data())
+def test_pair_coverage_verdict_and_witness_match_the_pairwise_search(data):
+    assert run_check("pair_coverage", data) == ref_pair_coverage(data)
+
+
+def test_pair_coverage_is_linear_in_the_stored_pairs():
+    # one class of 400 points and its 400 cyclic shifts: 160,000 stored pairs
+    c = 400
+    data = {
+        "n": c,
+        "blocks": [list(range(c))],
+        "maps": [[[x, (x + s) % c] for x in range(c)] for s in range(c)],
+    }
+    start = time.perf_counter()
+    assert run_check("pair_coverage", data) == (True, None)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_certificate_with_a_repeated_group_label_is_a_fail_row(tmp_path, capsys):
     cert = json.loads((GOLDEN / "cocycle_rotation.json").read_text())
     (check,) = cert["checks"]

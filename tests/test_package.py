@@ -1,6 +1,9 @@
 """The public surface of the qborel package."""
 
+import sys
 import types
+
+import pytest
 
 import qborel
 
@@ -63,11 +66,29 @@ EXPORTS = [
 
 
 def test_public_exports_are_pinned():
+    # names are served on first use, so dir() lists them before vars() holds them
     public = sorted(
-        name for name, value in vars(qborel).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(qborel)
+        if not name.startswith("_") and not isinstance(getattr(qborel, name), types.ModuleType)
     )
     assert public == EXPORTS
+    for name in EXPORTS:
+        value = getattr(qborel, name)
+        assert value.__module__.startswith("qborel.")
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+@pytest.mark.parametrize("name", ["nonexistent", "invert_map"])
+def test_unknown_name_is_an_attribute_error(name):
+    # invert_map is defined in feldman_moore, but it is not exported
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(qborel, name)
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from qborel import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == EXPORTS
 
 
 CLI_EXPORTS = [
