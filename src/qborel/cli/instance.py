@@ -201,7 +201,7 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
     return SpaceDecl(name, "finite", partition)
 
 
-def _require(inst: InstanceFile, table: dict, name: str, what: str, line_no: int):
+def _require(table: dict, name: str, what: str, line_no: int):
     if name not in table:
         raise UnknownReference(
             f"line {line_no}: {what} {quote(name)} not declared above", line=line_no
@@ -216,8 +216,8 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     if not m:
         _fail(line_no, f"bad map declaration: {quote(rest)}")
     name, src, dst, body = m.groups()
-    sdecl = _require(inst, inst.spaces, src, "space", line_no)
-    ddecl = _require(inst, inst.spaces, dst, "space", line_no)
+    sdecl = _require(inst.spaces, src, "space", line_no)
+    ddecl = _require(inst.spaces, dst, "space", line_no)
     if sdecl.kind != "finite" or ddecl.kind != "finite":
         _fail(line_no, "map declarations need finite spaces; use ptmap for int")
     n_src, n_dst = sdecl.size, ddecl.size
@@ -247,7 +247,7 @@ def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     if not m:
         _fail(line_no, f"bad ptmap declaration: {quote(rest)}")
     name, space, body = m.groups()
-    sdecl = _require(inst, inst.spaces, space, "space", line_no)
+    sdecl = _require(inst.spaces, space, "space", line_no)
     if sdecl.kind != "int":
         _fail(line_no, "ptmap needs an int space")
     try:
@@ -265,13 +265,13 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
     if not m:
         _fail(line_no, f"bad rel declaration: {quote(rest)}")
     name, space, kind, body = m.groups()
-    sdecl = _require(inst, inst.spaces, space, "space", line_no)
+    sdecl = _require(inst.spaces, space, "space", line_no)
     if kind == "graphs":
         if sdecl.kind != "finite":
             _fail(line_no, "graphs form needs a finite space")
         graph_names = _split_bracket_list(body, line_no)
         decls = [
-            _require(inst, inst.maps, g, "map", line_no) for g in graph_names
+            _require(inst.maps, g, "map", line_no) for g in graph_names
         ]
         for d in decls:
             if d.src != space or d.dst != space:
@@ -330,8 +330,8 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
     if not m:
         _fail(line_no, f"bad action declaration: {quote(rest)}")
     name, group_name, space_name, body = m.groups()
-    gdecl = _require(inst, inst.groups, group_name, "group", line_no)
-    sdecl = _require(inst, inst.spaces, space_name, "space", line_no)
+    gdecl = _require(inst.groups, group_name, "group", line_no)
+    sdecl = _require(inst.spaces, space_name, "space", line_no)
     if sdecl.kind != "finite":
         _fail(line_no, "actions are declared on finite spaces")
     n = sdecl.size
@@ -351,7 +351,7 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
             elem = _parse_int(elem_text, line_no)
             if not 0 <= elem < group.size:
                 _fail(line_no, f"element {clip(str(elem))} outside the group")
-        mdecl = _require(inst, inst.maps, map_name, "map", line_no)
+        mdecl = _require(inst.maps, map_name, "map", line_no)
         if mdecl.src != space_name or mdecl.dst != space_name:
             _fail(line_no, f"map {quote(map_name)} is not an endomap of {space_name}")
         if len(mdecl.table) != n:

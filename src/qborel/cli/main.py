@@ -86,7 +86,7 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _pick(
-    args, inst, table: dict, flag_value, directive_key: str, what: str,
+    inst, table: dict, flag_value, directive_key: str, what: str,
     lane: str | None = None, mismatch: str = "",
 ):
     """A named object: flag first, then `set` directive, then sole entry.
@@ -126,7 +126,7 @@ def _map_list(args, inst, lane: str, mismatch: str) -> list:
         names = inst.directives.get("maps")
     if names is None:
         raise UsageError("no maps selected; pass --maps name,name,...")
-    out = [_pick(args, inst, inst.maps, s.strip(), "maps", "map") for s in names.split(",")]
+    out = [_pick(inst, inst.maps, s.strip(), "maps", "map") for s in names.split(",")]
     if len({d.kind for d in out}) > 1:
         raise UsageError("maps must all live on the same carrier kind")
     if out[0].kind != lane:
@@ -200,7 +200,7 @@ def cmd_fm_classical(args, inst) -> Certificate:
 
     inst = _need_instance(inst, "fm-classical")
     cert = Certificate("fm-classical")
-    decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
+    decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     rel = _rel_partition(decl, cert)
     result = classical_construction(rel)
     invs = [_graph_pairs(f) for f in result.involutions.values()]
@@ -237,7 +237,7 @@ def cmd_fm_quotient(args, inst) -> Certificate:
         rel, phis = g.data["relation"], g.data["maps"]
         return _fm_quotient_int(args, cert, rel, phis)
     inst = _need_instance(inst, "fm-quotient")
-    decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
+    decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     if decl.kind == "blocks":
         decls = _map_list(args, inst, "int", "fm-quotient on a blocks relation needs ptmaps")
         return _fm_quotient_int(args, cert, decl.value, [d.table for d in decls])
@@ -299,17 +299,17 @@ def _fm_quotient_int(args, cert, rel, phis) -> Certificate:
 
 def cmd_cover(args, inst) -> Certificate:
     cert = Certificate("cover")
-    if args.gallery or inst is None:
+    if args.gallery:
         g = _gallery_instance(args, "et_shift")
         return _cover_int(args, cert, g.data["relation"], g.data["maps"], g.data["seed"])
     inst = _need_instance(inst, "cover")
-    decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
+    decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     # a graphs relation takes a map seed, a blocks relation a ptmap seed
     lane, seed = {"graphs": ("finite", "map"), "blocks": ("int", "ptmap")}.get(
         decl.kind, (None, "")
     )
     g0_decl = _pick(
-        args, inst, inst.maps, args.g0, "g0", "seed map",
+        inst, inst.maps, args.g0, "g0", "seed map",
         lane, f"cover on a {decl.kind} relation needs a {seed} seed",
     )
     if decl.kind == "blocks":
@@ -433,7 +433,7 @@ def cmd_uniformize(args, inst) -> Certificate:
     inst = _need_instance(inst, "uniformize")
     cert = Certificate("uniformize")
     if args.rel or inst.rels:
-        decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
+        decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     else:
         decl = None
     if decl is not None and decl.kind == "graphs":
@@ -512,7 +512,7 @@ def cmd_tail(args, inst) -> Certificate:
     inst = _need_instance(inst, "tail")
     cert = Certificate("tail")
     decl = _pick(
-        args, inst, inst.maps, args.map_, "map", "map", "finite", "tail works on finite endomaps"
+        inst, inst.maps, args.map_, "map", "map", "finite", "tail works on finite endomaps"
     )
     if decl.src != decl.dst:
         raise UsageError(f"map {decl.name!r} goes from {decl.src} to {decl.dst}, not to itself")
@@ -550,7 +550,7 @@ def cmd_index(args, inst) -> Certificate:
         value = index_over(rel)
     else:
         inst = _need_instance(inst, "index")
-        decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
+        decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
         if decl.kind == "graphs":
             value = index_over(decl.value.partition())
         else:
@@ -572,14 +572,14 @@ def cmd_selector(args, inst) -> Certificate:
     if wants_action:
         from ..actions import orbit_equivalence
 
-        decl = _pick(args, inst, inst.actions, args.action, "action", "action")
+        decl = _pick(inst, inst.actions, args.action, "action", "action")
         rel = orbit_equivalence(decl.action)
     else:
-        decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
+        decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
         rel = _rel_partition(decl, cert)
     if args.phi:
         phi = dict(_pick(
-            args, inst, inst.maps, args.phi, "phi", "map", "finite", "selector needs a map for --phi"
+            inst, inst.maps, args.phi, "phi", "map", "finite", "selector needs a map for --phi"
         ).table)
     else:
         phi = min_selector(rel)
@@ -598,7 +598,7 @@ def cmd_selector(args, inst) -> Certificate:
 def cmd_involution2(args, inst) -> Certificate:
     inst = _need_instance(inst, "involution2")
     cert = Certificate("involution2")
-    decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
+    decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     rel = _rel_partition(decl, cert)
     f = index2_involution(rel)
     cert.outputs = {"involution": _graph_pairs(f)}
@@ -625,7 +625,7 @@ def cmd_action_orbits(args, inst) -> Certificate:
 
     inst = _need_instance(inst, "action-orbits")
     cert = Certificate("action-orbits")
-    decl = _pick(args, inst, inst.actions, args.action, "action", "action")
+    decl = _pick(inst, inst.actions, args.action, "action", "action")
     act = decl.action
     orbit = orbit_equivalence(act)
     gen_maps = [
@@ -658,7 +658,7 @@ def cmd_cocycle(args, inst) -> Certificate:
             raise UsageError(f"gallery {g.name} carries no action")
     else:
         inst = _need_instance(inst, "cocycle")
-        decl = _pick(args, inst, inst.actions, args.action, "action", "action")
+        decl = _pick(inst, inst.actions, args.action, "action", "action")
         act = decl.action
     coc = cocycle_from_free_action(act)
     sizes = {
@@ -693,7 +693,7 @@ def cmd_normalizer(args, inst) -> Certificate:
         sub_text = args.sub or ",".join(str(a) for a in delta)
     else:
         inst = _need_instance(inst, "normalizer")
-        decl = _pick(args, inst, inst.groups, args.group, "group", "group")
+        decl = _pick(inst, inst.groups, args.group, "group", "group")
         group = decl.group
         if not args.sub and "sub" not in inst.directives:
             raise UsageError("normalizer needs --sub with subgroup elements")
@@ -769,7 +769,7 @@ def cmd_export_graph(args, inst) -> tuple[int, list[str]]:
     inst = _need_instance(inst, "export-graph")
     lines = ["digraph orbits {"]
     if args.action or (not args.rel and inst.actions):
-        decl = _pick(args, inst, inst.actions, args.action, "action", "action")
+        decl = _pick(inst, inst.actions, args.action, "action", "action")
         act = decl.action
         for q in range(act.n):
             lines.append(f'  p{q} [label="{q}"];')
@@ -780,7 +780,7 @@ def cmd_export_graph(args, inst) -> tuple[int, list[str]]:
                 if x != y:
                     lines.append(f'  p{x} -> p{y} [label="{lbl}"];')
     else:
-        decl = _pick(args, inst, inst.rels, args.rel, "rel", "relation")
+        decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
         if decl.kind == "blocks":
             raise UnsupportedCarrier("graph export needs a finite quotient")
         if decl.kind == "graphs":
@@ -833,6 +833,8 @@ def _check_flags(args, command: str) -> None:
     """The usage errors the flags alone show, raised before the instance is read."""
     if command in ("fm-quotient", "cover") and args.gallery not in (None, "et_shift"):
         raise UsageError(f"only the et_shift gallery instance feeds {command}")
+    if (args.gallery or command == "gallery") and args.input:
+        raise UsageError("a gallery instance reads no --input")
     if command == "index" and args.expect is not None:
         _expected_index(args.expect)
 
@@ -854,7 +856,7 @@ def main(argv=None) -> int:
         text = None
         if args.input and command != "verify":
             text = decode_instance(_read_input(args.input))
-        inst = parse_instance(text) if text is not None and command != "gallery" else None
+        inst = parse_instance(text) if text is not None else None
         result = COMMANDS[command](args, inst)
         if isinstance(result, Certificate):
             if text is not None:

@@ -159,49 +159,34 @@ class ClassicalResult:
 
 
 def classical_construction(rel: Partition) -> ClassicalResult:
-    """Build the three-case involutions for a relation on points 0..n-1.
+    """The Feldman-Moore involutions of a relation on points 0..n-1.
 
-    The enumeration lists the i-th smallest member of each class; the
-    separating sets are the bit predicates of the point index.  Each
-    triple (m, n, p) yields the involution that swaps x with its m-th
-    class member when the p-th bits disagree the right way and the n-th
-    map undoes the move, and fixes everything else.
+    Graph m of the enumeration sends each point of a class B to B[m], the
+    m-th smallest member of B, and the separating sets are the bits of the
+    point index.  Involution (m, n, p) swaps B[m] and B[n] in every class
+    B of more than max(m, n) points where bit p is clear in B[m] and set
+    in B[n], and fixes every other point.  The generators are the distinct
+    involutions that move a point, in triple order: two triples give the
+    same involution exactly when they swap the same unordered pairs.
     """
     n = rel.n
     enumeration = lusin_novikov_decompose(rel.pairs()).graphs
     bit_count = (n - 1).bit_length() if n >= 2 else 0
-
-    def bit(x: int, p: int) -> bool:
-        return (x >> p) & 1 == 1
-
-    involutions = {}
     k = len(enumeration)
+    involutions = {}
+    generators, seen = [], set()
     for m in range(k):
-        fm = enumeration[m]
         for nn in range(k):
-            fn = enumeration[nn]
+            pairs = [(b[m], b[nn]) for b in rel.blocks if len(b) > max(m, nn)]
             for p in range(bit_count):
-                table = {}
-                for x in range(n):
-                    y = fm.get(x)
-                    if bit(x, p) and y is not None and not bit(y, p) and fn.get(y) == x:
-                        table[x] = y
-                        continue
-                    z = fn.get(x)
-                    if not bit(x, p) and z is not None and bit(z, p) and fm.get(z) == x:
-                        table[x] = z
-                        continue
-                    table[x] = x
-                involutions[(m, nn, p)] = table
-    seen = set()
-    generators = []
-    ident = identity_map(n)
-    for key in sorted(involutions):
-        f = involutions[key]
-        sig = _signature(f)
-        if f != ident and sig not in seen:
-            seen.add(sig)
-            generators.append(f)
+                swaps = [(x, y) for x, y in pairs if not x >> p & 1 and y >> p & 1]
+                table = involutions[(m, nn, p)] = identity_map(n)
+                for x, y in swaps:
+                    table[x], table[y] = y, x
+                moved = frozenset(map(frozenset, swaps))
+                if moved and moved not in seen:
+                    seen.add(moved)
+                    generators.append(table)
     return ClassicalResult(rel, enumeration, bit_count, involutions, generators)
 
 

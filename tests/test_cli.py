@@ -508,11 +508,34 @@ def test_gallery_other_than_et_shift_is_usage_error(tmp_path, capsys, command, s
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--gallery", "ex35"],
+    ["cover", "--gallery", "et_shift"],
+    ["gallery", "ex35"],
+], ids=["index", "cover", "gallery"])
+def test_gallery_with_input_is_usage_error(tmp_path, capsys, argv):
+    # the certificate would list an input file the run never read
+    out_file = tmp_path / "cert.json"
+    code, out = run(capsys, *argv, "--input", FIVE, "--out", str(out_file))
+    assert code == 2
+    assert out.endswith("qborel: error: a gallery instance reads no --input\n")
+    assert not out_file.exists()
+
+
+def test_cover_without_input_is_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "cert.json"
+    code, out = run(capsys, "cover", "--out", str(out_file))
+    assert code == 2
+    assert out.endswith("qborel: error: cover needs --input with an instance file\n")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cover", "--gallery", "ex34"], "only the et_shift gallery instance feeds cover"),
     (["fm-quotient", "--gallery", "ex34"], "only the et_shift gallery instance feeds fm-quotient"),
     (["index", "--expect", "abc"], "--expect takes an integer or 'unbounded', got 'abc'"),
-], ids=["cover", "fm_quotient", "index"])
+    (["index", "--gallery", "ex35"], "a gallery instance reads no --input"),
+], ids=["cover", "fm_quotient", "index", "index_gallery"])
 def test_flag_usage_error_comes_before_the_instance_is_read(tmp_path, capsys, argv, message):
     broken = tmp_path / "broken.qb"
     broken.write_text("space S carrier = bogus\n", encoding="utf-8")

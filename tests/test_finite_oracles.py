@@ -3,15 +3,16 @@
 Each reference below is the direct form of a finite-lane step: a sorted
 scan of every pair for greedy extension, union-find for the partition of
 a pair list, one comprehension per (a, b) for the psi split, a subset
-test per related pair for the enumeration laws, and an ordered search for
-each witness.  The library must give the same results, raise the same
+test per related pair for the enumeration laws, a per-point walk through
+the enumeration graphs for the classical involutions, and an ordered
+search for each witness.  The library must give the same results, raise the same
 errors with the same witnesses, and build its dicts in the same order,
 on random partial maps that need not be injective, need not stay in
 range and need not form an enumeration.
 """
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qborel.cli.certificates import CHECKERS, _pairs_to_map
 from qborel.errors import (
@@ -22,10 +23,12 @@ from qborel.errors import (
     QBorelError,
 )
 from qborel.feldman_moore import (
+    classical_construction,
     graph_within_partition,
     greedy_extend,
     injectivity_witness,
     invert_map,
+    lusin_novikov_decompose,
     maximality_witness,
     psi_split,
 )
@@ -149,6 +152,46 @@ def ref_psi_split(phis, n):
     return [
         {x: y for x, y in fa.items() if fb.get(y) == x} for fa in phis for fb in phis
     ]
+
+
+def ref_classical_construction(rel):
+    """Involutions, generators and bit count, read point by point off the graphs."""
+    n = rel.n
+    enumeration = lusin_novikov_decompose(rel.pairs()).graphs
+    bit_count = (n - 1).bit_length() if n >= 2 else 0
+
+    def bit(x, p):
+        return (x >> p) & 1 == 1
+
+    involutions = {}
+    k = len(enumeration)
+    for m in range(k):
+        fm = enumeration[m]
+        for nn in range(k):
+            fn = enumeration[nn]
+            for p in range(bit_count):
+                table = {}
+                for x in range(n):
+                    y = fm.get(x)
+                    if bit(x, p) and y is not None and not bit(y, p) and fn.get(y) == x:
+                        table[x] = y
+                        continue
+                    z = fn.get(x)
+                    if not bit(x, p) and z is not None and bit(z, p) and fm.get(z) == x:
+                        table[x] = z
+                        continue
+                    table[x] = x
+                involutions[(m, nn, p)] = table
+    seen = set()
+    generators = []
+    ident = {x: x for x in range(n)}
+    for key in sorted(involutions):
+        f = involutions[key]
+        sig = tuple(sorted(f.items()))
+        if f != ident and sig not in seen:
+            seen.add(sig)
+            generators.append(f)
+    return involutions, generators, bit_count
 
 
 def ref_bijection_family_within(data):
@@ -327,6 +370,40 @@ def test_verify_enumeration_matches_pairwise_subsets(family):
 def test_psi_split_matches_comprehensions(family):
     n, graphs = family
     same_outcome(outcome(psi_split, graphs, n), outcome(ref_psi_split, graphs, n))
+
+
+@st.composite
+def classical_partitions(draw):
+    """Up to 60 points, shuffled into classes of 1 to 12."""
+    n = draw(st.integers(0, 60))
+    points = draw(st.permutations(range(n)))
+    blocks, start = [], 0
+    while start < n:
+        size = draw(st.integers(1, 12))
+        blocks.append(points[start:start + size])
+        start += size
+    return Partition.from_blocks(n, blocks)
+
+
+@settings(max_examples=500)
+@given(classical_partitions())
+# B[0] = 1 and B[1] = 2 differ in both bits, so (0, 1, 1) and (1, 0, 0) swap them alike
+@example(Partition.from_blocks(3, [(0,), (1, 2)]))
+def test_classical_construction_matches_per_point_walk(rel):
+    r = classical_construction(rel)
+    involutions, generators, bit_count = ref_classical_construction(rel)
+    assert list(r.involutions.items()) == list(involutions.items())
+    assert r.generators == generators
+    assert r.bit_count == bit_count
+
+
+@given(classical_partitions())
+def test_classical_involution_swaps_two_members_per_class(rel):
+    r = classical_construction(rel)
+    for (m, nn, _), f in r.involutions.items():
+        for b in rel.blocks:
+            moved = {x for x in b if f[x] != x}
+            assert moved <= ({b[m], b[nn]} if len(b) > max(m, nn) else set())
 
 
 @st.composite
