@@ -9,20 +9,17 @@ sending a related pair to the unique element moving one to the other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import NotASubgroup, NotFree, clip
 from .quotient import Partition
+from .record import Frozen, Record
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A group on elements 0..n-1 via its multiplication table."""
 
-    labels: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, labels: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
+        self._set(labels, table)
         n = len(self.labels)
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("table shape differs from element count")
@@ -105,15 +102,11 @@ class FiniteGroup:
         return None
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Frozen):
     """An action of a finite group on quotient points 0..n-1."""
 
-    group: FiniteGroup
-    n: int
-    maps: tuple[tuple[int, ...], ...]  # maps[g][x] = g . x
-
-    def __post_init__(self):
+    def __init__(self, group: FiniteGroup, n: int, maps: tuple[tuple[int, ...], ...]):
+        self._set(group, n, maps)  # maps[g][x] = g . x
         if len(self.maps) != self.group.size:
             raise ValueError("one table per group element required")
         for a, t in enumerate(self.maps):
@@ -168,12 +161,11 @@ def freeness_witness(action: GroupAction):
     return None
 
 
-@dataclass
-class Cocycle:
+class Cocycle(Record):
     """theta(x, y) = the unique group element with y = theta . x."""
 
-    action: GroupAction
-    theta: dict[tuple[int, int], int]
+    def __init__(self, action: GroupAction, theta: dict[tuple[int, int], int]):
+        self._set(action, theta)
 
     def __call__(self, x: int, y: int) -> int:
         return self.theta[(x, y)]
@@ -198,10 +190,11 @@ def cocycle_from_free_action(action: GroupAction) -> Cocycle:
     return Cocycle(action, theta)
 
 
-@dataclass
-class CocycleReport:
-    moves: object | None      # (x, y) where theta(x,y).x != y
-    chains: object | None     # (x, y, z) where composition fails or is absent
+class CocycleReport(Record):
+    def __init__(self, moves: object | None, chains: object | None):
+        # moves: an (x, y) where theta(x,y).x != y; chains: an (x, y, z) where
+        # composition fails or is absent
+        self._set(moves, chains)
 
     @property
     def ok(self) -> bool:

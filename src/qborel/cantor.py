@@ -10,7 +10,6 @@ feldman_moore.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 
 from .actions import (
@@ -34,6 +33,7 @@ from .feldman_moore import (
     psi_split_int,
 )
 from .quotient import Partition
+from .record import Frozen, Record
 from .relations import (
     IntBlockRelation,
     generate_equivalence,
@@ -57,8 +57,7 @@ def _primitive_root(w: str) -> str:
     raise AssertionError("every word is a power of itself")
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicWord:
+class EventuallyPeriodicWord(Frozen):
     """A sequence u . w w w ... in canonical form.
 
     The repeating block is primitive and the preperiod is as short as
@@ -66,9 +65,8 @@ class EventuallyPeriodicWord:
     sequence. Build through canonicalize(), not the raw constructor.
     """
 
-    k: int
-    u: str
-    w: str
+    def __init__(self, k: int, u: str, w: str):
+        self._set(k, u, w)
 
     def letter_at(self, i: int) -> int:
         if i < len(self.u):
@@ -124,8 +122,7 @@ def et_equivalent(x: EventuallyPeriodicWord, y: EventuallyPeriodicWord) -> bool:
 # finite truncated models
 
 
-@dataclass(frozen=True)
-class TruncatedModel:
+class TruncatedModel(Frozen):
     """Length-n words over k letters modulo agreement on positions >= t.
 
     Classes are suffix fibers: k^(n-t) of them, k^t points each, unless
@@ -133,12 +130,12 @@ class TruncatedModel:
     t = 0 collapses to equality and t = n to a single class.
     """
 
-    k: int
-    n: int
-    t: int
-    words: tuple[str, ...]
-    quotient: Partition  # of word indices into suffix fibers
-    restricted: bool = False
+    def __init__(
+        self, k: int, n: int, t: int, words: tuple[str, ...], quotient: Partition,
+        restricted: bool = False
+    ):
+        # quotient: of the word indices, into suffix fibers
+        self._set(k, n, t, words, quotient, restricted)
 
     def word_index(self, word: str) -> int:
         return self.words.index(word)
@@ -228,15 +225,13 @@ def letter_action(model: TruncatedModel) -> GroupAction:
 # packaged instances
 
 
-@dataclass
-class GalleryInstance:
+class GalleryInstance(Record):
     """A built example: parameters, headline values, and pass/fail checks."""
 
-    name: str
-    params: dict
-    summary: dict
-    checks: dict[str, bool]
-    data: dict
+    def __init__(
+        self, name: str, params: dict, summary: dict, checks: dict[str, bool], data: dict
+    ):
+        self._set(name, params, summary, checks, data)
 
     @property
     def ok(self) -> bool:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import marshal
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .. import __version__ as VERSION
 from ..carriers import format_intset, parse_intset, parse_ptmap
 from ..errors import InvalidCertificate, NotAnEnumeration, QBorelError
 from ..quotient import Partition
+from ..record import Record
 from ..relations import (
     IntBlockRelation,
     generate_equivalence,
@@ -86,17 +86,19 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass
-class Certificate:
-    command: str
-    arguments: dict = field(default_factory=dict)
-    inputs: list = field(default_factory=list)
-    outputs: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    tool: str = TOOL
-    version: str = VERSION
-    # id of each emitted check -> (the check, its snapshot, its JSON text)
-    _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class Certificate(Record):
+    def __init__(
+        self, command: str, arguments: dict | None = None, inputs: list | None = None,
+        outputs: dict | None = None, checks: list | None = None, tool: str = TOOL,
+        version: str = VERSION,
+    ):
+        # a fresh dict or list for each one not given
+        self._set(
+            command, {} if arguments is None else arguments, [] if inputs is None else inputs,
+            {} if outputs is None else outputs, [] if checks is None else checks, tool, version,
+        )
+        # id of each emitted check -> (the check, its snapshot, its JSON text)
+        self._lines = {}
 
     def add_input(self, name: str, text: str):
         self.inputs.append({"name": name, "sha256_12": digest(text)})

@@ -24,12 +24,12 @@ Numbers in group tables are element indices, row acts on the left.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..carriers import PiecewiseTranslation, parse_intset, parse_ptmap
 from ..errors import InstanceSyntaxError, UnknownReference, clip, quote
 from ..quotient import IntClassQuotient, Partition
+from ..record import Record
 from ..relations import EnumeratedEquivalence, IntBlockRelation
 
 if TYPE_CHECKING:  # actions is imported only when a file declares a group
@@ -44,58 +44,54 @@ _NAME_RE = re.compile(_NAME)
 MAX_POINTS = 1 << 16
 
 
-@dataclass
-class SpaceDecl:
-    name: str
-    kind: str                  # "finite" or "int"
-    # finite: its Partition; int: an IntClassQuotient, or None for the
-    # discrete quotient
-    space: Partition | IntClassQuotient | None
+class SpaceDecl(Record):
+    # kind is "finite" or "int"; space is a finite space's Partition, or an
+    # int space's IntClassQuotient (None for the discrete quotient)
+    def __init__(self, name: str, kind: str, space: Partition | IntClassQuotient | None):
+        self._set(name, kind, space)
 
     @property
     def size(self) -> int | None:
         return self.space.num_classes if self.kind == "finite" else None
 
 
-@dataclass
-class MapDecl:
-    name: str
-    kind: str                  # "finite" or "int"
-    src: str
-    dst: str
-    table: dict[int, int] | PiecewiseTranslation
+class MapDecl(Record):
+    # kind is "finite" or "int"
+    def __init__(
+        self, name: str, kind: str, src: str, dst: str, table: dict | PiecewiseTranslation
+    ):
+        self._set(name, kind, src, dst, table)
 
 
-@dataclass
-class RelDecl:
-    name: str
-    kind: str                  # "graphs", "blocks", or "partition"
-    graphs: list[str]          # map names of a graphs relation
-    value: object              # EnumeratedEquivalence | IntBlockRelation | Partition
+class RelDecl(Record):
+    # kind is "graphs", "blocks" or "partition"; graphs holds the map names
+    # of a graphs relation; value is an EnumeratedEquivalence,
+    # IntBlockRelation or Partition
+    def __init__(self, name: str, kind: str, graphs: list[str], value: object):
+        self._set(name, kind, graphs, value)
 
 
-@dataclass
-class GroupDecl:
-    name: str
-    group: FiniteGroup
+class GroupDecl(Record):
+    def __init__(self, name: str, group: FiniteGroup):
+        self._set(name, group)
 
 
-@dataclass
-class ActionDecl:
-    name: str
-    action: GroupAction
+class ActionDecl(Record):
+    def __init__(self, name: str, action: GroupAction):
+        self._set(name, action)
 
 
-@dataclass
-class InstanceFile:
+class InstanceFile(Record):
     """Parsed declarations by name plus `set` directives."""
 
-    spaces: dict[str, SpaceDecl] = field(default_factory=dict)
-    maps: dict[str, MapDecl] = field(default_factory=dict)
-    rels: dict[str, RelDecl] = field(default_factory=dict)
-    groups: dict[str, GroupDecl] = field(default_factory=dict)
-    actions: dict[str, ActionDecl] = field(default_factory=dict)
-    directives: dict[str, str] = field(default_factory=dict)
+    def __init__(
+        self, spaces: dict[str, SpaceDecl] | None = None, maps: dict[str, MapDecl] | None = None,
+        rels: dict[str, RelDecl] | None = None, groups: dict[str, GroupDecl] | None = None,
+        actions: dict[str, ActionDecl] | None = None, directives: dict[str, str] | None = None,
+    ):
+        # a fresh dict for each table not given
+        tables = (spaces, maps, rels, groups, actions, directives)
+        self._set(*({} if t is None else t for t in tables))
 
     def declared(self, name: str) -> bool:
         return any(

@@ -17,8 +17,6 @@ extrapolated blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .carriers import IntSet, PiecewiseTranslation, format_intset, offset_sets
 from .errors import (
     BadParameters,
@@ -30,6 +28,7 @@ from .errors import (
     NotWithinRelation,
 )
 from .quotient import Partition
+from .record import Record
 from .relations import (
     EnumeratedEquivalence,
     IntBlockRelation,
@@ -49,6 +48,12 @@ MAX_PERIOD = 8
 
 # breadth-first search in the orbit-window check may roam this far past the window
 ORBIT_SLACK = 16
+
+# classical_construction builds k^2 * b tables of n entries (k the largest
+# class, b the bits of n - 1), and fm-classical stores them all. The largest
+# run that completes, classes of 1-6 in 8,000 points, holds 3,744,000; one
+# class of 160 points (32,768,000) ran out of memory.
+MAX_CLASSICAL_ENTRIES = 4_000_000
 
 
 def _check_probe(name: str, value: int, least: int):
@@ -106,16 +111,15 @@ def graph_within_partition(f: dict[int, int], rel: Partition):
 # Lusin-Novikov section decomposition
 
 
-@dataclass
-class SectionDecomposition:
+class SectionDecomposition(Record):
     """A finite-section relation split into graphs of partial maps.
 
     graphs[i] sends x to the i-th smallest element of the section at x;
     the first graph is the least-element uniformization.
     """
 
-    relation: frozenset[tuple[int, int]]
-    graphs: list[dict[int, int]]
+    def __init__(self, relation: frozenset[tuple[int, int]], graphs: list[dict[int, int]]):
+        self._set(relation, graphs)
 
     @property
     def uniformization(self) -> dict[int, int]:
@@ -141,15 +145,14 @@ def lusin_novikov_decompose(pairs) -> SectionDecomposition:
 # classical construction on a finite carrier
 
 
-@dataclass
-class ClassicalResult:
+class ClassicalResult(Record):
     """Involutions realizing an equivalence relation on a finite carrier."""
 
-    relation: Partition
-    enumeration: list[dict[int, int]]
-    bit_count: int
-    involutions: dict[tuple[int, int, int], dict[int, int]]
-    generators: list[dict[int, int]]
+    def __init__(
+        self, relation: Partition, enumeration: list[dict[int, int]], bit_count: int,
+        involutions: dict[tuple[int, int, int], dict[int, int]], generators: list[dict[int, int]]
+    ):
+        self._set(relation, enumeration, bit_count, involutions, generators)
 
     def involution_for_pair(self, x: int, y: int) -> tuple[int, int, int] | None:
         for key, f in sorted(self.involutions.items()):
@@ -168,11 +171,20 @@ def classical_construction(rel: Partition) -> ClassicalResult:
     in B[n], and fixes every other point.  The generators are the distinct
     involutions that move a point, in triple order: two triples give the
     same involution exactly when they swap the same unordered pairs.
+    A relation whose tables would pass MAX_CLASSICAL_ENTRIES entries is
+    refused with BadParameters before any is built.
     """
     n = rel.n
-    enumeration = lusin_novikov_decompose(rel.pairs()).graphs
     bit_count = (n - 1).bit_length() if n >= 2 else 0
-    k = len(enumeration)
+    k = rel.index()
+    entries = k * k * bit_count * n
+    if entries > MAX_CLASSICAL_ENTRIES:
+        raise BadParameters(
+            f"{k}^2 * {bit_count} involution tables of {n} points hold {entries} entries,"
+            f" above the cap of {MAX_CLASSICAL_ENTRIES}",
+            witness=entries,
+        )
+    enumeration = lusin_novikov_decompose(rel.pairs()).graphs
     involutions = {}
     generators, seen = [], set()
     for m in range(k):
@@ -371,15 +383,15 @@ def _unused_pair(rel: IntBlockRelation, dom: IntSet, rng: IntSet):
 # level stratification
 
 
-@dataclass
-class FiniteLevels:
+class FiniteLevels(Record):
     """Levels of a maximal partial injection on a finite point set."""
 
-    n: int
-    g: dict[int, int]
-    positive: list[frozenset[int]]  # X_1, X_2, ...
-    negative: list[frozenset[int]]  # X_-1, X_-2, ...
-    zero: frozenset[int]
+    def __init__(
+        self, n: int, g: dict[int, int], positive: list[frozenset[int]],
+        negative: list[frozenset[int]], zero: frozenset[int]
+    ):
+        # positive holds X_1, X_2, ..., and negative X_-1, X_-2, ...
+        self._set(n, g, positive, negative, zero)
 
 
 def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
@@ -401,8 +413,7 @@ def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
     return FiniteLevels(n, dict(g), [], [], frozenset(range(n)))
 
 
-@dataclass
-class SideLevels:
+class SideLevels(Record):
     """One side of the integer-lane stratification.
 
     explicit[i] is the level at depth i+1.  When accel is set as
@@ -411,9 +422,8 @@ class SideLevels:
     the whole side.
     """
 
-    explicit: list[IntSet]
-    accel: tuple[int, int, int] | None
-    union: IntSet
+    def __init__(self, explicit: list[IntSet], accel: tuple[int, int, int] | None, union: IntSet):
+        self._set(explicit, accel, union)
 
     def level(self, depth: int) -> IntSet:
         if depth < 1:
@@ -445,16 +455,14 @@ class SideLevels:
         return IntSet.empty().union(*sets)
 
 
-@dataclass
-class IntLevels:
+class IntLevels(Record):
     """Integer-lane stratification with certified acceleration."""
 
-    ambient: IntSet
-    g: PiecewiseTranslation
-    ginv: PiecewiseTranslation
-    positive: SideLevels
-    negative: SideLevels
-    zero: IntSet
+    def __init__(
+        self, ambient: IntSet, g: PiecewiseTranslation, ginv: PiecewiseTranslation,
+        positive: SideLevels, negative: SideLevels, zero: IntSet
+    ):
+        self._set(ambient, g, ginv, positive, negative, zero)
 
     def level(self, depth: int) -> IntSet:
         if depth == 0:
@@ -553,12 +561,11 @@ def levels_int(
 # the two-bijection cover
 
 
-@dataclass
-class CoverPair:
+class CoverPair(Record):
     """Two total bijections whose union of graphs covers the seed."""
 
-    first: object  # dict or PiecewiseTranslation
-    second: object
+    def __init__(self, first: dict | PiecewiseTranslation, second: dict | PiecewiseTranslation):
+        self._set(first, second)
 
 
 def cover_finite(levels: FiniteLevels) -> CoverPair:
@@ -595,8 +602,7 @@ def cover_int(levels: IntLevels) -> CoverPair:
 # end-to-end pipelines
 
 
-@dataclass
-class QuotientConstruction:
+class QuotientConstruction(Record):
     """Per-injection cover data and the generators it produced.
 
     Maps are dicts on the finite lane and piecewise translations on the
@@ -605,12 +611,11 @@ class QuotientConstruction:
     probe window instead.
     """
 
-    relation: Partition | IntBlockRelation
-    psis: list
-    extended: list
-    covers: list[CoverPair]
-    generators: list
-    orbit: Partition | None = None
+    def __init__(
+        self, relation: Partition | IntBlockRelation, psis: list, extended: list,
+        covers: list[CoverPair], generators: list, orbit: Partition | None = None
+    ):
+        self._set(relation, psis, extended, covers, generators, orbit)
 
 
 def _cover_each(rel, psis: list, key, extend, cover) -> QuotientConstruction:
@@ -742,12 +747,12 @@ def orbit_window_witness(
 # weak uniformization
 
 
-@dataclass
-class Uniformization:
+class Uniformization(Record):
     """Least-index selection from a covered relation."""
 
-    phi: dict[int, int]
-    index_of: dict[int, int]  # point -> chosen graph index
+    def __init__(self, phi: dict[int, int], index_of: dict[int, int]):
+        # index_of: point -> chosen graph index
+        self._set(phi, index_of)
 
 
 def weak_uniformize(rel_pairs, fns: list[dict[int, int]]) -> Uniformization:
@@ -768,10 +773,10 @@ def weak_uniformize(rel_pairs, fns: list[dict[int, int]]) -> Uniformization:
     return Uniformization(phi, index_of)
 
 
-@dataclass
-class UniformizationInt:
-    phi: PiecewiseTranslation
-    levels: list[IntSet]  # levels[i] = points selecting graph i
+class UniformizationInt(Record):
+    def __init__(self, phi: PiecewiseTranslation, levels: list[IntSet]):
+        # levels[i] holds the points selecting graph i
+        self._set(phi, levels)
 
 
 def weak_uniformize_int(

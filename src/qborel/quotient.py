@@ -8,19 +8,19 @@ disjoint IntSet descriptors covering the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .carriers import IntSet, _first_overlap, _zero_order
 from .errors import InvalidPartition, clip
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Partition of points 0..n-1 into blocks, canonically ordered."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...] = field(compare=False)
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...], class_of: tuple[int, ...]):
+        self._set(n, blocks, class_of)
+
+    def _key(self) -> tuple:
+        return self.n, self.blocks  # class_of follows from the blocks
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
@@ -113,11 +113,11 @@ class Partition:
         )
 
 
-@dataclass(frozen=True)
-class IntClassQuotient:
+class IntClassQuotient(Frozen):
     """The integers modulo finitely many IntSet descriptors."""
 
-    classes: tuple[IntSet, ...]
+    def __init__(self, classes: tuple[IntSet, ...]):
+        self._set(classes)
 
     @classmethod
     def make(cls, descriptors) -> "IntClassQuotient":

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
@@ -31,6 +30,7 @@ from .errors import (
     NotASelector,
 )
 from .quotient import Partition
+from .record import Frozen, Record
 
 
 def _distances(nbrs: list[set[int]], source: int) -> dict[int, int]:
@@ -44,13 +44,11 @@ def _distances(nbrs: list[set[int]], source: int) -> dict[int, int]:
     return dist
 
 
-@dataclass
-class ClosureLayers:
+class ClosureLayers(Record):
     """A generated closure with its generators; chain lengths on demand."""
 
-    n: int
-    generators: list[dict[int, int]]
-    partition: Partition
+    def __init__(self, n: int, generators: list[dict[int, int]], partition: Partition):
+        self._set(n, generators, partition)
 
     @cached_property
     def _nbrs(self) -> list[set[int]]:
@@ -109,13 +107,12 @@ def generate_equivalence(n: int, fns) -> tuple[Partition, ClosureLayers]:
     return partition, ClosureLayers(n, fns, partition)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(Frozen):
     """One step of a witness chain: which generator, which direction."""
 
-    point: int
-    via: int | None  # generator index, None for the starting point
-    reverse: bool = False
+    def __init__(self, point: int, via: int | None, reverse: bool = False):
+        # via: the generator index, None for the starting point
+        self._set(point, via, reverse)
 
     def describe(self) -> str:
         if self.via is None:
@@ -228,22 +225,19 @@ def index2_involution(rel: Partition) -> dict[int, int]:
 # enumerations
 
 
-@dataclass
-class CheckOutcome:
-    ok: bool
-    witness: object = None
+class CheckOutcome(Record):
+    def __init__(self, ok: bool, witness: object = None):
+        self._set(ok, witness)
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass
-class EnumReport:
+class EnumReport(Record):
     """Closure report for a family of graphs."""
 
-    reflexive: CheckOutcome
-    symmetric: CheckOutcome
-    transitive: CheckOutcome
+    def __init__(self, reflexive: CheckOutcome, symmetric: CheckOutcome, transitive: CheckOutcome):
+        self._set(reflexive, symmetric, transitive)
 
     @property
     def ok(self) -> bool:
@@ -319,12 +313,11 @@ def union_pairs(graphs) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class EnumeratedEquivalence:
+class EnumeratedEquivalence(Frozen):
     """A finite-quotient relation presented as a union of map graphs."""
 
-    n: int
-    graphs: tuple[tuple[tuple[int, int], ...], ...]
+    def __init__(self, n: int, graphs: tuple[tuple[tuple[int, int], ...], ...]):
+        self._set(n, graphs)
 
     @classmethod
     def make(cls, n: int, graphs) -> "EnumeratedEquivalence":
@@ -340,12 +333,11 @@ class EnumeratedEquivalence:
         return Partition.from_pairs(self.n, self.pairs())
 
 
-@dataclass(frozen=True)
-class IntBlockRelation:
+class IntBlockRelation(Frozen):
     """Equivalence on the integers: disjoint blocks, all else singleton."""
 
-    blocks: tuple[IntSet, ...]
-    ambient: IntSet = IntSet.all_integers()
+    def __init__(self, blocks: tuple[IntSet, ...], ambient: IntSet = IntSet.all_integers()):
+        self._set(blocks, ambient)
 
     @classmethod
     def make(cls, blocks, ambient: IntSet | None = None) -> "IntBlockRelation":

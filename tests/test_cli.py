@@ -65,6 +65,46 @@ def test_structured_error_is_exit_1(capsys):
     assert err["witness"] == [0, 1, 2]
 
 
+# -- repr text in the byte format -------------------------------------------
+
+# five_points.qb without the shift c3i: the graphs are not symmetric
+MISSING_SHIFT = (SAMPLES / "five_points.qb").read_text().replace(
+    "graphs = [e, c3, c3i, fin]", "graphs = [e, c3, fin]"
+)
+ENUM_REPORT = (
+    "EnumReport(reflexive=CheckOutcome(ok=True, witness=None), "
+    "symmetric=CheckOutcome(ok=False, witness=(1, 0)), "
+    "transitive=CheckOutcome(ok=False, witness=(0, 2, 1)))"
+)
+
+
+def test_enumeration_report_repr_in_stdout_is_pinned(tmp_path, capsys):
+    inst = tmp_path / "missing.qb"
+    inst.write_text(MISSING_SHIFT)
+    code = main(["fm-quotient", "--input", str(inst)])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        '{\n  "error": {\n    "kind": "NotAnEnumeration",\n'
+        '    "message": "graphs fail the closure checks",\n'
+        f'    "witness": "{ENUM_REPORT}"\n  }}\n}}\n'
+    )
+
+
+def test_enumeration_laws_witness_bytes_are_pinned(tmp_path, capsys):
+    inst, cert = tmp_path / "missing.qb", tmp_path / "c.json"
+    inst.write_text(MISSING_SHIFT)
+    assert main(["selector", "--input", str(inst), "--out", str(cert)]) == 1
+    line = cert.read_text().splitlines()[8]
+    assert line == (
+        '    {"name":"graphs_form_an_enumeration","kind":"enumeration_laws",'
+        '"data":{"n":5,"maps":[[[0,0],[1,1],[2,2],[3,3],[4,4]],'
+        '[[0,1],[1,2],[2,0],[3,4],[4,3]],[[0,0],[1,1],[2,2],[3,4],[4,3]]]},'
+        '"ok":false,"witness":{"reflexive":"CheckOutcome(ok=True, witness=None)",'
+        '"symmetric":"CheckOutcome(ok=False, witness=(1, 0))",'
+        '"transitive":"CheckOutcome(ok=False, witness=(0, 2, 1))"}},'
+    )
+
+
 # -- commands on the samples --------------------------------------------------
 
 def test_fm_quotient_finite(capsys):
@@ -85,6 +125,22 @@ def test_fm_classical(capsys):
     code, out = run(capsys, "fm-classical", "--input", FIVE, "--rel", "E")
     assert code == 0
     assert "[pass] every_related_pair_on_a_single_involution" in out
+
+
+def test_fm_classical_above_the_table_cap_is_bad_parameters(tmp_path, capsys):
+    # one class of 160 points: 160^2 * 8 tables of 160 entries, refused
+    # before any is built (building them ran out of memory)
+    inst = tmp_path / "big.qb"
+    inst.write_text(
+        "space Q carrier = finite(160)\n"
+        f"rel E on Q partition = {{ {{{','.join(map(str, range(160)))}}} }}\n"
+    )
+    start = time.perf_counter()
+    code, out = run(capsys, "fm-classical", "--input", str(inst), "--rel", "E")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["kind"], err["witness"]) == ("BadParameters", 32_768_000)
 
 
 def test_cover_uses_directives(capsys):

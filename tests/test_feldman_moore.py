@@ -20,7 +20,7 @@ from hypothesis import example, given, strategies as st
 
 from qborel.cantor import example_gallery
 from qborel.carriers import IntSet, PiecewiseTranslation as PT, format_intset
-from qborel.errors import NoAcceleration, NotCovered, NotInjective, NotMaximal
+from qborel.errors import BadParameters, NoAcceleration, NotCovered, NotInjective, NotMaximal
 from qborel.feldman_moore import (
     SideLevels,
     _compatible_region,
@@ -135,6 +135,32 @@ def test_classical_bit_count_separates():
     p = Partition.from_blocks(5, [(0, 1, 2), (3, 4)])
     r = classical_construction(p)
     assert 2 ** r.bit_count >= max(len(b) for b in p.blocks)
+
+
+CAP = "qborel.feldman_moore.MAX_CLASSICAL_ENTRIES"
+
+
+@pytest.mark.parametrize("blocks, entries", [
+    ([range(160)], 32_768_000),  # one class of 160 points
+    ([range(80)], 3_584_000),  # one class of 80 points
+    # 8,000 points in classes of 6 and one of 2
+    ([range(6 * i, 6 * i + 6) for i in range(1333)] + [range(7998, 8000)], 3_744_000),
+])
+def test_classical_table_entries_are_k_squared_b_n(monkeypatch, blocks, entries):
+    p = Partition.from_blocks(max(b[-1] for b in blocks) + 1, blocks)
+    monkeypatch.setattr(CAP, entries - 1)
+    with pytest.raises(BadParameters, match=f"hold {entries} entries") as e:
+        classical_construction(p)
+    assert e.value.witness == entries
+
+
+def test_classical_table_cap_is_inclusive(monkeypatch):
+    p = Partition.from_blocks(5, [(0, 1, 2), (3, 4)])
+    monkeypatch.setattr(CAP, 3 * 3 * 3 * 5)
+    assert classical_construction(p).bit_count == 3
+    monkeypatch.setattr(CAP, 3 * 3 * 3 * 5 - 1)
+    with pytest.raises(BadParameters):
+        classical_construction(p)
 
 
 # -- psi split -------------------------------------------------------------------

@@ -25,6 +25,22 @@ DEFERRED = {"qborel.cantor", "qborel.actions", "qborel.feldman_moore"}
 # the qborel modules the process holds, printed as the last line
 LOADED = 'print(json.dumps(sorted(m for m in sys.modules if m.startswith("qborel"))))'
 
+# standard-library modules that a run imports for nothing it uses: they
+# cost a fresh process more than most commands take
+UNUSED_STDLIB = ["dataclasses", "inspect"]
+
+# `python -m qborel ARGS`, then the UNUSED_STDLIB modules the process
+# holds as the last line of stderr, or null when one was loaded before
+# qborel was (by site customisation, say), so a run cannot be judged
+RUN_MODULE = f"""import json, runpy, sys
+unused = set({UNUSED_STDLIB!r})
+held = unused & set(sys.modules)
+try:
+    runpy.run_module("qborel", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(None if held else sorted(unused & set(sys.modules))), file=sys.stderr)
+"""
+
 
 def _env() -> dict:
     """This process's environment, with the qborel under test importable."""
@@ -72,10 +88,12 @@ def test_manifest_has_an_entry_for_each_certifying_command():
 
 @pytest.mark.parametrize("entry", FIRST.values(), ids=FIRST)
 def test_fresh_process_prints_the_golden_stdout(entry):
-    out = _fresh("-m", "qborel", *entry["argv"])
+    out = _fresh("-c", RUN_MODULE, *entry["argv"])
     assert "Traceback" not in out.stderr, out.stderr
     got = out.stdout + f"[exit {out.returncode}]\n"
     assert got == (GOLDEN / (entry["file"][:-5] + ".stdout")).read_text()
+    loaded = json.loads(out.stderr.splitlines()[-1])
+    assert not loaded, (entry["argv"], loaded)
 
 
 @pytest.mark.parametrize("argv", [
