@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import NotASubgroup, NotFree, clip
+from .errors import NotASubgroup, NotFree, clip, quote
 from .quotient import Partition
 from .record import Frozen, Record
 
@@ -49,6 +49,18 @@ class FiniteGroup(Frozen):
 
     def elements(self) -> range:
         return range(self.size)
+
+    def element(self, text: str) -> int:
+        """The element a label or an index names; ValueError for any other text."""
+        if text in self.labels:
+            return self.labels.index(text)
+        try:
+            a = int(text)
+        except ValueError:
+            raise ValueError(f"unknown group element {quote(text)}") from None
+        if not 0 <= a < self.size:
+            raise ValueError(f"group element {quote(text)} outside 0..{self.size - 1}")
+        return a
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

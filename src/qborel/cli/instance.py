@@ -159,7 +159,20 @@ def _parse_int(text: str, line_no: int) -> int:
         _fail(line_no, f"expected an integer, got {quote(text.strip())}")
 
 
-def _parse_space(rest: str, line_no: int) -> SpaceDecl:
+def _int_groups(body: str, line_no: int, pair: str) -> list[list[int]]:
+    """The integers of each top-level group: {0,1}, {2} blocks or [0,1] rows."""
+    return [
+        [_parse_int(v, line_no) for v in g.split(",") if v.strip()]
+        for g in _split_groups(body, line_no, pair)
+    ]
+
+
+def _intset_groups(body: str, line_no: int) -> list:
+    """The integer sets of a braced block list: {<intset>}, ..."""
+    return [parse_intset(b) for b in _split_groups(body, line_no, "{}")]
+
+
+def _parse_space(rest: str, inst: InstanceFile, line_no: int) -> SpaceDecl:
     m = re.match(
         rf"({_NAME})\s+carrier\s*=\s*(finite\(\s*(\d+)\s*\)|int)\s*(.*)$", rest
     )
@@ -176,12 +189,7 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
     if carrier_text == "int":
         if partition_text is None:
             return SpaceDecl(name, "int", None)
-        blocks = _split_groups(partition_text, line_no, "{}")
-        try:
-            descs = [parse_intset(b) for b in blocks]
-            space = IntClassQuotient.make(descs)
-        except ValueError as e:
-            _fail(line_no, str(e))
+        space = IntClassQuotient.make(_intset_groups(partition_text, line_no))
         return SpaceDecl(name, "int", space)
     n = _parse_int(n_text, line_no)
     if n > MAX_POINTS:
@@ -189,11 +197,7 @@ def _parse_space(rest: str, line_no: int) -> SpaceDecl:
     if partition_text is None:
         partition = Partition.discrete(n)
     else:
-        blocks = [
-            [_parse_int(v, line_no) for v in b.split(",") if v.strip()]
-            for b in _split_groups(partition_text, line_no, "{}")
-        ]
-        partition = Partition.from_blocks(n, blocks)
+        partition = Partition.from_blocks(n, _int_groups(partition_text, line_no, "{}"))
     return SpaceDecl(name, "finite", partition)
 
 
@@ -246,11 +250,7 @@ def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     sdecl = _require(inst.spaces, space, "space", line_no)
     if sdecl.kind != "int":
         _fail(line_no, "ptmap needs an int space")
-    try:
-        table = parse_ptmap(body)
-    except ValueError as e:
-        _fail(line_no, str(e))
-    return MapDecl(name, "int", space, space, table)
+    return MapDecl(name, "int", space, space, parse_ptmap(body))
 
 
 def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
@@ -277,44 +277,27 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
     if kind == "blocks":
         if sdecl.kind != "int":
             _fail(line_no, "blocks form needs an int space")
-        texts = _split_groups(body, line_no, "{}")
-        try:
-            blocks = [parse_intset(b) for b in texts]
-        except ValueError as e:
-            _fail(line_no, str(e))
-        value = IntBlockRelation.make(blocks)
+        value = IntBlockRelation.make(_intset_groups(body, line_no))
         return RelDecl(name, "blocks", [], value)
     if sdecl.kind != "finite":
         _fail(line_no, "partition form needs a finite space")
-    blocks = [
-        [_parse_int(v, line_no) for v in b.split(",") if v.strip()]
-        for b in _split_groups(body, line_no, "{}")
-    ]
-    value = Partition.from_blocks(sdecl.size, blocks)
+    value = Partition.from_blocks(sdecl.size, _int_groups(body, line_no, "{}"))
     return RelDecl(name, "partition", [], value)
 
 
-def _parse_group(rest: str, line_no: int) -> GroupDecl:
+def _parse_group(rest: str, inst: InstanceFile, line_no: int) -> GroupDecl:
     from ..actions import FiniteGroup
 
     m = re.match(rf"({_NAME})\s+table\s*=\s*(\[.*?\])\s*(?:labels\s*=\s*(\[.*\]))?$", rest)
     if not m:
         _fail(line_no, f"bad group declaration: {quote(rest)}")
     name, table_text, labels_text = m.groups()
-    rows = []
-    for row_text in _split_groups(table_text, line_no, "[]"):
-        rows.append(
-            tuple(_parse_int(v, line_no) for v in row_text.split(",") if v.strip())
-        )
+    rows = [tuple(row) for row in _int_groups(table_text, line_no, "[]")]
     if labels_text:
         labels = tuple(_split_bracket_list(labels_text, line_no))
     else:
         labels = tuple(f"g{i}" if i else "e" for i in range(len(rows)))
-    try:
-        group = FiniteGroup(labels, tuple(rows))
-    except ValueError as e:
-        _fail(line_no, str(e))
-    return GroupDecl(name, group)
+    return GroupDecl(name, FiniteGroup(labels, tuple(rows)))
 
 
 def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
@@ -332,7 +315,6 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
         _fail(line_no, "actions are declared on finite spaces")
     n = sdecl.size
     group = gdecl.group
-    label_index = {lbl: i for i, lbl in enumerate(group.labels)}
     maps: dict[int, tuple[int, ...]] = {0: tuple(range(n))}
     for part in body.split(","):
         part = part.strip()
@@ -341,12 +323,7 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
         if "->" not in part:
             _fail(line_no, f"bad action entry {quote(part)}")
         elem_text, map_name = (s.strip() for s in part.split("->", 1))
-        if elem_text in label_index:
-            elem = label_index[elem_text]
-        else:
-            elem = _parse_int(elem_text, line_no)
-            if not 0 <= elem < group.size:
-                _fail(line_no, f"element {clip(str(elem))} outside the group")
+        elem = group.element(elem_text)
         mdecl = _require(inst.maps, map_name, "map", line_no)
         if mdecl.src != space_name or mdecl.dst != space_name:
             _fail(line_no, f"map {quote(map_name)} is not an endomap of {space_name}")
@@ -356,11 +333,18 @@ def _parse_action(rest: str, inst: InstanceFile, line_no: int) -> ActionDecl:
     missing = [a for a in group.elements() if a not in maps]
     if missing:
         _fail(line_no, f"elements {missing} have no assigned map")
-    try:
-        action = GroupAction(group, n, tuple(maps[a] for a in group.elements()))
-    except ValueError as e:
-        _fail(line_no, str(e))
-    return ActionDecl(name, action)
+    return ActionDecl(name, GroupAction(group, n, tuple(maps[a] for a in group.elements())))
+
+
+# keyword -> (its parser, the InstanceFile table its declarations go in)
+_DECLARATIONS = {
+    "space": (_parse_space, "spaces"),
+    "map": (_parse_map, "maps"),
+    "ptmap": (_parse_ptmap, "maps"),
+    "rel": (_parse_rel, "rels"),
+    "group": (_parse_group, "groups"),
+    "action": (_parse_action, "actions"),
+}
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -379,31 +363,17 @@ def parse_instance(text: str) -> InstanceFile:
                 _fail(line_no, f"bad directive: {quote(rest)}")
             inst.directives[dm.group(1)] = dm.group(2).strip()
             continue
-        if keyword == "space":
-            decl = _parse_space(rest, line_no)
-        elif keyword == "map":
-            decl = _parse_map(rest, inst, line_no)
-        elif keyword == "ptmap":
-            decl = _parse_ptmap(rest, inst, line_no)
-        elif keyword == "rel":
-            decl = _parse_rel(rest, inst, line_no)
-        elif keyword == "group":
-            decl = _parse_group(rest, line_no)
-        elif keyword == "action":
-            decl = _parse_action(rest, inst, line_no)
-        else:
+        if keyword not in _DECLARATIONS:
             _fail(line_no, f"unknown declaration {quote(keyword)}")
+        parse, table = _DECLARATIONS[keyword]
+        try:
+            decl = parse(rest, inst, line_no)
+        except ValueError as e:
+            # an integer set, a ptmap, a group table, element or action refused
+            _fail(line_no, str(e))
         if inst.declared(decl.name):
             _fail(line_no, f"name {quote(decl.name)} declared twice")
-        bucket = {
-            "space": inst.spaces,
-            "map": inst.maps,
-            "ptmap": inst.maps,
-            "rel": inst.rels,
-            "group": inst.groups,
-            "action": inst.actions,
-        }[keyword]
-        bucket[decl.name] = decl
+        getattr(inst, table)[decl.name] = decl
     return inst
 
 

@@ -16,7 +16,7 @@ import sys
 from math import inf
 
 from ..carriers import _clear_memos, format_intset, format_ptmap, IntSet
-from ..errors import InvalidCertificate, NotWithinRelation, QBorelError, UnsupportedCarrier
+from ..errors import InvalidCertificate, NotWithinRelation, QBorelError, UnsupportedCarrier, quote
 from ..relations import (
     chain_witness,
     generate_equivalence,
@@ -26,7 +26,7 @@ from ..relations import (
     tail_equivalence,
 )
 from .certificates import Certificate, _plain, jsonable, reverify
-from .instance import InstanceFile, decode_instance, parse_instance
+from .instance import ActionDecl, InstanceFile, decode_instance, parse_instance
 
 class UsageError(Exception):
     pass
@@ -134,14 +134,25 @@ def _map_list(args, inst, lane: str, mismatch: str) -> list:
     return out
 
 
+def _action_or_rel(args, inst: InstanceFile):
+    """The action or relation a command reads: the relation when --rel is
+    given, or when the file declares relations and no --action is given;
+    otherwise the action.
+    """
+    if not args.rel and (args.action or (not inst.rels and inst.actions)):
+        return _pick(inst, inst.actions, args.action, "action", "action")
+    return _pick(inst, inst.rels, args.rel, "rel", "relation")
+
+
 def _rel_partition(decl, cert: Certificate):
     """Partition of a finite relation declaration; verifies graph form."""
     if decl.kind == "partition":
         return decl.value
     if decl.kind != "graphs":
         raise UsageError("this command needs a finite relation")
-    _emit_enumeration(cert, decl.value)
-    return decl.value.partition()
+    enum = decl.value
+    _emit_enumeration(cert, enum)
+    return enum.partition()
 
 
 def _emit_enumeration(cert: Certificate, enum) -> None:
@@ -169,17 +180,18 @@ def _fmt_index(v) -> object:
 # command handlers
 
 
-def _gallery_instance(args, name=None):
+def _gallery_instance(args):
     from ..cantor import GALLERY_NAMES, example_gallery
 
-    name = name or args.gallery or args.name
+    # _check_flags allows the positional name for the gallery command only
+    name = args.name or args.gallery
     if not name:
         raise UsageError(f"gallery needs a name: {', '.join(GALLERY_NAMES)}")
     return example_gallery(name, k=args.k, n=args.n, t=args.t)
 
 
 def cmd_gallery(args, inst) -> Certificate:
-    g = _gallery_instance(args, args.name or args.gallery)
+    g = _gallery_instance(args)
     cert = Certificate("gallery", arguments={"name": g.name, **g.params})
     cert.add_input(f"gallery:{g.name}", json.dumps(g.params, sort_keys=True))
     cert.outputs = dict(g.summary)
@@ -233,7 +245,7 @@ def cmd_fm_classical(args, inst) -> Certificate:
 def cmd_fm_quotient(args, inst) -> Certificate:
     cert = Certificate("fm-quotient")
     if args.gallery:
-        g = _gallery_instance(args, "et_shift")
+        g = _gallery_instance(args)
         rel, phis = g.data["relation"], g.data["maps"]
         return _fm_quotient_int(args, cert, rel, phis)
     inst = _need_instance(inst, "fm-quotient")
@@ -300,7 +312,7 @@ def _fm_quotient_int(args, cert, rel, phis) -> Certificate:
 def cmd_cover(args, inst) -> Certificate:
     cert = Certificate("cover")
     if args.gallery:
-        g = _gallery_instance(args, "et_shift")
+        g = _gallery_instance(args)
         return _cover_int(args, cert, g.data["relation"], g.data["maps"], g.data["seed"])
     inst = _need_instance(inst, "cover")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
@@ -432,10 +444,7 @@ def cmd_uniformize(args, inst) -> Certificate:
 
     inst = _need_instance(inst, "uniformize")
     cert = Certificate("uniformize")
-    if args.rel or inst.rels:
-        decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
-    else:
-        decl = None
+    decl = _pick(inst, inst.rels, args.rel, "rel", "relation") if args.rel or inst.rels else None
     if decl is not None and decl.kind == "graphs":
         enum = decl.value
         fns = enum.graph_dicts()
@@ -547,14 +556,11 @@ def cmd_index(args, inst) -> Certificate:
         rel = g.data.get("over") or g.data.get("orbit")
         if rel is None:
             raise UsageError(f"gallery {g.name} carries no indexed relation")
-        value = index_over(rel)
     else:
         inst = _need_instance(inst, "index")
         decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
-        if decl.kind == "graphs":
-            value = index_over(decl.value.partition())
-        else:
-            value = index_over(decl.value)
+        rel = decl.value if decl.kind == "blocks" else _rel_partition(decl, cert)
+    value = index_over(rel)
     cert.outputs = {"index": _fmt_index(value)}
     if args.expect is not None:
         cert.emit(
@@ -568,14 +574,12 @@ def cmd_index(args, inst) -> Certificate:
 def cmd_selector(args, inst) -> Certificate:
     inst = _need_instance(inst, "selector")
     cert = Certificate("selector")
-    wants_action = not args.rel and (args.action or (not inst.rels and inst.actions))
-    if wants_action:
+    decl = _action_or_rel(args, inst)
+    if isinstance(decl, ActionDecl):
         from ..actions import orbit_equivalence
 
-        decl = _pick(inst, inst.actions, args.action, "action", "action")
         rel = orbit_equivalence(decl.action)
     else:
-        decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
         rel = _rel_partition(decl, cert)
     if args.phi:
         phi = dict(_pick(
@@ -698,21 +702,10 @@ def cmd_normalizer(args, inst) -> Certificate:
         if not args.sub and "sub" not in inst.directives:
             raise UsageError("normalizer needs --sub with subgroup elements")
         sub_text = args.sub or inst.directives["sub"]
-    label_index = {lbl: i for i, lbl in enumerate(group.labels)}
-    delta = []
-    for part in (s.strip() for s in sub_text.split(",")):
-        if part in label_index:
-            delta.append(label_index[part])
-        else:
-            try:
-                a = int(part)
-            except ValueError:
-                raise UsageError(f"unknown group element {part!r}")
-            if not 0 <= a < len(group.labels):
-                raise UsageError(
-                    f"group element {part!r} outside 0..{len(group.labels) - 1}"
-                )
-            delta.append(a)
+    try:
+        delta = [group.element(s.strip()) for s in sub_text.split(",")]
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     norm = normalizer(group, delta)
     cert.outputs = {
         "normalizer": [group.labels[a] for a in norm],
@@ -766,41 +759,26 @@ def cmd_verify(args, inst) -> tuple[int, list[str]]:
 
 
 def cmd_export_graph(args, inst) -> tuple[int, list[str]]:
-    inst = _need_instance(inst, "export-graph")
-    lines = ["digraph orbits {"]
-    if args.action or (not args.rel and inst.actions):
-        decl = _pick(inst, inst.actions, args.action, "action", "action")
+    decl = _action_or_rel(args, _need_instance(inst, "export-graph"))
+    # (x, y, label) of each edge; loops are left out
+    if isinstance(decl, ActionDecl):
         act = decl.action
-        for q in range(act.n):
-            lines.append(f'  p{q} [label="{q}"];')
-        for a in range(1, act.group.size):
-            lbl = act.group.labels[a]
-            for x in range(act.n):
-                y = act.act(a, x)
-                if x != y:
-                    lines.append(f'  p{x} -> p{y} [label="{lbl}"];')
+        n, labels = act.n, act.group.labels
+        edges = ((x, act.act(a, x), labels[a]) for a in act.group.elements() for x in range(n))
+    elif decl.kind == "graphs":
+        n = decl.value.n
+        edges = ((x, y, g) for g, graph in zip(decl.graphs, decl.value.graphs) for x, y in graph)
+    elif decl.kind == "partition":
+        n = decl.value.n
+        edges = ((x, y, decl.name) for b in decl.value.blocks for x in b for y in b)
     else:
-        decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
-        if decl.kind == "blocks":
-            raise UnsupportedCarrier("graph export needs a finite quotient")
-        if decl.kind == "graphs":
-            enum = decl.value
-            for q in range(enum.n):
-                lines.append(f'  p{q} [label="{q}"];')
-            for name, graph in zip(decl.graphs, enum.graphs):
-                for x, y in graph:
-                    if x != y:
-                        lines.append(f'  p{x} -> p{y} [label="{name}"];')
-        else:
-            rel = decl.value
-            for q in range(rel.n):
-                lines.append(f'  p{q} [label="{q}"];')
-            for block in rel.blocks:
-                for x in block:
-                    for y in block:
-                        if x != y:
-                            lines.append(f'  p{x} -> p{y} [label="{decl.name}"];')
-    lines.append("}")
+        raise UnsupportedCarrier("graph export needs a finite quotient")
+    lines = [
+        "digraph orbits {",
+        *(f'  p{q} [label="{q}"];' for q in range(n)),
+        *(f'  p{x} -> p{y} [label="{label}"];' for x, y, label in edges if x != y),
+        "}",
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_output(args.out, text)
@@ -837,6 +815,23 @@ def _check_flags(args, command: str) -> None:
         raise UsageError("a gallery instance reads no --input")
     if command == "index" and args.expect is not None:
         _expected_index(args.expect)
+    if args.name is not None and command != "gallery":
+        raise UsageError(f"{command} takes no positional argument, got {quote(args.name)}")
+    if args.name and args.gallery not in (None, args.name):
+        raise UsageError(
+            f"two gallery names: {quote(args.name)} and --gallery {quote(args.gallery)}"
+        )
+
+
+def _summary(cert: Certificate, out: str | None) -> tuple[int, list[str]]:
+    """Exit code and printed lines of a certifying run."""
+    lines = cert.summary_lines()
+    if cert.outputs:
+        lines.append("outputs:")
+        lines += [f"  {k} = {json.dumps(v, default=_plain)}" for k, v in cert.outputs.items()]
+    if out:
+        lines.append(f"certificate written to {out}")
+    return (0 if cert.ok else 1), lines
 
 
 def main(argv=None) -> int:
@@ -867,32 +862,23 @@ def main(argv=None) -> int:
     except UsageError as e:
         parser.error(str(e))
     except QBorelError as e:
-        print(
-            json.dumps(
-                {
-                    "error": {
-                        "kind": type(e).__name__,
-                        "message": str(e),
-                        "witness": jsonable(getattr(e, "witness", None)),
-                    }
-                },
-                indent=2,
-            )
-        )
-        return 1
-    if isinstance(result, tuple):
-        code, lines = result
+        error = {
+            "kind": type(e).__name__,
+            "message": str(e),
+            "witness": jsonable(getattr(e, "witness", None)),
+        }
+        code, lines = 1, [json.dumps({"error": error}, indent=2)]
+    else:
+        code, lines = result if isinstance(result, tuple) else _summary(result, args.out)
+    try:
         print("\n".join(lines))
-        return code
-    cert = result
-    print("\n".join(cert.summary_lines()))
-    if cert.outputs:
-        print("outputs:")
-        for key, value in cert.outputs.items():
-            print(f"  {key} = {json.dumps(value, default=_plain)}")
-    if args.out:
-        print(f"certificate written to {args.out}")
-    return 0 if cert.ok else 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone; pointing stdout at devnull keeps the
+        # interpreter's flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

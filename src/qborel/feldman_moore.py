@@ -149,10 +149,10 @@ class ClassicalResult(Record):
     """Involutions realizing an equivalence relation on a finite carrier."""
 
     def __init__(
-        self, relation: Partition, enumeration: list[dict[int, int]], bit_count: int,
+        self, relation: Partition, bit_count: int,
         involutions: dict[tuple[int, int, int], dict[int, int]], generators: list[dict[int, int]]
     ):
-        self._set(relation, enumeration, bit_count, involutions, generators)
+        self._set(relation, bit_count, involutions, generators)
 
     def involution_for_pair(self, x: int, y: int) -> tuple[int, int, int] | None:
         for key, f in sorted(self.involutions.items()):
@@ -184,7 +184,6 @@ def classical_construction(rel: Partition) -> ClassicalResult:
             f" above the cap of {MAX_CLASSICAL_ENTRIES}",
             witness=entries,
         )
-    enumeration = lusin_novikov_decompose(rel.pairs()).graphs
     involutions = {}
     generators, seen = [], set()
     for m in range(k):
@@ -199,7 +198,7 @@ def classical_construction(rel: Partition) -> ClassicalResult:
                 if moved and moved not in seen:
                     seen.add(moved)
                     generators.append(table)
-    return ClassicalResult(rel, enumeration, bit_count, involutions, generators)
+    return ClassicalResult(rel, bit_count, involutions, generators)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,16 @@ def test_enumeration_laws_witness_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["index", "selector", "fm-classical"])
+def test_graphs_that_are_no_enumeration_fail_their_check(tmp_path, capsys, command):
+    # every command that reads a graphs relation certifies the graphs first
+    inst = tmp_path / "missing.qb"
+    inst.write_text(MISSING_SHIFT)
+    code, out = run(capsys, command, "--input", str(inst))
+    assert code == 1
+    assert "  [FAIL] graphs_form_an_enumeration  witness: " in out
+
+
 # -- commands on the samples --------------------------------------------------
 
 def test_fm_quotient_finite(capsys):
@@ -477,6 +487,55 @@ def test_normalizer_element_outside_the_group_is_usage_error(capsys, sub):
     assert f"group element '{sub[2:]}' outside 0..5" in out
 
 
+# a group element named by a label, by an index, or by neither
+@pytest.mark.parametrize("element, message", [
+    ("x", "unknown group element 'x'"),
+    ("3", "group element '3' outside 0..2"),
+    ("-1", "group element '-1' outside 0..2"),
+    ("y" * 50, f"unknown group element {'y' * 40!r}... (50 characters)"),
+], ids=["unknown_label", "index_above", "index_below", "long_label"])
+def test_bad_group_element_reads_alike_in_sub_and_action(tmp_path, capsys, element, message):
+    code, out = run(capsys, "normalizer", "--input", ROT, "--sub", f"e,{element}")
+    assert code == 2
+    assert out.endswith(f"qborel: error: {message}\n")
+    inst = tmp_path / "rotation.qb"
+    inst.write_text(pathlib.Path(ROT).read_text().replace("rr -> mrr", f"{element} -> mrr"))
+    code, out = run(capsys, "normalizer", "--input", str(inst), "--sub", "e")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "InstanceSyntaxError", "message": f"line 7: {message}", "witness": None,
+    }
+
+
+# one partition relation and one action on four points
+REL_AND_ACTION = (
+    "space P carrier = finite(4)\n"
+    "group C2 table = [[0, 1], [1, 0]] labels = [e, s]\n"
+    "map me : P -> P : 0 -> 0, 1 -> 1, 2 -> 2, 3 -> 3\n"
+    "map ms : P -> P : 0 -> 1, 1 -> 0, 2 -> 3, 3 -> 2\n"
+    "action a : C2 on P : e -> me, s -> ms\n"
+    "rel R on P partition = { {0, 1, 2}, {3} }\n"
+)
+
+
+@pytest.mark.parametrize("flags, reads", [
+    ([], "R"),
+    (["--rel", "R", "--action", "a"], "R"),
+    (["--rel", "R"], "R"),
+    (["--action", "a"], "a"),
+], ids=["no_flags", "both_flags", "rel_flag", "action_flag"])
+def test_selector_and_export_graph_read_the_same_declaration(tmp_path, capsys, flags, reads):
+    inst = tmp_path / "both.qb"
+    inst.write_text(REL_AND_ACTION)
+    code, out = run(capsys, "selector", "--input", str(inst), *flags)
+    assert code == 0
+    # R's classes are {0, 1, 2} and {3}; the action's orbits {0, 1} and {2, 3}
+    assert f"transversal = {[0, 3] if reads == 'R' else [0, 2]}" in out
+    code, out = run(capsys, "export-graph", "--input", str(inst), *flags)
+    assert code == 0
+    assert ('[label="R"]' in out, '[label="s"]' in out) == (reads == "R", reads == "a")
+
+
 def test_selector_from_action(capsys):
     code, out = run(capsys, "selector", "--input", ROT, "--phi", "sel")
     assert code == 0
@@ -530,6 +589,18 @@ def test_gallery_all(capsys):
 def test_gallery_flag_form(capsys):
     code, out = run(capsys, "gallery", "--gallery", "ex34")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "stray", "--input", FIVE], "cover takes no positional argument, got 'stray'"),
+    (["index", "ex35", "--gallery", "ex35"], "index takes no positional argument, got 'ex35'"),
+    (["gallery", "ex34", "--gallery", "ex35"], "two gallery names: 'ex34' and --gallery 'ex35'"),
+], ids=["stray_positional", "index_positional", "two_gallery_names"])
+def test_a_stray_or_second_name_is_usage_error(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in out
+    assert out.endswith(f"qborel: error: {message}\n")
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -668,6 +739,26 @@ def test_export_graph(capsys):
     assert 'p0 -> p1 [label="c3"]' in out
     # identity generator and self-loops are omitted
     assert '[label="e"]' not in out
+
+
+@pytest.mark.parametrize("command", ["fm-quotient", "export-graph"])
+def test_closed_stdout_leaves_no_traceback(tmp_path, command):
+    # the reader of stdout is gone before anything is written; the
+    # certificate, written before printing, survives
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out_file = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(qborel.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qborel", command, "--input", FIVE,
+             "--out", str(out_file)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert out_file.read_text().startswith("digraph" if command == "export-graph" else "{")
 
 
 def test_export_graph_int_unsupported(capsys):
