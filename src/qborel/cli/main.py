@@ -155,17 +155,22 @@ def _rel_partition(decl, cert: Certificate):
     return enum.partition()
 
 
-def _emit_enumeration(cert: Certificate, enum) -> None:
-    """The check that the graphs of enum pass the enumeration laws."""
-    cert.emit(
-        "graphs_form_an_enumeration",
-        "enumeration_laws",
-        {"n": enum.n, "maps": [list(g) for g in enum.graphs]},
-    )
+def _emit_enumeration(cert: Certificate, enum) -> list:
+    """The check that the graphs of enum pass the enumeration laws; returns
+    the graphs as the pair lists that check stores."""
+    maps = [list(g) for g in enum.graphs]
+    cert.emit("graphs_form_an_enumeration", "enumeration_laws", {"n": enum.n, "maps": maps})
+    return maps
 
 
 def _blocks_of(p) -> list:
     return [list(b) for b in p.blocks]
+
+
+def _int_relation(rel) -> dict:
+    """The blocks and ambient of an integer relation as the texts checks store."""
+    blocks = [format_intset(b) for b in rel.blocks]
+    return {"blocks": blocks, "ambient": format_intset(rel.ambient)}
 
 
 def _graph_pairs(f: dict) -> list:
@@ -285,26 +290,17 @@ def _fm_quotient_int(args, cert, rel, phis) -> Certificate:
 
     qc = quotient_construction_int(rel, phis, bound=args.K)
     gen_texts = [format_ptmap(f) for f in qc.generators]
-    blocks = [format_intset(b) for b in rel.blocks]
-    ambient = format_intset(rel.ambient)
-    cert.outputs = {
-        "psi_count": len(qc.psis),
-        "generators": gen_texts,
-    }
+    relation = _int_relation(rel)
+    cert.outputs = {"psi_count": len(qc.psis), "generators": gen_texts}
     cert.emit(
         "generators_are_bijections_within_relation",
         "ptmap_family_within",
-        {"maps": gen_texts, "blocks": blocks, "ambient": ambient, "bijections": True},
+        {"maps": gen_texts, **relation, "bijections": True},
     )
     cert.emit(
         "orbit_covers_relation_on_window",
         "int_orbit_window",
-        {
-            "maps": gen_texts,
-            "blocks": blocks,
-            "ambient": ambient,
-            "window": ORBIT_WINDOW,
-        },
+        {"maps": gen_texts, **relation, "window": ORBIT_WINDOW},
     )
     return cert
 
@@ -346,8 +342,8 @@ def cmd_cover(args, inst) -> Certificate:
         raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
     pair = cover_finite(levels_finite(g, enum.n, rel))
     seed, extension = _graph_pairs(g0), _graph_pairs(g)
-    # the finite cover is (g, g^-1), so second is the extension's inverse
-    others = [_graph_pairs(pair.first), _graph_pairs(pair.second)]
+    # the finite cover is (g, g^-1): first is the extension, second its inverse
+    others = [extension, _graph_pairs(pair.second)]
     cert.outputs = {"extension": extension, "first": others[0], "second": others[1]}
     cert.emit(
         "seed_within_relation",
@@ -381,8 +377,7 @@ def cmd_cover(args, inst) -> Certificate:
 def _cover_int(args, cert, rel, phis, g0) -> Certificate:
     from ..feldman_moore import cover_int, greedy_extend_int, levels_int, psi_split_int
 
-    blocks = [format_intset(b) for b in rel.blocks]
-    ambient = format_intset(rel.ambient)
+    relation = _int_relation(rel)
     psis = psi_split_int(phis)
     g = greedy_extend_int(g0, psis, rel.ambient, rel)
     levels = levels_int(g, rel, bound=args.K)
@@ -407,23 +402,17 @@ def _cover_int(args, cert, rel, phis, g0) -> Certificate:
     cert.emit(
         "seed_within_relation",
         "ptmap_within_blocks",
-        {"map": seed, "blocks": blocks, "ambient": ambient},
+        {"map": seed, **relation},
     )
     cert.emit(
         "levels_reproduce",
         "int_levels",
-        {
-            "g": extension,
-            "blocks": blocks,
-            "ambient": ambient,
-            "bound": args.K,
-            "expected": level_text,
-        },
+        {"g": extension, **relation, "bound": args.K, "expected": level_text},
     )
     cert.emit(
         "covers_are_bijections_within_relation",
         "ptmap_family_within",
-        {"maps": others, "blocks": blocks, "ambient": ambient, "bijections": True},
+        {"maps": others, **relation, "bijections": True},
     )
     for label, text in (
         ("seed", seed),
@@ -447,20 +436,17 @@ def cmd_uniformize(args, inst) -> Certificate:
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation") if args.rel or inst.rels else None
     if decl is not None and decl.kind == "graphs":
         enum = decl.value
-        fns = enum.graph_dicts()
-        uni = weak_uniformize(enum.pairs(), fns)
-        cert.outputs = {
-            "selection": _graph_pairs(uni.phi),
-            "indices": sorted(uni.index_of.items()),
-        }
+        # the enumeration stores each graph as its sorted pairs: the check
+        # of its laws and the covering-index check share that one list
+        maps = _emit_enumeration(cert, enum)
+        pairs = enum.pairs()
+        uni = weak_uniformize(pairs, enum.graph_dicts())
+        selection = _graph_pairs(uni.phi)
+        cert.outputs = {"selection": selection, "indices": sorted(uni.index_of.items())}
         cert.emit(
             "selection_is_least_covering_index",
             "least_cover_index",
-            {
-                "pairs": sorted(enum.pairs()),
-                "maps": [_graph_pairs(f) for f in fns],
-                "phi": _graph_pairs(uni.phi),
-            },
+            {"pairs": sorted(pairs), "maps": maps, "phi": selection},
         )
         return cert
     decls = _map_list(args, inst, "int", "uniformize without a graphs relation needs ptmaps")
@@ -468,14 +454,13 @@ def cmd_uniformize(args, inst) -> Certificate:
     uni = weak_uniformize_int(maps, maps)
     texts = [format_ptmap(f) for f in maps]
     dom = IntSet.empty().union(*(f.domain() for f in maps))
+    selection = format_ptmap(uni.phi)
     cert.outputs = {
-        "selection": format_ptmap(uni.phi),
+        "selection": selection,
         "chosen_levels": [format_intset(s) for s in uni.levels],
     }
     cert.emit(
-        "selection_inside_relation",
-        "ptmap_graph_subset",
-        {"left": format_ptmap(uni.phi), "others": texts},
+        "selection_inside_relation", "ptmap_graph_subset", {"left": selection, "others": texts}
     )
     cert.emit(
         "selection_total_on_domain",
@@ -485,7 +470,7 @@ def cmd_uniformize(args, inst) -> Certificate:
     cert.emit(
         "selection_is_least_covering_index",
         "int_least_index",
-        {"maps": texts, "phi": format_ptmap(uni.phi)},
+        {"maps": texts, "phi": selection},
     )
     return cert
 
@@ -506,7 +491,7 @@ def cmd_generate(args, inst) -> Certificate:
     partition, layers = generate_equivalence(n, maps)
     blocks = _blocks_of(partition)
     cert.outputs = {"blocks": blocks, "stabilized_after": layers.stabilization_index}
-    if args.x is not None and args.y is not None:
+    if args.x is not None:
         steps = chain_witness(layers, args.x, args.y)
         cert.outputs["chain"] = None if steps is None else [s.describe() for s in steps]
     cert.emit(
@@ -560,13 +545,13 @@ def cmd_index(args, inst) -> Certificate:
         inst = _need_instance(inst, "index")
         decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
         rel = decl.value if decl.kind == "blocks" else _rel_partition(decl, cert)
-    value = index_over(rel)
-    cert.outputs = {"index": _fmt_index(value)}
+    index = _fmt_index(index_over(rel))
+    cert.outputs = {"index": index}
     if args.expect is not None:
         cert.emit(
             "index_matches_expectation",
             "value_equal",
-            {"left": _fmt_index(value), "right": _expected_index(args.expect)},
+            {"left": index, "right": _expected_index(args.expect)},
         )
     return cert
 
@@ -587,14 +572,12 @@ def cmd_selector(args, inst) -> Certificate:
         ).table)
     else:
         phi = min_selector(rel)
-    cert.outputs = {
-        "selector": _graph_pairs(phi),
-        "transversal": sorted({phi[x] for x in phi}),
-    }
+    selector = _graph_pairs(phi)
+    cert.outputs = {"selector": selector, "transversal": sorted(set(phi.values()))}
     cert.emit(
         "selector_laws_hold",
         "selector_laws",
-        {"n": rel.n, "blocks": _blocks_of(rel), "phi": _graph_pairs(phi)},
+        {"n": rel.n, "blocks": _blocks_of(rel), "phi": selector},
     )
     return cert
 
@@ -604,22 +587,19 @@ def cmd_involution2(args, inst) -> Certificate:
     cert = Certificate("involution2")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     rel = _rel_partition(decl, cert)
-    f = index2_involution(rel)
-    cert.outputs = {"involution": _graph_pairs(f)}
-    cert.emit(
-        "squares_to_identity",
-        "finite_involution",
-        {"map": _graph_pairs(f)},
-    )
+    involution = _graph_pairs(index2_involution(rel))
+    blocks = _blocks_of(rel)
+    cert.outputs = {"involution": involution}
+    cert.emit("squares_to_identity", "finite_involution", {"map": involution})
     cert.emit(
         "graph_within_relation",
         "finite_graph_in_partition",
-        {"n": rel.n, "blocks": _blocks_of(rel), "map": _graph_pairs(f)},
+        {"n": rel.n, "blocks": blocks, "map": involution},
     )
     cert.emit(
         "orbit_equals_relation",
         "closure_partition",
-        {"n": rel.n, "maps": [_graph_pairs(f)], "blocks": _blocks_of(rel)},
+        {"n": rel.n, "maps": [involution], "blocks": blocks},
     )
     return cert
 
@@ -631,22 +611,13 @@ def cmd_action_orbits(args, inst) -> Certificate:
     cert = Certificate("action-orbits")
     decl = _pick(inst, inst.actions, args.action, "action", "action")
     act = decl.action
-    orbit = orbit_equivalence(act)
-    gen_maps = [
-        {x: act.act(a, x) for x in range(act.n)} for a in act.group.elements()
-    ]
-    cert.outputs = {
-        "orbits": _blocks_of(orbit),
-        "group": list(act.group.labels),
-    }
+    orbits = _blocks_of(orbit_equivalence(act))
+    maps = [[(x, act.act(a, x)) for x in range(act.n)] for a in act.group.elements()]
+    cert.outputs = {"orbits": orbits, "group": list(act.group.labels)}
     cert.emit(
         "orbits_equal_generated_closure",
         "closure_partition",
-        {
-            "n": act.n,
-            "maps": [_graph_pairs(f) for f in gen_maps],
-            "blocks": _blocks_of(orbit),
-        },
+        {"n": act.n, "maps": maps, "blocks": orbits},
     )
     return cert
 
@@ -815,6 +786,8 @@ def _check_flags(args, command: str) -> None:
         raise UsageError("a gallery instance reads no --input")
     if command == "index" and args.expect is not None:
         _expected_index(args.expect)
+    if command == "generate" and (args.x is None) != (args.y is None):
+        raise UsageError("--x and --y go together: pass both endpoints or neither")
     if args.name is not None and command != "gallery":
         raise UsageError(f"{command} takes no positional argument, got {quote(args.name)}")
     if args.name and args.gallery not in (None, args.name):

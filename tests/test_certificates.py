@@ -92,6 +92,139 @@ def test_certificate_has_one_key_and_one_check_per_line(tmp_path, capsys):
     assert 4 * len(text) < len(golden)
 
 
+# -- one value, one place ----------------------------------------------------
+
+# `verify` replays the checks and never reads `outputs`, so an output is
+# certified only when a check stores that same value. For each output of a
+# manifest command, by (command, output key): the checks whose data holds
+# that very object, or why none does yet. The reasons that name ROADMAP
+# item 2 are its work list: the outputs that schema 2 still has to bind.
+UNBOUND = "item 2: no check stores it"
+GALLERY_SUMMARY = (
+    "acceleration", "carrier_points", "classes", "cover_first", "cover_second",
+    "excess_size", "fiber_mapping", "fiber_sizes", "first_level", "g", "index",
+    "normalizer", "orbit_classes", "transversal", "zero_part",
+)
+COVER_UNION = tuple(
+    f"{label}_inside_cover_union"
+    for label in ("seed", "seed_inverse", "extension", "extension_inverse")
+)
+CERTIFIED_BY = {
+    ("fm-classical", "classes"): "count: the classes of the blocks the checks store",
+    ("fm-classical", "bit_count"): "count: the bit length of the largest stored block",
+    ("fm-classical", "involutions"): "count: every (m, nn, p) triple; item 11 keeps it",
+    ("fm-classical", "generators"): ("generators_generate_the_relation",),
+    ("fm-quotient", "classes"): "count: the classes of the blocks the checks store",
+    ("fm-quotient", "psi_count"): "count: the psis the stored generators come from",
+    ("fm-quotient", "generators"): (
+        "generators_are_bijections_within_relation", "orbit_covers_relation_on_window",
+    ),
+    ("cover", "extension"): (
+        "extension_is_a_full_permutation", "levels_reproduce", "extension_inside_cover_union",
+    ),
+    # on the finite lane the cover is (g, g^-1), so first is the extension
+    ("cover", "first"): (
+        "covers_are_bijections_within_relation", "extension_is_a_full_permutation",
+        *COVER_UNION,
+    ),
+    ("cover", "second"): ("covers_are_bijections_within_relation", *COVER_UNION),
+    ("cover", "levels"): "item 2: levels_reproduce stores the level texts, not the accelerations",
+    ("uniformize", "selection"): (
+        "selection_inside_relation", "selection_is_least_covering_index",
+    ),
+    ("uniformize", "indices"): UNBOUND,
+    ("uniformize", "chosen_levels"): UNBOUND,
+    ("generate", "blocks"): ("closure_matches_generated_partition",),
+    ("generate", "stabilized_after"): UNBOUND,
+    ("generate", "chain"): UNBOUND,
+    ("tail", "blocks"): ("tail_classes_reproduce",),
+    ("index", "index"): "item 2: only index_matches_expectation stores it, under --expect",
+    ("selector", "selector"): ("selector_laws_hold",),
+    ("selector", "transversal"): UNBOUND,
+    ("involution2", "involution"): (
+        "squares_to_identity", "graph_within_relation", "orbit_equals_relation",
+    ),
+    ("action-orbits", "orbits"): ("orbits_equal_generated_closure",),
+    ("action-orbits", "group"): UNBOUND,
+    ("cocycle", "pairs"): UNBOUND,
+    ("cocycle", "pair_class_sizes"): UNBOUND,
+    ("normalizer", "normalizer"): "item 2: normalizer_reproduces stores indices, not labels",
+    ("normalizer", "delta"): "item 2: normalizer_reproduces stores indices, not labels",
+    **{
+        ("gallery", key): "item 2: instance_checks_hold replays the instance checks only"
+        for key in GALLERY_SUMMARY
+    },
+}
+# (manifest entry, output key) -> why a value in check data equals that
+# output without being it
+COINCIDENCES = {
+    ("normalizer_rotation_sub_e_expect_e-r-rr.json", "normalizer"):
+        "the normalizer is the whole group: its labels are the group's and the expected ones",
+    ("fm-quotient_swap.json", "generators"):
+        "the generators built are the two graphs swap.qb enumerates its relation by",
+}
+
+
+def _values(data):
+    """Every value in check data, at any depth, containers included."""
+    yield data
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, list):
+        for v in data:
+            yield from _values(v)
+
+
+def test_each_output_is_the_object_its_checks_store(monkeypatch, capsys):
+    from qborel.cli.main import COMMANDS
+
+    emitted, certs = {}, []
+    emit = Certificate.emit
+
+    def recording_emit(self, name, kind, data):
+        # the data as the handler built it, before it is encoded
+        emitted[name] = data
+        return emit(self, name, kind, data)
+
+    def recording(handler):
+        def run_handler(args, inst):
+            certs.append(handler(args, inst))
+            return certs[-1]
+        return run_handler
+
+    monkeypatch.setattr(Certificate, "emit", recording_emit)
+    for command, handler in list(COMMANDS.items()):
+        monkeypatch.setitem(COMMANDS, command, recording(handler))
+    seen = set()
+    for entry in MANIFEST:
+        emitted.clear()
+        certs.clear()
+        run(capsys, *_argv(entry))
+        if not certs or not isinstance(certs[0], Certificate):
+            continue
+        cert = certs[0]
+        for key, value in cert.outputs.items():
+            where = (entry["file"], key)
+            bound = CERTIFIED_BY[cert.command, key]
+            seen.add((cert.command, key))
+            if isinstance(bound, tuple):
+                named = [name for name in bound if name in emitted]
+                assert named, where
+                for name in named:
+                    assert any(v is value for v in _values(emitted[name])), (where, name)
+            if not isinstance(value, (list, dict, str)) or where in COINCIDENCES:
+                continue
+            # a check value that equals this output is an output (this one,
+            # or another that equals it), never a copy rebuilt for the check
+            for name, data in emitted.items():
+                for v in data.values():
+                    assert v != value or any(v is o for o in cert.outputs.values()), (where, name)
+    assert seen == set(CERTIFIED_BY)
+    assert all(
+        isinstance(b, tuple) or b.startswith(("count: ", "item ")) for b in CERTIFIED_BY.values()
+    )
+
+
 # -- normalisation -----------------------------------------------------------
 
 def reference_jsonable(value):

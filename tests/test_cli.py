@@ -105,7 +105,7 @@ def test_enumeration_laws_witness_bytes_are_pinned(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["index", "selector", "fm-classical"])
+@pytest.mark.parametrize("command", ["index", "selector", "fm-classical", "uniformize"])
 def test_graphs_that_are_no_enumeration_fail_their_check(tmp_path, capsys, command):
     # every command that reads a graphs relation certifies the graphs first
     inst = tmp_path / "missing.qb"
@@ -373,15 +373,18 @@ def test_checkers_fail_on_points_out_of_range(kind, data, witness):
     assert run_check(kind, data) == (False, witness)
 
 
-@pytest.mark.parametrize(
-    "x, y, bad", [("0", "-1", "--y -1"), ("5", "0", "--x 5")], ids=["y_below", "x_above"]
-)
-def test_generate_endpoint_outside_the_points_is_usage_error(capsys, x, y, bad):
-    code, out = run(
-        capsys, "generate", "--input", FIVE, "--maps", "c3,fin", "--x", x, "--y", y,
-    )
+@pytest.mark.parametrize("endpoints, message", [
+    (["--x", "0", "--y", "-1"], "--y -1 is outside the points 0..4"),
+    (["--x", "5", "--y", "0"], "--x 5 is outside the points 0..4"),
+    # a lone endpoint asks for a chain that would not be printed
+    (["--x", "0"], "--x and --y go together"),
+    (["--y", "2"], "--x and --y go together"),
+], ids=["y_below", "x_above", "x_alone", "y_alone"])
+def test_generate_endpoint_outside_the_points_is_usage_error(capsys, endpoints, message):
+    code, out = run(capsys, "generate", "--input", FIVE, "--maps", "c3,fin", *endpoints)
     assert code == 2
-    assert f"{bad} is outside the points 0..4" in out
+    assert message in out
+    assert "Traceback" not in out
 
 
 @pytest.mark.parametrize("argv, message", [
