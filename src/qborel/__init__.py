@@ -29,7 +29,7 @@ _EXPORTS = {
     "greedy_extend_int levels_finite levels_int lusin_novikov_decompose psi_split "
     "psi_split_int quotient_construction quotient_construction_int weak_uniformize "
     "weak_uniformize_int",
-    "quotient": "IntClassQuotient Partition",
+    "quotient": "Partition",
     "relations": "EnumeratedEquivalence IntBlockRelation chain_witness generate_equivalence "
     "index2_involution index_over min_selector selector_to_transversal tail_equivalence "
     "verify_enumeration",

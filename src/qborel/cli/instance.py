@@ -4,7 +4,7 @@ relations, groups, and actions, each usable only after it appears.
 Grammar, one declaration per line, `#` starts a comment:
 
     space <name> carrier = finite(<n>) [partition = { {0,1}, {2} }]
-    space <name> carrier = int [partition = { {<intset>}, ... }]
+    space <name> carrier = int
     map <name> : <space> -> <space> : 0 -> 1, 1 -> 0
     ptmap <name> : <space> : <intset> -> +1 | <intset> -> -2
     rel <name> on <space> graphs = [<map>, ...]
@@ -15,9 +15,11 @@ Grammar, one declaration per line, `#` starts a comment:
     set <key> = <value>
 
 A graphs or partition relation needs a finite space, a blocks relation
-an int space.  Finite maps and partitions are written on quotient points
-(class ids); an IntSet is a semicolon-separated term list such as
-`..-1; 0:+2*inf`.
+an int space.  An int space is the integers themselves and takes no
+trailer: the integers split into finitely many classes are a finite set,
+which finite(<n>) declares.  Finite maps and partitions are written on
+quotient points (class ids); an IntSet is a semicolon-separated term
+list such as `..-1; 0:+2*inf`.
 Numbers in group tables are element indices, row acts on the left.
 """
 
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from ..carriers import PiecewiseTranslation, parse_intset, parse_ptmap
 from ..errors import InstanceSyntaxError, UnknownReference, clip, quote
-from ..quotient import IntClassQuotient, Partition
+from ..quotient import Partition
 from ..record import Record
 from ..relations import EnumeratedEquivalence, IntBlockRelation
 
@@ -45,9 +47,9 @@ MAX_POINTS = 1 << 16
 
 
 class SpaceDecl(Record):
-    # kind is "finite" or "int"; space is a finite space's Partition, or an
-    # int space's IntClassQuotient (None for the discrete quotient)
-    def __init__(self, name: str, kind: str, space: Partition | IntClassQuotient | None):
+    # kind is "finite" or "int"; space is a finite space's Partition, None
+    # for an int space
+    def __init__(self, name: str, kind: str, space: Partition | None):
         self._set(name, kind, space)
 
     @property
@@ -167,11 +169,6 @@ def _int_groups(body: str, line_no: int, pair: str) -> list[list[int]]:
     ]
 
 
-def _intset_groups(body: str, line_no: int) -> list:
-    """The integer sets of a braced block list: {<intset>}, ..."""
-    return [parse_intset(b) for b in _split_groups(body, line_no, "{}")]
-
-
 def _parse_space(rest: str, inst: InstanceFile, line_no: int) -> SpaceDecl:
     m = re.match(
         rf"({_NAME})\s+carrier\s*=\s*(finite\(\s*(\d+)\s*\)|int)\s*(.*)$", rest
@@ -180,24 +177,20 @@ def _parse_space(rest: str, inst: InstanceFile, line_no: int) -> SpaceDecl:
         _fail(line_no, f"bad space declaration: {quote(rest)}")
     name, carrier_text, n_text, tail = m.groups()
     tail = tail.strip()
-    partition_text = None
-    if tail:
-        pm = re.match(r"partition\s*=\s*(.*)$", tail)
-        if not pm:
-            _fail(line_no, f"unexpected trailer {quote(tail)}")
-        partition_text = pm.group(1)
     if carrier_text == "int":
-        if partition_text is None:
-            return SpaceDecl(name, "int", None)
-        space = IntClassQuotient.make(_intset_groups(partition_text, line_no))
-        return SpaceDecl(name, "int", space)
+        if tail:
+            _fail(line_no, f"an int space takes no trailer, got {quote(tail)}")
+        return SpaceDecl(name, "int", None)
+    pm = re.match(r"partition\s*=\s*(.*)$", tail)
+    if tail and not pm:
+        _fail(line_no, f"unexpected trailer {quote(tail)}")
     n = _parse_int(n_text, line_no)
     if n > MAX_POINTS:
         _fail(line_no, f"finite({clip(str(n))}) exceeds the cap of {MAX_POINTS} points")
-    if partition_text is None:
+    if not tail:
         partition = Partition.discrete(n)
     else:
-        partition = Partition.from_blocks(n, _int_groups(partition_text, line_no, "{}"))
+        partition = Partition.from_blocks(n, _int_groups(pm.group(1), line_no, "{}"))
     return SpaceDecl(name, "finite", partition)
 
 
@@ -277,7 +270,8 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
     if kind == "blocks":
         if sdecl.kind != "int":
             _fail(line_no, "blocks form needs an int space")
-        value = IntBlockRelation.make(_intset_groups(body, line_no))
+        blocks = [parse_intset(b) for b in _split_groups(body, line_no, "{}")]
+        value = IntBlockRelation.make(blocks)
         return RelDecl(name, "blocks", [], value)
     if sdecl.kind != "finite":
         _fail(line_no, "partition form needs a finite space")

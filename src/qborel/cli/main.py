@@ -16,7 +16,7 @@ import sys
 from math import inf
 
 from ..carriers import _clear_memos, format_intset, format_ptmap, IntSet
-from ..errors import InvalidCertificate, NotWithinRelation, QBorelError, UnsupportedCarrier, quote
+from ..errors import InvalidCertificate, NotWithinRelation, QBorelError, UnsupportedCarrier
 from ..relations import (
     chain_witness,
     generate_equivalence,
@@ -32,32 +32,76 @@ class UsageError(Exception):
     pass
 
 
+# every flag by its dest: the keywords argparse takes for it; the option is
+# --dest without a trailing underscore (map_ is --map)
+FLAGS = {
+    "input": {"help": "instance file (or certificate for verify)"},
+    "out": {"help": "write the certificate (or export) here"},
+    "gallery": {"help": "packaged example to draw inputs from"},
+    "k": {"type": int, "help": "alphabet size for gallery models"},
+    "n": {"type": int, "help": "word length for gallery models"},
+    "t": {"type": int, "help": "agreement threshold for gallery models"},
+    "K": {"type": int, "default": 32, "help": "level probe bound (int lane)"},
+    "rel": {"help": "relation name in the instance file"},
+    "maps": {"help": "comma-separated map names"},
+    "map_": {"help": "single map name"},
+    "g0": {"help": "seed partial injection name"},
+    "action": {"help": "action name in the instance file"},
+    "group": {"help": "group name in the instance file"},
+    "sub": {"help": "comma-separated subgroup elements (labels or indices)"},
+    "phi": {"help": "selector map name (default: least member)"},
+    "x": {"type": int, "help": "chain witness source point"},
+    "y": {"type": int, "help": "chain witness target point"},
+    "expect": {"help": "expected value for the index or normalizer command"},
+}
+
+# the flags each command reads, in the order --help lists the commands. The
+# first is where the input comes from: a required --input, one required
+# choice of --input or --gallery, or gallery's positional name
+FLAGS_OF = {
+    "fm-classical": ("input", "out", "rel"),
+    "fm-quotient": ("input|gallery", "out", "rel", "maps", "K"),
+    "cover": ("input|gallery", "out", "rel", "maps", "g0", "K"),
+    "uniformize": ("input", "out", "rel", "maps"),
+    "generate": ("input", "out", "maps", "x", "y"),
+    "tail": ("input", "out", "map_"),
+    "index": ("input|gallery", "out", "k", "n", "t", "rel", "expect"),
+    "selector": ("input", "out", "rel", "action", "phi"),
+    "involution2": ("input", "out", "rel"),
+    "action-orbits": ("input", "out", "action"),
+    "cocycle": ("input|gallery", "out", "k", "n", "t", "action"),
+    "normalizer": ("input|gallery", "out", "k", "n", "t", "group", "sub", "expect"),
+    "gallery": ("gallery", "out", "k", "n", "t"),
+    "verify": ("input", "out"),
+    "export-graph": ("input", "out", "rel", "action"),
+}
+
+
+def _add_flag(parser, dest: str, **extra) -> None:
+    parser.add_argument(f"--{dest.rstrip('_')}", dest=dest, **FLAGS[dest], **extra)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qborel",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("command", nargs="?", help=f"one of: {', '.join(COMMANDS)}")
-    p.add_argument("name", nargs="?", help="gallery name for the gallery command")
-    p.add_argument("--input", help="instance file (or certificate for verify)")
-    p.add_argument("--out", help="write the certificate (or export) here")
-    p.add_argument("--gallery", help="packaged example to draw inputs from")
-    p.add_argument("--k", type=int, help="alphabet size for gallery models")
-    p.add_argument("--n", type=int, help="word length for gallery models")
-    p.add_argument("--t", type=int, help="agreement threshold for gallery models")
-    p.add_argument("--K", type=int, default=32, help="level probe bound (int lane)")
-    p.add_argument("--rel", help="relation name in the instance file")
-    p.add_argument("--maps", help="comma-separated map names")
-    p.add_argument("--map", dest="map_", help="single map name")
-    p.add_argument("--g0", help="seed partial injection name")
-    p.add_argument("--action", help="action name in the instance file")
-    p.add_argument("--group", help="group name in the instance file")
-    p.add_argument("--sub", help="comma-separated subgroup elements (labels or indices)")
-    p.add_argument("--phi", help="selector map name (default: least member)")
-    p.add_argument("--x", type=int, help="chain witness source point")
-    p.add_argument("--y", type=int, help="chain witness target point")
-    p.add_argument("--expect", help="expected value for the index command")
+    commands = p.add_subparsers(
+        dest="command", required=True, metavar="COMMAND", help=f"one of: {', '.join(FLAGS_OF)}"
+    )
+    for command, (source, *dests) in FLAGS_OF.items():
+        cp = commands.add_parser(command)
+        if source == "gallery":
+            cp.add_argument("gallery", help="packaged example to run")
+        elif source == "input":
+            _add_flag(cp, "input", required=True)
+        else:
+            choice = cp.add_mutually_exclusive_group(required=True)
+            for dest in source.split("|"):
+                _add_flag(choice, dest)
+        for dest in dests:
+            _add_flag(cp, dest)
     return p
 
 
@@ -95,7 +139,7 @@ def _pick(
     error that says `mismatch`.
     """
     name = flag_value
-    if name is None and inst is not None:
+    if name is None:
         name = inst.directives.get(directive_key)
     if name is None and len(table) == 1:
         name = next(iter(table))
@@ -108,19 +152,12 @@ def _pick(
     return table[name]
 
 
-def _need_instance(inst, what: str) -> InstanceFile:
-    if inst is None:
-        raise UsageError(f"{what} needs --input with an instance file")
-    return inst
-
-
 def _map_list(args, inst, lane: str, mismatch: str) -> list:
     """The maps --maps or the `maps` directive names, all of one lane.
 
     Maps of two lanes, or of the other lane, are usage errors; the latter
     says `mismatch`.
     """
-    inst = _need_instance(inst, "this command")
     names = args.maps
     if names is None:
         names = inst.directives.get("maps")
@@ -186,13 +223,16 @@ def _fmt_index(v) -> object:
 
 
 def _gallery_instance(args):
-    from ..cantor import GALLERY_NAMES, example_gallery
+    from ..cantor import example_gallery
 
-    # _check_flags allows the positional name for the gallery command only
-    name = args.name or args.gallery
-    if not name:
-        raise UsageError(f"gallery needs a name: {', '.join(GALLERY_NAMES)}")
-    return example_gallery(name, k=args.k, n=args.n, t=args.t)
+    return example_gallery(args.gallery, k=args.k, n=args.n, t=args.t)
+
+
+def _et_shift(args):
+    """The gallery instance of fm-quotient and cover: et_shift, which takes no --k, --n or --t."""
+    from ..cantor import example_gallery
+
+    return example_gallery(args.gallery)
 
 
 def cmd_gallery(args, inst) -> Certificate:
@@ -215,7 +255,6 @@ def cmd_gallery(args, inst) -> Certificate:
 def cmd_fm_classical(args, inst) -> Certificate:
     from ..feldman_moore import classical_construction
 
-    inst = _need_instance(inst, "fm-classical")
     cert = Certificate("fm-classical")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     rel = _rel_partition(decl, cert)
@@ -250,10 +289,9 @@ def cmd_fm_classical(args, inst) -> Certificate:
 def cmd_fm_quotient(args, inst) -> Certificate:
     cert = Certificate("fm-quotient")
     if args.gallery:
-        g = _gallery_instance(args)
+        g = _et_shift(args)
         rel, phis = g.data["relation"], g.data["maps"]
         return _fm_quotient_int(args, cert, rel, phis)
-    inst = _need_instance(inst, "fm-quotient")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     if decl.kind == "blocks":
         decls = _map_list(args, inst, "int", "fm-quotient on a blocks relation needs ptmaps")
@@ -308,9 +346,8 @@ def _fm_quotient_int(args, cert, rel, phis) -> Certificate:
 def cmd_cover(args, inst) -> Certificate:
     cert = Certificate("cover")
     if args.gallery:
-        g = _gallery_instance(args)
+        g = _et_shift(args)
         return _cover_int(args, cert, g.data["relation"], g.data["maps"], g.data["seed"])
-    inst = _need_instance(inst, "cover")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     # a graphs relation takes a map seed, a blocks relation a ptmap seed
     lane, seed = {"graphs": ("finite", "map"), "blocks": ("int", "ptmap")}.get(
@@ -431,7 +468,6 @@ def _cover_int(args, cert, rel, phis, g0) -> Certificate:
 def cmd_uniformize(args, inst) -> Certificate:
     from ..feldman_moore import weak_uniformize, weak_uniformize_int
 
-    inst = _need_instance(inst, "uniformize")
     cert = Certificate("uniformize")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation") if args.rel or inst.rels else None
     if decl is not None and decl.kind == "graphs":
@@ -476,7 +512,6 @@ def cmd_uniformize(args, inst) -> Certificate:
 
 
 def cmd_generate(args, inst) -> Certificate:
-    inst = _need_instance(inst, "generate")
     cert = Certificate("generate")
     decls = _map_list(args, inst, "finite", "generate works on finite maps")
     # n is read off the first map's space, so every map must live on it alone
@@ -503,7 +538,6 @@ def cmd_generate(args, inst) -> Certificate:
 
 
 def cmd_tail(args, inst) -> Certificate:
-    inst = _need_instance(inst, "tail")
     cert = Certificate("tail")
     decl = _pick(
         inst, inst.maps, args.map_, "map", "map", "finite", "tail works on finite endomaps"
@@ -542,7 +576,6 @@ def cmd_index(args, inst) -> Certificate:
         if rel is None:
             raise UsageError(f"gallery {g.name} carries no indexed relation")
     else:
-        inst = _need_instance(inst, "index")
         decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
         rel = decl.value if decl.kind == "blocks" else _rel_partition(decl, cert)
     index = _fmt_index(index_over(rel))
@@ -557,7 +590,6 @@ def cmd_index(args, inst) -> Certificate:
 
 
 def cmd_selector(args, inst) -> Certificate:
-    inst = _need_instance(inst, "selector")
     cert = Certificate("selector")
     decl = _action_or_rel(args, inst)
     if isinstance(decl, ActionDecl):
@@ -583,7 +615,6 @@ def cmd_selector(args, inst) -> Certificate:
 
 
 def cmd_involution2(args, inst) -> Certificate:
-    inst = _need_instance(inst, "involution2")
     cert = Certificate("involution2")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     rel = _rel_partition(decl, cert)
@@ -607,7 +638,6 @@ def cmd_involution2(args, inst) -> Certificate:
 def cmd_action_orbits(args, inst) -> Certificate:
     from ..actions import orbit_equivalence
 
-    inst = _need_instance(inst, "action-orbits")
     cert = Certificate("action-orbits")
     decl = _pick(inst, inst.actions, args.action, "action", "action")
     act = decl.action
@@ -632,7 +662,6 @@ def cmd_cocycle(args, inst) -> Certificate:
         if act is None:
             raise UsageError(f"gallery {g.name} carries no action")
     else:
-        inst = _need_instance(inst, "cocycle")
         decl = _pick(inst, inst.actions, args.action, "action", "action")
         act = decl.action
     coc = cocycle_from_free_action(act)
@@ -667,7 +696,6 @@ def cmd_normalizer(args, inst) -> Certificate:
         group = act.group
         sub_text = args.sub or ",".join(str(a) for a in delta)
     else:
-        inst = _need_instance(inst, "normalizer")
         decl = _pick(inst, inst.groups, args.group, "group", "group")
         group = decl.group
         if not args.sub and "sub" not in inst.directives:
@@ -703,8 +731,6 @@ def cmd_normalizer(args, inst) -> Certificate:
 
 
 def cmd_verify(args, inst) -> tuple[int, list[str]]:
-    if not args.input:
-        raise UsageError("verify needs --input with a certificate file")
     try:
         text = _read_input(args.input).decode("utf-8")
     except UnicodeDecodeError as e:
@@ -730,7 +756,7 @@ def cmd_verify(args, inst) -> tuple[int, list[str]]:
 
 
 def cmd_export_graph(args, inst) -> tuple[int, list[str]]:
-    decl = _action_or_rel(args, _need_instance(inst, "export-graph"))
+    decl = _action_or_rel(args, inst)
     # (x, y, label) of each edge; loops are left out
     if isinstance(decl, ActionDecl):
         act = decl.action
@@ -757,43 +783,19 @@ def cmd_export_graph(args, inst) -> tuple[int, list[str]]:
     return 0, [text.rstrip()]
 
 
-# every command in the order --help lists them; a handler returns a
+# each command's handler, cmd_ and its name with _ for -; it returns a
 # Certificate, or (exit code, lines) when it prints no certificate summary
-COMMANDS = {
-    "fm-classical": cmd_fm_classical,
-    "fm-quotient": cmd_fm_quotient,
-    "cover": cmd_cover,
-    "uniformize": cmd_uniformize,
-    "generate": cmd_generate,
-    "tail": cmd_tail,
-    "index": cmd_index,
-    "selector": cmd_selector,
-    "involution2": cmd_involution2,
-    "action-orbits": cmd_action_orbits,
-    "cocycle": cmd_cocycle,
-    "normalizer": cmd_normalizer,
-    "gallery": cmd_gallery,
-    "verify": cmd_verify,
-    "export-graph": cmd_export_graph,
-}
+COMMANDS = {name: globals()[f"cmd_{name.replace('-', '_')}"] for name in FLAGS_OF}
 
 
 def _check_flags(args, command: str) -> None:
-    """The usage errors the flags alone show, raised before the instance is read."""
+    """The usage errors the flag values alone show, raised before the instance is read."""
     if command in ("fm-quotient", "cover") and args.gallery not in (None, "et_shift"):
         raise UsageError(f"only the et_shift gallery instance feeds {command}")
-    if (args.gallery or command == "gallery") and args.input:
-        raise UsageError("a gallery instance reads no --input")
     if command == "index" and args.expect is not None:
         _expected_index(args.expect)
     if command == "generate" and (args.x is None) != (args.y is None):
         raise UsageError("--x and --y go together: pass both endpoints or neither")
-    if args.name is not None and command != "gallery":
-        raise UsageError(f"{command} takes no positional argument, got {quote(args.name)}")
-    if args.name and args.gallery not in (None, args.name):
-        raise UsageError(
-            f"two gallery names: {quote(args.name)} and --gallery {quote(args.gallery)}"
-        )
 
 
 def _summary(cert: Certificate, out: str | None) -> tuple[int, list[str]]:
@@ -813,16 +815,12 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     command = args.command
-    if command is None:
-        parser.error("no command given")
-    if command not in COMMANDS:
-        parser.error(f"unknown command {command!r}; choose from: {', '.join(COMMANDS)}")
     try:
         _check_flags(args, command)
         # the instance file is read once: the text parsed is the text digested;
-        # verify reads its --input as a certificate
+        # verify reads its --input as a certificate, and gallery takes none
         text = None
-        if args.input and command != "verify":
+        if command not in ("verify", "gallery") and args.input:
             text = decode_instance(_read_input(args.input))
         inst = parse_instance(text) if text is not None else None
         result = COMMANDS[command](args, inst)

@@ -2,13 +2,12 @@
 
 A finite quotient is its Partition: classes are explicit blocks of the
 points 0..n-1, and the quotient points are the class ids 0..k-1, ordered
-by least member.  On the integer carrier a partition is a finite list of
-disjoint IntSet descriptors covering the integers.
+by least member.  The integer carrier is its own quotient: the classes of
+an integer relation are the blocks of a `relations.IntBlockRelation`.
 """
 
 from __future__ import annotations
 
-from .carriers import IntSet, _first_overlap, _zero_order
 from .errors import InvalidPartition, clip
 from .record import Frozen
 
@@ -111,31 +110,3 @@ class Partition(Frozen):
         return frozenset(
             (x, y) for b in self.blocks for x in b for y in b
         )
-
-
-class IntClassQuotient(Frozen):
-    """The integers modulo finitely many IntSet descriptors."""
-
-    def __init__(self, classes: tuple[IntSet, ...]):
-        self._set(classes)
-
-    @classmethod
-    def make(cls, descriptors) -> "IntClassQuotient":
-        descs = list(descriptors)
-        hit = _first_overlap(descs)
-        for i in range(len(descs)):
-            if descs[i].is_empty():
-                raise InvalidPartition("empty class descriptor", witness=i)
-            if hit is not None and hit[0] == i:
-                raise InvalidPartition(
-                    f"descriptors {i} and {hit[1]} overlap",
-                    witness=descs[i].intersect(descs[hit[1]]).closest_to_zero(),
-                )
-        leftover = IntSet.all_integers().difference(IntSet.empty().union(*descs))
-        if not leftover.is_empty():
-            raise InvalidPartition(
-                "descriptors do not cover the ambient set",
-                witness=leftover.closest_to_zero(),
-            )
-        descs.sort(key=lambda d: _zero_order(d.closest_to_zero()))
-        return cls(tuple(descs))

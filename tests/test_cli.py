@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in-process through main()."""
 
+import ast
 import json
 import os
 import pathlib
@@ -29,6 +30,7 @@ FIVE = str(SAMPLES / "five_points.qb")
 SWAP = str(SAMPLES / "swap.qb")
 RAY = str(SAMPLES / "shifted_ray.qb")
 ROT = str(SAMPLES / "rotation.qb")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -589,21 +591,60 @@ def test_gallery_all(capsys):
         assert "[pass] instance_checks_hold" in out
 
 
-def test_gallery_flag_form(capsys):
-    code, out = run(capsys, "gallery", "--gallery", "ex34")
-    assert code == 0
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["cover", "stray", "--input", FIVE], "cover takes no positional argument, got 'stray'"),
-    (["index", "ex35", "--gallery", "ex35"], "index takes no positional argument, got 'ex35'"),
-    (["gallery", "ex34", "--gallery", "ex35"], "two gallery names: 'ex34' and --gallery 'ex35'"),
-], ids=["stray_positional", "index_positional", "two_gallery_names"])
-def test_a_stray_or_second_name_is_usage_error(capsys, argv, message):
-    code, out = run(capsys, *argv)
+# an argument the command does not read, positional or flag, would be
+# dropped, and the run would certify something other than what was asked for
+@pytest.mark.parametrize("argv, unread", [
+    (["cover", "stray", "--input", FIVE], "stray"),
+    (["index", "ex35", "--gallery", "ex35"], "ex35"),
+    # gallery takes its name as a positional only
+    (["gallery", "ex34", "--gallery", "ex35"], "--gallery ex35"),
+    (["index", "--input", FIVE, "--x", "0", "--phi", "nosuch", "--maps", "zz"],
+     "--x 0 --phi nosuch --maps zz"),
+    (["verify", "--input", str(GOLDEN / "index_swap.json"), "--rel", "nosuch"], "--rel nosuch"),
+    (["tail", "--input", ROT, "--map", "sel", "--K", "5"], "--K 5"),
+    (["gallery", "ex34", "--input", FIVE], f"--input {FIVE}"),
+], ids=[
+    "stray_positional", "index_positional", "two_gallery_names",
+    "index_flags", "verify_flag", "tail_flag", "gallery_input",
+])
+def test_a_stray_or_second_name_is_usage_error(tmp_path, capsys, argv, unread):
+    out_file = tmp_path / "F"
+    code, out = run(capsys, *argv, "--out", str(out_file))
     assert code == 2
     assert "Traceback" not in out
-    assert out.endswith(f"qborel: error: {message}\n")
+    assert out.endswith(f"qborel: error: unrecognized arguments: {unread}\n")
+    assert not out_file.exists()
+
+
+def _args_reads(functions: dict, name: str, seen: set) -> set:
+    """The args.<dest> that function `name` reads, with those of each module
+    function it passes `args` to."""
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "args":
+                reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callee = node.func.id
+            passed = [*node.args, *(k.value for k in node.keywords)]
+            if callee in functions and callee not in seen and any(
+                isinstance(a, ast.Name) and a.id == "args" for a in passed
+            ):
+                reads |= _args_reads(functions, callee, seen)
+    return reads
+
+
+def test_flags_of_lists_the_flags_each_command_reads():
+    cli = sys.modules[main.__module__]
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for command, (source, *dests) in cli.FLAGS_OF.items():
+        declared = {*source.split("|"), *dests}
+        reads = _args_reads(functions, cli.COMMANDS[command].__name__, set())
+        assert reads <= declared, (command, sorted(reads - declared))
+        # main reads --input and --out for the handler
+        assert declared - {"input", "out"} <= reads, (command, sorted(declared - reads))
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -634,21 +675,27 @@ def test_gallery_other_than_et_shift_is_usage_error(tmp_path, capsys, command, s
     argv = [command, "--gallery", "ex34", "--out", str(out_file)]
     code, out = run(capsys, *argv, *(["--input", sample] if with_input else []))
     assert code == 2
-    assert out.endswith(f"qborel: error: only the et_shift gallery instance feeds {command}\n")
+    if with_input:
+        message = f"qborel {command}: error: argument --input: not allowed with argument --gallery"
+    else:
+        message = f"qborel: error: only the et_shift gallery instance feeds {command}"
+    assert out.endswith(f"{message}\n")
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["index", "--gallery", "ex35"],
-    ["cover", "--gallery", "et_shift"],
-    ["gallery", "ex35"],
+@pytest.mark.parametrize("argv, message", [
+    (["index", "--gallery", "ex35"],
+     "qborel index: error: argument --input: not allowed with argument --gallery"),
+    (["cover", "--gallery", "et_shift"],
+     "qborel cover: error: argument --input: not allowed with argument --gallery"),
+    (["gallery", "ex35"], f"qborel: error: unrecognized arguments: --input {FIVE}"),
 ], ids=["index", "cover", "gallery"])
-def test_gallery_with_input_is_usage_error(tmp_path, capsys, argv):
+def test_gallery_with_input_is_usage_error(tmp_path, capsys, argv, message):
     # the certificate would list an input file the run never read
     out_file = tmp_path / "cert.json"
     code, out = run(capsys, *argv, "--input", FIVE, "--out", str(out_file))
     assert code == 2
-    assert out.endswith("qborel: error: a gallery instance reads no --input\n")
+    assert out.endswith(f"{message}\n")
     assert not out_file.exists()
 
 
@@ -656,23 +703,29 @@ def test_cover_without_input_is_usage_error(tmp_path, capsys):
     out_file = tmp_path / "cert.json"
     code, out = run(capsys, "cover", "--out", str(out_file))
     assert code == 2
-    assert out.endswith("qborel: error: cover needs --input with an instance file\n")
+    message = "qborel cover: error: one of the arguments --input --gallery is required"
+    assert out.endswith(f"{message}\n")
     assert not out_file.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["cover", "--gallery", "ex34"], "only the et_shift gallery instance feeds cover"),
-    (["fm-quotient", "--gallery", "ex34"], "only the et_shift gallery instance feeds fm-quotient"),
-    (["index", "--expect", "abc"], "--expect takes an integer or 'unbounded', got 'abc'"),
-    (["index", "--gallery", "ex35"], "a gallery instance reads no --input"),
-], ids=["cover", "fm_quotient", "index", "index_gallery"])
+    (["cover", "--gallery", "ex34"],
+     "qborel cover: error: argument --input: not allowed with argument --gallery"),
+    (["fm-quotient", "--gallery", "ex34"],
+     "qborel fm-quotient: error: argument --input: not allowed with argument --gallery"),
+    (["index", "--expect", "abc"],
+     "qborel: error: --expect takes an integer or 'unbounded', got 'abc'"),
+    (["index", "--gallery", "ex35"],
+     "qborel index: error: argument --input: not allowed with argument --gallery"),
+    (["tail", "--K", "5"], "qborel: error: unrecognized arguments: --K 5"),
+], ids=["cover", "fm_quotient", "index", "index_gallery", "unread_flag"])
 def test_flag_usage_error_comes_before_the_instance_is_read(tmp_path, capsys, argv, message):
     broken = tmp_path / "broken.qb"
     broken.write_text("space S carrier = bogus\n", encoding="utf-8")
     for path in (broken, tmp_path / "missing.qb"):
         code, out = run(capsys, *argv, "--input", str(path))
         assert code == 2
-        assert out.endswith(f"qborel: error: {message}\n")
+        assert out.endswith(f"{message}\n")
 
 
 FIVE_SEEDS = (

@@ -28,7 +28,6 @@ from qborel.feldman_moore import (
     orbit_window_witness,
     psi_split_int,
 )
-from qborel.quotient import IntClassQuotient
 from qborel.relations import IntBlockRelation
 
 # ---------------------------------------------------------------------------
@@ -87,26 +86,6 @@ def ref_make(blocks, ambient=None):
                 )
     bs.sort(key=lambda b: _zero_order(b.closest_to_zero()))
     return IntBlockRelation(tuple(bs), amb)
-
-
-def ref_class_quotient(descriptors):
-    descs = list(descriptors)
-    for i in range(len(descs)):
-        if descs[i].is_empty():
-            raise InvalidPartition("empty class descriptor", witness=i)
-        for j in range(i + 1, len(descs)):
-            both = descs[i].intersect(descs[j])
-            if not both.is_empty():
-                raise InvalidPartition(
-                    f"descriptors {i} and {j} overlap", witness=both.closest_to_zero()
-                )
-    leftover = IntSet.all_integers().difference(IntSet.empty().union(*descs))
-    if not leftover.is_empty():
-        raise InvalidPartition(
-            "descriptors do not cover the ambient set", witness=leftover.closest_to_zero()
-        )
-    descs.sort(key=lambda d: _zero_order(d.closest_to_zero()))
-    return IntClassQuotient(tuple(descs))
 
 
 def ref_graph_within_witness(rel, f):
@@ -293,20 +272,6 @@ def test_injectivity_witness_matches_the_pairwise_search(f):
 @example([IntSet.segment(0, 9), IntSet.of(20), IntSet.segment(9, 12)], None)
 def test_block_relation_make_matches_the_pairwise_search(blocks, ambient):
     assert outcome(IntBlockRelation.make, blocks, ambient) == outcome(ref_make, blocks, ambient)
-
-
-@given(st.lists(sets, max_size=5), st.booleans())
-# an empty descriptor between an overlapping pair: the overlap is reported
-@example([IntSet.segment(0, 9), IntSet.empty(), IntSet.segment(5, 12)], False)
-# an empty descriptor before the pair: it is reported
-@example([IntSet.empty(), IntSet.segment(0, 9), IntSet.segment(5, 12)], False)
-def test_class_quotient_make_matches_the_pairwise_search(descriptors, complete):
-    """With `complete`, the rest of the integers joins as one more class."""
-    if complete:
-        rest = IntSet.all_integers().difference(IntSet.empty().union(*descriptors))
-        descriptors = descriptors + [rest]
-    got = outcome(IntClassQuotient.make, descriptors)
-    assert got == outcome(ref_class_quotient, descriptors)
 
 
 @given(relations_and_moves())

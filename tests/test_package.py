@@ -16,7 +16,6 @@ EXPORTS = [
     "GalleryInstance",
     "GroupAction",
     "IntBlockRelation",
-    "IntClassQuotient",
     "IntSet",
     "Partition",
     "PiecewiseTranslation",

@@ -1,11 +1,9 @@
-"""Quotient spaces: a finite quotient is its Partition, an integer one a
-list of IntSet classes."""
+"""Quotient spaces: a finite quotient is its Partition."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qborel.carriers import IntSet
-from qborel.quotient import IntClassQuotient, InvalidPartition, Partition
+from qborel.quotient import InvalidPartition, Partition
 
 
 def partitions(max_n=8):
@@ -63,23 +61,3 @@ def test_quotient_projection_laws(p):
         assert p.class_of[p.blocks[q][0]] == q
         # the representative is the least point of the class
         assert p.blocks[q][0] == min(p.blocks[q])
-
-
-# -- integer carrier ---------------------------------------------------------
-
-def test_int_class_quotient():
-    q = IntClassQuotient.make([IntSet.ray_up(1), IntSet.ray_down(0)])
-    # classes are ordered by their element closest to zero
-    assert q.classes == (IntSet.ray_down(0), IntSet.ray_up(1))
-
-
-def test_int_class_quotient_validation():
-    with pytest.raises(InvalidPartition, match="overlap"):
-        IntClassQuotient.make([IntSet.ray_down(0), IntSet.ray_up(0)])
-    with pytest.raises(InvalidPartition, match="do not cover") as ei:
-        IntClassQuotient.make([IntSet.ray_down(-1)])
-    assert ei.value.witness == 0
-    with pytest.raises(InvalidPartition, match="empty class descriptor"):
-        IntClassQuotient.make([IntSet.empty(), IntSet.all_integers()])
-
-

@@ -7,7 +7,7 @@ from qborel.cantor import canonicalize, make_truncated_model
 from qborel.carriers import IntSet
 from qborel.cli.certificates import Certificate
 from qborel.cli.instance import InstanceFile
-from qborel.quotient import IntClassQuotient, Partition
+from qborel.quotient import Partition
 from qborel.relations import (
     ChainStep,
     CheckOutcome,
@@ -21,10 +21,10 @@ Z2 = FiniteGroup(("e", "s"), ((0, 1), (1, 0)))
 
 FROZEN = [
     Partition.from_blocks(3, [(0, 2), (1,)]),
-    IntClassQuotient.make([IntSet.ray_down(-1), IntSet.ray_up(0)]),
     ChainStep(4, 1, True),
     EnumeratedEquivalence.make(2, [{0: 1, 1: 0}]),
-    IntBlockRelation.make([IntSet.segment(0, 3)]),
+    # blocks that cover the integers, beside the ambient set they fill
+    IntBlockRelation.make([IntSet.ray_down(-1), IntSet.segment(0, 3), IntSet.ray_up(4)]),
     Z2,
     GroupAction(Z2, 2, ((0, 1), (1, 0))),
     canonicalize("0", "01", 2),
