@@ -24,7 +24,7 @@ from .actions import (
     verify_cocycle,
 )
 from .carriers import IntSet, PiecewiseTranslation
-from .errors import AlphabetMismatch, BadParameters, UnknownExample
+from .errors import AlphabetMismatch, BadParameters, NotASelector, UnknownExample
 from .feldman_moore import (
     cover_int,
     greedy_extend_int,
@@ -305,7 +305,7 @@ def _gallery_ex35(k: int, n: int, t: int) -> GalleryInstance:
     try:
         transversal = selector_to_transversal(phi, over)
         selector_ok = True
-    except Exception:
+    except NotASelector:
         transversal, selector_ok = frozenset(), False
     idx = index_over(over)
     return GalleryInstance(

@@ -388,17 +388,22 @@ def _chk_int_orbit_window(data):
     return w is None, w
 
 
+def _level_texts(levels) -> dict:
+    """The level-1 sets and zero part of an IntLevels, as int_levels stores them."""
+    return {
+        "x1": format_intset(levels.positive.level(1)),
+        "xm1": format_intset(levels.negative.level(1)),
+        "zero": format_intset(levels.zero),
+    }
+
+
 @checker("int_levels")
 def _chk_int_levels(data):
     from ..feldman_moore import levels_int
 
     rel = _int_relation(data)
     levels = levels_int(parse_ptmap(data["g"]), rel, bound=data.get("bound", 32))
-    got = {
-        "x1": format_intset(levels.positive.level(1)),
-        "xm1": format_intset(levels.negative.level(1)),
-        "zero": format_intset(levels.zero),
-    }
+    got = _level_texts(levels)
     expected = data["expected"]
     mismatches = {
         key: {"got": got[key], "expected": expected[key]}

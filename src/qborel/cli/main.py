@@ -25,8 +25,11 @@ from ..relations import (
     min_selector,
     tail_equivalence,
 )
-from .certificates import Certificate, _plain, jsonable, reverify
-from .instance import ActionDecl, InstanceFile, decode_instance, parse_instance
+from .certificates import Certificate, _level_texts, _plain, jsonable, reverify
+from .instance import (
+    ActionDecl, GroupDecl, InstanceFile, MapDecl, RelDecl, SpaceDecl, decode_instance,
+    parse_instance,
+)
 
 class UsageError(Exception):
     pass
@@ -102,6 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                 _add_flag(choice, dest)
         for dest in dests:
             _add_flag(cp, dest)
+    # fm-quotient and cover take no model flags: et_shift, their one example, has no parameters
+    p.set_defaults(k=None, n=None, t=None)
     return p
 
 
@@ -144,6 +149,8 @@ def _pick(
     if name is None and len(table) == 1:
         name = next(iter(table))
     if name is None:
+        if not table:
+            raise UsageError(f"the instance declares no {what}")
         raise UsageError(f"no {what} selected; pass --{directive_key}")
     if name not in table:
         raise UsageError(f"{what} {name!r} not found in the instance")
@@ -162,6 +169,8 @@ def _map_list(args, inst, lane: str, mismatch: str) -> list:
     if names is None:
         names = inst.directives.get("maps")
     if names is None:
+        if not inst.maps:
+            raise UsageError("the instance declares no map")
         raise UsageError("no maps selected; pass --maps name,name,...")
     out = [_pick(inst, inst.maps, s.strip(), "maps", "map") for s in names.split(",")]
     if len({d.kind for d in out}) > 1:
@@ -228,11 +237,28 @@ def _gallery_instance(args):
     return example_gallery(args.gallery, k=args.k, n=args.n, t=args.t)
 
 
-def _et_shift(args):
-    """The gallery instance of fm-quotient and cover: et_shift, which takes no --k, --n or --t."""
-    from ..cantor import example_gallery
-
-    return example_gallery(args.gallery)
+def _gallery_file(args) -> InstanceFile:
+    """The gallery example as instance declarations: a model's relation (`over`,
+    else `orbit`), its `action` and that action's `group`, ex36's `sub` directive;
+    et_shift's relation, maps and seed as samples/shifted_ray.qb declares them.
+    """
+    data = _gallery_instance(args).data
+    inst = InstanceFile()
+    rel = next((key for key in ("over", "orbit") if key in data), None)
+    if rel is not None:
+        inst.rels[rel] = RelDecl(rel, "partition", [], data[rel])
+    if "action" in data:
+        inst.actions["action"] = ActionDecl("action", data["action"])
+        inst.groups["group"] = GroupDecl("group", data["action"].group)
+    if "sub" in data:
+        inst.directives["sub"] = ",".join(str(a) for a in data["sub"])
+    if "relation" in data:
+        inst.spaces["Z"] = SpaceDecl("Z", "int", None)
+        inst.rels["F"] = RelDecl("F", "blocks", [], data["relation"])
+        for name, f in zip(("idz", "up", "down", "g0"), (*data["maps"], data["seed"])):
+            inst.maps[name] = MapDecl(name, "int", "Z", "Z", f)
+        inst.directives.update(rel="F", maps="idz,up,down", g0="g0")
+    return inst
 
 
 def cmd_gallery(args, inst) -> Certificate:
@@ -288,14 +314,26 @@ def cmd_fm_classical(args, inst) -> Certificate:
 
 def cmd_fm_quotient(args, inst) -> Certificate:
     cert = Certificate("fm-quotient")
-    if args.gallery:
-        g = _et_shift(args)
-        rel, phis = g.data["relation"], g.data["maps"]
-        return _fm_quotient_int(args, cert, rel, phis)
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     if decl.kind == "blocks":
         decls = _map_list(args, inst, "int", "fm-quotient on a blocks relation needs ptmaps")
-        return _fm_quotient_int(args, cert, decl.value, [d.table for d in decls])
+        from ..feldman_moore import ORBIT_WINDOW, quotient_construction_int
+
+        qc = quotient_construction_int(decl.value, [d.table for d in decls], bound=args.K)
+        gen_texts = [format_ptmap(f) for f in qc.generators]
+        relation = _int_relation(decl.value)
+        cert.outputs = {"psi_count": len(qc.psis), "generators": gen_texts}
+        cert.emit(
+            "generators_are_bijections_within_relation",
+            "ptmap_family_within",
+            {"maps": gen_texts, **relation, "bijections": True},
+        )
+        cert.emit(
+            "orbit_covers_relation_on_window",
+            "int_orbit_window",
+            {"maps": gen_texts, **relation, "window": ORBIT_WINDOW},
+        )
+        return cert
     if decl.kind != "graphs":
         raise UsageError("fm-quotient needs a graphs relation")
     from ..feldman_moore import quotient_construction
@@ -323,31 +361,8 @@ def cmd_fm_quotient(args, inst) -> Certificate:
     return cert
 
 
-def _fm_quotient_int(args, cert, rel, phis) -> Certificate:
-    from ..feldman_moore import ORBIT_WINDOW, quotient_construction_int
-
-    qc = quotient_construction_int(rel, phis, bound=args.K)
-    gen_texts = [format_ptmap(f) for f in qc.generators]
-    relation = _int_relation(rel)
-    cert.outputs = {"psi_count": len(qc.psis), "generators": gen_texts}
-    cert.emit(
-        "generators_are_bijections_within_relation",
-        "ptmap_family_within",
-        {"maps": gen_texts, **relation, "bijections": True},
-    )
-    cert.emit(
-        "orbit_covers_relation_on_window",
-        "int_orbit_window",
-        {"maps": gen_texts, **relation, "window": ORBIT_WINDOW},
-    )
-    return cert
-
-
 def cmd_cover(args, inst) -> Certificate:
     cert = Certificate("cover")
-    if args.gallery:
-        g = _et_shift(args)
-        return _cover_int(args, cert, g.data["relation"], g.data["maps"], g.data["seed"])
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     # a graphs relation takes a map seed, a blocks relation a ptmap seed
     lane, seed = {"graphs": ("finite", "map"), "blocks": ("int", "ptmap")}.get(
@@ -421,11 +436,7 @@ def _cover_int(args, cert, rel, phis, g0) -> Certificate:
     pair = cover_int(levels)
     seed, extension = format_ptmap(g0), format_ptmap(g)
     others = [format_ptmap(pair.first), format_ptmap(pair.second)]
-    level_text = {
-        "x1": format_intset(levels.positive.level(1)),
-        "xm1": format_intset(levels.negative.level(1)),
-        "zero": format_intset(levels.zero),
-    }
+    level_text = _level_texts(levels)
     cert.outputs = {
         "extension": extension,
         "levels": {
@@ -570,14 +581,8 @@ def _expected_index(text: str):
 
 def cmd_index(args, inst) -> Certificate:
     cert = Certificate("index")
-    if args.gallery:
-        g = _gallery_instance(args)
-        rel = g.data.get("over") or g.data.get("orbit")
-        if rel is None:
-            raise UsageError(f"gallery {g.name} carries no indexed relation")
-    else:
-        decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
-        rel = decl.value if decl.kind == "blocks" else _rel_partition(decl, cert)
+    decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
+    rel = decl.value if decl.kind == "blocks" else _rel_partition(decl, cert)
     index = _fmt_index(index_over(rel))
     cert.outputs = {"index": index}
     if args.expect is not None:
@@ -656,14 +661,7 @@ def cmd_cocycle(args, inst) -> Certificate:
     from ..actions import cocycle_from_free_action
 
     cert = Certificate("cocycle")
-    if args.gallery:
-        g = _gallery_instance(args)
-        act = g.data.get("action")
-        if act is None:
-            raise UsageError(f"gallery {g.name} carries no action")
-    else:
-        decl = _pick(inst, inst.actions, args.action, "action", "action")
-        act = decl.action
+    act = _pick(inst, inst.actions, args.action, "action", "action").action
     coc = cocycle_from_free_action(act)
     sizes = {
         act.group.labels[a]: len(p) for a, p in coc.pair_classes().items()
@@ -687,20 +685,10 @@ def cmd_normalizer(args, inst) -> Certificate:
     from ..actions import normalizer
 
     cert = Certificate("normalizer")
-    if args.gallery:
-        g = _gallery_instance(args)
-        act = g.data.get("action")
-        delta = g.data.get("sub")
-        if act is None or delta is None:
-            raise UsageError(f"gallery {g.name} carries no subgroup datum")
-        group = act.group
-        sub_text = args.sub or ",".join(str(a) for a in delta)
-    else:
-        decl = _pick(inst, inst.groups, args.group, "group", "group")
-        group = decl.group
-        if not args.sub and "sub" not in inst.directives:
-            raise UsageError("normalizer needs --sub with subgroup elements")
-        sub_text = args.sub or inst.directives["sub"]
+    group = _pick(inst, inst.groups, args.group, "group", "group").group
+    if not args.sub and "sub" not in inst.directives:
+        raise UsageError("normalizer needs --sub with subgroup elements")
+    sub_text = args.sub or inst.directives["sub"]
     try:
         delta = [group.element(s.strip()) for s in sub_text.split(",")]
     except ValueError as e:
@@ -792,6 +780,8 @@ def _check_flags(args, command: str) -> None:
     """The usage errors the flag values alone show, raised before the instance is read."""
     if command in ("fm-quotient", "cover") and args.gallery not in (None, "et_shift"):
         raise UsageError(f"only the et_shift gallery instance feeds {command}")
+    if command != "gallery" and args.input and (args.k, args.n, args.t) != (None,) * 3:
+        raise UsageError("--k, --n and --t set a gallery model: pass them with --gallery")
     if command == "index" and args.expect is not None:
         _expected_index(args.expect)
     if command == "generate" and (args.x is None) != (args.y is None):
@@ -818,11 +808,15 @@ def main(argv=None) -> int:
     try:
         _check_flags(args, command)
         # the instance file is read once: the text parsed is the text digested;
-        # verify reads its --input as a certificate, and gallery takes none
-        text = None
-        if command not in ("verify", "gallery") and args.input:
-            text = decode_instance(_read_input(args.input))
-        inst = parse_instance(text) if text is not None else None
+        # verify reads its --input as a certificate, gallery takes none, and
+        # a command given --gallery reads the example's declarations instead
+        text = inst = None
+        if command not in ("verify", "gallery"):
+            if args.input:
+                text = decode_instance(_read_input(args.input))
+                inst = parse_instance(text)
+            else:
+                inst = _gallery_file(args)
         result = COMMANDS[command](args, inst)
         if isinstance(result, Certificate):
             if text is not None:

@@ -27,6 +27,7 @@ from qborel.cantor import (
     make_truncated_model,
 )
 from qborel.actions import freeness_witness, involution_fiber_report, orbit_equivalence
+from qborel.errors import NotASelector
 from qborel.quotient import Partition
 
 
@@ -303,6 +304,25 @@ def test_gallery_ex35_matches_pairwise_oracle(n):
         fine, over = _ex35_pairwise(g.data["base"].words, t)
         assert g.data["space"] == fine
         assert g.data["over"] == over
+
+
+def test_gallery_ex35_fails_its_selector_check_only_on_a_non_selector(monkeypatch):
+    import qborel.cantor as cantor
+
+    def not_a_selector(phi, over):
+        raise NotASelector("selector undefined at 0", witness=0)
+
+    monkeypatch.setattr(cantor, "selector_to_transversal", not_a_selector)
+    g = example_gallery("ex35")
+    assert g.checks["selector_valid"] is False and g.summary["transversal"] == ()
+
+    def broken(phi, over):
+        raise ValueError("a fault in the code, not a verdict")
+
+    # any other error is a fault to see, not a failed check
+    monkeypatch.setattr(cantor, "selector_to_transversal", broken)
+    with pytest.raises(ValueError, match="a fault in the code"):
+        example_gallery("ex35")
 
 
 def test_gallery_ex35_at_the_word_cap_is_fast():

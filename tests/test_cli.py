@@ -639,12 +639,15 @@ def test_flags_of_lists_the_flags_each_command_reads():
     cli = sys.modules[main.__module__]
     tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    # what main reads for the handler (--input, --out, --gallery and the
+    # model flags among them) counts as read for each command declaring it
+    main_reads = _args_reads(functions, "main", set())
+    assert main_reads <= {*cli.FLAGS, "command"}, sorted(main_reads - {*cli.FLAGS, "command"})
     for command, (source, *dests) in cli.FLAGS_OF.items():
         declared = {*source.split("|"), *dests}
         reads = _args_reads(functions, cli.COMMANDS[command].__name__, set())
         assert reads <= declared, (command, sorted(reads - declared))
-        # main reads --input and --out for the handler
-        assert declared - {"input", "out"} <= reads, (command, sorted(declared - reads))
+        assert declared <= reads | main_reads, (command, sorted(declared - reads - main_reads))
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -718,7 +721,9 @@ def test_cover_without_input_is_usage_error(tmp_path, capsys):
     (["index", "--gallery", "ex35"],
      "qborel index: error: argument --input: not allowed with argument --gallery"),
     (["tail", "--K", "5"], "qborel: error: unrecognized arguments: --K 5"),
-], ids=["cover", "fm_quotient", "index", "index_gallery", "unread_flag"])
+    (["index", "--k", "3"],
+     "qborel: error: --k, --n and --t set a gallery model: pass them with --gallery"),
+], ids=["cover", "fm_quotient", "index", "index_gallery", "unread_flag", "model_flag"])
 def test_flag_usage_error_comes_before_the_instance_is_read(tmp_path, capsys, argv, message):
     broken = tmp_path / "broken.qb"
     broken.write_text("space S carrier = bogus\n", encoding="utf-8")
@@ -726,6 +731,76 @@ def test_flag_usage_error_comes_before_the_instance_is_read(tmp_path, capsys, ar
         code, out = run(capsys, *argv, "--input", str(path))
         assert code == 2
         assert out.endswith(f"{message}\n")
+
+
+# a flag is read alike from an instance file and from a gallery example,
+# so neither source drops one
+@pytest.mark.parametrize("argv, message", [
+    (["index", "--input", FIVE, "--k", "3"],
+     "--k, --n and --t set a gallery model: pass them with --gallery"),
+    (["cocycle", "--input", ROT, "--n", "4", "--t", "2"],
+     "--k, --n and --t set a gallery model: pass them with --gallery"),
+    (["fm-quotient", "--gallery", "et_shift", "--rel", "nosuch", "--maps", "zz"],
+     "relation 'nosuch' not found in the instance"),
+    (["cover", "--gallery", "et_shift", "--maps", "zz"], "map 'zz' not found in the instance"),
+    (["normalizer", "--gallery", "ex36", "--group", "nosuch"],
+     "group 'nosuch' not found in the instance"),
+    (["cocycle", "--gallery", "ex34", "--action", "nosuch"],
+     "action 'nosuch' not found in the instance"),
+], ids=["index_k", "cocycle_n_t", "fm_quotient_rel", "cover_maps", "normalizer_group",
+        "cocycle_action"])
+def test_a_flag_is_read_on_both_sources(tmp_path, capsys, argv, message):
+    out_file = tmp_path / "cert.json"
+    code, out = run(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    assert "Traceback" not in out
+    assert out.endswith(f"qborel: error: {message}\n")
+    assert not out_file.exists()
+
+
+# selecting a gallery example's objects by their documented names reads
+# what the run reads by default
+@pytest.mark.parametrize("argv, names", [
+    (["cover", "--gallery", "et_shift"], ["--rel", "F", "--maps", "idz,up,down", "--g0", "g0"]),
+    (["fm-quotient", "--gallery", "et_shift"], ["--rel", "F", "--maps", "idz,up,down"]),
+    (["index", "--gallery", "ex34"], ["--rel", "orbit"]),
+    (["index", "--gallery", "ex35"], ["--rel", "over"]),
+    (["cocycle", "--gallery", "ex36"], ["--action", "action"]),
+    (["normalizer", "--gallery", "ex36"], ["--group", "group", "--sub", "0,2"]),
+], ids=["cover", "fm_quotient", "index_orbit", "index_over", "cocycle", "normalizer"])
+def test_gallery_objects_selected_by_name_are_the_defaults(capsys, argv, names):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, *names) == (code, out)
+
+
+def test_gallery_example_runs_as_its_declarations_in_a_file(capsys):
+    code, out = run(capsys, "index", "--gallery", "et_shift")
+    assert code == 0 and 'index = "unbounded"' in out
+    assert run(capsys, "index", "--input", RAY) == (code, out)
+    # ex34's action has a group, so a subgroup given by --sub is enough
+    code, out = run(capsys, "normalizer", "--gallery", "ex34", "--sub", "0")
+    assert code == 0
+    assert 'normalizer = ["01", "10"]' in out
+
+
+# with no name given and nothing of the kind declared, no flag could help
+@pytest.mark.parametrize("argv, what", [
+    (["cocycle", "--gallery", "ex35"], "action"),
+    (["index", "--gallery", "ex37"], "relation"),
+    (["normalizer", "--gallery", "ex35", "--sub", "0"], "group"),
+    (["cocycle", "--input", "only_a_relation"], "action"),
+    (["cover", "--input", "only_a_relation"], "seed map"),
+    (["uniformize", "--input", "only_a_relation"], "map"),
+], ids=["gallery_action", "gallery_relation", "gallery_group", "file_action", "file_seed",
+        "file_maps"])
+def test_nothing_declared_is_named_in_the_usage_error(tmp_path, capsys, argv, what):
+    inst = tmp_path / "only_a_relation.qb"
+    inst.write_text("space P carrier = finite(2)\nrel R on P partition = { {0, 1} }\n")
+    argv = [str(inst) if a == "only_a_relation" else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out.endswith(f"qborel: error: the instance declares no {what}\n")
 
 
 FIVE_SEEDS = (
