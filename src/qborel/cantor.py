@@ -369,6 +369,7 @@ def _gallery_ex36(k: int, n: int, t: int) -> GalleryInstance:
             "action": act,
             "orbit": big,
             "suborbit": small,
+            "over": over,
             "sub": delta,
             "normalizer": norm,
             "excess": excess,

@@ -4,7 +4,7 @@ A certificate stores the command, digests of its inputs, the values it
 produced, and a list of checks. Every check carries its kind plus the
 data the checker needs, so verification can be repeated later from the
 stored record alone: reverify() reruns each checker and compares the
-verdicts with what was stored.
+verdicts with what was stored. A check refers to an output it certifies.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ if TYPE_CHECKING:  # the checkers of group data import actions when they run
     from ..actions import FiniteGroup
 
 TOOL = "qborel"
+SCHEMA = 2  # what a run writes; a certificate with no schema key is schema 1
+REFERENCE = "$output"
 
 CHECKERS: dict[str, object] = {}
 
@@ -82,6 +84,18 @@ def _snapshot(value) -> bytes:
         return None
 
 
+def _resolve(data: dict, outputs) -> dict:
+    """Check data with each reference (top level, or in a top-level list) read from outputs."""
+    def read(v):
+        if type(v) is not dict or v.keys() != {REFERENCE}:
+            return v
+        if isinstance(outputs, dict) and type(v[REFERENCE]) is str and v[REFERENCE] in outputs:
+            return outputs[v[REFERENCE]]
+        raise InvalidCertificate(f"reference {_compact(v)} names no stored output")
+    return {key: [read(v) for v in value] if type(value) is list and dict in map(type, value)
+            else read(value) for key, value in data.items()}
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
@@ -90,15 +104,17 @@ class Certificate(Record):
     def __init__(
         self, command: str, arguments: dict | None = None, inputs: list | None = None,
         outputs: dict | None = None, checks: list | None = None, tool: str = TOOL,
-        version: str = VERSION,
+        version: str = VERSION, *, schema: int = SCHEMA,
     ):
         # a fresh dict or list for each one not given
         self._set(
             command, {} if arguments is None else arguments, [] if inputs is None else inputs,
             {} if outputs is None else outputs, [] if checks is None else checks, tool, version,
         )
+        self.schema = schema  # keyword-only, so not a field of repr or ==
         # id of each emitted check -> (the check, its snapshot, its JSON text)
         self._lines = {}
+        self._outputs = None  # _encoded() of the outputs, once a check refers to one
 
     def add_input(self, name: str, text: str):
         self.inputs.append({"name": name, "sha256_12": digest(text)})
@@ -106,13 +122,22 @@ class Certificate(Record):
     def emit(self, name: str, kind: str, data: dict) -> bool:
         """Run the checker now and store the verdict alongside its data.
 
+        A list or dict output that data holds by identity, at the top level or
+        in a top-level list, is stored as a reference to its first key.
         The data is encoded once: the checker runs on that text decoded,
         and to_json writes the same text for as long as the stored check
         still holds the values it holds here.
         """
+        refs = {id(v): {REFERENCE: k} for k, v in reversed(self.outputs.items())
+                if type(v) in (list, dict)}
+        if refs:
+            data = {key: refs.get(id(value)) or (
+                [refs.get(id(v), v) for v in value] if type(value) is list else value
+            ) for key, value in data.items()}
         text = _compact(data)
         data = json.loads(text)
-        ok, witness = run_check(kind, data)
+        referred = refs and f'{{"{REFERENCE}":' in text
+        ok, witness = run_check(kind, _resolve(data, self._encoded()[2]) if referred else data)
         witness_text = _compact(witness)
         check = {
             "name": name,
@@ -129,6 +154,13 @@ class Certificate(Record):
         self._lines[id(check)] = check, _snapshot(check), line
         return ok
 
+    def _encoded(self) -> tuple:
+        """(snapshot, JSON text, decoded text) of the outputs, kept until they change."""
+        snapshot = _snapshot(self.outputs)
+        if self._outputs is None or snapshot is None or self._outputs[0] != snapshot:
+            self._outputs = snapshot, (text := _compact(self.outputs)), json.loads(text)
+        return self._outputs
+
     def _line(self, check: dict) -> str:
         """The compact JSON text of a stored check."""
         held = self._lines.get(id(check))
@@ -143,14 +175,16 @@ class Certificate(Record):
     def to_json(self) -> str:
         """One key per line and one check per line, each value compact."""
         head = {
+            "schema": self.schema,
             "tool": self.tool,
             "version": self.version,
             "command": self.command,
             "arguments": self.arguments,
             "inputs": self.inputs,
-            "outputs": self.outputs,
         }
         lines = [f'  "{key}": {_compact(value)},' for key, value in head.items()]
+        outputs = self._encoded()[1] if self._outputs else _compact(self.outputs)
+        lines.append(f'  "outputs": {outputs},')
         checks = ",\n".join(f"    {self._line(c)}" for c in self.checks)
         lines.append(f'  "checks": [\n{checks}\n  ]' if checks else '  "checks": []')
         return "{\n" + "\n".join(lines) + "\n}\n"
@@ -172,6 +206,9 @@ class Certificate(Record):
                 "certificate is not an object with a list of checks "
                 "(each with name, kind, data and ok)"
             )
+        schema = raw.get("schema", 1)
+        if type(schema) is not int or schema not in (1, SCHEMA):
+            raise InvalidCertificate(f"certificate schema {_compact(schema)} is neither 1 nor 2")
         return cls(
             command=raw.get("command", ""),
             arguments=raw.get("arguments", {}),
@@ -180,6 +217,7 @@ class Certificate(Record):
             checks=checks,
             tool=raw.get("tool", TOOL),
             version=raw.get("version", VERSION),
+            schema=schema,
         )
 
     def summary_lines(self) -> list[str]:
@@ -196,7 +234,8 @@ def reverify(cert: Certificate) -> tuple[bool, list[dict]]:
     rows = []
     for c in cert.checks:
         try:
-            ok, witness = run_check(c["kind"], c["data"])
+            data = c["data"] if cert.schema == 1 else _resolve(c["data"], cert.outputs)
+            ok, witness = run_check(c["kind"], data)
         except Exception as e:  # a hand-edited check is a FAIL row, not a crash
             ok, witness = False, {"error": type(e).__name__, "message": str(e)}
         rows.append(

@@ -1,11 +1,13 @@
 """Certificate format: compact emission, one normalisation, bounded replay.
 
 The golden corpus under `golden/` holds every certificate the sample and
-gallery commands of `manifest.json` wrote in the older indented format.
-Each must still replay, and rerunning its command must give a certificate
-that decodes to the same JSON value: only whitespace may change. Next to
-each certificate, `<entry>.stdout` pins the bytes the command prints and
-its exit code.
+gallery commands of `manifest.json` wrote in schema 1, in the older
+indented format; each must still replay. `golden/schema2/` holds what the
+same commands write now: rerunning a command must give a certificate that
+decodes to the same JSON value, and that value, with each `{"$output":
+key}` reference replaced by the output it names and the schema key
+dropped, is the schema-1 certificate. Next to each schema-1 certificate,
+`<entry>.stdout` pins the bytes the command prints and its exit code.
 """
 
 import json
@@ -26,6 +28,7 @@ from qborel.quotient import Partition
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+SCHEMA2 = GOLDEN / "schema2"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
 
@@ -58,8 +61,52 @@ def test_golden_command_writes_the_same_certificate(tmp_path, capsys, entry):
     cert_file = tmp_path / "cert.json"
     run(capsys, *_argv(entry), "--out", str(cert_file))
     assert json.loads(cert_file.read_text()) == json.loads(
-        (GOLDEN / entry["file"]).read_text()
+        (SCHEMA2 / entry["file"]).read_text()
     )
+
+
+def _resolved(cert: dict) -> dict:
+    """A schema-2 certificate as schema 1 stores it: each reference, at the
+    top level of check data or in a top-level list, replaced by its output."""
+    def value(v):
+        is_reference = isinstance(v, dict) and v.keys() == {"$output"}
+        return cert["outputs"][v["$output"]] if is_reference else v
+
+    out = {key: v for key, v in cert.items() if key != "schema"}
+    out["checks"] = [
+        {**c, "data": {
+            key: [value(x) for x in v] if isinstance(v, list) else value(v)
+            for key, v in c["data"].items()
+        }}
+        for c in cert["checks"]
+    ]
+    return out
+
+
+# ex36's declared relation is the suborbit classes joined in each orbit
+# (index 3) since the example stores it; schema 1 pins the whole orbit (index 6)
+CHANGED_SINCE_SCHEMA1 = {"index_gallery_ex36.json"}
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
+def test_schema2_golden_is_its_schema1_golden_with_references_resolved(entry):
+    new = json.loads((SCHEMA2 / entry["file"]).read_text())
+    old = json.loads((GOLDEN / entry["file"]).read_text())
+    assert new["schema"] == 2 and "schema" not in old
+    if entry["file"] in CHANGED_SINCE_SCHEMA1:
+        assert new["outputs"] != old["outputs"]
+        old["outputs"] = new["outputs"]
+    assert _resolved(new) == old
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
+def test_schema2_golden_replays_to_the_rows_of_its_schema1_golden(tmp_path, capsys, entry):
+    rows = []
+    for corpus in (GOLDEN, SCHEMA2):
+        rows_file = tmp_path / f"{corpus.name}.json"
+        run(capsys, "verify", "--input", str(corpus / entry["file"]), "--out", str(rows_file))
+        rows.append(json.loads(rows_file.read_text()))
+    assert rows[0] == rows[1] and rows[0]["agrees"]
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
@@ -81,11 +128,11 @@ def test_certificate_has_one_key_and_one_check_per_line(tmp_path, capsys):
     text = cert_file.read_text()
     cert = json.loads(text)
     lines = text.splitlines()
-    head = ["tool", "version", "command", "arguments", "inputs", "outputs", "checks"]
+    head = ["schema", "tool", "version", "command", "arguments", "inputs", "outputs", "checks"]
     assert [json.loads("{" + ln.rstrip(",") + "}").popitem()[0]
-            for ln in lines[1:7]] == head[:6]
-    assert lines[7] == '  "checks": ['
-    checks = [json.loads(ln.rstrip(",")) for ln in lines[8:-2]]
+            for ln in lines[1:8]] == head[:7]
+    assert lines[1] == '  "schema": 2,' and lines[8] == '  "checks": ['
+    checks = [json.loads(ln.rstrip(",")) for ln in lines[9:-2]]
     assert checks == cert["checks"] and len(checks) == 8
     assert lines[-2:] == ["  ]", "}"]
     golden = (GOLDEN / "cover_five_points.json").read_text()
@@ -94,11 +141,12 @@ def test_certificate_has_one_key_and_one_check_per_line(tmp_path, capsys):
 
 # -- one value, one place ----------------------------------------------------
 
-# `verify` replays the checks and never reads `outputs`, so an output is
-# certified only when a check stores that same value. For each output of a
-# manifest command, by (command, output key): the checks whose data holds
-# that very object, or why none does yet. The reasons that name ROADMAP
-# item 2 are its work list: the outputs that schema 2 still has to bind.
+# An output is certified only when a check reads that same value: in
+# schema 2 a list or dict output is stored once, and the checks refer to
+# it. For each output of a manifest command, by (command, output key): the
+# checks whose data holds that very object, or why none does yet. The
+# reasons that name ROADMAP item 2 are its work list: the outputs that
+# schema 2 still has to bind.
 UNBOUND = "item 2: no check stores it"
 GALLERY_SUMMARY = (
     "acceleration", "carrier_points", "classes", "cover_first", "cover_second",
@@ -175,6 +223,14 @@ def _values(data):
             yield from _values(v)
 
 
+def _references(data: dict):
+    """The references of check data: top-level values, or in a top-level list."""
+    for v in data.values():
+        for x in v if isinstance(v, list) else [v]:
+            if isinstance(x, dict) and x.keys() == {"$output"}:
+                yield x["$output"]
+
+
 def test_each_output_is_the_object_its_checks_store(monkeypatch, capsys):
     from qborel.cli.main import COMMANDS
 
@@ -203,15 +259,24 @@ def test_each_output_is_the_object_its_checks_store(monkeypatch, capsys):
         if not certs or not isinstance(certs[0], Certificate):
             continue
         cert = certs[0]
+        stored = {c["name"]: c["data"] for c in cert.checks}
+        for name, data in stored.items():
+            # only a list or dict output is ever named
+            for ref in _references(data):
+                assert type(cert.outputs[ref]) in (list, dict), (entry["file"], name, ref)
         for key, value in cert.outputs.items():
             where = (entry["file"], key)
             bound = CERTIFIED_BY[cert.command, key]
             seen.add((cert.command, key))
+            # of two keys bound to one object, the first in output order is named
+            first = next(k for k, v in cert.outputs.items() if v is value)
             if isinstance(bound, tuple):
                 named = [name for name in bound if name in emitted]
                 assert named, where
                 for name in named:
                     assert any(v is value for v in _values(emitted[name])), (where, name)
+                    if type(value) in (list, dict):
+                        assert first in _references(stored[name]), (where, name)
             if not isinstance(value, (list, dict, str)) or where in COINCIDENCES:
                 continue
             # a check value that equals this output is an output (this one,
@@ -223,6 +288,125 @@ def test_each_output_is_the_object_its_checks_store(monkeypatch, capsys):
     assert all(
         isinstance(b, tuple) or b.startswith(("count: ", "item ")) for b in CERTIFIED_BY.values()
     )
+
+
+# -- references --------------------------------------------------------------
+
+def _verify_rows(capsys, tmp_path, cert) -> tuple[int, str, list]:
+    cert_file, rows_file = tmp_path / "cert.json", tmp_path / "rows.json"
+    cert_file.write_text(json.dumps(cert))
+    code, out = run(capsys, "verify", "--input", str(cert_file), "--out", str(rows_file))
+    rows = json.loads(rows_file.read_text())["rows"] if rows_file.exists() else None
+    return code, out, rows
+
+
+def _certificate(capsys, tmp_path, *argv) -> dict:
+    cert_file = tmp_path / "run.json"
+    code, _ = run(capsys, *argv, "--out", str(cert_file))
+    assert code == 0
+    return json.loads(cert_file.read_text())
+
+
+def test_edited_cover_extension_fails_its_checks(tmp_path, capsys):
+    five = str(ROOT / "samples/five_points.qb")
+    cert = _certificate(capsys, tmp_path, "cover", "--input", five)
+    # a bijection that sends 0 and 3 across the two classes {0, 1, 2} and {3, 4}
+    cert["outputs"]["extension"] = [[0, 3], [1, 0], [2, 2], [3, 1], [4, 4]]
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out
+    failed = {r["name"] for r in rows if not r["agrees"]}
+    assert "covers_are_bijections_within_relation" in failed
+    assert "extension_inside_cover_union" not in failed  # the edit is inside the edited union
+
+
+def test_edited_fm_quotient_generator_fails_its_checks(tmp_path, capsys):
+    shifts6 = str(ROOT / "samples/shifts6.qb")
+    cert = _certificate(capsys, tmp_path, "fm-quotient", "--input", shifts6)
+    (blocks,) = [c["data"]["right"] for c in cert["checks"] if c["kind"] == "partition_equal"]
+    # one pair of one map sent outside its class: the images of 0 and of a
+    # point of another class swap, so the map stays a bijection
+    g = cert["outputs"]["generators"][0]
+    z = next(b for b in blocks if 0 not in b)[0]
+    images = dict(g)
+    images[0], images[z] = images[z], images[0]
+    cert["outputs"]["generators"][0] = sorted(images.items())
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out
+    (bad,) = [r for r in rows if not r["agrees"]]
+    assert bad["name"] == "generators_are_bijections_within_relation"
+    assert bad["witness"]["law"] == "within"
+
+
+@pytest.mark.parametrize("ref", [{"$output": "nosuch"}, {"$output": 3}, {"$output": None}])
+def test_reference_to_no_output_is_a_fail_row_naming_it(tmp_path, capsys, ref):
+    cert = json.loads((SCHEMA2 / "cover_five_points.json").read_text())
+    cert["checks"][2]["data"]["map"] = ref
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out
+    (bad,) = [r for r in rows if not r["agrees"]]
+    assert bad["name"] == "extension_is_a_full_permutation"
+    assert bad["witness"] == {
+        "error": "InvalidCertificate",
+        "message": f"reference {json.dumps(ref, separators=(',', ':'))} names no stored output",
+    }
+
+
+def test_schema2_outputs_that_are_no_object_give_fail_rows(tmp_path, capsys):
+    cert = json.loads((SCHEMA2 / "cover_five_points.json").read_text())
+    cert["outputs"] = list(cert["outputs"].values())
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out
+    # the two checks that refer to no output still pass
+    assert [r["name"] for r in rows if r["agrees"]] == [
+        "graphs_form_an_enumeration", "seed_within_relation",
+    ]
+    assert all(r["witness"]["error"] == "InvalidCertificate" for r in rows[2:])
+
+
+@pytest.mark.parametrize("schema", [3, "2", 2.0, True, None, 0])
+def test_unknown_schema_is_an_invalid_certificate(tmp_path, capsys, schema):
+    cert = json.loads((SCHEMA2 / "cover_five_points.json").read_text())
+    cert["schema"] = schema
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and rows is None
+    assert json.loads(out)["error"]["kind"] == "InvalidCertificate"
+
+
+@pytest.mark.parametrize("schema, agrees", [(None, True), (1, True), (2, False)])
+def test_references_are_read_only_in_schema_2(tmp_path, capsys, schema, agrees):
+    # two references to equal outputs: unequal as plain data, equal once read
+    cert = {
+        "command": "probe", "outputs": {"a": [1], "b": [1]},
+        "checks": [{"name": "refs", "kind": "value_equal", "ok": False, "witness": None,
+                    "data": {"left": {"$output": "a"}, "right": {"$output": "b"}}}],
+    }
+    if schema is not None:
+        cert["schema"] = schema
+    code, _, (row,) = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and row["agrees"] is agrees
+    assert row["recomputed"] is (not agrees)
+
+
+def test_an_int_or_text_equal_to_an_output_is_stored_as_a_value():
+    cert = Certificate("probe")
+    three, empty = 3, "empty"
+    cert.outputs = {"index": three, "text": empty, "maps": [[0, 1]]}
+    cert.emit("value", "value_equal", {"left": three, "right": empty})
+    cert.emit("maps", "value_equal", {"left": cert.outputs["maps"], "right": [[0, 1]]})
+    data = [json.loads(line.rstrip(","))["data"] for line in cert.to_json().splitlines()[9:-2]]
+    assert data == [
+        {"left": 3, "right": "empty"}, {"left": {"$output": "maps"}, "right": [[0, 1]]},
+    ]
+    assert cert.checks[1]["ok"] is True
+
+
+def test_outputs_changed_between_emits_are_read_anew():
+    cert = Certificate("probe")
+    cert.outputs = {"maps": [[0, 1]]}
+    assert cert.emit("before", "value_equal", {"left": cert.outputs["maps"], "right": [[0, 1]]})
+    cert.outputs["maps"].append([1, 0])
+    assert not cert.emit("after", "value_equal", {"left": cert.outputs["maps"], "right": [[0, 1]]})
+    assert json.loads(cert.to_json())["outputs"] == {"maps": [[0, 1], [1, 0]]}
 
 
 # -- normalisation -----------------------------------------------------------

@@ -96,7 +96,7 @@ def test_enumeration_laws_witness_bytes_are_pinned(tmp_path, capsys):
     inst, cert = tmp_path / "missing.qb", tmp_path / "c.json"
     inst.write_text(MISSING_SHIFT)
     assert main(["selector", "--input", str(inst), "--out", str(cert)]) == 1
-    line = cert.read_text().splitlines()[8]
+    line = cert.read_text().splitlines()[9]
     assert line == (
         '    {"name":"graphs_form_an_enumeration","kind":"enumeration_laws",'
         '"data":{"n":5,"maps":[[[0,0],[1,1],[2,2],[3,3],[4,4]],'
@@ -772,6 +772,15 @@ def test_gallery_objects_selected_by_name_are_the_defaults(capsys, argv, names):
     code, out = run(capsys, *argv)
     assert code == 0
     assert run(capsys, *argv, *names) == (code, out)
+
+
+def test_index_of_a_gallery_example_is_the_index_it_reports(capsys):
+    from qborel.cantor import example_gallery
+
+    for name in ("ex34", "ex35", "ex36"):
+        index = example_gallery(name).summary["index"]
+        code, out = run(capsys, "index", "--gallery", name)
+        assert code == 0 and f"  index = {index}\n" in out, name
 
 
 def test_gallery_example_runs_as_its_declarations_in_a_file(capsys):
