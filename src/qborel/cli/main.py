@@ -25,7 +25,7 @@ from ..relations import (
     min_selector,
     tail_equivalence,
 )
-from .certificates import Certificate, _level_texts, _plain, jsonable, reverify
+from .certificates import Certificate, _level_texts, _spaced, jsonable, reverify
 from .instance import (
     ActionDecl, GroupDecl, InstanceFile, MapDecl, RelDecl, SpaceDecl, decode_instance,
     parse_instance,
@@ -412,17 +412,19 @@ def cmd_cover(args, inst) -> Certificate:
         "bijection_family_within",
         {"n": rel.n, "blocks": blocks, "maps": others},
     )
-    for label, pairs in (
-        ("seed", seed),
-        ("seed_inverse", _graph_pairs(invert_map(g0))),
-        ("extension", extension),
-        ("extension_inverse", others[1]),
-    ):
+    for label, pairs in (("seed", seed), ("seed_inverse", _graph_pairs(invert_map(g0)))):
         cert.emit(
             f"{label}_inside_cover_union",
             "finite_graph_subset",
             {"left": pairs, "others": others},
         )
+    # the extension lies in first, which is the extension; its inverse is
+    # taken by the checker, so an edited second cannot vouch for itself
+    cert.emit(
+        "extension_inverse_inside_cover_union",
+        "finite_inverse_graph_subset",
+        {"map": extension, "others": others},
+    )
     return cert
 
 
@@ -793,7 +795,7 @@ def _summary(cert: Certificate, out: str | None) -> tuple[int, list[str]]:
     lines = cert.summary_lines()
     if cert.outputs:
         lines.append("outputs:")
-        lines += [f"  {k} = {json.dumps(v, default=_plain)}" for k, v in cert.outputs.items()]
+        lines += [f"  {k} = {_spaced(v)}" for k, v in cert.outputs.items()]
     if out:
         lines.append(f"certificate written to {out}")
     return (0 if cert.ok else 1), lines

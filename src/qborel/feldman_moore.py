@@ -100,11 +100,10 @@ def graph_within_partition(f: dict[int, int], rel: Partition):
 
     A pair with a point outside 0..rel.n-1 is a witness too.
     """
-    for x in sorted(f):
-        y = f[x]
-        if not (0 <= x < rel.n and 0 <= y < rel.n and rel.same(x, y)):
-            return (x, y)
-    return None
+    n, label = rel.n, rel.class_of
+    x = min((x for x, y in f.items()
+             if not (0 <= x < n and 0 <= y < n and label[x] == label[y])), default=None)
+    return None if x is None else (x, f[x])
 
 
 # ---------------------------------------------------------------------------

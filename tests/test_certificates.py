@@ -6,7 +6,8 @@ indented format; each must still replay. `golden/schema2/` holds what the
 same commands write now: rerunning a command must give a certificate that
 decodes to the same JSON value, and that value, with each `{"$output":
 key}` reference replaced by the output it names and the schema key
-dropped, is the schema-1 certificate. Next to each schema-1 certificate,
+dropped, is the schema-1 certificate, but for what CHANGED_SINCE_SCHEMA1
+names. Next to each schema-1 certificate,
 `<entry>.stdout` pins the bytes the command prints and its exit code.
 """
 
@@ -16,12 +17,15 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import qborel
-from qborel.cli.certificates import Certificate, _partitions_agree, jsonable, run_check
+from qborel.cli.certificates import (
+    Certificate, _compact, _partitions_agree, _plain, _spaced, jsonable, run_check,
+)
 from qborel.cli.main import main
 from qborel.feldman_moore import MAX_PROBE
 from qborel.quotient import Partition
@@ -83,9 +87,25 @@ def _resolved(cert: dict) -> dict:
     return out
 
 
-# ex36's declared relation is the suborbit classes joined in each orbit
-# (index 3) since the example stores it; schema 1 pins the whole orbit (index 6)
-CHANGED_SINCE_SCHEMA1 = {"index_gallery_ex36.json"}
+# What a run writes differently since schema 1, by manifest entry: a key of
+# the certificate or the name of a check. ex36's declared relation is the
+# suborbit classes joined in each orbit (index 3) since the example stores
+# it; schema 1 pins the whole orbit (index 6). A finite cover no longer
+# stores extension_inside_cover_union, which held whatever was stored, and
+# its extension_inverse_inside_cover_union inverts the extension itself.
+FINITE_COVER_ROWS = {"extension_inside_cover_union", "extension_inverse_inside_cover_union"}
+CHANGED_SINCE_SCHEMA1 = {
+    "index_gallery_ex36.json": {"outputs"},
+    "cover_five_points.json": FINITE_COVER_ROWS,
+    "cover_shifts6.json": FINITE_COVER_ROWS,
+}
+
+
+def _without(cert: dict, changed: set) -> dict:
+    """A certificate without the keys and the checks named in changed."""
+    out = {key: v for key, v in cert.items() if key not in changed}
+    out["checks"] = [c for c in cert["checks"] if c["name"] not in changed]
+    return out
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
@@ -93,20 +113,22 @@ def test_schema2_golden_is_its_schema1_golden_with_references_resolved(entry):
     new = json.loads((SCHEMA2 / entry["file"]).read_text())
     old = json.loads((GOLDEN / entry["file"]).read_text())
     assert new["schema"] == 2 and "schema" not in old
-    if entry["file"] in CHANGED_SINCE_SCHEMA1:
-        assert new["outputs"] != old["outputs"]
-        old["outputs"] = new["outputs"]
-    assert _resolved(new) == old
+    new, changed = _resolved(new), CHANGED_SINCE_SCHEMA1.get(entry["file"], set())
+    assert (new != old) == bool(changed)
+    assert _without(new, changed) == _without(old, changed)
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
 def test_schema2_golden_replays_to_the_rows_of_its_schema1_golden(tmp_path, capsys, entry):
+    changed = CHANGED_SINCE_SCHEMA1.get(entry["file"], set())
     rows = []
     for corpus in (GOLDEN, SCHEMA2):
         rows_file = tmp_path / f"{corpus.name}.json"
         run(capsys, "verify", "--input", str(corpus / entry["file"]), "--out", str(rows_file))
-        rows.append(json.loads(rows_file.read_text()))
-    assert rows[0] == rows[1] and rows[0]["agrees"]
+        replay = json.loads(rows_file.read_text())
+        assert replay["agrees"]
+        rows.append([r for r in replay["rows"] if r["name"] not in changed])
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
@@ -133,7 +155,7 @@ def test_certificate_has_one_key_and_one_check_per_line(tmp_path, capsys):
             for ln in lines[1:8]] == head[:7]
     assert lines[1] == '  "schema": 2,' and lines[8] == '  "checks": ['
     checks = [json.loads(ln.rstrip(",")) for ln in lines[9:-2]]
-    assert checks == cert["checks"] and len(checks) == 8
+    assert checks == cert["checks"] and len(checks) == 7
     assert lines[-2:] == ["  ]", "}"]
     golden = (GOLDEN / "cover_five_points.json").read_text()
     assert 4 * len(text) < len(golden)
@@ -175,6 +197,8 @@ CERTIFIED_BY = {
         "covers_are_bijections_within_relation", "extension_is_a_full_permutation",
         *COVER_UNION,
     ),
+    # each union check reads second in its union; a finite cover's
+    # extension_inverse_inside_cover_union takes the inverse from the extension
     ("cover", "second"): ("covers_are_bijections_within_relation", *COVER_UNION),
     ("cover", "levels"): "item 2: levels_reproduce stores the level texts, not the accelerations",
     ("uniformize", "selection"): (
@@ -316,7 +340,24 @@ def test_edited_cover_extension_fails_its_checks(tmp_path, capsys):
     assert code == 1 and "Traceback" not in out
     failed = {r["name"] for r in rows if not r["agrees"]}
     assert "covers_are_bijections_within_relation" in failed
-    assert "extension_inside_cover_union" not in failed  # the edit is inside the edited union
+    # the inverse pair (3, 0) of the edited extension is in neither stored map
+    assert "extension_inverse_inside_cover_union" in failed
+
+
+def test_edited_cover_second_fails_the_inverse_check(tmp_path, capsys):
+    shifts6 = str(ROOT / "samples/shifts6.qb")
+    cert = _certificate(capsys, tmp_path, "cover", "--input", shifts6)
+    # swap the images of 7 and 46, one class: second stays a bijection
+    # within the relation, but the extension's pair (29, 7) loses its inverse
+    second = dict(cert["outputs"]["second"])
+    assert (cert["outputs"]["extension"][29], second[7]) == ([29, 7], 29)
+    second[7], second[46] = second[46], second[7]
+    cert["outputs"]["second"] = sorted(second.items())
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out
+    assert "[FAIL] extension_inverse_inside_cover_union" in out
+    (bad,) = [r for r in rows if not r["agrees"]]
+    assert (bad["name"], bad["witness"]) == ("extension_inverse_inside_cover_union", [7, 29])
 
 
 def test_edited_fm_quotient_generator_fails_its_checks(tmp_path, capsys):
@@ -455,6 +496,31 @@ def test_unknown_objects_are_stored_as_text():
     assert jsonable({"p": Point(), "s": {3, 1, 2}, 7: (1, None)}) == {
         "p": "pt", "s": [1, 2, 3], "7": [1, None]
     }
+
+
+# text a JSON encoder escapes: quotes, backslashes, control characters,
+# non-ASCII ones and lone surrogates
+escaped_text = st.text(
+    st.characters() | st.sampled_from('"\\/\b\n\x00\x7f\u2028\ud800\udfff'), max_size=6
+)
+encoded = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**300), 2**300) | st.floats() | escaped_text
+    | sortable_sets | st.frozensets(escaped_text, max_size=4)
+    | st.builds(Fraction, st.integers(), st.integers(1, 9)),  # no JSON type: str() of it
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(escaped_text | st.integers(), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@given(encoded)
+def test_encoders_write_the_text_json_dumps_writes(value):
+    # the encoders skip the cycle walk; on a tree that changes nothing
+    assert _compact(value) == json.dumps(value, separators=(",", ":"), default=_plain)
+    assert _spaced(value) == json.dumps(value, default=_plain)
 
 
 # -- emission ----------------------------------------------------------------

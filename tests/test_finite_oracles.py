@@ -207,6 +207,18 @@ def ref_bijection_family_within(data):
     return True, None
 
 
+def ref_involution_family_within(data):
+    rel = Partition.from_blocks(data["n"], data["blocks"])
+    for i, g in enumerate(data["maps"]):
+        f = {int(x): int(y) for x, y in g}
+        for x, y in f.items():
+            if f.get(y) != x:
+                return False, {"map": i, "pair": (x, y), "law": "involution"}
+            if not (0 <= x < rel.n and 0 <= y < rel.n and rel.same(x, y)):
+                return False, {"map": i, "pair": (x, y), "law": "within"}
+    return True, None
+
+
 def outcome(fn, *args):
     """What a call gives: its value, or the error's kind, message and witness."""
     try:
@@ -424,6 +436,50 @@ def bijection_families(draw):
 @given(bijection_families())
 def test_bijection_family_checker_matches_ordered_search(data):
     assert CHECKERS["bijection_family_within"](data) == ref_bijection_family_within(data)
+
+
+@st.composite
+def families_with_strays(draw):
+    """Maps on n points: involutions and permutations, inside the classes or
+    anywhere, some completed by fixed points to a bijection of 0..n-1, and
+    partial maps; pairs may hold points below 0 or at or above n."""
+    n = draw(st.integers(1, 7))
+    rel = draw(partitions_of(n))
+
+    def involution(pairs):
+        f = {}
+        for x, y in pairs:
+            if x not in f and y not in f:
+                f[x], f[y] = y, x
+        return f
+
+    in_class = st.sampled_from(rel.blocks).flatmap(lambda b: st.tuples(*[st.sampled_from(b)] * 2))
+    anywhere = st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1))
+    involutions = st.lists(in_class | anywhere, max_size=n).map(involution)
+    one_map = (
+        involutions
+        | involutions.map(lambda f: {**{x: x for x in range(n)}, **f})
+        | within(rel)
+        | st.permutations(range(n)).map(lambda p: dict(enumerate(p)))
+        | partial_maps(n)
+    )
+    maps = draw(st.lists(one_map, max_size=4))
+    blocks = [list(b) for b in rel.blocks]
+    return {"n": n, "blocks": blocks, "maps": [list(f.items()) for f in maps]}
+
+
+@given(families_with_strays())
+@example({"n": 3, "blocks": [[0, 2], [1]], "maps": [[[0, 2], [2, 0], [-1, -1]]]})
+@example({"n": 3, "blocks": [[0, 2], [1]], "maps": [[[0, 0], [1, 3], [3, 1], [2, 2]]]})
+def test_label_searches_match_the_same_calls(data):
+    rel = Partition.from_blocks(data["n"], data["blocks"])
+    for g in data["maps"]:
+        assert graph_within_partition(dict(g), rel) == ref_graph_within_partition(dict(g), rel)
+    for kind, ref in (
+        ("involution_family_within", ref_involution_family_within),
+        ("bijection_family_within", ref_bijection_family_within),
+    ):
+        assert CHECKERS[kind](data) == ref(data)
 
 
 @pytest.mark.parametrize("pairs", [
