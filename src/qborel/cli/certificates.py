@@ -4,7 +4,9 @@ A certificate stores the command, digests of its inputs, the values it
 produced, and a list of checks. Every check carries its kind plus the
 data the checker needs, so verification can be repeated later from the
 stored record alone: reverify() reruns each checker and compares the
-verdicts with what was stored. A check refers to an output it certifies.
+verdicts with what was stored. SPEC says which checks each command
+writes and which outputs each one reads; a run writes its checks from
+it, and reverify holds every certificate to it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import marshal
+from itertools import count
 from typing import TYPE_CHECKING
 
 from .. import __version__ as VERSION
@@ -33,6 +36,130 @@ if TYPE_CHECKING:  # the checkers of group data import actions when they run
 TOOL = "qborel"
 SCHEMA = 2  # what a run writes; a certificate with no schema key is schema 1
 REFERENCE = "$output"
+OUTPUT = "$output:"
+
+# What each command certifies, by command and lane: the checks a run writes,
+# in order, each (name, kind, data template). A template value "$output:<key>"
+# is that output, another text is the value the handler supplies under that
+# name, a list holds such values, and anything else is itself. An optional row
+# has a fourth entry, and is written only when the handler supplies that value.
+_PARTITION = {"n": "n", "blocks": "blocks"}
+_INT_RELATION = {"blocks": "blocks", "ambient": "ambient"}
+_COVER = ["$output:first", "$output:second"]
+_ENUMERATION = ("graphs_form_an_enumeration", "enumeration_laws", {"n": "n", "maps": "graphs"})
+_OPTIONAL_ENUMERATION = (*_ENUMERATION, "graphs")
+_FINITE_COVER = [
+    _ENUMERATION,
+    ("seed_within_relation", "finite_graph_in_partition", {**_PARTITION, "map": "seed"}),
+    ("extension_is_a_full_permutation", "finite_levels_empty",
+     {"n": "n", "map": "$output:extension"}),
+    ("covers_are_bijections_within_relation", "bijection_family_within",
+     {**_PARTITION, "maps": _COVER}),
+    ("seed_inside_cover_union", "finite_graph_subset", {"left": "seed", "others": _COVER}),
+    ("seed_inverse_inside_cover_union", "finite_graph_subset",
+     {"left": "seed_inverse", "others": _COVER}),
+]
+SPEC = {
+    "fm-classical": {"": [
+        _OPTIONAL_ENUMERATION,
+        ("involutions_square_to_identity_within_relation", "involution_family_within",
+         {**_PARTITION, "maps": "involutions"}),
+        ("every_related_pair_on_a_single_involution", "pair_coverage",
+         {**_PARTITION, "maps": "involutions"}),
+        ("generators_generate_the_relation", "closure_partition",
+         {"n": "n", "maps": "$output:generators", "blocks": "blocks"}),
+    ]},
+    "fm-quotient": {"finite": [
+        _ENUMERATION,
+        ("generators_are_bijections_within_relation", "bijection_family_within",
+         {**_PARTITION, "maps": "$output:generators"}),
+        ("generated_orbit_equals_relation", "partition_equal",
+         {"n": "n", "left": "orbit", "right": "blocks"}),
+    ], "int": [
+        ("generators_are_bijections_within_relation", "ptmap_family_within",
+         {"maps": "$output:generators", **_INT_RELATION, "bijections": True}),
+        ("orbit_covers_relation_on_window", "int_orbit_window",
+         {"maps": "$output:generators", **_INT_RELATION, "window": "window"}),
+    ]},
+    "cover": {"finite": [
+        *_FINITE_COVER,
+        ("extension_inverse_inside_cover_union", "finite_inverse_graph_subset",
+         {"map": "$output:extension", "others": _COVER}),
+    ], "int": [
+        ("seed_within_relation", "ptmap_within_blocks", {"map": "seed", **_INT_RELATION}),
+        ("levels_reproduce", "int_levels",
+         {"g": "$output:extension", **_INT_RELATION, "bound": "bound", "expected": "levels"}),
+        ("covers_are_bijections_within_relation", "ptmap_family_within",
+         {"maps": _COVER, **_INT_RELATION, "bijections": True}),
+        *((f"{left.removeprefix(OUTPUT)}_inside_cover_union", "ptmap_graph_subset",
+           {"left": left, "others": _COVER})
+          for left in ("seed", "seed_inverse", "$output:extension", "extension_inverse")),
+    ]},
+    "uniformize": {"graphs": [
+        _ENUMERATION,
+        ("selection_is_least_covering_index", "least_cover_index",
+         {"pairs": "pairs", "maps": "graphs", "phi": "$output:selection"}),
+    ], "int": [
+        ("selection_inside_relation", "ptmap_graph_subset",
+         {"left": "$output:selection", "others": "maps"}),
+        ("selection_total_on_domain", "intset_equal",
+         {"left": "selection_domain", "right": "domain"}),
+        ("selection_is_least_covering_index", "int_least_index",
+         {"maps": "maps", "phi": "$output:selection"}),
+    ]},
+    "generate": {"": [
+        ("closure_matches_generated_partition", "closure_partition",
+         {"n": "n", "maps": "maps", "blocks": "$output:blocks"}),
+    ]},
+    "tail": {"": [
+        ("tail_classes_reproduce", "tail_partition",
+         {"n": "n", "map": "map", "blocks": "$output:blocks"}),
+    ]},
+    "index": {"": [
+        _OPTIONAL_ENUMERATION,
+        ("index_matches_expectation", "value_equal",
+         {"left": "$output:index", "right": "expect"}, "expect"),
+    ]},
+    "selector": {"": [
+        _OPTIONAL_ENUMERATION,
+        ("selector_laws_hold", "selector_laws", {**_PARTITION, "phi": "$output:selector"}),
+    ]},
+    "involution2": {"": [
+        _OPTIONAL_ENUMERATION,
+        ("squares_to_identity", "finite_involution", {"map": "$output:involution"}),
+        ("graph_within_relation", "finite_graph_in_partition",
+         {**_PARTITION, "map": "$output:involution"}),
+        ("orbit_equals_relation", "closure_partition",
+         {"n": "n", "maps": ["$output:involution"], "blocks": "blocks"}),
+    ]},
+    "action-orbits": {"": [
+        ("orbits_equal_generated_closure", "closure_partition",
+         {"n": "n", "maps": "maps", "blocks": "$output:orbits"}),
+    ]},
+    "cocycle": {"": [
+        ("cocycle_laws_hold", "cocycle_laws",
+         {"labels": "labels", "table": "table", "n": "n", "maps": "maps", "theta": "theta"}),
+    ]},
+    "normalizer": {"": [
+        ("normalizer_reproduces", "normalizer_value",
+         {"labels": "labels", "table": "table", "delta": "delta", "expected": "expected"}),
+        ("normalizer_matches_expectation", "value_equal",
+         {"left": "normalizer_labels", "right": "expect"}, "expect"),
+    ]},
+    "gallery": {"": [
+        ("instance_checks_hold", "gallery",
+         {"name": "name", "k": "k", "n": "n", "t": "t", "expected_checks": "expected_checks"}),
+    ]},
+}
+# layouts of older versions that schema-1 certificates may hold: a finite
+# cover of 8 checks, whose last two held maps against a union of themselves
+LEGACY = {"cover": {"finite-8": [
+    *_FINITE_COVER,
+    ("extension_inside_cover_union", "finite_graph_subset",
+     {"left": "$output:extension", "others": _COVER}),
+    ("extension_inverse_inside_cover_union", "finite_graph_subset",
+     {"left": "$output:second", "others": _COVER}),
+]}}
 
 CHECKERS: dict[str, object] = {}
 
@@ -122,24 +249,37 @@ class Certificate(Record):
     def add_input(self, name: str, text: str):
         self.inputs.append({"name": name, "sha256_12": digest(text)})
 
-    def emit(self, name: str, kind: str, data: dict) -> bool:
+    def certify(self, outputs: dict, values: dict, lane: str = "") -> "Certificate":
+        """Store the outputs, emit the checks SPEC lists for this command and
+        lane, and return the certificate. An output that a template names is
+        written as a reference when it is a list or dict and as its value
+        otherwise: a small integer or a shared text can equal an output by
+        chance."""
+        def fill(t):
+            if type(t) is list:
+                return [fill(x) for x in t]
+            if type(t) is not str or not t.startswith(OUTPUT):
+                return values[t] if type(t) is str else t
+            value = self.outputs[key := t[len(OUTPUT):]]
+            return {REFERENCE: key} if type(value) in (list, dict) else value
+
+        self.outputs = outputs
+        for name, kind, template, *needs in SPEC[self.command][lane]:
+            if not needs or needs[0] in values:
+                self.emit(name, kind, {key: fill(t) for key, t in template.items()})
+        return self
+
+    def emit(self, name: str, kind: str, data: dict) -> None:
         """Run the checker now and store the verdict alongside its data.
 
-        A list or dict output that data holds by identity, at the top level or
-        in a top-level list, is stored as a reference to its first key.
         The data is encoded once: the checker runs on that text decoded,
-        and to_json writes the same text for as long as the stored check
-        still holds the values it holds here.
+        with each reference read from the outputs as they are now, and
+        to_json writes the same text for as long as the stored check still
+        holds the values it holds here.
         """
-        refs = {id(v): {REFERENCE: k} for k, v in reversed(self.outputs.items())
-                if type(v) in (list, dict)}
-        if refs:
-            data = {key: refs.get(id(value)) or (
-                [refs.get(id(v), v) for v in value] if type(value) is list else value
-            ) for key, value in data.items()}
         text = _compact(data)
         data = json.loads(text)
-        referred = refs and f'{{"{REFERENCE}":' in text
+        referred = f'{{"{REFERENCE}":' in text
         ok, witness = run_check(kind, _resolve(data, self._encoded()[2]) if referred else data)
         witness_text = _compact(witness)
         check = {
@@ -155,7 +295,6 @@ class Certificate(Record):
             f'"ok":{"true" if ok else "false"},"witness":{witness_text}}}'
         )
         self._lines[id(check)] = check, _snapshot(check), line
-        return ok
 
     def _encoded(self) -> tuple:
         """(snapshot, JSON text, decoded text) of the outputs, kept until they change."""
@@ -232,25 +371,73 @@ class Certificate(Record):
         return out
 
 
-def reverify(cert: Certificate) -> tuple[bool, list[dict]]:
-    """Rerun every stored check; report agreement with stored verdicts."""
+def _layout(cert: Certificate) -> tuple[list | None, str | None]:
+    """The template of each stored check, or None and where the checks first
+    differ from a layout of the command, in the lane that agrees longest."""
+    lanes = SPEC.get(cert.command) if type(cert.command) is str else None
+    if lanes is None:
+        return None, f"unknown command {_compact(cert.command)}"
+    if cert.schema == 1:
+        lanes = {**lanes, **LEGACY.get(cert.command, {})}
+    stored = [[c["name"], c["kind"]] for c in cert.checks]
+    tried = []
+    for rows in lanes.values():
+        # an optional row the certificate does not hold is no part of its layout
+        rows = [row for row in rows if len(row) == 3 or [row[0], row[1]] in stored]
+        want = [[name, kind] for name, kind, *_ in rows]
+        if want == stored:
+            return [row[2] for row in rows], None
+        i = next(i for i in count() if want[i:i + 1] != stored[i:i + 1])
+        got, expected = (_compact(x[i]) if i < len(x) else "absent" for x in (stored, want))
+        tried.append((i, f"{cert.command}: check {i + 1} is {got}, not {expected}"))
+    return None, max(tried, key=lambda t: t[0])[1]
+
+
+def _unbound(stored: dict, data: dict, template: dict, outputs) -> str | None:
+    """The first field that the template names as outputs and the check does
+    not hold: it holds them as references, or as values equal to them once
+    references are read. A template field names outputs only, or none."""
+    outputs = outputs if isinstance(outputs, dict) else {}
+    for key, t in template.items():
+        names = t if type(t) is list else [t]
+        if type(names[0]) is not str or not names[0].startswith(OUTPUT):
+            continue
+        keys = [x[len(OUTPUT):] for x in names]
+        held, read = stored.get(key), data.get(key)
+        if type(t) is not list:
+            held, read = [held], [read]
+        if held != [{REFERENCE: k} for k in keys] and (
+            not all(k in outputs for k in keys) or read != [outputs[k] for k in keys]
+        ):
+            return f"field {key} does not hold output {', '.join(keys)}"
+
+
+def reverify(cert: Certificate) -> tuple[bool, list[dict], str | None]:
+    """Rerun every stored check; report agreement with stored verdicts, and
+    where the checks depart from SPEC's layouts of the command (None if they
+    do not). A check not holding an output that SPEC names is a FAIL row."""
+    templates, layout = _layout(cert)
     rows = []
-    for c in cert.checks:
+    for i, c in enumerate(cert.checks):
+        unbound = None
         try:
             data = c["data"] if cert.schema == 1 else _resolve(c["data"], cert.outputs)
             ok, witness = run_check(c["kind"], data)
+            unbound = templates and _unbound(c["data"], data, templates[i], cert.outputs)
         except Exception as e:  # a hand-edited check is a FAIL row, not a crash
             ok, witness = False, {"error": type(e).__name__, "message": str(e)}
+        if unbound:
+            ok, witness = False, {"error": "InvalidCertificate", "message": unbound}
         rows.append(
             {
                 "name": c["name"],
                 "stored": c["ok"],
                 "recomputed": ok,
-                "agrees": ok == c["ok"],
+                "agrees": ok == c["ok"] and not unbound,
                 "witness": jsonable(witness),
             }
         )
-    return all(r["agrees"] for r in rows), rows
+    return all(r["agrees"] for r in rows), rows, layout
 
 
 # ---------------------------------------------------------------------------

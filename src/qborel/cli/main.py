@@ -190,23 +190,18 @@ def _action_or_rel(args, inst: InstanceFile):
     return _pick(inst, inst.rels, args.rel, "rel", "relation")
 
 
-def _rel_partition(decl, cert: Certificate):
-    """Partition of a finite relation declaration; verifies graph form."""
+def _rel_partition(decl) -> tuple:
+    """A finite relation's partition, and its enumeration check's values if given by graphs."""
     if decl.kind == "partition":
-        return decl.value
+        return decl.value, {}
     if decl.kind != "graphs":
         raise UsageError("this command needs a finite relation")
-    enum = decl.value
-    _emit_enumeration(cert, enum)
-    return enum.partition()
+    return decl.value.partition(), _enumeration(decl.value)
 
 
-def _emit_enumeration(cert: Certificate, enum) -> list:
-    """The check that the graphs of enum pass the enumeration laws; returns
-    the graphs as the pair lists that check stores."""
-    maps = [list(g) for g in enum.graphs]
-    cert.emit("graphs_form_an_enumeration", "enumeration_laws", {"n": enum.n, "maps": maps})
-    return maps
+def _enumeration(enum) -> dict:
+    """The values of the check that the graphs of enum pass the enumeration laws."""
+    return {"n": enum.n, "graphs": [list(g) for g in enum.graphs]}
 
 
 def _blocks_of(p) -> list:
@@ -265,104 +260,52 @@ def cmd_gallery(args, inst) -> Certificate:
     g = _gallery_instance(args)
     cert = Certificate("gallery", arguments={"name": g.name, **g.params})
     cert.add_input(f"gallery:{g.name}", json.dumps(g.params, sort_keys=True))
-    cert.outputs = dict(g.summary)
-    cert.emit(
-        "instance_checks_hold",
-        "gallery",
-        {
-            "name": g.name,
-            **{key: g.params.get(key) for key in ("k", "n", "t")},
-            "expected_checks": {c: True for c in g.checks},
-        },
-    )
-    return cert
+    return cert.certify(dict(g.summary), {
+        "name": g.name,
+        **{key: g.params.get(key) for key in ("k", "n", "t")},
+        "expected_checks": {c: True for c in g.checks},
+    })
 
 
 def cmd_fm_classical(args, inst) -> Certificate:
     from ..feldman_moore import classical_construction
 
-    cert = Certificate("fm-classical")
-    decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
-    rel = _rel_partition(decl, cert)
+    rel, values = _rel_partition(_pick(inst, inst.rels, args.rel, "rel", "relation"))
     result = classical_construction(rel)
     invs = [_graph_pairs(f) for f in result.involutions.values()]
-    generators = [_graph_pairs(f) for f in result.generators]
-    cert.outputs = {
+    return Certificate("fm-classical").certify({
         "classes": rel.num_classes,
         "bit_count": result.bit_count,
         "involutions": len(invs),
-        "generators": generators,
-    }
-    blocks = _blocks_of(rel)
-    cert.emit(
-        "involutions_square_to_identity_within_relation",
-        "involution_family_within",
-        {"n": rel.n, "blocks": blocks, "maps": invs},
-    )
-    cert.emit(
-        "every_related_pair_on_a_single_involution",
-        "pair_coverage",
-        {"n": rel.n, "blocks": blocks, "maps": invs},
-    )
-    cert.emit(
-        "generators_generate_the_relation",
-        "closure_partition",
-        {"n": rel.n, "maps": generators, "blocks": blocks},
-    )
-    return cert
+        "generators": [_graph_pairs(f) for f in result.generators],
+    }, {**values, "n": rel.n, "blocks": _blocks_of(rel), "involutions": invs})
 
 
 def cmd_fm_quotient(args, inst) -> Certificate:
-    cert = Certificate("fm-quotient")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     if decl.kind == "blocks":
         decls = _map_list(args, inst, "int", "fm-quotient on a blocks relation needs ptmaps")
         from ..feldman_moore import ORBIT_WINDOW, quotient_construction_int
 
         qc = quotient_construction_int(decl.value, [d.table for d in decls], bound=args.K)
-        gen_texts = [format_ptmap(f) for f in qc.generators]
-        relation = _int_relation(decl.value)
-        cert.outputs = {"psi_count": len(qc.psis), "generators": gen_texts}
-        cert.emit(
-            "generators_are_bijections_within_relation",
-            "ptmap_family_within",
-            {"maps": gen_texts, **relation, "bijections": True},
+        return Certificate("fm-quotient").certify(
+            {"psi_count": len(qc.psis), "generators": [format_ptmap(f) for f in qc.generators]},
+            {**_int_relation(decl.value), "window": ORBIT_WINDOW}, "int",
         )
-        cert.emit(
-            "orbit_covers_relation_on_window",
-            "int_orbit_window",
-            {"maps": gen_texts, **relation, "window": ORBIT_WINDOW},
-        )
-        return cert
     if decl.kind != "graphs":
         raise UsageError("fm-quotient needs a graphs relation")
     from ..feldman_moore import quotient_construction
 
-    enum = decl.value
-    qc = quotient_construction(enum)
-    generators = [_graph_pairs(f) for f in qc.generators]
-    cert.outputs = {
+    qc = quotient_construction(decl.value)
+    blocks, orbit = _blocks_of(qc.relation), _blocks_of(qc.orbit)
+    return Certificate("fm-quotient").certify({
         "classes": qc.relation.num_classes,
         "psi_count": len(qc.psis),
-        "generators": generators,
-    }
-    blocks = _blocks_of(qc.relation)
-    _emit_enumeration(cert, enum)
-    cert.emit(
-        "generators_are_bijections_within_relation",
-        "bijection_family_within",
-        {"n": qc.relation.n, "blocks": blocks, "maps": generators},
-    )
-    cert.emit(
-        "generated_orbit_equals_relation",
-        "partition_equal",
-        {"n": qc.relation.n, "left": _blocks_of(qc.orbit), "right": blocks},
-    )
-    return cert
+        "generators": [_graph_pairs(f) for f in qc.generators],
+    }, {**_enumeration(decl.value), "blocks": blocks, "orbit": orbit}, "finite")
 
 
 def cmd_cover(args, inst) -> Certificate:
-    cert = Certificate("cover")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     # a graphs relation takes a map seed, a blocks relation a ptmap seed
     lane, seed = {"graphs": ("finite", "map"), "blocks": ("int", "ptmap")}.get(
@@ -374,7 +317,7 @@ def cmd_cover(args, inst) -> Certificate:
     )
     if decl.kind == "blocks":
         decls = _map_list(args, inst, "int", "cover on a blocks relation needs ptmaps")
-        return _cover_int(args, cert, decl.value, [d.table for d in decls], g0_decl.table)
+        return _cover_int(args, decl.value, [d.table for d in decls], g0_decl.table)
     if decl.kind != "graphs":
         raise UsageError("cover needs a graphs relation (or an int blocks one)")
     from ..feldman_moore import (
@@ -382,8 +325,7 @@ def cmd_cover(args, inst) -> Certificate:
     )
 
     enum = decl.value
-    rel = _rel_partition(decl, cert)
-    blocks = _blocks_of(rel)
+    rel, values = _rel_partition(decl)
     g0 = dict(g0_decl.table)
     psis = psi_split(enum.graph_dicts(), enum.n)
     # the psis lie in the graphs that enumerate rel, so only the seed is
@@ -393,139 +335,66 @@ def cmd_cover(args, inst) -> Certificate:
     if w is not None:
         raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
     pair = cover_finite(levels_finite(g, enum.n, rel))
-    seed, extension = _graph_pairs(g0), _graph_pairs(g)
     # the finite cover is (g, g^-1): first is the extension, second its inverse
-    others = [extension, _graph_pairs(pair.second)]
-    cert.outputs = {"extension": extension, "first": others[0], "second": others[1]}
-    cert.emit(
-        "seed_within_relation",
-        "finite_graph_in_partition",
-        {"n": rel.n, "blocks": blocks, "map": seed},
+    extension, second = _graph_pairs(g), _graph_pairs(pair.second)
+    return Certificate("cover").certify(
+        {"extension": extension, "first": extension, "second": second},
+        {**values, "n": rel.n, "blocks": _blocks_of(rel),
+         "seed": _graph_pairs(g0), "seed_inverse": _graph_pairs(invert_map(g0))}, "finite",
     )
-    cert.emit(
-        "extension_is_a_full_permutation",
-        "finite_levels_empty",
-        {"n": rel.n, "map": extension},
-    )
-    cert.emit(
-        "covers_are_bijections_within_relation",
-        "bijection_family_within",
-        {"n": rel.n, "blocks": blocks, "maps": others},
-    )
-    for label, pairs in (("seed", seed), ("seed_inverse", _graph_pairs(invert_map(g0)))):
-        cert.emit(
-            f"{label}_inside_cover_union",
-            "finite_graph_subset",
-            {"left": pairs, "others": others},
-        )
-    # the extension lies in first, which is the extension; its inverse is
-    # taken by the checker, so an edited second cannot vouch for itself
-    cert.emit(
-        "extension_inverse_inside_cover_union",
-        "finite_inverse_graph_subset",
-        {"map": extension, "others": others},
-    )
-    return cert
 
 
-def _cover_int(args, cert, rel, phis, g0) -> Certificate:
+def _cover_int(args, rel, phis, g0) -> Certificate:
     from ..feldman_moore import cover_int, greedy_extend_int, levels_int, psi_split_int
 
-    relation = _int_relation(rel)
     psis = psi_split_int(phis)
     g = greedy_extend_int(g0, psis, rel.ambient, rel)
     levels = levels_int(g, rel, bound=args.K)
     pair = cover_int(levels)
-    seed, extension = format_ptmap(g0), format_ptmap(g)
-    others = [format_ptmap(pair.first), format_ptmap(pair.second)]
     level_text = _level_texts(levels)
-    cert.outputs = {
-        "extension": extension,
+    return Certificate("cover").certify({
+        "extension": format_ptmap(g),
         "levels": {
             **level_text,
             "positive_acceleration": levels.positive.accel,
             "negative_acceleration": levels.negative.accel,
         },
-        "first": others[0],
-        "second": others[1],
-    }
-    cert.emit(
-        "seed_within_relation",
-        "ptmap_within_blocks",
-        {"map": seed, **relation},
-    )
-    cert.emit(
-        "levels_reproduce",
-        "int_levels",
-        {"g": extension, **relation, "bound": args.K, "expected": level_text},
-    )
-    cert.emit(
-        "covers_are_bijections_within_relation",
-        "ptmap_family_within",
-        {"maps": others, **relation, "bijections": True},
-    )
-    for label, text in (
-        ("seed", seed),
-        ("seed_inverse", format_ptmap(g0.inverse())),
-        ("extension", extension),
-        ("extension_inverse", format_ptmap(levels.ginv)),
-    ):
-        cert.emit(
-            f"{label}_inside_cover_union",
-            "ptmap_graph_subset",
-            {"left": text, "others": others},
-        )
-    return cert
+        "first": format_ptmap(pair.first),
+        "second": format_ptmap(pair.second),
+    }, {
+        **_int_relation(rel), "seed": format_ptmap(g0), "seed_inverse": format_ptmap(g0.inverse()),
+        "bound": args.K, "levels": level_text, "extension_inverse": format_ptmap(levels.ginv),
+    }, "int")
 
 
 def cmd_uniformize(args, inst) -> Certificate:
     from ..feldman_moore import weak_uniformize, weak_uniformize_int
 
-    cert = Certificate("uniformize")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation") if args.rel or inst.rels else None
     if decl is not None and decl.kind == "graphs":
         enum = decl.value
-        # the enumeration stores each graph as its sorted pairs: the check
-        # of its laws and the covering-index check share that one list
-        maps = _emit_enumeration(cert, enum)
         pairs = enum.pairs()
         uni = weak_uniformize(pairs, enum.graph_dicts())
-        selection = _graph_pairs(uni.phi)
-        cert.outputs = {"selection": selection, "indices": sorted(uni.index_of.items())}
-        cert.emit(
-            "selection_is_least_covering_index",
-            "least_cover_index",
-            {"pairs": sorted(pairs), "maps": maps, "phi": selection},
+        return Certificate("uniformize").certify(
+            {"selection": _graph_pairs(uni.phi), "indices": sorted(uni.index_of.items())},
+            {**_enumeration(enum), "pairs": sorted(pairs)}, "graphs",
         )
-        return cert
     decls = _map_list(args, inst, "int", "uniformize without a graphs relation needs ptmaps")
     maps = [d.table for d in decls]
     uni = weak_uniformize_int(maps, maps)
     texts = [format_ptmap(f) for f in maps]
     dom = IntSet.empty().union(*(f.domain() for f in maps))
-    selection = format_ptmap(uni.phi)
-    cert.outputs = {
-        "selection": selection,
+    return Certificate("uniformize").certify({
+        "selection": format_ptmap(uni.phi),
         "chosen_levels": [format_intset(s) for s in uni.levels],
-    }
-    cert.emit(
-        "selection_inside_relation", "ptmap_graph_subset", {"left": selection, "others": texts}
-    )
-    cert.emit(
-        "selection_total_on_domain",
-        "intset_equal",
-        {"left": format_intset(uni.phi.domain()), "right": format_intset(dom)},
-    )
-    cert.emit(
-        "selection_is_least_covering_index",
-        "int_least_index",
-        {"maps": texts, "phi": selection},
-    )
-    return cert
+    }, {
+        "maps": texts,
+        "selection_domain": format_intset(uni.phi.domain()),
+        "domain": format_intset(dom),
+    }, "int")
 
 
 def cmd_generate(args, inst) -> Certificate:
-    cert = Certificate("generate")
     decls = _map_list(args, inst, "finite", "generate works on finite maps")
     # n is read off the first map's space, so every map must live on it alone
     spaces = list(dict.fromkeys(s for d in decls for s in (d.src, d.dst)))
@@ -537,21 +406,15 @@ def cmd_generate(args, inst) -> Certificate:
         if point is not None and not 0 <= point < n:
             raise UsageError(f"{flag} {point} is outside the points 0..{n - 1}")
     partition, layers = generate_equivalence(n, maps)
-    blocks = _blocks_of(partition)
-    cert.outputs = {"blocks": blocks, "stabilized_after": layers.stabilization_index}
+    outputs = {"blocks": _blocks_of(partition), "stabilized_after": layers.stabilization_index}
     if args.x is not None:
         steps = chain_witness(layers, args.x, args.y)
-        cert.outputs["chain"] = None if steps is None else [s.describe() for s in steps]
-    cert.emit(
-        "closure_matches_generated_partition",
-        "closure_partition",
-        {"n": n, "maps": [_graph_pairs(f) for f in maps], "blocks": blocks},
-    )
-    return cert
+        outputs["chain"] = None if steps is None else [s.describe() for s in steps]
+    graphs = [_graph_pairs(f) for f in maps]
+    return Certificate("generate").certify(outputs, {"n": n, "maps": graphs})
 
 
 def cmd_tail(args, inst) -> Certificate:
-    cert = Certificate("tail")
     decl = _pick(
         inst, inst.maps, args.map_, "map", "map", "finite", "tail works on finite endomaps"
     )
@@ -561,14 +424,9 @@ def cmd_tail(args, inst) -> Certificate:
     if len(decl.table) != n:
         raise UsageError(f"map {decl.name!r} is not total")
     partition, _ = tail_equivalence(decl.table, n)
-    blocks = _blocks_of(partition)
-    cert.outputs = {"blocks": blocks}
-    cert.emit(
-        "tail_classes_reproduce",
-        "tail_partition",
-        {"n": n, "map": _graph_pairs(decl.table), "blocks": blocks},
+    return Certificate("tail").certify(
+        {"blocks": _blocks_of(partition)}, {"n": n, "map": _graph_pairs(decl.table)}
     )
-    return cert
 
 
 def _expected_index(text: str):
@@ -582,111 +440,72 @@ def _expected_index(text: str):
 
 
 def cmd_index(args, inst) -> Certificate:
-    cert = Certificate("index")
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
-    rel = decl.value if decl.kind == "blocks" else _rel_partition(decl, cert)
-    index = _fmt_index(index_over(rel))
-    cert.outputs = {"index": index}
+    rel, values = (decl.value, {}) if decl.kind == "blocks" else _rel_partition(decl)
     if args.expect is not None:
-        cert.emit(
-            "index_matches_expectation",
-            "value_equal",
-            {"left": index, "right": _expected_index(args.expect)},
-        )
-    return cert
+        values["expect"] = _expected_index(args.expect)
+    return Certificate("index").certify({"index": _fmt_index(index_over(rel))}, values)
 
 
 def cmd_selector(args, inst) -> Certificate:
-    cert = Certificate("selector")
     decl = _action_or_rel(args, inst)
     if isinstance(decl, ActionDecl):
         from ..actions import orbit_equivalence
 
-        rel = orbit_equivalence(decl.action)
+        rel, values = orbit_equivalence(decl.action), {}
     else:
-        rel = _rel_partition(decl, cert)
+        rel, values = _rel_partition(decl)
     if args.phi:
         phi = dict(_pick(
             inst, inst.maps, args.phi, "phi", "map", "finite", "selector needs a map for --phi"
         ).table)
     else:
         phi = min_selector(rel)
-    selector = _graph_pairs(phi)
-    cert.outputs = {"selector": selector, "transversal": sorted(set(phi.values()))}
-    cert.emit(
-        "selector_laws_hold",
-        "selector_laws",
-        {"n": rel.n, "blocks": _blocks_of(rel), "phi": selector},
+    return Certificate("selector").certify(
+        {"selector": _graph_pairs(phi), "transversal": sorted(set(phi.values()))},
+        {**values, "n": rel.n, "blocks": _blocks_of(rel)},
     )
-    return cert
 
 
 def cmd_involution2(args, inst) -> Certificate:
-    cert = Certificate("involution2")
-    decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
-    rel = _rel_partition(decl, cert)
-    involution = _graph_pairs(index2_involution(rel))
-    blocks = _blocks_of(rel)
-    cert.outputs = {"involution": involution}
-    cert.emit("squares_to_identity", "finite_involution", {"map": involution})
-    cert.emit(
-        "graph_within_relation",
-        "finite_graph_in_partition",
-        {"n": rel.n, "blocks": blocks, "map": involution},
+    rel, values = _rel_partition(_pick(inst, inst.rels, args.rel, "rel", "relation"))
+    return Certificate("involution2").certify(
+        {"involution": _graph_pairs(index2_involution(rel))},
+        {**values, "n": rel.n, "blocks": _blocks_of(rel)},
     )
-    cert.emit(
-        "orbit_equals_relation",
-        "closure_partition",
-        {"n": rel.n, "maps": [involution], "blocks": blocks},
-    )
-    return cert
 
 
 def cmd_action_orbits(args, inst) -> Certificate:
     from ..actions import orbit_equivalence
 
-    cert = Certificate("action-orbits")
-    decl = _pick(inst, inst.actions, args.action, "action", "action")
-    act = decl.action
-    orbits = _blocks_of(orbit_equivalence(act))
+    act = _pick(inst, inst.actions, args.action, "action", "action").action
     maps = [[(x, act.act(a, x)) for x in range(act.n)] for a in act.group.elements()]
-    cert.outputs = {"orbits": orbits, "group": list(act.group.labels)}
-    cert.emit(
-        "orbits_equal_generated_closure",
-        "closure_partition",
-        {"n": act.n, "maps": maps, "blocks": orbits},
+    return Certificate("action-orbits").certify(
+        {"orbits": _blocks_of(orbit_equivalence(act)), "group": list(act.group.labels)},
+        {"n": act.n, "maps": maps},
     )
-    return cert
 
 
 def cmd_cocycle(args, inst) -> Certificate:
     from ..actions import cocycle_from_free_action
 
-    cert = Certificate("cocycle")
     act = _pick(inst, inst.actions, args.action, "action", "action").action
     coc = cocycle_from_free_action(act)
     sizes = {
         act.group.labels[a]: len(p) for a, p in coc.pair_classes().items()
     }
-    cert.outputs = {"pairs": len(coc.theta), "pair_class_sizes": sizes}
-    cert.emit(
-        "cocycle_laws_hold",
-        "cocycle_laws",
-        {
-            "labels": list(act.group.labels),
-            "table": [list(r) for r in act.group.table],
-            "n": act.n,
-            "maps": [list(r) for r in act.maps],
-            "theta": [[x, y, a] for (x, y), a in sorted(coc.theta.items())],
-        },
-    )
-    return cert
+    return Certificate("cocycle").certify({"pairs": len(coc.theta), "pair_class_sizes": sizes}, {
+        "labels": list(act.group.labels),
+        "table": [list(r) for r in act.group.table],
+        "n": act.n,
+        "maps": [list(r) for r in act.maps],
+        "theta": [[x, y, a] for (x, y), a in sorted(coc.theta.items())],
+    })
 
 
 def cmd_normalizer(args, inst) -> Certificate:
     from ..actions import normalizer
 
-    cert = Certificate("normalizer")
     group = _pick(inst, inst.groups, args.group, "group", "group").group
     if not args.sub and "sub" not in inst.directives:
         raise UsageError("normalizer needs --sub with subgroup elements")
@@ -696,28 +515,19 @@ def cmd_normalizer(args, inst) -> Certificate:
     except ValueError as e:
         raise UsageError(str(e)) from None
     norm = normalizer(group, delta)
-    cert.outputs = {
+    values = {
+        "labels": list(group.labels),
+        "table": [list(r) for r in group.table],
+        "delta": sorted(set(delta)),
+        "expected": list(norm),
+        "normalizer_labels": sorted(group.labels[a] for a in norm),
+    }
+    if args.expect is not None:
+        values["expect"] = sorted(s.strip() for s in args.expect.split(","))
+    return Certificate("normalizer").certify({
         "normalizer": [group.labels[a] for a in norm],
         "delta": [group.labels[a] for a in sorted(set(delta))],
-    }
-    cert.emit(
-        "normalizer_reproduces",
-        "normalizer_value",
-        {
-            "labels": list(group.labels),
-            "table": [list(r) for r in group.table],
-            "delta": sorted(set(delta)),
-            "expected": list(norm),
-        },
-    )
-    if args.expect is not None:
-        want = sorted(s.strip() for s in args.expect.split(","))
-        cert.emit(
-            "normalizer_matches_expectation",
-            "value_equal",
-            {"left": sorted(group.labels[a] for a in norm), "right": want},
-        )
-    return cert
+    }, values)
 
 
 def cmd_verify(args, inst) -> tuple[int, list[str]]:
@@ -726,22 +536,24 @@ def cmd_verify(args, inst) -> tuple[int, list[str]]:
     except UnicodeDecodeError as e:
         raise InvalidCertificate(f"certificate is not UTF-8 text at byte {e.start}") from None
     cert = Certificate.from_json(text)
-    agree, rows = reverify(cert)
+    agree, rows, layout = reverify(cert)
     lines = [f"verify {args.input}: {len(rows)} stored checks"]
+    if layout:
+        lines.append(f"  [FAIL] layout: {layout}")
     for r in rows:
         mark = "pass" if r["agrees"] else "FAIL"
         lines.append(
             f"  [{mark}] {r['name']}: stored={r['stored']} recomputed={r['recomputed']}"
         )
-    all_pass = agree and cert.ok
+    all_pass = agree and cert.ok and not layout
     lines.append(
         "verdicts reproduce and all checks pass"
         if all_pass
         else "verification failed"
     )
     if args.out:
-        report = json.dumps({"agrees": agree, "rows": jsonable(rows)}, indent=2)
-        _write_output(args.out, report + "\n")
+        report = {"agrees": agree, "layout": layout, "rows": jsonable(rows)}
+        _write_output(args.out, json.dumps(report, indent=2) + "\n")
     return (0 if all_pass else 1), lines
 
 

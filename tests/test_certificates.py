@@ -24,7 +24,8 @@ from hypothesis import given, strategies as st
 
 import qborel
 from qborel.cli.certificates import (
-    Certificate, _compact, _partitions_agree, _plain, _spaced, jsonable, run_check,
+    LEGACY, OUTPUT, SPEC, Certificate, _compact, _partitions_agree, _plain, _spaced, jsonable,
+    reverify, run_check,
 )
 from qborel.cli.main import main
 from qborel.feldman_moore import MAX_PROBE
@@ -161,62 +162,30 @@ def test_certificate_has_one_key_and_one_check_per_line(tmp_path, capsys):
     assert 4 * len(text) < len(golden)
 
 
-# -- one value, one place ----------------------------------------------------
+# -- one table ---------------------------------------------------------------
 
-# An output is certified only when a check reads that same value: in
-# schema 2 a list or dict output is stored once, and the checks refer to
-# it. For each output of a manifest command, by (command, output key): the
-# checks whose data holds that very object, or why none does yet. The
-# reasons that name ROADMAP item 2 are its work list: the outputs that
-# schema 2 still has to bind.
+# The outputs that no required SPEC row names, by (command, output key), each
+# with why no check needs to read it. The reasons that name ROADMAP item 2
+# are its work list: the outputs still to be bound.
 UNBOUND = "item 2: no check stores it"
 GALLERY_SUMMARY = (
     "acceleration", "carrier_points", "classes", "cover_first", "cover_second",
     "excess_size", "fiber_mapping", "fiber_sizes", "first_level", "g", "index",
     "normalizer", "orbit_classes", "transversal", "zero_part",
 )
-COVER_UNION = tuple(
-    f"{label}_inside_cover_union"
-    for label in ("seed", "seed_inverse", "extension", "extension_inverse")
-)
-CERTIFIED_BY = {
+DERIVED = {
     ("fm-classical", "classes"): "count: the classes of the blocks the checks store",
     ("fm-classical", "bit_count"): "count: the bit length of the largest stored block",
     ("fm-classical", "involutions"): "count: every (m, nn, p) triple; item 11 keeps it",
-    ("fm-classical", "generators"): ("generators_generate_the_relation",),
     ("fm-quotient", "classes"): "count: the classes of the blocks the checks store",
     ("fm-quotient", "psi_count"): "count: the psis the stored generators come from",
-    ("fm-quotient", "generators"): (
-        "generators_are_bijections_within_relation", "orbit_covers_relation_on_window",
-    ),
-    ("cover", "extension"): (
-        "extension_is_a_full_permutation", "levels_reproduce", "extension_inside_cover_union",
-    ),
-    # on the finite lane the cover is (g, g^-1), so first is the extension
-    ("cover", "first"): (
-        "covers_are_bijections_within_relation", "extension_is_a_full_permutation",
-        *COVER_UNION,
-    ),
-    # each union check reads second in its union; a finite cover's
-    # extension_inverse_inside_cover_union takes the inverse from the extension
-    ("cover", "second"): ("covers_are_bijections_within_relation", *COVER_UNION),
     ("cover", "levels"): "item 2: levels_reproduce stores the level texts, not the accelerations",
-    ("uniformize", "selection"): (
-        "selection_inside_relation", "selection_is_least_covering_index",
-    ),
     ("uniformize", "indices"): UNBOUND,
     ("uniformize", "chosen_levels"): UNBOUND,
-    ("generate", "blocks"): ("closure_matches_generated_partition",),
     ("generate", "stabilized_after"): UNBOUND,
     ("generate", "chain"): UNBOUND,
-    ("tail", "blocks"): ("tail_classes_reproduce",),
-    ("index", "index"): "item 2: only index_matches_expectation stores it, under --expect",
-    ("selector", "selector"): ("selector_laws_hold",),
+    ("index", "index"): "item 2: only the optional index_matches_expectation names it",
     ("selector", "transversal"): UNBOUND,
-    ("involution2", "involution"): (
-        "squares_to_identity", "graph_within_relation", "orbit_equals_relation",
-    ),
-    ("action-orbits", "orbits"): ("orbits_equal_generated_closure",),
     ("action-orbits", "group"): UNBOUND,
     ("cocycle", "pairs"): UNBOUND,
     ("cocycle", "pair_class_sizes"): UNBOUND,
@@ -227,91 +196,78 @@ CERTIFIED_BY = {
         for key in GALLERY_SUMMARY
     },
 }
-# (manifest entry, output key) -> why a value in check data equals that
-# output without being it
-COINCIDENCES = {
-    ("normalizer_rotation_sub_e_expect_e-r-rr.json", "normalizer"):
-        "the normalizer is the whole group: its labels are the group's and the expected ones",
-    ("fm-quotient_swap.json", "generators"):
-        "the generators built are the two graphs swap.qb enumerates its relation by",
-}
 
 
-def _values(data):
-    """Every value in check data, at any depth, containers included."""
-    yield data
-    if isinstance(data, dict):
-        data = list(data.values())
-    if isinstance(data, list):
-        for v in data:
-            yield from _values(v)
+def _fields(template: dict) -> list:
+    """Each data field of a template as the list of template values it holds."""
+    return [v if isinstance(v, list) else [v] for v in template.values()]
 
 
-def _references(data: dict):
-    """The references of check data: top-level values, or in a top-level list."""
-    for v in data.values():
-        for x in v if isinstance(v, list) else [v]:
-            if isinstance(x, dict) and x.keys() == {"$output"}:
-                yield x["$output"]
+def _outputs_named(rows) -> set:
+    """The output keys the templates of rows name."""
+    return {
+        t[len(OUTPUT):] for _, _, template, *_ in rows for field in _fields(template)
+        for t in field if isinstance(t, str) and t.startswith(OUTPUT)
+    }
 
 
-def test_each_output_is_the_object_its_checks_store(monkeypatch, capsys):
-    from qborel.cli.main import COMMANDS
+def test_each_output_is_named_by_spec_or_derived():
+    seen = {
+        (cert["command"], key)
+        for cert in (json.loads((SCHEMA2 / e["file"]).read_text()) for e in MANIFEST)
+        for key in cert["outputs"]
+    }
+    named = {
+        (command, key) for command, lanes in SPEC.items() for rows in lanes.values()
+        for key in _outputs_named(row for row in rows if len(row) == 3)
+    }
+    assert named | set(DERIVED) == seen and not named & set(DERIVED)
+    assert all(reason.startswith(("count: ", "item ")) for reason in DERIVED.values())
+    # a field names outputs only, or none: verify binds the whole field
+    for table in (SPEC, LEGACY):
+        for rows in (rows for lanes in table.values() for rows in lanes.values()):
+            for _, _, template, *_ in rows:
+                for field in _fields(template):
+                    is_output = [isinstance(t, str) and t.startswith(OUTPUT) for t in field]
+                    assert all(is_output) or not any(is_output), template
 
-    emitted, certs = {}, []
-    emit = Certificate.emit
 
-    def recording_emit(self, name, kind, data):
-        # the data as the handler built it, before it is encoded
-        emitted[name] = data
-        return emit(self, name, kind, data)
+def _detected(cert: dict) -> bool:
+    """Whether verify, run in-process, finds the certificate altered: a
+    layout that SPEC does not list, or a row that does not reproduce."""
+    agree, _, layout = reverify(Certificate.from_json(json.dumps(cert)))
+    return layout is not None or not agree
 
-    def recording(handler):
-        def run_handler(args, inst):
-            certs.append(handler(args, inst))
-            return certs[-1]
-        return run_handler
 
-    monkeypatch.setattr(Certificate, "emit", recording_emit)
-    for command, handler in list(COMMANDS.items()):
-        monkeypatch.setitem(COMMANDS, command, recording(handler))
-    seen = set()
-    for entry in MANIFEST:
-        emitted.clear()
-        certs.clear()
-        run(capsys, *_argv(entry))
-        if not certs or not isinstance(certs[0], Certificate):
-            continue
-        cert = certs[0]
-        stored = {c["name"]: c["data"] for c in cert.checks}
-        for name, data in stored.items():
-            # only a list or dict output is ever named
-            for ref in _references(data):
-                assert type(cert.outputs[ref]) in (list, dict), (entry["file"], name, ref)
-        for key, value in cert.outputs.items():
-            where = (entry["file"], key)
-            bound = CERTIFIED_BY[cert.command, key]
-            seen.add((cert.command, key))
-            # of two keys bound to one object, the first in output order is named
-            first = next(k for k, v in cert.outputs.items() if v is value)
-            if isinstance(bound, tuple):
-                named = [name for name in bound if name in emitted]
-                assert named, where
-                for name in named:
-                    assert any(v is value for v in _values(emitted[name])), (where, name)
-                    if type(value) in (list, dict):
-                        assert first in _references(stored[name]), (where, name)
-            if not isinstance(value, (list, dict, str)) or where in COINCIDENCES:
-                continue
-            # a check value that equals this output is an output (this one,
-            # or another that equals it), never a copy rebuilt for the check
-            for name, data in emitted.items():
-                for v in data.values():
-                    assert v != value or any(v is o for o in cert.outputs.values()), (where, name)
-    assert seen == set(CERTIFIED_BY)
-    assert all(
-        isinstance(b, tuple) or b.startswith(("count: ", "item ")) for b in CERTIFIED_BY.values()
-    )
+def _edits(cert: dict):
+    """(what, edited certificate) for each edit of the check list, and of
+    each output that a stored check's SPEC row names."""
+    checks, command = cert["checks"], cert["command"]
+    rows = [row for table in (SPEC, LEGACY) for lane in table.get(command, {}).values()
+            for row in lane]
+    optional = {row[0] for row in rows if len(row) == 4}
+    for i, c in enumerate(checks):
+        name, rest = c["name"], checks[i + 1:]
+        if name not in optional:
+            yield f"delete {name}", {**cert, "checks": checks[:i] + rest}
+        yield f"duplicate {name}", {**cert, "checks": checks[:i + 1] + checks[i:]}
+        yield f"rename {name}", {**cert, "checks": [*checks[:i], {**c, "name": name + "_"}, *rest]}
+        kind = "partition_equal" if c["kind"] == "value_equal" else "value_equal"
+        yield f"re-kind {name}", {**cert, "checks": [*checks[:i], {**c, "kind": kind}, *rest]}
+    stored = [[c["name"], c["kind"]] for c in checks]
+    for key in sorted(_outputs_named(row for row in rows if [row[0], row[1]] in stored)):
+        yield f"edit output {key}", {**cert, "outputs": {**cert["outputs"], key: "edited"}}
+
+
+CORPUS = [corpus / e["file"] for corpus in (GOLDEN, SCHEMA2) for e in MANIFEST]
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[f"{p.parent.name}/{p.name}" for p in CORPUS])
+def test_every_edit_of_a_golden_certificate_is_detected(path):
+    cert = json.loads(path.read_text())
+    assert not _detected(cert)
+    missed = [what for what, edited in _edits(cert) if not _detected(edited)]
+    assert not missed
 
 
 # -- references --------------------------------------------------------------
@@ -331,17 +287,134 @@ def _certificate(capsys, tmp_path, *argv) -> dict:
     return json.loads(cert_file.read_text())
 
 
-def test_edited_cover_extension_fails_its_checks(tmp_path, capsys):
+@pytest.mark.parametrize("keys", [("extension", "first"), ("extension",)])
+def test_edited_cover_extension_fails_its_checks(tmp_path, capsys, keys):
     five = str(ROOT / "samples/five_points.qb")
     cert = _certificate(capsys, tmp_path, "cover", "--input", five)
-    # a bijection that sends 0 and 3 across the two classes {0, 1, 2} and {3, 4}
-    cert["outputs"]["extension"] = [[0, 3], [1, 0], [2, 2], [3, 1], [4, 4]]
+    # a bijection that sends 0 and 3 across the two classes {0, 1, 2} and {3, 4};
+    # a finite cover's first is its extension, so a forger edits both
+    for key in keys:
+        cert["outputs"][key] = [[0, 3], [1, 0], [2, 2], [3, 1], [4, 4]]
     code, out, rows = _verify_rows(capsys, tmp_path, cert)
     assert code == 1 and "Traceback" not in out
     failed = {r["name"] for r in rows if not r["agrees"]}
-    assert "covers_are_bijections_within_relation" in failed
+    assert ("covers_are_bijections_within_relation" in failed) == ("first" in keys)
     # the inverse pair (3, 0) of the edited extension is in neither stored map
     assert "extension_inverse_inside_cover_union" in failed
+
+
+# -- forged layouts and outputs: each replayed with exit 0 before verify held
+# certificates to SPEC
+
+def _layout_line(out: str) -> str:
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("  [FAIL] layout: ")]
+    return line
+
+
+@pytest.mark.parametrize("corpus", [GOLDEN, SCHEMA2])
+def test_certificate_with_no_checks_fails_its_layout(tmp_path, capsys, corpus):
+    cert = json.loads((corpus / "cover_five_points.json").read_text())
+    cert["checks"] = []
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and rows == [] and "Traceback" not in out
+    assert _layout_line(out) == (
+        '  [FAIL] layout: cover: check 1 is absent, '
+        'not ["graphs_form_an_enumeration","enumeration_laws"]'
+    )
+    assert json.loads((tmp_path / "rows.json").read_text())["layout"] == _layout_line(out)[17:]
+
+
+NOT_INJECTIVE = [[0, 0], [1, 0]]
+
+
+def test_rekinded_checks_fail_the_layout(tmp_path, capsys):
+    cert = _certificate(capsys, tmp_path, "cover", "--input", str(ROOT / "samples/five_points.qb"))
+    cert["outputs"]["extension"] = NOT_INJECTIVE
+    for c in cert["checks"]:
+        c.update(kind="value_equal", data={"left": 1, "right": 1})
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out
+    assert all(r["agrees"] for r in rows) and len(rows) == 7
+    assert _layout_line(out) == (
+        '  [FAIL] layout: cover: check 1 is ["graphs_form_an_enumeration","value_equal"], '
+        'not ["graphs_form_an_enumeration","enumeration_laws"]'
+    )
+
+
+def test_dropped_checks_fail_the_layout(tmp_path, capsys):
+    cert = _certificate(capsys, tmp_path, "cover", "--input", str(ROOT / "samples/five_points.qb"))
+    cert["outputs"]["extension"] = NOT_INJECTIVE
+    # keep only the two checks that read no cover map
+    cert["checks"] = cert["checks"][:2]
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out and all(r["agrees"] for r in rows)
+    assert _layout_line(out) == (
+        '  [FAIL] layout: cover: check 3 is absent, '
+        'not ["extension_is_a_full_permutation","finite_levels_empty"]'
+    )
+
+
+def test_edited_integer_cover_texts_are_fail_rows(tmp_path, capsys):
+    cert = _certificate(capsys, tmp_path, "cover", "--input", str(ROOT / "samples/shifted_ray.qb"))
+    cert["outputs"].update(first="..-1 -> +0", extension="0.. -> +5")
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out and "layout" not in out
+    failed = {r["name"]: r["witness"] for r in rows if not r["agrees"]}
+    unions = ("seed", "seed_inverse", "extension_inverse")
+    assert {name: w["message"] for name, w in failed.items()} == {
+        "levels_reproduce": "field g does not hold output extension",
+        "covers_are_bijections_within_relation": "field maps does not hold output first, second",
+        **{f"{u}_inside_cover_union": "field others does not hold output first, second"
+           for u in unions},
+        "extension_inside_cover_union": "field left does not hold output extension",
+    }
+    assert {w["error"] for w in failed.values()} == {"InvalidCertificate"}
+    assert "  [FAIL] covers_are_bijections_within_relation: stored=True recomputed=False" in out
+
+
+# a finite cover's first that is no bijection: 0 and 4 both go to 0
+NOT_A_BIJECTION = [[0, 0], [1, 1], [2, 2], [3, 3], [4, 0]]
+
+
+@pytest.mark.parametrize("named", ["first", "extension"])
+def test_edited_finite_cover_first_is_a_fail_row(tmp_path, capsys, named):
+    # a run names first; the version before named the extension in its
+    # place, which holds the same value
+    cert = _certificate(capsys, tmp_path, "cover", "--input", str(ROOT / "samples/five_points.qb"))
+    text = json.dumps(cert).replace('{"$output": "first"}', f'{{"$output": "{named}"}}')
+    cert = json.loads(text)
+    assert _verify_rows(capsys, tmp_path, cert)[0] == 0
+    cert["outputs"]["first"] = NOT_A_BIJECTION
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out and "layout" not in out
+    assert "  [FAIL] covers_are_bijections_within_relation: stored=True recomputed=False" in out
+    (bad,) = [r for r in rows if r["name"] == "covers_are_bijections_within_relation"]
+    unbound = {"error": "InvalidCertificate",
+               "message": "field maps does not hold output first, second"}
+    assert bad["witness"] == ({"map": 0, "law": "bijection"} if named == "first" else unbound)
+
+
+def test_eight_check_finite_cover_replays_only_in_schema_1(tmp_path, capsys):
+    cert = json.loads((GOLDEN / "cover_five_points.json").read_text())
+    assert len(cert["checks"]) == 8
+    assert _verify_rows(capsys, tmp_path, cert)[0] == 0
+    cert["schema"] = 2
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and all(r["agrees"] for r in rows)
+    assert _layout_line(out) == (
+        '  [FAIL] layout: cover: check 7 is '
+        '["extension_inside_cover_union","finite_graph_subset"], '
+        'not ["extension_inverse_inside_cover_union","finite_inverse_graph_subset"]'
+    )
+
+
+@pytest.mark.parametrize("command", ["probe", "", None, ["cover"]])
+def test_unknown_command_fails_the_layout(tmp_path, capsys, command):
+    cert = json.loads((SCHEMA2 / "tail_five_points_map_c3.json").read_text())
+    cert["command"] = command
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and all(r["agrees"] for r in rows) and "Traceback" not in out
+    assert _layout_line(out) == f"  [FAIL] layout: unknown command {json.dumps(command)}"
 
 
 def test_edited_cover_second_fails_the_inverse_check(tmp_path, capsys):
@@ -417,9 +490,10 @@ def test_unknown_schema_is_an_invalid_certificate(tmp_path, capsys, schema):
 def test_references_are_read_only_in_schema_2(tmp_path, capsys, schema, agrees):
     # two references to equal outputs: unequal as plain data, equal once read
     cert = {
-        "command": "probe", "outputs": {"a": [1], "b": [1]},
-        "checks": [{"name": "refs", "kind": "value_equal", "ok": False, "witness": None,
-                    "data": {"left": {"$output": "a"}, "right": {"$output": "b"}}}],
+        "command": "index", "outputs": {"index": [1], "b": [1]},
+        "checks": [{"name": "index_matches_expectation", "kind": "value_equal", "ok": False,
+                    "witness": None,
+                    "data": {"left": {"$output": "index"}, "right": {"$output": "b"}}}],
     }
     if schema is not None:
         cert["schema"] = schema
@@ -428,12 +502,13 @@ def test_references_are_read_only_in_schema_2(tmp_path, capsys, schema, agrees):
     assert row["recomputed"] is (not agrees)
 
 
-def test_an_int_or_text_equal_to_an_output_is_stored_as_a_value():
-    cert = Certificate("probe")
-    three, empty = 3, "empty"
-    cert.outputs = {"index": three, "text": empty, "maps": [[0, 1]]}
-    cert.emit("value", "value_equal", {"left": three, "right": empty})
-    cert.emit("maps", "value_equal", {"left": cert.outputs["maps"], "right": [[0, 1]]})
+def test_an_int_or_text_equal_to_an_output_is_stored_as_a_value(monkeypatch):
+    monkeypatch.setitem(SPEC, "probe", {"": [
+        ("value", "value_equal", {"left": "$output:index", "right": "$output:text"}),
+        ("maps", "value_equal", {"left": "$output:maps", "right": "maps"}),
+    ]})
+    outputs = {"index": 3, "text": "empty", "maps": [[0, 1]]}
+    cert = Certificate("probe").certify(outputs, {"maps": [[0, 1]]})
     data = [json.loads(line.rstrip(","))["data"] for line in cert.to_json().splitlines()[9:-2]]
     assert data == [
         {"left": 3, "right": "empty"}, {"left": {"$output": "maps"}, "right": [[0, 1]]},
@@ -441,12 +516,17 @@ def test_an_int_or_text_equal_to_an_output_is_stored_as_a_value():
     assert cert.checks[1]["ok"] is True
 
 
-def test_outputs_changed_between_emits_are_read_anew():
-    cert = Certificate("probe")
-    cert.outputs = {"maps": [[0, 1]]}
-    assert cert.emit("before", "value_equal", {"left": cert.outputs["maps"], "right": [[0, 1]]})
-    cert.outputs["maps"].append([1, 0])
-    assert not cert.emit("after", "value_equal", {"left": cert.outputs["maps"], "right": [[0, 1]]})
+def test_outputs_changed_between_emits_are_read_anew(monkeypatch):
+    monkeypatch.setitem(SPEC, "probe", {
+        lane: [(lane, "value_equal", {"left": "$output:maps", "right": "want"})]
+        for lane in ("before", "after")
+    })
+    cert, outputs = Certificate("probe"), {"maps": [[0, 1]]}
+    cert.certify(outputs, {"want": [[0, 1]]}, "before")
+    outputs["maps"].append([1, 0])
+    cert.certify(outputs, {"want": [[0, 1]]}, "after")
+    assert [c["ok"] for c in cert.checks] == [True, False]
+    assert cert.checks[1]["data"]["left"] == {"$output": "maps"}
     assert json.loads(cert.to_json())["outputs"] == {"maps": [[0, 1], [1, 0]]}
 
 
@@ -682,6 +762,10 @@ def test_late_partition_disagreement_replays_quickly(tmp_path, capsys):
     code, out = run(capsys, "verify", "--input", str(cert_file), "--out", str(rows_file))
     assert time.perf_counter() - t < 2.0
     assert code == 1 and "Traceback" not in out
+    assert _layout_line(out) == (
+        '  [FAIL] layout: fm-quotient: check 1 is ["late","partition_equal"], '
+        'not ["graphs_form_an_enumeration","enumeration_laws"]'
+    )
     (row,) = json.loads(rows_file.read_text())["rows"]
     assert row["recomputed"] is False and row["witness"] == [n - 2, n - 1]
 
