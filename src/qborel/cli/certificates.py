@@ -41,8 +41,9 @@ OUTPUT = "$output:"
 # What each command certifies, by command and lane: the checks a run writes,
 # in order, each (name, kind, data template). A template value "$output:<key>"
 # is that output, another text is the value the handler supplies under that
-# name, a list holds such values, and anything else is itself. An optional row
-# has a fourth entry, and is written only when the handler supplies that value.
+# name, a list holds such values, a tuple of outputs is its first, which the
+# others must equal, and anything else is itself. An optional row has a fourth
+# entry, and is written only when the handler supplies that value.
 _PARTITION = {"n": "n", "blocks": "blocks"}
 _INT_RELATION = {"blocks": "blocks", "ambient": "ambient"}
 _COVER = ["$output:first", "$output:second"]
@@ -51,8 +52,9 @@ _OPTIONAL_ENUMERATION = (*_ENUMERATION, "graphs")
 _FINITE_COVER = [
     _ENUMERATION,
     ("seed_within_relation", "finite_graph_in_partition", {**_PARTITION, "map": "seed"}),
+    # the finite cover's first is the extension, so it names one value twice
     ("extension_is_a_full_permutation", "finite_levels_empty",
-     {"n": "n", "map": "$output:extension"}),
+     {"n": "n", "map": ("$output:extension", "$output:first")}),
     ("covers_are_bijections_within_relation", "bijection_family_within",
      {**_PARTITION, "maps": _COVER}),
     ("seed_inside_cover_union", "finite_graph_subset", {"left": "seed", "others": _COVER}),
@@ -250,12 +252,20 @@ class Certificate(Record):
         self.inputs.append({"name": name, "sha256_12": digest(text)})
 
     def certify(self, outputs: dict, values: dict, lane: str = "") -> "Certificate":
-        """Store the outputs, emit the checks SPEC lists for this command and
-        lane, and return the certificate. An output that a template names is
-        written as a reference when it is a list or dict and as its value
-        otherwise: a small integer or a shared text can equal an output by
-        chance."""
+        """Store the outputs, run the checker of each row SPEC lists for this
+        command and lane, store each verdict alongside its data, and return
+        the certificate. An output that a template names is written as a
+        reference when it is a list or dict and as its value otherwise: a
+        small integer or a shared text can equal an output by chance.
+
+        The data of a check is encoded once: the checker runs on that text
+        decoded, with each reference read from the outputs as they are now,
+        and to_json writes the same text for as long as the stored check
+        still holds the values it holds here.
+        """
         def fill(t):
+            if type(t) is tuple:  # one output, which the others equal
+                return fill(t[0])
             if type(t) is list:
                 return [fill(x) for x in t]
             if type(t) is not str or not t.startswith(OUTPUT):
@@ -265,36 +275,27 @@ class Certificate(Record):
 
         self.outputs = outputs
         for name, kind, template, *needs in SPEC[self.command][lane]:
-            if not needs or needs[0] in values:
-                self.emit(name, kind, {key: fill(t) for key, t in template.items()})
+            if needs and needs[0] not in values:
+                continue
+            text = _compact({key: fill(t) for key, t in template.items()})
+            data = json.loads(text)
+            referred = f'{{"{REFERENCE}":' in text
+            ok, witness = run_check(kind, _resolve(data, self._encoded()[2]) if referred else data)
+            witness_text = _compact(witness)
+            check = {
+                "name": name,
+                "kind": kind,
+                "data": data,
+                "ok": ok,
+                "witness": json.loads(witness_text),
+            }
+            self.checks.append(check)
+            line = (
+                f'{{"name":{_compact(name)},"kind":{_compact(kind)},"data":{text},'
+                f'"ok":{"true" if ok else "false"},"witness":{witness_text}}}'
+            )
+            self._lines[id(check)] = check, _snapshot(check), line
         return self
-
-    def emit(self, name: str, kind: str, data: dict) -> None:
-        """Run the checker now and store the verdict alongside its data.
-
-        The data is encoded once: the checker runs on that text decoded,
-        with each reference read from the outputs as they are now, and
-        to_json writes the same text for as long as the stored check still
-        holds the values it holds here.
-        """
-        text = _compact(data)
-        data = json.loads(text)
-        referred = f'{{"{REFERENCE}":' in text
-        ok, witness = run_check(kind, _resolve(data, self._encoded()[2]) if referred else data)
-        witness_text = _compact(witness)
-        check = {
-            "name": name,
-            "kind": kind,
-            "data": data,
-            "ok": ok,
-            "witness": json.loads(witness_text),
-        }
-        self.checks.append(check)
-        line = (
-            f'{{"name":{_compact(name)},"kind":{_compact(kind)},"data":{text},'
-            f'"ok":{"true" if ok else "false"},"witness":{witness_text}}}'
-        )
-        self._lines[id(check)] = check, _snapshot(check), line
 
     def _encoded(self) -> tuple:
         """(snapshot, JSON text, decoded text) of the outputs, kept until they change."""
@@ -393,12 +394,15 @@ def _layout(cert: Certificate) -> tuple[list | None, str | None]:
     return None, max(tried, key=lambda t: t[0])[1]
 
 
-def _unbound(stored: dict, data: dict, template: dict, outputs) -> str | None:
+def _unbound(stored: dict, data: dict, template: dict, outputs, schema: int) -> str | None:
     """The first field that the template names as outputs and the check does
-    not hold: it holds them as references, or as values equal to them once
-    references are read. A template field names outputs only, or none."""
+    not hold: it holds them as values equal to them once references are
+    read, or, in schema 2, which reads references, as references. A template
+    field names outputs only, or none; a tuple's other outputs must equal
+    its first."""
     outputs = outputs if isinstance(outputs, dict) else {}
     for key, t in template.items():
+        t, *same = t if type(t) is tuple else (t,)
         names = t if type(t) is list else [t]
         if type(names[0]) is not str or not names[0].startswith(OUTPUT):
             continue
@@ -406,10 +410,13 @@ def _unbound(stored: dict, data: dict, template: dict, outputs) -> str | None:
         held, read = stored.get(key), data.get(key)
         if type(t) is not list:
             held, read = [held], [read]
-        if held != [{REFERENCE: k} for k in keys] and (
+        if (schema == 1 or held != [{REFERENCE: k} for k in keys]) and (
             not all(k in outputs for k in keys) or read != [outputs[k] for k in keys]
         ):
             return f"field {key} does not hold output {', '.join(keys)}"
+        for k in (x[len(OUTPUT):] for x in same):
+            if k not in outputs or outputs[k] != outputs[keys[0]]:
+                return f"output {k} is not output {keys[0]}"
 
 
 def reverify(cert: Certificate) -> tuple[bool, list[dict], str | None]:
@@ -423,7 +430,9 @@ def reverify(cert: Certificate) -> tuple[bool, list[dict], str | None]:
         try:
             data = c["data"] if cert.schema == 1 else _resolve(c["data"], cert.outputs)
             ok, witness = run_check(c["kind"], data)
-            unbound = templates and _unbound(c["data"], data, templates[i], cert.outputs)
+            unbound = templates and _unbound(
+                c["data"], data, templates[i], cert.outputs, cert.schema
+            )
         except Exception as e:  # a hand-edited check is a FAIL row, not a crash
             ok, witness = False, {"error": type(e).__name__, "message": str(e)}
         if unbound:

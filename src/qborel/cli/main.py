@@ -337,11 +337,17 @@ def cmd_cover(args, inst) -> Certificate:
     pair = cover_finite(levels_finite(g, enum.n, rel))
     # the finite cover is (g, g^-1): first is the extension, second its inverse
     extension, second = _graph_pairs(g), _graph_pairs(pair.second)
-    return Certificate("cover").certify(
-        {"extension": extension, "first": extension, "second": second},
-        {**values, "n": rel.n, "blocks": _blocks_of(rel),
-         "seed": _graph_pairs(g0), "seed_inverse": _graph_pairs(invert_map(g0))}, "finite",
-    )
+    return Certificate("cover").certify({
+        "extension": extension,
+        "first": extension,
+        "second": second,
+    }, {
+        **values,
+        "n": rel.n,
+        "blocks": _blocks_of(rel),
+        "seed": _graph_pairs(g0),
+        "seed_inverse": _graph_pairs(invert_map(g0)),
+    }, "finite")
 
 
 def _cover_int(args, rel, phis, g0) -> Certificate:
@@ -362,8 +368,12 @@ def _cover_int(args, rel, phis, g0) -> Certificate:
         "first": format_ptmap(pair.first),
         "second": format_ptmap(pair.second),
     }, {
-        **_int_relation(rel), "seed": format_ptmap(g0), "seed_inverse": format_ptmap(g0.inverse()),
-        "bound": args.K, "levels": level_text, "extension_inverse": format_ptmap(levels.ginv),
+        **_int_relation(rel),
+        "seed": format_ptmap(g0),
+        "seed_inverse": format_ptmap(g0.inverse()),
+        "bound": args.K,
+        "levels": level_text,
+        "extension_inverse": format_ptmap(levels.ginv),
     }, "int")
 
 
@@ -494,7 +504,8 @@ def cmd_cocycle(args, inst) -> Certificate:
     sizes = {
         act.group.labels[a]: len(p) for a, p in coc.pair_classes().items()
     }
-    return Certificate("cocycle").certify({"pairs": len(coc.theta), "pair_class_sizes": sizes}, {
+    outputs = {"pairs": len(coc.theta), "pair_class_sizes": sizes}
+    return Certificate("cocycle").certify(outputs, {
         "labels": list(act.group.labels),
         "table": [list(r) for r in act.group.table],
         "n": act.n,

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -200,7 +201,7 @@ DERIVED = {
 
 def _fields(template: dict) -> list:
     """Each data field of a template as the list of template values it holds."""
-    return [v if isinstance(v, list) else [v] for v in template.values()]
+    return [list(v) if isinstance(v, (list, tuple)) else [v] for v in template.values()]
 
 
 def _outputs_named(rows) -> set:
@@ -299,6 +300,8 @@ def test_edited_cover_extension_fails_its_checks(tmp_path, capsys, keys):
     assert code == 1 and "Traceback" not in out
     failed = {r["name"] for r in rows if not r["agrees"]}
     assert ("covers_are_bijections_within_relation" in failed) == ("first" in keys)
+    # an extension edited alone is no longer the cover's first
+    assert ("extension_is_a_full_permutation" in failed) == ("first" not in keys)
     # the inverse pair (3, 0) of the edited extension is in neither stored map
     assert "extension_inverse_inside_cover_union" in failed
 
@@ -394,6 +397,36 @@ def test_edited_finite_cover_first_is_a_fail_row(tmp_path, capsys, named):
     assert bad["witness"] == ({"map": 0, "law": "bijection"} if named == "first" else unbound)
 
 
+def test_finite_cover_extension_set_to_second_is_a_fail_row(tmp_path, capsys):
+    # second is g^-1, a full permutation whose inverse g lies in first; g is
+    # no involution, as the seed holds (7, 44) and (44, 49)
+    cert = _certificate(capsys, tmp_path, "cover", "--input", str(ROOT / "samples/shifts6.qb"))
+    assert {(7, 44), (44, 49)} <= {tuple(p) for p in cert["outputs"]["first"]}
+    cert["outputs"]["extension"] = cert["outputs"]["second"]
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out and "layout" not in out
+    (bad,) = [r for r in rows if not r["agrees"]]
+    assert bad["name"] == "extension_is_a_full_permutation"
+    assert bad["witness"] == {
+        "error": "InvalidCertificate", "message": "output first is not output extension",
+    }
+    assert "  [FAIL] extension_is_a_full_permutation: stored=True recomputed=False" in out
+
+
+@pytest.mark.parametrize("corpus", [GOLDEN, SCHEMA2])
+def test_finite_cover_first_set_to_another_bijection_is_a_fail_row(tmp_path, capsys, corpus):
+    # the identity is a bijection inside the relation, and with second it
+    # still holds the seed, its inverse and the extension's inverse
+    cert = json.loads((corpus / "cover_five_points.json").read_text())
+    cert["outputs"]["first"] = [[x, x] for x in range(5)]
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out
+    failed = {r["name"]: r["witness"] for r in rows if not r["agrees"]}
+    assert failed["extension_is_a_full_permutation"]["message"] == (
+        "output first is not output extension"
+    )
+
+
 def test_eight_check_finite_cover_replays_only_in_schema_1(tmp_path, capsys):
     cert = json.loads((GOLDEN / "cover_five_points.json").read_text())
     assert len(cert["checks"]) == 8
@@ -487,19 +520,36 @@ def test_unknown_schema_is_an_invalid_certificate(tmp_path, capsys, schema):
 
 
 @pytest.mark.parametrize("schema, agrees", [(None, True), (1, True), (2, False)])
-def test_references_are_read_only_in_schema_2(tmp_path, capsys, schema, agrees):
+def test_references_are_read_only_in_schema_2(tmp_path, capsys, monkeypatch, schema, agrees):
+    # a row whose fields name no output, so only the references are at stake
+    monkeypatch.setitem(SPEC, "probe", {"": [
+        ("refs", "value_equal", {"left": "left", "right": "right"}),
+    ]})
     # two references to equal outputs: unequal as plain data, equal once read
     cert = {
-        "command": "index", "outputs": {"index": [1], "b": [1]},
-        "checks": [{"name": "index_matches_expectation", "kind": "value_equal", "ok": False,
-                    "witness": None,
-                    "data": {"left": {"$output": "index"}, "right": {"$output": "b"}}}],
+        "command": "probe", "outputs": {"a": [1], "b": [1]},
+        "checks": [{"name": "refs", "kind": "value_equal", "ok": False, "witness": None,
+                    "data": {"left": {"$output": "a"}, "right": {"$output": "b"}}}],
     }
     if schema is not None:
         cert["schema"] = schema
-    code, _, (row,) = _verify_rows(capsys, tmp_path, cert)
-    assert code == 1 and row["agrees"] is agrees
+    code, out, (row,) = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and row["agrees"] is agrees and "layout" not in out
     assert row["recomputed"] is (not agrees)
+
+
+def test_a_schema_1_reference_does_not_hold_the_output_it_names(tmp_path, capsys):
+    # schema 1 never reads references, so the checker judges the literal
+    # object, not the output, and the field does not hold the output
+    cert = json.loads((GOLDEN / "index_five_points_rel_F_expect_3.json").read_text())
+    assert "schema" not in cert and cert["checks"][1]["name"] == "index_matches_expectation"
+    cert["outputs"]["index"] = "edited"
+    cert["checks"][1]["data"] = {"left": {"$output": "index"}, "right": {"$output": "index"}}
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out and "layout" not in out
+    (bad,) = [r for r in rows if not r["agrees"]]
+    assert (bad["name"], bad["recomputed"]) == ("index_matches_expectation", False)
+    assert bad["witness"]["message"] == "field left does not hold output index"
 
 
 def test_an_int_or_text_equal_to_an_output_is_stored_as_a_value(monkeypatch):
@@ -619,16 +669,18 @@ text_keyed = st.recursive(
 
 @given(text_keyed)
 def test_emitted_text_is_what_encoding_the_stored_check_gives(value):
-    cert = Certificate("probe")
-    cert.emit("same", "value_equal", {"left": value, "right": value})
+    probe = {"": [("same", "value_equal", {"left": "value", "right": "value"})]}
+    with mock.patch.dict(SPEC, probe=probe):
+        cert = Certificate("probe").certify({}, {"value": value})
     text = cert.to_json()
     assert Certificate.from_json(text).to_json() == text
 
 
-def test_check_edited_after_emit_is_written_as_edited():
-    cert = Certificate("probe")
-    for name in "abcd":
-        cert.emit(name, "value_equal", {"left": [1, [2]], "right": [1, [2]]})
+def test_check_edited_after_emit_is_written_as_edited(monkeypatch):
+    monkeypatch.setitem(SPEC, "probe", {"": [
+        (name, "value_equal", {"left": "value", "right": "value"}) for name in "abcd"
+    ]})
+    cert = Certificate("probe").certify({}, {"value": [1, [2]]})
     cert.checks[0]["data"]["left"][1].append(3)
     cert.checks[1]["ok"] = False
     cert.checks[2] = dict(cert.checks[2], name="c2")
