@@ -39,11 +39,12 @@ REFERENCE = "$output"
 OUTPUT = "$output:"
 
 # What each command certifies, by command and lane: the checks a run writes,
-# in order, each (name, kind, data template). A template value "$output:<key>"
-# is that output, another text is the value the handler supplies under that
+# in order, each (name, kind, data template). As _fill reads a template value,
+# "$output:<key>" is that output, another text is the handler's value of that
 # name, a list holds such values, a tuple of outputs is its first, which the
-# others must equal, and anything else is itself. An optional row has a fourth
-# entry, and is written only when the handler supplies that value.
+# others must equal, and anything else is a literal, such as the orbit window
+# (feldman_moore.ORBIT_WINDOW, not imported here). An optional row has a
+# fourth entry, and is written only when the handler supplies that value.
 _PARTITION = {"n": "n", "blocks": "blocks"}
 _INT_RELATION = {"blocks": "blocks", "ambient": "ambient"}
 _COVER = ["$output:first", "$output:second"]
@@ -81,7 +82,7 @@ SPEC = {
         ("generators_are_bijections_within_relation", "ptmap_family_within",
          {"maps": "$output:generators", **_INT_RELATION, "bijections": True}),
         ("orbit_covers_relation_on_window", "int_orbit_window",
-         {"maps": "$output:generators", **_INT_RELATION, "window": "window"}),
+         {"maps": "$output:generators", **_INT_RELATION, "window": 64}),
     ]},
     "cover": {"finite": [
         *_FINITE_COVER,
@@ -203,17 +204,18 @@ def jsonable(value):
     return json.loads(_compact(value))
 
 
-def _snapshot(value) -> bytes:
+def _snapshot(value) -> bytes | object:
     """Bytes that change whenever a plain JSON value does, nested edits too.
 
     Marshal format 2 predates shared references, so the bytes depend on
     the value alone, and writing them costs a fraction of JSON encoding.
-    A value marshal cannot write (an object put in by hand) gives None.
+    A value marshal cannot write (an object put in by hand) gives a new
+    object, equal to no other snapshot.
     """
     try:
         return marshal.dumps(value, 2)
     except ValueError:
-        return None
+        return object()
 
 
 def _resolve(data: dict, outputs) -> dict:
@@ -226,6 +228,18 @@ def _resolve(data: dict, outputs) -> dict:
         raise InvalidCertificate(f"reference {_compact(v)} names no stored output")
     return {key: [read(v) for v in value] if type(value) is list and dict in map(type, value)
             else read(value) for key, value in data.items()}
+
+
+def _fill(t, outputs: dict, values: dict, refs: bool = True):
+    """The value a SPEC template stands for; with refs, a list or dict output is its reference."""
+    if type(t) is tuple:  # one output, which the others equal
+        return _fill(t[0], outputs, values, refs)
+    if type(t) is list:
+        return [_fill(x, outputs, values, refs) for x in t]
+    if type(t) is not str or not t.startswith(OUTPUT):
+        return values[t] if type(t) is str else t
+    value = outputs[key := t[len(OUTPUT):]]
+    return {REFERENCE: key} if refs and type(value) in (list, dict) else value
 
 
 def digest(text: str) -> str:
@@ -244,9 +258,8 @@ class Certificate(Record):
             {} if outputs is None else outputs, [] if checks is None else checks, tool, version,
         )
         self.schema = schema  # keyword-only, so not a field of repr or ==
-        # id of each emitted check -> (the check, its snapshot, its JSON text)
-        self._lines = {}
-        self._outputs = None  # _encoded() of the outputs, once a check refers to one
+        # (snapshot of (outputs, checks), outputs text, check lines) as certify wrote them
+        self._text = None
 
     def add_input(self, name: str, text: str):
         self.inputs.append({"name": name, "sha256_12": digest(text)})
@@ -258,58 +271,35 @@ class Certificate(Record):
         reference when it is a list or dict and as its value otherwise: a
         small integer or a shared text can equal an output by chance.
 
-        The data of a check is encoded once: the checker runs on that text
-        decoded, with each reference read from the outputs as they are now,
-        and to_json writes the same text for as long as the stored check
-        still holds the values it holds here.
+        The outputs and the data of each check are encoded once: the checker
+        runs on that text decoded, with each reference read from the outputs
+        decoded, and to_json writes the same texts for as long as the outputs
+        and checks still hold the values they hold here.
         """
-        def fill(t):
-            if type(t) is tuple:  # one output, which the others equal
-                return fill(t[0])
-            if type(t) is list:
-                return [fill(x) for x in t]
-            if type(t) is not str or not t.startswith(OUTPUT):
-                return values[t] if type(t) is str else t
-            value = self.outputs[key := t[len(OUTPUT):]]
-            return {REFERENCE: key} if type(value) in (list, dict) else value
-
         self.outputs = outputs
+        outputs_text = _compact(outputs)
+        decoded = json.loads(outputs_text)
+        lines = [_compact(c) for c in self.checks]  # those an earlier call wrote
         for name, kind, template, *needs in SPEC[self.command][lane]:
             if needs and needs[0] not in values:
                 continue
-            text = _compact({key: fill(t) for key, t in template.items()})
+            text = _compact({key: _fill(t, outputs, values) for key, t in template.items()})
             data = json.loads(text)
-            referred = f'{{"{REFERENCE}":' in text
-            ok, witness = run_check(kind, _resolve(data, self._encoded()[2]) if referred else data)
+            ok, witness = run_check(kind, _resolve(data, decoded))
             witness_text = _compact(witness)
-            check = {
+            self.checks.append({
                 "name": name,
                 "kind": kind,
                 "data": data,
                 "ok": ok,
                 "witness": json.loads(witness_text),
-            }
-            self.checks.append(check)
-            line = (
+            })
+            lines.append(
                 f'{{"name":{_compact(name)},"kind":{_compact(kind)},"data":{text},'
                 f'"ok":{"true" if ok else "false"},"witness":{witness_text}}}'
             )
-            self._lines[id(check)] = check, _snapshot(check), line
+        self._text = _snapshot((self.outputs, self.checks)), outputs_text, lines
         return self
-
-    def _encoded(self) -> tuple:
-        """(snapshot, JSON text, decoded text) of the outputs, kept until they change."""
-        snapshot = _snapshot(self.outputs)
-        if self._outputs is None or snapshot is None or self._outputs[0] != snapshot:
-            self._outputs = snapshot, (text := _compact(self.outputs)), json.loads(text)
-        return self._outputs
-
-    def _line(self, check: dict) -> str:
-        """The compact JSON text of a stored check."""
-        held = self._lines.get(id(check))
-        if held is not None and held[0] is check and _snapshot(check) == held[1]:
-            return held[2]
-        return _compact(check)
 
     @property
     def ok(self) -> bool:
@@ -326,9 +316,11 @@ class Certificate(Record):
             "inputs": self.inputs,
         }
         lines = [f'  "{key}": {_compact(value)},' for key, value in head.items()]
-        outputs = self._encoded()[1] if self._outputs else _compact(self.outputs)
-        lines.append(f'  "outputs": {outputs},')
-        checks = ",\n".join(f"    {self._line(c)}" for c in self.checks)
+        held = self._text
+        if held is None or held[0] != _snapshot((self.outputs, self.checks)):
+            held = None, _compact(self.outputs), [_compact(c) for c in self.checks]
+        lines.append(f'  "outputs": {held[1]},')
+        checks = ",\n".join(f"    {line}" for line in held[2])
         lines.append(f'  "checks": [\n{checks}\n  ]' if checks else '  "checks": []')
         return "{\n" + "\n".join(lines) + "\n}\n"
 
@@ -395,25 +387,26 @@ def _layout(cert: Certificate) -> tuple[list | None, str | None]:
 
 
 def _unbound(stored: dict, data: dict, template: dict, outputs, schema: int) -> str | None:
-    """The first field that the template names as outputs and the check does
-    not hold: it holds them as values equal to them once references are
-    read, or, in schema 2, which reads references, as references. A template
-    field names outputs only, or none; a tuple's other outputs must equal
-    its first."""
+    """The first field that SPEC fixes (outputs, or a literal) and the check
+    does not hold: it holds what _fill gives once references are read, or,
+    in schema 2, which reads references, as stored. A field naming a handler
+    value is not fixed. A tuple's other outputs must equal its first."""
     outputs = outputs if isinstance(outputs, dict) else {}
     for key, t in template.items():
         t, *same = t if type(t) is tuple else (t,)
         names = t if type(t) is list else [t]
-        if type(names[0]) is not str or not names[0].startswith(OUTPUT):
-            continue
-        keys = [x[len(OUTPUT):] for x in names]
-        held, read = stored.get(key), data.get(key)
-        if type(t) is not list:
-            held, read = [held], [read]
-        if (schema == 1 or held != [{REFERENCE: k} for k in keys]) and (
-            not all(k in outputs for k in keys) or read != [outputs[k] for k in keys]
-        ):
-            return f"field {key} does not hold output {', '.join(keys)}"
+        if type(names[0]) is str and not names[0].startswith(OUTPUT):
+            continue  # a value the handler supplies
+        try:
+            bound = (schema == 2 and stored.get(key) == _fill(t, outputs, {})) or (
+                data.get(key) == _fill(t, outputs, {}, refs=False)
+            )
+        except KeyError:  # an output the certificate does not store
+            bound = False
+        keys = [x[len(OUTPUT):] for x in names if type(x) is str]
+        if not bound:
+            what = f"output {', '.join(keys)}" if keys else _compact(t)
+            return f"field {key} does not hold {what}"
         for k in (x[len(OUTPUT):] for x in same):
             if k not in outputs or outputs[k] != outputs[keys[0]]:
                 return f"output {k} is not output {keys[0]}"
@@ -422,7 +415,7 @@ def _unbound(stored: dict, data: dict, template: dict, outputs, schema: int) -> 
 def reverify(cert: Certificate) -> tuple[bool, list[dict], str | None]:
     """Rerun every stored check; report agreement with stored verdicts, and
     where the checks depart from SPEC's layouts of the command (None if they
-    do not). A check not holding an output that SPEC names is a FAIL row."""
+    do not). A check not holding a field that SPEC fixes is a FAIL row."""
     templates, layout = _layout(cert)
     rows = []
     for i, c in enumerate(cert.checks):
@@ -628,11 +621,11 @@ def _chk_ptmap_within_blocks(data):
 
 @checker("int_orbit_window")
 def _chk_int_orbit_window(data):
-    from ..feldman_moore import ORBIT_WINDOW, orbit_window_witness
+    from ..feldman_moore import orbit_window_witness
 
     rel = _int_relation(data)
     maps = [parse_ptmap(t) for t in data["maps"]]
-    w = orbit_window_witness(rel, maps, window=data.get("window", ORBIT_WINDOW))
+    w = orbit_window_witness(rel, maps, window=data["window"])
     return w is None, w
 
 

@@ -285,12 +285,12 @@ def cmd_fm_quotient(args, inst) -> Certificate:
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation")
     if decl.kind == "blocks":
         decls = _map_list(args, inst, "int", "fm-quotient on a blocks relation needs ptmaps")
-        from ..feldman_moore import ORBIT_WINDOW, quotient_construction_int
+        from ..feldman_moore import quotient_construction_int
 
         qc = quotient_construction_int(decl.value, [d.table for d in decls], bound=args.K)
         return Certificate("fm-quotient").certify(
             {"psi_count": len(qc.psis), "generators": [format_ptmap(f) for f in qc.generators]},
-            {**_int_relation(decl.value), "window": ORBIT_WINDOW}, "int",
+            _int_relation(decl.value), "int",
         )
     if decl.kind != "graphs":
         raise UsageError("fm-quotient needs a graphs relation")

@@ -29,7 +29,7 @@ from qborel.cli.certificates import (
     reverify, run_check,
 )
 from qborel.cli.main import main
-from qborel.feldman_moore import MAX_PROBE
+from qborel.feldman_moore import MAX_PROBE, ORBIT_WINDOW
 from qborel.quotient import Partition
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -241,8 +241,8 @@ def _detected(cert: dict) -> bool:
 
 
 def _edits(cert: dict):
-    """(what, edited certificate) for each edit of the check list, and of
-    each output that a stored check's SPEC row names."""
+    """(what, edited certificate) for each edit of the check list, of each
+    output that a stored check's SPEC row names, and of each literal it fixes."""
     checks, command = cert["checks"], cert["command"]
     rows = [row for table in (SPEC, LEGACY) for lane in table.get(command, {}).values()
             for row in lane]
@@ -258,6 +258,13 @@ def _edits(cert: dict):
     stored = [[c["name"], c["kind"]] for c in checks]
     for key in sorted(_outputs_named(row for row in rows if [row[0], row[1]] in stored)):
         yield f"edit output {key}", {**cert, "outputs": {**cert["outputs"], key: "edited"}}
+    templates = {(name, kind): template for name, kind, template, *_ in rows}
+    for i, c in enumerate(checks):
+        for key, t in templates.get((c["name"], c["kind"]), {}).items():
+            if not isinstance(t, (str, list, tuple)):  # a literal: true becomes false, 64 0
+                data = {**c["data"], key: not t if type(t) is bool else 0}
+                edited = [*checks[:i], {**c, "data": data}, *checks[i + 1:]]
+                yield f"edit {c['name']} {key}", {**cert, "checks": edited}
 
 
 CORPUS = [corpus / e["file"] for corpus in (GOLDEN, SCHEMA2) for e in MANIFEST]
@@ -269,6 +276,14 @@ def test_every_edit_of_a_golden_certificate_is_detected(path):
     assert not _detected(cert)
     missed = [what for what, edited in _edits(cert) if not _detected(edited)]
     assert not missed
+
+
+def test_the_golden_edits_include_every_literal_spec_fixes():
+    literals = {
+        what.split()[-1] for path in CORPUS for what, _ in _edits(json.loads(path.read_text()))
+        if what.startswith("edit ") and not what.startswith("edit output ")
+    }
+    assert literals == {"bijections", "window"}
 
 
 # -- references --------------------------------------------------------------
@@ -373,6 +388,55 @@ def test_edited_integer_cover_texts_are_fail_rows(tmp_path, capsys):
     }
     assert {w["error"] for w in failed.values()} == {"InvalidCertificate"}
     assert "  [FAIL] covers_are_bijections_within_relation: stored=True recomputed=False" in out
+
+
+# two maps of the shifted ray that are injective but not onto
+INJECTIONS = {"first": "..-1 -> +0 | 0.. -> +1", "second": "1.. -> -1 | ..-1 -> +0"}
+
+
+def test_integer_cover_stored_as_no_bijections_is_a_fail_row(tmp_path, capsys):
+    cert = _certificate(capsys, tmp_path, "cover", "--input", str(ROOT / "samples/shifted_ray.qb"))
+    # the forger writes the maps wherever the cover is stored, and turns the
+    # bijection law off: SPEC fixes that literal, so verify reads it from there
+    old = [cert["outputs"][key] for key in INJECTIONS]
+    cert["outputs"].update(INJECTIONS)
+    for c in cert["checks"]:
+        c["data"].update({k: list(INJECTIONS.values()) for k in ("maps", "others")
+                          if c["data"].get(k) == old})
+        if "bijections" in c["data"]:
+            c["data"]["bijections"] = False
+            law = run_check(c["kind"], {**c["data"], "bijections": True})[1]["law"]
+            assert law == "bijection"
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out and "layout" not in out
+    failed = {r["name"]: r["witness"] for r in rows if not r["agrees"]}
+    assert failed == {"covers_are_bijections_within_relation": {
+        "error": "InvalidCertificate", "message": "field bijections does not hold true",
+    }}
+    assert len(rows) == 7
+    assert "  [FAIL] covers_are_bijections_within_relation: stored=True recomputed=False" in out
+
+
+def test_integer_generators_probed_on_no_window_are_a_fail_row(tmp_path, capsys):
+    argv = ("fm-quotient", "--input", str(ROOT / "samples/shifted_ray.qb"))
+    cert = _certificate(capsys, tmp_path, *argv)
+    # the identity alone generates only the trivial relation; on a window of 0
+    # the probe misses that, so verify reads the window SPEC fixes, not the row
+    cert["outputs"]["generators"] = ["..-1; 0.. -> +0"]
+    (probe,) = [c for c in cert["checks"] if c["kind"] == "int_orbit_window"]
+    probe["data"]["window"] = 0
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out and "layout" not in out
+    failed = {r["name"]: r["witness"] for r in rows if not r["agrees"]}
+    assert failed == {"orbit_covers_relation_on_window": {
+        "error": "InvalidCertificate", "message": "field window does not hold 64",
+    }}
+    assert "  [FAIL] orbit_covers_relation_on_window: stored=True recomputed=False" in out
+
+
+def test_spec_fixes_the_orbit_window_the_construction_probes():
+    (row,) = [row for row in SPEC["fm-quotient"]["int"] if row[1] == "int_orbit_window"]
+    assert row[2]["window"] == ORBIT_WINDOW
 
 
 # a finite cover's first that is no bijection: 0 and 4 both go to 0
@@ -578,6 +642,20 @@ def test_outputs_changed_between_emits_are_read_anew(monkeypatch):
     assert [c["ok"] for c in cert.checks] == [True, False]
     assert cert.checks[1]["data"]["left"] == {"$output": "maps"}
     assert json.loads(cert.to_json())["outputs"] == {"maps": [[0, 1], [1, 0]]}
+
+
+def test_a_certificate_certified_in_two_lanes_writes_every_check(monkeypatch):
+    monkeypatch.setitem(SPEC, "probe", {
+        lane: [(f"{lane}{i}", "value_equal", {"left": "$output:maps", "right": "want"})
+               for i in range(2)]
+        for lane in ("before", "after")
+    })
+    cert = Certificate("probe")
+    for lane in ("before", "after"):
+        cert.certify({"maps": [[0, 1]]}, {"want": [[0, 1]]}, lane)
+    written = json.loads(cert.to_json())["checks"]
+    assert [c["name"] for c in written] == ["before0", "before1", "after0", "after1"]
+    assert written == cert.checks
 
 
 # -- normalisation -----------------------------------------------------------
@@ -906,12 +984,21 @@ def test_certificate_with_a_repeated_group_label_is_a_fail_row(tmp_path, capsys)
     }
 
 
+# by probe parameter and stored value, the error of the FAIL row, or None
+# where the replay agrees. SPEC fixes the orbit window at 64, so any other
+# stored window is a FAIL row; the checker refuses one above MAX_PROBE first
+REPLAYS = {
+    "bound": {MAX_PROBE: None, 10**9: "BadParameters"},
+    "window": {MAX_PROBE: "InvalidCertificate", 10**9: "BadParameters"},
+}
+
+
 @pytest.mark.parametrize("name,key", [
     ("cover_shifted_ray.json", "bound"),
     ("fm-quotient_shifted_ray.json", "window"),
 ])
 def test_stored_probe_parameters_bound_the_replay(tmp_path, capsys, name, key):
-    for value, agrees in ((MAX_PROBE, True), (10**9, False)):
+    for value, error in REPLAYS[key].items():
         cert = json.loads((GOLDEN / name).read_text())
         edited = {c["name"] for c in cert["checks"] if key in c["data"]}
         assert edited
@@ -925,9 +1012,9 @@ def test_stored_probe_parameters_bound_the_replay(tmp_path, capsys, name, key):
         assert time.perf_counter() - start < 1.0
         for r in json.loads(rows_file.read_text())["rows"]:
             if r["name"] in edited:
-                assert r["agrees"] is agrees, (value, r)
-                if not agrees:
-                    assert r["witness"]["error"] == "BadParameters"
+                assert r["agrees"] is (error is None), (value, r)
+                if error:
+                    assert r["witness"]["error"] == error
 
 
 
