@@ -13,7 +13,10 @@ the empty set and all of Z) collapse to a residue-set description.  All
 of it is arithmetic on the sorted interval lists of the residues modulo
 the lcm p of the strides of the rays and of the pieces with at least
 three points, so the cost follows p and the number of intervals and
-output pieces, never the size of the coordinates.
+output pieces, never the size of the coordinates.  Intersection and
+difference cost O(pieces) when the operands' hulls decide them (an empty,
+equal or whole-Z operand, an interval holding the other's hull, hulls
+apart), and O(p * pieces) otherwise.
 
 Three pure functions are memoised by value, each in an lru_cache of
 MEMO_SIZE entries listed in _MEMOS: normalisation (`_canonical_pieces`)
@@ -36,7 +39,7 @@ from bisect import insort
 from collections import namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import gcd, inf, lcm
+from math import gcd, inf, isqrt, lcm
 from typing import Iterable, Iterator
 
 from .errors import NotInjective, clip, quote
@@ -150,9 +153,11 @@ def _iv_difference(a, b):
 
 
 def _min_shift_period(residues: set[int], p: int):
-    """Minimal q dividing p with residues + q == residues mod p, plus the folded set."""
-    for q in range(1, p + 1):
-        if p % q == 0 and all((r + q) % p in residues for r in residues):
+    """Minimal q dividing p with residues + q == residues mod p, plus the folded set.
+    Only divisors of p qualify: those up to isqrt(p), then their cofactors."""
+    small = [q for q in range(1, isqrt(p) + 1) if p % q == 0]
+    for q in small + [p // q for q in reversed(small)]:
+        if all((r + q) % p in residues for r in residues):
             return q, {r % q for r in residues}
     return p, set(residues)  # q = p always works; unreachable fallback
 
@@ -329,7 +334,7 @@ class IntSet:
 
     @classmethod
     def empty(cls) -> "IntSet":
-        return cls(())
+        return _EMPTY
 
     @classmethod
     def of(cls, *points: int) -> "IntSet":
@@ -432,20 +437,35 @@ class IntSet:
             raise ValueError("empty IntSet")
         return min(map(_piece_near_zero, self.pieces), key=_zero_order)
 
-    # -- algebra
-
-    def _binary(self, other: "IntSet", op) -> "IntSet":
-        return _residue_algebra(op, self.pieces, other.pieces)
+    # -- algebra: when the operands decide the result (one empty, equal,
+    # an interval holding the other's hull, hulls apart) it is an operand
+    # or empty, as the normal form of what _residue_algebra would build.
 
     def union(self, *others: "IntSet") -> "IntSet":
-        """Union of all the operands: one normalisation of their pieces."""
-        return IntSet(pc for s in (self, *others) for pc in s.pieces)
+        """Union of all the operands: one normalisation of their pieces, after
+        empty and repeated operands are dropped; a lone survivor is the union."""
+        kept = list({s.pieces: s for s in (self, *others) if s.pieces}.values())
+        if len(kept) < 2:
+            return kept[0] if kept else _EMPTY
+        return IntSet(pc for s in kept for pc in s.pieces)
 
     def intersect(self, other: "IntSet") -> "IntSet":
-        return self._binary(other, _iv_intersect)
+        a, b = self.pieces, other.pieces
+        if not b or _holds(a, b):
+            return other
+        if not a or a == b or _holds(b, a):
+            return self
+        if _apart(a, b):
+            return _EMPTY
+        return _residue_algebra(_iv_intersect, a, b)
 
     def difference(self, other: "IntSet") -> "IntSet":
-        return self._binary(other, _iv_difference)
+        a, b = self.pieces, other.pieces
+        if not a or not b or _apart(a, b):
+            return self
+        if a == b or _holds(b, a):
+            return _EMPTY
+        return _residue_algebra(_iv_difference, a, b)
 
     __or__ = union
     __and__ = intersect
@@ -471,6 +491,27 @@ class IntSet:
 
     def __str__(self):
         return format_intset(self)
+
+
+def _hull(pieces: tuple[Piece, ...]) -> tuple:
+    """Least and greatest member of a non-empty normal form, or -inf and inf:
+    down rays come first, up rays last, and the finite runs between ascend."""
+    lo, hi = pieces[0].min, pieces[-1].max
+    return -inf if lo is None else lo, inf if hi is None else hi
+
+
+def _holds(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> bool:
+    """Whether a is an interval (Z or one stride-1 piece) holding b's hull."""
+    if not ((len(a) == 1 or a == _ALL) and a[0].stride == 1):
+        return False
+    (lo, hi), (blo, bhi) = _hull(a), _hull(b)
+    return lo <= blo and bhi <= hi
+
+
+def _apart(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> bool:
+    """Whether the hulls of two non-empty normal forms do not meet."""
+    (lo, hi), (blo, bhi) = _hull(a), _hull(b)
+    return hi < blo or bhi < lo
 
 
 def _zero_order(x: int) -> tuple[int, bool]:
@@ -611,6 +652,10 @@ def _rebuild_residue(r: int, p: int, ivs) -> list[Piece]:
     return out
 
 
+_EMPTY = IntSet()
+_ALL = IntSet.all_integers().pieces
+
+
 # ---------------------------------------------------------------------------
 # textual format
 
@@ -689,19 +734,12 @@ def format_intset(s: IntSet) -> str:
 
 
 def offset_sets(pairs: Iterable[tuple[IntSet, int]]) -> dict[int, IntSet]:
-    """The union of the domains of each offset, normalised once per offset.
-
-    Offsets with only empty domains are left out; a lone domain is kept
-    as it is, already in normal form.
-    """
+    """The union of the domains of each offset; offsets of only empty domains are left out."""
     by_offset: dict[int, list[IntSet]] = {}
     for dom, c in pairs:
         if not dom.is_empty():
             by_offset.setdefault(c, []).append(dom)
-    return {
-        c: doms[0] if len(doms) == 1 else IntSet(pc for d in doms for pc in d.pieces)
-        for c, doms in by_offset.items()
-    }
+    return {c: IntSet.empty().union(*doms) for c, doms in by_offset.items()}
 
 
 class PiecewiseTranslation:

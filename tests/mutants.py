@@ -1,0 +1,158 @@
+"""Recorded mutants of src/: each must make at least one of its named tests fail.
+
+    python tests/mutants.py
+
+For each entry of MUTANTS the runner copies src/ to a temporary
+directory, replaces the entry's old text, which must occur exactly once
+in its file, by the new text, and runs the named tests against that copy
+with pytest.  A mutant is killed when at least one of them fails.  An
+entry whose old text does not occur exactly once is stale.  The runner
+prints one line per entry and exits 1 when any mutant survives, is stale
+or cannot be run.
+
+pytest does not collect this file (its name does not start with test_).
+A change that reports a mutant it tried adds it here, with the tests
+that kill it, so a later refactor that makes those tests vacuous shows.
+It needs only the standard library and pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# seconds one entry's tests may run; a mutant that hangs them is killed
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    path: str  # under src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+    why: str  # what the mutant breaks
+
+
+CARRIERS = "qborel/carriers.py"
+FM = "qborel/feldman_moore.py"
+ORACLES = ("tests/test_finite_oracles.py::test_classical_construction_matches_per_point_walk",)
+HULL_TESTS = (
+    "tests/test_carriers.py::test_decided_pairs_skip_the_residue_algebra",
+    "tests/test_carriers.py::test_hull_rules_give_the_general_paths_pieces",
+)
+
+MUTANTS = [
+    # the hull rules of IntSet.intersect and IntSet.difference
+    Mutant(CARRIERS, "return hi < blo or bhi < lo", "return hi <= blo or bhi <= lo",
+           HULL_TESTS, "hulls that touch at one point taken as apart"),
+    Mutant(CARRIERS, "if not ((len(a) == 1 or a == _ALL) and a[0].stride == 1):",
+           "if not (len(a) == 1 or a == _ALL):",
+           HULL_TESTS, "one piece of stride above 1 taken as an interval"),
+    Mutant(CARRIERS, "        if a == b or _holds(b, a):\n            return _EMPTY\n",
+           "        if a == b:\n            return self\n        if _holds(b, a):\n"
+           "            return _EMPTY\n",
+           HULL_TESTS, "difference of equal operands returns the operand"),
+    # the overlap sweep
+    Mutant(CARRIERS, "return min(pairs, default=None)", "return next(iter(pairs), None)",
+           ("tests/test_int_oracles.py::test_ptmap_overlap_matches_the_pairwise_search",
+            "tests/test_int_oracles.py::test_block_relation_make_matches_the_pairwise_search"),
+           "first meeting pair found, not the least"),
+    Mutant(CARRIERS, "return lo + (x - lo) % (a.stride * m) <= hi",
+           "return lo + (x - lo) % (a.stride * m) < hi",
+           ("tests/test_carriers.py::test_union_requires_disjoint_domains",
+            "tests/test_int_oracles.py::test_meets_finds_exactly_the_meeting_pairs"),
+           "a common point at the end of the hull overlap missed"),
+    Mutant(CARRIERS, "    for memo in _MEMOS:\n        memo.cache_clear()",
+           "    for memo in _MEMOS[:-1]:\n        memo.cache_clear()",
+           ("tests/test_cli.py::test_each_run_starts_from_empty_memos",),
+           "_clear_memos skips the last memo"),
+    # the shared construction loop
+    Mutant(FM, "                if f_key not in seen:\n",
+           "                if True:\n",
+           ("tests/test_feldman_moore.py::test_construction_does_each_step_once",),
+           "no seen de-duplication of cover maps in _cover_each"),
+    Mutant(FM, "            free_tgt = free_tgt.difference(fresh.range_set())\n", "",
+           ("tests/test_int_oracles.py::test_greedy_extend_int_matches_the_recomputing_loop",),
+           "no free_tgt update in greedy_extend_int"),
+    # fm-classical
+    Mutant(FM, "if len(b) > max(m, nn)]", "if len(b) >= max(m, nn)]", ORACLES,
+           "class filter admits classes of max(m, n) points"),
+    Mutant(FM, "if len(b) > max(m, nn)]", "if len(b) > m]", ORACLES,
+           "class filter reads only m"),
+    Mutant(FM, "if not x >> p & 1 and y >> p & 1]", "if not x >> p & 1 and x >> p & 1]",
+           ORACLES, "bit test reads B[m] twice"),
+    Mutant(FM, "if not x >> p & 1 and y >> p & 1]", "if x >> p & 1 and not y >> p & 1]",
+           ORACLES, "bit roles of B[m] and B[n] exchanged"),
+    Mutant(FM, "moved = frozenset(map(frozenset, swaps))", "moved = frozenset(swaps)",
+           ORACLES, "generators deduped on ordered pairs"),
+    Mutant(FM, "if moved and moved not in seen:", "if moved not in seen:", ORACLES,
+           "the identity table kept as a generator"),
+    Mutant(FM, "if moved and moved not in seen:", "if moved:", ORACLES,
+           "generators not deduped"),
+    # certificates and the command line
+    Mutant("qborel/cli/certificates.py",
+           "min(set(block).symmetric_difference(other))",
+           "max(set(block).symmetric_difference(other))",
+           ("tests/test_certificates.py::test_partition_witness_is_the_first_disagreeing_pair",),
+           "partition witness is not the least point"),
+    Mutant("qborel/record.py", 'f"{f}={getattr(self, f)!r}"', 'f"{f}: {getattr(self, f)!r}"',
+           ("tests/test_cli.py::test_enumeration_report_repr_in_stdout_is_pinned",
+            "tests/test_cli.py::test_enumeration_laws_witness_bytes_are_pinned"),
+           "Record.__repr__ writes field: value"),
+    Mutant("qborel/cli/main.py", '"fm-classical": ("input", "out", "rel"),',
+           '"fm-classical": ("input", "out"),',
+           ("tests/test_cli.py::test_flags_of_lists_the_flags_each_command_reads",),
+           "rel dropped from fm-classical's flags"),
+    Mutant("qborel/cli/main.py", '"tail": ("input", "out", "map_"),',
+           '"tail": ("input", "out", "map_", "phi"),',
+           ("tests/test_cli.py::test_flags_of_lists_the_flags_each_command_reads",),
+           "phi added to tail's flags"),
+]
+
+
+def judge(mutant: Mutant) -> str:
+    """'killed', 'survived', 'stale' or 'error: ...' for one mutant of src/."""
+    text = (SRC / mutant.path).read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return "stale"
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / mutant.path).write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
+        # run from the temporary directory, so Hypothesis keeps the failing
+        # examples it finds there and not in the repository's database
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                "--rootdir", str(ROOT), *(str(ROOT / t) for t in mutant.tests)]
+        try:
+            done = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"
+    if done.returncode in (0, 1):
+        return ("survived", "killed")[done.returncode]
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exit {done.returncode}: {' '.join(tail)}"
+
+
+def run(mutants, out=None) -> int:
+    """Judge each mutant, print one line each; 0 when every one is killed."""
+    out = out or sys.stdout
+    bad = 0
+    for i, mutant in enumerate(mutants, 1):
+        verdict = judge(mutant)
+        bad += verdict != "killed"
+        print(f"{verdict}: #{i} {mutant.path}: {mutant.why}", file=out, flush=True)
+    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed", file=out)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(MUTANTS))

@@ -17,11 +17,16 @@ from qborel.carriers import (
     Piece,
     PiecewiseTranslation,
     _clear_memos,
+    _hull,
     _iv_complement,
+    _iv_difference,
+    _iv_intersect,
     _iv_norm,
+    _min_shift_period,
     _negate_piece,
     _piece_near_zero,
     _piece_translates_union,
+    _residue_algebra,
     format_intset,
     format_ptmap,
     offset_sets,
@@ -172,9 +177,13 @@ def test_far_point_pairs_against_pointwise_oracle(ra, rb):
         assert {x for x in probes if x in s} == {x for x in probes if has(x)}
 
 
+def _iv_union(x, y):
+    return _iv_norm(list(x) + list(y))
+
+
 def per_residue_union(a, b):
     """The former IntSet.union: merge both operands residue by residue."""
-    return a._binary(b, lambda x, y: _iv_norm(list(x) + list(y)))
+    return _residue_algebra(_iv_union, a.pieces, b.pieces)
 
 
 def union_operands(far):
@@ -267,6 +276,102 @@ def test_memoised_algebra_equals_a_cold_memo(ra, rb, c):
         _clear_memos()
         cold.append(op().pieces)
     assert warm == cold
+
+
+def hull_interval(s, pad):
+    """The interval from pad below s's least member to pad above its greatest."""
+    lo, hi = s.min(), s.max()
+    if lo is None:
+        return IntSet.all_integers() if hi is None else IntSet.ray_down(hi + pad)
+    return IntSet.ray_up(lo - pad) if hi is None else IntSet.segment(lo - pad, hi + pad)
+
+
+def beside(a, b, gap):
+    """b translated so that its hull starts gap after a's ends (or ends before
+    a's starts), or None when the hulls are unbounded on the sides that face."""
+    if a.max() is not None and b.min() is not None:
+        return b.translate(a.max() + gap - b.min())
+    if a.min() is not None and b.max() is not None:
+        return b.translate(a.min() - gap - b.max())
+    return None
+
+
+@st.composite
+def rule_pairs(draw):
+    """Operand pairs that reach each hull rule of intersect and difference,
+    and pairs just outside one: hulls touching, adjacent rays."""
+    # mapped, not filtered: empty draws become a point
+    nonempty = st.builds(lambda s, x: IntSet.of(x) if s.is_empty() else s,
+                         intsets, st.integers(-20, 20))
+    a = draw(nonempty)
+    kind = draw(st.sampled_from(
+        ["equal", "empty", "all", "hull", "apart", "touch", "rays", "other"]))
+    if kind == "equal":
+        b = a
+    elif kind == "empty":
+        b = IntSet.empty()
+    elif kind == "all":
+        b = IntSet.all_integers()
+    elif kind == "hull":
+        b = hull_interval(a, draw(st.integers(0, 3)))
+        if draw(st.booleans()):  # an interval of the hull that misses an end
+            b = b.difference(IntSet.of(draw(st.sampled_from([a.min(), a.max()])) or 0))
+    elif kind in ("apart", "touch"):
+        b = beside(a, draw(nonempty), draw(st.integers(1, 3)) if kind == "apart" else 0)
+        b = draw(intsets) if b is None else b
+    elif kind == "rays":
+        k = draw(st.integers(-20, 20))
+        a = IntSet.ray_down(k, draw(st.integers(1, 3)))
+        b = IntSet.ray_up(k + draw(st.integers(0, 1)), draw(st.integers(1, 3)))
+    else:
+        b = draw(intsets)
+    if draw(st.booleans()):
+        a, b = b, a
+    t = draw(st.sampled_from([0, 10**12, -(10**12)]))
+    return a.translate(t), b.translate(t)
+
+
+@settings(max_examples=400)
+@given(rule_pairs())
+def test_hull_rules_give_the_general_paths_pieces(pair):
+    a, b = pair
+    for got, op in ((a.intersect(b), _iv_intersect), (a.difference(b), _iv_difference)):
+        assert got.pieces == _residue_algebra(op, a.pieces, b.pieces).pieces
+    union = IntSet(a.pieces + b.pieces + a.pieces).pieces
+    assert a.union(b, a).pieces == union
+    assert IntSet.empty().union(b, IntSet.empty(), a).pieces == union
+
+
+def test_decided_pairs_skip_the_residue_algebra():
+    a = parse_intset("1; 5:+3*5; 40:+4*inf")
+    far = IntSet.ray_down(-HUGE)
+    _clear_memos()
+    misses = _residue_algebra.cache_info().misses
+    assert a.intersect(a) is a and a.union(a, IntSet.empty()) is a
+    assert a.difference(a).is_empty()
+    assert a.difference(IntSet.all_integers()).is_empty()
+    assert a.intersect(IntSet.ray_up(0)) is a
+    assert IntSet.ray_up(0).intersect(a) is a
+    assert a.intersect(far).is_empty() and a.difference(far) is a
+    assert _residue_algebra.cache_info().misses == misses
+    assert IntSet.empty() is IntSet.empty()
+
+
+@given(st.integers(1, 60).flatmap(
+    lambda p: st.tuples(st.just(p), st.sets(st.integers(0, p - 1)))))
+def test_min_shift_period_is_the_least_period(case):
+    p, residues = case
+    least = next(q for q in range(1, p + 1)
+                 if p % q == 0 and all((r + q) % p in residues for r in residues))
+    assert _min_shift_period(residues, p) == (least, {r % least for r in residues})
+
+
+def test_rays_of_large_coprime_strides_normalise_in_time():
+    # the modulus is 10007 * 10009; only its divisors can be periods
+    start = time.perf_counter()
+    s = parse_intset("0:+10007*inf; 1:+10009*inf")
+    assert time.perf_counter() - start < 1.0
+    assert len(s.pieces) == 20015 and 10007 * 5 in s and 10009 * 3 + 1 in s
 
 
 def test_parse_reorders_and_merges():
@@ -452,6 +557,9 @@ def test_min_max_closest(s):
         with pytest.raises(ValueError):
             s.max()
         return
+    # the hull the algebra reads from the first and last pieces alone
+    lo, hi = s.min(), s.max()
+    assert _hull(s.pieces) == (-math.inf if lo is None else lo, math.inf if hi is None else hi)
     if s.min() is not None and abs(s.min()) < 500:
         assert s.min() == min(w)
     if s.max() is not None and abs(s.max()) < 500:

@@ -1066,6 +1066,23 @@ def test_blocks_of_coprime_strides_with_a_ray_stay_cheap(tmp_path, ray, maps, co
         assert json.loads(out.stdout)["error"]["kind"] == "NotWithinRelation"
 
 
+def test_index_of_one_block_of_coprime_strides_is_quick(tmp_path):
+    # the block's modulus is 30011 * 30013, about 9e8: neither its test
+    # against Z nor its minimal periods may scan the residues up to it
+    inst = tmp_path / "coprime.qb"
+    inst.write_text(
+        "space Z carrier = int\nrel F on Z blocks = { {0:+30011*inf; 1:+30013*inf} }\n",
+        encoding="utf-8",
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(qborel.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qborel", "index", "--input", str(inst)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert out.returncode == 0, out.stderr
+    assert 'index = "unbounded"' in out.stdout
+
+
 def test_tail_of_a_map_between_two_spaces_is_usage_error(tmp_path, capsys):
     inst = tmp_path / "two_spaces.qb"
     inst.write_text(
