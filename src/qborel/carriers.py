@@ -418,18 +418,12 @@ class IntSet:
         """Least element, None when unbounded below; raises on empty."""
         if not self.pieces:
             raise ValueError("empty IntSet")
-        mins = [pc.min for pc in self.pieces]
-        if any(m is None for m in mins):
-            return None
-        return min(mins)
+        return self.pieces[0].min  # down rays come first, finite runs ascend
 
     def max(self) -> int | None:
         if not self.pieces:
             raise ValueError("empty IntSet")
-        maxs = [pc.max for pc in self.pieces]
-        if any(m is None for m in maxs):
-            return None
-        return max(maxs)
+        return self.pieces[-1].max  # up rays come last, finite runs ascend
 
     def closest_to_zero(self) -> int:
         """Element of least absolute value, ties to the nonnegative one."""

@@ -669,7 +669,7 @@ def _chk_int_least_index(data):
     from ..feldman_moore import weak_uniformize_int
 
     maps = [parse_ptmap(t) for t in data["maps"]]
-    got = weak_uniformize_int(maps, maps).phi
+    got = weak_uniformize_int(maps).phi
     ok = got == parse_ptmap(data["phi"])
     return ok, None if ok else str(got)
 

@@ -383,15 +383,14 @@ def cmd_uniformize(args, inst) -> Certificate:
     decl = _pick(inst, inst.rels, args.rel, "rel", "relation") if args.rel or inst.rels else None
     if decl is not None and decl.kind == "graphs":
         enum = decl.value
-        pairs = enum.pairs()
-        uni = weak_uniformize(pairs, enum.graph_dicts())
+        uni = weak_uniformize(enum.graph_dicts())
         return Certificate("uniformize").certify(
             {"selection": _graph_pairs(uni.phi), "indices": sorted(uni.index_of.items())},
-            {**_enumeration(enum), "pairs": sorted(pairs)}, "graphs",
+            {**_enumeration(enum), "pairs": sorted(enum.pairs())}, "graphs",
         )
     decls = _map_list(args, inst, "int", "uniformize without a graphs relation needs ptmaps")
     maps = [d.table for d in decls]
-    uni = weak_uniformize_int(maps, maps)
+    uni = weak_uniformize_int(maps)
     texts = [format_ptmap(f) for f in maps]
     dom = IntSet.empty().union(*(f.domain() for f in maps))
     return Certificate("uniformize").certify({

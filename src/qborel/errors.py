@@ -71,10 +71,6 @@ class InvalidCertificate(QBorelError):
     """Certificate text is not a JSON object with a list of checks."""
 
 
-class NotCovered(QBorelError):
-    """A relation is not contained in the union of the given graphs."""
-
-
 class NotFree(QBorelError):
     """A group action has a nontrivial stabilizer; witness is (element, point)."""
 

@@ -17,12 +17,11 @@ extrapolated blindly.
 
 from __future__ import annotations
 
-from .carriers import IntSet, PiecewiseTranslation, format_intset, offset_sets
+from .carriers import IntSet, PiecewiseTranslation, format_intset
 from .errors import (
     BadParameters,
     NoAcceleration,
     NotAnEnumeration,
-    NotCovered,
     NotInjective,
     NotMaximal,
     NotWithinRelation,
@@ -746,28 +745,23 @@ def orbit_window_witness(
 
 
 class Uniformization(Record):
-    """Least-index selection from a covered relation."""
+    """Least-index selection from the union of a family of graphs."""
 
     def __init__(self, phi: dict[int, int], index_of: dict[int, int]):
         # index_of: point -> chosen graph index
         self._set(phi, index_of)
 
 
-def weak_uniformize(rel_pairs, fns: list[dict[int, int]]) -> Uniformization:
-    """Select, for each source, the first graph whose pair lies in R."""
-    rel = frozenset((int(a), int(b)) for a, b in rel_pairs)
-    for a, b in sorted(rel):
-        if not any(f.get(a) == b for f in fns):
-            raise NotCovered(f"pair ({a}, {b}) not on any graph", witness=(a, b))
+def weak_uniformize(fns: list[dict[int, int]]) -> Uniformization:
+    """Each graph, in order, takes the points of its domain no earlier graph
+    took: the least-index selection from the relation the graphs make up."""
     phi = {}
     index_of = {}
-    for a in {a for a, _ in rel}:
-        for i, f in enumerate(fns):
-            y = f.get(a)
-            if y is not None and (a, y) in rel:
-                phi[a] = y
-                index_of[a] = i
-                break
+    for i, f in enumerate(fns):
+        for x, y in f.items():
+            if x not in phi:
+                phi[x] = y
+                index_of[x] = i
     return Uniformization(phi, index_of)
 
 
@@ -777,26 +771,15 @@ class UniformizationInt(Record):
         self._set(phi, levels)
 
 
-def weak_uniformize_int(
-    rel_graphs: list[PiecewiseTranslation], fns: list[PiecewiseTranslation]
-) -> UniformizationInt:
-    """Integer-lane least-index selection, exact via per-offset sets."""
-    rel_offsets = offset_sets(pc for r in rel_graphs for pc in r.pieces)
-    fn_offsets = offset_sets(pc for f in fns for pc in f.pieces)
-    for c, d in sorted(rel_offsets.items()):
-        left = d.difference(fn_offsets.get(c, IntSet.empty()))
-        if not left.is_empty():
-            x = left.closest_to_zero()
-            raise NotCovered(f"pair ({x}, {x + c}) not on any graph", witness=(x, x + c))
+def weak_uniformize_int(fns: list[PiecewiseTranslation]) -> UniformizationInt:
+    """The least-index selection of weak_uniformize, with IntSets of points."""
     taken = IntSet.empty()
     levels = []
     pieces = []
     for f in fns:
-        hit = IntSet.empty().union(
-            *(d.intersect(rel_offsets.get(c, IntSet.empty())) for d, c in f.pieces)
-        )
-        fresh = hit.difference(taken)
+        fresh = f.domain().difference(taken)
         levels.append(fresh)
         pieces.extend((d.intersect(fresh), c) for d, c in f.pieces)
         taken = taken.union(fresh)
-    return UniformizationInt(PiecewiseTranslation(pieces), levels)
+    # each graph's part lies in its fresh points, which no other part holds
+    return UniformizationInt(PiecewiseTranslation._disjoint(pieces), levels)

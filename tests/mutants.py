@@ -69,10 +69,17 @@ MUTANTS = [
            ("tests/test_carriers.py::test_union_requires_disjoint_domains",
             "tests/test_int_oracles.py::test_meets_finds_exactly_the_meeting_pairs"),
            "a common point at the end of the hull overlap missed"),
+    Mutant(CARRIERS, "while heap and heap[0][0] < lo:", "while heap and heap[0][0] <= lo:",
+           ("tests/test_int_oracles.py::test_meets_finds_exactly_the_meeting_pairs",),
+           "an open piece ending where the next one starts expired early"),
     Mutant(CARRIERS, "    for memo in _MEMOS:\n        memo.cache_clear()",
            "    for memo in _MEMOS[:-1]:\n        memo.cache_clear()",
            ("tests/test_cli.py::test_each_run_starts_from_empty_memos",),
            "_clear_memos skips the last memo"),
+    Mutant("qborel/relations.py",
+           "            meeting[j].add(i)\n", "            meeting[j] = {i}\n",
+           ("tests/test_int_oracles.py::test_graph_within_witness_reads_every_block_it_needs",),
+           "one meeting block per piece in graph_within_witness"),
     # the shared construction loop
     Mutant(FM, "                if f_key not in seen:\n",
            "                if True:\n",
@@ -81,6 +88,19 @@ MUTANTS = [
     Mutant(FM, "            free_tgt = free_tgt.difference(fresh.range_set())\n", "",
            ("tests/test_int_oracles.py::test_greedy_extend_int_matches_the_recomputing_loop",),
            "no free_tgt update in greedy_extend_int"),
+    Mutant(FM, "queue = [PiecewiseTranslation.identity(ambient)] + list(psis)",
+           "queue = ([PiecewiseTranslation.identity(ambient)] + list(psis))[::-1]",
+           ("tests/test_int_oracles.py::test_greedy_extend_int_matches_the_recomputing_loop",),
+           "greedy_extend_int's queue reversed"),
+    # weak uniformization
+    Mutant(FM, "        fresh = f.domain().difference(taken)\n", "        fresh = f.domain()\n",
+           ("tests/test_int_oracles.py::"
+            "test_weak_uniformize_int_is_the_least_index_selection_from_the_union",),
+           "weak_uniformize_int gives each graph points an earlier graph took"),
+    Mutant(FM, "            if x not in phi:\n", "            if True:\n",
+           ("tests/test_finite_oracles.py::"
+            "test_weak_uniformize_is_the_least_index_selection_from_the_union",),
+           "weak_uniformize lets a later graph overwrite an earlier choice"),
     # fm-classical
     Mutant(FM, "if len(b) > max(m, nn)]", "if len(b) >= max(m, nn)]", ORACLES,
            "class filter admits classes of max(m, n) points"),

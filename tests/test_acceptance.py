@@ -259,7 +259,7 @@ def test_criterion_06_uniformization():
         p = random_partition(rng, n)
         fns = [{a: b} for a, b in sorted(p.pairs())]
         rng.shuffle(fns)
-        u = weak_uniformize(p.pairs(), fns)
+        u = weak_uniformize(fns)
         dom = {a for a, _ in p.pairs()}
         assert set(u.phi) == dom  # dom = dom R
         for x, y in u.phi.items():

@@ -557,8 +557,12 @@ def test_min_max_closest(s):
         with pytest.raises(ValueError):
             s.max()
         return
-    # the hull the algebra reads from the first and last pieces alone
     lo, hi = s.min(), s.max()
+    # against a scan of every piece: None when some piece is a ray that way
+    mins, maxs = [pc.min for pc in s.pieces], [pc.max for pc in s.pieces]
+    assert lo == (None if None in mins else min(mins))
+    assert hi == (None if None in maxs else max(maxs))
+    # the hull the algebra reads from the first and last pieces alone
     assert _hull(s.pieces) == (-math.inf if lo is None else lo, math.inf if hi is None else hi)
     if s.min() is not None and abs(s.min()) < 500:
         assert s.min() == min(w)

@@ -20,7 +20,7 @@ from hypothesis import example, given, strategies as st
 
 from qborel.cantor import example_gallery
 from qborel.carriers import IntSet, PiecewiseTranslation as PT, format_intset
-from qborel.errors import BadParameters, NoAcceleration, NotCovered, NotInjective, NotMaximal
+from qborel.errors import BadParameters, NoAcceleration, NotInjective, NotMaximal
 from qborel.feldman_moore import (
     SideLevels,
     _compatible_region,
@@ -314,7 +314,7 @@ def test_quotient_construction_rejects_broken_enumeration():
 def test_weak_uniformize_least_index(p):
     e = enumeration_of(p)
     fns = e.graph_dicts()
-    u = weak_uniformize(p.pairs(), fns)
+    u = weak_uniformize(fns)
     dom = {a for a, _ in p.pairs()}
     assert set(u.phi) == dom
     for x, y in u.phi.items():
@@ -329,11 +329,6 @@ def test_weak_uniformize_least_index(p):
         for j in range(i):
             v = fns[j].get(x)
             assert v is None or not p.same(x, v) or (x, v) not in p.pairs()
-
-
-def test_weak_uniformize_uncovered():
-    with pytest.raises(NotCovered):
-        weak_uniformize([(0, 1)], [{0: 0}])
 
 
 # -- integer lane ----------------------------------------------------------------------
@@ -604,9 +599,7 @@ def test_construction_does_each_step_once(lane, monkeypatch):
 
 def test_weak_uniformize_int():
     fam = [PT.translation(AMB, 1), PT.identity(AMB)]
-    u = weak_uniformize_int(fam, fam)
+    u = weak_uniformize_int(fam)
     # least index is the +1 graph everywhere
     assert u.phi == PT.translation(AMB, 1)
     assert str(u.levels[0]) == str(AMB)
-    with pytest.raises(NotCovered):
-        weak_uniformize_int(fam, [PT.identity(AMB)])

@@ -4,9 +4,11 @@ Each reference below is the direct form of a finite-lane step: a sorted
 scan of every pair for greedy extension, union-find for the partition of
 a pair list, one comprehension per (a, b) for the psi split, a subset
 test per related pair for the enumeration laws, a per-point walk through
-the enumeration graphs for the classical involutions, and an ordered
-search for each witness.  The library must give the same results, raise the same
-errors with the same witnesses, and build its dicts in the same order,
+the enumeration graphs for the classical involutions, a search of the
+graphs for the first one through each related pair for the weak
+uniformization, and an ordered search for each witness.  The library
+must give the same results, raise the same errors with the same
+witnesses, and build its dicts in the same order,
 on random partial maps that need not be injective, need not stay in
 range and need not form an enumeration.
 """
@@ -31,6 +33,7 @@ from qborel.feldman_moore import (
     lusin_novikov_decompose,
     maximality_witness,
     psi_split,
+    weak_uniformize,
 )
 from qborel.quotient import Partition
 from qborel.relations import CheckOutcome, EnumReport, union_pairs, verify_enumeration
@@ -217,6 +220,23 @@ def ref_involution_family_within(data):
             if not (0 <= x < rel.n and 0 <= y < rel.n and rel.same(x, y)):
                 return False, {"map": i, "pair": (x, y), "law": "within"}
     return True, None
+
+
+def ref_weak_uniformize(rel_pairs, fns):
+    rel = frozenset((int(a), int(b)) for a, b in rel_pairs)
+    for a, b in sorted(rel):
+        if not any(f.get(a) == b for f in fns):
+            raise AssertionError(f"pair ({a}, {b}) not on any graph")
+    phi = {}
+    index_of = {}
+    for a in {a for a, _ in rel}:
+        for i, f in enumerate(fns):
+            y = f.get(a)
+            if y is not None and (a, y) in rel:
+                phi[a] = y
+                index_of[a] = i
+                break
+    return phi, index_of
 
 
 def outcome(fn, *args):
@@ -517,3 +537,22 @@ def test_verify_enumeration_examples(n, graphs):
     same_outcome(
         outcome(verify_enumeration, graphs, n), outcome(ref_verify_enumeration, graphs, n)
     )
+
+
+@st.composite
+def graph_families(draw):
+    """Partial maps whose domains overlap, with empty maps and repeated maps."""
+    n = draw(sizes)
+    fns = draw(st.lists(partial_maps(n) | st.just({}), max_size=5))
+    if fns:
+        fns += draw(st.lists(st.sampled_from(fns), max_size=2))
+    return draw(st.permutations(fns))
+
+
+@given(graph_families())
+@example([{0: 1, 1: 2}, {}, {0: 0, 2: 2}, {0: 1, 1: 2}])
+def test_weak_uniformize_is_the_least_index_selection_from_the_union(fns):
+    u = weak_uniformize(fns)
+    # dicts compared without their order: the reference walks a set, and
+    # the certificate stores both sorted
+    assert (u.phi, u.index_of) == ref_weak_uniformize(union_pairs(fns), fns)

@@ -3,11 +3,12 @@
 Each reference below is the direct form of an integer-lane check: every
 pair of domains, of parts, of images or of blocks intersected in turn,
 every block read for every piece of a map, every window point probed
-through `PiecewiseTranslation.get`, and a greedy extension that recomputes
-its free points from the whole map at each step.  The library must give
-the same results, raise the same errors with the same messages and
-witnesses, on random sets with strides 1-6 and gaps up to 10^3,
-overlapping or not.
+through `PiecewiseTranslation.get`, a greedy extension that recomputes
+its free points from the whole map at each step, and a weak
+uniformization that reads each graph's points off the relation's
+per-offset sets.  The library must give the same results, raise the
+same errors with the same messages and witnesses, on random sets with
+strides 1-6 and gaps up to 10^3, overlapping or not.
 """
 
 from hypothesis import example, given, strategies as st
@@ -18,6 +19,7 @@ from qborel.carriers import (
     PiecewiseTranslation,
     _meets,
     _zero_order,
+    offset_sets,
     parse_ptmap,
 )
 from qborel.errors import InvalidPartition, NotInjective, NotWithinRelation, clip
@@ -27,6 +29,7 @@ from qborel.feldman_moore import (
     levels_int,
     orbit_window_witness,
     psi_split_int,
+    weak_uniformize_int,
 )
 from qborel.relations import IntBlockRelation
 
@@ -150,6 +153,28 @@ def ref_greedy_extend_int(g0, psis, ambient, rel=None):
     return g
 
 
+def ref_weak_uniformize_int(rel_graphs, fns):
+    rel_offsets = offset_sets(pc for r in rel_graphs for pc in r.pieces)
+    fn_offsets = offset_sets(pc for f in fns for pc in f.pieces)
+    for c, d in sorted(rel_offsets.items()):
+        left = d.difference(fn_offsets.get(c, IntSet.empty()))
+        if not left.is_empty():
+            x = left.closest_to_zero()
+            raise AssertionError(f"pair ({x}, {x + c}) not on any graph")
+    taken = IntSet.empty()
+    levels = []
+    pieces = []
+    for f in fns:
+        hit = IntSet.empty().union(
+            *(d.intersect(rel_offsets.get(c, IntSet.empty())) for d, c in f.pieces)
+        )
+        fresh = hit.difference(taken)
+        levels.append(fresh)
+        pieces.extend((d.intersect(fresh), c) for d, c in f.pieces)
+        taken = taken.union(fresh)
+    return PiecewiseTranslation(pieces), levels
+
+
 def outcome(fn, *args):
     """The result of a call, or its error's type, message and witness."""
     try:
@@ -213,6 +238,7 @@ def relations_and_moves(draw):
 
 
 @given(st.lists(sets, max_size=4), st.lists(sets, max_size=4))
+@example([IntSet.segment(0, 5)], [IntSet.segment(5, 9)])  # the spans share only 5
 def test_meets_finds_exactly_the_meeting_pairs(family, probes):
     want = {
         (i, j)
@@ -275,6 +301,10 @@ def test_block_relation_make_matches_the_pairwise_search(blocks, ambient):
 
 
 @given(relations_and_moves())
+@example((  # one piece of the move meets both blocks
+    IntBlockRelation.make([IntSet.segment(0, 4), IntSet.segment(10, 14)]),
+    [parse_ptmap("0..3; 10..13 -> +1")],
+))
 def test_graph_within_witness_reads_every_block_it_needs(rel_moves):
     rel, maps = rel_moves
     for f in maps:
@@ -322,6 +352,10 @@ UNIT_STEPS = psi_split_int(
 @given(greedy_cases(), st.booleans())
 @example((parse_ptmap("0.. -> +1"), UNIT_STEPS, IntSet.all_integers(), ONE_BLOCK), True)
 @example((parse_ptmap("0.. -> +1"), UNIT_STEPS, IntSet.ray_up(-5), ONE_BLOCK), False)
+# the identity pass takes 2 -> 2, so 1 -> 2 finds its target used
+@example(
+    (parse_ptmap("0 -> +1"), [parse_ptmap("1 -> +1")], IntSet.segment(0, 2), ONE_BLOCK), False
+)
 def test_greedy_extend_int_matches_the_recomputing_loop(case, with_rel):
     g0, psis, ambient, rel = case
     args = (g0, psis, ambient, rel if with_rel else None)
@@ -330,3 +364,25 @@ def test_greedy_extend_int_matches_the_recomputing_loop(case, with_rel):
         assert got[1].pieces == want[1].pieces
     else:
         assert got == want
+
+
+@st.composite
+def map_families(draw):
+    """Maps whose domains overlap, with empty maps and repeated maps, all
+    moved by the same shift: none, or 10^12 either way."""
+    fns = draw(st.lists(ptmaps(max_parts=3) | st.just(PiecewiseTranslation.empty()), max_size=4))
+    if fns:
+        fns += draw(st.lists(st.sampled_from(fns), max_size=2))
+    t = draw(st.sampled_from([0, 10**12, -(10**12)]))
+    return [PiecewiseTranslation([(d.translate(t), c) for d, c in f.pieces])
+            for f in draw(st.permutations(fns))]
+
+
+@given(map_families())
+@example([parse_ptmap("0.. -> +1 | ..-5 -> +2"), parse_ptmap("..5 -> -1"),
+          parse_ptmap("3:+2*inf -> +0 | -7 -> +0")])
+def test_weak_uniformize_int_is_the_least_index_selection_from_the_union(fns):
+    u = weak_uniformize_int(fns)
+    phi, levels = ref_weak_uniformize_int(fns, fns)
+    assert u.phi.pieces == phi.pieces
+    assert u.levels == levels
