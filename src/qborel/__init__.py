@@ -23,14 +23,15 @@ _EXPORTS = {
     "cantor": "EventuallyPeriodicWord GalleryInstance TruncatedModel canonicalize "
     "e0_equivalent et_equivalent example_gallery letter_action make_restricted_model "
     "make_truncated_model",
-    "carriers": "IntSet PiecewiseTranslation format_intset format_ptmap parse_intset parse_ptmap",
+    "carriers": "IntBlockRelation IntSet PiecewiseTranslation format_intset format_ptmap "
+    "parse_intset parse_ptmap",
     "errors": "QBorelError",
     "feldman_moore": "classical_construction cover_finite cover_int greedy_extend "
     "greedy_extend_int levels_finite levels_int lusin_novikov_decompose psi_split "
     "psi_split_int quotient_construction quotient_construction_int weak_uniformize "
     "weak_uniformize_int",
     "quotient": "Partition",
-    "relations": "EnumeratedEquivalence IntBlockRelation chain_witness generate_equivalence "
+    "relations": "EnumeratedEquivalence chain_witness generate_equivalence "
     "index2_involution index_over min_selector selector_to_transversal tail_equivalence "
     "verify_enumeration",
 }

@@ -23,7 +23,7 @@ from .actions import (
     orbit_equivalence,
     verify_cocycle,
 )
-from .carriers import IntSet, PiecewiseTranslation
+from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation
 from .errors import AlphabetMismatch, BadParameters, NotASelector, UnknownExample
 from .feldman_moore import (
     cover_int,
@@ -35,7 +35,6 @@ from .feldman_moore import (
 from .quotient import Partition
 from .record import Frozen, Record
 from .relations import (
-    IntBlockRelation,
     generate_equivalence,
     index2_involution,
     index_over,

@@ -30,6 +30,10 @@ A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are
 closed under restriction, composition, disjoint union and (for injective
 maps) inversion, which is what the partial-injection calculus needs.
+
+An IntBlockRelation is an equivalence relation on Z with finitely many
+non-singleton classes: a list of disjoint blocks, all other points
+singleton.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from heapq import heappop, heappush
 from math import gcd, inf, isqrt, lcm
 from typing import Iterable, Iterator
 
-from .errors import NotInjective, clip, quote
+from .errors import InvalidPartition, NotInjective, clip, quote
+from .record import Frozen
 
 # entries kept by each memo
 MEMO_SIZE = 4096
@@ -943,3 +948,62 @@ def format_ptmap(f: PiecewiseTranslation) -> str:
     return " | ".join(
         f"{format_intset(d)} -> {c:+d}" for d, c in f.pieces
     )
+
+
+class IntBlockRelation(Frozen):
+    """Equivalence on the integers: disjoint blocks, all else singleton."""
+
+    def __init__(self, blocks: tuple[IntSet, ...], ambient: IntSet = IntSet.all_integers()):
+        self._set(blocks, ambient)
+
+    @classmethod
+    def make(cls, blocks, ambient: IntSet | None = None) -> "IntBlockRelation":
+        amb = ambient if ambient is not None else IntSet.all_integers()
+        bs = [b for b in blocks if not b.is_empty()]
+        hit = _first_overlap(bs)
+        for i in range(len(bs)):
+            if not bs[i].is_subset(amb):
+                raise InvalidPartition(f"block {i} leaves the ambient set")
+            if hit is not None and hit[0] == i:
+                raise InvalidPartition(
+                    f"blocks {i} and {hit[1]} overlap",
+                    witness=bs[i].intersect(bs[hit[1]]).closest_to_zero(),
+                )
+        bs.sort(key=lambda b: _zero_order(b.closest_to_zero()))
+        return cls(tuple(bs), amb)
+
+    @classmethod
+    def parse(cls, blocks, ambient: str) -> "IntBlockRelation":
+        """make() of the sets named by the texts of the blocks and the ambient set."""
+        sets = [parse_intset(b) for b in blocks]
+        return cls.make(sets, parse_intset(ambient))
+
+    def index(self) -> int | float:
+        """Largest class size; math.inf when some class is infinite."""
+        return max((b.size() for b in self.blocks), default=1)
+
+    def graph_within_witness(self, f: PiecewiseTranslation):
+        """None if graph(f) stays inside the relation, else an escaping pair.
+
+        A pair (x, x+c) with c != 0 lies inside exactly when x and x+c
+        share a block, so the offset-c domain must sit in the union of
+        the sets B meet (B - c).
+        """
+        meeting: list[set[int]] = [set() for _ in f.pieces]
+        for i, j in _meets(self.blocks, [d for d, _ in f.pieces]):
+            meeting[j].add(i)
+        for (d, c), near in zip(f.pieces, meeting):
+            if c == 0:
+                stray = d.difference(self.ambient)
+                if not stray.is_empty():
+                    x = stray.closest_to_zero()
+                    return (x, x)
+                continue
+            allowed = IntSet.empty().union(
+                *(self.blocks[i].intersect(self.blocks[i].translate(-c)) for i in near)
+            )
+            stray = d.difference(allowed)
+            if not stray.is_empty():
+                x = stray.closest_to_zero()
+                return (x, x + c)
+        return None

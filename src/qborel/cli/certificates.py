@@ -18,13 +18,12 @@ from itertools import count
 from typing import TYPE_CHECKING
 
 from .. import __version__ as VERSION
-from ..carriers import format_intset, parse_intset, parse_ptmap
 from ..errors import InvalidCertificate, NotAnEnumeration, QBorelError
 from ..quotient import Partition
 from ..record import Record
 from ..relations import (
-    IntBlockRelation,
     generate_equivalence,
+    graph_within_partition,
     selector_to_transversal,
     tail_equivalence,
     verify_enumeration,
@@ -165,6 +164,9 @@ LEGACY = {"cover": {"finite-8": [
 ]}}
 
 CHECKERS: dict[str, object] = {}
+# the kinds of the integer lanes: their checkers read the integer carrier,
+# so they live in int_checks, which run_check imports when it first meets one
+INT_KINDS = frozenset(row[1] for lanes in SPEC.values() for row in lanes.get("int", ()))
 
 
 def checker(kind: str):
@@ -176,7 +178,9 @@ def checker(kind: str):
 
 def run_check(kind: str, data: dict) -> tuple[bool, object]:
     if kind not in CHECKERS:
-        raise ValueError(f"no checker registered for kind {kind!r}")
+        if kind not in INT_KINDS:
+            raise ValueError(f"no checker registered for kind {kind!r}")
+        from . import int_checks  # registers the checker of every kind in INT_KINDS
     ok, witness = CHECKERS[kind](data)
     return bool(ok), witness
 
@@ -464,12 +468,6 @@ def _blocks_partition(n: int, blocks) -> Partition:
     return Partition.from_blocks(n, [[int(x) for x in b] for b in blocks])
 
 
-def _int_relation(data) -> IntBlockRelation:
-    return IntBlockRelation.make(
-        [parse_intset(b) for b in data["blocks"]], ambient=parse_intset(data["ambient"])
-    )
-
-
 @checker("value_equal")
 def _chk_value_equal(data):
     ok = data["left"] == data["right"]
@@ -520,8 +518,6 @@ def _chk_finite_involution(data):
 
 @checker("finite_graph_in_partition")
 def _chk_graph_in_partition(data):
-    from ..feldman_moore import graph_within_partition
-
     rel = _blocks_partition(data["n"], data["blocks"])
     w = graph_within_partition(_pairs_to_map(data["map"]), rel)
     return w is None, w
@@ -598,60 +594,13 @@ def _chk_least_cover_index(data):
     return True, None
 
 
-@checker("intset_equal")
-def _chk_intset_equal(data):
-    ok = parse_intset(data["left"]) == parse_intset(data["right"])
-    return ok, None if ok else {"left": data["left"], "right": data["right"]}
-
-
-@checker("ptmap_graph_subset")
-def _chk_ptmap_graph_subset(data):
-    left = parse_ptmap(data["left"])
-    others = [parse_ptmap(t) for t in data["others"]]
-    w = left.graph_subset_witness(*others)
-    return w is None, w
-
-
-@checker("ptmap_within_blocks")
-def _chk_ptmap_within_blocks(data):
-    rel = _int_relation(data)
-    w = rel.graph_within_witness(parse_ptmap(data["map"]))
-    return w is None, w
-
-
-@checker("int_orbit_window")
-def _chk_int_orbit_window(data):
-    from ..feldman_moore import orbit_window_witness
-
-    rel = _int_relation(data)
-    maps = [parse_ptmap(t) for t in data["maps"]]
-    w = orbit_window_witness(rel, maps, window=data["window"])
-    return w is None, w
-
-
 def _level_texts(levels) -> dict:
     """The level-1 sets and zero part of an IntLevels, as int_levels stores them."""
     return {
-        "x1": format_intset(levels.positive.level(1)),
-        "xm1": format_intset(levels.negative.level(1)),
-        "zero": format_intset(levels.zero),
+        "x1": str(levels.positive.level(1)),
+        "xm1": str(levels.negative.level(1)),
+        "zero": str(levels.zero),
     }
-
-
-@checker("int_levels")
-def _chk_int_levels(data):
-    from ..feldman_moore import levels_int
-
-    rel = _int_relation(data)
-    levels = levels_int(parse_ptmap(data["g"]), rel, bound=data.get("bound", 32))
-    got = _level_texts(levels)
-    expected = data["expected"]
-    mismatches = {
-        key: {"got": got[key], "expected": expected[key]}
-        for key in got
-        if parse_intset(got[key]) != parse_intset(expected[key])
-    }
-    return not mismatches, mismatches or None
 
 
 @checker("finite_levels_empty")
@@ -662,16 +611,6 @@ def _chk_finite_levels_empty(data):
     last = sorted(set(f.values()) - set(f))
     ok = not first and not last and len(f) == n
     return ok, None if ok else {"unmatched_sources": first, "unmatched_targets": last}
-
-
-@checker("int_least_index")
-def _chk_int_least_index(data):
-    from ..feldman_moore import weak_uniformize_int
-
-    maps = [parse_ptmap(t) for t in data["maps"]]
-    got = weak_uniformize_int(maps).phi
-    ok = got == parse_ptmap(data["phi"])
-    return ok, None if ok else str(got)
 
 
 @checker("involution_family_within")
@@ -700,25 +639,6 @@ def _chk_bijection_family_within(data):
         for x, y in f.items():
             if label[x] != label[y]:
                 return False, {"map": i, "pair": (x, y), "law": "within"}
-    return True, None
-
-
-@checker("ptmap_family_within")
-def _chk_ptmap_family_within(data):
-    rel = _int_relation(data)
-    ambient = rel.ambient
-    for i, text in enumerate(data["maps"]):
-        f = parse_ptmap(text)
-        if data.get("bijections") and (
-            f.domain() != ambient or f.range_set() != ambient
-        ):
-            return False, {"map": i, "law": "bijection"}
-        w = f.injectivity_witness()
-        if w is not None:
-            return False, {"map": i, "law": "injective", "witness": jsonable(w)}
-        w = rel.graph_within_witness(f)
-        if w is not None:
-            return False, {"map": i, "law": "within", "witness": jsonable(w)}
     return True, None
 
 

@@ -28,14 +28,14 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from ..carriers import PiecewiseTranslation, parse_intset, parse_ptmap
 from ..errors import InstanceSyntaxError, UnknownReference, clip, quote
 from ..quotient import Partition
 from ..record import Record
-from ..relations import EnumeratedEquivalence, IntBlockRelation
+from ..relations import EnumeratedEquivalence
 
-if TYPE_CHECKING:  # actions is imported only when a file declares a group
+if TYPE_CHECKING:  # actions and carriers are imported by the declarations that use them
     from ..actions import FiniteGroup, GroupAction
+    from ..carriers import PiecewiseTranslation
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
@@ -236,6 +236,8 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
 
 
 def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
+    from ..carriers import parse_ptmap
+
     m = re.match(rf"({_NAME})\s*:\s*({_NAME})\s*:\s*(.*)$", rest)
     if not m:
         _fail(line_no, f"bad ptmap declaration: {quote(rest)}")
@@ -270,6 +272,8 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
     if kind == "blocks":
         if sdecl.kind != "int":
             _fail(line_no, "blocks form needs an int space")
+        from ..carriers import IntBlockRelation, parse_intset
+
         blocks = [parse_intset(b) for b in _split_groups(body, line_no, "{}")]
         value = IntBlockRelation.make(blocks)
         return RelDecl(name, "blocks", [], value)

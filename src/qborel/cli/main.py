@@ -15,11 +15,11 @@ import os
 import sys
 from math import inf
 
-from ..carriers import _clear_memos, format_intset, format_ptmap, IntSet
 from ..errors import InvalidCertificate, NotWithinRelation, QBorelError, UnsupportedCarrier
 from ..relations import (
     chain_witness,
     generate_equivalence,
+    graph_within_partition,
     index2_involution,
     index_over,
     min_selector,
@@ -209,9 +209,13 @@ def _blocks_of(p) -> list:
 
 
 def _int_relation(rel) -> dict:
-    """The blocks and ambient of an integer relation as the texts checks store."""
-    blocks = [format_intset(b) for b in rel.blocks]
-    return {"blocks": blocks, "ambient": format_intset(rel.ambient)}
+    """The blocks and ambient of an integer relation as the texts checks store.
+
+    The integer lane writes each IntSet and PiecewiseTranslation as its
+    str(), the text format_intset or format_ptmap gives, so no handler
+    imports carriers.
+    """
+    return {"blocks": [str(b) for b in rel.blocks], "ambient": str(rel.ambient)}
 
 
 def _graph_pairs(f: dict) -> list:
@@ -289,7 +293,7 @@ def cmd_fm_quotient(args, inst) -> Certificate:
 
         qc = quotient_construction_int(decl.value, [d.table for d in decls], bound=args.K)
         return Certificate("fm-quotient").certify(
-            {"psi_count": len(qc.psis), "generators": [format_ptmap(f) for f in qc.generators]},
+            {"psi_count": len(qc.psis), "generators": [str(f) for f in qc.generators]},
             _int_relation(decl.value), "int",
         )
     if decl.kind != "graphs":
@@ -320,9 +324,7 @@ def cmd_cover(args, inst) -> Certificate:
         return _cover_int(args, decl.value, [d.table for d in decls], g0_decl.table)
     if decl.kind != "graphs":
         raise UsageError("cover needs a graphs relation (or an int blocks one)")
-    from ..feldman_moore import (
-        cover_finite, graph_within_partition, greedy_extend, invert_map, levels_finite, psi_split,
-    )
+    from ..feldman_moore import cover_finite, greedy_extend, invert_map, levels_finite, psi_split
 
     enum = decl.value
     rel, values = _rel_partition(decl)
@@ -359,21 +361,21 @@ def _cover_int(args, rel, phis, g0) -> Certificate:
     pair = cover_int(levels)
     level_text = _level_texts(levels)
     return Certificate("cover").certify({
-        "extension": format_ptmap(g),
+        "extension": str(g),
         "levels": {
             **level_text,
             "positive_acceleration": levels.positive.accel,
             "negative_acceleration": levels.negative.accel,
         },
-        "first": format_ptmap(pair.first),
-        "second": format_ptmap(pair.second),
+        "first": str(pair.first),
+        "second": str(pair.second),
     }, {
         **_int_relation(rel),
-        "seed": format_ptmap(g0),
-        "seed_inverse": format_ptmap(g0.inverse()),
+        "seed": str(g0),
+        "seed_inverse": str(g0.inverse()),
         "bound": args.K,
         "levels": level_text,
-        "extension_inverse": format_ptmap(levels.ginv),
+        "extension_inverse": str(levels.ginv),
     }, "int")
 
 
@@ -391,15 +393,15 @@ def cmd_uniformize(args, inst) -> Certificate:
     decls = _map_list(args, inst, "int", "uniformize without a graphs relation needs ptmaps")
     maps = [d.table for d in decls]
     uni = weak_uniformize_int(maps)
-    texts = [format_ptmap(f) for f in maps]
-    dom = IntSet.empty().union(*(f.domain() for f in maps))
+    texts = [str(f) for f in maps]
+    dom = maps[0].domain().union(*(f.domain() for f in maps[1:]))
     return Certificate("uniformize").certify({
-        "selection": format_ptmap(uni.phi),
-        "chosen_levels": [format_intset(s) for s in uni.levels],
+        "selection": str(uni.phi),
+        "chosen_levels": [str(s) for s in uni.levels],
     }, {
         "maps": texts,
-        "selection_domain": format_intset(uni.phi.domain()),
-        "domain": format_intset(dom),
+        "selection_domain": str(uni.phi.domain()),
+        "domain": str(dom),
     }, "int")
 
 
@@ -624,8 +626,11 @@ def _summary(cert: Certificate, out: str | None) -> tuple[int, list[str]]:
 
 
 def main(argv=None) -> int:
-    # each run starts from empty memos, as a fresh process would
-    _clear_memos()
+    # each run starts from empty memos, as a fresh process would; the integer
+    # carrier's memos are empty until a run loads it
+    carriers = sys.modules.get("qborel.carriers")
+    if carriers is not None:
+        carriers._clear_memos()
     parser = _parser()
     args = parser.parse_args(argv)
     command = args.command

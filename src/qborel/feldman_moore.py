@@ -17,7 +17,7 @@ extrapolated blindly.
 
 from __future__ import annotations
 
-from .carriers import IntSet, PiecewiseTranslation, format_intset
+from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation, format_intset
 from .errors import (
     BadParameters,
     NoAcceleration,
@@ -30,8 +30,8 @@ from .quotient import Partition
 from .record import Record
 from .relations import (
     EnumeratedEquivalence,
-    IntBlockRelation,
     generate_equivalence,
+    graph_within_partition,
     verify_enumeration,
 )
 
@@ -92,17 +92,6 @@ def injectivity_witness(f: dict[int, int]):
 def _signature(f: dict[int, int]) -> tuple:
     """Hashable form of a finite map: its sorted pairs."""
     return tuple(sorted(f.items()))
-
-
-def graph_within_partition(f: dict[int, int], rel: Partition):
-    """None when every pair of f joins related points, else the least witness pair.
-
-    A pair with a point outside 0..rel.n-1 is a witness too.
-    """
-    n, label = rel.n, rel.class_of
-    x = min((x for x, y in f.items()
-             if not (0 <= x < n and 0 <= y < n and label[x] == label[y])), default=None)
-    return None if x is None else (x, f[x])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A finite quotient is its Partition: classes are explicit blocks of the
 points 0..n-1, and the quotient points are the class ids 0..k-1, ordered
 by least member.  The integer carrier is its own quotient: the classes of
-an integer relation are the blocks of a `relations.IntBlockRelation`.
+an integer relation are the blocks of a `carriers.IntBlockRelation`.
 """
 
 from __future__ import annotations

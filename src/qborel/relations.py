@@ -9,10 +9,9 @@ chain witnesses come from breadth-first searches; the stabilization
 index takes a few per class, bounded by eccentricities.  Chain
 witnesses are minimal-length and deterministically tie-broken.
 
-On the integer carrier a relation is presented by piecewise-translation
-graphs; the closure checks reduce to per-offset IntSet coverage.  A
-relation with finitely many non-singleton classes is described by
-IntBlockRelation: a list of disjoint blocks, all other points singleton.
+Nothing here reads the integer carrier: an integer relation is a
+carriers.IntBlockRelation, so a run on finite data loads no semilinear
+code.
 """
 
 from __future__ import annotations
@@ -20,15 +19,8 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cached_property
-from math import inf
 
-from .carriers import IntSet, PiecewiseTranslation, _first_overlap, _meets, _zero_order
-from .errors import (
-    IndexTooLarge,
-    InvalidPartition,
-    NotAnEnumeration,
-    NotASelector,
-)
+from .errors import IndexTooLarge, NotAnEnumeration, NotASelector
 from .quotient import Partition
 from .record import Frozen, Record
 
@@ -158,15 +150,20 @@ def tail_equivalence(f: dict[int, int] | list[int], n: int) -> tuple[Partition, 
 
 
 def index_over(rel) -> int | float:
-    """Largest class size; math.inf when some class is infinite."""
-    if isinstance(rel, Partition):
-        return rel.index()
-    if isinstance(rel, IntBlockRelation):
-        sizes = [b.size() for b in rel.blocks]
-        if any(s == inf for s in sizes):
-            return inf
-        return max(sizes, default=1) if sizes else 1
-    raise TypeError(f"no index for {rel!r}")
+    """Largest class size of a Partition or an IntBlockRelation; math.inf
+    when some class is infinite."""
+    return rel.index()
+
+
+def graph_within_partition(f: dict[int, int], rel: Partition):
+    """None when every pair of f joins related points, else the least witness pair.
+
+    A pair with a point outside 0..rel.n-1 is a witness too.
+    """
+    n, label = rel.n, rel.class_of
+    x = min((x for x, y in f.items()
+             if not (0 <= x < n and 0 <= y < n and label[x] == label[y])), default=None)
+    return None if x is None else (x, f[x])
 
 
 # ---------------------------------------------------------------------------
@@ -331,52 +328,3 @@ class EnumeratedEquivalence(Frozen):
 
     def partition(self) -> Partition:
         return Partition.from_pairs(self.n, self.pairs())
-
-
-class IntBlockRelation(Frozen):
-    """Equivalence on the integers: disjoint blocks, all else singleton."""
-
-    def __init__(self, blocks: tuple[IntSet, ...], ambient: IntSet = IntSet.all_integers()):
-        self._set(blocks, ambient)
-
-    @classmethod
-    def make(cls, blocks, ambient: IntSet | None = None) -> "IntBlockRelation":
-        amb = ambient if ambient is not None else IntSet.all_integers()
-        bs = [b for b in blocks if not b.is_empty()]
-        hit = _first_overlap(bs)
-        for i in range(len(bs)):
-            if not bs[i].is_subset(amb):
-                raise InvalidPartition(f"block {i} leaves the ambient set")
-            if hit is not None and hit[0] == i:
-                raise InvalidPartition(
-                    f"blocks {i} and {hit[1]} overlap",
-                    witness=bs[i].intersect(bs[hit[1]]).closest_to_zero(),
-                )
-        bs.sort(key=lambda b: _zero_order(b.closest_to_zero()))
-        return cls(tuple(bs), amb)
-
-    def graph_within_witness(self, f: PiecewiseTranslation):
-        """None if graph(f) stays inside the relation, else an escaping pair.
-
-        A pair (x, x+c) with c != 0 lies inside exactly when x and x+c
-        share a block, so the offset-c domain must sit in the union of
-        the sets B meet (B - c).
-        """
-        meeting: list[set[int]] = [set() for _ in f.pieces]
-        for i, j in _meets(self.blocks, [d for d, _ in f.pieces]):
-            meeting[j].add(i)
-        for (d, c), near in zip(f.pieces, meeting):
-            if c == 0:
-                stray = d.difference(self.ambient)
-                if not stray.is_empty():
-                    x = stray.closest_to_zero()
-                    return (x, x)
-                continue
-            allowed = IntSet.empty().union(
-                *(self.blocks[i].intersect(self.blocks[i].translate(-c)) for i in near)
-            )
-            stray = d.difference(allowed)
-            if not stray.is_empty():
-                x = stray.closest_to_zero()
-                return (x, x + c)
-        return None

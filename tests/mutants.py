@@ -76,7 +76,7 @@ MUTANTS = [
            "    for memo in _MEMOS[:-1]:\n        memo.cache_clear()",
            ("tests/test_cli.py::test_each_run_starts_from_empty_memos",),
            "_clear_memos skips the last memo"),
-    Mutant("qborel/relations.py",
+    Mutant(CARRIERS,
            "            meeting[j].add(i)\n", "            meeting[j] = {i}\n",
            ("tests/test_int_oracles.py::test_graph_within_witness_reads_every_block_it_needs",),
            "one meeting block per piece in graph_within_witness"),
@@ -126,6 +126,9 @@ MUTANTS = [
            ("tests/test_cli.py::test_enumeration_report_repr_in_stdout_is_pinned",
             "tests/test_cli.py::test_enumeration_laws_witness_bytes_are_pinned"),
            "Record.__repr__ writes field: value"),
+    Mutant("qborel/cli/main.py", 'sys.modules.get("qborel.carriers")', 'sys.modules.get("carriers")',
+           ("tests/test_cli.py::test_a_finite_run_after_an_integer_one_starts_from_empty_memos",),
+           "main looks the carrier up under a name it is not loaded as"),
     Mutant("qborel/cli/main.py", '"fm-classical": ("input", "out", "rel"),',
            '"fm-classical": ("input", "out"),',
            ("tests/test_cli.py::test_flags_of_lists_the_flags_each_command_reads",),

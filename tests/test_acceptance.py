@@ -15,7 +15,9 @@ from qborel.actions import (
     verify_cocycle,
 )
 from qborel.cantor import canonicalize, e0_equivalent, et_equivalent, example_gallery
-from qborel.carriers import IntSet, PiecewiseTranslation as PT, parse_intset, parse_ptmap
+from qborel.carriers import (
+    IntBlockRelation, IntSet, PiecewiseTranslation as PT, parse_intset, parse_ptmap,
+)
 from qborel.feldman_moore import (
     classical_construction,
     cover_finite,
@@ -33,7 +35,6 @@ from qborel.feldman_moore import (
 )
 from qborel.relations import (
     EnumeratedEquivalence,
-    IntBlockRelation,
     Partition,
     generate_equivalence,
     tail_equivalence,

@@ -9,7 +9,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qborel.carriers import (
     IntSet,
@@ -333,6 +333,8 @@ def rule_pairs(draw):
 
 @settings(max_examples=400)
 @given(rule_pairs())
+@example((IntSet.segment(0, 5), IntSet.segment(5, 9)))  # hulls that share their end point
+@example((IntSet.of(3), parse_intset("0:+2*10")))  # one piece of stride 2 is no interval
 def test_hull_rules_give_the_general_paths_pieces(pair):
     a, b = pair
     for got, op in ((a.intersect(b), _iv_intersect), (a.difference(b), _iv_difference)):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import qborel
 from qborel.cli.certificates import (
@@ -925,6 +925,8 @@ def partition_pairs(draw):
 
 
 @given(partition_pairs())
+# the blocks of 0 differ in 1 and in 2: the witness is the least, (0, 1)
+@example((Partition.from_class_map([0, 0, 0, 1]), Partition.from_class_map([0, 1, 2, 3])))
 def test_partition_witness_is_the_first_disagreeing_pair(pair):
     assert _partitions_agree(*pair) == ref_partitions_agree(*pair)
 

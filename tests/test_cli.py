@@ -943,6 +943,15 @@ def test_each_run_starts_from_empty_memos(tmp_path, capsys):
         assert info.maxsize == MEMO_SIZE and 0 < info.currsize <= MEMO_SIZE
 
 
+def test_a_finite_run_after_an_integer_one_starts_from_empty_memos(capsys):
+    # an integer cover fills every memo; generate never reads the integer
+    # carrier, and still empties them once an earlier run has loaded it
+    assert run(capsys, "cover", "--input", RAY)[0] == 0
+    assert all(memo.cache_info().currsize > 0 for memo in _MEMOS)
+    assert run(capsys, "generate", "--input", FIVE, "--maps", "c3,fin")[0] == 0
+    assert [memo.cache_info().currsize for memo in _MEMOS] == [0] * len(_MEMOS)
+
+
 def test_int_texts_stored_as_lists_are_fail_rows(tmp_path, capsys):
     # a block or map that is not a text skips the memos and fails as parsing it does
     cert_file = tmp_path / "cover.json"

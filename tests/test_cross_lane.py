@@ -16,7 +16,7 @@ import time
 
 from hypothesis import assume, given, settings, strategies as st
 
-from qborel.carriers import IntSet, PiecewiseTranslation
+from qborel.carriers import IntBlockRelation, IntSet, PiecewiseTranslation
 from qborel.cli.main import main
 from qborel.errors import QBorelError
 from qborel.feldman_moore import (
@@ -31,7 +31,7 @@ from qborel.feldman_moore import (
     quotient_construction,
     quotient_construction_int,
 )
-from qborel.relations import EnumeratedEquivalence, IntBlockRelation
+from qborel.relations import EnumeratedEquivalence
 
 # ---------------------------------------------------------------------------
 # the embedding

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qborel.cantor import example_gallery
-from qborel.carriers import IntSet, PiecewiseTranslation as PT, format_intset
+from qborel.carriers import IntBlockRelation, IntSet, PiecewiseTranslation as PT, format_intset
 from qborel.errors import BadParameters, NoAcceleration, NotInjective, NotMaximal
 from qborel.feldman_moore import (
     SideLevels,
@@ -47,7 +47,6 @@ from qborel.feldman_moore import (
 )
 from qborel.relations import (
     EnumeratedEquivalence,
-    IntBlockRelation,
     Partition,
     generate_equivalence,
     union_pairs,

@@ -14,6 +14,7 @@ strides 1-6 and gaps up to 10^3, overlapping or not.
 from hypothesis import example, given, strategies as st
 
 from qborel.carriers import (
+    IntBlockRelation,
     IntSet,
     Piece,
     PiecewiseTranslation,
@@ -31,7 +32,6 @@ from qborel.feldman_moore import (
     psi_split_int,
     weak_uniformize_int,
 )
-from qborel.relations import IntBlockRelation
 
 # ---------------------------------------------------------------------------
 # references
@@ -296,6 +296,8 @@ def test_injectivity_witness_matches_the_pairwise_search(f):
 @given(st.lists(sets, max_size=5), st.one_of(st.none(), sets))
 @example([IntSet.segment(0, 9), IntSet.of(20), IntSet.segment(9, 12)], IntSet.segment(0, 12))
 @example([IntSet.segment(0, 9), IntSet.of(20), IntSet.segment(9, 12)], None)
+# the sweep meets blocks 1 and 2 (at 3) before blocks 0 and 1 (at 10)
+@example([IntSet.of(10), IntSet.segment(0, 20), IntSet.of(3)], None)
 def test_block_relation_make_matches_the_pairwise_search(blocks, ambient):
     assert outcome(IntBlockRelation.make, blocks, ambient) == outcome(ref_make, blocks, ambient)
 

@@ -4,7 +4,7 @@ import pytest
 
 from qborel.actions import FiniteGroup, GroupAction
 from qborel.cantor import canonicalize, make_truncated_model
-from qborel.carriers import IntSet
+from qborel.carriers import IntBlockRelation, IntSet
 from qborel.cli.certificates import Certificate
 from qborel.cli.instance import InstanceFile
 from qborel.quotient import Partition
@@ -13,7 +13,6 @@ from qborel.relations import (
     CheckOutcome,
     EnumeratedEquivalence,
     EnumReport,
-    IntBlockRelation,
     generate_equivalence,
 )
 

@@ -13,7 +13,7 @@ import timeit
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qborel.carriers import IntSet, PiecewiseTranslation as PT
+from qborel.carriers import IntBlockRelation, IntSet, PiecewiseTranslation as PT
 from qborel.errors import InvalidPartition, NotAnEnumeration
 from qborel.feldman_moore import quotient_construction
 from qborel.relations import (
@@ -22,7 +22,6 @@ from qborel.relations import (
     EnumeratedEquivalence,
     EnumReport,
     IndexTooLarge,
-    IntBlockRelation,
     NotASelector,
     Partition,
     chain_witness,

@@ -76,6 +76,89 @@ def test_closure_commands_load_no_construction(tmp_path):
         assert not loaded & DEFERRED, (argv, loaded & DEFERRED)
 
 
+# the modules a run on finite data has no use for: the integer carrier, and
+# the construction module, whose two lanes share it
+INTEGER_LANE = {"qborel.carriers", "qborel.feldman_moore"}
+
+FINITE_RUNS = {
+    "generate": ["generate", "--input", FIVE, "--maps", "c3,fin"],
+    "tail": ["tail", "--input", FIVE, "--map", "c3"],
+    "index": ["index", "--input", FIVE],
+    "selector": ["selector", "--input", FIVE],
+    "involution2": ["involution2", "--input", "samples/swap.qb"],
+    **{f"verify-{name}": ["verify", "--input", f"tests/golden/{name}.json"] for name in (
+        "generate_five_points_maps_c3-fin", "tail_five_points_map_c3",
+        "fm-quotient_five_points", "cover_five_points", "involution2_swap",
+    )},
+}
+
+
+def test_import_cli_loads_no_integer_carrier():
+    out = _fresh("-c", f"import json, sys, qborel.cli; {LOADED}")
+    assert out.returncode == 0, out.stderr
+    assert "qborel.carriers" not in json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("argv", FINITE_RUNS.values(), ids=FINITE_RUNS)
+def test_finite_runs_load_no_integer_lane(argv):
+    script = (
+        "import json, sys, qborel.cli; code = qborel.cli.main(sys.argv[1:]); "
+        f"{LOADED}; sys.exit(code)"
+    )
+    out = _fresh("-c", script, *argv)
+    assert out.returncode == 0, out.stdout + out.stderr
+    loaded = set(json.loads(out.stdout.splitlines()[-1]))
+    assert not loaded & INTEGER_LANE, sorted(loaded & INTEGER_LANE)
+
+
+# `python -m qborel ARGS` after `import qborel.cli`; the last line of stderr
+# says whether the integer carrier was loaded before the run and after it
+RUN_LOADING = """import json, runpy, sys
+import qborel.cli
+before = "qborel.carriers" in sys.modules
+try:
+    runpy.run_module("qborel", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps([before, "qborel.carriers" in sys.modules]), file=sys.stderr)
+"""
+
+
+def test_integer_cover_loads_the_carrier_when_it_runs(tmp_path):
+    cert = str(tmp_path / "cover.json")
+    out = _fresh("-c", RUN_LOADING, "cover", "--input", "samples/shifted_ray.qb", "--out", cert)
+    assert "Traceback" not in out.stderr, out.stderr
+    assert json.loads(out.stderr.splitlines()[-1]) == [False, True]
+    stdout, tail = (GOLDEN / "cover_shifted_ray.stdout").read_text().rsplit("[exit", 1)
+    assert out.stdout + f"[exit {out.returncode}]\n" == (
+        f"{stdout}certificate written to {cert}\n[exit{tail}"
+    )
+    assert json.loads(pathlib.Path(cert).read_text()) == json.loads(
+        (GOLDEN / "schema2" / "cover_shifted_ray.json").read_text()
+    )
+    out = _fresh("-c", RUN_LOADING, "verify", "--input", cert)
+    assert json.loads(out.stderr.splitlines()[-1]) == [False, True]
+    checks = json.loads((GOLDEN / "cover_shifted_ray.json").read_text())["checks"]
+    assert (out.stdout, out.returncode) == ("\n".join([
+        f"verify {cert}: {len(checks)} stored checks",
+        *(f"  [pass] {c['name']}: stored=True recomputed=True" for c in checks),
+        "verdicts reproduce and all checks pass",
+    ]) + "\n", 0)
+
+
+def test_integer_checkers_load_with_the_first_integer_kind():
+    script = (
+        "import json; from qborel.cli.certificates import CHECKERS, INT_KINDS, run_check; "
+        "before = sorted(INT_KINDS & CHECKERS.keys()); "
+        "assert run_check('intset_equal', {'left': '0..', 'right': '0:+1*inf'}) == (True, None); "
+        "mine = sorted(k for k, f in CHECKERS.items() if f.__module__ == 'qborel.cli.int_checks'); "
+        "print(json.dumps([before, mine, sorted(INT_KINDS)]))"
+    )
+    out = _fresh("-c", script)
+    assert out.returncode == 0, out.stderr
+    before, registered, kinds = json.loads(out.stdout)
+    assert before == [] and registered == kinds and len(kinds) == 7
+
+
 # the first manifest entry of each command
 FIRST = {}
 for _entry in MANIFEST:
