@@ -23,15 +23,7 @@ from .actions import (
     orbit_equivalence,
     verify_cocycle,
 )
-from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation
 from .errors import AlphabetMismatch, BadParameters, NotASelector, UnknownExample
-from .feldman_moore import (
-    cover_int,
-    greedy_extend_int,
-    levels_int,
-    maximality_witness_int,
-    psi_split_int,
-)
 from .quotient import Partition
 from .record import Frozen, Record
 from .relations import (
@@ -426,6 +418,12 @@ def _gallery_ex37(k: int, n: int, t: int) -> GalleryInstance:
 
 
 def _gallery_et_shift() -> GalleryInstance:
+    # the one example on the integer carrier loads it, and the construction
+    from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation
+    from .feldman_moore import (
+        cover_int, greedy_extend_int, levels_int, maximality_witness_int, psi_split_int,
+    )
+
     ambient = IntSet.all_integers()
     rel = IntBlockRelation.make([ambient], ambient=ambient)
     phis = [

@@ -45,7 +45,7 @@ def _chk_int_orbit_window(data):
 @checker("int_levels")
 def _chk_int_levels(data):
     rel = IntBlockRelation.parse(data["blocks"], data["ambient"])
-    levels = levels_int(parse_ptmap(data["g"]), rel, bound=data.get("bound", 32))
+    levels = levels_int(parse_ptmap(data["g"]), rel, bound=data["bound"])
     got = _level_texts(levels)
     expected = data["expected"]
     mismatches = {

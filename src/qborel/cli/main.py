@@ -15,11 +15,10 @@ import os
 import sys
 from math import inf
 
-from ..errors import InvalidCertificate, NotWithinRelation, QBorelError, UnsupportedCarrier
+from ..errors import InvalidCertificate, QBorelError, UnsupportedCarrier
 from ..relations import (
     chain_witness,
     generate_equivalence,
-    graph_within_partition,
     index2_involution,
     index_over,
     min_selector,
@@ -329,13 +328,8 @@ def cmd_cover(args, inst) -> Certificate:
     enum = decl.value
     rel, values = _rel_partition(decl)
     g0 = dict(g0_decl.table)
-    psis = psi_split(enum.graph_dicts(), enum.n)
-    # the psis lie in the graphs that enumerate rel, so only the seed is
-    # checked against it, after greedy_extend has checked it is injective
-    g = greedy_extend(g0, psis, enum.n)
-    w = graph_within_partition(g0, rel)
-    if w is not None:
-        raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
+    # the psis lie in the graphs that enumerate rel: greedy_extend checks only the seed
+    g = greedy_extend(g0, psi_split(enum.graph_dicts(), enum.n), enum.n, rel)
     pair = cover_finite(levels_finite(g, enum.n, rel))
     # the finite cover is (g, g^-1): first is the extension, second its inverse
     extension, second = _graph_pairs(g), _graph_pairs(pair.second)
@@ -353,10 +347,12 @@ def cmd_cover(args, inst) -> Certificate:
 
 
 def _cover_int(args, rel, phis, g0) -> Certificate:
-    from ..feldman_moore import cover_int, greedy_extend_int, levels_int, psi_split_int
+    from ..feldman_moore import (
+        check_maps_within_int, cover_int, greedy_extend_int, levels_int, psi_split_int,
+    )
 
-    psis = psi_split_int(phis)
-    g = greedy_extend_int(g0, psis, rel.ambient, rel)
+    check_maps_within_int(rel, phis)
+    g = greedy_extend_int(g0, psi_split_int(phis), rel.ambient, rel)
     levels = levels_int(g, rel, bound=args.K)
     pair = cover_int(levels)
     level_text = _level_texts(levels)

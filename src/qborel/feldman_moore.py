@@ -252,7 +252,9 @@ def greedy_extend(
 
     A used source stays used, so each map is read only at the sources
     still free, in ascending order (the order of a sorted scan of its
-    pairs), and the walk stops once no source is free.
+    pairs), and the walk stops once no source is free.  Only the seed is
+    checked, given rel, against it: each psi lies in the graph of a map
+    its caller checked once, where the map entered.
     """
     w = injectivity_witness(g0)
     if w is not None:
@@ -261,12 +263,6 @@ def greedy_extend(
         w = graph_within_partition(g0, rel)
         if w is not None:
             raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
-        for psi in [identity_map(n)] + list(psis):
-            w = graph_within_partition(psi, rel)
-            if w is not None:
-                raise NotWithinRelation(
-                    f"psi pair {w} leaves the relation", witness=w
-                )
     g = dict(g0)
     rng = set(g.values())
     free = []
@@ -313,7 +309,8 @@ def greedy_extend_int(
     """Integer-lane greedy extension with exact IntSet bookkeeping.
 
     The ambient points not yet used as sources, and those not yet hit,
-    are kept as the walk goes: each accepted part leaves both.
+    are kept as the walk goes: each accepted part leaves both.  Only the
+    seed is checked, as greedy_extend checks it.
     """
     w = g0.injectivity_witness()
     if w is not None:
@@ -327,12 +324,6 @@ def greedy_extend_int(
     free_src = ambient.difference(g0.domain())
     free_tgt = ambient.difference(g0.range_set())
     for psi in queue:
-        if rel is not None:
-            w = rel.graph_within_witness(psi)
-            if w is not None:
-                raise NotWithinRelation(
-                    f"psi pair {w} leaves the relation", witness=w
-                )
         fresh = psi.restrict(free_src).corestrict(free_tgt)
         # psi is injective and filtering only removes pairs, so fresh is
         # injective; its sources avoid g's domain and its targets g's
@@ -656,6 +647,15 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     return qc
 
 
+def check_maps_within_int(rel: IntBlockRelation, phis: list[PiecewiseTranslation]):
+    """NotWithinRelation at the first map whose graph leaves rel: each
+    integer command checks its maps here once, before anything else."""
+    for i, f in enumerate(phis):
+        w = rel.graph_within_witness(f)
+        if w is not None:
+            raise NotWithinRelation(f"graph {i} leaves the relation at {w}", witness=w)
+
+
 def quotient_construction_int(
     rel: IntBlockRelation,
     phis: list[PiecewiseTranslation],
@@ -665,15 +665,10 @@ def quotient_construction_int(
 
     The family need not enumerate the relation exactly (infinite classes
     have no finite exact enumeration); each graph must stay inside it,
-    and orbit coverage is certified separately on a probe window.  No psi
-    is checked again: each lies in the graph of some phi_a, checked here.
+    which check_maps_within_int checks first, and orbit coverage is
+    certified separately on a probe window.
     """
-    for i, f in enumerate(phis):
-        w = rel.graph_within_witness(f)
-        if w is not None:
-            raise NotWithinRelation(
-                f"graph {i} leaves the relation at {w}", witness=w
-            )
+    check_maps_within_int(rel, phis)
     return _cover_each(
         rel,
         psi_split_int(phis),

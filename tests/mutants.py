@@ -92,6 +92,10 @@ MUTANTS = [
            "queue = ([PiecewiseTranslation.identity(ambient)] + list(psis))[::-1]",
            ("tests/test_int_oracles.py::test_greedy_extend_int_matches_the_recomputing_loop",),
            "greedy_extend_int's queue reversed"),
+    Mutant(FM, "        w = graph_within_partition(g0, rel)\n", "        w = None\n",
+           ("tests/test_cli.py::test_finite_cover_rejects_a_faulty_seed"
+            "[escaping-NotWithinRelation-seed pair (2, 3) leaves the relation-witness0]",),
+           "greedy_extend does not check its seed against the relation"),
     # weak uniformization
     Mutant(FM, "        fresh = f.domain().difference(taken)\n", "        fresh = f.domain()\n",
            ("tests/test_int_oracles.py::"
@@ -129,6 +133,9 @@ MUTANTS = [
     Mutant("qborel/cli/main.py", 'sys.modules.get("qborel.carriers")', 'sys.modules.get("carriers")',
            ("tests/test_cli.py::test_a_finite_run_after_an_integer_one_starts_from_empty_memos",),
            "main looks the carrier up under a name it is not loaded as"),
+    Mutant("qborel/cli/main.py", "    check_maps_within_int(rel, phis)\n", "",
+           ("tests/test_cli.py::test_integer_cover_rejects_a_stray_map_as_fm_quotient_does",),
+           "_cover_int does not check its maps against the relation"),
     Mutant("qborel/cli/main.py", '"fm-classical": ("input", "out", "rel"),',
            '"fm-classical": ("input", "out"),',
            ("tests/test_cli.py::test_flags_of_lists_the_flags_each_command_reads",),

@@ -856,8 +856,59 @@ def test_finite_cover_checks_only_its_seed_against_the_relation(capsys, monkeypa
     code, _ = run(capsys, "cover", "--input", FIVE)
     assert code == 0
     seed = {0: 1}
-    assert checked[0] == seed  # cover's own seed check
+    assert checked[0] == seed  # greedy_extend's seed check
     assert len(checked) == 3  # levels, then the seed check at emit
+
+
+# bad relates -1 to 0, across the two blocks; no psi of it is non-empty, so
+# only a check of the maps themselves sees it
+STRAY_MAP = (
+    "space Z carrier = int\n"
+    "rel F on Z blocks = { {..-1}, {0..} }\n"
+    "ptmap idz : Z : ..-1; 0.. -> +0\n"
+    "ptmap up : Z : 0.. -> +1\n"
+    "ptmap down : Z : 1.. -> -1\n"
+    "ptmap bad : Z : -1 -> +1\n"
+    "ptmap g0 : Z : 0 -> +1\n"
+    "ptmap escaping : Z : -1 -> +1\n"
+    "ptmap both : Z : 0 -> +2 | 3 -> -1\n"
+    "set rel = F\n"
+    "set maps = idz,up,down,bad\n"
+)
+
+
+@pytest.mark.parametrize("seed", ["g0", "escaping", "both"])
+def test_integer_cover_rejects_a_stray_map_as_fm_quotient_does(tmp_path, capsys, seed):
+    # the maps are checked before the seed, so a faulty seed changes nothing
+    inst = tmp_path / "stray.qb"
+    inst.write_text(STRAY_MAP, encoding="utf-8")
+    errors = []
+    for argv in (("cover", "--g0", seed), ("fm-quotient",)):
+        code, out = run(capsys, *argv, "--input", str(inst))
+        assert code == 1
+        errors.append(json.loads(out)["error"])
+    assert errors == 2 * [{
+        "kind": "NotWithinRelation",
+        "message": "graph 3 leaves the relation at (-1, 0)",
+        "witness": [-1, 0],
+    }]
+
+
+def test_verify_int_levels_without_its_bound_is_a_fail_row(tmp_path, capsys):
+    # the ray's levels replay alike at 8 and at 32, so only a check that
+    # insists on the stored bound tells the deletion
+    cert_file = tmp_path / "cover.json"
+    code, _ = run(capsys, "cover", "--input", RAY, "--K", "8", "--out", str(cert_file))
+    assert code == 0
+    data = json.loads(cert_file.read_text())
+    [levels] = [c["data"] for c in data["checks"] if c["kind"] == "int_levels"]
+    del levels["bound"]
+    cert_file.write_text(json.dumps(data))
+    rows_file = tmp_path / "rows.json"
+    code, out = run(capsys, "verify", "--input", str(cert_file), "--out", str(rows_file))
+    assert code == 1
+    rows = json.loads(rows_file.read_text())["rows"]
+    assert [r["witness"]["error"] for r in rows if not r["agrees"]] == ["KeyError"]
 
 
 def test_verify_stored_gallery_k_zero_is_a_fail_row(tmp_path, capsys):

@@ -93,10 +93,6 @@ def ref_greedy_extend(g0, psis, n, rel=None):
     g = dict(g0)
     rng = set(g.values())
     for psi in queue:
-        if rel is not None:
-            w = ref_graph_within_partition(psi, rel)
-            if w is not None:
-                raise NotWithinRelation(f"psi pair {w} leaves the relation", witness=w)
         for x in sorted(psi):
             y = psi[x]
             if x not in g and y not in rng:

@@ -142,10 +142,6 @@ def ref_greedy_extend_int(g0, psis, ambient, rel=None):
             raise NotWithinRelation(f"seed pair {w} leaves the relation", witness=w)
     g = g0
     for psi in [PiecewiseTranslation.identity(ambient)] + list(psis):
-        if rel is not None:
-            w = rel.graph_within_witness(psi)
-            if w is not None:
-                raise NotWithinRelation(f"psi pair {w} leaves the relation", witness=w)
         fresh = psi.restrict(ambient.difference(g.domain()))
         fresh = fresh.corestrict(ambient.difference(g.range_set()))
         if not fresh.is_empty():

@@ -86,6 +86,10 @@ FINITE_RUNS = {
     "index": ["index", "--input", FIVE],
     "selector": ["selector", "--input", FIVE],
     "involution2": ["involution2", "--input", "samples/swap.qb"],
+    # the gallery's finite examples, and a replay of one
+    "gallery": ["gallery", "ex34"],
+    "index-gallery": ["index", "--gallery", "ex35"],
+    "verify-gallery_ex36": ["verify", "--input", "tests/golden/gallery_ex36.json"],
     **{f"verify-{name}": ["verify", "--input", f"tests/golden/{name}.json"] for name in (
         "generate_five_points_maps_c3-fin", "tail_five_points_map_c3",
         "fm-quotient_five_points", "cover_five_points", "involution2_swap",
