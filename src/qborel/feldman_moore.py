@@ -28,12 +28,7 @@ from .errors import (
 )
 from .quotient import Partition
 from .record import Record
-from .relations import (
-    EnumeratedEquivalence,
-    generate_equivalence,
-    graph_within_partition,
-    verify_enumeration,
-)
+from .relations import EnumeratedEquivalence, graph_within_partition, verify_enumeration
 
 # The level bound and the orbit window set how many points a run (or a
 # replay of a stored certificate) visits, so both are capped.
@@ -80,6 +75,8 @@ def invert_map(f: dict[int, int]) -> dict[int, int]:
 
 
 def injectivity_witness(f: dict[int, int]):
+    if len(set(f.values())) == len(f):
+        return None
     seen = {}
     for x in sorted(f):
         y = f[x]
@@ -90,8 +87,18 @@ def injectivity_witness(f: dict[int, int]):
 
 
 def _signature(f: dict[int, int]) -> tuple:
-    """Hashable form of a finite map: its sorted pairs."""
-    return tuple(sorted(f.items()))
+    """Hashable form of a finite map, equal for two maps exactly when they are.
+
+    A map total on 0..len(f)-1, an extension or a cover map, is keyed by
+    its images in point order, with no sort; any other map, a psi say, by
+    its sorted pairs.  Neither form depends on the order the dict was
+    filled in, and the two never meet: one is a tuple of ints, the other
+    a tuple of pairs.
+    """
+    try:
+        return tuple(map(f.__getitem__, range(len(f))))
+    except KeyError:
+        return tuple(sorted(f.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +296,8 @@ def greedy_extend(
 
 def maximality_witness(g: dict[int, int], rel: Partition):
     """None when every related pair has its source used or target hit."""
+    if g.keys() == set(range(rel.n)):
+        return None
     rng = set(g.values())
     for block in rel.blocks:
         for y in block:
@@ -376,7 +385,8 @@ def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
 
     Such an injection maps each class injectively into itself and, being
     maximal, onto itself: it is a permutation, so every point lies in
-    X_0 and all other levels are empty.
+    X_0 and all other levels are empty.  The levels hold g itself, not a
+    copy.
     """
     w = injectivity_witness(g)
     if w is not None:
@@ -387,7 +397,7 @@ def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
     w = maximality_witness(g, rel)
     if w is not None:
         raise NotMaximal(f"pair {w} is unused but extendable", witness=w)
-    return FiniteLevels(n, dict(g), [], [], frozenset(range(n)))
+    return FiniteLevels(n, g, [], [], frozenset(range(n)))
 
 
 class SideLevels(Record):
@@ -546,8 +556,8 @@ class CoverPair(Record):
 
 
 def cover_finite(levels: FiniteLevels) -> CoverPair:
-    """The finite cover: all points sit in X_0, so it is (g, g^-1)."""
-    return CoverPair(dict(levels.g), invert_map(levels.g))
+    """The finite cover: all points sit in X_0, so it is (g, g^-1), g itself first."""
+    return CoverPair(levels.g, invert_map(levels.g))
 
 
 def cover_int(levels: IntLevels) -> CoverPair:
@@ -631,7 +641,10 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     graphs, so a family that fails the checks or names a point outside
     0..n-1 raises NotAnEnumeration rather than IndexError.  No psi is
     checked against the relation: each lies in the graph of some phi_a,
-    and the relation is the one the checked graphs enumerate.
+    and the relation is the one the checked graphs enumerate.  The orbit
+    is the partition the generators' pairs join, each distinct pair once;
+    no generator is copied and no closure layers are built, since nothing
+    here reads chain lengths.
     """
     n = enum.n
     psis = psi_split(enum.graph_dicts(), n)
@@ -643,7 +656,7 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
         lambda psi, queue: greedy_extend(psi, queue, n),
         lambda g: cover_finite(levels_finite(g, n, rel)),
     )
-    qc.orbit, _ = generate_equivalence(n, qc.generators)
+    qc.orbit = Partition.from_pairs(n, set().union(*(f.items() for f in qc.generators)))
     return qc
 
 

@@ -85,6 +85,14 @@ MUTANTS = [
            "                if True:\n",
            ("tests/test_feldman_moore.py::test_construction_does_each_step_once",),
            "no seen de-duplication of cover maps in _cover_each"),
+    Mutant(FM, "        return tuple(map(f.__getitem__, range(len(f))))\n",
+           "        return tuple(f.values())\n",
+           ("tests/test_finite_oracles.py::"
+            "test_signature_tells_maps_apart_exactly_when_they_differ",),
+           "_signature keys every map by its images in insertion order"),
+    Mutant(FM, "    if g.keys() == set(range(rel.n)):\n", "    if len(g) == rel.n:\n",
+           ("tests/test_finite_oracles.py::test_witness_searches_match",),
+           "maximality_witness passes a map of n pairs without reading its sources"),
     Mutant(FM, "            free_tgt = free_tgt.difference(fresh.range_set())\n", "",
            ("tests/test_int_oracles.py::test_greedy_extend_int_matches_the_recomputing_loop",),
            "no free_tgt update in greedy_extend_int"),

@@ -596,6 +596,18 @@ def test_construction_does_each_step_once(lane, monkeypatch):
     assert [key(f) for f in qc.generators] == list(dict.fromkeys(maps))
 
 
+def test_finite_construction_builds_no_closure_layers(monkeypatch):
+    # the orbit is the partition the generators join: nothing reads chain lengths
+    import qborel.relations
+
+    def unread(*args):
+        raise AssertionError("closure layers built")
+
+    monkeypatch.setattr(qborel.relations, "ClosureLayers", unread)
+    qc = quotient_construction(enumeration_of(Partition.from_class_map([0, 0, 0, 1, 1, 2])))
+    assert qc.orbit == qc.relation
+
+
 def test_weak_uniformize_int():
     fam = [PT.translation(AMB, 1), PT.identity(AMB)]
     u = weak_uniformize_int(fam)

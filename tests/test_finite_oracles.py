@@ -6,7 +6,8 @@ a pair list, one comprehension per (a, b) for the psi split, a subset
 test per related pair for the enumeration laws, a per-point walk through
 the enumeration graphs for the classical involutions, a search of the
 graphs for the first one through each related pair for the weak
-uniformization, and an ordered search for each witness.  The library
+uniformization, a map's sorted pairs for its signature, and an ordered
+search for each witness.  The library
 must give the same results, raise the same errors with the same
 witnesses, and build its dicts in the same order,
 on random partial maps that need not be injective, need not stay in
@@ -25,6 +26,7 @@ from qborel.errors import (
     QBorelError,
 )
 from qborel.feldman_moore import (
+    _signature,
     classical_construction,
     graph_within_partition,
     greedy_extend,
@@ -342,12 +344,39 @@ def maps_and_partitions(draw):
 @example(({0: 3}, Partition.discrete(3)))                 # a target past the points
 @example(({0: -1}, Partition.from_class_map([0, 1, 0])))  # -1 would index the end
 @example(({-1: 0}, Partition.from_class_map([0, 1, 0])))
+@example(({0: 0, 5: 5}, Partition.from_class_map([0, 0])))  # n pairs, not on 0..n-1
 def test_witness_searches_match(args):
     f, rel = args
     assert injectivity_witness(f) == ref_injectivity_witness(f)
     assert graph_within_partition(f, rel) == ref_graph_within_partition(f, rel)
     assert maximality_witness(f, rel) == ref_maximality_witness(f, rel)
     same_outcome(outcome(invert_map, f), outcome(ref_invert_map, f))
+
+
+@st.composite
+def total_maps(draw, n):
+    """A map total on 0..n-1, its pairs inserted in shuffled order."""
+    images = draw(st.lists(st.integers(-2, n + 1), min_size=n, max_size=n))
+    return {x: images[x] for x in draw(st.permutations(range(n)))}
+
+
+@st.composite
+def map_pairs(draw):
+    """Two maps, or one map and its pairs inserted in another order."""
+    n = draw(sizes)
+    maps = partial_maps(n) | total_maps(n)
+    f = draw(maps)
+    g = dict(draw(st.permutations(list(f.items())))) if draw(st.booleans()) else draw(maps)
+    return f, g
+
+
+@given(map_pairs())
+@example(({0: 1}, {1: 1}))                  # one image from two sources
+@example(({0: 0, 1: 1}, {1: 1, 0: 0}))      # one total map, two insertion orders
+@example(({0: 0, 1: 1}, {0: 0, 1: 1, 3: 3}))
+def test_signature_tells_maps_apart_exactly_when_they_differ(args):
+    f, g = args
+    assert (_signature(f) == _signature(g)) == (sorted(f.items()) == sorted(g.items()))
 
 
 @st.composite
