@@ -218,7 +218,11 @@ def _int_relation(rel) -> dict:
 
 
 def _graph_pairs(f: dict) -> list:
-    return sorted(f.items())
+    """f's pairs in point order: a map total on 0..len(f)-1 is read in it, not sorted."""
+    try:
+        return list(zip(range(len(f)), map(f.__getitem__, range(len(f)))))
+    except KeyError:
+        return sorted(f.items())
 
 
 def _fmt_index(v) -> object:

@@ -373,11 +373,11 @@ class FiniteLevels(Record):
     """Levels of a maximal partial injection on a finite point set."""
 
     def __init__(
-        self, n: int, g: dict[int, int], positive: list[frozenset[int]],
+        self, n: int, g: dict[int, int], ginv: dict[int, int], positive: list[frozenset[int]],
         negative: list[frozenset[int]], zero: frozenset[int]
     ):
         # positive holds X_1, X_2, ..., and negative X_-1, X_-2, ...
-        self._set(n, g, positive, negative, zero)
+        self._set(n, g, ginv, positive, negative, zero)
 
 
 def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
@@ -386,7 +386,7 @@ def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
     Such an injection maps each class injectively into itself and, being
     maximal, onto itself: it is a permutation, so every point lies in
     X_0 and all other levels are empty.  The levels hold g itself, not a
-    copy.
+    copy, and its inverse.
     """
     w = injectivity_witness(g)
     if w is not None:
@@ -397,7 +397,7 @@ def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
     w = maximality_witness(g, rel)
     if w is not None:
         raise NotMaximal(f"pair {w} is unused but extendable", witness=w)
-    return FiniteLevels(n, g, [], [], frozenset(range(n)))
+    return FiniteLevels(n, g, invert_map(g), [], [], frozenset(range(n)))
 
 
 class SideLevels(Record):
@@ -544,6 +544,12 @@ def levels_int(
     return IntLevels(ambient, g, ginv, pos, neg, zero)
 
 
+def _mirror_levels(levels):
+    """The levels of g^-1 from g's, on either lane: g and g^-1 swap, and so do the sides."""
+    head, g, ginv, positive, negative, zero = levels._key()
+    return type(levels)(head, ginv, g, negative, positive, zero)
+
+
 # ---------------------------------------------------------------------------
 # the two-bijection cover
 
@@ -556,8 +562,8 @@ class CoverPair(Record):
 
 
 def cover_finite(levels: FiniteLevels) -> CoverPair:
-    """The finite cover: all points sit in X_0, so it is (g, g^-1), g itself first."""
-    return CoverPair(levels.g, invert_map(levels.g))
+    """The finite cover: all points sit in X_0, so it is (g, g^-1), the levels' own maps."""
+    return CoverPair(levels.g, levels.ginv)
 
 
 def cover_int(levels: IntLevels) -> CoverPair:
@@ -585,6 +591,15 @@ def cover_int(levels: IntLevels) -> CoverPair:
     return CoverPair(gp, gpp)
 
 
+def _mirror_cover_int(levels: IntLevels, cover: CoverPair) -> CoverPair:
+    """cover_int(levels) from the cover of g^-1: the two agree off X_0, where sides only swap."""
+    on, back = levels.g.restrict(levels.zero), levels.ginv.restrict(levels.zero)
+    if on == back:
+        return cover
+    return CoverPair(cover.first.graph_minus(back).union(on),
+                     cover.second.graph_minus(on).union(back))
+
+
 # ---------------------------------------------------------------------------
 # end-to-end pipelines
 
@@ -593,9 +608,9 @@ class QuotientConstruction(Record):
     """Per-injection cover data and the generators it produced.
 
     Maps are dicts on the finite lane and piecewise translations on the
-    integer lane.  Only the finite lane sets orbit, the partition the
-    generators generate; the integer lane certifies orbit coverage on a
-    probe window instead.
+    integer lane; an extension's cover may be read off its inverse's.
+    Only the finite lane sets orbit, the partition the generators
+    generate; the integer lane certifies orbit coverage on a window.
     """
 
     def __init__(
@@ -605,27 +620,37 @@ class QuotientConstruction(Record):
         self._set(relation, psis, extended, covers, generators, orbit)
 
 
-def _cover_each(rel, psis: list, key, extend, cover) -> QuotientConstruction:
+def _cover_each(rel, psis: list, key, extend, levels, cover, mirror) -> QuotientConstruction:
     """The construction over rel: each psi's extension and cover, and generators.
 
     Equal psis extend equally and equal extensions cover equally, so each
     distinct psi (equal under key) is extended once over the queue of
     distinct psis, and each distinct extension covered once; a repeated
-    psi adds nothing to a greedy extension either.  The generators are
-    the distinct cover maps, in the order they are first seen.
+    psi adds nothing to a greedy extension either.  An h^-1 met after h is
+    covered by mirror(h's levels mirrored, h's cover), with no levels or
+    cover step.  The generators are the distinct cover maps, in first-seen order.
     """
     keys = [key(psi) for psi in psis]
     distinct = dict(zip(keys, psis))
     queue = list(distinct.values())
-    built, cover_of = {}, {}
+    built, cover_of, inverses = {}, {}, {}
     generators, seen = [], set()
+    known = {}  # the key of each map object: all stay held, so an id names one
+
+    def key_of(f):
+        return known[id(f)] if id(f) in known else known.setdefault(id(f), key(f))
+
     for k, psi in distinct.items():
         g = extend(psi, queue)
-        g_key = key(g)
+        g_key = key_of(g)
         if g_key not in cover_of:
-            cov = cover_of[g_key] = cover(g)
+            if g_key in inverses:  # g is the inverse of an extension covered before
+                cov = cover_of[g_key] = mirror(*inverses[g_key])
+            else:
+                cov = cover_of[g_key] = cover(lev := levels(g))
+                inverses[key_of(lev.ginv)] = _mirror_levels(lev), cov
             for f in (cov.first, cov.second):
-                f_key = key(f)
+                f_key = key_of(f)
                 if f_key not in seen:
                     seen.add(f_key)
                     generators.append(f)
@@ -642,9 +667,9 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     0..n-1 raises NotAnEnumeration rather than IndexError.  No psi is
     checked against the relation: each lies in the graph of some phi_a,
     and the relation is the one the checked graphs enumerate.  The orbit
-    is the partition the generators' pairs join, each distinct pair once;
-    no generator is copied and no closure layers are built, since nothing
-    here reads chain lengths.
+    is the partition the first maps of the distinct covers join, as each
+    second map is its first's inverse; no generator is copied and no
+    closure layers are built, since nothing here reads chain lengths.
     """
     n = enum.n
     psis = psi_split(enum.graph_dicts(), n)
@@ -654,9 +679,12 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
         psis,
         _signature,
         lambda psi, queue: greedy_extend(psi, queue, n),
-        lambda g: cover_finite(levels_finite(g, n, rel)),
+        lambda g: levels_finite(g, n, rel),
+        cover_finite,
+        lambda levels, cover: CoverPair(levels.g, levels.ginv),
     )
-    qc.orbit = Partition.from_pairs(n, set().union(*(f.items() for f in qc.generators)))
+    firsts = {id(cp): cp.first for cp in qc.covers}.values()
+    qc.orbit = Partition.from_pairs(n, set().union(*(f.items() for f in firsts)))
     return qc
 
 
@@ -677,9 +705,9 @@ def quotient_construction_int(
     """Integer-lane pipeline for a generating family of translations.
 
     The family need not enumerate the relation exactly (infinite classes
-    have no finite exact enumeration); each graph must stay inside it,
-    which check_maps_within_int checks first, and orbit coverage is
-    certified separately on a probe window.
+    have no finite exact enumeration): each graph must stay inside it, as
+    check_maps_within_int checks first.  Orbit coverage is certified on a
+    probe window; an extension's inverse is covered by _mirror_cover_int.
     """
     check_maps_within_int(rel, phis)
     return _cover_each(
@@ -687,7 +715,9 @@ def quotient_construction_int(
         psi_split_int(phis),
         lambda f: f,
         lambda psi, queue: greedy_extend_int(psi, queue, rel.ambient),
-        lambda g: cover_int(levels_int(g, rel, bound)),
+        lambda g: levels_int(g, rel, bound),
+        cover_int,
+        _mirror_cover_int,
     )
 
 

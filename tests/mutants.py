@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 CARRIERS = "qborel/carriers.py"
 FM = "qborel/feldman_moore.py"
 ORACLES = ("tests/test_finite_oracles.py::test_classical_construction_matches_per_point_walk",)
+MIRROR = "tests/test_cross_lane.py::test_an_inverse_is_covered_from_the_mirrored_levels"
 HULL_TESTS = (
     "tests/test_carriers.py::test_decided_pairs_skip_the_residue_algebra",
     "tests/test_carriers.py::test_hull_rules_give_the_general_paths_pieces",
@@ -85,6 +86,11 @@ MUTANTS = [
            "                if True:\n",
            ("tests/test_feldman_moore.py::test_construction_does_each_step_once",),
            "no seen de-duplication of cover maps in _cover_each"),
+    Mutant(FM, "    if on == back:\n", "    if True:\n", (MIRROR,),
+           "an inverse takes its extension's cover even where the two differ on X_0"),
+    Mutant(FM, "    return type(levels)(head, ginv, g, negative, positive, zero)\n",
+           "    return type(levels)(head, ginv, g, positive, negative, zero)\n", (MIRROR,),
+           "the levels of an inverse keep the sides unswapped"),
     Mutant(FM, "        return tuple(map(f.__getitem__, range(len(f))))\n",
            "        return tuple(f.values())\n",
            ("tests/test_finite_oracles.py::"

@@ -6,7 +6,9 @@ class a finite block (all other integers are singletons).  On the
 embedded instance the integer lane must return the finite lane's
 `fm-quotient` generators in the same order and its `cover` triple, read
 back on the points 0..n-1, and must reject a faulty cover seed with the
-same kind of error and witness.
+same kind of error and witness.  On either lane the inverse of an
+extension has the extension's levels with the sides swapped, and the
+cover the construction reads off the extension's.
 """
 
 import contextlib
@@ -14,12 +16,21 @@ import io
 import random
 import time
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qborel.carriers import IntBlockRelation, IntSet, PiecewiseTranslation
+from qborel.carriers import (
+    IntBlockRelation,
+    IntSet,
+    PiecewiseTranslation,
+    parse_intset,
+    parse_ptmap,
+)
 from qborel.cli.main import main
 from qborel.errors import QBorelError
 from qborel.feldman_moore import (
+    CoverPair,
+    _mirror_cover_int,
+    _mirror_levels,
     cover_finite,
     cover_int,
     greedy_extend,
@@ -208,6 +219,64 @@ def test_both_lanes_reject_a_faulty_seed_alike(instance):
         x1, x2, y = witness
         witness = (x2, x1, y)
     assert rejection(int_cover, classes, maps, seed) == (kind, witness)
+
+
+# ---------------------------------------------------------------------------
+# the inverse of an extension: its levels mirrored, its cover read off
+
+
+LINE = IntBlockRelation.make([IntSet.all_integers()])
+RAYS = IntBlockRelation.make([parse_intset("..-1"), parse_intset("0..")])
+CYCLES = "-3:-3*inf; -2:-3*inf -> +1 | -1:-3*inf -> -2"  # 3-cycles on ..-1
+
+
+@st.composite
+def translations(draw):
+    """(relation, h, None): h translates Z by c in the one-class relation,
+    or the ray 0.. up or down by c next to the identity or 3-cycles on ..-1."""
+    c = draw(st.sampled_from([1, 2, 3, 5]))
+    rest = draw(st.sampled_from([None, "..-1 -> +0", CYCLES]))
+    if rest is None:
+        c *= draw(st.sampled_from([1, -1]))
+        return LINE, PiecewiseTranslation.translation(IntSet.all_integers(), c), None
+    ray = draw(st.sampled_from([f"0.. -> +{c}", f"{c}.. -> -{c}"]))
+    return RAYS, parse_ptmap(f"{rest} | {ray}"), None
+
+
+@st.composite
+def embedded_extensions(draw):
+    """(relation, h, (n, maps, finite h)): h extends one psi of an embedded
+    finite instance, and the finite extension of that psi rides along."""
+    n, classes, maps, _ = draw(instances(max_n=30))
+    i = draw(st.integers(0, len(maps) ** 2 - 1))
+    psis = psi_split(maps, n)
+    int_psis = psi_split_int([embed_map(f) for f in maps])
+    rel = embed_classes(classes)
+    h = greedy_extend_int(int_psis[i], int_psis, rel.ambient)
+    return rel, h, (n, maps, greedy_extend(psis[i], psis, n))
+
+
+# translations and 3-cycles, in finite classes too, are no involution on
+# X_0, and a ray gives h a side
+@given(translations() | embedded_extensions())
+# X_0 = Z, where h = +2 and h^-1 = -2 differ
+@example((LINE, PiecewiseTranslation.translation(IntSet.all_integers(), 2), None))
+# one positive side, and X_0 = ..-1 held in 3-cycles
+@example((RAYS, parse_ptmap(CYCLES + " | 0.. -> +2"), None))
+# the two-ray shape: X_0 = ..-1 fixed, one positive side
+@example((RAYS, parse_ptmap("..-1 -> +0 | 0.. -> +1"), None))
+def test_an_inverse_is_covered_from_the_mirrored_levels(case):
+    rel, h, twin = case
+    levels, inverse = levels_int(h, rel), levels_int(h.inverse(), rel)
+    assert _mirror_levels(levels) == inverse
+    assert _mirror_cover_int(inverse, cover_int(levels)) == cover_int(inverse)
+    if twin is not None:
+        n, maps, h = twin
+        part = EnumeratedEquivalence.make(n, maps).partition()
+        levels = levels_finite(h, n, part)
+        inverse = levels_finite(levels.ginv, n, part)
+        assert _mirror_levels(levels) == inverse
+        assert cover_finite(inverse) == CoverPair(levels.ginv, h)
 
 
 def test_two_sources_on_one_target_are_named_in_offset_order():

@@ -561,11 +561,13 @@ def test_quotient_construction_int_matches_per_seed_pipeline(family):
 
 @pytest.mark.parametrize("lane", ["finite", "int"])
 def test_construction_does_each_step_once(lane, monkeypatch):
-    # one extension per distinct psi, one cover per distinct extension, and
-    # each distinct cover map once among the generators, in the order seen
+    # one extension per distinct psi; levels and cover once per distinct
+    # extension whose inverse was not covered before, which takes its cover
+    # from that one's; and each distinct cover map once among the
+    # generators, in the order seen
     import qborel.feldman_moore as fm
 
-    seeds, covered = [], []
+    seeds, stratified, covered = [], [], []
 
     def counted(name, log):
         step = getattr(fm, name)
@@ -578,20 +580,30 @@ def test_construction_does_each_step_once(lane, monkeypatch):
 
     if lane == "finite":
         counted("greedy_extend", seeds)
+        counted("levels_finite", stratified)
         counted("cover_finite", covered)
         qc = quotient_construction(enumeration_of(Partition.from_class_map([0, 0, 0, 1, 1, 2])))
         key = lambda f: tuple(sorted(f.items()))  # noqa: E731
+        inverse = lambda f: {y: x for x, y in f.items()}  # noqa: E731
     else:
         counted("greedy_extend_int", seeds)
+        counted("levels_int", stratified)
         counted("cover_int", covered)
         qc = quotient_construction_int(*two_ray_family(1000))
         key = lambda f: f  # noqa: E731
+        inverse = PT.inverse
     psis = [key(psi) for psi in qc.psis]
     assert len(set(psis)) < len(psis)
     assert [key(psi) for psi in seeds] == list(dict.fromkeys(psis))
-    extended = [key(g) for g in qc.extended]
-    assert len(set(extended)) < len(seeds)
-    assert [key(levels.g) for levels in covered] == list(dict.fromkeys(extended))
+    extended = {key(g): g for g in qc.extended}
+    fresh, inverses = [], set()
+    for g_key, g in extended.items():
+        if g_key not in inverses:
+            fresh.append(g_key)
+            inverses.add(key(inverse(g)))
+    assert len(fresh) < len(extended) < len(seeds)
+    assert [key(g) for g in stratified] == fresh
+    assert [key(levels.g) for levels in covered] == fresh
     maps = [key(f) for cp in qc.covers for f in (cp.first, cp.second)]
     assert [key(f) for f in qc.generators] == list(dict.fromkeys(maps))
 

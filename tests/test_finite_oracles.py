@@ -6,7 +6,8 @@ a pair list, one comprehension per (a, b) for the psi split, a subset
 test per related pair for the enumeration laws, a per-point walk through
 the enumeration graphs for the classical involutions, a search of the
 graphs for the first one through each related pair for the weak
-uniformization, a map's sorted pairs for its signature, and an ordered
+uniformization, a map's sorted pairs for its signature and for the
+pairs a certificate writes, and an ordered
 search for each witness.  The library
 must give the same results, raise the same errors with the same
 witnesses, and build its dicts in the same order,
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qborel.cli.certificates import CHECKERS, _pairs_to_map
+from qborel.cli.main import _graph_pairs
 from qborel.errors import (
     InvalidPartition,
     NotAnEnumeration,
@@ -377,6 +379,14 @@ def map_pairs(draw):
 def test_signature_tells_maps_apart_exactly_when_they_differ(args):
     f, g = args
     assert (_signature(f) == _signature(g)) == (sorted(f.items()) == sorted(g.items()))
+
+
+@given(sizes.flatmap(lambda n: partial_maps(n) | total_maps(n)))
+@example({1: 0, 0: 1})          # total, filled in image order
+@example({0: 0, 2: 2})          # two pairs, one missing point
+@example({1: 1})
+def test_graph_pairs_are_the_sorted_pairs(f):
+    assert _graph_pairs(f) == sorted(f.items())
 
 
 @st.composite
