@@ -31,7 +31,7 @@ _EXPORTS = {
     "psi_split_int quotient_construction quotient_construction_int weak_uniformize "
     "weak_uniformize_int",
     "quotient": "Partition",
-    "relations": "EnumeratedEquivalence chain_witness generate_equivalence "
+    "relations": "EnumeratedEquivalence chain_witness enumerated_partition generate_equivalence "
     "index2_involution index_over min_selector selector_to_transversal tail_equivalence "
     "verify_enumeration",
 }

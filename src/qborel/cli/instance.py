@@ -25,6 +25,7 @@ Numbers in group tables are element indices, row acts on the left.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import TYPE_CHECKING
 
@@ -235,9 +236,13 @@ def _parse_map(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     return MapDecl(name, "finite", src, dst, table)
 
 
-def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
-    from ..carriers import parse_ptmap
+@functools.cache
+def _carriers():  # the integer carrier, imported by the first declaration that reads it
+    from .. import carriers
+    return carriers
 
+
+def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     m = re.match(rf"({_NAME})\s*:\s*({_NAME})\s*:\s*(.*)$", rest)
     if not m:
         _fail(line_no, f"bad ptmap declaration: {quote(rest)}")
@@ -245,7 +250,7 @@ def _parse_ptmap(rest: str, inst: InstanceFile, line_no: int) -> MapDecl:
     sdecl = _require(inst.spaces, space, "space", line_no)
     if sdecl.kind != "int":
         _fail(line_no, "ptmap needs an int space")
-    return MapDecl(name, "int", space, space, parse_ptmap(body))
+    return MapDecl(name, "int", space, space, _carriers().parse_ptmap(body))
 
 
 def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
@@ -272,10 +277,8 @@ def _parse_rel(rest: str, inst: InstanceFile, line_no: int) -> RelDecl:
     if kind == "blocks":
         if sdecl.kind != "int":
             _fail(line_no, "blocks form needs an int space")
-        from ..carriers import IntBlockRelation, parse_intset
-
-        blocks = [parse_intset(b) for b in _split_groups(body, line_no, "{}")]
-        value = IntBlockRelation.make(blocks)
+        blocks = [_carriers().parse_intset(b) for b in _split_groups(body, line_no, "{}")]
+        value = _carriers().IntBlockRelation.make(blocks)
         return RelDecl(name, "blocks", [], value)
     if sdecl.kind != "finite":
         _fail(line_no, "partition form needs a finite space")

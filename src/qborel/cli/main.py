@@ -18,6 +18,7 @@ from math import inf
 from ..errors import InvalidCertificate, QBorelError, UnsupportedCarrier
 from ..relations import (
     chain_witness,
+    enumerated_partition,
     generate_equivalence,
     index2_involution,
     index_over,
@@ -218,11 +219,14 @@ def _int_relation(rel) -> dict:
 
 
 def _graph_pairs(f: dict) -> list:
-    """f's pairs in point order: a map total on 0..len(f)-1 is read in it, not sorted."""
+    """f's pairs in point order: a map total on 0..len(f)-1 is read in it, not sorted.
+    One that holds len(f), or lacks len(f) - 1, misses a point: it is sorted unread."""
     try:
-        return list(zip(range(len(f)), map(f.__getitem__, range(len(f)))))
-    except KeyError:
-        return sorted(f.items())
+        if len(f) - 1 in f and len(f) not in f:
+            return list(zip(range(len(f)), map(f.__getitem__, range(len(f)))))
+    except KeyError:  # a gap below len(f) - 1
+        pass
+    return sorted(f.items())
 
 
 def _fmt_index(v) -> object:
@@ -329,12 +333,11 @@ def cmd_cover(args, inst) -> Certificate:
         raise UsageError("cover needs a graphs relation (or an int blocks one)")
     from ..feldman_moore import cover_finite, greedy_extend, invert_map, levels_finite, psi_split
 
-    enum = decl.value
-    rel, values = _rel_partition(decl)
-    g0 = dict(g0_decl.table)
+    enum, phis = decl.value, decl.value.graph_dicts()
+    rel, g0 = enumerated_partition(phis, enum.n), dict(g0_decl.table)
     # the psis lie in the graphs that enumerate rel: greedy_extend checks only the seed
-    g = greedy_extend(g0, psi_split(enum.graph_dicts(), enum.n), enum.n, rel)
-    pair = cover_finite(levels_finite(g, enum.n, rel))
+    g = greedy_extend(g0, psi_split(phis), rel.n, rel, sources=range(rel.n))
+    pair = cover_finite(levels_finite(g, rel.n, rel))
     # the finite cover is (g, g^-1): first is the extension, second its inverse
     extension, second = _graph_pairs(g), _graph_pairs(pair.second)
     return Certificate("cover").certify({
@@ -342,7 +345,7 @@ def cmd_cover(args, inst) -> Certificate:
         "first": extension,
         "second": second,
     }, {
-        **values,
+        **_enumeration(enum),
         "n": rel.n,
         "blocks": _blocks_of(rel),
         "seed": _graph_pairs(g0),

@@ -21,14 +21,13 @@ from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation, format_int
 from .errors import (
     BadParameters,
     NoAcceleration,
-    NotAnEnumeration,
     NotInjective,
     NotMaximal,
     NotWithinRelation,
 )
 from .quotient import Partition
 from .record import Record
-from .relations import EnumeratedEquivalence, graph_within_partition, verify_enumeration
+from .relations import EnumeratedEquivalence, enumerated_partition, graph_within_partition
 
 # The level bound and the orbit window set how many points a run (or a
 # replay of a stored certificate) visits, so both are capped.
@@ -199,17 +198,14 @@ def classical_construction(rel: Partition) -> ClassicalResult:
 # splitting an enumeration into partial injections
 
 
-def psi_split(phis: list[dict[int, int]], n: int) -> list[dict[int, int]]:
+def psi_split(phis: list[dict[int, int]]) -> list[dict[int, int]]:
     """Partial injections phi_a meet phi_b^-1, indexed row-major by (a, b).
 
-    The family must pass the closure checks; its injections then cover
+    A family enumerated_partition has checked gives injections that cover
     the whole relation.  phi_a's pair (x, y) lies in psi_(a,b) exactly
     when (y, x) is a pair of phi_b, so one index from each pair to the
     graphs holding it serves all k^2 of them.
     """
-    report = verify_enumeration(phis, n)
-    if not report.ok:
-        raise NotAnEnumeration("graphs fail the closure checks", witness=report)
     k = len(phis)
     holders: dict[tuple[int, int], list[int]] = {}
     for b, fb in enumerate(phis):
@@ -250,6 +246,7 @@ def greedy_extend(
     psis: list[dict[int, int]],
     n: int,
     rel: Partition | None = None,
+    sources: range | None = None,
 ) -> dict[int, int]:
     """Extend a partial injection by all non-clashing pairs of each psi.
 
@@ -259,9 +256,11 @@ def greedy_extend(
 
     A used source stays used, so each map is read only at the sources
     still free, in ascending order (the order of a sorted scan of its
-    pairs), and the walk stops once no source is free.  Only the seed is
-    checked, given rel, against it: each psi lies in the graph of a map
-    its caller checked once, where the map entered.
+    pairs), and the walk stops once no source is free.  The sources are
+    0..n-1 and every source a psi offers, or the ascending ones given: the
+    psis of a checked enumeration offer none outside 0..n-1.  Only the
+    seed is checked, given rel, against it: each psi lies in the graph of
+    a map its caller checked once, where the map entered.
     """
     w = injectivity_witness(g0)
     if w is not None:
@@ -273,7 +272,9 @@ def greedy_extend(
     g = dict(g0)
     rng = set(g.values())
     free = []
-    for x in sorted(set(range(n)).union(*psis).difference(g)):
+    for x in sorted(set(range(n)).union(*psis)) if sources is None else sources:
+        if x in g:
+            continue
         if 0 <= x < n and x not in rng:
             g[x] = x
             rng.add(x)
@@ -662,23 +663,22 @@ def _cover_each(rel, psis: list, key, extend, levels, cover, mirror) -> Quotient
 def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     """Run the full pipeline for a finite enumeration.
 
-    psi_split checks the enumeration before enum.partition() reads the
-    graphs, so a family that fails the checks or names a point outside
-    0..n-1 raises NotAnEnumeration rather than IndexError.  No psi is
-    checked against the relation: each lies in the graph of some phi_a,
-    and the relation is the one the checked graphs enumerate.  The orbit
+    The relation is the partition enumerated_partition checks the graphs
+    against, once: a family that fails the checks or names a point outside
+    0..n-1 raises NotAnEnumeration.  No psi is checked against the
+    relation, as each lies in the graph of some phi_a, and each extension
+    reads the sources 0..n-1, as no psi offers one outside them.  The orbit
     is the partition the first maps of the distinct covers join, as each
     second map is its first's inverse; no generator is copied and no
     closure layers are built, since nothing here reads chain lengths.
     """
-    n = enum.n
-    psis = psi_split(enum.graph_dicts(), n)
-    rel = enum.partition()
+    n, phis = enum.n, enum.graph_dicts()
+    rel = enumerated_partition(phis, n)
     qc = _cover_each(
         rel,
-        psis,
+        psi_split(phis),
         _signature,
-        lambda psi, queue: greedy_extend(psi, queue, n),
+        lambda psi, queue: greedy_extend(psi, queue, n, sources=range(n)),
         lambda g: levels_finite(g, n, rel),
         cover_finite,
         lambda levels, cover: CoverPair(levels.g, levels.ginv),

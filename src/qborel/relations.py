@@ -17,10 +17,9 @@ code.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import cached_property
 
-from .errors import IndexTooLarge, NotAnEnumeration, NotASelector
+from .errors import IndexTooLarge, InvalidPartition, NotAnEnumeration, NotASelector
 from .quotient import Partition
 from .record import Frozen, Record
 
@@ -248,14 +247,41 @@ def verify_enumeration(graphs, n: int) -> EnumReport:
     such pair is the witness.  A transitivity failure is witnessed by the
     least (x, y) in the union, then the least z in row y missing from
     row x, reported as (x, z, y).  The ordered search for witnesses runs
-    only when the union is not an equivalence relation on 0..n-1.
+    only when the union fails the count of _enumeration_check.
     """
-    union = union_pairs(graphs)
-    if _is_equivalence(union, n):
-        return EnumReport(CheckOutcome(True), CheckOutcome(True), CheckOutcome(True))
+    return _enumeration_check(graphs, n)[1]
+
+
+def enumerated_partition(graphs, n: int) -> Partition:
+    """The partition the graphs enumerate; NotAnEnumeration, with the
+    report or pair verify_enumeration gives, when they enumerate none."""
+    rel, report = _enumeration_check(graphs, n)
+    if rel is None:
+        raise NotAnEnumeration("graphs fail the closure checks", witness=report)
+    return rel
+
+
+def _enumeration_check(graphs, n: int) -> tuple[Partition | None, EnumReport]:
+    """The partition the union of the graphs makes up, or None, and the report.
+
+    Each pair of the union lies in B x B for its own connected component
+    B, so the union is an equivalence relation on 0..n-1 exactly when its
+    pairs lie in 0..n-1 and it has sum |B|^2 of them: one union-find pass
+    settles the three laws and gives the partition.
+    """
+    # range(n), then the count: a stored n may be no integer, or far above the points listed
+    union, points = union_pairs(graphs), range(n)
+    if n <= len(union):
+        try:
+            rel = Partition.from_pairs(n, union)
+        except InvalidPartition:
+            pass
+        else:
+            if sum(len(b) * len(b) for b in rel.blocks) == len(union):
+                return rel, EnumReport(*[CheckOutcome(True)] * 3)
     pairs = sorted(union)
     refl = CheckOutcome(True)
-    for x in range(n):
+    for x in points:
         if (x, x) not in union:
             refl = CheckOutcome(False, x)
             break
@@ -275,32 +301,7 @@ def verify_enumeration(graphs, n: int) -> EnumReport:
         if not onward <= rows[x]:
             trans = CheckOutcome(False, (x, min(onward - rows[x]), y))
             break
-    return EnumReport(refl, sym, trans)
-
-
-def _is_equivalence(union: frozenset[tuple[int, int]], n: int) -> bool:
-    """Whether the pairs form an equivalence relation on exactly 0..n-1.
-
-    With rows interned by value, that is: the rows are those of 0..n-1,
-    each holds its own point, and each member of a row has that very row
-    (so the row is its class, and the laws hold pair by pair).
-    """
-    rows: dict[int, set[int]] = {}
-    for x, y in union:
-        rows.setdefault(x, set()).add(y)
-    # the count first: n may be a stored figure far above the points listed
-    if len(rows) != n or rows.keys() != set(range(n)):
-        return False
-    if not union.issuperset(zip(range(n), range(n))):
-        return False
-    interned: dict[frozenset[int], frozenset[int]] = {}
-    for x, row in rows.items():
-        row = frozenset(row)
-        rows[x] = interned.setdefault(row, row)
-    return all(
-        all(map(operator.is_, map(rows.get, row), itertools.repeat(row)))
-        for row in interned
-    )
+    return None, EnumReport(refl, sym, trans)
 
 
 def union_pairs(graphs) -> frozenset[tuple[int, int]]:

@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 
 CARRIERS = "qborel/carriers.py"
 FM = "qborel/feldman_moore.py"
+RELATIONS = "qborel/relations.py"
+COUNT = "tests/test_finite_oracles.py::test_enumerated_partition_is_the_union_find_partition"
 ORACLES = ("tests/test_finite_oracles.py::test_classical_construction_matches_per_point_walk",)
 MIRROR = "tests/test_cross_lane.py::test_an_inverse_is_covered_from_the_mirrored_levels"
 HULL_TESTS = (
@@ -81,6 +83,11 @@ MUTANTS = [
            "            meeting[j].add(i)\n", "            meeting[j] = {i}\n",
            ("tests/test_int_oracles.py::test_graph_within_witness_reads_every_block_it_needs",),
            "one meeting block per piece in graph_within_witness"),
+    # the count that settles the enumeration laws
+    Mutant(RELATIONS, "            if sum(len(b) * len(b) for b in rel.blocks) == len(union):\n",
+           "            if True:\n", (COUNT,), "the count dropped: any union inside 0..n-1 passes"),
+    Mutant(RELATIONS, "for b in rel.blocks) == len(union):", "for b in rel.blocks) >= len(union):",
+           (COUNT,), "the classes only need as many cells as the union has pairs"),
     # the shared construction loop
     Mutant(FM, "                if f_key not in seen:\n",
            "                if True:\n",

@@ -109,7 +109,7 @@ def both_quotients(n, classes, maps):
 def finite_cover(n, maps, seed):
     enum = EnumeratedEquivalence.make(n, maps)
     part = enum.partition()
-    g = greedy_extend(seed, psi_split(enum.graph_dicts(), n), n, part)
+    g = greedy_extend(seed, psi_split(enum.graph_dicts()), n, part)
     pair = cover_finite(levels_finite(g, n, part))
     return g, pair.first, pair.second
 
@@ -249,7 +249,7 @@ def embedded_extensions(draw):
     finite instance, and the finite extension of that psi rides along."""
     n, classes, maps, _ = draw(instances(max_n=30))
     i = draw(st.integers(0, len(maps) ** 2 - 1))
-    psis = psi_split(maps, n)
+    psis = psi_split(maps)
     int_psis = psi_split_int([embed_map(f) for f in maps])
     rel = embed_classes(classes)
     h = greedy_extend_int(int_psis[i], int_psis, rel.ambient)

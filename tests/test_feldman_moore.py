@@ -13,6 +13,8 @@ values of the shifted-ray example worked out by hand:
 """
 
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -52,6 +54,8 @@ from qborel.relations import (
     union_pairs,
     verify_enumeration,
 )
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 partitions = st.integers(1, 8).flatmap(
     lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(
@@ -168,7 +172,7 @@ def test_classical_table_cap_is_inclusive(monkeypatch):
 def test_psi_split_row_major(p):
     e = enumeration_of(p)
     phis = e.graph_dicts()
-    psis = psi_split(phis, p.n)
+    psis = psi_split(phis)
     k = len(phis)
     assert len(psis) == k * k
     inv = [invert_map(f) for f in phis]
@@ -191,7 +195,7 @@ def test_psi_split_row_major(p):
 @given(partitions, st.randoms(use_true_random=False))
 def test_greedy_extension_is_maximal_permutation(p, rng):
     e = enumeration_of(p)
-    psis = psi_split(e.graph_dicts(), p.n)
+    psis = psi_split(e.graph_dicts())
     # random partial injection within the relation as seed
     g0 = {}
     used = set()
@@ -214,7 +218,7 @@ def test_greedy_extension_is_maximal_permutation(p, rng):
 
 def test_greedy_rejects_seed_outside_relation():
     p = Partition.from_blocks(4, [(0, 1), (2, 3)])
-    psis = psi_split([identity_map(4), {0: 1, 1: 0, 2: 3, 3: 2}], 4)
+    psis = psi_split([identity_map(4), {0: 1, 1: 0, 2: 3, 3: 2}])
     from qborel.errors import NotWithinRelation
 
     with pytest.raises(NotWithinRelation):
@@ -226,7 +230,7 @@ def test_greedy_rejects_seed_outside_relation():
 @given(partitions, st.randoms(use_true_random=False))
 def test_finite_levels_all_empty(p, rng):
     e = enumeration_of(p)
-    psis = psi_split(e.graph_dicts(), p.n)
+    psis = psi_split(e.graph_dicts())
     g = greedy_extend({}, psis, p.n, rel=p)
     lv = levels_finite(g, p.n, p)
     # a maximal injection on finite classes is a bijection: no levels at all
@@ -606,6 +610,37 @@ def test_construction_does_each_step_once(lane, monkeypatch):
     assert [key(levels.g) for levels in covered] == fresh
     maps = [key(f) for cp in qc.covers for f in (cp.first, cp.second)]
     assert [key(f) for f in qc.generators] == list(dict.fromkeys(maps))
+
+
+@pytest.mark.parametrize("command", ["fm-quotient", "cover"])
+def test_finite_construction_checks_the_enumeration_once(command, monkeypatch, tmp_path):
+    # the construction takes its relation from the one check of its graphs,
+    # and the certificate's enumeration_laws row replays that check
+    import qborel.relations
+    from qborel.cli.certificates import Certificate
+    from qborel.cli.main import main
+
+    checks, at_certify = [], []
+    check, certify = qborel.relations._enumeration_check, Certificate.certify
+
+    def counted(graphs, n):
+        checks.append(n)
+        return check(graphs, n)
+
+    def unread(self):
+        raise AssertionError("EnumeratedEquivalence.partition called")
+
+    def certified(self, *args):
+        at_certify.append(len(checks))
+        return certify(self, *args)
+
+    monkeypatch.setattr(qborel.relations, "_enumeration_check", counted)
+    monkeypatch.setattr(EnumeratedEquivalence, "partition", unread)
+    monkeypatch.setattr(Certificate, "certify", certified)
+    cert = tmp_path / "cert.json"
+    assert main([command, "--input", str(SAMPLES / "five_points.qb"), "--out", str(cert)]) == 0
+    kinds = [c["kind"] for c in json.loads(cert.read_text())["checks"]]
+    assert at_certify == [1] and kinds.count("enumeration_laws") == 1 and checks == [5, 5]
 
 
 def test_finite_construction_builds_no_closure_layers(monkeypatch):

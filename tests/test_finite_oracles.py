@@ -3,7 +3,8 @@
 Each reference below is the direct form of a finite-lane step: a sorted
 scan of every pair for greedy extension, union-find for the partition of
 a pair list, one comprehension per (a, b) for the psi split, a subset
-test per related pair for the enumeration laws, a per-point walk through
+test per related pair for the enumeration laws (with union-find over
+their union for the relation they give), a per-point walk through
 the enumeration graphs for the classical involutions, a search of the
 graphs for the first one through each related pair for the weak
 uniformization, a map's sorted pairs for its signature and for the
@@ -14,6 +15,9 @@ witnesses, and build its dicts in the same order,
 on random partial maps that need not be injective, need not stay in
 range and need not form an enumeration.
 """
+
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,7 +44,13 @@ from qborel.feldman_moore import (
     weak_uniformize,
 )
 from qborel.quotient import Partition
-from qborel.relations import CheckOutcome, EnumReport, union_pairs, verify_enumeration
+from qborel.relations import (
+    CheckOutcome,
+    EnumReport,
+    enumerated_partition,
+    union_pairs,
+    verify_enumeration,
+)
 
 # ---------------------------------------------------------------------------
 # references
@@ -148,10 +158,7 @@ def ref_verify_enumeration(graphs, n):
     return EnumReport(refl, sym, trans)
 
 
-def ref_psi_split(phis, n):
-    report = ref_verify_enumeration(phis, n)
-    if not report.ok:
-        raise NotAnEnumeration("graphs fail the closure checks", witness=report)
+def ref_psi_split(phis):
     return [
         {x: y for x, y in fa.items() if fb.get(y) == x} for fa in phis for fb in phis
     ]
@@ -381,12 +388,35 @@ def test_signature_tells_maps_apart_exactly_when_they_differ(args):
     assert (_signature(f) == _signature(g)) == (sorted(f.items()) == sorted(g.items()))
 
 
+# the successor path on 0..88 with a gap at 80, as the closure workloads generate
+GAPPED = {x: x + 1 for x in range(88) if x != 80}
+
+
 @given(sizes.flatmap(lambda n: partial_maps(n) | total_maps(n)))
 @example({1: 0, 0: 1})          # total, filled in image order
+@example({2: 0, 0: 2, 3: 3, 1: 1})  # total, filled in shuffled order
 @example({0: 0, 2: 2})          # two pairs, one missing point
 @example({1: 1})
+@example({-1: 0, 1: 1})         # a point below 0 and a gap, but none at len(f)
+@example({})
+@example(GAPPED)
 def test_graph_pairs_are_the_sorted_pairs(f):
     assert _graph_pairs(f) == sorted(f.items())
+
+
+class ReadCounted(dict):
+    reads = 0
+
+    def __getitem__(self, x):
+        self.reads += 1
+        return super().__getitem__(x)
+
+
+def test_graph_pairs_reads_a_gapped_map_at_no_point():
+    # a successor path with a gap at 80 holds the point len(f) = 87: it is
+    # sorted at once, not read up to its gap first
+    f = ReadCounted(GAPPED)
+    assert _graph_pairs(f) == sorted(GAPPED.items()) and f.reads == 0
 
 
 @st.composite
@@ -435,8 +465,35 @@ def test_verify_enumeration_matches_pairwise_subsets(family):
 
 @given(families)
 def test_psi_split_matches_comprehensions(family):
+    # the family is split as given, whether or not it enumerates a relation
+    same_outcome(outcome(psi_split, family[1]), outcome(ref_psi_split, family[1]))
+
+
+PATH_0_1_2 = [{0: 0, 1: 1, 2: 2}, {0: 1, 1: 2}, {1: 0, 2: 1}]
+
+
+@given(families)
+@example((0, []))
+@example((10**12, [{0: 1, 1: 0}]))         # a stored n far above the points listed
+@example((2, [{0: 0, 1: 1}, {1: 2}]))      # a pair outside 0..n-1
+@example((3, PATH_0_1_2))                  # 7 pairs in one class of 3 points: 9 cells
+def test_enumerated_partition_is_the_union_find_partition(family):
+    # the union's classes count out its pairs exactly when the laws hold
     n, graphs = family
-    same_outcome(outcome(psi_split, graphs, n), outcome(ref_psi_split, graphs, n))
+    tracemalloc.start()
+    start = time.perf_counter()
+    got = outcome(enumerated_partition, graphs, n)
+    took = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert took < 0.01 and peak < 1 << 20  # no list of n cells
+    want = outcome(ref_verify_enumeration, graphs, n)
+    if want[0] != "value":
+        assert got == want
+    elif want[1].ok:
+        assert got == ("value", Partition.from_pairs(n, union_pairs(graphs)))
+    else:
+        assert got == ("NotAnEnumeration", "graphs fail the closure checks", want[1])
 
 
 @st.composite

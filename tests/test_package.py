@@ -28,6 +28,7 @@ EXPORTS = [
     "cover_finite",
     "cover_int",
     "e0_equivalent",
+    "enumerated_partition",
     "et_equivalent",
     "example_gallery",
     "excess_domain",
