@@ -199,6 +199,11 @@ _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False, default
 _spaced = json.JSONEncoder(check_circular=False, default=_plain).encode
 
 
+def _spaced_text(text: str | None, value) -> str:
+    """_spaced(value), from its compact text if given: one with no '"' spaces only its commas."""
+    return text.replace(",", ", ") if text is not None and '"' not in text else _spaced(value)
+
+
 def jsonable(value):
     """The JSON value a certificate stores for a witness or output.
 
@@ -262,7 +267,7 @@ class Certificate(Record):
             {} if outputs is None else outputs, [] if checks is None else checks, tool, version,
         )
         self.schema = schema  # keyword-only, so not a field of repr or ==
-        # (snapshot of (outputs, checks), outputs text, check lines) as certify wrote them
+        # (snapshot of (outputs, checks), *texts()) as certify wrote them
         self._text = None
 
     def add_input(self, name: str, text: str):
@@ -275,13 +280,14 @@ class Certificate(Record):
         reference when it is a list or dict and as its value otherwise: a
         small integer or a shared text can equal an output by chance.
 
-        The outputs and the data of each check are encoded once: the checker
-        runs on that text decoded, with each reference read from the outputs
-        decoded, and to_json writes the same texts for as long as the outputs
-        and checks still hold the values they hold here.
+        Each output, keyed by text, and the data of each check are encoded
+        once: the checker runs on that text decoded, with each reference read
+        from the join of the output texts decoded, and texts() gives the same
+        texts for as long as the outputs and checks hold the values they hold here.
         """
         self.outputs = outputs
-        outputs_text = _compact(outputs)
+        texts = {key: _compact(value) for key, value in outputs.items()}
+        outputs_text = "{" + ",".join(f"{_compact(k)}:{t}" for k, t in texts.items()) + "}"
         decoded = json.loads(outputs_text)
         lines = [_compact(c) for c in self.checks]  # those an earlier call wrote
         for name, kind, template, *needs in SPEC[self.command][lane]:
@@ -302,15 +308,22 @@ class Certificate(Record):
                 f'{{"name":{_compact(name)},"kind":{_compact(kind)},"data":{text},'
                 f'"ok":{"true" if ok else "false"},"witness":{witness_text}}}'
             )
-        self._text = _snapshot((self.outputs, self.checks)), outputs_text, lines
+        self._text = _snapshot((self.outputs, self.checks)), outputs_text, texts, lines
         return self
 
     @property
     def ok(self) -> bool:
         return all(c["ok"] for c in self.checks)
 
-    def to_json(self) -> str:
-        """One key per line and one check per line, each value compact."""
+    def texts(self) -> tuple[str, dict, list[str]]:
+        """(outputs text, text of each output, check lines) as certify wrote them while the
+        outputs and checks hold what it wrote, else encoded anew with no output texts."""
+        if self._text and self._text[0] == _snapshot((self.outputs, self.checks)):
+            return self._text[1:]
+        return _compact(self.outputs), {}, [_compact(c) for c in self.checks]
+
+    def to_json(self, texts: tuple | None = None) -> str:
+        """One key per line and one check per line, each value compact, as texts() gives them."""
         head = {
             "schema": self.schema,
             "tool": self.tool,
@@ -320,11 +333,9 @@ class Certificate(Record):
             "inputs": self.inputs,
         }
         lines = [f'  "{key}": {_compact(value)},' for key, value in head.items()]
-        held = self._text
-        if held is None or held[0] != _snapshot((self.outputs, self.checks)):
-            held = None, _compact(self.outputs), [_compact(c) for c in self.checks]
-        lines.append(f'  "outputs": {held[1]},')
-        checks = ",\n".join(f"    {line}" for line in held[2])
+        outputs, _, check_lines = texts or self.texts()
+        lines.append(f'  "outputs": {outputs},')
+        checks = ",\n".join(f"    {line}" for line in check_lines)
         lines.append(f'  "checks": [\n{checks}\n  ]' if checks else '  "checks": []')
         return "{\n" + "\n".join(lines) + "\n}\n"
 
@@ -632,6 +643,13 @@ def _chk_bijection_family_within(data):
     label = _blocks_partition(data["n"], data["blocks"]).class_of
     points = set(range(data["n"]))
     for i, g in enumerate(data["maps"]):
+        try:  # a passing map passes as stored; the path below decides any other
+            f = dict(g)
+            if f.keys() == points == set(f.values()) and not [
+                    x for x, y in f.items() if label[x] != label[y]]:
+                continue
+        except (TypeError, ValueError):
+            pass
         f = _pairs_to_map(g)
         # keys and values both exactly 0..n-1 (n keys, so n distinct values)
         if f.keys() != points or set(f.values()) != points:

@@ -25,7 +25,7 @@ from ..relations import (
     min_selector,
     tail_equivalence,
 )
-from .certificates import Certificate, _level_texts, _spaced, jsonable, reverify
+from .certificates import Certificate, _level_texts, _spaced_text, jsonable, reverify
 from .instance import (
     ActionDecl, GroupDecl, InstanceFile, MapDecl, RelDecl, SpaceDecl, decode_instance,
     parse_instance,
@@ -331,15 +331,15 @@ def cmd_cover(args, inst) -> Certificate:
         return _cover_int(args, decl.value, [d.table for d in decls], g0_decl.table)
     if decl.kind != "graphs":
         raise UsageError("cover needs a graphs relation (or an int blocks one)")
-    from ..feldman_moore import cover_finite, greedy_extend, invert_map, levels_finite, psi_split
+    from ..feldman_moore import _permutation_levels, greedy_extend, invert_map, psi_split
 
     enum, phis = decl.value, decl.value.graph_dicts()
     rel, g0 = enumerated_partition(phis, enum.n), dict(g0_decl.table)
-    # the psis lie in the graphs that enumerate rel: greedy_extend checks only the seed
+    # the psis lie in the graphs that enumerate rel: greedy_extend checks only the seed,
+    # and g is a permutation inside the classes, as the emitted checks confirm. The
+    # finite cover is (g, g^-1): first is the extension, second its inverse
     g = greedy_extend(g0, psi_split(phis), rel.n, rel, sources=range(rel.n))
-    pair = cover_finite(levels_finite(g, rel.n, rel))
-    # the finite cover is (g, g^-1): first is the extension, second its inverse
-    extension, second = _graph_pairs(g), _graph_pairs(pair.second)
+    extension, second = _graph_pairs(g), _graph_pairs(_permutation_levels(g, rel.n).ginv)
     return Certificate("cover").certify({
         "extension": extension,
         "first": extension,
@@ -617,12 +617,12 @@ def _check_flags(args, command: str) -> None:
         raise UsageError("--x and --y go together: pass both endpoints or neither")
 
 
-def _summary(cert: Certificate, out: str | None) -> tuple[int, list[str]]:
-    """Exit code and printed lines of a certifying run."""
+def _summary(cert: Certificate, out: str | None, texts: tuple) -> tuple[int, list[str]]:
+    """Exit code and printed lines of a certifying run; texts are cert.texts()."""
     lines = cert.summary_lines()
     if cert.outputs:
         lines.append("outputs:")
-        lines += [f"  {k} = {_spaced(v)}" for k, v in cert.outputs.items()]
+        lines += [f"  {k} = {_spaced_text(texts[1].get(k), v)}" for k, v in cert.outputs.items()]
     if out:
         lines.append(f"certificate written to {out}")
     return (0 if cert.ok else 1), lines
@@ -653,9 +653,10 @@ def main(argv=None) -> int:
         if isinstance(result, Certificate):
             if text is not None:
                 result.add_input(os.path.basename(args.input), text)
+            texts = result.texts()  # one snapshot comparison, for the file and the summary
             # written before anything is printed: a failed write prints nothing
             if args.out:
-                _write_output(args.out, result.to_json())
+                _write_output(args.out, result.to_json(texts))
     except UsageError as e:
         parser.error(str(e))
     except QBorelError as e:
@@ -666,7 +667,7 @@ def main(argv=None) -> int:
         }
         code, lines = 1, [json.dumps({"error": error}, indent=2)]
     else:
-        code, lines = result if isinstance(result, tuple) else _summary(result, args.out)
+        code, lines = result if isinstance(result, tuple) else _summary(result, args.out, texts)
     try:
         print("\n".join(lines))
         sys.stdout.flush()

@@ -387,7 +387,8 @@ def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
     Such an injection maps each class injectively into itself and, being
     maximal, onto itself: it is a permutation, so every point lies in
     X_0 and all other levels are empty.  The levels hold g itself, not a
-    copy, and its inverse.
+    copy, and its inverse.  g is checked first: NotInjective,
+    NotWithinRelation or NotMaximal when it is not such an injection.
     """
     w = injectivity_witness(g)
     if w is not None:
@@ -398,6 +399,13 @@ def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
     w = maximality_witness(g, rel)
     if w is not None:
         raise NotMaximal(f"pair {w} is unused but extendable", witness=w)
+    return _permutation_levels(g, n)
+
+
+def _permutation_levels(g: dict[int, int], n: int) -> FiniteLevels:
+    """levels_finite of g unchecked, for an extension greedy_extend built:
+    from an injective seed inside the relation, by psis that lie in it and
+    cover it, which makes a permutation inside the classes."""
     return FiniteLevels(n, g, invert_map(g), [], [], frozenset(range(n)))
 
 
@@ -568,8 +576,11 @@ def cover_finite(levels: FiniteLevels) -> CoverPair:
 
 
 def cover_int(levels: IntLevels) -> CoverPair:
-    """Assemble the two bijections from an integer stratification."""
+    """Assemble the two bijections from an integer stratification.  With
+    both sides empty every point lies in X_0, and the cover is (g, g^-1)."""
     g, ginv = levels.g, levels.ginv
+    if levels.positive.union.is_empty() and levels.negative.union.is_empty():
+        return CoverPair(g.restrict(levels.zero), ginv.restrict(levels.zero))
     pos_odd = levels.positive.parity_union(1)
     pos_even = levels.positive.parity_union(0)
     neg_odd = levels.negative.parity_union(1)
@@ -667,7 +678,10 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     against, once: a family that fails the checks or names a point outside
     0..n-1 raises NotAnEnumeration.  No psi is checked against the
     relation, as each lies in the graph of some phi_a, and each extension
-    reads the sources 0..n-1, as no psi offers one outside them.  The orbit
+    reads the sources 0..n-1, as no psi offers one outside them.  Nor is an
+    extension: _permutation_levels stratifies it unchecked, and the
+    certificate checks each cover map once, as a bijection within the
+    relation, at certify and at verify.  The orbit
     is the partition the first maps of the distinct covers join, as each
     second map is its first's inverse; no generator is copied and no
     closure layers are built, since nothing here reads chain lengths.
@@ -679,7 +693,7 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
         psi_split(phis),
         _signature,
         lambda psi, queue: greedy_extend(psi, queue, n, sources=range(n)),
-        lambda g: levels_finite(g, n, rel),
+        lambda g: _permutation_levels(g, n),
         cover_finite,
         lambda levels, cover: CoverPair(levels.g, levels.ginv),
     )

@@ -93,6 +93,11 @@ MUTANTS = [
            "                if True:\n",
            ("tests/test_feldman_moore.py::test_construction_does_each_step_once",),
            "no seen de-duplication of cover maps in _cover_each"),
+    Mutant(FM, "    if levels.positive.union.is_empty() and levels.negative.union.is_empty():\n",
+           "    if levels.positive.union.is_empty() or levels.negative.union.is_empty():\n",
+           ("tests/test_feldman_moore.py::"
+            "test_cover_int_of_an_extension_with_no_sides_is_its_assembly",),
+           "cover_int skips the assembly when only one side is empty"),
     Mutant(FM, "    if on == back:\n", "    if True:\n", (MIRROR,),
            "an inverse takes its extension's cover even where the two differ on X_0"),
     Mutant(FM, "    return type(levels)(head, ginv, g, negative, positive, zero)\n",
@@ -147,6 +152,16 @@ MUTANTS = [
            "max(set(block).symmetric_difference(other))",
            ("tests/test_certificates.py::test_partition_witness_is_the_first_disagreeing_pair",),
            "partition witness is not the least point"),
+    Mutant("qborel/cli/certificates.py", """if text is not None and '"' not in text else""",
+           "if text is not None else",
+           ("tests/test_certificates.py::test_an_output_is_spaced_from_its_compact_text",),
+           "an output holding text spaced by its commas alone"),
+    Mutant("qborel/cli/certificates.py",
+           "x for x, y in f.items() if label[x] != label[y]]",
+           "x for x, y in f.items() if False]",
+           ("tests/test_finite_oracles.py::"
+            "test_bijection_checker_passes_maps_as_stored_and_judges_the_rest_as_before",),
+           "the passing-map path of bijection_family_within skips the labels"),
     Mutant("qborel/record.py", 'f"{f}={getattr(self, f)!r}"', 'f"{f}: {getattr(self, f)!r}"',
            ("tests/test_cli.py::test_enumeration_report_repr_in_stdout_is_pinned",
             "tests/test_cli.py::test_enumeration_laws_witness_bytes_are_pinned"),

@@ -25,8 +25,8 @@ from hypothesis import example, given, strategies as st
 
 import qborel
 from qborel.cli.certificates import (
-    LEGACY, OUTPUT, SPEC, Certificate, _compact, _partitions_agree, _plain, _spaced, jsonable,
-    reverify, run_check,
+    LEGACY, OUTPUT, SPEC, Certificate, _compact, _partitions_agree, _plain, _spaced, _spaced_text,
+    jsonable, reverify, run_check,
 )
 from qborel.cli.main import main
 from qborel.feldman_moore import MAX_PROBE, ORBIT_WINDOW
@@ -771,6 +771,92 @@ def test_check_edited_after_emit_is_written_as_edited(monkeypatch):
 
     cert.checks[3]["witness"] = Note()  # not plain JSON: written as its text
     assert json.loads(cert.to_json())["checks"][3]["witness"] == "by hand"
+
+
+@given(st.dictionaries(st.text(max_size=3), text_keyed, max_size=4))
+def test_outputs_text_is_the_join_of_the_output_texts(outputs):
+    with mock.patch.dict(SPEC, probe={"": []}):
+        cert = Certificate("probe").certify(outputs, {})
+    outputs_text, texts, _ = cert.texts()
+    assert outputs_text == _compact(outputs)
+    assert texts == {key: _compact(value) for key, value in outputs.items()}
+
+
+# -- the printed outputs -----------------------------------------------------
+
+# what a run may print: JSON-able trees with ints past 64 bits, every kind of
+# float, and text holding separators, quotes, backslashes or non-ASCII
+printed_text = st.text(st.characters() | st.sampled_from(',:"\\é\u2028'), max_size=6)
+printed = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | printed_text
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 1e16]),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(printed_text, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@given(printed)
+@example([])
+@example([[]])
+@example({})
+@example(["a, b"])
+@example({"k": [1, 2]})
+@example(float("nan"))
+def test_an_output_is_spaced_from_its_compact_text(value):
+    # a text with no '"' holds no string and no non-empty object
+    assert _spaced_text(_compact(value), value) == _spaced(value)
+    assert _spaced_text(None, value) == _spaced(value)
+
+
+def _shifts6_quotient(capsys, tmp_path):
+    """Exit code, stdout lines and stored outputs of a finite fm-quotient run."""
+    cert_file = tmp_path / "cert.json"
+    code, out = run(
+        capsys, "fm-quotient", "--input", str(ROOT / "samples/shifts6.qb"),
+        "--out", str(cert_file),
+    )
+    return code, out.splitlines(), json.loads(cert_file.read_text())["outputs"]
+
+
+def test_an_output_edited_after_certify_is_printed_and_written_as_edited(
+    tmp_path, capsys, monkeypatch
+):
+    cli_main = sys.modules["qborel.cli.main"]
+    quotient = cli_main.COMMANDS["fm-quotient"]
+
+    def edited(args, inst):
+        cert = quotient(args, inst)
+        cert.outputs["psi_count"] = 99
+        cert.outputs["generators"][0][1] = (1, "edited")  # an edit inside a list
+        return cert
+
+    monkeypatch.setitem(cli_main.COMMANDS, "fm-quotient", edited)
+    code, lines, outputs = _shifts6_quotient(capsys, tmp_path)
+    assert code == 0
+    assert outputs["psi_count"] == 99 and outputs["generators"][0][1] == [1, "edited"]
+    for key in ("psi_count", "generators"):
+        assert f"  {key} = {_spaced(outputs[key])}" in lines
+
+
+def test_a_finite_quotient_run_reads_its_printed_outputs_off_the_certificate_text(
+    tmp_path, capsys, monkeypatch
+):
+    # every output of a finite fm-quotient is free of text: none is encoded
+    # for the summary, and one snapshot comparison serves the file and the summary
+    import qborel.cli.certificates as certificates
+
+    spaced, snapshots = [], []
+    encode, snapshot = certificates._spaced, certificates._snapshot
+    monkeypatch.setattr(certificates, "_spaced", lambda v: spaced.append(v) or encode(v))
+    monkeypatch.setattr(certificates, "_snapshot", lambda v: snapshots.append(v) or snapshot(v))
+    code, lines, outputs = _shifts6_quotient(capsys, tmp_path)
+    assert code == 0 and spaced == []
+    assert len(snapshots) == 2  # certify takes one, and main compares against it once
+    assert lines[-4:-1] == [f"  {key} = {_spaced(v)}" for key, v in outputs.items()]
 
 
 # -- argument parsing --------------------------------------------------------

@@ -838,8 +838,9 @@ def test_finite_cover_rejects_a_faulty_seed(tmp_path, capsys, seed, kind, messag
 
 
 def test_finite_cover_checks_only_its_seed_against_the_relation(capsys, monkeypatch):
-    # the psis lie in the graphs that enumerate the relation: only the seed,
-    # the extension's levels and the two checks that read it are tested
+    # the psis lie in the graphs that enumerate the relation, and the
+    # extension's level step is unchecked: only the seed, and the checks
+    # that read the seed and the cover, test against the relation
     import qborel.cli.certificates as certificates
     import qborel.feldman_moore as fm
 
@@ -857,7 +858,7 @@ def test_finite_cover_checks_only_its_seed_against_the_relation(capsys, monkeypa
     assert code == 0
     seed = {0: 1}
     assert checked[0] == seed  # greedy_extend's seed check
-    assert len(checked) == 3  # levels, then the seed check at emit
+    assert checked == [seed, seed]  # then the seed check at emit
 
 
 # bad relates -1 to 0, across the two blocks; no psi of it is non-empty, so

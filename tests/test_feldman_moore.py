@@ -406,6 +406,55 @@ def test_cover_int_frozen_values():
     assert g.inverse().graph_minus(cp.first, cp.second).is_empty()
 
 
+def ref_cover_int(levels):
+    """cover_int's full assembly, which an extension with no sides skips: the oracle."""
+    g, ginv = levels.g, levels.ginv
+    pos_odd = levels.positive.parity_union(1)
+    pos_even = levels.positive.parity_union(0)
+    neg_odd = levels.negative.parity_union(1)
+    neg_even = levels.negative.parity_union(0)
+    x1 = levels.positive.level(1)
+    xm1 = levels.negative.level(1)
+    gp = g.restrict(levels.zero).union(
+        g.restrict(pos_odd),
+        ginv.restrict(pos_even),
+        ginv.restrict(neg_odd),
+        g.restrict(neg_even),
+    )
+    gpp = ginv.restrict(levels.zero).union(
+        PT.identity(x1.union(xm1)),
+        g.restrict(pos_even),
+        ginv.restrict(pos_odd.difference(x1)),
+        ginv.restrict(neg_even),
+        g.restrict(neg_odd.difference(xm1)),
+    )
+    return gp, gpp
+
+
+def _two_ray_identity_extension():
+    rel, fam = two_ray_family(265)
+    psis = psi_split_int(fam)
+    return greedy_extend_int(psis[0], psis, rel.ambient), rel
+
+
+def _shifted_ray_extension():
+    g0 = PT.translation(IntSet.ray_up(0), 1)
+    return greedy_extend_int(g0, psi_split_int(shift_family()), AMB, rel=FULL), FULL
+
+
+@pytest.mark.parametrize("extension, sideless", [
+    *((lambda c=c: (PT.translation(AMB, c), FULL), True) for c in (0, 1, -1, 2, -2, 5, -5)),
+    (_two_ray_identity_extension, True),
+    (_shifted_ray_extension, False),  # X_1 = {0}: one side, so the assembly runs
+], ids=[*(f"translation{c:+d}" for c in (0, 1, -1, 2, -2, 5, -5)), "two_ray_identity",
+        "one_sided"])
+def test_cover_int_of_an_extension_with_no_sides_is_its_assembly(extension, sideless):
+    g, rel = extension()
+    levels = levels_int(g, rel)
+    assert (levels.positive.union.is_empty() and levels.negative.union.is_empty()) is sideless
+    assert cover_int(levels)._key() == ref_cover_int(levels)
+
+
 def test_levels_int_window_agrees_with_direct_iteration():
     g0 = PT.translation(IntSet.ray_up(0), 1)
     g = greedy_extend_int(g0, psi_split_int(shift_family()), AMB, rel=FULL)
@@ -584,7 +633,7 @@ def test_construction_does_each_step_once(lane, monkeypatch):
 
     if lane == "finite":
         counted("greedy_extend", seeds)
-        counted("levels_finite", stratified)
+        counted("_permutation_levels", stratified)  # the unchecked level step
         counted("cover_finite", covered)
         qc = quotient_construction(enumeration_of(Partition.from_class_map([0, 0, 0, 1, 1, 2])))
         key = lambda f: tuple(sorted(f.items()))  # noqa: E731

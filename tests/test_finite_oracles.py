@@ -16,14 +16,15 @@ on random partial maps that need not be injective, need not stay in
 range and need not form an enumeration.
 """
 
+import pathlib
 import time
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qborel.cli.certificates import CHECKERS, _pairs_to_map
-from qborel.cli.main import _graph_pairs
+from qborel.cli.certificates import CHECKERS, _blocks_partition, _pairs_to_map
+from qborel.cli.main import _graph_pairs, main
 from qborel.errors import (
     InvalidPartition,
     NotAnEnumeration,
@@ -32,20 +33,24 @@ from qborel.errors import (
     QBorelError,
 )
 from qborel.feldman_moore import (
+    _permutation_levels,
     _signature,
     classical_construction,
     graph_within_partition,
     greedy_extend,
     injectivity_witness,
     invert_map,
+    levels_finite,
     lusin_novikov_decompose,
     maximality_witness,
     psi_split,
+    quotient_construction,
     weak_uniformize,
 )
 from qborel.quotient import Partition
 from qborel.relations import (
     CheckOutcome,
+    EnumeratedEquivalence,
     EnumReport,
     enumerated_partition,
     union_pairs,
@@ -213,6 +218,21 @@ def ref_bijection_family_within(data):
             return False, {"map": i, "law": "bijection"}
         for x, y in f.items():
             if not rel.same(x, y):
+                return False, {"map": i, "pair": (x, y), "law": "within"}
+    return True, None
+
+
+def ref_converted_bijection_family_within(data):
+    """The bijection_family_within checker before its passing-map path: each
+    stored map converted by _pairs_to_map, then judged."""
+    label = _blocks_partition(data["n"], data["blocks"]).class_of
+    points = set(range(data["n"]))
+    for i, g in enumerate(data["maps"]):
+        f = _pairs_to_map(g)
+        if f.keys() != points or set(f.values()) != points:
+            return False, {"map": i, "law": "bijection"}
+        for x, y in f.items():
+            if label[x] != label[y]:
                 return False, {"map": i, "pair": (x, y), "law": "within"}
     return True, None
 
@@ -592,6 +612,87 @@ def test_label_searches_match_the_same_calls(data):
         ("bijection_family_within", ref_bijection_family_within),
     ):
         assert CHECKERS[kind](data) == ref(data)
+
+
+@st.composite
+def stored_bijection_families(draw):
+    """Families as a certificate may store them, edited by hand: mostly
+    permutations of 0..n-1, inside the classes or not, some points written
+    as floats, bools or text, and pairs repeated, dropped, strayed or of
+    the wrong length."""
+    n = draw(st.integers(1, 5))
+    rel = draw(partitions_of(n))
+    points = [x for b in rel.blocks for x in b]
+    inside = st.tuples(*(st.permutations(b) for b in rel.blocks)).map(
+        lambda images: dict(zip(points, (y for im in images for y in im)))
+    )
+
+    def edited(x):
+        return st.just(x) | st.sampled_from([x, float(x), str(x), x + 0.5, bool(x)])
+
+    anywhere = st.permutations(range(n)).map(lambda images: dict(enumerate(images)))
+    maps = []
+    for f in draw(st.lists(inside | anywhere, max_size=3)):
+        pairs = [[draw(edited(x)), draw(edited(y))] for x, y in sorted(f.items())]
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(pairs)))
+            pairs[i:i] = [draw(st.sampled_from([
+                [draw(st.integers(-1, n)), draw(st.integers(-1, n))],
+                [0, 0, 0], [0], pairs[i % len(pairs)],
+            ]))]
+        if pairs and draw(st.booleans()):
+            del pairs[draw(st.integers(0, len(pairs) - 1))]
+        maps.append(pairs)
+    return {"n": n, "blocks": [list(b) for b in rel.blocks], "maps": maps}
+
+
+def verdict(checker, data):
+    """A checker's verdict and witness, or the kind and message of its error."""
+    try:
+        return "value", checker(data)
+    except (TypeError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def _two_points(pairs, blocks=None, n=2):
+    """The identity on 0..n-1, then pairs: in one class unless blocks are given."""
+    blocks = [list(range(n))] if blocks is None else blocks
+    return {"n": n, "blocks": blocks, "maps": [[[x, x] for x in range(n)], pairs]}
+
+
+@given(stored_bijection_families())
+@example(_two_points([[0, 1.0], [1.0, 0]]))           # float points
+@example(_two_points([[0, True], [True, 0]]))         # true points
+@example(_two_points([["0", 1], [1, "0"]]))           # text points
+@example(_two_points([[0, 1], [1, 0], [0, 0]]))       # a source listed twice
+@example(_two_points([[0, 0], [1, 2]]))               # a point out of range
+@example(_two_points([[0, 1], [1, 0]], [[0], [1]]))   # a within failure
+@example(_two_points([[0, 1], [1, 1], [2, 0]], n=3))  # not a bijection
+@example(_two_points([[0, 1, 2], [1, 0]]))            # a pair of length 3
+def test_bijection_checker_passes_maps_as_stored_and_judges_the_rest_as_before(data):
+    checker = CHECKERS["bijection_family_within"]
+    assert verdict(checker, data) == verdict(ref_converted_bijection_family_within, data)
+
+
+def test_built_extensions_are_stratified_without_levels_finite(capsys, monkeypatch):
+    # greedy_extend builds a permutation inside the classes from a checked
+    # seed and the psis, and the certificate checks its cover: the
+    # construction and finite cover take the unchecked level step
+    import qborel.feldman_moore as fm
+
+    checked = []
+    monkeypatch.setattr(fm, "levels_finite", lambda *args: checked.append(args))
+    blocks = [[0, 3, 5], [1, 2], [4]]
+    graphs = [{x: b[(i + d) % len(b)] for b in blocks for i, x in enumerate(b)} for d in range(3)]
+    qc = quotient_construction(EnumeratedEquivalence.make(6, graphs))
+    for g in qc.extended:  # each passes the checks the unchecked step leaves out
+        assert _permutation_levels(g, 6) == levels_finite(g, 6, qc.relation)
+    samples = pathlib.Path(__file__).resolve().parent.parent / "samples"
+    for command in ("fm-quotient", "cover"):
+        for sample in ("five_points.qb", "shifts6.qb"):
+            assert main([command, "--input", str(samples / sample)]) == 0
+    capsys.readouterr()
+    assert checked == []
 
 
 @pytest.mark.parametrize("pairs", [
