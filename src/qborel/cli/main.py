@@ -8,11 +8,11 @@ or a library error (typed parse errors included) was raised, 2 usage errors.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 from math import inf
 
 from ..errors import InvalidCertificate, QBorelError, UnsupportedCarrier
@@ -85,6 +85,7 @@ def _add_flag(parser, dest: str, **extra) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     p = argparse.ArgumentParser(
         prog="qborel",
         description=__doc__,
@@ -110,10 +111,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by later ones."""
-    return build_parser()
+_parser = functools.cache(build_parser)  # built on the first call, shared by later ones
+
+
+def _plain_args(argv: list) -> types.SimpleNamespace | None:
+    """What _parser().parse_args(argv) gives a plain argv, or None for argparse to read:
+    help, abbreviations, =, "--", repeats, gallery NAME and errors. Plain is a command with
+    an --input source, then exact --flag VALUE pairs of its flags, each once, no VALUE led
+    by "-", one source given, and int() taking each int VALUE."""
+    source, *dests = FLAGS_OF.get(argv[0] if argv else None, ("gallery",))
+    flags = {f"--{dest.rstrip('_')}": dest for dest in (*source.split("|"), *dests)}
+    values = dict(zip(argv[1::2], argv[2::2]))
+    given = sum(f"--{dest}" in values for dest in source.split("|"))
+    if (source == "gallery" or len(argv) != 2 * len(values) + 1 or given != 1
+            or not values.keys() <= flags.keys() or any(v[:1] == "-" for v in values.values())):
+        return None
+    try:  # an int VALUE that int() refuses is an error argparse words
+        read = {dest: FLAGS[dest].get("type", str)(values[flag]) if flag in values
+                else FLAGS[dest].get("default") for flag, dest in flags.items()}
+    except ValueError:
+        return None
+    return types.SimpleNamespace(**{"k": None, "n": None, "t": None, **read}, command=argv[0])
 
 
 def _read_input(path: str) -> bytes:
@@ -634,8 +652,8 @@ def main(argv=None) -> int:
     carriers = sys.modules.get("qborel.carriers")
     if carriers is not None:
         carriers._clear_memos()
-    parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or _parser().parse_args(argv)
     command = args.command
     try:
         _check_flags(args, command)
@@ -658,7 +676,7 @@ def main(argv=None) -> int:
             if args.out:
                 _write_output(args.out, result.to_json(texts))
     except UsageError as e:
-        parser.error(str(e))
+        _parser().error(str(e))
     except QBorelError as e:
         error = {
             "kind": type(e).__name__,

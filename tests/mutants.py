@@ -46,6 +46,7 @@ RELATIONS = "qborel/relations.py"
 COUNT = "tests/test_finite_oracles.py::test_enumerated_partition_is_the_union_find_partition"
 ORACLES = ("tests/test_finite_oracles.py::test_classical_construction_matches_per_point_walk",)
 MIRROR = "tests/test_cross_lane.py::test_an_inverse_is_covered_from_the_mirrored_levels"
+PLAIN = "tests/test_cli.py::test_plain_reader_reads_what_argparse_reads"
 HULL_TESTS = (
     "tests/test_carriers.py::test_decided_pairs_skip_the_residue_algebra",
     "tests/test_carriers.py::test_hull_rules_give_the_general_paths_pieces",
@@ -180,6 +181,19 @@ MUTANTS = [
            '"tail": ("input", "out", "map_", "phi"),',
            ("tests/test_cli.py::test_flags_of_lists_the_flags_each_command_reads",),
            "phi added to tail's flags"),
+    # the plain command-line reader
+    Mutant("qborel/cli/main.py", ' or any(v[:1] == "-" for v in values.values())', "", (PLAIN,),
+           "the plain reader takes a VALUE led by '-'"),
+    Mutant("qborel/cli/main.py", " or given != 1\n", "\n", (PLAIN,),
+           "the plain reader takes an argv with no source flag, or with both"),
+    Mutant("qborel/cli/main.py",
+           "values = dict(zip(argv[1::2], argv[2::2]))\n"
+           '    given = sum(f"--{dest}" in values for dest in source.split("|"))\n'
+           '    if (source == "gallery" or len(argv) != 2 * len(values) + 1',
+           "values = dict(reversed([*zip(argv[1::2], argv[2::2])]))\n"
+           '    given = sum(f"--{dest}" in values for dest in source.split("|"))\n'
+           '    if (source == "gallery" or len(argv) % 2 == 0', (PLAIN,),
+           "the plain reader keeps the first of a repeated flag"),
 ]
 
 

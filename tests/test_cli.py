@@ -1,14 +1,18 @@
 """End-to-end command line checks, run in-process through main()."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qborel
 from qborel.carriers import (
@@ -22,7 +26,7 @@ from qborel.carriers import (
     parse_ptmap,
 )
 from qborel.cli.certificates import run_check
-from qborel.cli.main import main
+from qborel.cli.main import FLAGS, FLAGS_OF, _plain_args, build_parser, main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
@@ -1181,3 +1185,127 @@ def test_verify_deeply_nested_certificate_is_invalid_certificate(tmp_path, capsy
         "message": "certificate nests too deeply to read",
         "witness": None,
     }
+
+
+# -- the plain reader, and the argv it leaves to argparse --------------------
+
+# argv that only argparse reads, each run in a directory holding P.qb
+# (five_points.qb) and Q.json (a generate certificate), with the stdout,
+# stderr and exit code argparse gives them at COLUMNS=80
+KEPT_BY_ARGPARSE = json.loads((GOLDEN / "argv" / "kept_by_argparse.json").read_text("utf-8"))
+
+
+def in_copies(path: pathlib.Path, monkeypatch) -> None:
+    """Make path the working directory, holding P.qb and Q.json, at 80 columns."""
+    shutil.copy(FIVE, path / "P.qb")
+    shutil.copy(GOLDEN / "generate_five_points_maps_c3-fin.json", path / "Q.json")
+    monkeypatch.chdir(path)
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("case", KEPT_BY_ARGPARSE, ids=[c["id"] for c in KEPT_BY_ARGPARSE])
+def test_argv_argparse_reads_prints_the_pinned_text(tmp_path, capsys, monkeypatch, case):
+    in_copies(tmp_path, monkeypatch)
+    assert _plain_args(case["argv"]) is None
+    try:
+        code = main(case["argv"])
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    assert (out.out, out.err, code) == (case["stdout"], case["stderr"], case["exit"])
+
+
+PARSER = build_parser()
+
+
+def argparse_reads(argv: list) -> dict | None:
+    """vars of what argparse reads from argv, or None where it exits (help or error)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(PARSER.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+OPTIONS = [f"--{dest.rstrip('_')}" for dest in FLAGS]
+PREFIXES = sorted({o[:i] for o in OPTIONS for i in range(3, len(o))} - set(OPTIONS))
+VALUES = ["", "0", "-1", " 7 ", "1_0", "\u0663", "x", "-a b", "--input"]
+
+
+@st.composite
+def argvs(draw) -> list:
+    """A command (or none), then either its own flags once each, or flags of any
+    command, prefixes of flags, --flag=value forms, -h and --; with values int()
+    takes, refuses, or argparse reads as negative numbers or as options."""
+    command = draw(st.sampled_from([*FLAGS_OF, None]))
+    own = [f"--{d.rstrip('_')}" for part in FLAGS_OF.get(command, ()) for d in part.split("|")]
+    value = st.sampled_from(VALUES)
+    if own and draw(st.booleans()):  # plain but for the values
+        flags = draw(st.lists(st.sampled_from(own), min_size=1, unique=True))
+        return [command, *(t for f in flags for t in (f, draw(value)))]
+    flag = st.sampled_from(OPTIONS + PREFIXES)
+    item = st.one_of(
+        st.tuples(st.sampled_from(own or OPTIONS), value), st.tuples(flag, value),
+        st.tuples(flag, value).map(lambda p: ("=".join(p),)),
+        st.sampled_from(["-h", "--", *OPTIONS, *VALUES]).map(lambda t: (t,)),
+    )
+    items = draw(st.lists(item, max_size=6))
+    return [command] * (command is not None) + [t for i in items for t in i]
+
+
+@settings(max_examples=300)
+@given(argvs())
+@example(["generate", "--input", "P", "--out", "Q", "--maps", "c3,fin", "--x", "0", "--y", "2"])
+@example(["index", "--gallery", "ex35", "--k", "\u0663", "--n", " 7 ", "--t", "1_0"])
+@example(["cover", "--input", "P", "--K", "32"])
+@example(["tail", "--input", "", "--map", "c3"])
+# a VALUE led by "-": an option to argparse, or a negative number
+@example(["generate", "--input", "P", "--maps", "-c3"])
+@example(["generate", "--input", "P", "--maps", "c3", "--x", "-1", "--y", "2"])
+@example(["verify", "--input", "--out", "F"])
+# no source, and both
+@example(["verify", "--out", "F"])
+@example(["fm-quotient", "--input", "P", "--gallery", "et_shift"])
+# a repeated flag: argparse keeps the last
+@example(["verify", "--input", "nosuch", "--input", "Q"])
+@example(["cover", "--input", "P", "--K", "x", "--K", "3"])
+@example(["cover", "--input", "P", "--K", "x"])
+@example(["cover", "stray", "--input", "P"])
+@example(["gallery", "--out", "F", "ex34"])
+@example(["verify", "--inp", "Q"])
+@example(["verify", "--input=Q"])
+@example(["verify", "--", "--input", "Q"])
+@example(["verify", "--input", "Q", "-h"])
+@example([])
+def test_plain_reader_reads_what_argparse_reads(argv):
+    plain = _plain_args(argv)
+    assert plain is None or vars(plain) == argparse_reads(argv)
+
+
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+# the argv perfbench/run.py builds: CMD --input P --out Q [flags], then verify --input Q
+BENCH_INPUT, BENCH_CERT = "/work/.perfbench_run/instance-1.qb", "/work/.perfbench_run/cert-1.json"
+BENCH_ARGV = [
+    [command, "--input", BENCH_INPUT, "--out", BENCH_CERT, *extra] for command, extra in (
+        ("fm-quotient", ()), ("cover", ()), ("uniformize", ()),
+        ("generate", ("--x", "3", "--y", "41")), ("tail", ()),
+    )
+] + [["verify", "--input", BENCH_CERT]]
+
+
+@pytest.mark.parametrize("argv", [e["argv"] for e in MANIFEST if e["argv"][0] != "gallery"]
+                         + BENCH_ARGV)
+def test_manifest_and_benchmark_argv_read_plain(argv):
+    plain = _plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == argparse_reads(argv)
+
+
+def test_a_plain_run_builds_no_parser(tmp_path, capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("the parser was built")
+
+    monkeypatch.setattr(sys.modules[main.__module__], "_parser", no_parser)
+    cert = str(tmp_path / "g.json")
+    assert run(capsys, "generate", "--input", FIVE, "--maps", "c3,fin", "--out", cert)[0] == 0
+    assert run(capsys, "verify", "--input", cert)[0] == 0

@@ -8,6 +8,7 @@ a handler no longer imports) or a module a command loads without using.
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -193,3 +194,50 @@ def test_fresh_process_prints_what_an_in_process_run_prints(capsys, monkeypatch,
     monkeypatch.chdir(ROOT)
     code = main(argv)
     assert (out.stdout, out.returncode) == (capsys.readouterr().out, code)
+
+
+# the modules argparse brings: a run of a plain argv reads it without them
+PARSER_MODULES = ["argparse", "gettext"]
+
+# `qborel.cli.main(ARGS)`, or the import alone when there are no ARGS; the last
+# line of stdout is the PARSER_MODULES the process holds, or null when one was
+# loaded before qborel.cli was (by site customisation, say)
+RUN_PLAIN = f"""import json, sys
+parser = set({PARSER_MODULES!r})
+held = parser & set(sys.modules)
+import qborel.cli
+code = qborel.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps(None if held else sorted(parser & set(sys.modules))))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify", "--input", "tests/golden/generate_five_points_maps_c3-fin.json"],
+    ["cover", "--input", FIVE],
+], ids=["import", "verify", "finite_cover"])
+def test_a_plain_run_loads_no_argument_parser(argv):
+    out = _fresh("-c", RUN_PLAIN, *argv)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) in (None, [])
+
+
+KEPT_BY_ARGPARSE = {
+    c["id"]: c for c in json.loads((GOLDEN / "argv" / "kept_by_argparse.json").read_text("utf-8"))
+}
+
+
+@pytest.mark.parametrize("case", ["help", "verify_help", "no_command", "bad_K", "both_sources"])
+def test_fresh_process_prints_argparse_text(tmp_path, case):
+    """Help exits 0 and a usage error 2, each with its pinned argparse text."""
+    shutil.copy(ROOT / FIVE, tmp_path / "P.qb")
+    shutil.copy(GOLDEN / "generate_five_points_maps_c3-fin.json", tmp_path / "Q.json")
+    pinned = KEPT_BY_ARGPARSE[case]
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qborel", *pinned["argv"]], cwd=tmp_path,
+        env={**_env(), "COLUMNS": "80"}, capture_output=True, text=True, timeout=60,
+    )
+    assert (out.stdout, out.stderr, out.returncode) == (
+        pinned["stdout"], pinned["stderr"], pinned["exit"]
+    )
