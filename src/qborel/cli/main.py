@@ -178,7 +178,8 @@ def _pick(
 
 
 def _map_list(args, inst, lane: str, mismatch: str) -> list:
-    """The maps --maps or the `maps` directive names, all of one lane.
+    """The maps --maps or the `maps` directive names, or the sole map of
+    the file, all of one lane.
 
     Maps of two lanes, or of the other lane, are usage errors; the latter
     says `mismatch`.
@@ -186,6 +187,8 @@ def _map_list(args, inst, lane: str, mismatch: str) -> list:
     names = args.maps
     if names is None:
         names = inst.directives.get("maps")
+    if names is None and len(inst.maps) == 1:
+        names = next(iter(inst.maps))
     if names is None:
         if not inst.maps:
             raise UsageError("the instance declares no map")

@@ -60,25 +60,9 @@ class Partition(Frozen):
     def from_pairs(cls, n: int, pairs) -> "Partition":
         """Finest partition joining the given pairs (symmetric closure).
 
-        Each point carries its component's label; joining two components
-        relabels the smaller one, so a pair inside one component costs two
-        lookups.  A pair with a point outside 0..n-1 raises InvalidPartition.
+        A pair with a point outside 0..n-1 raises InvalidPartition.
         """
-        label = list(range(n))
-        members = [[x] for x in range(n)]
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise InvalidPartition(
-                    f"pair ({a}, {b}) outside 0..{n - 1}", witness=(a, b)
-                )
-            keep, gone = label[a], label[b]
-            if keep != gone:
-                if len(members[keep]) < len(members[gone]):
-                    keep, gone = gone, keep
-                for x in members[gone]:
-                    label[x] = keep
-                members[keep] += members[gone]
-                members[gone] = []
+        label, members, _ = _components(n, pairs)
         # labels in order of first appearance are the blocks by least member
         order = dict.fromkeys(label)
         index = dict(zip(order, range(len(order))))
@@ -87,6 +71,19 @@ class Partition(Frozen):
             tuple(tuple(sorted(members[c])) for c in order),
             tuple(map(index.__getitem__, label)),
         )
+
+    def generated_by(self, pairs) -> bool:
+        """Whether the pairs generate exactly this partition, with no
+        partition built: every pair lies in 0..n-1, the pairs make n - k
+        joins for k classes, and the points take k distinct (component,
+        class) labels. The k components then each lie in one class.
+        """
+        try:
+            label, _, joins = _components(self.n, pairs)
+        except InvalidPartition:
+            return False
+        k = len(self.blocks)
+        return joins == self.n - k and len(set(zip(label, self.class_of))) == k
 
     @classmethod
     def discrete(cls, n: int) -> "Partition":
@@ -110,3 +107,31 @@ class Partition(Frozen):
         return frozenset(
             (x, y) for b in self.blocks for x in b for y in b
         )
+
+
+def _components(n: int, pairs) -> tuple[list[int], list[list[int]], int]:
+    """Union-find over 0..n-1: each point's component label, the members
+    of each label, and the number of joins the pairs made.
+
+    Each point carries its component's label; joining two components
+    relabels the smaller one, so a pair inside one component costs two
+    lookups.  A pair with a point outside 0..n-1 raises InvalidPartition.
+    """
+    label = list(range(n))
+    members = [[x] for x in range(n)]
+    joins = 0
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise InvalidPartition(
+                f"pair ({a}, {b}) outside 0..{n - 1}", witness=(a, b)
+            )
+        keep, gone = label[a], label[b]
+        if keep != gone:
+            joins += 1
+            if len(members[keep]) < len(members[gone]):
+                keep, gone = gone, keep
+            for x in members[gone]:
+                label[x] = keep
+            members[keep] += members[gone]
+            members[gone] = []
+    return label, members, joins

@@ -47,6 +47,8 @@ COUNT = "tests/test_finite_oracles.py::test_enumerated_partition_is_the_union_fi
 ORACLES = ("tests/test_finite_oracles.py::test_classical_construction_matches_per_point_walk",)
 MIRROR = "tests/test_cross_lane.py::test_an_inverse_is_covered_from_the_mirrored_levels"
 PLAIN = "tests/test_cli.py::test_plain_reader_reads_what_argparse_reads"
+CLOSURE = ("tests/test_certificates.py::"
+           "test_closure_and_tail_checkers_give_the_regenerating_verdicts")
 HULL_TESTS = (
     "tests/test_carriers.py::test_decided_pairs_skip_the_residue_algebra",
     "tests/test_carriers.py::test_hull_rules_give_the_general_paths_pieces",
@@ -147,6 +149,26 @@ MUTANTS = [
            "the identity table kept as a generator"),
     Mutant(FM, "if moved and moved not in seen:", "if moved:", ORACLES,
            "generators not deduped"),
+    # the counting closure check
+    Mutant("qborel/quotient.py", " and len(set(zip(label, self.class_of))) == k", "",
+           (CLOSURE,), "generated_by without its label-pair count"),
+    Mutant("qborel/quotient.py", "return joins == self.n - k and ", "return ", (CLOSURE,),
+           "generated_by without its join count"),
+    Mutant("qborel/quotient.py",
+           "            raise InvalidPartition(\n"
+           '                f"pair ({a}, {b}) outside 0..{n - 1}", witness=(a, b)\n'
+           "            )\n",
+           "            continue\n", (CLOSURE,),
+           "a pair outside 0..n-1 counted as joined"),
+    Mutant("qborel/cli/certificates.py",
+           '    left = _blocks_partition(data["n"], data["left"])\n'
+           '    if data["right"] == data["left"]:  # an equal list reads as the same partition\n'
+           "        return True, None\n",
+           '    if data["right"] == data["left"]:\n'
+           "        return True, None\n"
+           '    left = _blocks_partition(data["n"], data["left"])\n',
+           ("tests/test_certificates.py::test_partition_equal_gives_the_two_partition_verdict",),
+           "the partition_equal shortcut taken before the left list is read"),
     # certificates and the command line
     Mutant("qborel/cli/certificates.py",
            "min(set(block).symmetric_difference(other))",

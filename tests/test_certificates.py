@@ -25,12 +25,13 @@ from hypothesis import example, given, strategies as st
 
 import qborel
 from qborel.cli.certificates import (
-    LEGACY, OUTPUT, SPEC, Certificate, _compact, _partitions_agree, _plain, _spaced, _spaced_text,
-    jsonable, reverify, run_check,
+    LEGACY, OUTPUT, SPEC, Certificate, _compact, _pairs_to_map, _partitions_agree, _plain,
+    _spaced, _spaced_text, jsonable, reverify, run_check,
 )
 from qborel.cli.main import main
 from qborel.feldman_moore import MAX_PROBE, ORBIT_WINDOW
 from qborel.quotient import Partition
+from qborel.relations import generate_equivalence, tail_equivalence
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -1015,6 +1016,115 @@ def partition_pairs(draw):
 @example((Partition.from_class_map([0, 0, 0, 1]), Partition.from_class_map([0, 1, 2, 3])))
 def test_partition_witness_is_the_first_disagreeing_pair(pair):
     assert _partitions_agree(*pair) == ref_partitions_agree(*pair)
+
+
+def _ref_blocks(n, blocks):
+    return Partition.from_blocks(n, [[int(x) for x in b] for b in blocks])
+
+
+def ref_closure_partition(data):
+    """The closure_partition checker as it was: the closure regenerated for every row."""
+    want = _ref_blocks(data["n"], data["blocks"])
+    maps = [_pairs_to_map(g) for g in data["maps"]]
+    got, _ = generate_equivalence(want.n, maps)
+    return _partitions_agree(got, want)
+
+
+def ref_tail_partition(data):
+    """The tail_partition checker as it was: the tail classes regenerated for every row."""
+    want = _ref_blocks(data["n"], data["blocks"])
+    got, _ = tail_equivalence(_pairs_to_map(data["map"]), want.n)
+    ok = got == want
+    return ok, None if ok else {"got": [list(b) for b in got.blocks]}
+
+
+def ref_partition_equal(data):
+    """The partition_equal checker as it was: both stored lists read as partitions."""
+    return _partitions_agree(
+        _ref_blocks(data["n"], data["left"]), _ref_blocks(data["n"], data["right"])
+    )
+
+
+def _stored_blocks(draw, n, blocks):
+    """Blocks as a hand edit may store them: out of canonical order, an
+    entry as str or bool, or no partition of 0..n-1 at all."""
+    blocks = [list(b)[::-1] if draw(st.booleans()) else list(b)
+              for b in draw(st.permutations(blocks))]
+    edit = draw(st.sampled_from(["none"] * 4 + ["str", "bool", "drop", "repeat", "outside"]))
+    if blocks and edit != "none":
+        b = draw(st.sampled_from(blocks))
+        i = draw(st.integers(0, len(b) - 1))
+        if edit == "str":
+            b[i] = str(b[i])
+        elif edit == "bool":
+            b[i] = b[i] == 1
+        elif edit == "drop":
+            del b[i]
+        else:
+            draw(st.sampled_from(blocks)).append(b[i] if edit == "repeat" else n)
+    return blocks
+
+
+def _random_blocks(draw, n):
+    return Partition.from_class_map(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))).blocks
+
+
+@st.composite
+def closure_rows(draw):
+    """closure_partition data: small stored maps, edited as a hand edit may
+    (a point outside 0..n-1, a str or bool entry, a repeated source), and
+    stored blocks that are their closure half the time."""
+    n = draw(st.integers(0, 7))
+    point = st.integers(0, max(n - 1, 0))
+    maps = draw(st.lists(st.lists(st.lists(point, min_size=2, max_size=2), max_size=n + 2),
+                         max_size=3))
+    flat = [pair for g in maps for pair in g]
+    for _ in range(draw(st.integers(0, 2)) if flat else 0):
+        pair = draw(st.sampled_from(flat))
+        side = draw(st.integers(0, 1))
+        pair[side] = draw(st.sampled_from([-1, n, 5, str(pair[side]), pair[side] == 1]))
+    try:
+        closure = generate_equivalence(n, [_pairs_to_map(g) for g in maps])[0].blocks
+    except ValueError:
+        closure = None
+    if closure is None or draw(st.booleans()):
+        closure = _random_blocks(draw, n)
+    return {"n": n, "blocks": _stored_blocks(draw, n, closure), "maps": maps}
+
+
+@given(closure_rows())
+# blocks {0, 1}, {2} and the pair (1, 2): the join count alone matches
+@example({"n": 3, "blocks": [[0, 1], [2]], "maps": [[[1, 2]]]})
+# blocks {0}, {1} and the pair (0, 1): the label count alone matches
+@example({"n": 2, "blocks": [[0], [1]], "maps": [[[0, 1]]]})
+# a block the maps leave in two pieces
+@example({"n": 4, "blocks": [[0, 1, 2, 3]], "maps": [[[0, 1], [2, 3]]]})
+# a pair outside 0..n-1
+@example({"n": 2, "blocks": [[0], [1]], "maps": [[[0, 5]]]})
+@example({"n": 0, "blocks": [], "maps": []})
+def test_closure_and_tail_checkers_give_the_regenerating_verdicts(data):
+    assert _outcome(run_check, "closure_partition", data) == _outcome(ref_closure_partition, data)
+    # one stored map, its sources repeated where two maps share one
+    tail = {"n": data["n"], "blocks": data["blocks"], "map": sum(data["maps"], [])}
+    assert _outcome(run_check, "tail_partition", tail) == _outcome(ref_tail_partition, tail)
+
+
+@st.composite
+def partition_equal_rows(draw):
+    n = draw(st.integers(0, 7))
+    left = _stored_blocks(draw, n, _random_blocks(draw, n))
+    right = draw(st.sampled_from([
+        json.loads(json.dumps(left)), _stored_blocks(draw, n, _random_blocks(draw, n)),
+    ]))
+    return {"n": n, "left": left, "right": right}
+
+
+@given(partition_equal_rows())
+# two equal stored lists that are no partition
+@example({"n": 2, "left": [[0], [0, 1]], "right": [[0], [0, 1]]})
+@example({"n": 3, "left": [[2], [1, 0]], "right": [[2], [1, 0]]})
+def test_partition_equal_gives_the_two_partition_verdict(data):
+    assert _outcome(run_check, "partition_equal", data) == _outcome(ref_partition_equal, data)
 
 
 def ref_pair_coverage(data):

@@ -1067,6 +1067,32 @@ def test_generate_maps_on_two_spaces_is_usage_error(tmp_path, capsys):
     assert out.endswith("qborel: error: maps must all live on one space, not A and B\n")
 
 
+ONE_MAP = {
+    "generate": "space S carrier = finite(3)\nmap f : S -> S : 0 -> 1, 1 -> 2, 2 -> 2\n",
+    "uniformize": "space Z carrier = int\nptmap f : Z : 0.. -> +1 | ..-5 -> +2\n",
+    "fm-quotient": "space Z carrier = int\nrel F on Z blocks = { {0..1} }\n"
+                   "ptmap f : Z : 0 -> +1 | 1 -> -1\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_MAP))
+def test_the_sole_map_of_a_file_is_used_outright(tmp_path, capsys, command):
+    inst = tmp_path / "one.qb"
+    inst.write_text(ONE_MAP[command], encoding="utf-8")
+    code, out = run(capsys, command, "--input", str(inst))
+    assert (code, out) == run(capsys, command, "--input", str(inst), "--maps", "f")
+    assert code == 0
+
+
+def test_two_maps_and_no_selection_is_still_a_usage_error(tmp_path, capsys):
+    inst = tmp_path / "two.qb"
+    inst.write_text(ONE_MAP["generate"] + "map g : S -> S : 0 -> 0, 1 -> 1, 2 -> 2\n",
+                    encoding="utf-8")
+    code, out = run(capsys, "generate", "--input", str(inst))
+    assert code == 2
+    assert out.endswith("qborel: error: no maps selected; pass --maps name,name,...\n")
+
+
 def test_ptmaps_on_two_int_spaces_still_run(tmp_path, capsys):
     # only generate reads its point count off one map's space
     text = (

@@ -1,7 +1,7 @@
 """Quotient spaces: a finite quotient is its Partition."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qborel.quotient import InvalidPartition, Partition
 
@@ -39,6 +39,32 @@ def test_partition_round_trips(p):
     assert Partition.from_blocks(p.n, p.blocks) == p
     assert Partition.from_class_map(p.class_of) == p
     assert Partition.from_pairs(p.n, p.pairs()) == p
+
+
+@st.composite
+def partition_and_pairs(draw):
+    # pairs inside 0..n-1: each block's path half the time, and a few more
+    p = draw(partitions())
+    point = st.integers(0, p.n - 1)
+    pairs = draw(st.lists(st.tuples(point, point), max_size=p.n))
+    if draw(st.booleans()):
+        pairs += [(b[i], b[i + 1]) for b in p.blocks for i in range(len(b) - 1)]
+    return p, draw(st.permutations(pairs))
+
+
+@given(partition_and_pairs())
+# the join count alone matches, then the label count alone
+@example((Partition.from_blocks(3, [(0, 1), (2,)]), [(1, 2)]))
+@example((Partition.discrete(2), [(0, 1)]))
+def test_generated_by_is_equality_with_the_generated_partition(case):
+    p, pairs = case
+    assert p.generated_by(pairs) == (Partition.from_pairs(p.n, pairs) == p)
+
+
+def test_generated_by_is_false_on_a_pair_outside_the_points():
+    assert not Partition.discrete(2).generated_by([(0, 5)])
+    assert not Partition.from_blocks(2, [(0, 1)]).generated_by([(0, 1), (-1, 0)])
+    assert Partition.discrete(0).generated_by([])
 
 
 @given(partitions())
