@@ -1,7 +1,12 @@
-"""Instance files, run certificates, and the command-line front end."""
+"""Instance files, run certificates, and the command-line front end.
+
+InstanceFile and parse_instance are imported from cli.instance on first
+use (PEP 562): a verify reads no instance file, so it loads no parser.
+"""
+
+import importlib
 
 from .certificates import CHECKERS, Certificate, reverify, run_check
-from .instance import InstanceFile, parse_instance
 from .main import COMMANDS, build_parser, main
 
 __all__ = [
@@ -15,3 +20,11 @@ __all__ = [
     "build_parser",
     "main",
 ]
+
+
+def __getattr__(name):
+    if name not in ("InstanceFile", "parse_instance"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(".instance", __name__), name)
+    globals()[name] = value
+    return value

@@ -11,7 +11,6 @@ it, and reverify holds every certificate to it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import marshal
 from itertools import count
@@ -251,8 +250,14 @@ def _fill(t, outputs: dict, values: dict, refs: bool = True):
     return {REFERENCE: key} if refs and type(value) in (list, dict) else value
 
 
+_sha256 = None  # hashlib's, imported by the first input a run digests
+
+
 def digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    global _sha256
+    if _sha256 is None:
+        from hashlib import sha256 as _sha256
+    return _sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 class Certificate(Record):

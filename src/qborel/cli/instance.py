@@ -379,13 +379,15 @@ def parse_instance(text: str) -> InstanceFile:
 
 
 def decode_instance(data: bytes) -> str:
-    """Instance text from file bytes, with newlines as a text-mode open() reads them.
+    """Instance text from file bytes, with newlines as a text-mode open() reads them
+    and no leading byte-order mark.
 
     Bytes that are not UTF-8 raise InstanceSyntaxError at their line.
     """
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
-        raise InstanceSyntaxError(f"not UTF-8 text at byte {e.start}", line) from None
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:  # e.object is data after any mark
+        start = e.start + len(data) - len(e.object)
+        line = data.count(b"\n", 0, start) + 1
+        raise InstanceSyntaxError(f"not UTF-8 text at byte {start}", line) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -256,22 +256,26 @@ def enumerated_partition(graphs, n: int) -> Partition:
     """The partition the graphs enumerate; NotAnEnumeration, with the
     report or pair verify_enumeration gives, when they enumerate none."""
     rel, report = _enumeration_check(graphs, n)
-    if rel is None:
+    if not report.ok:
         raise NotAnEnumeration("graphs fail the closure checks", witness=report)
     return rel
 
 
-def _enumeration_check(graphs, n: int) -> tuple[Partition | None, EnumReport]:
-    """The partition the union of the graphs makes up, or None, and the report.
+def _enumeration_check(
+    graphs, n: int, join: bool = False
+) -> tuple[Partition | None, EnumReport]:
+    """The partition the union of the graphs joins, and the report.
 
     Each pair of the union lies in B x B for its own connected component
     B, so the union is an equivalence relation on 0..n-1 exactly when its
     pairs lie in 0..n-1 and it has sum |B|^2 of them: one union-find pass
-    settles the three laws and gives the partition.
+    settles the three laws and gives the partition, also when they fail.
+    A union of fewer than n pairs is not reflexive: its partition, which
+    takes time in n, is built only when join is set.
     """
     # range(n), then the count: a stored n may be no integer, or far above the points listed
-    union, points = union_pairs(graphs), range(n)
-    if n <= len(union):
+    union, points, rel = union_pairs(graphs), range(n), None
+    if join or n <= len(union):
         try:
             rel = Partition.from_pairs(n, union)
         except InvalidPartition:
@@ -301,7 +305,7 @@ def _enumeration_check(graphs, n: int) -> tuple[Partition | None, EnumReport]:
         if not onward <= rows[x]:
             trans = CheckOutcome(False, (x, min(onward - rows[x]), y))
             break
-    return None, EnumReport(refl, sym, trans)
+    return rel, EnumReport(refl, sym, trans)
 
 
 def union_pairs(graphs) -> frozenset[tuple[int, int]]:
@@ -326,6 +330,3 @@ class EnumeratedEquivalence(Frozen):
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         return union_pairs(self.graph_dicts())
-
-    def partition(self) -> Partition:
-        return Partition.from_pairs(self.n, self.pairs())

@@ -47,6 +47,8 @@ COUNT = "tests/test_finite_oracles.py::test_enumerated_partition_is_the_union_fi
 ORACLES = ("tests/test_finite_oracles.py::test_classical_construction_matches_per_point_walk",)
 MIRROR = "tests/test_cross_lane.py::test_an_inverse_is_covered_from_the_mirrored_levels"
 PLAIN = "tests/test_cli.py::test_plain_reader_reads_what_argparse_reads"
+FAILING_LAWS = ("tests/test_cli.py::"
+                "test_graphs_that_fail_the_laws_still_give_the_partition_they_join")
 CLOSURE = ("tests/test_certificates.py::"
            "test_closure_and_tail_checkers_give_the_regenerating_verdicts")
 HULL_TESTS = (
@@ -91,6 +93,13 @@ MUTANTS = [
            "            if True:\n", (COUNT,), "the count dropped: any union inside 0..n-1 passes"),
     Mutant(RELATIONS, "for b in rel.blocks) == len(union):", "for b in rel.blocks) >= len(union):",
            (COUNT,), "the classes only need as many cells as the union has pairs"),
+    # the partition a family that fails the laws joins, which index, selector,
+    # fm-classical and involution2 still print
+    Mutant(RELATIONS, "    return rel, EnumReport(refl, sym, trans)\n",
+           "    return None, EnumReport(refl, sym, trans)\n", (FAILING_LAWS,),
+           "no partition when the laws fail"),
+    Mutant(RELATIONS, "if join or n <= len(union):", "if n <= len(union):", (FAILING_LAWS,),
+           "no partition of a union with fewer pairs than points"),
     # the shared construction loop
     Mutant(FM, "                if f_key not in seen:\n",
            "                if True:\n",
@@ -192,7 +201,7 @@ MUTANTS = [
     Mutant("qborel/cli/main.py", 'sys.modules.get("qborel.carriers")', 'sys.modules.get("carriers")',
            ("tests/test_cli.py::test_a_finite_run_after_an_integer_one_starts_from_empty_memos",),
            "main looks the carrier up under a name it is not loaded as"),
-    Mutant("qborel/cli/main.py", "    check_maps_within_int(rel, phis)\n", "",
+    Mutant("qborel/cli/commands.py", "    check_maps_within_int(rel, phis)\n", "",
            ("tests/test_cli.py::test_integer_cover_rejects_a_stray_map_as_fm_quotient_does",),
            "_cover_int does not check its maps against the relation"),
     Mutant("qborel/cli/main.py", '"fm-classical": ("input", "out", "rel"),',

@@ -121,6 +121,27 @@ def test_graphs_that_are_no_enumeration_fail_their_check(tmp_path, capsys, comma
     assert "  [FAIL] graphs_form_an_enumeration  witness: " in out
 
 
+# a swap of 0 and 1 alone on five points: two pairs, fewer than the points, so
+# the check fails reflexivity before it joins a pair
+LONE_SWAP = "space Q carrier = finite(5)\nmap f : Q -> Q : 0 -> 1, 1 -> 0\nrel E on Q graphs = [f]\n"
+
+
+@pytest.mark.parametrize("text, command, output", [
+    (MISSING_SHIFT, "index", "index = 3"),
+    (LONE_SWAP, "index", "index = 2"),
+    (LONE_SWAP, "involution2", "involution = [[0, 1], [1, 0], [2, 2], [3, 3], [4, 4]]"),
+    (LONE_SWAP, "selector", "selector = [[0, 0], [1, 0], [2, 2], [3, 3], [4, 4]]"),
+], ids=["missing_shift", "lone_swap_index", "lone_swap_involution2", "lone_swap_selector"])
+def test_graphs_that_fail_the_laws_still_give_the_partition_they_join(
+    tmp_path, capsys, text, command, output
+):
+    inst = tmp_path / "failing.qb"
+    inst.write_text(text)
+    code, out = run(capsys, command, "--input", str(inst))
+    assert code == 1 and "  [FAIL] graphs_form_an_enumeration  witness: " in out
+    assert f"  {output}\n" in out
+
+
 # -- commands on the samples --------------------------------------------------
 
 def test_fm_quotient_finite(capsys):
@@ -447,6 +468,33 @@ def test_instance_not_utf8_is_syntax_error(tmp_path, capsys):
     assert err["message"].startswith("line 2: not UTF-8")
 
 
+def test_instance_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsys):
+    text = (
+        b"space Q carrier = finite(2)\nmap f : Q -> Q : 0 -> 0, 1 -> 1\nrel E on Q graphs = [f]\n"
+    )
+    runs = []
+    for side, data in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+        (tmp_path / side).mkdir()
+        inst, cert = tmp_path / side / "I.qb", tmp_path / side / "cert.json"
+        inst.write_bytes(data)
+        code, out = run(capsys, "index", "--input", str(inst), "--out", str(cert))
+        runs.append((code, out.replace(side, "SIDE"), cert.read_bytes()))
+    assert runs[0][0] == 0 and runs[1] == runs[0]  # the digest is the plain text's
+
+
+def test_instance_not_utf8_after_a_byte_order_mark_counts_bytes_from_the_file_start(
+    tmp_path, capsys
+):
+    inst = tmp_path / "marked.qb"
+    inst.write_bytes(b"\xef\xbb\xbfspace Z carrier = int\n\xe9\n")
+    code, out = run(capsys, "index", "--input", str(inst))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["kind"], err["message"]) == (
+        "InstanceSyntaxError", "line 2: not UTF-8 text at byte 25"
+    )
+
+
 def two_ray_instance(span):
     return (
         "space Z carrier = int\n"
@@ -624,15 +672,15 @@ def test_a_stray_or_second_name_is_usage_error(tmp_path, capsys, argv, unread):
 
 def _args_reads(functions: dict, name: str, seen: set) -> set:
     """The args.<dest> that function `name` reads, with those of each module
-    function it passes `args` to."""
+    function it passes `args` to, called by name or as an attribute."""
     seen.add(name)
     reads = set()
     for node in ast.walk(functions[name]):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id == "args":
                 reads.add(node.attr)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            callee = node.func.id
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            callee = getattr(node.func, "id", None) or node.func.attr
             passed = [*node.args, *(k.value for k in node.keywords)]
             if callee in functions and callee not in seen and any(
                 isinstance(a, ast.Name) and a.id == "args" for a in passed
@@ -642,9 +690,16 @@ def _args_reads(functions: dict, name: str, seen: set) -> set:
 
 
 def test_flags_of_lists_the_flags_each_command_reads():
+    import qborel.cli.commands as commands
+
     cli = sys.modules[main.__module__]
-    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
-    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    # the dispatcher and the handlers it loads: no function is defined in both
+    functions = {}
+    for module in (cli, commands):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        defined = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        assert not defined.keys() & functions.keys(), sorted(defined.keys() & functions.keys())
+        functions |= defined
     # what main reads for the handler (--input, --out, --gallery and the
     # model flags among them) counts as read for each command declaring it
     main_reads = _args_reads(functions, "main", set())

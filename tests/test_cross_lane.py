@@ -42,7 +42,7 @@ from qborel.feldman_moore import (
     quotient_construction,
     quotient_construction_int,
 )
-from qborel.relations import EnumeratedEquivalence
+from qborel.relations import EnumeratedEquivalence, enumerated_partition
 
 # ---------------------------------------------------------------------------
 # the embedding
@@ -108,7 +108,7 @@ def both_quotients(n, classes, maps):
 
 def finite_cover(n, maps, seed):
     enum = EnumeratedEquivalence.make(n, maps)
-    part = enum.partition()
+    part = enumerated_partition(enum.graph_dicts(), n)
     g = greedy_extend(seed, psi_split(enum.graph_dicts()), n, part)
     pair = cover_finite(levels_finite(g, n, part))
     return g, pair.first, pair.second
@@ -272,7 +272,7 @@ def test_an_inverse_is_covered_from_the_mirrored_levels(case):
     assert _mirror_cover_int(inverse, cover_int(levels)) == cover_int(inverse)
     if twin is not None:
         n, maps, h = twin
-        part = EnumeratedEquivalence.make(n, maps).partition()
+        part = enumerated_partition(EnumeratedEquivalence.make(n, maps).graph_dicts(), n)
         levels = levels_finite(h, n, part)
         inverse = levels_finite(levels.ginv, n, part)
         assert _mirror_levels(levels) == inverse

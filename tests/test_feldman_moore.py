@@ -664,32 +664,40 @@ def test_construction_does_each_step_once(lane, monkeypatch):
 @pytest.mark.parametrize("command", ["fm-quotient", "cover"])
 def test_finite_construction_checks_the_enumeration_once(command, monkeypatch, tmp_path):
     # the construction takes its relation from the one check of its graphs,
-    # and the certificate's enumeration_laws row replays that check
+    # enumerated_partition, and the certificate's enumeration_laws row replays
+    # that check
+    import qborel.cli.commands
+    import qborel.feldman_moore
     import qborel.relations
     from qborel.cli.certificates import Certificate
     from qborel.cli.main import main
 
-    checks, at_certify = [], []
+    checks, partitions, at_certify = [], [], []
     check, certify = qborel.relations._enumeration_check, Certificate.certify
+    partition = qborel.relations.enumerated_partition
 
     def counted(graphs, n):
         checks.append(n)
         return check(graphs, n)
 
-    def unread(self):
-        raise AssertionError("EnumeratedEquivalence.partition called")
+    def partitioned(graphs, n):
+        rel = partition(graphs, n)
+        partitions.append(len(checks))
+        return rel
 
     def certified(self, *args):
         at_certify.append(len(checks))
         return certify(self, *args)
 
     monkeypatch.setattr(qborel.relations, "_enumeration_check", counted)
-    monkeypatch.setattr(EnumeratedEquivalence, "partition", unread)
+    for module in (qborel.cli.commands, qborel.feldman_moore):
+        monkeypatch.setattr(module, "enumerated_partition", partitioned)
     monkeypatch.setattr(Certificate, "certify", certified)
     cert = tmp_path / "cert.json"
     assert main([command, "--input", str(SAMPLES / "five_points.qb"), "--out", str(cert)]) == 0
     kinds = [c["kind"] for c in json.loads(cert.read_text())["checks"]]
     assert at_certify == [1] and kinds.count("enumeration_laws") == 1 and checks == [5, 5]
+    assert partitions == [1]
 
 
 def test_finite_construction_builds_no_closure_layers(monkeypatch):

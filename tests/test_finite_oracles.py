@@ -24,7 +24,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qborel.cli.certificates import CHECKERS, _blocks_partition, _pairs_to_map
-from qborel.cli.main import _graph_pairs, main
+from qborel.cli.commands import _graph_pairs
+from qborel.cli.main import main
 from qborel.errors import (
     InvalidPartition,
     NotAnEnumeration,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qborel.carriers import IntBlockRelation, IntSet, PiecewiseTranslation as PT
-from qborel.errors import InvalidPartition, NotAnEnumeration
+from qborel.errors import NotAnEnumeration
 from qborel.feldman_moore import quotient_construction
 from qborel.relations import (
     ChainStep,
@@ -25,6 +25,7 @@ from qborel.relations import (
     NotASelector,
     Partition,
     chain_witness,
+    enumerated_partition,
     generate_equivalence,
     index2_involution,
     index_over,
@@ -344,7 +345,7 @@ def test_verify_enumeration_accepts_closure_generators():
     ]
     assert verify_enumeration(graphs, 5).ok
     e = EnumeratedEquivalence.make(5, graphs)
-    assert e.partition() == p
+    assert enumerated_partition(e.graph_dicts(), 5) == p
     assert e.pairs() == p.pairs()
 
 
@@ -376,9 +377,9 @@ def test_enumeration_naming_points_outside_the_space():
     enum = EnumeratedEquivalence.make(2, graphs)
     with pytest.raises(NotAnEnumeration):
         quotient_construction(enum)
-    with pytest.raises(InvalidPartition) as ei:
-        enum.partition()
-    assert 5 in ei.value.witness
+    with pytest.raises(NotAnEnumeration) as ei:
+        enumerated_partition(enum.graph_dicts(), 2)
+    assert ei.value.witness == (0, 5)
 
 
 def pairwise_join_report(graphs, n):

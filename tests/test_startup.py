@@ -116,6 +116,61 @@ def test_finite_runs_load_no_integer_lane(argv):
     assert not loaded & INTEGER_LANE, sorted(loaded & INTEGER_LANE)
 
 
+# the modules every command loads, verify included: all that `import qborel.cli` loads
+EVERY_COMMAND = [
+    "qborel", "qborel.cli", "qborel.cli.certificates", "qborel.cli.main", "qborel.errors",
+    "qborel.quotient", "qborel.record", "qborel.relations",
+]
+# what a run that reads an instance file or a gallery example loads, and verify does not
+CERTIFYING = {"qborel.cli.commands", "qborel.cli.instance"}
+
+# `qborel.cli.main(ARGS)`, or the import alone when there are no ARGS; the last
+# line of stdout is the qborel modules the process holds and whether it holds
+# hashlib, or null for the latter when hashlib was loaded before qborel.cli was
+# (by site customisation, say)
+RUN_DIGESTING = """import json, sys
+held = "hashlib" in sys.modules
+import qborel.cli
+code = qborel.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+qborel = sorted(m for m in sys.modules if m.startswith("qborel"))
+print(json.dumps([qborel, None if held else "hashlib" in sys.modules]))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify", "--input", "tests/golden/schema2/fm-quotient_five_points.json"],
+    ["verify", "--input", "tests/golden/schema2/cover_shifted_ray.json"],
+    ["verify", "--input", "tests/golden/schema2/generate_five_points_maps_c3-fin.json"],
+], ids=["import", "verify_finite", "verify_integer", "verify_generate"])
+def test_import_and_verify_load_no_handler_parser_or_digest(argv):
+    out = _fresh("-c", RUN_DIGESTING, *argv)
+    assert out.returncode == 0, out.stdout + out.stderr
+    loaded, hashlib = json.loads(out.stdout.splitlines()[-1])
+    assert not set(loaded) & CERTIFYING and hashlib in (None, False), (loaded, hashlib)
+    if not argv:
+        assert loaded == EVERY_COMMAND
+
+
+def test_a_certifying_run_loads_the_handlers_parser_and_digest():
+    out = _fresh("-c", RUN_DIGESTING, "fm-quotient", "--input", FIVE)
+    assert out.returncode == 0, out.stdout + out.stderr
+    loaded, hashlib = json.loads(out.stdout.splitlines()[-1])
+    assert CERTIFYING <= set(loaded) and hashlib in (None, True), (loaded, hashlib)
+
+
+def test_cli_serves_the_instance_parser_on_first_use():
+    script = (
+        "import json, sys, qborel.cli; before = 'qborel.cli.instance' in sys.modules; "
+        "from qborel.cli import *; "
+        "print(json.dumps([before, parse_instance.__module__, InstanceFile.__module__]))"
+    )
+    out = _fresh("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [False, "qborel.cli.instance", "qborel.cli.instance"]
+
+
 # `python -m qborel ARGS` after `import qborel.cli`; the last line of stderr
 # says whether the integer carrier was loaded before the run and after it
 RUN_LOADING = """import json, runpy, sys
