@@ -4,8 +4,6 @@ InstanceFile and parse_instance are imported from cli.instance on first
 use (PEP 562): a verify reads no instance file, so it loads no parser.
 """
 
-import importlib
-
 from .certificates import CHECKERS, Certificate, reverify, run_check
 from .main import COMMANDS, build_parser, main
 
@@ -25,6 +23,8 @@ __all__ = [
 def __getattr__(name):
     if name not in ("InstanceFile", "parse_instance"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(".instance", __name__), name)
+    from . import instance
+
+    value = getattr(instance, name)
     globals()[name] = value
     return value
