@@ -250,14 +250,10 @@ def _fill(t, outputs: dict, values: dict, refs: bool = True):
     return {REFERENCE: key} if refs and type(value) in (list, dict) else value
 
 
-_sha256 = None  # hashlib's, imported by the first input a run digests
-
-
 def digest(text: str) -> str:
-    global _sha256
-    if _sha256 is None:
-        from hashlib import sha256 as _sha256
-    return _sha256(text.encode("utf-8")).hexdigest()[:12]
+    from hashlib import sha256
+
+    return sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 class Certificate(Record):

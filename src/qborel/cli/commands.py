@@ -23,7 +23,7 @@ from ..relations import (
 )
 from .certificates import Certificate, _level_texts
 from .instance import ActionDecl, GroupDecl, InstanceFile, MapDecl, RelDecl, SpaceDecl
-from .main import UsageError, _write_output
+from .main import UsageError, _expected_index, _write_output
 
 
 def _pick(
@@ -228,7 +228,7 @@ def cmd_cover(args, inst) -> Certificate:
         return _cover_int(args, decl.value, [d.table for d in decls], g0_decl.table)
     if decl.kind != "graphs":
         raise UsageError("cover needs a graphs relation (or an int blocks one)")
-    from ..feldman_moore import _permutation_levels, greedy_extend, invert_map, psi_split
+    from ..feldman_moore import greedy_extend, invert_map, psi_split
 
     enum, phis = decl.value, decl.value.graph_dicts()
     rel, g0 = enumerated_partition(phis, enum.n), dict(g0_decl.table)
@@ -236,7 +236,7 @@ def cmd_cover(args, inst) -> Certificate:
     # and g is a permutation inside the classes, as the emitted checks confirm. The
     # finite cover is (g, g^-1): first is the extension, second its inverse
     g = greedy_extend(g0, psi_split(phis), rel.n, rel, sources=range(rel.n))
-    extension, second = _graph_pairs(g), _graph_pairs(_permutation_levels(g, rel.n).ginv)
+    extension, second = _graph_pairs(g), _graph_pairs(invert_map(g))
     return Certificate("cover").certify({
         "extension": extension,
         "first": extension,
@@ -338,16 +338,6 @@ def cmd_tail(args, inst) -> Certificate:
     return Certificate("tail").certify(
         {"blocks": _blocks_of(partition)}, {"n": n, "map": _graph_pairs(decl.table)}
     )
-
-
-def _expected_index(text: str):
-    """The value of index --expect: an integer or 'unbounded'."""
-    if text == "unbounded":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"--expect takes an integer or 'unbounded', got {text!r}") from None
 
 
 def cmd_index(args, inst) -> Certificate:

@@ -143,7 +143,8 @@ def cmd_verify(args, inst) -> tuple[int, list[str]]:
         text = _read_input(args.input).decode("utf-8")
     except UnicodeDecodeError as e:
         raise InvalidCertificate(f"certificate is not UTF-8 text at byte {e.start}") from None
-    cert = Certificate.from_json(text)
+    # a byte-order mark is read past, as an instance file's is
+    cert = Certificate.from_json(text.removeprefix("\ufeff"))
     agree, rows, layout = reverify(cert)
     lines = [f"verify {args.input}: {len(rows)} stored checks"]
     if layout:
@@ -165,18 +166,11 @@ def cmd_verify(args, inst) -> tuple[int, list[str]]:
     return (0 if all_pass else 1), lines
 
 
-@functools.cache
-def _handlers() -> tuple:
-    """The commands and instance modules, imported by the first run that reads
-    an instance file, a gallery example or index --expect; verify reads none."""
-    from . import commands, instance
-    return commands, instance
-
-
 def _handler(name: str):
-    """A COMMANDS entry that runs the handler `name` of the commands module."""
+    """A COMMANDS entry: the handler `name` of the commands module, imported as it first runs."""
     def run(args, inst):
-        return getattr(_handlers()[0], name)(args, inst)
+        from . import commands
+        return getattr(commands, name)(args, inst)
 
     run.__name__ = run.__qualname__ = name
     return run
@@ -191,6 +185,16 @@ COMMANDS = {
 }
 
 
+def _expected_index(text: str):
+    """The value of index --expect: an integer or 'unbounded'."""
+    if text == "unbounded":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"--expect takes an integer or 'unbounded', got {text!r}") from None
+
+
 def _check_flags(args, command: str) -> None:
     """The usage errors the flag values alone show, raised before the instance is read."""
     if command in ("fm-quotient", "cover") and args.gallery not in (None, "et_shift"):
@@ -198,7 +202,7 @@ def _check_flags(args, command: str) -> None:
     if command != "gallery" and args.input and (args.k, args.n, args.t) != (None,) * 3:
         raise UsageError("--k, --n and --t set a gallery model: pass them with --gallery")
     if command == "index" and args.expect is not None:
-        _handlers()[0]._expected_index(args.expect)
+        _expected_index(args.expect)
     if command == "generate" and (args.x is None) != (args.y is None):
         raise UsageError("--x and --y go together: pass both endpoints or neither")
 
@@ -230,7 +234,7 @@ def main(argv=None) -> int:
         # a command given --gallery reads the example's declarations instead
         text = inst = None
         if command not in ("verify", "gallery"):
-            commands, instance = _handlers()
+            from . import commands, instance
             if args.input:
                 text = instance.decode_instance(_read_input(args.input))
                 inst = instance.parse_instance(text)

@@ -399,13 +399,6 @@ def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
     w = maximality_witness(g, rel)
     if w is not None:
         raise NotMaximal(f"pair {w} is unused but extendable", witness=w)
-    return _permutation_levels(g, n)
-
-
-def _permutation_levels(g: dict[int, int], n: int) -> FiniteLevels:
-    """levels_finite of g unchecked, for an extension greedy_extend built:
-    from an injective seed inside the relation, by psis that lie in it and
-    cover it, which makes a permutation inside the classes."""
     return FiniteLevels(n, g, invert_map(g), [], [], frozenset(range(n)))
 
 
@@ -620,7 +613,7 @@ class QuotientConstruction(Record):
     """Per-injection cover data and the generators it produced.
 
     Maps are dicts on the finite lane and piecewise translations on the
-    integer lane; an extension's cover may be read off its inverse's.
+    integer lane; an extension met after its inverse mirrors that one's cover.
     Only the finite lane sets orbit, the partition the generators
     generate; the integer lane certifies orbit coverage on a window.
     """
@@ -632,15 +625,16 @@ class QuotientConstruction(Record):
         self._set(relation, psis, extended, covers, generators, orbit)
 
 
-def _cover_each(rel, psis: list, key, extend, levels, cover, mirror) -> QuotientConstruction:
+def _cover_each(rel, psis: list, key, extend, cover, mirror) -> QuotientConstruction:
     """The construction over rel: each psi's extension and cover, and generators.
 
     Equal psis extend equally and equal extensions cover equally, so each
     distinct psi (equal under key) is extended once over the queue of
     distinct psis, and each distinct extension covered once; a repeated
-    psi adds nothing to a greedy extension either.  An h^-1 met after h is
-    covered by mirror(h's levels mirrored, h's cover), with no levels or
-    cover step.  The generators are the distinct cover maps, in first-seen order.
+    psi adds nothing to a greedy extension either.  cover(g), the lane's
+    cover step, gives g's cover, g^-1 and what mirror needs to cover g^-1:
+    an h^-1 met after h is covered by mirror(that), with no cover step.  The
+    generators are the distinct cover maps, in first-seen order.
     """
     keys = [key(psi) for psi in psis]
     distinct = dict(zip(keys, psis))
@@ -657,10 +651,11 @@ def _cover_each(rel, psis: list, key, extend, levels, cover, mirror) -> Quotient
         g_key = key_of(g)
         if g_key not in cover_of:
             if g_key in inverses:  # g is the inverse of an extension covered before
-                cov = cover_of[g_key] = mirror(*inverses[g_key])
+                cov = mirror(inverses[g_key])
             else:
-                cov = cover_of[g_key] = cover(lev := levels(g))
-                inverses[key_of(lev.ginv)] = _mirror_levels(lev), cov
+                cov, ginv, later = cover(g)
+                inverses[key_of(ginv)] = later
+            cover_of[g_key] = cov
             for f in (cov.first, cov.second):
                 f_key = key_of(f)
                 if f_key not in seen:
@@ -679,12 +674,12 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     0..n-1 raises NotAnEnumeration.  No psi is checked against the
     relation, as each lies in the graph of some phi_a, and each extension
     reads the sources 0..n-1, as no psi offers one outside them.  Nor is an
-    extension: _permutation_levels stratifies it unchecked, and the
-    certificate checks each cover map once, as a bijection within the
-    relation, at certify and at verify.  The orbit
-    is the partition the first maps of the distinct covers join, as each
-    second map is its first's inverse; no generator is copied and no
-    closure layers are built, since nothing here reads chain lengths.
+    extension, a permutation inside the classes: its cover is (g, g^-1), no
+    levels built, and the certificate checks each cover map once, as a
+    bijection within the relation, at certify and at verify.  The orbit is
+    the partition the first maps of the distinct covers join, as each second
+    map is its first's inverse; no generator is copied and no closure layers
+    are built, since nothing here reads chain lengths.
     """
     n, phis = enum.n, enum.graph_dicts()
     rel = enumerated_partition(phis, n)
@@ -693,9 +688,8 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
         psi_split(phis),
         _signature,
         lambda psi, queue: greedy_extend(psi, queue, n, sources=range(n)),
-        lambda g: _permutation_levels(g, n),
-        cover_finite,
-        lambda levels, cover: CoverPair(levels.g, levels.ginv),
+        lambda g: ((cp := CoverPair(g, invert_map(g))), cp.second, cp),
+        lambda cp: CoverPair(cp.second, cp.first),
     )
     firsts = {id(cp): cp.first for cp in qc.covers}.values()
     qc.orbit = Partition.from_pairs(n, set().union(*(f.items() for f in firsts)))
@@ -721,17 +715,23 @@ def quotient_construction_int(
     The family need not enumerate the relation exactly (infinite classes
     have no finite exact enumeration): each graph must stay inside it, as
     check_maps_within_int checks first.  Orbit coverage is certified on a
-    probe window; an extension's inverse is covered by _mirror_cover_int.
+    probe window.  The cover step is levels_int then cover_int; the levels
+    are kept, and mirrored for _mirror_cover_int only when an inverse turns up.
     """
     check_maps_within_int(rel, phis)
+
+    def cover(g):
+        levels = levels_int(g, rel, bound)
+        cp = cover_int(levels)
+        return cp, levels.ginv, (levels, cp)
+
     return _cover_each(
         rel,
         psi_split_int(phis),
         lambda f: f,
         lambda psi, queue: greedy_extend_int(psi, queue, rel.ambient),
-        lambda g: levels_int(g, rel, bound),
-        cover_int,
-        _mirror_cover_int,
+        cover,
+        lambda later: _mirror_cover_int(_mirror_levels(later[0]), later[1]),
     )
 
 

@@ -110,6 +110,9 @@ MUTANTS = [
            ("tests/test_feldman_moore.py::"
             "test_cover_int_of_an_extension_with_no_sides_is_its_assembly",),
            "cover_int skips the assembly when only one side is empty"),
+    Mutant(FM, "lambda cp: CoverPair(cp.second, cp.first),", "lambda cp: cp,",
+           ("tests/test_feldman_moore.py::test_quotient_construction_matches_per_seed_pipeline",),
+           "a finite inverse takes its extension's cover unswapped"),
     Mutant(FM, "    if on == back:\n", "    if True:\n", (MIRROR,),
            "an inverse takes its extension's cover even where the two differ on X_0"),
     Mutant(FM, "    return type(levels)(head, ginv, g, negative, positive, zero)\n",
@@ -212,6 +215,10 @@ MUTANTS = [
            '"tail": ("input", "out", "map_", "phi"),',
            ("tests/test_cli.py::test_flags_of_lists_the_flags_each_command_reads",),
            "phi added to tail's flags"),
+    Mutant("qborel/cli/main.py", 'Certificate.from_json(text.removeprefix("\\ufeff"))',
+           "Certificate.from_json(text)",
+           ("tests/test_cli.py::test_verify_reads_past_a_byte_order_mark",),
+           "a certificate's byte-order mark left for the JSON reader"),
     # the plain command-line reader
     Mutant("qborel/cli/main.py", ' or any(v[:1] == "-" for v in values.values())', "", (PLAIN,),
            "the plain reader takes a VALUE led by '-'"),

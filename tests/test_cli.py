@@ -458,6 +458,32 @@ def test_verify_input_not_utf8_is_invalid_certificate(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "InvalidCertificate"
 
 
+@pytest.mark.parametrize("golden", [
+    "generate_five_points_maps_c3-fin.json", "schema2/generate_five_points_maps_c3-fin.json",
+], ids=["schema1", "schema2"])
+def test_verify_reads_past_a_byte_order_mark(tmp_path, capsys, golden):
+    plain, marked = GOLDEN / golden, tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    code, out = run(capsys, "verify", "--input", str(plain))
+    assert code == 0
+    assert run(capsys, "verify", "--input", str(marked)) == (
+        0, out.replace(str(plain), str(marked))
+    )
+
+
+def test_verify_not_utf8_after_a_byte_order_mark_counts_bytes_from_the_file_start(
+    tmp_path, capsys
+):
+    cert_file = tmp_path / "marked.json"
+    cert_file.write_bytes(b"\xef\xbb\xbfx\xff")
+    code, out = run(capsys, "verify", "--input", str(cert_file))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["kind"], err["message"]) == (
+        "InvalidCertificate", "certificate is not UTF-8 text at byte 4"
+    )
+
+
 def test_instance_not_utf8_is_syntax_error(tmp_path, capsys):
     inst = tmp_path / "latin1.qb"
     inst.write_bytes(b"space Z carrier = int\n# caf\xe9\n")

@@ -614,10 +614,11 @@ def test_quotient_construction_int_matches_per_seed_pipeline(family):
 
 @pytest.mark.parametrize("lane", ["finite", "int"])
 def test_construction_does_each_step_once(lane, monkeypatch):
-    # one extension per distinct psi; levels and cover once per distinct
-    # extension whose inverse was not covered before, which takes its cover
-    # from that one's; and each distinct cover map once among the
-    # generators, in the order seen
+    # one extension per distinct psi; one cover step (levels and cover on
+    # the integer lane, no levels on the finite one) per distinct extension
+    # whose inverse was not covered before, which takes its cover from that
+    # one's; and each distinct cover map once among the generators, in the
+    # order seen
     import qborel.feldman_moore as fm
 
     seeds, stratified, covered = [], [], []
@@ -633,8 +634,8 @@ def test_construction_does_each_step_once(lane, monkeypatch):
 
     if lane == "finite":
         counted("greedy_extend", seeds)
-        counted("_permutation_levels", stratified)  # the unchecked level step
-        counted("cover_finite", covered)
+        counted("FiniteLevels", stratified)  # none: the finite lane builds no levels
+        counted("invert_map", covered)  # the cover step, (g, g^-1)
         qc = quotient_construction(enumeration_of(Partition.from_class_map([0, 0, 0, 1, 1, 2])))
         key = lambda f: tuple(sorted(f.items()))  # noqa: E731
         inverse = lambda f: {y: x for x, y in f.items()}  # noqa: E731
@@ -655,8 +656,8 @@ def test_construction_does_each_step_once(lane, monkeypatch):
             fresh.append(g_key)
             inverses.add(key(inverse(g)))
     assert len(fresh) < len(extended) < len(seeds)
-    assert [key(g) for g in stratified] == fresh
-    assert [key(levels.g) for levels in covered] == fresh
+    assert [key(g) for g in stratified] == ([] if lane == "finite" else fresh)
+    assert [key(g if lane == "finite" else g.g) for g in covered] == fresh
     maps = [key(f) for cp in qc.covers for f in (cp.first, cp.second)]
     assert [key(f) for f in qc.generators] == list(dict.fromkeys(maps))
 

@@ -34,7 +34,7 @@ from qborel.errors import (
     QBorelError,
 )
 from qborel.feldman_moore import (
-    _permutation_levels,
+    FiniteLevels,
     _signature,
     classical_construction,
     graph_within_partition,
@@ -675,10 +675,16 @@ def test_bijection_checker_passes_maps_as_stored_and_judges_the_rest_as_before(d
     assert verdict(checker, data) == verdict(ref_converted_bijection_family_within, data)
 
 
+SAMPLE_RUNS = [
+    [command, "--input", str(pathlib.Path(__file__).resolve().parent.parent / "samples" / sample)]
+    for command in ("fm-quotient", "cover") for sample in ("five_points.qb", "shifts6.qb")
+]
+
+
 def test_built_extensions_are_stratified_without_levels_finite(capsys, monkeypatch):
     # greedy_extend builds a permutation inside the classes from a checked
     # seed and the psis, and the certificate checks its cover: the
-    # construction and finite cover take the unchecked level step
+    # construction and finite cover take the unchecked cover step (g, g^-1)
     import qborel.feldman_moore as fm
 
     checked = []
@@ -686,14 +692,32 @@ def test_built_extensions_are_stratified_without_levels_finite(capsys, monkeypat
     blocks = [[0, 3, 5], [1, 2], [4]]
     graphs = [{x: b[(i + d) % len(b)] for b in blocks for i, x in enumerate(b)} for d in range(3)]
     qc = quotient_construction(EnumeratedEquivalence.make(6, graphs))
-    for g in qc.extended:  # each passes the checks the unchecked step leaves out
-        assert _permutation_levels(g, 6) == levels_finite(g, 6, qc.relation)
-    samples = pathlib.Path(__file__).resolve().parent.parent / "samples"
-    for command in ("fm-quotient", "cover"):
-        for sample in ("five_points.qb", "shifts6.qb"):
-            assert main([command, "--input", str(samples / sample)]) == 0
+    for g, cp in zip(qc.extended, qc.covers):  # each passes the checks the step leaves out
+        levels = levels_finite(g, 6, qc.relation)
+        assert (levels.g, levels.ginv) == (cp.first, cp.second)
+    for argv in SAMPLE_RUNS:
+        assert main(argv) == 0
     capsys.readouterr()
     assert checked == []
+
+
+def test_finite_runs_build_no_levels(capsys, monkeypatch):
+    # every point of a finite run lies in X_0, so its cover step builds no
+    # FiniteLevels; levels_finite, called directly, still builds them
+    built = []
+    init = FiniteLevels.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FiniteLevels, "__init__", counted)
+    for argv in SAMPLE_RUNS:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+    levels_finite({0: 1, 1: 0}, 2, Partition.from_blocks(2, [[0, 1]]))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("pairs", [

@@ -160,6 +160,22 @@ def test_a_certifying_run_loads_the_handlers_parser_and_digest():
     assert CERTIFYING <= set(loaded) and hashlib in (None, True), (loaded, hashlib)
 
 
+def test_a_bad_index_expect_exits_2_before_loading_the_handlers_or_parser():
+    script = f"""import json, sys, qborel.cli
+try:
+    qborel.cli.main(sys.argv[1:])
+finally:
+    {LOADED}
+"""
+    out = _fresh("-c", script, "index", "--input", FIVE, "--expect", "abc")
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr.endswith(
+        "qborel: error: --expect takes an integer or 'unbounded', got 'abc'\n"
+    ), out.stderr
+    loaded = set(json.loads(out.stdout.splitlines()[-1]))
+    assert "qborel.cli.main" in loaded and not loaded & CERTIFYING, sorted(loaded)
+
+
 def test_cli_serves_the_instance_parser_on_first_use():
     script = (
         "import json, sys, qborel.cli; before = 'qborel.cli.instance' in sys.modules; "
