@@ -229,9 +229,9 @@ class GalleryInstance(Record):
         return all(self.checks.values())
 
 
-def _sym_indices(k: int, predicate) -> list[int]:
-    perms = sorted(itertools.permutations(range(k)))
-    return [i for i, p in enumerate(perms) if predicate(p)]
+def _sym_indices(group: FiniteGroup, predicate) -> list[int]:
+    """The elements of a symmetric group whose letter permutation satisfies predicate."""
+    return [a for a in group.elements() if predicate(group.permutation_of(a))]
 
 
 def _gallery_ex34(k: int, n: int, t: int) -> GalleryInstance:
@@ -321,7 +321,7 @@ def _gallery_ex36(k: int, n: int, t: int) -> GalleryInstance:
     free = freeness_witness(act) is None
     big = orbit_equivalence(act)
 
-    swap01 = _sym_indices(k, lambda p: p == (1, 0, 2))[0]
+    swap01 = _sym_indices(act.group, lambda p: p == (1, 0, 2))[0]
     delta = (0, swap01)
     sub = act.subaction(delta)
     small = orbit_equivalence(sub)
@@ -373,7 +373,7 @@ def _gallery_ex37(k: int, n: int, t: int) -> GalleryInstance:
         raise BadParameters("three letters required for this instance")
     model = make_truncated_model(k, n, t)
     act = letter_action(model)
-    rotations = _sym_indices(k, lambda p: p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    rotations = _sym_indices(act.group, lambda p: p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
     sub = act.subaction(rotations)
     free = freeness_witness(sub) is None
     coc = cocycle_from_free_action(sub)
@@ -480,15 +480,15 @@ def _gallery_et_shift() -> GalleryInstance:
     )
 
 
-# every packaged example, in the order messages list them
-GALLERY_NAMES = ("ex34", "ex35", "ex36", "ex37", "et_shift")
-
-_GALLERY_DEFAULTS = {
-    "ex34": (2, 3, 1),
-    "ex35": (2, 3, 1),
-    "ex36": (3, 3, 1),
-    "ex37": (3, 3, 1),
+# each model example's builder and default (k, n, t)
+_MODELS = {
+    "ex34": (_gallery_ex34, (2, 3, 1)),
+    "ex35": (_gallery_ex35, (2, 3, 1)),
+    "ex36": (_gallery_ex36, (3, 3, 1)),
+    "ex37": (_gallery_ex37, (3, 3, 1)),
 }
+# every packaged example, in the order messages list them
+GALLERY_NAMES = (*_MODELS, "et_shift")
 
 
 def example_gallery(
@@ -503,16 +503,7 @@ def example_gallery(
         if given:
             raise BadParameters(f"et_shift takes no parameters, got {', '.join(given)}")
         return _gallery_et_shift()
-    if name not in _GALLERY_DEFAULTS:
+    if name not in _MODELS:
         raise UnknownExample(f"no example {name!r}; known: {', '.join(GALLERY_NAMES)}")
-    dk, dn, dt = _GALLERY_DEFAULTS[name]
-    k = dk if k is None else k
-    n = dn if n is None else n
-    t = dt if t is None else t
-    builder = {
-        "ex34": _gallery_ex34,
-        "ex35": _gallery_ex35,
-        "ex36": _gallery_ex36,
-        "ex37": _gallery_ex37,
-    }[name]
-    return builder(k, n, t)
+    build, defaults = _MODELS[name]
+    return build(*(d if v is None else v for v, d in zip((k, n, t), defaults)))

@@ -159,12 +159,12 @@ def _iv_difference(a, b):
 
 def _min_shift_period(residues: set[int], p: int):
     """Minimal q dividing p with residues + q == residues mod p, plus the folded set.
-    Only divisors of p qualify: those up to isqrt(p), then their cofactors."""
+    Only divisors of p qualify: those up to isqrt(p), then their cofactors, the last
+    of which, q = p, always does."""
     small = [q for q in range(1, isqrt(p) + 1) if p % q == 0]
     for q in small + [p // q for q in reversed(small)]:
         if all((r + q) % p in residues for r in residues):
             return q, {r % q for r in residues}
-    return p, set(residues)  # q = p always works; unreachable fallback
 
 
 def _middle_runs(per_res, p: int, lo: int, hi: int) -> list[tuple[int, int, int]]:

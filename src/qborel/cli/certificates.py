@@ -538,23 +538,23 @@ def _chk_graph_in_partition(data):
     return w is None, w
 
 
+def _first_unheld(pairs, others):
+    """Verdict and the first of pairs that no map of others holds."""
+    union = {(int(x), int(y)) for g in others for x, y in g}
+    missing = next((p for p in pairs if p not in union), None)
+    return missing is None, missing
+
+
 @checker("finite_graph_subset")
 def _chk_finite_graph_subset(data):
-    union = {(int(x), int(y)) for g in data["others"] for x, y in g}
-    for x, y in _pairs_to_map(data["left"]).items():
-        if (x, y) not in union:
-            return False, (x, y)
-    return True, None
+    return _first_unheld(_pairs_to_map(data["left"]).items(), data["others"])
 
 
 @checker("finite_inverse_graph_subset")
 def _chk_finite_inverse_graph_subset(data):
     """The inverse of map, taken here from its pairs, lies in the union of others."""
-    union = {(int(x), int(y)) for g in data["others"] for x, y in g}
-    for x, y in _pairs_to_map(data["map"]).items():
-        if (y, x) not in union:
-            return False, (y, x)
-    return True, None
+    f = _pairs_to_map(data["map"])
+    return _first_unheld(zip(f.values(), f), data["others"])
 
 
 @checker("pair_coverage")

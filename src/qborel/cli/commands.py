@@ -11,8 +11,8 @@ import json
 from math import inf
 
 from ..errors import UnsupportedCarrier
+from ..quotient import Partition
 from ..relations import (
-    _enumeration_check,
     chain_witness,
     enumerated_partition,
     generate_equivalence,
@@ -91,9 +91,8 @@ def _rel_partition(decl) -> tuple:
         return decl.value, {}
     if decl.kind != "graphs":
         raise UsageError("this command needs a finite relation")
-    # the partition the graphs join, also when they fail the laws the row checks
-    rel, _ = _enumeration_check(decl.value.graph_dicts(), decl.value.n, join=True)
-    return rel, _enumeration(decl.value)
+    # what the graphs join, also when they fail the laws: the parser kept them in 0..n-1
+    return Partition.from_pairs(decl.value.n, decl.value.pairs()), _enumeration(decl.value)
 
 
 def _enumeration(enum) -> dict:

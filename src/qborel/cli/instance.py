@@ -102,8 +102,8 @@ class InstanceFile(Record):
         )
 
 
-def _fail(line_no: int, msg: str, column: int = 0):
-    raise InstanceSyntaxError(msg, line_no, column)
+def _fail(line_no: int, msg: str):
+    raise InstanceSyntaxError(msg, line_no)
 
 
 # bracket pair -> (the shape the list must have, the brackets' name,

@@ -161,7 +161,7 @@ def cmd_verify(args, inst) -> tuple[int, list[str]]:
         else "verification failed"
     )
     if args.out:
-        report = {"agrees": agree, "layout": layout, "rows": jsonable(rows)}
+        report = {"agrees": agree, "layout": layout, "rows": rows}
         _write_output(args.out, json.dumps(report, indent=2) + "\n")
     return (0 if all_pass else 1), lines
 

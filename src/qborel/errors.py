@@ -92,12 +92,11 @@ class UnknownExample(QBorelError):
 
 
 class InstanceSyntaxError(QBorelError):
-    """Instance text could not be parsed; carries line and column."""
+    """Instance text could not be parsed; carries the line."""
 
-    def __init__(self, message: str, line: int, column: int = 0):
+    def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 class UnknownReference(QBorelError):

@@ -261,21 +261,18 @@ def enumerated_partition(graphs, n: int) -> Partition:
     return rel
 
 
-def _enumeration_check(
-    graphs, n: int, join: bool = False
-) -> tuple[Partition | None, EnumReport]:
-    """The partition the union of the graphs joins, and the report.
+def _enumeration_check(graphs, n: int) -> tuple[Partition | None, EnumReport]:
+    """The partition the union of the graphs enumerates, None if it fails, and the report.
 
     Each pair of the union lies in B x B for its own connected component
     B, so the union is an equivalence relation on 0..n-1 exactly when its
     pairs lie in 0..n-1 and it has sum |B|^2 of them: one union-find pass
-    settles the three laws and gives the partition, also when they fail.
-    A union of fewer than n pairs is not reflexive: its partition, which
-    takes time in n, is built only when join is set.
+    settles the three laws and gives the partition.
+    A union of fewer than n pairs is not reflexive, and takes no such pass.
     """
     # range(n), then the count: a stored n may be no integer, or far above the points listed
-    union, points, rel = union_pairs(graphs), range(n), None
-    if join or n <= len(union):
+    union, points = union_pairs(graphs), range(n)
+    if n <= len(union):
         try:
             rel = Partition.from_pairs(n, union)
         except InvalidPartition:
@@ -305,7 +302,7 @@ def _enumeration_check(
         if not onward <= rows[x]:
             trans = CheckOutcome(False, (x, min(onward - rows[x]), y))
             break
-    return rel, EnumReport(refl, sym, trans)
+    return None, EnumReport(refl, sym, trans)
 
 
 def union_pairs(graphs) -> frozenset[tuple[int, int]]:

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 CARRIERS = "qborel/carriers.py"
 FM = "qborel/feldman_moore.py"
 RELATIONS = "qborel/relations.py"
+COMMANDS = "qborel/cli/commands.py"
 COUNT = "tests/test_finite_oracles.py::test_enumerated_partition_is_the_union_find_partition"
 ORACLES = ("tests/test_finite_oracles.py::test_classical_construction_matches_per_point_walk",)
 MIRROR = "tests/test_cross_lane.py::test_an_inverse_is_covered_from_the_mirrored_levels"
@@ -95,11 +96,12 @@ MUTANTS = [
            (COUNT,), "the classes only need as many cells as the union has pairs"),
     # the partition a family that fails the laws joins, which index, selector,
     # fm-classical and involution2 still print
-    Mutant(RELATIONS, "    return rel, EnumReport(refl, sym, trans)\n",
-           "    return None, EnumReport(refl, sym, trans)\n", (FAILING_LAWS,),
-           "no partition when the laws fail"),
-    Mutant(RELATIONS, "if join or n <= len(union):", "if n <= len(union):", (FAILING_LAWS,),
-           "no partition of a union with fewer pairs than points"),
+    Mutant(COMMANDS, "return Partition.from_pairs(decl.value.n, decl.value.pairs()),",
+           "return enumerated_partition(decl.value.graph_dicts(), decl.value.n),",
+           (FAILING_LAWS,), "no partition when the laws fail"),
+    Mutant(COMMANDS, "return Partition.from_pairs(decl.value.n, decl.value.pairs()),",
+           "return Partition.discrete(decl.value.n),", (FAILING_LAWS,),
+           "the discrete partition in place of the one the graphs join"),
     # the shared construction loop
     Mutant(FM, "                if f_key not in seen:\n",
            "                if True:\n",
@@ -197,6 +199,15 @@ MUTANTS = [
            ("tests/test_finite_oracles.py::"
             "test_bijection_checker_passes_maps_as_stored_and_judges_the_rest_as_before",),
            "the passing-map path of bijection_family_within skips the labels"),
+    Mutant("qborel/cli/certificates.py", "_first_unheld(zip(f.values(), f),",
+           "_first_unheld(zip(f, f.values()),",
+           ("tests/test_certificates.py::test_edited_cover_second_fails_the_inverse_check",),
+           "the inverse subset check reads the map's own pairs"),
+    Mutant("qborel/cantor.py",
+           '"ex35": (_gallery_ex35, (2, 3, 1)),\n    "ex36": (_gallery_ex36, (3, 3, 1)),',
+           '"ex35": (_gallery_ex35, (3, 3, 1)),\n    "ex36": (_gallery_ex36, (2, 3, 1)),',
+           ("tests/test_cantor.py::test_gallery_ex35_values",),
+           "ex35 and ex36 take each other's default parameters"),
     Mutant("qborel/record.py", 'f"{f}={getattr(self, f)!r}"', 'f"{f}: {getattr(self, f)!r}"',
            ("tests/test_cli.py::test_enumeration_report_repr_in_stdout_is_pinned",
             "tests/test_cli.py::test_enumeration_laws_witness_bytes_are_pinned"),
@@ -204,7 +215,7 @@ MUTANTS = [
     Mutant("qborel/cli/main.py", 'sys.modules.get("qborel.carriers")', 'sys.modules.get("carriers")',
            ("tests/test_cli.py::test_a_finite_run_after_an_integer_one_starts_from_empty_memos",),
            "main looks the carrier up under a name it is not loaded as"),
-    Mutant("qborel/cli/commands.py", "    check_maps_within_int(rel, phis)\n", "",
+    Mutant(COMMANDS, "    check_maps_within_int(rel, phis)\n", "",
            ("tests/test_cli.py::test_integer_cover_rejects_a_stray_map_as_fm_quotient_does",),
            "_cover_int does not check its maps against the relation"),
     Mutant("qborel/cli/main.py", '"fm-classical": ("input", "out", "rel"),',

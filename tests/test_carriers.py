@@ -380,6 +380,37 @@ def test_parse_reorders_and_merges():
     assert format_intset(parse_intset("5..; ..-3; 0:+2*3")) == "..-3; 0:+2*2; 4.."
 
 
+def _outcome(build) -> str:
+    try:
+        return str(build())
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@pytest.mark.parametrize("build, want", [
+    # text forms: a descending progression, one of no members, and two refused terms
+    (lambda: parse_intset("5:-2*3"), "1:+2*3"),
+    (lambda: parse_intset("5:+2*0"), "empty"),
+    (lambda: parse_intset("5:+2*0; 1"), "1"),
+    (lambda: parse_intset("3:+0*4"), "ValueError: zero stride in term '3:+0*4'"),
+    (lambda: parse_intset("3:-0*inf"), "ValueError: zero stride in term '3:-0*inf'"),
+    (lambda: parse_intset("5..2"), "ValueError: descending segment '5..2'"),
+    # constructors: an empty segment, and progressions of no length, no stride or a
+    # negative one
+    (lambda: IntSet.segment(5, 2), "empty"),
+    (lambda: IntSet.progression(3, 2, 0), "empty"),
+    (lambda: IntSet.progression(3, 0, 1), "3"),
+    (lambda: IntSet.progression(3, 0, 2), "ValueError: zero stride needs length 1"),
+    (lambda: IntSet.progression(5, -2, 3), "1:+2*3"),
+], ids=[
+    "descending_text", "length_0_text", "length_0_and_point", "zero_stride_text",
+    "zero_stride_ray", "descending_segment", "empty_segment", "length_0", "stride_0",
+    "stride_0_length_2", "negative_stride",
+])
+def test_edge_forms_of_text_and_constructors(build, want):
+    assert _outcome(build) == want
+
+
 @given(intsets)
 def test_format_parse_round_trip(s):
     assert parse_intset(format_intset(s)) == s

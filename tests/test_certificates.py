@@ -549,6 +549,83 @@ def test_edited_fm_quotient_generator_fails_its_checks(tmp_path, capsys):
     assert bad["witness"]["law"] == "within"
 
 
+def _failed_rows(capsys, tmp_path, cert) -> dict:
+    """The witness of each row a replay of cert disagrees with, by name."""
+    code, out, rows = _verify_rows(capsys, tmp_path, cert)
+    assert code == 1 and "Traceback" not in out
+    return {r["name"]: r["witness"] for r in rows if not r["agrees"]}
+
+
+@pytest.mark.parametrize("involution, witness", [
+    ([[0, 1], [1, 1]], [0, 1]),  # 1 is fixed, so 0 -> 1 is not undone
+    ([[0, 1]], [0, 1]),  # 1 has no image
+    ([[0, 1], [1, 0], [2, 0]], [2, 0]),  # 0 goes back to 1, not to 2
+])
+def test_an_edited_involution_fails_squaring_at_its_first_unreturned_pair(
+    tmp_path, capsys, involution, witness
+):
+    cert = json.loads((SCHEMA2 / "involution2_swap.json").read_text())
+    cert["outputs"]["involution"] = involution
+    assert _failed_rows(capsys, tmp_path, cert)["squares_to_identity"] == witness
+
+
+@pytest.mark.parametrize("selection, witness", [
+    # the points where the selection's domain and the relation's differ
+    ([[0, 0], [1, 1], [2, 2], [3, 3]], [4]),
+    ([[0, 0], [1, 1], [2, 2], [3, 3], [4, 4], [7, 7]], [7]),
+    # a pair outside the relation
+    ([[0, 3], [1, 1], [2, 2], [3, 3], [4, 4]], [0, 3]),
+    # a related pair that the least covering map, the identity (index 0), does not hold
+    ([[0, 1], [1, 1], [2, 2], [3, 3], [4, 4]], [0, 1, 0]),
+])
+def test_an_edited_selection_names_where_it_leaves_the_least_covering_index(
+    tmp_path, capsys, selection, witness
+):
+    cert = json.loads((SCHEMA2 / "uniformize_five_points.json").read_text())
+    cert["outputs"]["selection"] = selection
+    failed = _failed_rows(capsys, tmp_path, cert)
+    assert failed == {"selection_is_least_covering_index": witness}
+
+
+@pytest.mark.parametrize("generator, blocks, witness", [
+    # onto the line, but -1 and 0 both go to -1
+    ("..-1 -> +0 | 0.. -> -1", ["..-1; 0.."], {"law": "injective", "witness": [0, -1, -1]}),
+    # a bijection of the line that joins -1 to 0 across two blocks
+    ("..-1; 0.. -> +1", ["..-1", "0.."], {"law": "within", "witness": [-1, 0]}),
+])
+def test_integer_generators_that_break_a_law_name_it(
+    tmp_path, capsys, generator, blocks, witness
+):
+    cert = json.loads((SCHEMA2 / "fm-quotient_shifted_ray.json").read_text())
+    cert["outputs"]["generators"] = [generator]
+    cert["checks"][0]["data"]["blocks"] = blocks
+    failed = _failed_rows(capsys, tmp_path, cert)
+    assert failed["generators_are_bijections_within_relation"] == {"map": 0, **witness}
+
+
+def test_a_schema_1_cover_without_its_second_fails_every_row_naming_it(tmp_path, capsys):
+    # schema 1 stores each check's data, so the rows still pass as stored; the
+    # output the layout binds them to is gone
+    cert = json.loads((GOLDEN / "cover_five_points.json").read_text())
+    del cert["outputs"]["second"]
+    cover = "field others does not hold output first, second"
+    assert {name: w["message"] for name, w in _failed_rows(capsys, tmp_path, cert).items()} == {
+        "covers_are_bijections_within_relation": "field maps does not hold output first, second",
+        "seed_inside_cover_union": cover,
+        "seed_inverse_inside_cover_union": cover,
+        "extension_inside_cover_union": cover,
+        "extension_inverse_inside_cover_union": "field left does not hold output second",
+    }
+
+
+def test_a_check_of_unknown_kind_is_a_fail_row(tmp_path, capsys):
+    cert = json.loads((SCHEMA2 / "involution2_swap.json").read_text())
+    cert["checks"][1]["kind"] = "nosuch"
+    assert _failed_rows(capsys, tmp_path, cert) == {"squares_to_identity": {
+        "error": "ValueError", "message": "no checker registered for kind 'nosuch'",
+    }}
+
+
 @pytest.mark.parametrize("ref", [{"$output": "nosuch"}, {"$output": 3}, {"$output": None}])
 def test_reference_to_no_output_is_a_fail_row_naming_it(tmp_path, capsys, ref):
     cert = json.loads((SCHEMA2 / "cover_five_points.json").read_text())

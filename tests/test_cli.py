@@ -1046,6 +1046,37 @@ def test_export_graph_int_unsupported(capsys):
     assert json.loads(out)["error"]["kind"] == "UnsupportedCarrier"
 
 
+def test_export_graph_out_writes_the_graph_it_would_print(tmp_path, capsys):
+    code, printed = run(capsys, "export-graph", "--input", FIVE, "--rel", "F")
+    assert code == 0
+    out_file = tmp_path / "g.dot"
+    code, out = run(capsys, "export-graph", "--input", FIVE, "--rel", "F", "--out", str(out_file))
+    assert (code, out) == (0, f"wrote {out_file}\n")
+    assert out_file.read_text() == printed
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["selector", "--input", RAY], "this command needs a finite relation"),
+    (["involution2", "--input", RAY], "this command needs a finite relation"),
+    (["fm-classical", "--input", RAY], "this command needs a finite relation"),
+    (["fm-quotient", "--input", FIVE, "--rel", "E"], "fm-quotient needs a graphs relation"),
+    (["cover", "--input", FIVE, "--rel", "E"],
+     "cover needs a graphs relation (or an int blocks one)"),
+    (["tail", "--input", FIVE, "--map", "g0"], "map 'g0' is not total"),
+    (["normalizer", "--input", ROT], "normalizer needs --sub with subgroup elements"),
+], ids=["selector", "involution2", "fm_classical", "fm_quotient", "cover", "tail", "normalizer"])
+def test_a_declaration_the_command_cannot_read_is_a_usage_error(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2 and "Traceback" not in out
+    assert out.endswith(f"qborel: error: {message}\n")
+
+
+def test_index_expecting_unbounded_passes_on_an_infinite_class(capsys):
+    code, out = run(capsys, "index", "--input", RAY, "--expect", "unbounded")
+    assert code == 0
+    assert "  [pass] index_matches_expectation\n" in out and '  index = "unbounded"\n' in out
+
+
 def test_out_writes_certificate_for_any_command(tmp_path, capsys):
     cert_file = tmp_path / "q.json"
     code, _ = run(

@@ -4,6 +4,7 @@ Every sample file is parsed by the golden manifest commands in
 test_certificates.py.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -275,3 +276,68 @@ def test_repeated_group_label_is_a_syntax_error_at_the_group_line():
     with pytest.raises(InstanceSyntaxError) as ei:
         parse_instance(text)
     assert str(ei.value) == "line 2: label r names two elements"
+
+
+FIN2 = "space S carrier = finite(2)\n"
+FIN3 = "space T carrier = finite(3)\n"
+C2 = "group C2 table = [[0, 1], [1, 0]] labels = [e, s]\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # declarations their keyword's pattern does not read
+    ("space S carrier = finite(x)", 1, "bad space declaration: 'S carrier = finite(x)'"),
+    (INT + "ptmap f Z 0.. -> +1", 2, "bad ptmap declaration: 'f Z 0.. -> +1'"),
+    (FIN2 + "rel R S graphs = [f]", 2, "bad rel declaration: 'R S graphs = [f]'"),
+    ("group G tabel = [[0]]", 1, "bad group declaration: 'G tabel = [[0]]'"),
+    (FIN2 + C2 + "action a C2 on S", 3, "bad action declaration: 'a C2 on S'"),
+    # a finite space's trailer, and the list a graphs relation takes
+    ("space S carrier = finite(2) colours = 3", 1, "unexpected trailer 'colours = 3'"),
+    (FIN2 + "rel R on S graphs = f", 2, "expected [...] list, got 'f'"),
+    # declarations on the wrong kind of space
+    (INT + "map f : Z -> Z : 0 -> 1", 2,
+     "map declarations need finite spaces; use ptmap for int"),
+    (FIN2 + "ptmap f : S : 0 -> +1", 2, "ptmap needs an int space"),
+    (INT + "rel R on Z graphs = []", 2, "graphs form needs a finite space"),
+    (FIN2 + "rel R on S blocks = { {0} }", 2, "blocks form needs an int space"),
+    (INT + "rel R on Z partition = { {0} }", 2, "partition form needs a finite space"),
+    (INT + "group C1 table = [[0]]\naction a : C1 on Z :", 3,
+     "actions are declared on finite spaces"),
+    # points outside a space, and a point mapped twice
+    (FIN2 + "map f : S -> S : 2 -> 0", 2, "source point 2 outside S"),
+    (FIN2 + "map f : S -> S : 0 -> -1", 2, "target point -1 outside S"),
+    (FIN2 + "map f : S -> S : 0 -> 1, 0 -> 0", 2, "point 0 mapped twice"),
+    # maps that are not endomaps, not total, or missing from an action
+    (FIN2 + FIN3 + "map f : S -> T : 0 -> 0\nrel R on S graphs = [f]", 4,
+     "map 'f' is not an endomap of S"),
+    (FIN2 + FIN3 + C2 + "map f : S -> T : 0 -> 0\naction a : C2 on S : s -> f", 5,
+     "map 'f' is not an endomap of S"),
+    (FIN2 + C2 + "map f : S -> S : 0 -> 1\naction a : C2 on S : s -> f", 4,
+     "map 'f' is not total on S"),
+    (FIN2 + C2 + "map f : S -> S : 0 -> 1, 1 -> 0\naction a : C2 on S : s f", 4,
+     "bad action entry 's f'"),
+    (FIN2 + C2 + "action a : C2 on S :", 3, "elements [1] have no assigned map"),
+    # lines and directives that are no declaration
+    ("123 abc", 1, "cannot read '123 abc'"),
+    (FIN2 + "space", 2, "cannot read 'space'"),
+    ("set 9 = x", 1, "bad directive: '9 = x'"),
+    ("set rel F", 1, "bad directive: 'rel F'"),
+], ids=[
+    "bad_space", "bad_ptmap", "bad_rel", "bad_group", "bad_action", "finite_trailer",
+    "graphs_list", "map_on_int", "ptmap_on_finite", "graphs_on_int",
+    "blocks_on_finite", "partition_on_int", "action_on_int", "source_outside",
+    "target_outside", "mapped_twice", "rel_not_endomap", "action_not_endomap",
+    "action_not_total", "bad_action_entry", "unassigned_element", "unreadable_line",
+    "keyword_alone", "bad_directive_name", "directive_without_equals",
+])
+def test_each_refused_line_is_a_typed_error_at_its_line(tmp_path, capsys, text, line, message):
+    from qborel.cli.main import main
+
+    inst = tmp_path / "bad.qb"
+    inst.write_text(text + "\n")
+    assert main(["index", "--input", str(inst)]) == 1
+    out = capsys.readouterr()
+    assert out.err == "" and "Traceback" not in out.out
+    error = json.loads(out.out)["error"]
+    assert error == {
+        "kind": "InstanceSyntaxError", "message": f"line {line}: {message}", "witness": None,
+    }
