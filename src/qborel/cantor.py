@@ -152,9 +152,13 @@ def _suffix_partition(words, t: int) -> Partition:
 MAX_MODEL_WORDS = 256  # the shipped gallery models have at most 27 words
 
 
-def _check_model_params(k: int, n: int, t: int):
+def _check_alphabet(k: int):
     if not 2 <= k <= 10:
         raise BadParameters(f"alphabet size {k} outside 2..10")
+
+
+def _check_model_params(k: int, n: int, t: int):
+    _check_alphabet(k)
     if n < 1:
         raise BadParameters(f"word length {n} must be positive")
     # k >= 2, so a length of bit_length(cap) already exceeds the cap: no huge power
@@ -234,10 +238,16 @@ def _sym_indices(group: FiniteGroup, predicate) -> list[int]:
     return [a for a in group.elements() if predicate(group.permutation_of(a))]
 
 
-def _gallery_ex34(k: int, n: int, t: int) -> GalleryInstance:
-    model = make_truncated_model(k, n, t)
+def _check_flip_alphabet(k: int):
+    """The flip instances take two letters: refused before a model is built."""
+    _check_alphabet(k)
     if k != 2:
         raise BadParameters("two letters required for the flip instance")
+
+
+def _gallery_ex34(k: int, n: int, t: int) -> GalleryInstance:
+    _check_flip_alphabet(k)
+    model = make_truncated_model(k, n, t)
     act = letter_action(model)
     free = freeness_witness(act) is None
     orbit = orbit_equivalence(act)
@@ -263,9 +273,8 @@ def _gallery_ex34(k: int, n: int, t: int) -> GalleryInstance:
 
 
 def _gallery_ex35(k: int, n: int, t: int) -> GalleryInstance:
+    _check_flip_alphabet(k)
     base = make_truncated_model(k, n, t)
-    if k != 2:
-        raise BadParameters("two letters required for the flip instance")
     flip = (1, 0)
     # two sides: carrier point = side * m + word index, side 0 first
     m = len(base.words)

@@ -18,13 +18,24 @@ difference cost O(pieces) when the operands' hulls decide them (an empty,
 equal or whole-Z operand, an interval holding the other's hull, hulls
 apart), and O(p * pieces) otherwise.
 
-Three pure functions are memoised by value, each in an lru_cache of
-MEMO_SIZE entries listed in _MEMOS: normalisation (`_canonical_pieces`)
-and the per-residue algebra (`_residue_algebra`), which the construction
-calls again and again on the same piece tuples, and the parsing of map
-texts (`_ptmap_of_text`), which a certificate replays many times over.
-The command line empties them when a run starts (`_clear_memos`), so
-each run does its own work.
+A normal form is not rebuilt from what it already tells.  An IntSet
+carries its hull (least and greatest member) from the moment its normal
+form is set, and the hull rules read it.  translate shifts the pieces,
+since the normal form commutes with translation; the exception is a
+union of residue classes, whose pieces start at the residues 0..p-1, so
+its shift is normalised again.  And a normal form made in a run answers
+itself when it comes back as input, as when a certificate row parses a
+text the construction has just written.
+
+Every per-run memo is listed in _MEMOS and keeps at most MEMO_SIZE
+entries: the normal forms made (`_FORMS`); normalisation
+(`_canonical_pieces`) and the per-residue algebra (`_residue_algebra`),
+which the construction calls again and again on the same piece tuples;
+the parsing of map texts (`_ptmap_of_text`) and of relations stored as
+texts (`_relation_of_texts`), which a certificate replays many times
+over; and the integer-lane levels that feldman_moore registers
+(`_levels_of`).  The command line empties them when a run starts
+(`_clear_memos`), so each run does its own work.
 
 A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are
@@ -51,6 +62,18 @@ from .record import Frozen
 
 # entries kept by each memo
 MEMO_SIZE = 4096
+
+# every per-run memo of the package, in the order they are made
+_MEMOS: list = []
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _per_run(fn):
+    """fn memoised by value in an lru_cache of MEMO_SIZE entries, listed in _MEMOS."""
+    memo = lru_cache(maxsize=MEMO_SIZE)(fn)
+    _MEMOS.append(memo)
+    return memo
 
 
 class Piece(namedtuple("Piece", "start stride length down", defaults=(False,))):
@@ -264,8 +287,45 @@ def _points_apart(pieces) -> list[Piece]:
     return out
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+class _KnownForms(set):
+    """The normal forms _canonical_pieces has made in this run, at most MEMO_SIZE.
+
+    A memo of _MEMOS like the lru_caches, with their two methods: hits
+    counts the forms answered by themselves, misses the normalisations run.
+    """
+
+    __slots__ = ("hits", "misses")
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, MEMO_SIZE, len(self))
+
+
+_FORMS = _KnownForms()
+_FORMS.cache_clear()
+_MEMOS.append(_FORMS)
+
+
+@_per_run
 def _canonical_pieces(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
+    """The normal form of a piece tuple.  A normal form is its own, so one
+    made in this run answers itself: parsing a text the run wrote, or
+    rebuilding a set from a normal form's pieces, normalises nothing."""
+    if raw in _FORMS:
+        _FORMS.hits += 1
+        return raw
+    _FORMS.misses += 1
+    form = _normal_form(raw)
+    if len(_FORMS) == MEMO_SIZE:
+        _FORMS.clear()
+    _FORMS.add(form)
+    return form
+
+
+def _normal_form(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
     if len(raw) < 2:
         # one piece is canonical, except that a single point takes stride 1
         return tuple(Piece(pc.start, 1, 1) if pc.length == 1 else pc for pc in raw)
@@ -325,12 +385,24 @@ def _canonical_pieces(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
 
 
 class IntSet:
-    """A semilinear subset of Z in canonical form."""
+    """A semilinear subset of Z in canonical form.
 
-    __slots__ = ("pieces",)
+    hull is the least and the greatest member, -inf or inf on the side of
+    a ray and (inf, -inf) when empty: down rays come first in a normal
+    form, up rays last, and the finite runs between ascend, so it is read
+    off the end pieces once, when the normal form is set.
+    """
+
+    __slots__ = ("pieces", "hull")
 
     def __init__(self, pieces: Iterable[Piece] = ()):
-        object.__setattr__(self, "pieces", _canonical_pieces(tuple(pieces)))
+        form = _canonical_pieces(tuple(pieces))
+        object.__setattr__(self, "pieces", form)
+        if not form:
+            object.__setattr__(self, "hull", (inf, -inf))
+            return
+        lo, hi = form[0].min, form[-1].max
+        object.__setattr__(self, "hull", (-inf if lo is None else lo, inf if hi is None else hi))
 
     def __setattr__(self, *a):
         raise AttributeError("IntSet is immutable")
@@ -423,12 +495,14 @@ class IntSet:
         """Least element, None when unbounded below; raises on empty."""
         if not self.pieces:
             raise ValueError("empty IntSet")
-        return self.pieces[0].min  # down rays come first, finite runs ascend
+        lo = self.hull[0]
+        return None if lo == -inf else lo
 
     def max(self) -> int | None:
         if not self.pieces:
             raise ValueError("empty IntSet")
-        return self.pieces[-1].max  # up rays come last, finite runs ascend
+        hi = self.hull[1]
+        return None if hi == inf else hi
 
     def closest_to_zero(self) -> int:
         """Element of least absolute value, ties to the nonnegative one."""
@@ -450,19 +524,19 @@ class IntSet:
 
     def intersect(self, other: "IntSet") -> "IntSet":
         a, b = self.pieces, other.pieces
-        if not b or _holds(a, b):
+        if not b or _holds(self, other):
             return other
-        if not a or a == b or _holds(b, a):
+        if not a or a == b or _holds(other, self):
             return self
-        if _apart(a, b):
+        if _apart(self, other):
             return _EMPTY
         return _residue_algebra(_iv_intersect, a, b)
 
     def difference(self, other: "IntSet") -> "IntSet":
         a, b = self.pieces, other.pieces
-        if not a or not b or _apart(a, b):
+        if not a or not b or _apart(self, other):
             return self
-        if a == b or _holds(b, a):
+        if a == b or _holds(other, self):
             return _EMPTY
         return _residue_algebra(_iv_difference, a, b)
 
@@ -471,7 +545,22 @@ class IntSet:
     __sub__ = difference
 
     def translate(self, c: int) -> "IntSet":
-        return IntSet(pc.translate(c) for pc in self.pieces)
+        """self + c: the normal form shifted, which is the normal form of the
+        shifted set, except for a union of residue classes (their pieces
+        start at r - p and r for residues r in 0..p-1), normalised again."""
+        form = self.pieces
+        if not c or not form:
+            return self
+        if _residue_classes(form):
+            return IntSet(pc.translate(c) for pc in form)
+        out = object.__new__(IntSet)
+        object.__setattr__(out, "pieces", tuple([
+            tuple.__new__(Piece, (start + c, stride, length, down))
+            for start, stride, length, down in form
+        ]))
+        lo, hi = self.hull
+        object.__setattr__(out, "hull", (lo + c, hi + c))
+        return out
 
     def is_subset(self, other: "IntSet") -> bool:
         return self.difference(other).is_empty()
@@ -492,24 +581,29 @@ class IntSet:
         return format_intset(self)
 
 
-def _hull(pieces: tuple[Piece, ...]) -> tuple:
-    """Least and greatest member of a non-empty normal form, or -inf and inf:
-    down rays come first, up rays last, and the finite runs between ascend."""
-    lo, hi = pieces[0].min, pieces[-1].max
-    return -inf if lo is None else lo, inf if hi is None else hi
+def _residue_classes(form: tuple[Piece, ...]) -> bool:
+    """Whether a normal form is a union of residue classes mod some p: the
+    down rays Piece(r - p, p) and then the up rays Piece(r, p), r in 0..p-1."""
+    k, odd = divmod(len(form), 2)
+    return not odd and all(
+        dn.down and up.length is None and not up.down and dn.stride == up.stride
+        and dn.start + dn.stride == up.start and 0 <= up.start < up.stride
+        for dn, up in zip(form[:k], form[k:])
+    )
 
 
-def _holds(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> bool:
-    """Whether a is an interval (Z or one stride-1 piece) holding b's hull."""
+def _holds(s: IntSet, t: IntSet) -> bool:
+    """Whether s is an interval (Z or one stride-1 piece) holding t's hull."""
+    a = s.pieces
     if not ((len(a) == 1 or a == _ALL) and a[0].stride == 1):
         return False
-    (lo, hi), (blo, bhi) = _hull(a), _hull(b)
+    (lo, hi), (blo, bhi) = s.hull, t.hull
     return lo <= blo and bhi <= hi
 
 
-def _apart(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> bool:
-    """Whether the hulls of two non-empty normal forms do not meet."""
-    (lo, hi), (blo, bhi) = _hull(a), _hull(b)
+def _apart(s: IntSet, t: IntSet) -> bool:
+    """Whether the hulls of two non-empty sets do not meet."""
+    (lo, hi), (blo, bhi) = s.hull, t.hull
     return hi < blo or bhi < lo
 
 
@@ -555,7 +649,7 @@ def _negate_piece(pc: Piece) -> Piece:
     return Piece(-(pc.start + (pc.length - 1) * pc.stride), pc.stride, pc.length)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@_per_run
 def _residue_algebra(op, a: tuple[Piece, ...], b: tuple[Piece, ...]) -> IntSet:
     """The interval operation op applied per residue to normal forms a and b."""
     mine, theirs = _points_apart(a), _points_apart(b)
@@ -738,7 +832,8 @@ def offset_sets(pairs: Iterable[tuple[IntSet, int]]) -> dict[int, IntSet]:
     for dom, c in pairs:
         if not dom.is_empty():
             by_offset.setdefault(c, []).append(dom)
-    return {c: IntSet.empty().union(*doms) for c, doms in by_offset.items()}
+    return {c: doms[0].union(*doms[1:]) if len(doms) > 1 else doms[0]
+            for c, doms in by_offset.items()}
 
 
 class PiecewiseTranslation:
@@ -931,9 +1026,7 @@ def _parse_ptmap(text: str) -> PiecewiseTranslation:
 
 
 # a private name: a tracer may rebind the public ones to wrappers without cache_clear
-_ptmap_of_text = lru_cache(maxsize=MEMO_SIZE)(_parse_ptmap)
-
-_MEMOS = (_canonical_pieces, _residue_algebra, _ptmap_of_text)
+_ptmap_of_text = _per_run(_parse_ptmap)
 
 
 def _clear_memos() -> None:
@@ -974,9 +1067,17 @@ class IntBlockRelation(Frozen):
 
     @classmethod
     def parse(cls, blocks, ambient: str) -> "IntBlockRelation":
-        """make() of the sets named by the texts of the blocks and the ambient set."""
-        sets = [parse_intset(b) for b in blocks]
-        return cls.make(sets, parse_intset(ambient))
+        """make() of the sets named by the texts of the blocks and the ambient set.
+
+        A list of texts and a text are parsed once per run; any other value
+        (a hand-edited block list, say) goes to the parser itself and fails there.
+        """
+        texts = isinstance(blocks, (list, tuple)) and all(
+            isinstance(b, str) for b in (*blocks, ambient)
+        )
+        if texts:
+            return _relation_of_texts(tuple(blocks), ambient)
+        return _parse_relation(blocks, ambient)
 
     def index(self) -> int | float:
         """Largest class size; math.inf when some class is infinite."""
@@ -1007,3 +1108,10 @@ class IntBlockRelation(Frozen):
                 x = stray.closest_to_zero()
                 return (x, x + c)
         return None
+
+
+def _parse_relation(blocks, ambient) -> IntBlockRelation:
+    return IntBlockRelation.make([parse_intset(b) for b in blocks], parse_intset(ambient))
+
+
+_relation_of_texts = _per_run(_parse_relation)

@@ -17,7 +17,7 @@ extrapolated blindly.
 
 from __future__ import annotations
 
-from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation, format_intset
+from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation, _per_run, format_intset
 from .errors import (
     BadParameters,
     NoAcceleration,
@@ -26,7 +26,7 @@ from .errors import (
     NotWithinRelation,
 )
 from .quotient import Partition
-from .record import Record
+from .record import Frozen, Record
 from .relations import EnumeratedEquivalence, enumerated_partition, graph_within_partition
 
 # The level bound and the orbit window set how many points a run (or a
@@ -402,7 +402,7 @@ def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
     return FiniteLevels(n, g, invert_map(g), [], [], frozenset(range(n)))
 
 
-class SideLevels(Record):
+class SideLevels(Frozen):
     """One side of the integer-lane stratification.
 
     explicit[i] is the level at depth i+1.  When accel is set as
@@ -444,7 +444,7 @@ class SideLevels(Record):
         return IntSet.empty().union(*sets)
 
 
-class IntLevels(Record):
+class IntLevels(Frozen):
     """Integer-lane stratification with certified acceleration."""
 
     def __init__(
@@ -530,7 +530,17 @@ def _side_levels(
 def levels_int(
     g: PiecewiseTranslation, rel: IntBlockRelation, bound: int = 32
 ) -> IntLevels:
-    """Integer-lane stratification of a maximal partial injection."""
+    """Integer-lane stratification of a maximal partial injection.
+
+    Computed once per run for an int bound, so an integer cover and the
+    int_levels check that replays it share one stratification, frozen
+    since every caller gets the same one.  Any other bound (a hand-edited
+    32.0 or true) goes to the computation itself.
+    """
+    return (_levels_of if type(bound) is int else _levels_int)(g, rel, bound)
+
+
+def _levels_int(g: PiecewiseTranslation, rel: IntBlockRelation, bound) -> IntLevels:
     _check_probe("level bound", bound, 1)
     ginv = g.inverse()  # NotInjective when two points share an image
     dom, rng = g.domain(), g.range_set()
@@ -544,6 +554,9 @@ def levels_int(
     neg = _side_levels(ginv, neg_first, bound, MAX_PERIOD)
     zero = ambient.difference(pos.union).difference(neg.union)
     return IntLevels(ambient, g, ginv, pos, neg, zero)
+
+
+_levels_of = _per_run(_levels_int)
 
 
 def _mirror_levels(levels):

@@ -64,10 +64,17 @@ MUTANTS = [
     Mutant(CARRIERS, "if not ((len(a) == 1 or a == _ALL) and a[0].stride == 1):",
            "if not (len(a) == 1 or a == _ALL):",
            HULL_TESTS, "one piece of stride above 1 taken as an interval"),
-    Mutant(CARRIERS, "        if a == b or _holds(b, a):\n            return _EMPTY\n",
-           "        if a == b:\n            return self\n        if _holds(b, a):\n"
+    Mutant(CARRIERS, "        if a == b or _holds(other, self):\n            return _EMPTY\n",
+           "        if a == b:\n            return self\n        if _holds(other, self):\n"
            "            return _EMPTY\n",
            HULL_TESTS, "difference of equal operands returns the operand"),
+    # what a normal form carries: its hull, its shifts, its own memo entry
+    Mutant(CARRIERS, "        if _residue_classes(form):\n", "        if not form:\n",
+           ("tests/test_carriers.py::test_translate_is_the_normalised_shift",),
+           "translate shifts a residue-class form without normalising it"),
+    Mutant(CARRIERS, "    _FORMS.add(form)\n", "    _FORMS.add(raw)\n",
+           ("tests/test_carriers.py::test_a_normal_form_made_in_the_run_answers_itself",),
+           "the known forms record the raw input instead of its normal form"),
     # the overlap sweep
     Mutant(CARRIERS, "return min(pairs, default=None)", "return next(iter(pairs), None)",
            ("tests/test_int_oracles.py::test_ptmap_overlap_matches_the_pairwise_search",

@@ -12,12 +12,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qborel.carriers import (
+    MEMO_SIZE,
+    IntBlockRelation,
     IntSet,
     NotInjective,
     Piece,
     PiecewiseTranslation,
+    _FORMS,
+    _canonical_pieces,
     _clear_memos,
-    _hull,
     _iv_complement,
     _iv_difference,
     _iv_intersect,
@@ -26,6 +29,7 @@ from qborel.carriers import (
     _negate_piece,
     _piece_near_zero,
     _piece_translates_union,
+    _relation_of_texts,
     _residue_algebra,
     format_intset,
     format_ptmap,
@@ -359,6 +363,92 @@ def test_decided_pairs_skip_the_residue_algebra():
     assert IntSet.empty() is IntSet.empty()
 
 
+# -- what a normal form carries ------------------------------------------
+
+# unions of residue classes: the one normal form whose shift is no normal form
+RESIDUE_CLASSES = [
+    parse_intset("-2:-2*inf; 0:+2*inf"),  # the evens
+    IntSet.all_integers(),
+    parse_intset("-3:-3*inf; -2:-3*inf; 0:+3*inf; 1:+3*inf"),
+]
+
+
+@given(st.one_of(intsets, st.sampled_from(RESIDUE_CLASSES)),
+       st.one_of(st.integers(-7, 7), st.just(HUGE)))
+@example(RESIDUE_CLASSES[0], 1)
+@example(RESIDUE_CLASSES[1], -1)
+@example(RESIDUE_CLASSES[2], 2)
+def test_translate_is_the_normalised_shift(s, c):
+    got = s.translate(c)
+    want = IntSet(pc.translate(c) for pc in s.pieces)
+    assert (got.pieces, got.hull) == (want.pieces, want.hull)
+
+
+@given(memo_pieces)
+def test_normal_forms_are_fixed_points_from_a_cold_memo(raw):
+    out = IntSet(raw).pieces
+    _clear_memos()
+    assert _canonical_pieces(out) == out
+
+
+def test_a_normal_form_made_in_the_run_answers_itself():
+    _clear_memos()
+    raw = (Piece(20, 2, None), Piece(5, 1, 5), Piece(0, 1, 5), Piece(-4, 2, 2))
+    s = IntSet(raw)
+    assert format_intset(s) == "-4:+2*3; 1..9; 20:+2*inf"
+    assert s.pieces in _FORMS and raw not in _FORMS
+    hits, misses = _FORMS.cache_info()[:2]
+    # rebuilding from the pieces, or parsing the text the set prints as, normalises nothing
+    assert IntSet(list(s.pieces)) == s and parse_intset(str(s)) == s
+    assert _FORMS.cache_info()[:2] == (hits + 1, misses)
+
+
+def test_known_forms_stay_within_the_memo_size():
+    _clear_memos()
+    sets = [IntSet.of(x) for x in range(MEMO_SIZE + 10)]
+    assert 0 < len(_FORMS) <= MEMO_SIZE
+    assert [s.pieces for s in sets[-2:]] == [(Piece(x, 1, 1),) for x in (MEMO_SIZE + 8, MEMO_SIZE + 9)]
+
+
+@given(intsets)
+def test_the_carried_hull_is_the_least_and_greatest_member(s):
+    mins, maxs = [pc.min for pc in s.pieces], [pc.max for pc in s.pieces]
+    if not s.pieces:
+        assert s.hull == (math.inf, -math.inf)
+        return
+    assert s.hull == (-math.inf if None in mins else min(mins),
+                      math.inf if None in maxs else max(maxs))
+
+
+def _parsed(build):
+    try:
+        return build()
+    except Exception as e:  # noqa: BLE001 - the outcome compared is any error
+        return type(e), str(e)
+
+
+block_values = st.one_of(
+    st.sampled_from(["0..3", "5..", "..-9", "2:+3*4", "2..4", "nonsense", "4..1"]),
+    st.integers(-3, 3), st.none(), st.lists(st.just("0..3"), max_size=1),
+)
+
+
+@given(
+    st.one_of(st.lists(block_values, max_size=3), st.tuples(block_values),
+              st.sampled_from(["0..3", 5, None, {"0..3": 1}])),
+    st.one_of(st.sampled_from(["..-1; 0..", "-20..20", "1..2", "nonsense"]), st.none(),
+              st.integers(-3, 3)),
+)
+def test_relation_parse_is_the_parsers_outcome_and_caches_no_error(blocks, ambient):
+    want = _parsed(lambda: IntBlockRelation.make(
+        [parse_intset(b) for b in blocks], parse_intset(ambient)))
+    cached = _relation_of_texts.cache_info().currsize
+    for _ in range(2):  # a second parse reads the memo when the first was cached
+        assert _parsed(lambda: IntBlockRelation.parse(blocks, ambient)) == want
+    if isinstance(want, tuple):
+        assert _relation_of_texts.cache_info().currsize == cached
+
+
 @given(st.integers(1, 60).flatmap(
     lambda p: st.tuples(st.just(p), st.sets(st.integers(0, p - 1)))))
 def test_min_shift_period_is_the_least_period(case):
@@ -595,8 +685,8 @@ def test_min_max_closest(s):
     mins, maxs = [pc.min for pc in s.pieces], [pc.max for pc in s.pieces]
     assert lo == (None if None in mins else min(mins))
     assert hi == (None if None in maxs else max(maxs))
-    # the hull the algebra reads from the first and last pieces alone
-    assert _hull(s.pieces) == (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+    # the hull each set carries, which the algebra reads
+    assert s.hull == (-math.inf if lo is None else lo, math.inf if hi is None else hi)
     if s.min() is not None and abs(s.min()) < 500:
         assert s.min() == min(w)
     if s.max() is not None and abs(s.max()) < 500:

@@ -15,16 +15,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qborel
+from qborel import cantor, feldman_moore
 from qborel.carriers import (
+    _FORMS,
     _MEMOS,
     MEMO_SIZE,
     _canonical_pieces,
     _ptmap_of_text,
+    _relation_of_texts,
     _residue_algebra,
+    IntBlockRelation,
     IntSet,
     PiecewiseTranslation,
     parse_ptmap,
 )
+from qborel.feldman_moore import _levels_of, levels_int
 from qborel.cli.certificates import run_check
 from qborel.cli.main import FLAGS, FLAGS_OF, _plain_args, build_parser, main
 
@@ -748,6 +753,17 @@ def test_gallery_explicit_zero_is_bad_parameters(capsys, flag, message):
     assert err["kind"] == "BadParameters" and err["message"] == message
 
 
+@pytest.mark.parametrize("name", ["ex34", "ex35"])
+def test_a_flip_gallery_refuses_three_letters_before_building_a_model(capsys, monkeypatch, name):
+    built = []
+    monkeypatch.setattr(cantor, "make_truncated_model", lambda *a: built.append(a))
+    code, out = run(capsys, "gallery", name, "--k", "3")
+    assert code == 1 and built == []
+    err = json.loads(out)["error"]
+    assert err == {"kind": "BadParameters", "message": "two letters required for the flip instance",
+                   "witness": None}
+
+
 @pytest.mark.parametrize("flag", ["--k", "--n", "--t"])
 def test_gallery_et_shift_rejects_parameters(capsys, flag):
     code, out = run(capsys, "gallery", "et_shift", flag, "3")
@@ -1099,6 +1115,8 @@ def test_each_run_starts_from_empty_memos(tmp_path, capsys):
         # entries no replay of these checks uses
         IntSet.ray_up(10**6 + i, 7).difference(IntSet.segment(0, 3 * 10**6))
         parse_ptmap(f"{10**6 + i}.. -> +7")
+        rel = IntBlockRelation.parse([f"{10**6 + i}..{10**6 + i + 1}"], "..-1; 0..")
+        levels_int(PiecewiseTranslation.identity(), rel, 32)
         assert all(memo.cache_info().currsize > 0 for memo in _MEMOS)
         code, _ = run(capsys, "verify", "--input", str(cert), "--out", str(tmp_path / f"{i}.json"))
         assert code == 0
@@ -1106,7 +1124,11 @@ def test_each_run_starts_from_empty_memos(tmp_path, capsys):
     assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
     # equal hits, misses and sizes after both runs: each began with empty memos
     assert infos[0] == infos[1]
-    assert _MEMOS == (_canonical_pieces, _residue_algebra, _ptmap_of_text)
+    # the known normal forms, the normalisations, the set algebra, the maps and
+    # relations parsed, and the stratifications
+    memos = [_FORMS, _canonical_pieces, _residue_algebra, _ptmap_of_text, _relation_of_texts,
+             _levels_of]
+    assert len(_MEMOS) == len(memos) and all(m is want for m, want in zip(_MEMOS, memos))
     for info in infos[0]:
         assert info.maxsize == MEMO_SIZE and 0 < info.currsize <= MEMO_SIZE
 
@@ -1115,9 +1137,39 @@ def test_a_finite_run_after_an_integer_one_starts_from_empty_memos(capsys):
     # an integer cover fills every memo; generate never reads the integer
     # carrier, and still empties them once an earlier run has loaded it
     assert run(capsys, "cover", "--input", RAY)[0] == 0
+    assert len(_MEMOS) == 6 and _FORMS in _MEMOS and _relation_of_texts in _MEMOS
+    assert _levels_of in _MEMOS
     assert all(memo.cache_info().currsize > 0 for memo in _MEMOS)
     assert run(capsys, "generate", "--input", FIVE, "--maps", "c3,fin")[0] == 0
-    assert [memo.cache_info().currsize for memo in _MEMOS] == [0] * len(_MEMOS)
+    assert [memo.cache_info()[1:] for memo in _MEMOS] == [(0, MEMO_SIZE, 0)] * len(_MEMOS)
+
+
+def test_an_integer_cover_stratifies_once_per_run(tmp_path, capsys, monkeypatch):
+    # the cover and its int_levels check share one levels_int; verify computes its own
+    calls = []
+    unused_pair = feldman_moore._unused_pair
+    monkeypatch.setattr(feldman_moore, "_unused_pair",
+                        lambda *a: calls.append(a) or unused_pair(*a))
+    cert = tmp_path / "cover.json"
+    assert run(capsys, "cover", "--input", RAY, "--out", str(cert))[0] == 0
+    assert len(calls) == 1
+    assert run(capsys, "verify", "--input", str(cert))[0] == 0
+    assert len(calls) == 2
+    # a bound that is no int is computed, not looked up, and fails as it did
+    data = json.loads(cert.read_text())
+    (row,) = [c for c in data["checks"] if c["kind"] == "int_levels"]
+    for bound, message in [(32.0, "'float' object cannot be interpreted as an integer"),
+                           (True, None)]:
+        row["data"]["bound"] = bound
+        cert.write_text(json.dumps(data))
+        code, out = run(capsys, "verify", "--input", str(cert), "--out", str(tmp_path / "r.json"))
+        (level_row,) = [r for r in json.loads((tmp_path / "r.json").read_text())["rows"]
+                        if r["name"] == "levels_reproduce"]
+        if message is None:
+            assert code == 1 and level_row["recomputed"] is False
+        else:
+            assert level_row["witness"] == {"error": "TypeError", "message": message}
+    assert _levels_of.cache_info().currsize == 0
 
 
 def test_int_texts_stored_as_lists_are_fail_rows(tmp_path, capsys):

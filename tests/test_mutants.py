@@ -17,8 +17,8 @@ def test_runner_reports_the_surviving_mutant():
     fixture = [
         mutants.Mutant(
             mutants.CARRIERS,
-            "        if a == b or _holds(b, a):\n            return _EMPTY\n",
-            "        if _holds(b, a):\n            return _EMPTY\n",
+            "        if a == b or _holds(other, self):\n            return _EMPTY\n",
+            "        if _holds(other, self):\n            return _EMPTY\n",
             QUICK, "difference of equal operands left to the general path",
         ),
         # a docstring edit changes no behaviour
