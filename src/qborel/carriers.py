@@ -27,15 +27,16 @@ its shift is normalised again.  And a normal form made in a run answers
 itself when it comes back as input, as when a certificate row parses a
 text the construction has just written.
 
-Every per-run memo is listed in _MEMOS and keeps at most MEMO_SIZE
-entries: the normal forms made (`_FORMS`); normalisation
-(`_canonical_pieces`) and the per-residue algebra (`_residue_algebra`),
-which the construction calls again and again on the same piece tuples;
-the parsing of map texts (`_ptmap_of_text`) and of relations stored as
-texts (`_relation_of_texts`), which a certificate replays many times
-over; and the integer-lane levels that feldman_moore registers
-(`_levels_of`).  The command line empties them when a run starts
-(`_clear_memos`), so each run does its own work.
+The per-run memos of this lane are listed in record._MEMOS, the one
+registry of both lanes (its names are re-exported here), and each keeps
+at most MEMO_SIZE entries: the normal forms made (`_FORMS`);
+normalisation (`_canonical_pieces`) and the per-residue algebra
+(`_residue_algebra`), which the construction calls again and again on
+the same piece tuples; the parsing of map texts (`_ptmap_of_text`) and
+of relations stored as texts (`_relation_of_texts`), which a certificate
+replays many times over; and the integer-lane levels that feldman_moore
+registers (`_levels_of`).  The command line empties every memo of the
+registry when a run starts (`_clear_memos`), so each run does its own work.
 
 A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are
@@ -52,28 +53,13 @@ from __future__ import annotations
 import re
 from bisect import insort
 from collections import namedtuple
-from functools import lru_cache
 from heapq import heappop, heappush
 from math import gcd, inf, isqrt, lcm
 from typing import Iterable, Iterator
 
 from .errors import InvalidPartition, NotInjective, clip, quote
-from .record import Frozen
-
-# entries kept by each memo
-MEMO_SIZE = 4096
-
-# every per-run memo of the package, in the order they are made
-_MEMOS: list = []
-
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-def _per_run(fn):
-    """fn memoised by value in an lru_cache of MEMO_SIZE entries, listed in _MEMOS."""
-    memo = lru_cache(maxsize=MEMO_SIZE)(fn)
-    _MEMOS.append(memo)
-    return memo
+# the per-run registry lives in record, which every module imports
+from .record import MEMO_SIZE, _MEMOS, Frozen, Memo, _clear_memos, _per_run
 
 
 class Piece(namedtuple("Piece", "start stride length down", defaults=(False,))):
@@ -287,26 +273,9 @@ def _points_apart(pieces) -> list[Piece]:
     return out
 
 
-class _KnownForms(set):
-    """The normal forms _canonical_pieces has made in this run, at most MEMO_SIZE.
-
-    A memo of _MEMOS like the lru_caches, with their two methods: hits
-    counts the forms answered by themselves, misses the normalisations run.
-    """
-
-    __slots__ = ("hits", "misses")
-
-    def cache_clear(self) -> None:
-        self.clear()
-        self.hits = self.misses = 0
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, MEMO_SIZE, len(self))
-
-
-_FORMS = _KnownForms()
-_FORMS.cache_clear()
-_MEMOS.append(_FORMS)
+# the normal forms _canonical_pieces has made in this run, each kept under itself:
+# hits counts the forms answered by themselves, misses the normalisations run
+_FORMS = Memo()
 
 
 @_per_run
@@ -314,14 +283,10 @@ def _canonical_pieces(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
     """The normal form of a piece tuple.  A normal form is its own, so one
     made in this run answers itself: parsing a text the run wrote, or
     rebuilding a set from a normal form's pieces, normalises nothing."""
-    if raw in _FORMS:
-        _FORMS.hits += 1
-        return raw
-    _FORMS.misses += 1
-    form = _normal_form(raw)
-    if len(_FORMS) == MEMO_SIZE:
-        _FORMS.clear()
-    _FORMS.add(form)
+    form = _FORMS.look(raw)
+    if form is None:
+        form = _normal_form(raw)
+        _FORMS.keep(form, form)
     return form
 
 
@@ -1027,12 +992,6 @@ def _parse_ptmap(text: str) -> PiecewiseTranslation:
 
 # a private name: a tracer may rebind the public ones to wrappers without cache_clear
 _ptmap_of_text = _per_run(_parse_ptmap)
-
-
-def _clear_memos() -> None:
-    """Empty every memo in _MEMOS."""
-    for memo in _MEMOS:
-        memo.cache_clear()
 
 
 def format_ptmap(f: PiecewiseTranslation) -> str:

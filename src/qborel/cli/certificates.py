@@ -474,10 +474,11 @@ def _pairs_to_map(pairs) -> dict[int, int]:
 
 
 def _blocks_partition(n: int, blocks) -> Partition:
-    """Stored blocks as a partition. A stored n above the points the blocks
-    list is an InvalidPartition before any n cells are allocated, so a
-    checker builds this first and sizes later work by it."""
-    return Partition.from_blocks(n, [list(map(int, b)) for b in blocks])
+    """Stored blocks as a partition, the one this run has joined when they are its
+    blocks. A stored n above the points the blocks list is an InvalidPartition
+    before any n cells are allocated, so a checker builds this first and sizes
+    later work by it."""
+    return Partition.joined(n, [list(map(int, b)) for b in blocks])
 
 
 @checker("value_equal")

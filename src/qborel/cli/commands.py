@@ -14,6 +14,7 @@ from ..errors import UnsupportedCarrier
 from ..quotient import Partition
 from ..relations import (
     chain_witness,
+    checked_enumeration,
     enumerated_partition,
     generate_equivalence,
     index2_involution,
@@ -91,8 +92,13 @@ def _rel_partition(decl) -> tuple:
         return decl.value, {}
     if decl.kind != "graphs":
         raise UsageError("this command needs a finite relation")
-    # what the graphs join, also when they fail the laws: the parser kept them in 0..n-1
-    return Partition.from_pairs(decl.value.n, decl.value.pairs()), _enumeration(decl.value)
+    # the relation the graphs enumerate, from the check the enumeration_laws row
+    # reads back; when they fail the laws, what they join (the parser kept them in 0..n-1)
+    enum = decl.value
+    rel, _ = checked_enumeration(enum.graph_dicts(), enum.n)
+    if rel is None:
+        rel = Partition.from_pairs(enum.n, enum.pairs())
+    return rel, _enumeration(enum)
 
 
 def _enumeration(enum) -> dict:

@@ -9,12 +9,14 @@ or a library error (typed parse errors included) was raised, 2 usage errors.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import sys
 import types
 
 from ..errors import InvalidCertificate, QBorelError
+from ..record import _clear_memos
 from .certificates import Certificate, _spaced_text, jsonable, reverify
 
 class UsageError(Exception):
@@ -219,55 +221,61 @@ def _summary(cert: Certificate, out: str | None, texts: tuple) -> tuple[int, lis
 
 
 def main(argv=None) -> int:
-    # each run starts from empty memos, as a fresh process would; the integer
-    # carrier's memos are empty until a run loads it
-    carriers = sys.modules.get("qborel.carriers")
-    if carriers is not None:
-        carriers._clear_memos()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv) or _parser().parse_args(argv)
-    command = args.command
+    # reference counting frees what a run makes, yet its allocations (a certificate
+    # decoded, say) set off cycle collections that find nothing: the collector
+    # pauses for the run, and is left as the caller had it on every way out
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        _check_flags(args, command)
-        # the instance file is read once: the text parsed is the text digested;
-        # verify reads its --input as a certificate, gallery takes none, and
-        # a command given --gallery reads the example's declarations instead
-        text = inst = None
-        if command not in ("verify", "gallery"):
-            from . import commands, instance
-            if args.input:
-                text = instance.decode_instance(_read_input(args.input))
-                inst = instance.parse_instance(text)
-            else:
-                inst = commands._gallery_file(args)
-        result = COMMANDS[command](args, inst)
-        if isinstance(result, Certificate):
-            if text is not None:
-                result.add_input(os.path.basename(args.input), text)
-            texts = result.texts()  # one snapshot comparison, for the file and the summary
-            # written before anything is printed: a failed write prints nothing
-            if args.out:
-                _write_output(args.out, result.to_json(texts))
-    except UsageError as e:
-        _parser().error(str(e))
-    except QBorelError as e:
-        error = {
-            "kind": type(e).__name__,
-            "message": str(e),
-            "witness": jsonable(getattr(e, "witness", None)),
-        }
-        code, lines = 1, [json.dumps({"error": error}, indent=2)]
-    else:
-        code, lines = result if isinstance(result, tuple) else _summary(result, args.out, texts)
-    try:
-        print("\n".join(lines))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader of stdout has gone; pointing stdout at devnull keeps the
-        # interpreter's flush at exit quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return code
+        # each run starts from empty memos, as a fresh process would
+        _clear_memos()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _plain_args(argv) or _parser().parse_args(argv)
+        command = args.command
+        try:
+            _check_flags(args, command)
+            # the instance file is read once: the text parsed is the text digested;
+            # verify reads its --input as a certificate, gallery takes none, and
+            # a command given --gallery reads the example's declarations instead
+            text = inst = None
+            if command not in ("verify", "gallery"):
+                from . import commands, instance
+                if args.input:
+                    text = instance.decode_instance(_read_input(args.input))
+                    inst = instance.parse_instance(text)
+                else:
+                    inst = commands._gallery_file(args)
+            result = COMMANDS[command](args, inst)
+            if isinstance(result, Certificate):
+                if text is not None:
+                    result.add_input(os.path.basename(args.input), text)
+                texts = result.texts()  # one snapshot comparison, for the file and the summary
+                # written before anything is printed: a failed write prints nothing
+                if args.out:
+                    _write_output(args.out, result.to_json(texts))
+        except UsageError as e:
+            _parser().error(str(e))
+        except QBorelError as e:
+            error = {
+                "kind": type(e).__name__,
+                "message": str(e),
+                "witness": jsonable(getattr(e, "witness", None)),
+            }
+            code, lines = 1, [json.dumps({"error": error}, indent=2)]
+        else:
+            code, lines = result if isinstance(result, tuple) else _summary(result, args.out, texts)
+        try:
+            print("\n".join(lines))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader of stdout has gone; pointing stdout at devnull keeps the
+            # interpreter's flush at exit quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ extrapolated blindly.
 
 from __future__ import annotations
 
-from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation, _per_run, format_intset
+from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation, format_intset
 from .errors import (
     BadParameters,
     NoAcceleration,
@@ -26,7 +26,7 @@ from .errors import (
     NotWithinRelation,
 )
 from .quotient import Partition
-from .record import Frozen, Record
+from .record import Frozen, Record, _per_run
 from .relations import EnumeratedEquivalence, enumerated_partition, graph_within_partition
 
 # The level bound and the orbit window set how many points a run (or a

@@ -4,12 +4,19 @@ A finite quotient is its Partition: classes are explicit blocks of the
 points 0..n-1, and the quotient points are the class ids 0..k-1, ordered
 by least member.  The integer carrier is its own quotient: the classes of
 an integer relation are the blocks of a `carriers.IntBlockRelation`.
+
+A partition from_pairs joins is kept for the run (`_JOINED`, a memo of
+record's registry), so a certificate row that stores its blocks reads it
+back (`Partition.joined`) instead of building it again.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidPartition, clip
-from .record import Frozen
+from .record import Frozen, Memo
+
+# each partition from_pairs has joined in this run on an int n, by (n, blocks)
+_JOINED = Memo()
 
 
 class Partition(Frozen):
@@ -66,11 +73,23 @@ class Partition(Frozen):
         # labels in order of first appearance are the blocks by least member
         order = dict.fromkeys(label)
         index = dict(zip(order, range(len(order))))
-        return cls(
-            n,
-            tuple(tuple(sorted(members[c])) for c in order),
-            tuple(map(index.__getitem__, label)),
-        )
+        blocks = tuple(tuple(sorted(members[c])) for c in order)
+        partition = cls(n, blocks, tuple(map(index.__getitem__, label)))
+        if type(n) is int:
+            _JOINED.keep((n, blocks), partition)
+        return partition
+
+    @classmethod
+    def joined(cls, n: int, blocks: list) -> "Partition":
+        """from_blocks(n, blocks) for a list of lists of ints, read back when
+        from_pairs has joined this partition in this run: n must be an int and
+        the blocks its canonical blocks exactly. Any other n or blocks, a 5.0
+        for 5 say, go to from_blocks, and pass or fail as they always have."""
+        if _JOINED and type(n) is int:
+            partition = _JOINED.look((n, tuple(map(tuple, blocks))))
+            if partition is not None:
+                return partition
+        return cls.from_blocks(n, blocks)
 
     def generated_by(self, pairs) -> bool:
         """Whether the pairs generate exactly this partition, with no

@@ -1,11 +1,74 @@
-"""Plain classes of named fields.
+"""Plain classes of named fields, and the registry of per-run memos.
 
 The standard library's data classes would do, but importing them loads
 `inspect`, `ast` and `dis`, and each decorator compiles generated source:
 a fresh process paid more for that than most commands take to run.
+
+Every per-run memo of both lanes is listed in _MEMOS, which every module
+can reach here, and keeps at most MEMO_SIZE entries; the command line
+empties them all as a run starts (`_clear_memos`).
 """
 
 from __future__ import annotations
+
+# _CacheInfo is the named tuple an lru_cache's cache_info gives: every memo gives one
+from functools import _CacheInfo, lru_cache
+
+# entries kept by each memo
+MEMO_SIZE = 4096
+
+# every per-run memo of the package, in the order they are made
+_MEMOS: list = []
+
+
+def _per_run(fn):
+    """fn memoised by value in an lru_cache of MEMO_SIZE entries, listed in _MEMOS."""
+    memo = lru_cache(maxsize=MEMO_SIZE)(fn)
+    _MEMOS.append(memo)
+    return memo
+
+
+def _clear_memos() -> None:
+    """Empty every memo in _MEMOS: the command line does so as each run starts."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+class Memo(dict):
+    """A per-run memo of _MEMOS: values a run has computed, by key, at most MEMO_SIZE.
+
+    It has the two methods of the lru_caches; hits counts the lookups
+    answered and misses the others.
+    """
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self):
+        super().__init__()
+        self.cache_clear()
+        _MEMOS.append(self)
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, MEMO_SIZE, len(self))
+
+    def look(self, key):
+        """The value kept under key, or None."""
+        value = self.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def keep(self, key, value) -> None:
+        """Keep value under key; a full memo is emptied first."""
+        if len(self) == MEMO_SIZE:
+            self.clear()
+        self[key] = value
 
 
 class Record:

@@ -12,6 +12,10 @@ witnesses are minimal-length and deterministically tie-broken.
 Nothing here reads the integer carrier: an integer relation is a
 carriers.IntBlockRelation, so a run on finite data loads no semilinear
 code.
+
+The verdict of each enumeration checked in a run is kept for the run
+(`_VERDICTS`, a memo of record's registry), so the certificate row that
+checks the graphs the construction has checked reads that verdict back.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 
 from .errors import IndexTooLarge, InvalidPartition, NotAnEnumeration, NotASelector
 from .quotient import Partition
-from .record import Frozen, Record
+from .record import Frozen, Memo, Record
 
 
 def _distances(nbrs: list[set[int]], source: int) -> dict[int, int]:
@@ -247,18 +251,41 @@ def verify_enumeration(graphs, n: int) -> EnumReport:
     such pair is the witness.  A transitivity failure is witnessed by the
     least (x, y) in the union, then the least z in row y missing from
     row x, reported as (x, z, y).  The ordered search for witnesses runs
-    only when the union fails the count of _enumeration_check.
+    only when the union fails the count of _enumeration_check.  A verdict
+    checked_enumeration has kept for these graphs is read back.
     """
-    return _enumeration_check(graphs, n)[1]
+    return checked_enumeration(graphs, n, keep=False)[1]
 
 
 def enumerated_partition(graphs, n: int) -> Partition:
     """The partition the graphs enumerate; NotAnEnumeration, with the
     report or pair verify_enumeration gives, when they enumerate none."""
-    rel, report = _enumeration_check(graphs, n)
+    rel, report = checked_enumeration(graphs, n)
     if not report.ok:
         raise NotAnEnumeration("graphs fail the closure checks", witness=report)
     return rel
+
+
+# (partition or None, report) of each enumeration checked in this run on an
+# int n, by n and the pairs of each graph in its order
+_VERDICTS = Memo()
+
+
+def checked_enumeration(graphs, n: int, keep: bool = True) -> tuple[Partition | None, EnumReport]:
+    """The partition the graphs enumerate, None if they fail the laws, and the
+    report: _enumeration_check's, read back from _VERDICTS when n is an int and
+    this run has checked these graphs on it, and with keep, kept there. A run
+    that keeps nothing builds no key."""
+    if type(n) is not int or not (keep or _VERDICTS):
+        return _enumeration_check(graphs, n)
+    graphs = list(graphs)
+    key = n, tuple(tuple(g.items()) for g in graphs)
+    verdict = _VERDICTS.look(key) if _VERDICTS else None
+    if verdict is None:
+        verdict = _enumeration_check(graphs, n)
+        if keep:
+            _VERDICTS.keep(key, verdict)
+    return verdict
 
 
 def _enumeration_check(graphs, n: int) -> tuple[Partition | None, EnumReport]:

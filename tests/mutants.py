@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 CARRIERS = "qborel/carriers.py"
+RECORD = "qborel/record.py"
 FM = "qborel/feldman_moore.py"
 RELATIONS = "qborel/relations.py"
 COMMANDS = "qborel/cli/commands.py"
@@ -48,6 +49,7 @@ COUNT = "tests/test_finite_oracles.py::test_enumerated_partition_is_the_union_fi
 ORACLES = ("tests/test_finite_oracles.py::test_classical_construction_matches_per_point_walk",)
 MIRROR = "tests/test_cross_lane.py::test_an_inverse_is_covered_from_the_mirrored_levels"
 PLAIN = "tests/test_cli.py::test_plain_reader_reads_what_argparse_reads"
+MEMOS = "tests/test_cli.py::test_each_run_starts_from_empty_memos"
 FAILING_LAWS = ("tests/test_cli.py::"
                 "test_graphs_that_fail_the_laws_still_give_the_partition_they_join")
 CLOSURE = ("tests/test_certificates.py::"
@@ -72,7 +74,7 @@ MUTANTS = [
     Mutant(CARRIERS, "        if _residue_classes(form):\n", "        if not form:\n",
            ("tests/test_carriers.py::test_translate_is_the_normalised_shift",),
            "translate shifts a residue-class form without normalising it"),
-    Mutant(CARRIERS, "    _FORMS.add(form)\n", "    _FORMS.add(raw)\n",
+    Mutant(CARRIERS, "        _FORMS.keep(form, form)\n", "        _FORMS.keep(raw, raw)\n",
            ("tests/test_carriers.py::test_a_normal_form_made_in_the_run_answers_itself",),
            "the known forms record the raw input instead of its normal form"),
     # the overlap sweep
@@ -88,10 +90,6 @@ MUTANTS = [
     Mutant(CARRIERS, "while heap and heap[0][0] < lo:", "while heap and heap[0][0] <= lo:",
            ("tests/test_int_oracles.py::test_meets_finds_exactly_the_meeting_pairs",),
            "an open piece ending where the next one starts expired early"),
-    Mutant(CARRIERS, "    for memo in _MEMOS:\n        memo.cache_clear()",
-           "    for memo in _MEMOS[:-1]:\n        memo.cache_clear()",
-           ("tests/test_cli.py::test_each_run_starts_from_empty_memos",),
-           "_clear_memos skips the last memo"),
     Mutant(CARRIERS,
            "            meeting[j].add(i)\n", "            meeting[j] = {i}\n",
            ("tests/test_int_oracles.py::test_graph_within_witness_reads_every_block_it_needs",),
@@ -103,12 +101,48 @@ MUTANTS = [
            (COUNT,), "the classes only need as many cells as the union has pairs"),
     # the partition a family that fails the laws joins, which index, selector,
     # fm-classical and involution2 still print
-    Mutant(COMMANDS, "return Partition.from_pairs(decl.value.n, decl.value.pairs()),",
-           "return enumerated_partition(decl.value.graph_dicts(), decl.value.n),",
+    Mutant(COMMANDS, "        rel = Partition.from_pairs(enum.n, enum.pairs())\n",
+           "        rel = enumerated_partition(enum.graph_dicts(), enum.n)\n",
            (FAILING_LAWS,), "no partition when the laws fail"),
-    Mutant(COMMANDS, "return Partition.from_pairs(decl.value.n, decl.value.pairs()),",
-           "return Partition.discrete(decl.value.n),", (FAILING_LAWS,),
+    Mutant(COMMANDS, "        rel = Partition.from_pairs(enum.n, enum.pairs())\n",
+           "        rel = Partition.discrete(enum.n)\n", (FAILING_LAWS,),
            "the discrete partition in place of the one the graphs join"),
+    # the per-run registry of both lanes, and the finite lane's memos
+    Mutant(RECORD, "    for memo in _MEMOS:\n        memo.cache_clear()",
+           "    for memo in _MEMOS[:-1]:\n        memo.cache_clear()", (MEMOS,),
+           "_clear_memos skips the last memo"),
+    Mutant(RECORD, "    for memo in _MEMOS:\n        memo.cache_clear()",
+           "    for memo in _MEMOS:\n        if type(memo) is not Memo:\n"
+           "            memo.cache_clear()", (MEMOS,),
+           "_clear_memos skips the finite lane's memos"),
+    Mutant("qborel/quotient.py", "        if _JOINED and type(n) is int:\n",
+           "        if _JOINED:\n",
+           ("tests/test_cli.py::test_a_stored_n_that_is_no_int_reads_no_joined_partition",
+            "tests/test_quotient.py::test_joined_gives_what_from_blocks_gives"),
+           "a stored n of 5.0 reads the partition joined on 5"),
+    Mutant("qborel/quotient.py", "        if type(n) is int:\n            _JOINED.keep(",
+           "        if True:\n            _JOINED.keep(",
+           ("tests/test_quotient.py::"
+            "test_a_partition_joined_on_an_n_that_is_no_int_is_not_kept",),
+           "a partition joined on n = True is kept for an int 1 to read"),
+    Mutant(RELATIONS, "    if type(n) is not int or not (keep or _VERDICTS):\n",
+           "    if not (keep or _VERDICTS):\n",
+           ("tests/test_relations.py::"
+            "test_verify_enumeration_after_a_kept_verdict_gives_the_cold_report",),
+           "an n of 5.0 reads the verdict kept for 5"),
+    Mutant(RELATIONS, "            _VERDICTS.keep(key, verdict)\n", "            pass\n",
+           ("tests/test_feldman_moore.py::"
+            "test_finite_construction_checks_the_enumeration_once[cover]",),
+           "no verdict kept: the enumeration_laws row checks the graphs again"),
+    # the cycle collector paused for a run
+    Mutant("qborel/cli/main.py", "        if collecting:\n            gc.enable()",
+           "        if collecting and sys.exc_info()[0] is not SystemExit:\n"
+           "            gc.enable()",
+           ("tests/test_cli.py::test_a_run_leaves_the_cycle_collector_as_it_found_it",),
+           "the collector left paused after a usage error"),
+    Mutant("qborel/cli/main.py", "    gc.disable()\n", "",
+           ("tests/test_cli.py::test_no_cycle_collection_runs_during_a_run",),
+           "the collector runs during a run"),
     # the shared construction loop
     Mutant(FM, "                if f_key not in seen:\n",
            "                if True:\n",
@@ -219,9 +253,9 @@ MUTANTS = [
            ("tests/test_cli.py::test_enumeration_report_repr_in_stdout_is_pinned",
             "tests/test_cli.py::test_enumeration_laws_witness_bytes_are_pinned"),
            "Record.__repr__ writes field: value"),
-    Mutant("qborel/cli/main.py", 'sys.modules.get("qborel.carriers")', 'sys.modules.get("carriers")',
+    Mutant("qborel/cli/main.py", "        _clear_memos()\n", "",
            ("tests/test_cli.py::test_a_finite_run_after_an_integer_one_starts_from_empty_memos",),
-           "main looks the carrier up under a name it is not loaded as"),
+           "main leaves the memos of an earlier run"),
     Mutant(COMMANDS, "    check_maps_within_int(rel, phis)\n", "",
            ("tests/test_cli.py::test_integer_cover_rejects_a_stray_map_as_fm_quotient_does",),
            "_cover_int does not check its maps against the relation"),

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -30,6 +31,8 @@ from qborel.carriers import (
     parse_ptmap,
 )
 from qborel.feldman_moore import _levels_of, levels_int
+from qborel.quotient import _JOINED, Partition
+from qborel.relations import _VERDICTS, checked_enumeration
 from qborel.cli.certificates import run_check
 from qborel.cli.main import FLAGS, FLAGS_OF, _plain_args, build_parser, main
 
@@ -1106,42 +1109,159 @@ def test_out_writes_certificate_for_any_command(tmp_path, capsys):
     assert code == 0
 
 
+def _fill_memos(i: int) -> None:
+    """Entries in every memo of both lanes that no run of these tests reads."""
+    IntSet.ray_up(10**6 + i, 7).difference(IntSet.segment(0, 3 * 10**6))
+    parse_ptmap(f"{10**6 + i}.. -> +7")
+    rel = IntBlockRelation.parse([f"{10**6 + i}..{10**6 + i + 1}"], "..-1; 0..")
+    levels_int(PiecewiseTranslation.identity(), rel, 32)
+    checked_enumeration([{x: x for x in range(7 + i)}], 7 + i)
+    assert all(memo.cache_info().currsize > 0 for memo in _MEMOS)
+
+
 def test_each_run_starts_from_empty_memos(tmp_path, capsys):
-    # replaying the checks of an integer cover fills every memo
+    # replaying the checks of an integer cover fills every memo of the integer
+    # lane, and certifying a finite cover every memo of the finite lane
     cert = tmp_path / "cover.json"
     assert run(capsys, "cover", "--input", RAY, "--out", str(cert))[0] == 0
     infos = []
     for i in range(2):
-        # entries no replay of these checks uses
-        IntSet.ray_up(10**6 + i, 7).difference(IntSet.segment(0, 3 * 10**6))
-        parse_ptmap(f"{10**6 + i}.. -> +7")
-        rel = IntBlockRelation.parse([f"{10**6 + i}..{10**6 + i + 1}"], "..-1; 0..")
-        levels_int(PiecewiseTranslation.identity(), rel, 32)
-        assert all(memo.cache_info().currsize > 0 for memo in _MEMOS)
+        _fill_memos(i)
         code, _ = run(capsys, "verify", "--input", str(cert), "--out", str(tmp_path / f"{i}.json"))
         assert code == 0
-        infos.append([memo.cache_info() for memo in _MEMOS])
-    assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
+        replayed = [memo.cache_info() for memo in _MEMOS]
+        _fill_memos(i)
+        assert run(capsys, "cover", "--input", FIVE, "--out", str(tmp_path / f"{i}f.json"))[0] == 0
+        infos.append((replayed, [memo.cache_info() for memo in _MEMOS]))
+    for name in ("0.json", "0f.json"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("0", "1")).read_bytes()
     # equal hits, misses and sizes after both runs: each began with empty memos
     assert infos[0] == infos[1]
     # the known normal forms, the normalisations, the set algebra, the maps and
-    # relations parsed, and the stratifications
-    memos = [_FORMS, _canonical_pieces, _residue_algebra, _ptmap_of_text, _relation_of_texts,
-             _levels_of]
-    assert len(_MEMOS) == len(memos) and all(m is want for m, want in zip(_MEMOS, memos))
-    for info in infos[0]:
-        assert info.maxsize == MEMO_SIZE and 0 < info.currsize <= MEMO_SIZE
+    # relations parsed, and the stratifications; the partitions joined and the
+    # enumeration verdicts. They are listed as the modules load, in whatever order
+    integer = [_FORMS, _canonical_pieces, _residue_algebra, _ptmap_of_text, _relation_of_texts,
+               _levels_of]
+    finite = [_JOINED, _VERDICTS]
+    assert sorted(map(id, _MEMOS)) == sorted(map(id, integer + finite))
+    for memo, replayed, certified in zip(_MEMOS, *infos[0]):
+        filled, other = (replayed, certified) if any(memo is m for m in integer) else (
+            certified, replayed)
+        assert filled.maxsize == MEMO_SIZE and 0 < filled.currsize <= MEMO_SIZE
+        # emptied, and not read by the other lane's run
+        assert other == (0, 0, MEMO_SIZE, 0)
 
 
 def test_a_finite_run_after_an_integer_one_starts_from_empty_memos(capsys):
-    # an integer cover fills every memo; generate never reads the integer
-    # carrier, and still empties them once an earlier run has loaded it
+    # an integer cover fills every memo of its lane; generate never reads the
+    # integer carrier, and still empties them once an earlier run has loaded it
     assert run(capsys, "cover", "--input", RAY)[0] == 0
-    assert len(_MEMOS) == 6 and _FORMS in _MEMOS and _relation_of_texts in _MEMOS
+    assert len(_MEMOS) == 8 and _FORMS in _MEMOS and _relation_of_texts in _MEMOS
     assert _levels_of in _MEMOS
-    assert all(memo.cache_info().currsize > 0 for memo in _MEMOS)
+    _fill_memos(0)
     assert run(capsys, "generate", "--input", FIVE, "--maps", "c3,fin")[0] == 0
-    assert [memo.cache_info()[1:] for memo in _MEMOS] == [(0, MEMO_SIZE, 0)] * len(_MEMOS)
+    # the closure row reads back the partition the run joined; no other memo holds an entry
+    assert _JOINED.cache_info() == (1, 0, MEMO_SIZE, 1)
+    assert [memo.cache_info() for memo in _MEMOS if memo is not _JOINED] == [
+        (0, 0, MEMO_SIZE, 0)] * (len(_MEMOS) - 1)
+
+
+@pytest.mark.parametrize("command, path, joined", [
+    ("index", FIVE, [13]),
+    ("selector", FIVE, [13]),
+    # five_points has a class of three points; swap's has two. The closure rows
+    # of involution2 and fm-classical join the pairs of their outputs too
+    ("involution2", SWAP, [4, 2]),
+    ("fm-classical", FIVE, [13, 20]),
+])
+def test_a_graphs_relation_is_joined_once_per_run(monkeypatch, capsys, command, path, joined):
+    # the relation comes from the check of its graphs, whose verdict the
+    # enumeration_laws row reads back: one union-find over the graphs' pairs
+    import qborel.quotient
+
+    calls = []
+    components = qborel.quotient._components
+
+    def counted(n, pairs):
+        pairs = list(pairs)
+        calls.append(len(pairs))
+        return components(n, pairs)
+
+    monkeypatch.setattr(qborel.quotient, "_components", counted)
+    code, out = run(capsys, command, "--input", path, "--rel", "F")
+    assert code == 0 and "  [pass] graphs_form_an_enumeration\n" in out
+    assert calls == joined
+
+
+def test_a_stored_n_that_is_no_int_reads_no_joined_partition(tmp_path, capsys):
+    # the enumeration row joins the (5, blocks) partition; a row whose n reads
+    # 5.0 builds its own, which fails, as a run that joined nothing does
+    cert = json.loads((GOLDEN / "schema2" / "cover_five_points.json").read_text())
+    (row,) = [c for c in cert["checks"] if c["name"] == "seed_within_relation"]
+    row["data"]["n"] = 5.0
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cert))
+    code, out = run(capsys, "verify", "--input", str(path))
+    assert code == 1 and "  [FAIL] seed_within_relation: stored=True recomputed=False\n" in out
+    assert out.count("[FAIL]") == 1
+
+
+class _GonePipe(io.StringIO):
+    """A stdout whose reader has gone, over a file descriptor of the test's own."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_run_leaves_the_cycle_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
+                                                          collecting):
+    failing = tmp_path / "failing.qb"
+    failing.write_text(pathlib.Path(FIVE).read_text().replace("[e, c3, c3i, fin]", "[e, c3, fin]"))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code in [
+            (["index", "--input", FIVE], 0),
+            (["index", "--input", str(failing)], 1),  # a FAIL row
+            (["fm-quotient", "--input", str(failing)], 1),  # a typed error
+            (["index", "--input", FIVE, "--x", "0"], 2),  # a usage error
+            (["index"], 2),  # argparse's usage error
+        ]:
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is collecting, argv
+        with open(tmp_path / "sink", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", _GonePipe(sink.fileno()))
+            code = main(["index", "--input", FIVE])
+            monkeypatch.undo()
+        assert code == 1 and gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_cycle_collection_runs_during_a_run(capsys):
+    # shifts6's fm-quotient allocates enough to set off collections, were the collector on
+    assert gc.isenabled()
+    started = []
+
+    def seen(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(seen)
+    try:
+        code = main(["fm-quotient", "--input", str(SAMPLES / "shifts6.qb")])
+    finally:
+        gc.callbacks.remove(seen)
+    capsys.readouterr()
+    assert code == 0 and started == []
 
 
 def test_an_integer_cover_stratifies_once_per_run(tmp_path, capsys, monkeypatch):

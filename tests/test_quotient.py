@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qborel.quotient import InvalidPartition, Partition
+from qborel.record import _clear_memos
 
 
 def partitions(max_n=8):
@@ -59,6 +60,55 @@ def partition_and_pairs(draw):
 def test_generated_by_is_equality_with_the_generated_partition(case):
     p, pairs = case
     assert p.generated_by(pairs) == (Partition.from_pairs(p.n, pairs) == p)
+
+
+def _outcome(build, n, blocks):
+    """What build(n, blocks) gives, with its n's type, or the error it raises."""
+    try:
+        return repr(build(n, blocks))
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+# how a stored copy of joined blocks may differ from them
+EDITS = {
+    "as joined": lambda n, blocks: (n, blocks),
+    "blocks reversed": lambda n, blocks: (n, blocks[::-1]),
+    "a block reversed": lambda n, blocks: (n, [blocks[-1][::-1], *blocks[:-1]]),
+    "a point twice": lambda n, blocks: (n, [blocks[0] + blocks[0][:1], *blocks[1:]]),
+    "a point outside": lambda n, blocks: (n, [*blocks, [n]]),
+    "an empty block": lambda n, blocks: (n, [*blocks, []]),
+    "n one more": lambda n, blocks: (n + 1, blocks),
+    "n a float": lambda n, blocks: (float(n), blocks),
+    "n a text": lambda n, blocks: (str(n), blocks),
+    "n a bool": lambda n, blocks: (bool(n), blocks),
+}
+
+
+@given(st.lists(partition_and_pairs(), min_size=1, max_size=3), st.integers(0, 2),
+       st.sampled_from(sorted(EDITS)))
+# True is 1, and 5.0 is 5, to a dict: only the n a stored partition has is read
+@example([(Partition.discrete(1), [])], 0, "n a bool")
+@example([(Partition.from_blocks(5, [(0, 1, 2), (3, 4)]), [(0, 1), (1, 2), (3, 4)])],
+         0, "n a float")
+def test_joined_gives_what_from_blocks_gives(joins, pick, edit):
+    # after any joins of a run, the stored blocks of one of them, edited or not,
+    # read back exactly what building them gives, value or error
+    _clear_memos()
+    joined = [Partition.from_pairs(p.n, pairs) for p, pairs in joins]
+    p = joined[pick % len(joined)]
+    n, blocks = EDITS[edit](p.n, [list(b) for b in p.blocks])
+    assert _outcome(Partition.joined, n, blocks) == _outcome(Partition.from_blocks, n, blocks)
+    if edit == "as joined":  # read back, not built again
+        read = Partition.joined(n, blocks)
+        assert any(read is q for q in joined)
+
+
+def test_a_partition_joined_on_an_n_that_is_no_int_is_not_kept():
+    # range(True) is range(1): from_pairs joins Partition(True, ...), which an int 1 must not read
+    _clear_memos()
+    Partition.from_pairs(True, [])
+    assert _outcome(Partition.joined, 1, [[0]]) == _outcome(Partition.from_blocks, 1, [[0]])
 
 
 def test_generated_by_is_false_on_a_pair_outside_the_points():

@@ -16,7 +16,9 @@ from hypothesis import example, given, strategies as st
 from qborel.carriers import IntBlockRelation, IntSet, PiecewiseTranslation as PT
 from qborel.errors import NotAnEnumeration
 from qborel.feldman_moore import quotient_construction
+from qborel.record import _clear_memos
 from qborel.relations import (
+    _enumeration_check,
     ChainStep,
     CheckOutcome,
     EnumeratedEquivalence,
@@ -428,6 +430,54 @@ def test_enumeration_report_matches_pairwise_join(family, p):
     # near-equivalences: a partition's pairs with some graphs dropped
     near = [{a: b} for a, b in sorted(p.pairs())][::2] + [{x: x for x in range(p.n)}]
     assert verify_enumeration(near, p.n) == pairwise_join_report(near, p.n)
+
+
+def _rotations(p):
+    """The graphs x -> the point k places on in x's class, for each k: an enumeration."""
+    return [{x: b[(i + k) % len(b)] for b in p.blocks for i, x in enumerate(b)}
+            for k in range(p.index())]
+
+
+def _report(check, graphs, n):
+    """What check(graphs, n) reports, with the types of its witnesses, or the error it raises."""
+    try:
+        return repr(check(graphs, n))
+    except Exception as e:
+        return type(e).__name__, str(e), repr(getattr(e, "witness", None))
+
+
+# how the graphs a later check reads may differ from those a run has checked
+ENUMERATION_EDITS = {
+    "as checked": lambda n, graphs: (n, graphs),
+    "n one more": lambda n, graphs: (n + 1, graphs),
+    "n one less": lambda n, graphs: (n - 1, graphs),
+    "n a float": lambda n, graphs: (float(n), graphs),
+    "n a bool": lambda n, graphs: (bool(n), graphs),
+    "graphs reversed": lambda n, graphs: (n, graphs[::-1]),
+    "a graph dropped": lambda n, graphs: (n, graphs[1:]),
+    "a pair moved": lambda n, graphs: (n, [{**g, x: (y + 1) % n} for g in graphs[:1]
+                                            for x, y in list(g.items())[:1]] + graphs[1:]),
+    "a pair read in another order": lambda n, graphs: (n, [dict(reversed(g.items()))
+                                                           for g in graphs]),
+}
+
+
+@given(st.one_of(graph_families.map(lambda f: (f[0], f[2])),
+                 partitions.map(lambda p: (p.n, _rotations(p)))),
+       st.sampled_from(sorted(ENUMERATION_EDITS)))
+# True is 1, and 5.0 is 5, to a dict: only an int n reads a kept verdict
+@example((1, [{0: 0}]), "n a bool")
+@example((2, [{0: 0, 1: 1}, {0: 1, 1: 0}]), "n a float")
+def test_verify_enumeration_after_a_kept_verdict_gives_the_cold_report(family, edit):
+    _clear_memos()
+    n, graphs = family
+    try:
+        enumerated_partition(graphs, n)
+    except NotAnEnumeration:
+        pass
+    n, graphs = ENUMERATION_EDITS[edit](n, graphs)
+    cold = _report(lambda g, k: _enumeration_check(g, k)[1], graphs, n)
+    assert _report(verify_enumeration, graphs, n) == cold
 
 
 def test_union_pairs():
