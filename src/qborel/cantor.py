@@ -426,12 +426,16 @@ def _gallery_ex37(k: int, n: int, t: int) -> GalleryInstance:
     )
 
 
-def _gallery_et_shift() -> GalleryInstance:
-    # the one example on the integer carrier loads it, and the construction
+def et_shift_inputs(k: int | None = None, n: int | None = None, t: int | None = None):
+    """et_shift's relation (one class, all of Z), its maps (the identity and the
+    unit translations) and its seed (the ray 0.. shifted up by one), as
+    samples/shifted_ray.qb declares them. et_shift takes no parameters, so any
+    given is a BadParameters error."""
+    given = [f"{p}={v}" for p, v in (("k", k), ("n", n), ("t", t)) if v is not None]
+    if given:
+        raise BadParameters(f"et_shift takes no parameters, got {', '.join(given)}")
+    # the one example on the integer carrier loads it
     from .carriers import IntBlockRelation, IntSet, PiecewiseTranslation
-    from .feldman_moore import (
-        cover_int, greedy_extend_int, levels_int, maximality_witness_int, psi_split_int,
-    )
 
     ambient = IntSet.all_integers()
     rel = IntBlockRelation.make([ambient], ambient=ambient)
@@ -440,7 +444,15 @@ def _gallery_et_shift() -> GalleryInstance:
         PiecewiseTranslation.translation(ambient, 1),
         PiecewiseTranslation.translation(ambient, -1),
     ]
-    g0 = PiecewiseTranslation([(IntSet.ray_up(0), 1)])
+    return rel, phis, PiecewiseTranslation([(IntSet.ray_up(0), 1)])
+
+
+def _gallery_et_shift(rel, phis, g0) -> GalleryInstance:
+    from .feldman_moore import (
+        cover_int, greedy_extend_int, levels_int, maximality_witness_int, psi_split_int,
+    )
+
+    ambient = rel.ambient
     psis = psi_split_int(phis)
     g = greedy_extend_int(g0, psis, ambient, rel=rel)
     maximal = maximality_witness_int(g, rel) is None
@@ -508,10 +520,7 @@ def example_gallery(
     et_shift takes no parameters, so any given is a BadParameters error.
     """
     if name == "et_shift":
-        given = [f"{p}={v}" for p, v in (("k", k), ("n", n), ("t", t)) if v is not None]
-        if given:
-            raise BadParameters(f"et_shift takes no parameters, got {', '.join(given)}")
-        return _gallery_et_shift()
+        return _gallery_et_shift(*et_shift_inputs(k, n, t))
     if name not in _MODELS:
         raise UnknownExample(f"no example {name!r}; known: {', '.join(GALLERY_NAMES)}")
     build, defaults = _MODELS[name]

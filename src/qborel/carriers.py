@@ -23,20 +23,17 @@ carries its hull (least and greatest member) from the moment its normal
 form is set, and the hull rules read it.  translate shifts the pieces,
 since the normal form commutes with translation; the exception is a
 union of residue classes, whose pieces start at the residues 0..p-1, so
-its shift is normalised again.  And a normal form made in a run answers
-itself when it comes back as input, as when a certificate row parses a
-text the construction has just written.
+its shift is normalised again.
 
-The per-run memos of this lane are listed in record._MEMOS, the one
-registry of both lanes (its names are re-exported here), and each keeps
-at most MEMO_SIZE entries: the normal forms made (`_FORMS`);
-normalisation (`_canonical_pieces`) and the per-residue algebra
-(`_residue_algebra`), which the construction calls again and again on
-the same piece tuples; the parsing of map texts (`_ptmap_of_text`) and
-of relations stored as texts (`_relation_of_texts`), which a certificate
-replays many times over; and the integer-lane levels that feldman_moore
-registers (`_levels_of`).  The command line empties every memo of the
-registry when a run starts (`_clear_memos`), so each run does its own work.
+The per-run memos of this lane are lru_caches made by record._per_run,
+listed in record._MEMOS, the one registry of both lanes: normalisation
+(`_canonical_pieces`) and the per-residue algebra (`_residue_algebra`),
+which the construction calls again and again on the same piece tuples;
+the parsing of map texts (`_ptmap_of_text`) and of relations stored as
+texts (`_relation_of_texts`), which a certificate replays many times
+over; and the integer-lane levels that feldman_moore registers
+(`_levels_of`).  The command line empties every memo of the registry
+when a run starts, so each run does its own work.
 
 A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are
@@ -58,8 +55,7 @@ from math import gcd, inf, isqrt, lcm
 from typing import Iterable, Iterator
 
 from .errors import InvalidPartition, NotInjective, clip, quote
-# the per-run registry lives in record, which every module imports
-from .record import MEMO_SIZE, _MEMOS, Frozen, Memo, _clear_memos, _per_run
+from .record import Frozen, _per_run
 
 
 class Piece(namedtuple("Piece", "start stride length down", defaults=(False,))):
@@ -273,24 +269,8 @@ def _points_apart(pieces) -> list[Piece]:
     return out
 
 
-# the normal forms _canonical_pieces has made in this run, each kept under itself:
-# hits counts the forms answered by themselves, misses the normalisations run
-_FORMS = Memo()
-
-
-@_per_run
-def _canonical_pieces(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
-    """The normal form of a piece tuple.  A normal form is its own, so one
-    made in this run answers itself: parsing a text the run wrote, or
-    rebuilding a set from a normal form's pieces, normalises nothing."""
-    form = _FORMS.look(raw)
-    if form is None:
-        form = _normal_form(raw)
-        _FORMS.keep(form, form)
-    return form
-
-
 def _normal_form(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
+    """The normal form of a piece tuple; a normal form is its own."""
     if len(raw) < 2:
         # one piece is canonical, except that a single point takes stride 1
         return tuple(Piece(pc.start, 1, 1) if pc.length == 1 else pc for pc in raw)
@@ -347,6 +327,9 @@ def _normal_form(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
         + _greedy_segments(_middle_runs(per_res, p, t_minus + 1, t_plus - 1))
         + [Piece(a, p_plus, None) for a in ups]
     )
+
+
+_canonical_pieces = _per_run(_normal_form)
 
 
 class IntSet:

@@ -148,10 +148,21 @@ def _gallery_instance(args):
 def _gallery_file(args) -> InstanceFile:
     """The gallery example as instance declarations: a model's relation (`over`,
     else `orbit`), its `action` and that action's `group`, ex36's `sub` directive;
-    et_shift's relation, maps and seed as samples/shifted_ray.qb declares them.
+    et_shift's relation, maps and seed as samples/shifted_ray.qb declares them,
+    built without running its construction.
     """
-    data = _gallery_instance(args).data
     inst = InstanceFile()
+    if args.gallery == "et_shift":
+        from ..cantor import et_shift_inputs
+
+        rel, maps, seed = et_shift_inputs(args.k, args.n, args.t)
+        inst.spaces["Z"] = SpaceDecl("Z", "int", None)
+        inst.rels["F"] = RelDecl("F", "blocks", [], rel)
+        for name, f in zip(("idz", "up", "down", "g0"), (*maps, seed)):
+            inst.maps[name] = MapDecl(name, "int", "Z", "Z", f)
+        inst.directives.update(rel="F", maps="idz,up,down", g0="g0")
+        return inst
+    data = _gallery_instance(args).data
     rel = next((key for key in ("over", "orbit") if key in data), None)
     if rel is not None:
         inst.rels[rel] = RelDecl(rel, "partition", [], data[rel])
@@ -160,12 +171,6 @@ def _gallery_file(args) -> InstanceFile:
         inst.groups["group"] = GroupDecl("group", data["action"].group)
     if "sub" in data:
         inst.directives["sub"] = ",".join(str(a) for a in data["sub"])
-    if "relation" in data:
-        inst.spaces["Z"] = SpaceDecl("Z", "int", None)
-        inst.rels["F"] = RelDecl("F", "blocks", [], data["relation"])
-        for name, f in zip(("idz", "up", "down", "g0"), (*data["maps"], data["seed"])):
-            inst.maps[name] = MapDecl(name, "int", "Z", "Z", f)
-        inst.directives.update(rel="F", maps="idz,up,down", g0="g0")
     return inst
 
 

@@ -86,7 +86,7 @@ class Partition(Frozen):
         the blocks its canonical blocks exactly. Any other n or blocks, a 5.0
         for 5 say, go to from_blocks, and pass or fail as they always have."""
         if _JOINED and type(n) is int:
-            partition = _JOINED.look((n, tuple(map(tuple, blocks))))
+            partition = _JOINED.get((n, tuple(map(tuple, blocks))))
             if partition is not None:
                 return partition
         return cls.from_blocks(n, blocks)

@@ -5,14 +5,14 @@ The standard library's data classes would do, but importing them loads
 a fresh process paid more for that than most commands take to run.
 
 Every per-run memo of both lanes is listed in _MEMOS, which every module
-can reach here, and keeps at most MEMO_SIZE entries; the command line
+can reach here: an lru_cache that `_per_run` makes, or a `Memo` dict that
+`keep` fills. Each keeps at most MEMO_SIZE entries, and the command line
 empties them all as a run starts (`_clear_memos`).
 """
 
 from __future__ import annotations
 
-# _CacheInfo is the named tuple an lru_cache's cache_info gives: every memo gives one
-from functools import _CacheInfo, lru_cache
+from functools import lru_cache
 
 # entries kept by each memo
 MEMO_SIZE = 4096
@@ -35,34 +35,17 @@ def _clear_memos() -> None:
 
 
 class Memo(dict):
-    """A per-run memo of _MEMOS: values a run has computed, by key, at most MEMO_SIZE.
+    """A per-run memo of _MEMOS: values a run has computed, by key, at most
+    MEMO_SIZE. A run reads it with get; cache_clear empties it, as it does an
+    lru_cache."""
 
-    It has the two methods of the lru_caches; hits counts the lookups
-    answered and misses the others.
-    """
-
-    __slots__ = ("hits", "misses")
+    __slots__ = ()
 
     def __init__(self):
         super().__init__()
-        self.cache_clear()
         _MEMOS.append(self)
 
-    def cache_clear(self) -> None:
-        self.clear()
-        self.hits = self.misses = 0
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, MEMO_SIZE, len(self))
-
-    def look(self, key):
-        """The value kept under key, or None."""
-        value = self.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
+    cache_clear = dict.clear
 
     def keep(self, key, value) -> None:
         """Keep value under key; a full memo is emptied first."""

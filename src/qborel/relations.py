@@ -280,7 +280,7 @@ def checked_enumeration(graphs, n: int, keep: bool = True) -> tuple[Partition | 
         return _enumeration_check(graphs, n)
     graphs = list(graphs)
     key = n, tuple(tuple(g.items()) for g in graphs)
-    verdict = _VERDICTS.look(key) if _VERDICTS else None
+    verdict = _VERDICTS.get(key)
     if verdict is None:
         verdict = _enumeration_check(graphs, n)
         if keep:

@@ -70,13 +70,10 @@ MUTANTS = [
            "        if a == b:\n            return self\n        if _holds(other, self):\n"
            "            return _EMPTY\n",
            HULL_TESTS, "difference of equal operands returns the operand"),
-    # what a normal form carries: its hull, its shifts, its own memo entry
+    # what a normal form carries: its hull and its shifts
     Mutant(CARRIERS, "        if _residue_classes(form):\n", "        if not form:\n",
            ("tests/test_carriers.py::test_translate_is_the_normalised_shift",),
            "translate shifts a residue-class form without normalising it"),
-    Mutant(CARRIERS, "        _FORMS.keep(form, form)\n", "        _FORMS.keep(raw, raw)\n",
-           ("tests/test_carriers.py::test_a_normal_form_made_in_the_run_answers_itself",),
-           "the known forms record the raw input instead of its normal form"),
     # the overlap sweep
     Mutant(CARRIERS, "return min(pairs, default=None)", "return next(iter(pairs), None)",
            ("tests/test_int_oracles.py::test_ptmap_overlap_matches_the_pairwise_search",
@@ -108,6 +105,9 @@ MUTANTS = [
            "        rel = Partition.discrete(enum.n)\n", (FAILING_LAWS,),
            "the discrete partition in place of the one the graphs join"),
     # the per-run registry of both lanes, and the finite lane's memos
+    Mutant(RECORD, "        if len(self) == MEMO_SIZE:\n            self.clear()\n", "",
+           ("tests/test_record.py::test_a_memo_keeps_at_most_memo_size_entries",),
+           "a Memo grows past MEMO_SIZE"),
     Mutant(RECORD, "    for memo in _MEMOS:\n        memo.cache_clear()",
            "    for memo in _MEMOS[:-1]:\n        memo.cache_clear()", (MEMOS,),
            "_clear_memos skips the last memo"),

@@ -12,15 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qborel.carriers import (
-    MEMO_SIZE,
     IntBlockRelation,
     IntSet,
     NotInjective,
     Piece,
     PiecewiseTranslation,
-    _FORMS,
     _canonical_pieces,
-    _clear_memos,
     _iv_complement,
     _iv_difference,
     _iv_intersect,
@@ -37,6 +34,7 @@ from qborel.carriers import (
     parse_intset,
     parse_ptmap,
 )
+from qborel.record import _clear_memos
 
 WIN = 80
 
@@ -389,25 +387,6 @@ def test_normal_forms_are_fixed_points_from_a_cold_memo(raw):
     out = IntSet(raw).pieces
     _clear_memos()
     assert _canonical_pieces(out) == out
-
-
-def test_a_normal_form_made_in_the_run_answers_itself():
-    _clear_memos()
-    raw = (Piece(20, 2, None), Piece(5, 1, 5), Piece(0, 1, 5), Piece(-4, 2, 2))
-    s = IntSet(raw)
-    assert format_intset(s) == "-4:+2*3; 1..9; 20:+2*inf"
-    assert s.pieces in _FORMS and raw not in _FORMS
-    hits, misses = _FORMS.cache_info()[:2]
-    # rebuilding from the pieces, or parsing the text the set prints as, normalises nothing
-    assert IntSet(list(s.pieces)) == s and parse_intset(str(s)) == s
-    assert _FORMS.cache_info()[:2] == (hits + 1, misses)
-
-
-def test_known_forms_stay_within_the_memo_size():
-    _clear_memos()
-    sets = [IntSet.of(x) for x in range(MEMO_SIZE + 10)]
-    assert 0 < len(_FORMS) <= MEMO_SIZE
-    assert [s.pieces for s in sets[-2:]] == [(Piece(x, 1, 1),) for x in (MEMO_SIZE + 8, MEMO_SIZE + 9)]
 
 
 @given(intsets)

@@ -18,9 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 import qborel
 from qborel import cantor, feldman_moore
 from qborel.carriers import (
-    _FORMS,
-    _MEMOS,
-    MEMO_SIZE,
     _canonical_pieces,
     _ptmap_of_text,
     _relation_of_texts,
@@ -32,6 +29,7 @@ from qborel.carriers import (
 )
 from qborel.feldman_moore import _levels_of, levels_int
 from qborel.quotient import _JOINED, Partition
+from qborel.record import _MEMOS, MEMO_SIZE, Memo
 from qborel.relations import _VERDICTS, checked_enumeration
 from qborel.cli.certificates import run_check
 from qborel.cli.main import FLAGS, FLAGS_OF, _plain_args, build_parser, main
@@ -214,6 +212,28 @@ def test_certificate_round_trip(tmp_path, capsys):
     code, out = run(capsys, "verify", "--input", cert_file)
     assert code == 0
     assert "verdicts reproduce" in out
+
+
+@pytest.mark.parametrize("command", ["cover", "fm-quotient"])
+def test_gallery_et_shift_is_shifted_ray_built_once(tmp_path, capsys, monkeypatch, command):
+    # the example's inputs are read, not its construction run: a gallery run
+    # covers as often as a run of the sample file, and a cover once
+    calls = []
+    cover_int = feldman_moore.cover_int
+    monkeypatch.setattr(feldman_moore, "cover_int",
+                        lambda levels: calls.append(levels) or cover_int(levels))
+    certs, covers = [], []
+    for source in (["--gallery", "et_shift"], ["--input", RAY]):
+        cert = tmp_path / f"{len(certs)}.json"
+        assert run(capsys, command, *source, "--out", str(cert))[0] == 0
+        certs.append(json.loads(cert.read_text()))
+        covers.append(len(calls))
+        calls.clear()
+    assert covers[0] == covers[1] and (command != "cover" or covers == [1, 1])
+    # the example declares what the sample file does: only the inputs differ
+    gallery, sample = certs
+    assert gallery["inputs"] != sample["inputs"]
+    assert (gallery["outputs"], gallery["checks"]) == (sample["outputs"], sample["checks"])
 
 
 def test_verify_detects_tampering(tmp_path, capsys):
@@ -1109,6 +1129,14 @@ def test_out_writes_certificate_for_any_command(tmp_path, capsys):
     assert code == 0
 
 
+def _held(memo) -> tuple:
+    """A memo's size, then an lru_cache's hits and misses: a Memo counts no lookups."""
+    if isinstance(memo, Memo):
+        return (len(memo),)
+    info = memo.cache_info()
+    return info.currsize, info.hits, info.misses
+
+
 def _fill_memos(i: int) -> None:
     """Entries in every memo of both lanes that no run of these tests reads."""
     IntSet.ray_up(10**6 + i, 7).difference(IntSet.segment(0, 3 * 10**6))
@@ -1116,7 +1144,7 @@ def _fill_memos(i: int) -> None:
     rel = IntBlockRelation.parse([f"{10**6 + i}..{10**6 + i + 1}"], "..-1; 0..")
     levels_int(PiecewiseTranslation.identity(), rel, 32)
     checked_enumeration([{x: x for x in range(7 + i)}], 7 + i)
-    assert all(memo.cache_info().currsize > 0 for memo in _MEMOS)
+    assert all(_held(memo)[0] > 0 for memo in _MEMOS)
 
 
 def test_each_run_starts_from_empty_memos(tmp_path, capsys):
@@ -1129,41 +1157,44 @@ def test_each_run_starts_from_empty_memos(tmp_path, capsys):
         _fill_memos(i)
         code, _ = run(capsys, "verify", "--input", str(cert), "--out", str(tmp_path / f"{i}.json"))
         assert code == 0
-        replayed = [memo.cache_info() for memo in _MEMOS]
+        replayed = [_held(memo) for memo in _MEMOS]
         _fill_memos(i)
         assert run(capsys, "cover", "--input", FIVE, "--out", str(tmp_path / f"{i}f.json"))[0] == 0
-        infos.append((replayed, [memo.cache_info() for memo in _MEMOS]))
+        infos.append((replayed, [_held(memo) for memo in _MEMOS]))
     for name in ("0.json", "0f.json"):
         assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("0", "1")).read_bytes()
     # equal hits, misses and sizes after both runs: each began with empty memos
     assert infos[0] == infos[1]
-    # the known normal forms, the normalisations, the set algebra, the maps and
-    # relations parsed, and the stratifications; the partitions joined and the
-    # enumeration verdicts. They are listed as the modules load, in whatever order
-    integer = [_FORMS, _canonical_pieces, _residue_algebra, _ptmap_of_text, _relation_of_texts,
-               _levels_of]
+    # the normalisations, the set algebra, the maps and relations parsed, and
+    # the stratifications; the partitions joined and the enumeration verdicts.
+    # They are listed as the modules load, in whatever order
+    integer = [_canonical_pieces, _residue_algebra, _ptmap_of_text, _relation_of_texts, _levels_of]
     finite = [_JOINED, _VERDICTS]
     assert sorted(map(id, _MEMOS)) == sorted(map(id, integer + finite))
+    assert all(memo.cache_info().maxsize == MEMO_SIZE for memo in integer)
     for memo, replayed, certified in zip(_MEMOS, *infos[0]):
         filled, other = (replayed, certified) if any(memo is m for m in integer) else (
             certified, replayed)
-        assert filled.maxsize == MEMO_SIZE and 0 < filled.currsize <= MEMO_SIZE
+        assert 0 < filled[0] <= MEMO_SIZE
         # emptied, and not read by the other lane's run
-        assert other == (0, 0, MEMO_SIZE, 0)
+        assert not any(other)
 
 
-def test_a_finite_run_after_an_integer_one_starts_from_empty_memos(capsys):
+def test_a_finite_run_after_an_integer_one_starts_from_empty_memos(capsys, monkeypatch):
     # an integer cover fills every memo of its lane; generate never reads the
     # integer carrier, and still empties them once an earlier run has loaded it
     assert run(capsys, "cover", "--input", RAY)[0] == 0
-    assert len(_MEMOS) == 8 and _FORMS in _MEMOS and _relation_of_texts in _MEMOS
-    assert _levels_of in _MEMOS
+    assert len(_MEMOS) == 7 and _relation_of_texts in _MEMOS and _levels_of in _MEMOS
     _fill_memos(0)
+    built = []
+    from_blocks = Partition.from_blocks.__func__
+    monkeypatch.setattr(Partition, "from_blocks",
+                        classmethod(lambda cls, *a: built.append(a) or from_blocks(cls, *a)))
     assert run(capsys, "generate", "--input", FIVE, "--maps", "c3,fin")[0] == 0
-    # the closure row reads back the partition the run joined; no other memo holds an entry
-    assert _JOINED.cache_info() == (1, 0, MEMO_SIZE, 1)
-    assert [memo.cache_info() for memo in _MEMOS if memo is not _JOINED] == [
-        (0, 0, MEMO_SIZE, 0)] * (len(_MEMOS) - 1)
+    # the one partition built is the relation E five_points declares: the closure
+    # row reads back the partition the run joined. No other memo holds an entry
+    assert built == [(5, [[0, 1, 2], [3, 4]])] and len(_JOINED) == 1
+    assert not any(any(_held(memo)) for memo in _MEMOS if memo is not _JOINED)
 
 
 @pytest.mark.parametrize("command, path, joined", [

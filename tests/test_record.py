@@ -2,12 +2,14 @@
 
 import pytest
 
+from qborel import record
 from qborel.actions import FiniteGroup, GroupAction
 from qborel.cantor import canonicalize, make_truncated_model
 from qborel.carriers import IntBlockRelation, IntSet
 from qborel.cli.certificates import Certificate
 from qborel.cli.instance import InstanceFile
 from qborel.quotient import Partition
+from qborel.record import MEMO_SIZE, Memo
 from qborel.relations import (
     ChainStep,
     CheckOutcome,
@@ -94,3 +96,16 @@ def test_closure_layers_cache_their_chain_lengths():
     _, layers = generate_equivalence(3, [{0: 1, 1: 2}])
     assert layers.stabilization_index == 2
     assert vars(layers)["stabilization_index"] == 2
+
+
+def test_a_memo_keeps_at_most_memo_size_entries(monkeypatch):
+    # a fresh memo, registered in a list of its own and not in the run's registry
+    monkeypatch.setattr(record, "_MEMOS", [])
+    memo = Memo()
+    assert record._MEMOS[0] is memo
+    for key in range(MEMO_SIZE + 10):
+        memo.keep(key, -key)
+    assert 0 < len(memo) <= MEMO_SIZE
+    assert memo.get(MEMO_SIZE + 9) == -(MEMO_SIZE + 9)
+    memo.cache_clear()
+    assert len(memo) == 0
