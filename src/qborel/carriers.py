@@ -32,8 +32,8 @@ which the construction calls again and again on the same piece tuples;
 the parsing of map texts (`_ptmap_of_text`) and of relations stored as
 texts (`_relation_of_texts`), which a certificate replays many times
 over; and the integer-lane levels that feldman_moore registers
-(`_levels_of`).  The command line empties every memo of the registry
-when a run starts, so each run does its own work.
+(`_levels_of`).  A `record.Run` empties every memo of the registry as
+it starts, so each run does its own work.
 
 A PiecewiseTranslation is a partial map on Z given by finitely many
 disjoint IntSet domains, each translated by a fixed offset.  These are

@@ -95,9 +95,10 @@ def _rel_partition(decl) -> tuple:
     # the relation the graphs enumerate, from the check the enumeration_laws row
     # reads back; when they fail the laws, what they join (the parser kept them in 0..n-1)
     enum = decl.value
-    rel, _ = checked_enumeration(enum.graph_dicts(), enum.n)
+    union = enum.pairs()
+    rel, _ = checked_enumeration(union, enum.n)
     if rel is None:
-        rel = Partition.from_pairs(enum.n, enum.pairs())
+        rel = Partition.from_pairs(enum.n, union)
     return rel, _enumeration(enum)
 
 

@@ -9,14 +9,13 @@ or a library error (typed parse errors included) was raised, 2 usage errors.
 from __future__ import annotations
 
 import functools
-import gc
 import json
 import os
 import sys
 import types
 
 from ..errors import InvalidCertificate, QBorelError
-from ..record import _clear_memos
+from ..record import Run
 from .certificates import Certificate, _spaced_text, jsonable, reverify
 
 class UsageError(Exception):
@@ -221,14 +220,7 @@ def _summary(cert: Certificate, out: str | None, texts: tuple) -> tuple[int, lis
 
 
 def main(argv=None) -> int:
-    # reference counting frees what a run makes, yet its allocations (a certificate
-    # decoded, say) set off cycle collections that find nothing: the collector
-    # pauses for the run, and is left as the caller had it on every way out
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        # each run starts from empty memos, as a fresh process would
-        _clear_memos()
+    with Run():
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _plain_args(argv) or _parser().parse_args(argv)
         command = args.command
@@ -273,9 +265,6 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
         return code
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ points 0..n-1, and the quotient points are the class ids 0..k-1, ordered
 by least member.  The integer carrier is its own quotient: the classes of
 an integer relation are the blocks of a `carriers.IntBlockRelation`.
 
-A partition from_pairs joins is kept for the run (`_JOINED`, a memo of
+A partition from_pairs joins is kept for the `record.Run` (`_JOINED`, in
 record's registry), so a certificate row that stores its blocks reads it
 back (`Partition.joined`) instead of building it again.
 """

@@ -6,12 +6,13 @@ a fresh process paid more for that than most commands take to run.
 
 Every per-run memo of both lanes is listed in _MEMOS, which every module
 can reach here: an lru_cache that `_per_run` makes, or a `Memo` dict that
-`keep` fills. Each keeps at most MEMO_SIZE entries, and the command line
-empties them all as a run starts (`_clear_memos`).
+`keep` fills. Each keeps at most MEMO_SIZE entries, and a `Run` empties
+them all as it starts (`_clear_memos`).
 """
 
 from __future__ import annotations
 
+import gc
 from functools import lru_cache
 
 # entries kept by each memo
@@ -29,9 +30,24 @@ def _per_run(fn):
 
 
 def _clear_memos() -> None:
-    """Empty every memo in _MEMOS: the command line does so as each run starts."""
+    """Empty every memo in _MEMOS: a Run does so as it starts."""
     for memo in _MEMOS:
         memo.cache_clear()
+
+
+class Run:
+    """One run, as of a command: it starts from empty memos, as a fresh process
+    would, and pauses the cycle collector (reference counting frees what it
+    makes) until it ends, however it ends, leaving it as the caller had it."""
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+        _clear_memos()
+
+    def __exit__(self, *exc):
+        if self.collecting:
+            gc.enable()
 
 
 class Memo(dict):

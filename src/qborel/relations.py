@@ -13,9 +13,10 @@ Nothing here reads the integer carrier: an integer relation is a
 carriers.IntBlockRelation, so a run on finite data loads no semilinear
 code.
 
-The verdict of each enumeration checked in a run is kept for the run
-(`_VERDICTS`, a memo of record's registry), so the certificate row that
-checks the graphs the construction has checked reads that verdict back.
+The enumeration check is a function of the union of the graphs and n,
+memoised for the run when n is an int (`_verdict_of`, in record's
+registry), so the certificate row that checks the union the construction
+has checked reads that verdict back.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 
 from .errors import IndexTooLarge, InvalidPartition, NotAnEnumeration, NotASelector
 from .quotient import Partition
-from .record import Frozen, Memo, Record
+from .record import Frozen, Record, _per_run
 
 
 def _distances(nbrs: list[set[int]], source: int) -> dict[int, int]:
@@ -251,45 +252,28 @@ def verify_enumeration(graphs, n: int) -> EnumReport:
     such pair is the witness.  A transitivity failure is witnessed by the
     least (x, y) in the union, then the least z in row y missing from
     row x, reported as (x, z, y).  The ordered search for witnesses runs
-    only when the union fails the count of _enumeration_check.  A verdict
-    checked_enumeration has kept for these graphs is read back.
+    only when the union fails the count of _enumeration_check.  A union
+    this run has checked on the same int n reads its verdict back.
     """
-    return checked_enumeration(graphs, n, keep=False)[1]
+    return checked_enumeration(union_pairs(graphs), n)[1]
 
 
 def enumerated_partition(graphs, n: int) -> Partition:
     """The partition the graphs enumerate; NotAnEnumeration, with the
     report or pair verify_enumeration gives, when they enumerate none."""
-    rel, report = checked_enumeration(graphs, n)
+    rel, report = checked_enumeration(union_pairs(graphs), n)
     if not report.ok:
         raise NotAnEnumeration("graphs fail the closure checks", witness=report)
     return rel
 
 
-# (partition or None, report) of each enumeration checked in this run on an
-# int n, by n and the pairs of each graph in its order
-_VERDICTS = Memo()
+def checked_enumeration(union: frozenset, n: int) -> tuple[Partition | None, EnumReport]:
+    """_enumeration_check(union, n), once per run for an int n (not for a 5.0 or a True)."""
+    return (_verdict_of if type(n) is int else _enumeration_check)(union, n)
 
 
-def checked_enumeration(graphs, n: int, keep: bool = True) -> tuple[Partition | None, EnumReport]:
-    """The partition the graphs enumerate, None if they fail the laws, and the
-    report: _enumeration_check's, read back from _VERDICTS when n is an int and
-    this run has checked these graphs on it, and with keep, kept there. A run
-    that keeps nothing builds no key."""
-    if type(n) is not int or not (keep or _VERDICTS):
-        return _enumeration_check(graphs, n)
-    graphs = list(graphs)
-    key = n, tuple(tuple(g.items()) for g in graphs)
-    verdict = _VERDICTS.get(key)
-    if verdict is None:
-        verdict = _enumeration_check(graphs, n)
-        if keep:
-            _VERDICTS.keep(key, verdict)
-    return verdict
-
-
-def _enumeration_check(graphs, n: int) -> tuple[Partition | None, EnumReport]:
-    """The partition the union of the graphs enumerates, None if it fails, and the report.
+def _enumeration_check(union: frozenset, n: int) -> tuple[Partition | None, EnumReport]:
+    """The partition a union of graphs enumerates, None if it fails, and the report.
 
     Each pair of the union lies in B x B for its own connected component
     B, so the union is an equivalence relation on 0..n-1 exactly when its
@@ -298,7 +282,7 @@ def _enumeration_check(graphs, n: int) -> tuple[Partition | None, EnumReport]:
     A union of fewer than n pairs is not reflexive, and takes no such pass.
     """
     # range(n), then the count: a stored n may be no integer, or far above the points listed
-    union, points = union_pairs(graphs), range(n)
+    points = range(n)
     if n <= len(union):
         try:
             rel = Partition.from_pairs(n, union)
@@ -330,6 +314,10 @@ def _enumeration_check(graphs, n: int) -> tuple[Partition | None, EnumReport]:
             trans = CheckOutcome(False, (x, min(onward - rows[x]), y))
             break
     return None, EnumReport(refl, sym, trans)
+
+
+# (partition or None, report) of each union checked in this run on an int n
+_verdict_of = _per_run(_enumeration_check)
 
 
 def union_pairs(graphs) -> frozenset[tuple[int, int]]:

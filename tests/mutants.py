@@ -7,8 +7,8 @@ directory, replaces the entry's old text, which must occur exactly once
 in its file, by the new text, and runs the named tests against that copy
 with pytest.  A mutant is killed when at least one of them fails.  An
 entry whose old text does not occur exactly once is stale.  The runner
-prints one line per entry and exits 1 when any mutant survives, is stale
-or cannot be run.
+prints one line per entry, with the seconds it took, then the total, and
+exits 1 when any mutant survives, is stale or cannot be run.
 
 pytest does not collect this file (its name does not start with test_).
 A change that reports a mutant it tried adds it here, with the tests
@@ -23,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -98,10 +99,10 @@ MUTANTS = [
            (COUNT,), "the classes only need as many cells as the union has pairs"),
     # the partition a family that fails the laws joins, which index, selector,
     # fm-classical and involution2 still print
-    Mutant(COMMANDS, "        rel = Partition.from_pairs(enum.n, enum.pairs())\n",
+    Mutant(COMMANDS, "        rel = Partition.from_pairs(enum.n, union)\n",
            "        rel = enumerated_partition(enum.graph_dicts(), enum.n)\n",
            (FAILING_LAWS,), "no partition when the laws fail"),
-    Mutant(COMMANDS, "        rel = Partition.from_pairs(enum.n, enum.pairs())\n",
+    Mutant(COMMANDS, "        rel = Partition.from_pairs(enum.n, union)\n",
            "        rel = Partition.discrete(enum.n)\n", (FAILING_LAWS,),
            "the discrete partition in place of the one the graphs join"),
     # the per-run registry of both lanes, and the finite lane's memos
@@ -114,7 +115,7 @@ MUTANTS = [
     Mutant(RECORD, "    for memo in _MEMOS:\n        memo.cache_clear()",
            "    for memo in _MEMOS:\n        if type(memo) is not Memo:\n"
            "            memo.cache_clear()", (MEMOS,),
-           "_clear_memos skips the finite lane's memos"),
+           "_clear_memos skips the Memo dicts: _JOINED keeps an earlier run's partitions"),
     Mutant("qborel/quotient.py", "        if _JOINED and type(n) is int:\n",
            "        if _JOINED:\n",
            ("tests/test_cli.py::test_a_stored_n_that_is_no_int_reads_no_joined_partition",
@@ -125,24 +126,28 @@ MUTANTS = [
            ("tests/test_quotient.py::"
             "test_a_partition_joined_on_an_n_that_is_no_int_is_not_kept",),
            "a partition joined on n = True is kept for an int 1 to read"),
-    Mutant(RELATIONS, "    if type(n) is not int or not (keep or _VERDICTS):\n",
-           "    if not (keep or _VERDICTS):\n",
+    Mutant(RELATIONS, "(_verdict_of if type(n) is int else _enumeration_check)(union, n)",
+           "_verdict_of(union, n)",
            ("tests/test_relations.py::"
             "test_verify_enumeration_after_a_kept_verdict_gives_the_cold_report",),
            "an n of 5.0 reads the verdict kept for 5"),
-    Mutant(RELATIONS, "            _VERDICTS.keep(key, verdict)\n", "            pass\n",
+    Mutant(RELATIONS, "(_verdict_of if type(n) is int else _enumeration_check)(union, n)",
+           "_enumeration_check(union, n)",
            ("tests/test_feldman_moore.py::"
             "test_finite_construction_checks_the_enumeration_once[cover]",),
            "no verdict kept: the enumeration_laws row checks the graphs again"),
-    # the cycle collector paused for a run
-    Mutant("qborel/cli/main.py", "        if collecting:\n            gc.enable()",
-           "        if collecting and sys.exc_info()[0] is not SystemExit:\n"
+    # the scope of a run: empty memos, the cycle collector paused
+    Mutant(RECORD, "        if self.collecting:\n            gc.enable()",
+           "        if self.collecting and exc[0] is not SystemExit:\n"
            "            gc.enable()",
            ("tests/test_cli.py::test_a_run_leaves_the_cycle_collector_as_it_found_it",),
            "the collector left paused after a usage error"),
-    Mutant("qborel/cli/main.py", "    gc.disable()\n", "",
+    Mutant(RECORD, "        gc.disable()\n", "",
            ("tests/test_cli.py::test_no_cycle_collection_runs_during_a_run",),
            "the collector runs during a run"),
+    Mutant(RECORD, "        _clear_memos()\n", "",
+           ("tests/test_cli.py::test_a_finite_run_after_an_integer_one_starts_from_empty_memos",),
+           "a run leaves the memos of an earlier run"),
     # the shared construction loop
     Mutant(FM, "                if f_key not in seen:\n",
            "                if True:\n",
@@ -253,9 +258,6 @@ MUTANTS = [
            ("tests/test_cli.py::test_enumeration_report_repr_in_stdout_is_pinned",
             "tests/test_cli.py::test_enumeration_laws_witness_bytes_are_pinned"),
            "Record.__repr__ writes field: value"),
-    Mutant("qborel/cli/main.py", "        _clear_memos()\n", "",
-           ("tests/test_cli.py::test_a_finite_run_after_an_integer_one_starts_from_empty_memos",),
-           "main leaves the memos of an earlier run"),
     Mutant(COMMANDS, "    check_maps_within_int(rel, phis)\n", "",
            ("tests/test_cli.py::test_integer_cover_rejects_a_stray_map_as_fm_quotient_does",),
            "_cover_int does not check its maps against the relation"),
@@ -313,14 +315,19 @@ def judge(mutant: Mutant) -> str:
 
 
 def run(mutants, out=None) -> int:
-    """Judge each mutant, print one line each; 0 when every one is killed."""
+    """Judge each mutant, print one line each with its seconds, then the count
+    killed and the total seconds; 0 when every one is killed."""
     out = out or sys.stdout
     bad = 0
+    began = time.perf_counter()
     for i, mutant in enumerate(mutants, 1):
+        t0 = time.perf_counter()
         verdict = judge(mutant)
         bad += verdict != "killed"
-        print(f"{verdict}: #{i} {mutant.path}: {mutant.why}", file=out, flush=True)
-    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed", file=out)
+        print(f"{verdict}: #{i} {mutant.path}: {mutant.why} "
+              f"({time.perf_counter() - t0:.1f} s)", file=out, flush=True)
+    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed "
+          f"in {time.perf_counter() - began:.1f} s", file=out)
     return 1 if bad else 0
 
 

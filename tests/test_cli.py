@@ -27,10 +27,11 @@ from qborel.carriers import (
     PiecewiseTranslation,
     parse_ptmap,
 )
+from qborel.errors import NotAnEnumeration
 from qborel.feldman_moore import _levels_of, levels_int
 from qborel.quotient import _JOINED, Partition
-from qborel.record import _MEMOS, MEMO_SIZE, Memo
-from qborel.relations import _VERDICTS, checked_enumeration
+from qborel.record import _MEMOS, MEMO_SIZE, Memo, Run
+from qborel.relations import _verdict_of, checked_enumeration, enumerated_partition
 from qborel.cli.certificates import run_check
 from qborel.cli.main import FLAGS, FLAGS_OF, _plain_args, build_parser, main
 
@@ -1143,7 +1144,7 @@ def _fill_memos(i: int) -> None:
     parse_ptmap(f"{10**6 + i}.. -> +7")
     rel = IntBlockRelation.parse([f"{10**6 + i}..{10**6 + i + 1}"], "..-1; 0..")
     levels_int(PiecewiseTranslation.identity(), rel, 32)
-    checked_enumeration([{x: x for x in range(7 + i)}], 7 + i)
+    checked_enumeration(frozenset((x, x) for x in range(7 + i)), 7 + i)
     assert all(_held(memo)[0] > 0 for memo in _MEMOS)
 
 
@@ -1169,9 +1170,11 @@ def test_each_run_starts_from_empty_memos(tmp_path, capsys):
     # the stratifications; the partitions joined and the enumeration verdicts.
     # They are listed as the modules load, in whatever order
     integer = [_canonical_pieces, _residue_algebra, _ptmap_of_text, _relation_of_texts, _levels_of]
-    finite = [_JOINED, _VERDICTS]
+    finite = [_JOINED, _verdict_of]
     assert sorted(map(id, _MEMOS)) == sorted(map(id, integer + finite))
-    assert all(memo.cache_info().maxsize == MEMO_SIZE for memo in integer)
+    # six lru_caches and one Memo, _JOINED
+    assert [memo for memo in _MEMOS if isinstance(memo, Memo)] == [_JOINED]
+    assert all(memo.cache_info().maxsize == MEMO_SIZE for memo in integer + [_verdict_of])
     for memo, replayed, certified in zip(_MEMOS, *infos[0]):
         filled, other = (replayed, certified) if any(memo is m for m in integer) else (
             certified, replayed)
@@ -1195,6 +1198,32 @@ def test_a_finite_run_after_an_integer_one_starts_from_empty_memos(capsys, monke
     # row reads back the partition the run joined. No other memo holds an entry
     assert built == [(5, [[0, 1, 2], [3, 4]])] and len(_JOINED) == 1
     assert not any(any(_held(memo)) for memo in _MEMOS if memo is not _JOINED)
+
+
+def _paused_from_empty_memos() -> bool:
+    return not gc.isenabled() and not any(any(_held(memo)) for memo in _MEMOS)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_run_starts_from_empty_memos_and_leaves_the_collector_as_it_found_it(collecting):
+    # a library call in a Run: memos emptied on entry, the collector paused
+    # inside, and back in the caller's state after a return and after a raise
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        _fill_memos(0)
+        with Run():
+            assert _paused_from_empty_memos()
+            enumerated_partition([{0: 1, 1: 0}, {0: 0, 1: 1}], 2)
+            assert _held(_verdict_of) == (1, 0, 1) and len(_JOINED) == 1
+        assert gc.isenabled() is collecting
+        _fill_memos(1)
+        with pytest.raises(NotAnEnumeration), Run():
+            assert _paused_from_empty_memos()
+            enumerated_partition([{0: 1}], 2)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("command, path, joined", [

@@ -666,7 +666,7 @@ def test_construction_does_each_step_once(lane, monkeypatch):
 def test_finite_construction_checks_the_enumeration_once(command, monkeypatch, tmp_path):
     # the construction takes its relation from the one check of its graphs,
     # enumerated_partition, and the certificate's enumeration_laws row reads
-    # back the verdict of that check
+    # back the verdict of that check: the run's memo of verdicts misses once
     import qborel.cli.commands
     import qborel.feldman_moore
     import qborel.relations
@@ -674,12 +674,15 @@ def test_finite_construction_checks_the_enumeration_once(command, monkeypatch, t
     from qborel.cli.main import main
 
     checks, partitions, at_certify = [], [], []
-    check, certify = qborel.relations._enumeration_check, Certificate.certify
+    memo, certify = qborel.relations._verdict_of, Certificate.certify
     partition = qborel.relations.enumerated_partition
 
-    def counted(graphs, n):
-        checks.append(n)
-        return check(graphs, n)
+    def counted(union, n):
+        misses = memo.cache_info().misses
+        verdict = memo(union, n)
+        if memo.cache_info().misses > misses:
+            checks.append(n)
+        return verdict
 
     def partitioned(graphs, n):
         rel = partition(graphs, n)
@@ -690,7 +693,7 @@ def test_finite_construction_checks_the_enumeration_once(command, monkeypatch, t
         at_certify.append(len(checks))
         return certify(self, *args)
 
-    monkeypatch.setattr(qborel.relations, "_enumeration_check", counted)
+    monkeypatch.setattr(qborel.relations, "_verdict_of", counted)
     for module in (qborel.cli.commands, qborel.feldman_moore):
         monkeypatch.setattr(module, "enumerated_partition", partitioned)
     monkeypatch.setattr(Certificate, "certify", certified)

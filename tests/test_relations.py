@@ -476,7 +476,7 @@ def test_verify_enumeration_after_a_kept_verdict_gives_the_cold_report(family, e
     except NotAnEnumeration:
         pass
     n, graphs = ENUMERATION_EDITS[edit](n, graphs)
-    cold = _report(lambda g, k: _enumeration_check(g, k)[1], graphs, n)
+    cold = _report(lambda g, k: _enumeration_check(union_pairs(g), k)[1], graphs, n)
     assert _report(verify_enumeration, graphs, n) == cold
 
 
