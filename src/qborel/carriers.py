@@ -13,10 +13,14 @@ the empty set and all of Z) collapse to a residue-set description.  All
 of it is arithmetic on the sorted interval lists of the residues modulo
 the lcm p of the strides of the rays and of the pieces with at least
 three points, so the cost follows p and the number of intervals and
-output pieces, never the size of the coordinates.  Intersection and
-difference cost O(pieces) when the operands' hulls decide them (an empty,
-equal or whole-Z operand, an interval holding the other's hull, hulls
-apart), and O(p * pieces) otherwise.
+output pieces, never the size of the coordinates.  When p is 1 the one
+residue's merged interval list is the normal form (a down ray, the finite
+intervals as greedy segments, an up ray): normalising costs a sort of the
+intervals, and intersection and difference build their result from it,
+one test per pair of the operands' intervals, with nothing normalised
+again.  They cost O(pieces) when the operands' hulls decide them (an
+empty, equal or whole-Z operand, an interval holding the other's hull,
+hulls apart), and a pass over the p residues otherwise.
 
 A normal form is not rebuilt from what it already tells.  An IntSet
 carries its hull (least and greatest member) from the moment its normal
@@ -269,6 +273,30 @@ def _points_apart(pieces) -> list[Piece]:
     return out
 
 
+def _intervals(pieces) -> list:
+    """The merged interval list of pieces of stride 1."""
+    return _iv_norm([(None, s) if dn else (s, None if n is None else s + n - 1)
+                     for s, _, n, dn in pieces])
+
+
+# Z, as the residue path writes it: the class of 0 mod 1
+_ALL = (Piece(-1, 1, None, down=True), Piece(0, 1, None))
+
+
+def _interval_form(ivs) -> tuple[Piece, ...]:
+    """The normal form of the set of merged intervals ivs: _residue_form's at p = 1."""
+    down = up = ()
+    if ivs and ivs[0][0] is None:
+        if ivs[0][1] is None:
+            return _ALL
+        down = (Piece(ivs[0][1], 1, None, down=True),)
+        ivs = ivs[1:]
+    if ivs and ivs[-1][1] is None:
+        up = (Piece(ivs[-1][0], 1, None),)
+        ivs = ivs[:-1]
+    return (*down, *_greedy_segments([(lo, 1, hi - lo + 1) for lo, hi in ivs]), *up)
+
+
 def _normal_form(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
     """The normal form of a piece tuple; a normal form is its own."""
     if len(raw) < 2:
@@ -276,6 +304,12 @@ def _normal_form(raw: tuple[Piece, ...]) -> tuple[Piece, ...]:
         return tuple(Piece(pc.start, 1, 1) if pc.length == 1 else pc for pc in raw)
     raw = _points_apart(raw)
     p = lcm(*[pc.stride for pc in raw])
+    return _interval_form(_intervals(raw)) if p == 1 else _residue_form(raw, p)
+
+
+def _residue_form(raw: list[Piece], p: int) -> tuple[Piece, ...]:
+    """The normal form of pieces split by _points_apart whose strides divide p,
+    read off their interval lists per residue mod p."""
     per_res = _decompose_mod(raw, p)
 
     # Above every finite end a residue follows the upward pattern (all of
@@ -346,11 +380,7 @@ class IntSet:
     def __init__(self, pieces: Iterable[Piece] = ()):
         form = _canonical_pieces(tuple(pieces))
         object.__setattr__(self, "pieces", form)
-        if not form:
-            object.__setattr__(self, "hull", (inf, -inf))
-            return
-        lo, hi = form[0].min, form[-1].max
-        object.__setattr__(self, "hull", (-inf if lo is None else lo, inf if hi is None else hi))
+        object.__setattr__(self, "hull", _hull(form))
 
     def __setattr__(self, *a):
         raise AttributeError("IntSet is immutable")
@@ -501,14 +531,11 @@ class IntSet:
             return self
         if _residue_classes(form):
             return IntSet(pc.translate(c) for pc in form)
-        out = object.__new__(IntSet)
-        object.__setattr__(out, "pieces", tuple([
+        lo, hi = self.hull
+        return _known(tuple([
             tuple.__new__(Piece, (start + c, stride, length, down))
             for start, stride, length, down in form
-        ]))
-        lo, hi = self.hull
-        object.__setattr__(out, "hull", (lo + c, hi + c))
-        return out
+        ]), (lo + c, hi + c))
 
     def is_subset(self, other: "IntSet") -> bool:
         return self.difference(other).is_empty()
@@ -527,6 +554,20 @@ class IntSet:
 
     def __str__(self):
         return format_intset(self)
+
+
+def _known(form: tuple[Piece, ...], hull: tuple) -> IntSet:
+    """The IntSet of a known normal form and its hull: nothing is normalised."""
+    out = object.__new__(IntSet)
+    object.__setattr__(out, "pieces", form)
+    object.__setattr__(out, "hull", hull)
+    return out
+
+
+def _hull(form: tuple[Piece, ...]) -> tuple:
+    """The least and greatest member of a normal form, read off its end pieces."""
+    lo, hi = (form[0].min, form[-1].max) if form else (inf, -inf)
+    return -inf if lo is None else lo, inf if hi is None else hi
 
 
 def _residue_classes(form: tuple[Piece, ...]) -> bool:
@@ -599,15 +640,24 @@ def _negate_piece(pc: Piece) -> Piece:
 
 @_per_run
 def _residue_algebra(op, a: tuple[Piece, ...], b: tuple[Piece, ...]) -> IntSet:
-    """The interval operation op applied per residue to normal forms a and b."""
+    """The interval operation op applied per residue to normal forms a and b;
+    with every stride 1, to their merged intervals, which give the normal form."""
     mine, theirs = _points_apart(a), _points_apart(b)
     p = lcm(*[pc.stride for pc in mine + theirs])
-    mine, theirs = _decompose_mod(mine, p), _decompose_mod(theirs, p)
+    if p > 1:
+        return _per_residue(op, mine, theirs, p)
+    form = _interval_form(op(_intervals(mine), _intervals(theirs)))
+    return _known(form, _hull(form))
+
+
+def _per_residue(op, a: list[Piece], b: list[Piece], p: int) -> IntSet:
+    """op applied to the interval lists of each residue mod p of pieces a and b,
+    split by _points_apart, whose strides divide p; the result normalised."""
+    mine, theirs = _decompose_mod(a, p), _decompose_mod(b, p)
     out = []
     # a residue in neither set stays empty under every operation
     for r in mine.keys() | theirs.keys():
-        ivs = op(mine.get(r, []), theirs.get(r, []))
-        out.extend(_rebuild_residue(r, p, ivs))
+        out.extend(_rebuild_residue(r, p, op(mine.get(r, []), theirs.get(r, []))))
     return IntSet(out)
 
 
@@ -694,7 +744,6 @@ def _rebuild_residue(r: int, p: int, ivs) -> list[Piece]:
 
 
 _EMPTY = IntSet()
-_ALL = IntSet.all_integers().pieces
 
 
 # ---------------------------------------------------------------------------

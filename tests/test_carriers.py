@@ -11,6 +11,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qborel import carriers
 from qborel.carriers import (
     IntBlockRelation,
     IntSet,
@@ -24,10 +25,14 @@ from qborel.carriers import (
     _iv_norm,
     _min_shift_period,
     _negate_piece,
+    _normal_form,
+    _per_residue,
     _piece_near_zero,
     _piece_translates_union,
+    _points_apart,
     _relation_of_texts,
     _residue_algebra,
+    _residue_form,
     format_intset,
     format_ptmap,
     offset_sets,
@@ -183,9 +188,42 @@ def _iv_union(x, y):
     return _iv_norm(list(x) + list(y))
 
 
+def residue_path(op, a, b):
+    """op of the IntSets a and b by the per-residue algebra, at the lcm of the strides."""
+    mine, theirs = _points_apart(a.pieces), _points_apart(b.pieces)
+    return _per_residue(op, mine, theirs, math.lcm(*[pc.stride for pc in mine + theirs]))
+
+
 def per_residue_union(a, b):
     """The former IntSet.union: merge both operands residue by residue."""
-    return _residue_algebra(_iv_union, a.pieces, b.pieces)
+    return residue_path(_iv_union, a, b)
+
+
+# raw pieces whose strides are all 1 once _points_apart has split the pieces
+# of one or two points: segments, points, two-point pieces, rays and Z
+stride_1_raws = st.lists(st.one_of(
+    st.builds(lambda a, n: (Piece(a, 1, n),), st.integers(-20, 20), st.integers(1, 8)),
+    st.builds(lambda a, d: (Piece(a, d, 2),), st.integers(-20, 20), st.integers(1, 10**6)),
+    st.builds(lambda a: (Piece(a, 1, None),), st.integers(-20, 20)),
+    st.builds(lambda a: (Piece(a, 1, None, down=True),), st.integers(-20, 20)),
+    st.just(IntSet.all_integers().pieces),
+), max_size=5).map(lambda parts: tuple(pc for part in parts for pc in part))
+
+
+@given(stride_1_raws)
+def test_stride_1_normal_forms_are_the_residue_forms_mod_1(raw):
+    assert _normal_form(raw) == _residue_form(_points_apart(raw), 1)
+
+
+@given(stride_1_raws, stride_1_raws)
+def test_stride_1_algebra_is_the_per_residue_algebra(ra, rb):
+    # a normal form may still hold pieces of stride 2 or more ({0, 2, 4}, say)
+    a, b = IntSet(ra), IntSet(rb)
+    for x, y in ((a, b), (b, a)):
+        for got, op in ((x.intersect(y), _iv_intersect), (x.difference(y), _iv_difference),
+                        (x.union(y), _iv_union)):
+            want = residue_path(op, x, y)
+            assert (got.pieces, got.hull) == (want.pieces, want.hull)
 
 
 def union_operands(far):
@@ -340,7 +378,7 @@ def rule_pairs(draw):
 def test_hull_rules_give_the_general_paths_pieces(pair):
     a, b = pair
     for got, op in ((a.intersect(b), _iv_intersect), (a.difference(b), _iv_difference)):
-        assert got.pieces == _residue_algebra(op, a.pieces, b.pieces).pieces
+        assert got.pieces == residue_path(op, a, b).pieces
     union = IntSet(a.pieces + b.pieces + a.pieces).pieces
     assert a.union(b, a).pieces == union
     assert IntSet.empty().union(b, IntSet.empty(), a).pieces == union
@@ -359,6 +397,26 @@ def test_decided_pairs_skip_the_residue_algebra():
     assert a.intersect(far).is_empty() and a.difference(far) is a
     assert _residue_algebra.cache_info().misses == misses
     assert IntSet.empty() is IntSet.empty()
+
+
+def test_stride_1_sets_skip_the_residue_decomposition(monkeypatch):
+    def decompose_mod(pieces, p):
+        raise AssertionError(f"decomposed mod {p}")
+
+    _clear_memos()
+    monkeypatch.setattr(carriers, "_decompose_mod", decompose_mod)
+    cases = [
+        (parse_intset("..-1; 3..7; 9.."), "..-1; 3..7; 9.."),
+        (IntSet.of(1, 3), "1:+2*2"),
+        (IntSet.segment(0, 4) | IntSet.segment(5, 9), "0..9"),
+        (IntSet.all_integers() - IntSet.of(0), "..-1; 1.."),
+        (parse_intset("0..9; 20..") & parse_intset("5..25; 30"), "5..9; 20..25; 30"),
+        (parse_intset("0..9; 20..") - parse_intset("5..25; 30"), "0..4; 26..29; 31.."),
+    ]
+    assert [format_intset(s) for s, _ in cases] == [text for _, text in cases]
+    # a stride-2 operand still takes the residue path
+    with pytest.raises(AssertionError, match="^decomposed mod 2$"):
+        IntSet.ray_up(0, 2).intersect(parse_intset("..-1; 5.."))
 
 
 # -- what a normal form carries ------------------------------------------
