@@ -27,7 +27,7 @@ _EXPORTS = {
     "parse_intset parse_ptmap",
     "errors": "QBorelError",
     "feldman_moore": "classical_construction cover_finite cover_int greedy_extend "
-    "greedy_extend_int levels_finite levels_int lusin_novikov_decompose psi_split "
+    "greedy_extend_int levels_int lusin_novikov_decompose psi_split "
     "psi_split_int quotient_construction quotient_construction_int weak_uniformize "
     "weak_uniformize_int",
     "quotient": "Partition",

@@ -239,15 +239,15 @@ def cmd_cover(args, inst) -> Certificate:
         return _cover_int(args, decl.value, [d.table for d in decls], g0_decl.table)
     if decl.kind != "graphs":
         raise UsageError("cover needs a graphs relation (or an int blocks one)")
-    from ..feldman_moore import greedy_extend, invert_map, psi_split
+    from ..feldman_moore import cover_finite, greedy_extend, invert_map, psi_split
 
     enum, phis = decl.value, decl.value.graph_dicts()
     rel, g0 = enumerated_partition(phis, enum.n), dict(g0_decl.table)
     # the psis lie in the graphs that enumerate rel: greedy_extend checks only the seed,
     # and g is a permutation inside the classes, as the emitted checks confirm. The
     # finite cover is (g, g^-1): first is the extension, second its inverse
-    g = greedy_extend(g0, psi_split(phis), rel.n, rel, sources=range(rel.n))
-    extension, second = _graph_pairs(g), _graph_pairs(invert_map(g))
+    pair = cover_finite(greedy_extend(g0, psi_split(phis), rel.n, rel, sources=range(rel.n)))
+    extension, second = _graph_pairs(pair.first), _graph_pairs(pair.second)
     return Certificate("cover").certify({
         "extension": extension,
         "first": extension,

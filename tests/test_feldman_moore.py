@@ -32,9 +32,10 @@ from qborel.feldman_moore import (
     cover_int,
     greedy_extend,
     greedy_extend_int,
+    graph_within_partition,
     identity_map,
+    injectivity_witness,
     invert_map,
-    levels_finite,
     levels_int,
     lusin_novikov_decompose,
     maximality_witness,
@@ -227,43 +228,41 @@ def test_greedy_rejects_seed_outside_relation():
 
 # -- levels, finite degeneracy -------------------------------------------------------
 
-@given(partitions, st.randoms(use_true_random=False))
-def test_finite_levels_all_empty(p, rng):
+@given(partitions)
+def test_finite_levels_all_empty(p):
     e = enumeration_of(p)
     psis = psi_split(e.graph_dicts())
     g = greedy_extend({}, psis, p.n, rel=p)
-    lv = levels_finite(g, p.n, p)
-    # a maximal injection on finite classes is a bijection: no levels at all
-    assert lv.positive == [] and lv.negative == []
-    assert lv.zero == frozenset(range(p.n))
-    cp = cover_finite(lv)
+    # a maximal injection on finite classes is a bijection: every point lies in
+    # X_0, no levels are built and the cover is (g, g^-1)
+    assert sorted(g.values()) == list(range(p.n)) and set(g) == set(range(p.n))
+    cp = cover_finite(g)
     got = union_pairs([cp.first, cp.second])
     assert got >= frozenset(g.items())
     assert got >= frozenset(invert_map(g).items())
 
 
-def test_levels_finite_rejects_non_injection():
+# the law checks state what the unchecked cover step leaves to the certificate
+
+def test_injectivity_witness_names_two_points_sharing_an_image():
+    g = {0: 1, 1: 1, 2: 0}
+    assert injectivity_witness(g) == (0, 1, 1)
     with pytest.raises(NotInjective):
-        levels_finite({0: 1, 1: 1, 2: 0}, 3, Partition.from_blocks(3, [range(3)]))
+        cover_finite(g)
 
 
-def test_levels_finite_rejects_non_maximal():
-    with pytest.raises(NotMaximal):
-        levels_finite({0: 1, 1: 0}, 3, Partition.from_blocks(3, [range(3)]))
+def test_maximality_witness_names_an_unused_extendable_pair():
+    assert maximality_witness({0: 1, 1: 0}, Partition.from_blocks(3, [range(3)])) == (2, 2)
 
 
-def test_levels_finite_rejects_map_leaving_relation():
-    from qborel.errors import NotWithinRelation
-
+def test_graph_within_partition_names_a_pair_leaving_the_relation():
     # injective and maximal, but 0 and 1 are not related
-    with pytest.raises(NotWithinRelation) as exc:
-        levels_finite({0: 1}, 2, Partition.discrete(2))
-    assert exc.value.witness == (0, 1)
+    p = Partition.discrete(2)
+    assert injectivity_witness({0: 1}) is None and maximality_witness({0: 1}, p) is None
+    assert graph_within_partition({0: 1}, p) == (0, 1)
 
 
 def test_graph_within_partition_flags_points_outside_range():
-    from qborel.feldman_moore import graph_within_partition
-
     p = Partition.discrete(2)
     assert graph_within_partition({6: 7}, p) == (6, 7)
     assert graph_within_partition({-1: 1}, p) == (-1, 1)
@@ -300,7 +299,7 @@ def test_quotient_construction_matches_per_seed_pipeline(p):
     for psi, g, cp in zip(qc.psis, qc.extended, qc.covers):
         alone = greedy_extend(psi, qc.psis, p.n, p)
         assert g == alone
-        assert cp == cover_finite(levels_finite(alone, p.n, p))
+        assert cp == cover_finite(alone)
 
 
 def test_quotient_construction_rejects_broken_enumeration():
@@ -634,8 +633,7 @@ def test_construction_does_each_step_once(lane, monkeypatch):
 
     if lane == "finite":
         counted("greedy_extend", seeds)
-        counted("FiniteLevels", stratified)  # none: the finite lane builds no levels
-        counted("invert_map", covered)  # the cover step, (g, g^-1)
+        counted("cover_finite", covered)  # the cover step, (g, g^-1); no levels built
         qc = quotient_construction(enumeration_of(Partition.from_class_map([0, 0, 0, 1, 1, 2])))
         key = lambda f: tuple(sorted(f.items()))  # noqa: E731
         inverse = lambda f: {y: x for x, y in f.items()}  # noqa: E731

@@ -34,14 +34,12 @@ from qborel.errors import (
     QBorelError,
 )
 from qborel.feldman_moore import (
-    FiniteLevels,
     _signature,
     classical_construction,
     graph_within_partition,
     greedy_extend,
     injectivity_witness,
     invert_map,
-    levels_finite,
     lusin_novikov_decompose,
     maximality_witness,
     psi_split,
@@ -681,43 +679,53 @@ SAMPLE_RUNS = [
 ]
 
 
-def test_built_extensions_are_stratified_without_levels_finite(capsys, monkeypatch):
+def test_built_extensions_are_stratified_without_levels_finite():
     # greedy_extend builds a permutation inside the classes from a checked
     # seed and the psis, and the certificate checks its cover: the
-    # construction and finite cover take the unchecked cover step (g, g^-1)
-    import qborel.feldman_moore as fm
-
-    checked = []
-    monkeypatch.setattr(fm, "levels_finite", lambda *args: checked.append(args))
+    # construction takes the unchecked cover step (g, g^-1), and each
+    # extension passes the law checks that step leaves out
     blocks = [[0, 3, 5], [1, 2], [4]]
     graphs = [{x: b[(i + d) % len(b)] for b in blocks for i, x in enumerate(b)} for d in range(3)]
     qc = quotient_construction(EnumeratedEquivalence.make(6, graphs))
-    for g, cp in zip(qc.extended, qc.covers):  # each passes the checks the step leaves out
-        levels = levels_finite(g, 6, qc.relation)
-        assert (levels.g, levels.ginv) == (cp.first, cp.second)
+    for g, cp in zip(qc.extended, qc.covers):
+        assert injectivity_witness(g) is None
+        assert graph_within_partition(g, qc.relation) is None
+        assert maximality_witness(g, qc.relation) is None
+        assert (cp.first, cp.second) == (g, invert_map(g))
+
+
+def test_finite_runs_take_the_one_cover_step_and_no_maximality_check(capsys, monkeypatch):
+    # a finite cover run takes its cover from cover_finite, once per
+    # certificate, and no finite run checks its extension's maximality again
+    import qborel.feldman_moore as fm
+    from qborel.cli.certificates import Certificate
+
+    steps, laws = [], []
+    cover, certify, maximality = fm.cover_finite, Certificate.certify, fm.maximality_witness
+
+    def covered(g):
+        steps.append("cover_finite")
+        return cover(g)
+
+    def certified(self, *args):
+        steps.append("certify")
+        return certify(self, *args)
+
+    def checked(*args):
+        laws.append(args)
+        return maximality(*args)
+
+    monkeypatch.setattr(fm, "cover_finite", covered)
+    monkeypatch.setattr(Certificate, "certify", certified)
+    monkeypatch.setattr(fm, "maximality_witness", checked)
+    shifts6 = SAMPLE_RUNS[-1]
+    assert shifts6[0] == "cover" and shifts6[-1].endswith("shifts6.qb")
+    assert main(shifts6) == 0
+    assert steps == ["cover_finite", "certify"]
     for argv in SAMPLE_RUNS:
         assert main(argv) == 0
     capsys.readouterr()
-    assert checked == []
-
-
-def test_finite_runs_build_no_levels(capsys, monkeypatch):
-    # every point of a finite run lies in X_0, so its cover step builds no
-    # FiniteLevels; levels_finite, called directly, still builds them
-    built = []
-    init = FiniteLevels.__init__
-
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(FiniteLevels, "__init__", counted)
-    for argv in SAMPLE_RUNS:
-        assert main(argv) == 0
-    capsys.readouterr()
-    assert built == []
-    levels_finite({0: 1, 1: 0}, 2, Partition.from_blocks(2, [[0, 1]]))
-    assert len(built) == 1
+    assert laws == []
 
 
 @pytest.mark.parametrize("pairs", [

@@ -255,6 +255,8 @@ def test_meets_finds_exactly_the_meeting_pairs(family, probes):
 
 @given(raw_maps)
 @example([(IntSet.segment(0, 5), 1), (IntSet.ray_up(3, 2), 2), (IntSet.of(-4, 4), 3)])
+# the sweep meets pair (0, 2) first, at -1; the least pair, (0, 1), meets at 0
+@example([(IntSet.ray_down(0), 1), (IntSet.ray_up(0), -1), (IntSet.ray_down(-1), 0)])
 def test_ptmap_overlap_matches_the_pairwise_search(pairs):
     got = outcome(PiecewiseTranslation, pairs)
     want = outcome(ref_ptmap, pairs)

@@ -42,7 +42,6 @@ EXPORTS = [
     "index_over",
     "involution_fiber_report",
     "letter_action",
-    "levels_finite",
     "levels_int",
     "lusin_novikov_decompose",
     "make_restricted_model",
